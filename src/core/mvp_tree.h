@@ -137,12 +137,15 @@ class MvpTree {
   /// The k nearest objects via shrinking-radius branch-and-bound; children
   /// are visited in order of their distance lower bound (combining both
   /// vantage points) and leaf points are pre-filtered through D1/D2/PATH,
-  /// so the mvp-tree's leaf-level filtering carries over to k-NN.
+  /// so the mvp-tree's leaf-level filtering carries over to k-NN. Ids that
+  /// `exclude` names are never returned (core::Exclusion): the answer is
+  /// the k nearest among the rest.
   std::vector<Neighbor> KnnSearch(const Object& query, std::size_t k,
-                                  SearchStats* stats = nullptr) const {
+                                  SearchStats* stats = nullptr,
+                                  Exclusion exclude = {}) const {
     std::vector<Neighbor> heap;
     SearchStats local;
-    KnnSearchInto(query, k, &heap, &local);
+    KnnSearchInto(query, k, &heap, &local, exclude);
     std::sort_heap(heap.begin(), heap.end(), NeighborLess);
     if (stats != nullptr) MergeStats(stats, local);
     return heap;
@@ -156,14 +159,15 @@ class MvpTree {
   /// sort (std::sort or std::sort_heap) before presenting.
   void KnnSearchInto(const Object& query, std::size_t k,
                      std::vector<Neighbor>* heap,
-                     SearchStats* stats = nullptr) const {
+                     SearchStats* stats = nullptr,
+                     Exclusion exclude = {}) const {
     MVP_DCHECK(heap != nullptr);
     SearchStats local;
     SearchStats& sink = stats != nullptr ? *stats : local;
     if (root_ != nullptr && k > 0) {
       std::vector<double> qpath;
       qpath.reserve(static_cast<std::size_t>(options_.num_path_distances));
-      KnnSearchNode(*root_, query, k, qpath, *heap, sink);
+      KnnSearchNode(*root_, query, k, qpath, *heap, sink, exclude);
     }
   }
 
@@ -589,7 +593,7 @@ class MvpTree {
 
     if (node.is_leaf) {
       FilterLeaf(node, query, radius, d1, d2, qpath, &result, nullptr, 0,
-                 stats);
+                 stats, Exclusion{});
       return;
     }
 
@@ -624,12 +628,13 @@ class MvpTree {
 
   /// Step 2 of §4.3: leaf filtering through D1, D2 and PATH before any
   /// distance computation. Exactly one of `range_out` (range mode, uses
-  /// `radius`) or `heap_out` (k-NN mode, uses shrinking radius) is non-null.
+  /// `radius`) or `heap_out` (k-NN mode, uses shrinking radius and skips
+  /// the entries `exclude` names) is non-null.
   void FilterLeaf(const Node& node, const Object& query, double radius,
                   double d1, double d2, const std::vector<double>& qpath,
                   std::vector<Neighbor>* range_out,
                   std::vector<Neighbor>* heap_out, std::size_t k,
-                  SearchStats& stats) const {
+                  SearchStats& stats, Exclusion exclude) const {
     if (range_out != nullptr) {
       // Range mode: the pruning radius is fixed, so the annulus tests for a
       // whole chunk can run before any metric call. ChunkedRangeFilter
@@ -687,7 +692,10 @@ class MvpTree {
           }
         }
       }
-      if (!pass) {
+      // The exclusion test runs last: the annulus tests reject most
+      // entries more cheaply, and an excluded entry counts as filtered
+      // either way.
+      if (!pass || exclude(x.id)) {
         ++stats.leaf_points_filtered;
         continue;
       }
@@ -707,20 +715,23 @@ class MvpTree {
 
   void KnnSearchNode(const Node& node, const Object& query, std::size_t k,
                      std::vector<double>& qpath, std::vector<Neighbor>& heap,
-                     SearchStats& stats) const {
+                     SearchStats& stats, Exclusion exclude) const {
     ++stats.nodes_visited;
+    // An excluded vantage point is still evaluated — its distance drives
+    // the pruning below and PATH — but never offered.
     const double d1 = metric_(query, objects_[node.vp1_id]);
     ++stats.distance_computations;
-    Offer(heap, k, Neighbor{node.vp1_id, d1});
+    if (!exclude(node.vp1_id)) Offer(heap, k, Neighbor{node.vp1_id, d1});
     double d2 = 0.0;
     if (node.has_vp2) {
       d2 = metric_(query, objects_[node.vp2_id]);
       ++stats.distance_computations;
-      Offer(heap, k, Neighbor{node.vp2_id, d2});
+      if (!exclude(node.vp2_id)) Offer(heap, k, Neighbor{node.vp2_id, d2});
     }
 
     if (node.is_leaf) {
-      FilterLeaf(node, query, 0.0, d1, d2, qpath, nullptr, &heap, k, stats);
+      FilterLeaf(node, query, 0.0, d1, d2, qpath, nullptr, &heap, k, stats,
+                 exclude);
       return;
     }
 
@@ -760,7 +771,8 @@ class MvpTree {
               [](const Ranked& a, const Ranked& b) { return a.bound < b.bound; });
     for (const Ranked& r : ranked) {
       if (r.bound > Tau(heap, k)) break;
-      KnnSearchNode(*node.children[r.child], query, k, qpath, heap, stats);
+      KnnSearchNode(*node.children[r.child], query, k, qpath, heap, stats,
+                    exclude);
     }
     qpath.resize(qpath.size() - pushed);
   }

@@ -36,6 +36,35 @@ inline double KnnTau(const std::vector<Neighbor>& heap, std::size_t k) {
                          : heap.front().distance;
 }
 
+/// Ids a k-NN search must never return — the erased objects of a dynamic
+/// layer. Non-owning: `excluded(context, id)` answers for an id in the
+/// searched structure's own id space. A default-constructed value excludes
+/// nothing, and a search passed it is exactly the unexcluded search.
+///
+/// The rule, the same in every representation: an excluded vantage point
+/// is still evaluated (its distance drives pruning and PATH) but never
+/// offered to the heap; an excluded leaf entry is never evaluated and
+/// counts as seen and filtered. Leaf filters test the exclusion after the
+/// annulus tests, which reject most entries more cheaply; the order
+/// changes neither results nor SearchStats.
+struct Exclusion {
+  const void* context = nullptr;
+  bool (*excluded)(const void*, std::size_t) = nullptr;
+
+  /// Wraps a callable `bool(std::size_t)`, which must outlive the search.
+  template <typename Fn>
+  static Exclusion Of(const Fn& fn) {
+    return Exclusion{&fn, [](const void* c, std::size_t id) -> bool {
+                       return (*static_cast<const Fn*>(c))(id);
+                     }};
+  }
+
+  bool operator()(std::size_t id) const {
+    return excluded != nullptr && excluded(context, id);
+  }
+  explicit operator bool() const { return excluded != nullptr; }
+};
+
 /// Offers a candidate to the max-heap (under NeighborLess) of the best k.
 inline void KnnOffer(std::vector<Neighbor>& heap, std::size_t k, Neighbor n) {
   if (heap.size() < k) {

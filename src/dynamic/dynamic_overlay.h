@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +15,7 @@
 #include "common/serialize.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "core/search_shared.h"
 #include "dynamic/dynamic_index.h"
 #include "dynamic/mvp_forest.h"
 #include "metric/metric.h"
@@ -37,10 +37,12 @@
 ///     structure) absorbing every insert since the base was written, plus a
 ///     tombstone set naming the base objects erased since then.
 ///
-/// Queries fan out to both sides, filter base hits through the tombstones,
-/// and merge by (distance, id) — the same order a single index produces, so
-/// results are bit-identical to an index rebuilt from scratch over the
-/// current live set (the overlay-equivalence test holds exactly this).
+/// Queries fan out to both sides and merge by (distance, id) — the same
+/// order a single index produces, so results are bit-identical to an index
+/// rebuilt from scratch over the current live set (the overlay-equivalence
+/// test holds exactly this). Range hits from the base are filtered through
+/// the tombstones; a k-NN search hands the tombstones to the base as a
+/// core::Exclusion, which skips them inside the traversal.
 ///
 /// Every object carries a STABLE id: issued once at insert, never reused,
 /// reported by all queries. The base maps its dense global ids to stable
@@ -195,10 +197,9 @@ class DynamicOverlay {
     std::vector<Neighbor> result;
     if (base_.has_value()) {
       for (const Neighbor& hit : base_->RangeSearch(query, radius, stats)) {
-        const std::uint64_t stable = BaseStableLocked(hit.id);
-        if (tombstones_.count(stable) != 0) continue;
-        result.push_back(
-            Neighbor{static_cast<std::size_t>(stable), hit.distance});
+        if (base_erased_[hit.id]) continue;
+        result.push_back(Neighbor{
+            static_cast<std::size_t>(BaseStableLocked(hit.id)), hit.distance});
       }
     }
     for (const Neighbor& hit : memtable_.RangeSearch(query, radius, stats)) {
@@ -210,27 +211,14 @@ class DynamicOverlay {
   }
 
   /// The k nearest live objects, same order contract as RangeSearch. The
-  /// base is over-fetched by the tombstone count so k live base hits
-  /// survive the filter whenever the base still holds that many.
+  /// base is asked for exactly k and skips its tombstoned objects inside
+  /// the traversal (core::Exclusion), so no erased object costs a distance
+  /// computation unless it is a vantage point on the search path.
   std::vector<Neighbor> KnnSearch(const Object& query, std::size_t k,
                                   SearchStats* stats = nullptr) const
       MVP_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
     std::vector<Neighbor> merged;
-    if (base_.has_value()) {
-      const auto hits =
-          base_->KnnSearch(query, k + tombstones_.size(), stats);
-      for (const Neighbor& hit : hits) {
-        const std::uint64_t stable = BaseStableLocked(hit.id);
-        if (tombstones_.count(stable) != 0) continue;
-        merged.push_back(
-            Neighbor{static_cast<std::size_t>(stable), hit.distance});
-      }
-    }
-    for (const Neighbor& hit : memtable_.KnnSearch(query, k, stats)) {
-      merged.push_back(Neighbor{
-          static_cast<std::size_t>(memtable_offset_) + hit.id, hit.distance});
-    }
+    KnnSearchInto(query, k, &merged, stats);
     std::sort(merged.begin(), merged.end(), NeighborLess);
     if (merged.size() > k) merged.resize(k);
     return merged;
@@ -267,12 +255,12 @@ class DynamicOverlay {
     if (cancelled) throw serve::CancelledError();
   }
 
-  /// KnnSearch's harvest interface: appends each base shard's candidate set
-  /// (over-fetched by the tombstone count, so k live candidates survive the
-  /// filter whenever the base holds that many) plus the memtable's best k,
-  /// all unsorted — the caller sorts and trims to k, landing on exactly the
-  /// KnnSearch result. On cancellation the candidates evaluated so far are
-  /// appended before the rethrow, same contract as the sharded index.
+  /// KnnSearch's harvest interface: appends each base shard's best k live
+  /// candidates (tombstones are excluded inside the traversal) plus the
+  /// memtable's best k, all unsorted — the caller sorts and trims to k,
+  /// landing on exactly the KnnSearch result. On cancellation the
+  /// candidates evaluated so far are appended before the rethrow, same
+  /// contract as the sharded index.
   void KnnSearchInto(const Object& query, std::size_t k,
                      std::vector<Neighbor>* out,
                      SearchStats* stats = nullptr) const MVP_EXCLUDES(mu_) {
@@ -280,9 +268,14 @@ class DynamicOverlay {
     bool cancelled = false;
     if (base_.has_value()) {
       std::vector<Neighbor> base_hits;
+      const std::vector<bool>& erased = base_erased_;
+      const auto is_erased = [&erased](std::size_t g) { return erased[g]; };
+      const core::Exclusion exclude = tombstone_count_ == 0
+                                          ? core::Exclusion{}
+                                          : core::Exclusion::Of(is_erased);
       try {
-        base_->KnnSearchInto(query, k + tombstones_.size(), &base_hits,
-                             stats);
+        base_->KnnSearchInto(query, k, &base_hits, stats, nullptr, nullptr,
+                             exclude);
       } catch (const serve::CancelledError&) {
         cancelled = true;
       }
@@ -296,7 +289,7 @@ class DynamicOverlay {
 
   std::size_t size() const MVP_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
-    return (base_.has_value() ? base_->size() : 0) - tombstones_.size() +
+    return (base_.has_value() ? base_->size() : 0) - tombstone_count_ +
            memtable_.size();
   }
 
@@ -320,8 +313,11 @@ class DynamicOverlay {
     for (std::size_t f = 0; f < forest_ids.size(); ++f) {
       forest_ids[f] = memtable_offset_ + f;
     }
-    const std::vector<std::uint64_t> tombs(tombstones_.begin(),
-                                           tombstones_.end());
+    std::vector<std::uint64_t> tombs;  // ascending, as the stable map is
+    tombs.reserve(tombstone_count_);
+    for (std::size_t g = 0; g < base_erased_.size(); ++g) {
+      if (base_erased_[g]) tombs.push_back(BaseStableLocked(g));
+    }
     auto gen = store_.SaveDelta(memtable_, forest_ids, tombs,
                                 base_generation_, next_seq_, next_stable_id_,
                                 codec_);
@@ -407,7 +403,7 @@ class DynamicOverlay {
   }
   std::size_t tombstone_count() const MVP_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
-    return tombstones_.size();
+    return tombstone_count_;
   }
   bool base_flat_serving() const MVP_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
@@ -436,16 +432,43 @@ class DynamicOverlay {
     return base_stable_ids_.empty() ? g : base_stable_ids_[g];
   }
 
+  /// Base global id of base stable id `stable`, or nullopt when no base
+  /// object carries it.
+  std::optional<std::size_t> BaseGlobalLocked(std::uint64_t stable) const
+      MVP_REQUIRES(mu_) {
+    if (!base_.has_value()) return std::nullopt;
+    if (base_stable_ids_.empty()) {
+      if (stable >= base_->size()) return std::nullopt;
+      return static_cast<std::size_t>(stable);
+    }
+    const auto it = std::lower_bound(base_stable_ids_.begin(),
+                                     base_stable_ids_.end(), stable);
+    if (it == base_stable_ids_.end() || *it != stable) return std::nullopt;
+    return static_cast<std::size_t>(it - base_stable_ids_.begin());
+  }
+
+  /// Tombstones base global id `g` (idempotent).
+  void EraseBaseLocked(std::size_t g) MVP_REQUIRES(mu_) {
+    if (base_erased_[g]) return;
+    base_erased_[g] = true;
+    ++tombstone_count_;
+  }
+
+  /// Clears every tombstone, sized for the current base.
+  void ResetTombstonesLocked() MVP_REQUIRES(mu_) {
+    base_erased_.assign(base_.has_value() ? base_->size() : 0, false);
+    tombstone_count_ = 0;
+  }
+
   /// Filters base hits through the tombstones and appends them to `*out`
   /// with their stable ids.
   void AppendBaseHitsLocked(const std::vector<Neighbor>& hits,
                             std::vector<Neighbor>* out) const
       MVP_REQUIRES(mu_) {
     for (const Neighbor& hit : hits) {
-      const std::uint64_t stable = BaseStableLocked(hit.id);
-      if (tombstones_.count(stable) != 0) continue;
-      out->push_back(
-          Neighbor{static_cast<std::size_t>(stable), hit.distance});
+      if (base_erased_[hit.id]) continue;
+      out->push_back(Neighbor{
+          static_cast<std::size_t>(BaseStableLocked(hit.id)), hit.distance});
     }
   }
 
@@ -465,10 +488,8 @@ class DynamicOverlay {
       return memtable_.contains(
           static_cast<std::size_t>(stable_id - memtable_offset_));
     }
-    if (!base_.has_value() || tombstones_.count(stable_id) != 0) return false;
-    if (base_stable_ids_.empty()) return stable_id < base_->size();
-    return std::binary_search(base_stable_ids_.begin(),
-                              base_stable_ids_.end(), stable_id);
+    const std::optional<std::size_t> g = BaseGlobalLocked(stable_id);
+    return g.has_value() && !base_erased_[*g];
   }
 
   /// Applies an erase that ContainsLocked already validated.
@@ -479,7 +500,7 @@ class DynamicOverlay {
       MVP_DCHECK(erased.ok());
       (void)erased;  // validated by ContainsLocked; checked by MVP_DCHECK
     } else {
-      tombstones_.insert(stable_id);
+      EraseBaseLocked(*BaseGlobalLocked(stable_id));
     }
   }
 
@@ -494,10 +515,10 @@ class DynamicOverlay {
         if constexpr (BaseIndex::kFlatCapable) {
           const auto& view = base_->flat_shard(s);
           for (std::size_t local = 0; local < view.size(); ++local) {
-            const std::uint64_t stable = BaseStableLocked(local * k + s);
-            if (tombstones_.count(stable) != 0) continue;
+            const std::size_t g = local * k + s;
+            if (base_erased_[g]) continue;
             const auto object = view.object(local);
-            live->emplace_back(stable,
+            live->emplace_back(BaseStableLocked(g),
                                Object(object.data(),
                                       object.data() + object.size()));
           }
@@ -506,9 +527,9 @@ class DynamicOverlay {
         const auto& tree = base_->shard(s);
         const auto& globals = base_->shard_global_ids(s);
         for (std::size_t local = 0; local < tree.size(); ++local) {
-          const std::uint64_t stable = BaseStableLocked(globals[local]);
-          if (tombstones_.count(stable) != 0) continue;
-          live->emplace_back(stable, tree.object(local));
+          const std::size_t g = globals[local];
+          if (base_erased_[g]) continue;
+          live->emplace_back(BaseStableLocked(g), tree.object(local));
         }
       }
     }
@@ -561,7 +582,7 @@ class DynamicOverlay {
     checkpoint_seq_ = next_seq_;
     memtable_offset_ = next_stable_id_;
     memtable_ = Memtable(metric_, options_.memtable);
-    tombstones_.clear();
+    ResetTombstonesLocked();
     ++stats_.compactions;
     return generation_;
   }
@@ -599,7 +620,7 @@ class DynamicOverlay {
                                              : m.object_count;
     next_stable_id_ = memtable_offset_;
     memtable_ = Memtable(metric_, options_.memtable);
-    tombstones_.clear();
+    ResetTombstonesLocked();
     return Status::OK();
   }
 
@@ -676,15 +697,14 @@ class DynamicOverlay {
               "delta id high-water mark mismatches its stable-id map");
         }
         for (const std::uint64_t t : d.base_tombstones) {
-          if (t >= memtable_offset_) {
+          const std::optional<std::size_t> g = BaseGlobalLocked(t);
+          if (!g.has_value()) {
             return Status::Corruption(
                 "delta tombstone does not name a base object");
           }
+          EraseBaseLocked(*g);
         }
         memtable_ = std::move(d.forest);
-        tombstones_.clear();
-        tombstones_.insert(d.base_tombstones.begin(),
-                           d.base_tombstones.end());
         next_stable_id_ = m.next_stable_id;
       } else {
         MVP_RETURN_NOT_OK(InstallBaseLocked(current.value(), pool));
@@ -730,8 +750,11 @@ class DynamicOverlay {
   Memtable memtable_ MVP_GUARDED_BY(mu_);
   /// First stable id owned by the memtable; smaller ids are the base's.
   std::uint64_t memtable_offset_ MVP_GUARDED_BY(mu_) = 0;
-  /// Erased base stable ids (memtable erases live inside the forest).
-  std::set<std::uint64_t> tombstones_ MVP_GUARDED_BY(mu_);
+  /// Tombstones: the erased base objects, flagged by base global id, and
+  /// how many are flagged (memtable erases live inside the forest). Dense,
+  /// so a k-NN search can test every leaf entry it sees against it.
+  std::vector<bool> base_erased_ MVP_GUARDED_BY(mu_);
+  std::size_t tombstone_count_ MVP_GUARDED_BY(mu_) = 0;
   std::uint64_t next_seq_ MVP_GUARDED_BY(mu_) = 0;  ///< last assigned seq
   std::uint64_t next_stable_id_ MVP_GUARDED_BY(mu_) = 0;
   /// Seq folded into the committed generation (WAL truncation watermark).

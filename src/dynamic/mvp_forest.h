@@ -34,8 +34,10 @@
 /// Deletes are tombstones, physically dropped whenever their level is
 /// rebuilt (plus a global compaction when tombstones exceed half the data).
 ///
-/// Queries fan out to the buffer (linear scan) and every live tree, then
-/// filter tombstones; results carry the stable ids that Insert returned.
+/// Queries fan out to the buffer (linear scan) and every live tree. Range
+/// hits are filtered through the tombstones afterwards; k-NN skips them
+/// inside each tree's traversal. Results carry the stable ids that Insert
+/// returned.
 
 namespace mvp::dynamic {
 
@@ -131,13 +133,14 @@ class MvpForest {
     }
     for (const auto& level : levels_) {
       if (!level.has_value()) continue;
-      // Over-fetch by the level's tombstone count so k live points survive
-      // the filter whenever the level has that many.
-      const auto hits =
-          level->tree->KnnSearch(query, k + level->tombstones, stats);
-      for (const auto& hit : hits) {
-        const std::size_t id = level->ids[hit.id];
-        if (state_[id] == kLive) candidates.push_back(Neighbor{id, hit.distance});
+      // The level's tree skips its deleted points inside the traversal
+      // (core::Exclusion), so it returns its k nearest live points.
+      const auto deleted = [&](std::size_t local) {
+        return state_[level->ids[local]] == kDeleted;
+      };
+      for (const auto& hit : level->tree->KnnSearch(
+               query, k, stats, core::Exclusion::Of(deleted))) {
+        candidates.push_back(Neighbor{level->ids[hit.id], hit.distance});
       }
     }
     std::sort(candidates.begin(), candidates.end(), NeighborLess);

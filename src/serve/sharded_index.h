@@ -219,12 +219,15 @@ class ShardedMvpIndex {
 
   /// The k nearest objects, sorted by distance then global id — exactly
   /// the unsharded result: each shard returns its own best k, and the best
-  /// k of that union are the global best k.
+  /// k of that union are the global best k. `exclude` names GLOBAL ids that
+  /// must not be returned (core::Exclusion); the answer is then the k
+  /// nearest among the rest.
   std::vector<Neighbor> KnnSearch(const Object& query, std::size_t k,
                                   SearchStats* stats = nullptr,
-                                  ThreadPool* pool = nullptr) const {
+                                  ThreadPool* pool = nullptr,
+                                  core::Exclusion exclude = {}) const {
     std::vector<Neighbor> merged;
-    KnnSearchInto(query, k, &merged, stats, pool);
+    KnnSearchInto(query, k, &merged, stats, pool, nullptr, exclude);
     std::sort(merged.begin(), merged.end(), NeighborLess);
     if (merged.size() > k) merged.resize(k);
     return merged;
@@ -235,19 +238,28 @@ class ShardedMvpIndex {
   /// to k. On cancellation the harvested union holds the best candidates
   /// among the points evaluated so far (a valid degraded answer; not
   /// necessarily the true top-k), appended before CancelledError is
-  /// rethrown.
+  /// rethrown. `exclude` names global ids, as in KnnSearch.
   void KnnSearchInto(const Object& query, std::size_t k,
                      std::vector<Neighbor>* out, SearchStats* stats = nullptr,
                      ThreadPool* pool = nullptr,
-                     const QueryPrime* prime = nullptr) const {
+                     const QueryPrime* prime = nullptr,
+                     core::Exclusion exclude = {}) const {
     FanOutInto(
         [&](std::size_t s, const Shard& shard, std::vector<Neighbor>* sink,
             SearchStats* shard_stats) {
+          // The shard searches its local ids; translate them for `exclude`.
+          const auto excluded_local = [&](std::size_t local) {
+            return exclude(GlobalId(s, local));
+          };
+          const core::Exclusion shard_exclude =
+              exclude ? core::Exclusion::Of(excluded_local)
+                      : core::Exclusion{};
           if (shard.tree.has_value()) {
-            shard.tree->KnnSearchInto(query, k, sink, shard_stats);
+            shard.tree->KnnSearchInto(query, k, sink, shard_stats,
+                                      shard_exclude);
           } else if constexpr (kFlatCapable) {
             shard.flat->KnnSearchInto(query, k, sink, shard_stats,
-                                      ShardPrime(prime, s));
+                                      ShardPrime(prime, s), shard_exclude);
           } else {
             MVP_DCHECK(false);  // flat shards need a flat-capable metric
           }

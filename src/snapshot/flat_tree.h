@@ -325,13 +325,15 @@ class FlatTreeView {
     }
   }
 
-  /// Mirrors MvpTree::KnnSearch (sorted by distance then id).
+  /// Mirrors MvpTree::KnnSearch (sorted by distance then id), including
+  /// its `exclude` rule (core::Exclusion).
   template <typename Query>
   std::vector<Neighbor> KnnSearch(const Query& query, std::size_t k,
-                                  SearchStats* stats = nullptr) const {
+                                  SearchStats* stats = nullptr,
+                                  core::Exclusion exclude = {}) const {
     std::vector<Neighbor> heap;
     SearchStats local;
-    KnnSearchInto(query, k, &heap, &local);
+    KnnSearchInto(query, k, &heap, &local, nullptr, exclude);
     std::sort_heap(heap.begin(), heap.end(), NeighborLess);
     if (stats != nullptr) core::MergeSearchStats(stats, local);
     return heap;
@@ -343,14 +345,16 @@ class FlatTreeView {
   void KnnSearchInto(const Query& query, std::size_t k,
                      std::vector<Neighbor>* heap,
                      SearchStats* stats = nullptr,
-                     const core::RootPrime* root_prime = nullptr) const {
+                     const core::RootPrime* root_prime = nullptr,
+                     core::Exclusion exclude = {}) const {
     MVP_DCHECK(heap != nullptr);
     SearchStats local;
     SearchStats& sink = stats != nullptr ? *stats : local;
     if (p_.header.root != kNoNode && k > 0) {
       std::vector<double> qpath;
       qpath.reserve(p_.header.num_path_distances);
-      KnnSearchNode(p_.header.root, query, k, qpath, *heap, sink, root_prime);
+      KnnSearchNode(p_.header.root, query, k, qpath, *heap, sink, exclude,
+                    root_prime);
     }
   }
 
@@ -402,7 +406,7 @@ class FlatTreeView {
 
     if (IsLeaf(node)) {
       FilterLeaf(node, query, radius, d1, d2, qpath, &result, nullptr, 0,
-                 stats);
+                 stats, core::Exclusion{});
       return;
     }
 
@@ -440,10 +444,10 @@ class FlatTreeView {
                   double d1, double d2, const std::vector<double>& qpath,
                   std::vector<Neighbor>* range_out,
                   std::vector<Neighbor>* heap_out, std::size_t k,
-                  SearchStats& stats) const {
+                  SearchStats& stats, core::Exclusion exclude) const {
     if (p_.header.version >= kFlatVersionV2) {
       FilterLeafV2(node, query, radius, d1, d2, qpath, range_out, heap_out, k,
-                   stats);
+                   stats, exclude);
       return;
     }
     const FlatLeafEntryRec* bucket = p_.entries + node.begin;
@@ -500,7 +504,7 @@ class FlatTreeView {
           }
         }
       }
-      if (!pass) {
+      if (!pass || exclude(x.id)) {
         ++stats.leaf_points_filtered;
         continue;
       }
@@ -520,7 +524,7 @@ class FlatTreeView {
                     double d1, double d2, const std::vector<double>& qpath,
                     std::vector<Neighbor>* range_out,
                     std::vector<Neighbor>* heap_out, std::size_t k,
-                    SearchStats& stats) const {
+                    SearchStats& stats, core::Exclusion exclude) const {
     const std::uint64_t ni =
         static_cast<std::uint64_t>(&node - p_.nodes);
     const std::uint32_t* ids = p_.ids + node.begin;
@@ -570,7 +574,7 @@ class FlatTreeView {
           }
         }
       }
-      if (!pass) {
+      if (!pass || exclude(ids[i])) {
         ++stats.leaf_points_filtered;
         continue;
       }
@@ -583,7 +587,7 @@ class FlatTreeView {
   template <typename Query>
   void KnnSearchNode(std::uint64_t ni, const Query& query, std::size_t k,
                      std::vector<double>& qpath, std::vector<Neighbor>& heap,
-                     SearchStats& stats,
+                     SearchStats& stats, core::Exclusion exclude,
                      const core::RootPrime* prime = nullptr) const {
     const FlatNodeRec& node = p_.nodes[ni];
     ++stats.nodes_visited;
@@ -595,7 +599,7 @@ class FlatTreeView {
       d1 = metric_(query, object(node.vp1));
     }
     ++stats.distance_computations;
-    core::KnnOffer(heap, k, Neighbor{node.vp1, d1});
+    if (!exclude(node.vp1)) core::KnnOffer(heap, k, Neighbor{node.vp1, d1});
     double d2 = 0.0;
     if (HasVp2(node)) {
       if (prime != nullptr && prime->has_d2) {
@@ -605,11 +609,12 @@ class FlatTreeView {
         d2 = metric_(query, object(node.vp2));
       }
       ++stats.distance_computations;
-      core::KnnOffer(heap, k, Neighbor{node.vp2, d2});
+      if (!exclude(node.vp2)) core::KnnOffer(heap, k, Neighbor{node.vp2, d2});
     }
 
     if (IsLeaf(node)) {
-      FilterLeaf(node, query, 0.0, d1, d2, qpath, nullptr, &heap, k, stats);
+      FilterLeaf(node, query, 0.0, d1, d2, qpath, nullptr, &heap, k, stats,
+                 exclude);
       return;
     }
 
@@ -649,7 +654,7 @@ class FlatTreeView {
               [](const Ranked& a, const Ranked& b) { return a.bound < b.bound; });
     for (const Ranked& r : ranked) {
       if (r.bound > core::KnnTau(heap, k)) break;
-      KnnSearchNode(kids[r.child], query, k, qpath, heap, stats);
+      KnnSearchNode(kids[r.child], query, k, qpath, heap, stats, exclude);
     }
     qpath.resize(qpath.size() - pushed);
   }

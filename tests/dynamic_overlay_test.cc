@@ -22,10 +22,13 @@
 #include "common/codec.h"
 #include "common/query.h"
 #include "common/status.h"
+#include "core/search_shared.h"
 #include "dynamic/dynamic_index.h"
 #include "dynamic/mvp_forest.h"
 #include "metric/edit_distance.h"
 #include "metric/lp.h"
+#include "scan/linear_scan.h"
+#include "serve/executor.h"
 #include "serve/sharded_index.h"
 #include "snapshot/manifest.h"
 #include "snapshot/snapshot_store.h"
@@ -142,6 +145,168 @@ class DynamicOverlayTest : public ::testing::Test {
       ExpectSameHits(overlay.KnnSearch(query, k), oracle.KnnSearch(query, k),
                      what + " knn q" + std::to_string(q));
     }
+  }
+
+  /// Commits one base generation over `objects` (stable id = position),
+  /// heap- or flat-served, for the next OpenOverlay to load.
+  void SeedBase(std::vector<Vec> objects, bool flat) {
+    auto built =
+        Oracle::Build(std::move(objects), metric::L2{}, SmallOptions().rebuild);
+    ASSERT_TRUE(built.ok());
+    snapshot::SnapshotStore store(dir_);
+    auto gen = flat ? store.SaveFlat(built.value())
+                    : store.SaveSharded(built.value(), VectorCodec{});
+    ASSERT_TRUE(gen.ok()) << gen.status().message();
+  }
+
+  /// Ground truth: the k nearest of `live` by linear scan, with stable ids.
+  static std::vector<Neighbor> ScanLive(
+      const std::map<std::uint64_t, Vec>& live, const Vec& query,
+      std::size_t k) {
+    std::vector<std::uint64_t> stable;
+    std::vector<Vec> objects;
+    for (const auto& [stable_id, object] : live) {
+      stable.push_back(stable_id);
+      objects.push_back(object);
+    }
+    const scan::LinearScan<Vec, metric::L2> scan(std::move(objects),
+                                                 metric::L2{});
+    auto hits = scan.KnnSearch(query, k);
+    for (Neighbor& n : hits) n.id = static_cast<std::size_t>(stable[n.id]);
+    return hits;
+  }
+
+  /// Tombstones are excluded inside the base's k-NN traversal, not
+  /// filtered after an over-fetch. Erasing 500 base points in a cluster far
+  /// from every query must leave each 10-NN answer unchanged and cost no
+  /// extra distance: the count is exactly the base's own 10-NN search with
+  /// the cluster excluded, and never above the count before the erase.
+  /// (Asking the base for k + tombstones would make each a 510-NN search.)
+  /// The count may drop: before the erase, a search whose heap is not yet
+  /// full evaluates far leaf points that it now skips.
+  void CheckFarErasesCostNothing(bool flat) {
+    constexpr std::size_t kNear = 700;
+    constexpr std::size_t kFar = 500;
+    constexpr std::size_t kK = 10;
+    std::mt19937_64 rng(41);
+    std::vector<Vec> objects;
+    for (std::size_t i = 0; i < kNear; ++i) objects.push_back(RandomVec(rng));
+    for (std::size_t i = 0; i < kFar; ++i) {
+      Vec v = RandomVec(rng);
+      for (double& x : v) x = 50.0 + 0.1 * x;
+      objects.push_back(std::move(v));
+    }
+    // The same deterministic build the store serves, searched directly.
+    auto direct =
+        Oracle::Build(objects, metric::L2{}, SmallOptions().rebuild);
+    ASSERT_TRUE(direct.ok());
+    ASSERT_NO_FATAL_FAILURE(SeedBase(std::move(objects), flat));
+    auto opened = OpenOverlay();
+    ASSERT_TRUE(opened.ok()) << opened.status().message();
+    Overlay& overlay = *opened.value();
+    ASSERT_EQ(overlay.base_flat_serving(), flat);
+    const auto is_far = [](std::size_t g) { return g >= kNear; };
+
+    std::vector<Vec> queries;
+    for (int q = 0; q < 25; ++q) queries.push_back(RandomVec(rng));
+    std::vector<std::vector<Neighbor>> before_hits;
+    std::vector<std::uint64_t> before_dists;
+    for (const Vec& query : queries) {
+      SearchStats stats;
+      before_hits.push_back(overlay.KnnSearch(query, kK, &stats));
+      before_dists.push_back(stats.distance_computations);
+    }
+
+    for (std::size_t id = kNear; id < kNear + kFar; ++id) {
+      ASSERT_TRUE(overlay.Erase(id).ok());
+    }
+    ASSERT_EQ(overlay.tombstone_count(), kFar);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      SearchStats stats;
+      const auto hits = overlay.KnnSearch(queries[q], kK, &stats);
+      ExpectSameHits(hits, before_hits[q], "far-erase q" + std::to_string(q));
+      SearchStats want;
+      direct.value().KnnSearch(queries[q], kK, &want, nullptr,
+                               core::Exclusion::Of(is_far));
+      EXPECT_EQ(stats.distance_computations, want.distance_computations)
+          << "query " << q;
+      EXPECT_LE(stats.distance_computations, before_dists[q])
+          << "query " << q;
+    }
+  }
+
+  /// Erases one query's whole true top-k and more, on a base with a
+  /// memtable over it, and checks the k-NN answer against a linear scan of
+  /// the live set through KnnSearch and through serve::RunBatch (the
+  /// KnnSearchInto harvest door) — live, and again after a checkpoint and
+  /// reopen, when the tombstones come back from the delta generation.
+  void CheckErasedTopKMatchesScan(bool flat) {
+    constexpr std::size_t kK = 10;
+    std::mt19937_64 rng(43);
+    std::map<std::uint64_t, Vec> live;
+    std::vector<Vec> objects;
+    for (std::uint64_t i = 0; i < 400; ++i) {
+      objects.push_back(RandomVec(rng));
+      live[i] = objects.back();
+    }
+    ASSERT_NO_FATAL_FAILURE(SeedBase(std::move(objects), flat));
+    auto opened = OpenOverlay();
+    ASSERT_TRUE(opened.ok()) << opened.status().message();
+    std::unique_ptr<Overlay> overlay = std::move(opened).ValueOrDie();
+    for (int i = 0; i < 30; ++i) {
+      Vec v = RandomVec(rng);
+      auto id = overlay->Insert(v);
+      ASSERT_TRUE(id.ok());
+      live[id.value()] = std::move(v);
+    }
+
+    // The focus query's 3k nearest live objects go (base and memtable
+    // alike), plus a random 40 elsewhere.
+    const Vec focus = RandomVec(rng);
+    for (const Neighbor& n : ScanLive(live, focus, 3 * kK)) {
+      ASSERT_TRUE(overlay->Erase(n.id).ok());
+      live.erase(n.id);
+    }
+    for (int i = 0; i < 40; ++i) {
+      auto it = live.begin();
+      std::advance(it, static_cast<long>(rng() % live.size()));
+      ASSERT_TRUE(overlay->Erase(it->first).ok());
+      live.erase(it);
+    }
+
+    std::vector<Vec> queries{focus};
+    for (int q = 0; q < 15; ++q) queries.push_back(RandomVec(rng));
+    const auto check = [&](const Overlay& o, const std::string& what) {
+      using Query = serve::BatchQuery<Vec>;
+      std::vector<Query> batch;
+      for (const Vec& query : queries) {
+        Query bq;
+        bq.kind = Query::Kind::kKnn;
+        bq.object = query;
+        bq.k = kK;
+        batch.push_back(std::move(bq));
+      }
+      const auto outcomes = serve::RunBatch(o, batch, nullptr);
+      ASSERT_EQ(outcomes.size(), queries.size());
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        const auto want = ScanLive(live, queries[q], kK);
+        const std::string tag = what + " q" + std::to_string(q);
+        ExpectSameHits(o.KnnSearch(queries[q], kK), want, tag);
+        ASSERT_TRUE(outcomes[q].status.ok()) << tag;
+        ExpectSameHits(outcomes[q].neighbors, want, tag + " batch");
+      }
+    };
+    check(*overlay, "live");
+
+    auto gen = overlay->Checkpoint();
+    ASSERT_TRUE(gen.ok()) << gen.status().message();
+    overlay.reset();
+    auto reopened = OpenOverlay();
+    ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+    overlay = std::move(reopened).ValueOrDie();
+    ASSERT_EQ(overlay->base_flat_serving(), flat);
+    ASSERT_GT(overlay->tombstone_count(), 3 * kK);
+    check(*overlay, "reopened");
   }
 
   std::string dir_;
@@ -417,6 +582,22 @@ TEST_F(DynamicOverlayTest, OverlayServesOverAFlatBase) {
   ASSERT_TRUE(gen.ok()) << gen.status().message();
   EXPECT_FALSE(overlay.base_flat_serving());
   ExpectEquivalent(overlay, live, rng, 40, "flat-compacted");
+}
+
+TEST_F(DynamicOverlayTest, FarErasesCostAHeapBaseNoDistances) {
+  CheckFarErasesCostNothing(/*flat=*/false);
+}
+
+TEST_F(DynamicOverlayTest, FarErasesCostAFlatBaseNoDistances) {
+  CheckFarErasesCostNothing(/*flat=*/true);
+}
+
+TEST_F(DynamicOverlayTest, ErasedTopKMatchesScanOverAHeapBase) {
+  CheckErasedTopKMatchesScan(/*flat=*/false);
+}
+
+TEST_F(DynamicOverlayTest, ErasedTopKMatchesScanOverAFlatBase) {
+  CheckErasedTopKMatchesScan(/*flat=*/true);
 }
 
 // Satellite: save-path guards name the offending representation on both

@@ -11,6 +11,7 @@
 #include "common/query.h"
 #include "common/rng.h"
 #include "common/serialize.h"
+#include "core/search_shared.h"
 #include "dataset/vector_gen.h"
 #include "metric/counting.h"
 #include "metric/kernels/kernels.h"
@@ -429,6 +430,96 @@ TEST_P(FlatEquivalenceTest, EveryKernelTierServesBitIdentically) {
     for (std::size_t q = 0; q < batch.size(); ++q) {
       ExpectIdentical(heap_out[q].neighbors, flat_out[q].neighbors,
                       heap_out[q].search, flat_out[q].search, q);
+    }
+  }
+}
+
+/// k-NN under an exclusion set (core::Exclusion, what the dynamic overlay
+/// hands its base for tombstones): every layout and every reachable tier
+/// applies the one rule — excluded vantage points evaluated but never
+/// offered, excluded leaf entries never evaluated — so results and
+/// all four SearchStats counters stay bit-identical, no excluded id comes
+/// back, and the answer is the brute-force k-NN over the remaining points.
+/// Excluding nothing, by a null or an all-false exclusion, is exactly the
+/// plain search.
+TEST_P(FlatEquivalenceTest, KnnUnderExclusionBitIdenticalAcrossLayouts) {
+  namespace kernels = metric::kernels;
+  struct RestoreDispatch {
+    // not a status to act on: best-effort reset to feature-probe dispatch
+    ~RestoreDispatch() { (void)kernels::ForceTier("auto"); }
+  } restore;
+
+  const auto queries = dataset::UniformQueryVectors(60, 8, 792);
+  const L2 l2;
+  const auto keep_all = [](std::size_t) { return false; };
+  for (int t = 0; t < kernels::kTierCount; ++t) {
+    const auto tier = static_cast<kernels::Tier>(t);
+    if (!kernels::TierSupported(tier)) continue;
+    const Status forced = kernels::ForceTier(kernels::TierName(tier));
+    ASSERT_TRUE(forced.ok()) << forced.ToString();
+
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      const std::size_t k = 1 + q % 17;
+      // Exclude the query's 2k true nearest (the answer must come from
+      // farther out) plus a seeded fifth of everything else.
+      std::vector<Neighbor> all;
+      for (std::size_t i = 0; i < data_.size(); ++i) {
+        all.push_back(Neighbor{i, l2(queries[q], data_[i])});
+      }
+      std::sort(all.begin(), all.end(), NeighborLess);
+      std::vector<bool> excluded(data_.size(), false);
+      Rng rng(900 + q);
+      for (std::size_t i = 0; i < all.size(); ++i) {
+        if (i < 2 * k || rng.NextIndex(5) == 0) excluded[all[i].id] = true;
+      }
+      const auto is_excluded = [&](std::size_t id) { return excluded[id]; };
+      const core::Exclusion exclude = core::Exclusion::Of(is_excluded);
+
+      std::vector<Neighbor> expected;
+      for (const Neighbor& n : all) {
+        if (!excluded[n.id] && expected.size() < k) expected.push_back(n);
+      }
+
+      SearchStats hs, fs, vs;
+      const auto heap_knn = heap_->KnnSearch(queries[q], k, &hs, nullptr,
+                                             exclude);
+      const auto v2_knn = flat_->KnnSearch(queries[q], k, &fs, nullptr,
+                                           exclude);
+      const auto v1_knn = flat_v1_->KnnSearch(queries[q], k, &vs, nullptr,
+                                              exclude);
+      ExpectIdentical(heap_knn, v2_knn, hs, fs, q);
+      ExpectIdentical(heap_knn, v1_knn, hs, vs, q);
+      ASSERT_EQ(heap_knn.size(), expected.size()) << "query " << q;
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_FALSE(excluded[heap_knn[i].id]) << "query " << q;
+        EXPECT_EQ(heap_knn[i].id, expected[i].id) << "query " << q;
+        EXPECT_EQ(heap_knn[i].distance, expected[i].distance);
+      }
+
+      // The primed door takes the same exclusion.
+      const std::vector<const Vector*> one{&queries[q]};
+      const auto primes = flat_->PrimeBatch(one);
+      ASSERT_EQ(primes.size(), 1u);
+      std::vector<Neighbor> primed;
+      SearchStats ps;
+      flat_->KnnSearchInto(queries[q], k, &primed, &ps, nullptr, &primes[0],
+                           exclude);
+      std::sort(primed.begin(), primed.end(), NeighborLess);
+      primed.resize(std::min(primed.size(), k));
+      ExpectIdentical(heap_knn, primed, hs, ps, q);
+
+      // Excluding nothing is the plain search, stats included.
+      for (const Index* index : {&*heap_, &*flat_, &*flat_v1_}) {
+        SearchStats plain, none, all_false;
+        const auto plain_knn = index->KnnSearch(queries[q], k, &plain);
+        const auto none_knn = index->KnnSearch(queries[q], k, &none, nullptr,
+                                               core::Exclusion{});
+        const auto false_knn = index->KnnSearch(
+            queries[q], k, &all_false, nullptr,
+            core::Exclusion::Of(keep_all));
+        ExpectIdentical(plain_knn, none_knn, plain, none, q);
+        ExpectIdentical(plain_knn, false_knn, plain, all_false, q);
+      }
     }
   }
 }

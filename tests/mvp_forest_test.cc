@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "common/codec.h"
 #include "dataset/vector_gen.h"
@@ -264,7 +265,64 @@ TEST(MvpForestTest, KnnStatsAreReported) {
   SearchStats stats;
   forest.KnnSearch(Vector{0.5, 0.5, 0.5, 0.5}, 5, &stats);
   EXPECT_GT(stats.distance_computations, 0u);
-  EXPECT_LE(stats.distance_computations, 400u);  // bounded by ~n + overfetch
+  // Each object costs at most one distance computation per query: <= n.
+  EXPECT_LE(stats.distance_computations, 400u);
+}
+
+// k-NN skips deleted points inside each level's traversal (core::Exclusion)
+// instead of over-fetching k + the level's tombstones. Tombstones here sit
+// inside built levels — the query's own nearest points among them — and
+// the answer must be the linear scan of the live set, ids and distances.
+TEST(MvpForestTest, KnnSkipsTombstonesInsideBuiltLevels) {
+  const auto data = dataset::UniformVectors(600, 5, 59);
+  Forest forest{L2(), SmallOptions()};
+  for (const auto& v : data) forest.Insert(v);
+  const std::size_t trees = forest.num_trees();
+  ASSERT_GT(trees, 1u);
+  // Ids below `leveled` were merged into static trees; the rest are
+  // buffered.
+  const std::size_t leveled = data.size() - forest.buffered();
+
+  const auto queries = dataset::UniformQueryVectors(8, 5, 61);
+  const L2 l2;
+  std::vector<bool> erased(data.size(), false);
+  const auto erase = [&](std::size_t id) {
+    if (erased[id]) return;
+    ASSERT_TRUE(forest.Erase(id).ok());
+    erased[id] = true;
+  };
+  for (const auto& q : queries) {
+    std::vector<Neighbor> leveled_hits;
+    for (std::size_t id = 0; id < leveled; ++id) {
+      leveled_hits.push_back(Neighbor{id, l2(q, data[id])});
+    }
+    std::sort(leveled_hits.begin(), leveled_hits.end(), NeighborLess);
+    for (std::size_t i = 0; i < 12; ++i) erase(leveled_hits[i].id);
+  }
+  for (std::size_t id = 0; id < leveled; id += 4) erase(id);
+  // Below the compaction threshold: the tombstones stay in the levels.
+  ASSERT_EQ(forest.num_trees(), trees);
+  ASSERT_GT(forest.tombstone_count(), 150u);
+
+  std::vector<std::size_t> live_ids;
+  std::vector<Vector> live_objects;
+  for (std::size_t id = 0; id < data.size(); ++id) {
+    if (erased[id]) continue;
+    live_ids.push_back(id);
+    live_objects.push_back(data[id]);
+  }
+  scan::LinearScan<Vector, L2> reference(live_objects, L2());
+  for (const auto& q : queries) {
+    for (const std::size_t k : {1u, 10u, 25u}) {
+      const auto got = forest.KnnSearch(q, k);
+      const auto expected = reference.KnnSearch(q, k);
+      ASSERT_EQ(got.size(), expected.size()) << "k=" << k;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].id, live_ids[expected[i].id]) << "k=" << k;
+        EXPECT_EQ(got[i].distance, expected[i].distance) << "k=" << k;
+      }
+    }
+  }
 }
 
 TEST(MvpForestTest, SerializeRoundTripPreservesEverything) {
