@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <type_traits>
+
 #include "dataset/vector_gen.h"
 #include "dataset/words.h"
 #include "metric/counting.h"
@@ -31,12 +34,17 @@ TEST(GhTreeTest, EmptyAndTiny) {
   EXPECT_EQ(two.value().RangeSearch({0, 0}, 5.0).size(), 2u);
 }
 
+// gtest names each case after the bytes of its GhParam, so the struct has no
+// implicit padding: `reserved` zero-fills the bytes after `far_apart`, which
+// otherwise held stack garbage and changed the test names from run to run.
 struct GhParam {
   int leaf_capacity;
   bool far_apart;
+  std::array<char, 3> reserved{};
   std::size_t n;
   std::size_t dim;
 };
+static_assert(std::has_unique_object_representations_v<GhParam>);
 
 class GhTreeSweepTest : public ::testing::TestWithParam<GhParam> {};
 
@@ -62,12 +70,14 @@ TEST_P(GhTreeSweepTest, RangeSearchMatchesLinearScan) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, GhTreeSweepTest,
-                         ::testing::Values(GhParam{4, true, 400, 6},
-                                           GhParam{1, true, 300, 4},
-                                           GhParam{4, false, 400, 6},
-                                           GhParam{10, true, 500, 10},
-                                           GhParam{4, true, 20, 3}));
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, GhTreeSweepTest,
+    ::testing::Values(
+        GhParam{.leaf_capacity = 4, .far_apart = true, .n = 400, .dim = 6},
+        GhParam{.leaf_capacity = 1, .far_apart = true, .n = 300, .dim = 4},
+        GhParam{.leaf_capacity = 4, .far_apart = false, .n = 400, .dim = 6},
+        GhParam{.leaf_capacity = 10, .far_apart = true, .n = 500, .dim = 10},
+        GhParam{.leaf_capacity = 4, .far_apart = true, .n = 20, .dim = 3}));
 
 TEST_P(GhTreeSweepTest, KnnMatchesLinearScan) {
   const auto p = GetParam();
