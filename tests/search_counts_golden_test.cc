@@ -1,0 +1,262 @@
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "common/codec.h"
+#include "common/query.h"
+#include "common/serialize.h"
+#include "core/mvp_tree.h"
+#include "core/search_shared.h"
+#include "dataset/vector_gen.h"
+#include "metric/lp.h"
+#include "snapshot/flat_tree.h"
+
+/// Golden counts for the mvp-tree search traversal: every case's four
+/// SearchStats totals plus a hash over its results' (id, distance bits) are
+/// COMMITTED under tests/testdata/search_counts/, and this suite recomputes
+/// them over the heap tree, a flat v1 arena and a flat v2 arena built from
+/// the same tree.
+///
+/// flat_equivalence_test proves the representations agree with each other;
+/// it cannot see a change that moves all of them the same way, because they
+/// share one traversal. This suite can: any change to pruning, leaf
+/// filtering, child order, exclusion or budget handling moves a count or a
+/// hash here. A change that means to move them re-blesses and says why.
+///
+/// Re-bless (after an INTENTIONAL change to what searches compute):
+///   MVPT_BLESS_GOLDEN=1 ./search_counts_golden_test
+/// then commit the rewritten tests/testdata/search_counts/ files.
+
+namespace mvp {
+namespace {
+
+using metric::L2;
+using metric::Vector;
+using HeapTree = core::MvpTree<Vector, L2>;
+using FlatView = snapshot::flat::FlatTreeView<L2>;
+
+#ifndef MVPT_TESTDATA_DIR
+#error "search_counts_golden_test requires the MVPT_TESTDATA_DIR definition"
+#endif
+
+bool BlessMode() {
+  const char* env = std::getenv("MVPT_BLESS_GOLDEN");
+  return env != nullptr && env[0] != '\0' && env[0] != '0';
+}
+
+std::string GoldenPath(const std::string& name) {
+  return std::string(MVPT_TESTDATA_DIR) + "/search_counts/" + name + ".txt";
+}
+
+/// Totals over one case's queries: the four SearchStats counters, the
+/// result count and an FNV-1a hash over every result's id and distance bits
+/// in presentation order.
+struct CaseTotals {
+  SearchStats stats;
+  std::uint64_t results = 0;
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+
+  void Mix(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      hash ^= (v >> (8 * b)) & 0xff;
+      hash *= 0x100000001b3ull;
+    }
+  }
+  void Add(const std::vector<Neighbor>& hits, const SearchStats& s) {
+    core::MergeSearchStats(&stats, s);
+    results += hits.size();
+    Mix(hits.size());
+    for (const Neighbor& n : hits) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &n.distance, sizeof(bits));
+      Mix(n.id);
+      Mix(bits);
+    }
+  }
+  std::string Line(const std::string& rep, const std::string& name) const {
+    std::ostringstream os;
+    os << rep << ' ' << name << " dist=" << stats.distance_computations
+       << " nodes=" << stats.nodes_visited
+       << " seen=" << stats.leaf_points_seen
+       << " filtered=" << stats.leaf_points_filtered
+       << " results=" << results << " hash=" << std::hex << hash;
+    return os.str();
+  }
+};
+
+/// One golden recipe: a seeded dataset, its queries, a build configuration
+/// and the radii its range cases use (chosen per dataset so results are
+/// non-trivial).
+struct Recipe {
+  std::string name;
+  std::vector<Vector> data;
+  std::vector<Vector> queries;
+  std::vector<double> radii;
+  HeapTree::Options options;
+};
+
+/// Queries near the data: every `stride`-th stored point, shifted by
+/// `offset` in each coordinate.
+std::vector<Vector> NearDataQueries(const std::vector<Vector>& data,
+                                    std::size_t stride, double offset) {
+  std::vector<Vector> queries;
+  for (std::size_t i = 0; i < data.size(); i += stride) {
+    queries.push_back(data[i]);
+    for (double& x : queries.back()) x += offset;
+  }
+  return queries;
+}
+
+std::vector<Vector> Clustered(std::size_t count, std::size_t dim,
+                              std::uint64_t seed) {
+  dataset::ClusterParams params;
+  params.count = count;
+  params.dim = dim;
+  params.cluster_size = 100;
+  return dataset::ClusteredVectors(params, seed);
+}
+
+/// The search output of every case over one representation, one line per
+/// case. `approximate` is null for representations without a budgeted
+/// search.
+template <typename Tree>
+std::vector<std::string> RunCases(
+    const std::string& rep, const Tree& tree, const Recipe& recipe,
+    const std::function<std::vector<Neighbor>(const Vector&, std::size_t,
+                                              std::uint64_t, SearchStats*)>*
+        approximate) {
+  std::vector<std::string> lines;
+  for (const double r : recipe.radii) {
+    CaseTotals t;
+    for (const Vector& q : recipe.queries) {
+      SearchStats s;
+      t.Add(tree.RangeSearch(q, r, &s), s);
+    }
+    std::ostringstream name;
+    name << "range(r=" << r << ")";
+    lines.push_back(t.Line(rep, name.str()));
+  }
+  // Every id congruent to 3 mod 7: a dense, deterministic stand-in for a
+  // dynamic layer's tombstones.
+  const auto is_erased = [](std::size_t id) { return id % 7 == 3; };
+  const auto erased = core::Exclusion::Of(is_erased);
+  for (const std::size_t k : {std::size_t{1}, std::size_t{10}}) {
+    for (const bool exclude : {false, true}) {
+      CaseTotals t;
+      for (const Vector& q : recipe.queries) {
+        SearchStats s;
+        t.Add(tree.KnnSearch(q, k, &s, exclude ? erased : core::Exclusion{}),
+              s);
+      }
+      lines.push_back(t.Line(rep, "knn(k=" + std::to_string(k) +
+                                      (exclude ? ",exclude)" : ")")));
+    }
+  }
+  if (approximate != nullptr) {
+    constexpr std::uint64_t kInf = std::numeric_limits<std::uint64_t>::max();
+    for (const std::uint64_t b : {std::uint64_t{0}, std::uint64_t{1},
+                                  std::uint64_t{25}, std::uint64_t{64},
+                                  std::uint64_t{100}, std::uint64_t{640},
+                                  kInf}) {
+      CaseTotals t;
+      for (const Vector& q : recipe.queries) {
+        SearchStats s;
+        t.Add((*approximate)(q, 10, b, &s), s);
+      }
+      lines.push_back(t.Line(
+          rep, "approx(k=10,B=" + (b == kInf ? std::string("inf")
+                                              : std::to_string(b)) + ")"));
+    }
+  }
+  return lines;
+}
+
+std::vector<std::string> ComputeLines(const Recipe& recipe) {
+  auto built = HeapTree::Build(recipe.data, L2(), recipe.options);
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  const HeapTree heap = std::move(built).ValueOrDie();
+
+  std::function<std::vector<Neighbor>(const Vector&, std::size_t,
+                                      std::uint64_t, SearchStats*)>
+      approximate = [&](const Vector& q, std::size_t k, std::uint64_t b,
+                        SearchStats* s) {
+        return heap.KnnSearchApproximate(q, k, b, s);
+      };
+  std::vector<std::string> lines =
+      RunCases("heap", heap, recipe, &approximate);
+
+  BinaryWriter stream;
+  EXPECT_TRUE(heap.Serialize(&stream, VectorCodec{}).ok());
+  for (const std::uint32_t version :
+       {snapshot::flat::kFlatVersionV1, snapshot::flat::kFlatVersionV2}) {
+    auto arena = snapshot::flat::BuildFlatArena(
+        stream.buffer().data(), stream.buffer().size(), version);
+    EXPECT_TRUE(arena.ok()) << arena.status().ToString();
+    const std::vector<std::uint8_t> bytes = std::move(arena).ValueOrDie();
+    auto view = FlatView::Open(bytes.data(), bytes.size(), L2());
+    EXPECT_TRUE(view.ok()) << view.status().ToString();
+    const auto more = RunCases("flat_v" + std::to_string(version),
+                               view.value(), recipe, nullptr);
+    lines.insert(lines.end(), more.begin(), more.end());
+  }
+  return lines;
+}
+
+void CheckGolden(const Recipe& recipe) {
+  const std::vector<std::string> lines = ComputeLines(recipe);
+  const std::string path = GoldenPath(recipe.name);
+  if (BlessMode()) {
+    std::filesystem::create_directories(
+        std::filesystem::path(path).parent_path());
+    std::ofstream out(path);
+    for (const std::string& line : lines) out << line << '\n';
+    ASSERT_TRUE(out.good()) << path;
+    GTEST_SKIP() << "blessed " << path;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path
+                         << " missing (run with MVPT_BLESS_GOLDEN=1 to create)";
+  std::vector<std::string> want;
+  for (std::string line; std::getline(in, line);) want.push_back(line);
+  ASSERT_EQ(want.size(), lines.size()) << path << ": case list drifted";
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(want[i], lines[i]) << path << " line " << i + 1;
+  }
+}
+
+TEST(SearchCountsGoldenTest, UniformPaperDefaults) {
+  CheckGolden(Recipe{"uniform", dataset::UniformVectors(2000, 10, 17),
+                     dataset::UniformQueryVectors(25, 10, 4242),
+                     {0.5, 0.7, 0.9}, {}});
+}
+
+TEST(SearchCountsGoldenTest, ClusteredPaperDefaults) {
+  const auto data = Clustered(2000, 10, 23);
+  CheckGolden(Recipe{"clustered", data, NearDataQueries(data, 80, 0.02),
+                     {0.1, 0.25, 0.5}, {}});
+}
+
+/// Small leaves, a short PATH and exact shell bounds: many more internal
+/// nodes, so child ranking and shell pruning carry more of the counts.
+TEST(SearchCountsGoldenTest, UniformSmallLeavesExactBounds) {
+  const auto data = dataset::UniformVectors(1500, 6, 29);
+  Recipe recipe{"uniform_small_leaves", data, NearDataQueries(data, 60, 0.05),
+                {0.15, 0.3, 0.45}, {}};
+  recipe.options.order = 2;
+  recipe.options.leaf_capacity = 9;
+  recipe.options.num_path_distances = 3;
+  recipe.options.store_exact_bounds = true;
+  CheckGolden(recipe);
+}
+
+}  // namespace
+}  // namespace mvp
