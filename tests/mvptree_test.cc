@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "dataset/image.h"
 #include "dataset/image_gen.h"
@@ -12,6 +16,8 @@
 #include "metric/edit_distance.h"
 #include "metric/lp.h"
 #include "scan/linear_scan.h"
+#include "serve/cancel.h"
+#include "serve/executor.h"
 
 namespace mvp::core {
 namespace {
@@ -268,10 +274,15 @@ TEST(MvpTreeTest, ApproximateKnnRespectsBudget) {
   const auto data = dataset::UniformVectors(3000, 10, 307);
   auto tree = MustBuild(data);
   const auto q = dataset::UniformQueryVectors(1, 10, 309)[0];
+  SearchStats unbudgeted;
+  tree.KnnSearch(q, 5, &unbudgeted);
   for (const std::uint64_t budget : {1ull, 10ull, 100ull, 500ull}) {
     SearchStats stats;
     tree.KnnSearchApproximate(q, 5, budget, &stats);
-    EXPECT_LE(stats.distance_computations, budget) << "budget " << budget;
+    // The search spends its whole budget unless it finishes first.
+    EXPECT_EQ(stats.distance_computations,
+              std::min(budget, unbudgeted.distance_computations))
+        << "budget " << budget;
   }
   // Zero budget: empty result, zero computations.
   SearchStats stats;
@@ -304,6 +315,54 @@ TEST(MvpTreeTest, ApproximateKnnRecallGrowsWithBudget) {
   EXPECT_LT(recall_at(5), 1.0);  // tiny budget cannot finish
   EXPECT_GT(recall_at(200), 0.5);
   EXPECT_DOUBLE_EQ(recall_at(1000000), 1.0);
+}
+
+// A budgeted k-NN is the served k-NN under a distance budget: over a
+// CancelChecked metric, a serial RunBatch query with
+// max_distance_computations = B stops at the same evaluation. The serving
+// layer checks its budget every 64 evaluations, so B is a multiple of 64.
+TEST(MvpTreeTest, ApproximateKnnMatchesServedBudget) {
+  using Checked = serve::CancelChecked<L2>;
+  dataset::ClusterParams params;
+  params.count = 5000;
+  params.dim = 10;
+  params.cluster_size = 250;
+  auto built = MvpTree<Vector, Checked>::Build(
+      dataset::ClusteredVectors(params, 313), Checked(L2()));
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const auto& tree = built.value();
+  const auto queries = dataset::UniformQueryVectors(20, 10, 317);
+  for (const std::uint64_t budget : {64ull, 128ull, 640ull, 1280ull}) {
+    std::vector<serve::BatchQuery<Vector>> batch(queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      batch[i].kind = serve::BatchQuery<Vector>::Kind::kKnn;
+      batch[i].object = queries[i];
+      batch[i].k = 10;
+      batch[i].max_distance_computations = budget;
+    }
+    const auto served = serve::RunBatch(tree, batch, /*pool=*/nullptr);
+    std::size_t cut = 0;
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      SearchStats stats;
+      const auto approx =
+          tree.KnnSearchApproximate(queries[i], 10, budget, &stats);
+      const auto& want = served[i];
+      ASSERT_EQ(approx.size(), want.neighbors.size())
+          << "budget " << budget << " query " << i;
+      for (std::size_t j = 0; j < approx.size(); ++j) {
+        EXPECT_EQ(approx[j].id, want.neighbors[j].id);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(approx[j].distance),
+                  std::bit_cast<std::uint64_t>(want.neighbors[j].distance));
+      }
+      EXPECT_EQ(stats.distance_computations,
+                want.search.distance_computations);
+      EXPECT_EQ(stats.nodes_visited, want.search.nodes_visited);
+      EXPECT_EQ(stats.leaf_points_seen, want.search.leaf_points_seen);
+      EXPECT_EQ(stats.leaf_points_filtered, want.search.leaf_points_filtered);
+      cut += want.partial ? 1 : 0;
+    }
+    EXPECT_GT(cut, 0u) << "budget " << budget << " never cut a search";
+  }
 }
 
 TEST(MvpTreeTest, FreshTreesPassValidation) {
