@@ -109,7 +109,7 @@ class MvpTree {
     SearchStats local;
     RangeSearchInto(query, radius, &result, &local);
     std::sort(result.begin(), result.end(), NeighborLess);
-    if (stats != nullptr) MergeStats(stats, local);
+    if (stats != nullptr) MergeSearchStats(stats, local);
     return result;
   }
 
@@ -126,12 +126,8 @@ class MvpTree {
     MVP_DCHECK(radius >= 0);
     MVP_DCHECK(out != nullptr);
     SearchStats local;
-    SearchStats& sink = stats != nullptr ? *stats : local;
-    if (root_ != nullptr) {
-      std::vector<double> qpath;
-      qpath.reserve(static_cast<std::size_t>(options_.num_path_distances));
-      RangeSearchNode(*root_, query, radius, qpath, *out, sink);
-    }
+    Traversal(Nodes{this}, query, stats != nullptr ? *stats : local)
+        .Range(radius, out);
   }
 
   /// The k nearest objects via shrinking-radius branch-and-bound; children
@@ -147,7 +143,7 @@ class MvpTree {
     SearchStats local;
     KnnSearchInto(query, k, &heap, &local, exclude);
     std::sort_heap(heap.begin(), heap.end(), NeighborLess);
-    if (stats != nullptr) MergeStats(stats, local);
+    if (stats != nullptr) MergeSearchStats(stats, local);
     return heap;
   }
 
@@ -163,12 +159,8 @@ class MvpTree {
                      Exclusion exclude = {}) const {
     MVP_DCHECK(heap != nullptr);
     SearchStats local;
-    SearchStats& sink = stats != nullptr ? *stats : local;
-    if (root_ != nullptr && k > 0) {
-      std::vector<double> qpath;
-      qpath.reserve(static_cast<std::size_t>(options_.num_path_distances));
-      KnnSearchNode(*root_, query, k, qpath, *heap, sink, exclude);
-    }
+    Traversal(Nodes{this}, query, stats != nullptr ? *stats : local)
+        .Knn(k, heap, exclude);
   }
 
   /// Budgeted (approximate) k-NN: identical to KnnSearch but stops after
@@ -183,14 +175,17 @@ class MvpTree {
       SearchStats* stats = nullptr) const {
     std::vector<Neighbor> heap;
     SearchStats local;
-    if (root_ != nullptr && k > 0 && max_distance_computations > 0) {
-      std::vector<double> qpath;
-      qpath.reserve(static_cast<std::size_t>(options_.num_path_distances));
-      KnnSearchNodeBudgeted(*root_, query, k, qpath, heap, local,
-                            max_distance_computations);
+    if (max_distance_computations > 0) {
+      try {
+        Traversal(Nodes{this}, query, local,
+                  DistanceBudget{max_distance_computations})
+            .Knn(k, &heap);
+      } catch (const DistanceBudget::Exhausted&) {
+        // Cut at the budget: the heap holds the best k evaluated so far.
+      }
     }
     std::sort_heap(heap.begin(), heap.end(), NeighborLess);
-    if (stats != nullptr) MergeStats(stats, local);
+    if (stats != nullptr) MergeSearchStats(stats, local);
     return heap;
   }
 
@@ -208,7 +203,7 @@ class MvpTree {
       FarthestRangeNode(*root_, query, radius, qpath, result, local);
     }
     std::sort(result.begin(), result.end(), FartherFirst);
-    if (stats != nullptr) MergeStats(stats, local);
+    if (stats != nullptr) MergeSearchStats(stats, local);
     return result;
   }
 
@@ -223,7 +218,7 @@ class MvpTree {
       FarthestKnnNode(*root_, query, k, qpath, heap, local);
     }
     std::sort(heap.begin(), heap.end(), FartherFirst);
-    if (stats != nullptr) MergeStats(stats, local);
+    if (stats != nullptr) MergeSearchStats(stats, local);
     return heap;
   }
 
@@ -566,216 +561,35 @@ class MvpTree {
 
   // ---------------------------------------------------------------- search
 
-  // Shell/annulus pruning and the k-NN candidate heap are shared with the
-  // flat mmap-native representation (core/search_shared.h) so both
-  // traversals provably apply identical arithmetic.
-  static bool Intersects(double d, double r, double lo, double hi) {
-    return ShellIntersects(d, r, lo, hi);
-  }
+  /// The node accessor the shared §4.3 traversal (core/search_shared.h)
+  /// runs on; the flat views supply the same interface over arena bytes.
+  struct Nodes {
+    const MvpTree* tree;
 
-  /// §4.3 range search. `qpath` holds PATH[l] = d(Q, ancestor vantage
-  /// points), grown (up to p) while descending and restored on return.
-  void RangeSearchNode(const Node& node, const Object& query, double radius,
-                       std::vector<double>& qpath,
-                       std::vector<Neighbor>& result,
-                       SearchStats& stats) const {
-    ++stats.nodes_visited;
-    // Step 1: distances to the node's vantage points.
-    const double d1 = metric_(query, objects_[node.vp1_id]);
-    ++stats.distance_computations;
-    if (d1 <= radius) result.push_back(Neighbor{node.vp1_id, d1});
-    double d2 = 0.0;
-    if (node.has_vp2) {
-      d2 = metric_(query, objects_[node.vp2_id]);
-      ++stats.distance_computations;
-      if (d2 <= radius) result.push_back(Neighbor{node.vp2_id, d2});
+    const Node* Root() const { return tree->root_.get(); }
+    std::size_t Order() const {
+      return static_cast<std::size_t>(tree->options_.order);
     }
-
-    if (node.is_leaf) {
-      FilterLeaf(node, query, radius, d1, d2, qpath, &result, nullptr, 0,
-                 stats, Exclusion{});
-      return;
+    std::size_t PathDistances() const {
+      return static_cast<std::size_t>(tree->options_.num_path_distances);
     }
-
-    // Step 3.1: extend the query PATH for descendants' leaf filtering.
-    const std::size_t p =
-        static_cast<std::size_t>(options_.num_path_distances);
-    std::size_t pushed = 0;
-    if (qpath.size() < p) {
-      qpath.push_back(d1);
-      ++pushed;
-      if (qpath.size() < p) {
-        qpath.push_back(d2);
-        ++pushed;
-      }
+    bool IsLeaf(const Node* n) const { return n->is_leaf; }
+    bool HasVp2(const Node* n) const { return n->has_vp2; }
+    std::size_t Vp1(const Node* n) const { return n->vp1_id; }
+    std::size_t Vp2(const Node* n) const { return n->vp2_id; }
+    ShellBounds Shells(const Node* n) const {
+      return {n->lower1.data(), n->upper1.data(), n->lower2.data(),
+              n->upper2.data()};
     }
-
-    // Steps 3.2/3.3 generalized: enter child (g, s) iff the query annulus
-    // around BOTH vantage points intersects the child's shells.
-    const std::size_t m = static_cast<std::size_t>(options_.order);
-    for (std::size_t g = 0; g < m; ++g) {
-      if (!Intersects(d1, radius, node.lower1[g], node.upper1[g])) continue;
-      for (std::size_t s = 0; s < m; ++s) {
-        const std::size_t c = g * m + s;
-        if (node.children[c] == nullptr) continue;
-        if (!Intersects(d2, radius, node.lower2[c], node.upper2[c])) continue;
-        RangeSearchNode(*node.children[c], query, radius, qpath, result,
-                        stats);
-      }
+    const Node* Child(const Node* n, std::size_t c) const {
+      return n->children[c].get();
     }
-    qpath.resize(qpath.size() - pushed);
-  }
-
-  /// Step 2 of §4.3: leaf filtering through D1, D2 and PATH before any
-  /// distance computation. Exactly one of `range_out` (range mode, uses
-  /// `radius`) or `heap_out` (k-NN mode, uses shrinking radius and skips
-  /// the entries `exclude` names) is non-null.
-  void FilterLeaf(const Node& node, const Object& query, double radius,
-                  double d1, double d2, const std::vector<double>& qpath,
-                  std::vector<Neighbor>* range_out,
-                  std::vector<Neighbor>* heap_out, std::size_t k,
-                  SearchStats& stats, Exclusion exclude) const {
-    if (range_out != nullptr) {
-      // Range mode: the pruning radius is fixed, so the annulus tests for a
-      // whole chunk can run before any metric call. ChunkedRangeFilter
-      // (core/search_shared.h) fixes the interleaving of counter updates and
-      // metric evaluations; the flat views run the identical structure with
-      // SIMD mask sweeps over their SoA leaf arrays.
-      ChunkedRangeFilter(
-          node.bucket.size(),
-          [&](std::size_t base, std::size_t n) {
-            std::uint64_t mask = 0;
-            for (std::size_t i = 0; i < n; ++i) {
-              const LeafEntry& x = node.bucket[base + i];
-              bool pass = std::abs(d1 - x.d1) <= radius &&
-                          (!node.has_vp2 || std::abs(d2 - x.d2) <= radius);
-              if (pass) {
-                const std::size_t checks = std::min(
-                    qpath.size(), static_cast<std::size_t>(x.path_length));
-                MVP_DCHECK(qpath.size() == x.path_length);
-                for (std::size_t j = 0; j < checks; ++j) {
-                  if (std::abs(qpath[j] - path_pool_[x.path_offset + j]) >
-                      radius) {
-                    pass = false;
-                    break;
-                  }
-                }
-              }
-              if (pass) mask |= std::uint64_t{1} << i;
-            }
-            return mask;
-          },
-          [&](std::size_t i) {
-            const LeafEntry& x = node.bucket[i];
-            const double d = metric_(query, objects_[x.id]);
-            ++stats.distance_computations;
-            if (d <= radius) range_out->push_back(Neighbor{x.id, d});
-          },
-          stats);
-      return;
+    AosLeaf<LeafEntry> Leaf(const Node* n) const {
+      return {n->bucket.data(), n->bucket.size(), tree->path_pool_.data()};
     }
-    // k-NN mode: tau shrinks with every offer, so the filter stays
-    // per-entry — a chunk-wide precomputed mask would use a stale radius.
-    for (const LeafEntry& x : node.bucket) {
-      ++stats.leaf_points_seen;
-      const double r = Tau(*heap_out, k);
-      bool pass = std::abs(d1 - x.d1) <= r &&
-                  (!node.has_vp2 || std::abs(d2 - x.d2) <= r);
-      if (pass) {
-        const std::size_t checks =
-            std::min(qpath.size(), static_cast<std::size_t>(x.path_length));
-        MVP_DCHECK(qpath.size() == x.path_length);
-        for (std::size_t j = 0; j < checks; ++j) {
-          if (std::abs(qpath[j] - path_pool_[x.path_offset + j]) > r) {
-            pass = false;
-            break;
-          }
-        }
-      }
-      // The exclusion test runs last: the annulus tests reject most
-      // entries more cheaply, and an excluded entry counts as filtered
-      // either way.
-      if (!pass || exclude(x.id)) {
-        ++stats.leaf_points_filtered;
-        continue;
-      }
-      const double d = metric_(query, objects_[x.id]);
-      ++stats.distance_computations;
-      Offer(*heap_out, k, Neighbor{x.id, d});
-    }
-  }
-
-  static double Tau(const std::vector<Neighbor>& heap, std::size_t k) {
-    return KnnTau(heap, k);
-  }
-
-  static void Offer(std::vector<Neighbor>& heap, std::size_t k, Neighbor n) {
-    KnnOffer(heap, k, n);
-  }
-
-  void KnnSearchNode(const Node& node, const Object& query, std::size_t k,
-                     std::vector<double>& qpath, std::vector<Neighbor>& heap,
-                     SearchStats& stats, Exclusion exclude) const {
-    ++stats.nodes_visited;
-    // An excluded vantage point is still evaluated — its distance drives
-    // the pruning below and PATH — but never offered.
-    const double d1 = metric_(query, objects_[node.vp1_id]);
-    ++stats.distance_computations;
-    if (!exclude(node.vp1_id)) Offer(heap, k, Neighbor{node.vp1_id, d1});
-    double d2 = 0.0;
-    if (node.has_vp2) {
-      d2 = metric_(query, objects_[node.vp2_id]);
-      ++stats.distance_computations;
-      if (!exclude(node.vp2_id)) Offer(heap, k, Neighbor{node.vp2_id, d2});
-    }
-
-    if (node.is_leaf) {
-      FilterLeaf(node, query, 0.0, d1, d2, qpath, nullptr, &heap, k, stats,
-                 exclude);
-      return;
-    }
-
-    const std::size_t p =
-        static_cast<std::size_t>(options_.num_path_distances);
-    std::size_t pushed = 0;
-    if (qpath.size() < p) {
-      qpath.push_back(d1);
-      ++pushed;
-      if (qpath.size() < p) {
-        qpath.push_back(d2);
-        ++pushed;
-      }
-    }
-
-    // Children in increasing order of their combined lower bound; stop as
-    // soon as the bound exceeds the current k-th best.
-    struct Ranked {
-      double bound;
-      std::size_t child;
-    };
-    const std::size_t m = static_cast<std::size_t>(options_.order);
-    std::vector<Ranked> ranked;
-    ranked.reserve(m * m);
-    for (std::size_t g = 0; g < m; ++g) {
-      const double b1 =
-          std::max({0.0, node.lower1[g] - d1, d1 - node.upper1[g]});
-      for (std::size_t s = 0; s < m; ++s) {
-        const std::size_t c = g * m + s;
-        if (node.children[c] == nullptr) continue;
-        const double b2 =
-            std::max({0.0, node.lower2[c] - d2, d2 - node.upper2[c]});
-        ranked.push_back(Ranked{std::max(b1, b2), c});
-      }
-    }
-    std::sort(ranked.begin(), ranked.end(),
-              [](const Ranked& a, const Ranked& b) { return a.bound < b.bound; });
-    for (const Ranked& r : ranked) {
-      if (r.bound > Tau(heap, k)) break;
-      KnnSearchNode(*node.children[r.child], query, k, qpath, heap, stats,
-                    exclude);
-    }
-    qpath.resize(qpath.size() - pushed);
-  }
+    const Metric& metric() const { return tree->metric_; }
+    const Object& object(std::size_t id) const { return tree->objects_[id]; }
+  };
 
   // --------------------------------------------------------- validation
 
@@ -829,17 +643,9 @@ class MvpTree {
     if (node.children.size() != m * m) {
       return Status::Corruption("internal node child count mismatch");
     }
-    const std::size_t p =
-        static_cast<std::size_t>(options_.num_path_distances);
-    std::size_t pushed = 0;
-    if (ancestors.size() < p) {
-      ancestors.push_back(&vp1);
-      ++pushed;
-      if (ancestors.size() < p) {
-        ancestors.push_back(vp2);
-        ++pushed;
-      }
-    }
+    PathScope<const Object*> path(
+        ancestors, static_cast<std::size_t>(options_.num_path_distances), &vp1,
+        vp2);
     Status status;
     for (std::size_t g = 0; g < m && status.ok(); ++g) {
       for (std::size_t s = 0; s < m && status.ok(); ++s) {
@@ -856,7 +662,6 @@ class MvpTree {
         }
       }
     }
-    ancestors.resize(ancestors.size() - pushed);
     return status;
   }
 
@@ -1028,17 +833,8 @@ class MvpTree {
       }
       return;
     }
-    const std::size_t p =
-        static_cast<std::size_t>(options_.num_path_distances);
-    std::size_t pushed = 0;
-    if (qpath.size() < p) {
-      qpath.push_back(d1);
-      ++pushed;
-      if (qpath.size() < p) {
-        qpath.push_back(d2);
-        ++pushed;
-      }
-    }
+    PathScope<double> path(
+        qpath, static_cast<std::size_t>(options_.num_path_distances), d1, d2);
     const std::size_t m = static_cast<std::size_t>(options_.order);
     for (std::size_t g = 0; g < m; ++g) {
       // Max possible distance within shell g: d1 + upper1[g].
@@ -1051,7 +847,6 @@ class MvpTree {
                           stats);
       }
     }
-    qpath.resize(qpath.size() - pushed);
   }
 
   /// Current farthest-k pruning threshold: the k-th farthest so far.
@@ -1063,7 +858,7 @@ class MvpTree {
                        Neighbor n) {
     // Heap maximum under FartherFirst = the closest (least good) of the
     // kept k — the element evicted when something farther arrives. Mirrors
-    // Offer(), whose NeighborLess-heap keeps the farthest at the front.
+    // core::KnnOffer, whose NeighborLess-heap keeps the farthest at the front.
     if (heap.size() < k) {
       heap.push_back(n);
       std::push_heap(heap.begin(), heap.end(), FartherFirst);
@@ -1101,17 +896,8 @@ class MvpTree {
       }
       return;
     }
-    const std::size_t p =
-        static_cast<std::size_t>(options_.num_path_distances);
-    std::size_t pushed = 0;
-    if (qpath.size() < p) {
-      qpath.push_back(d1);
-      ++pushed;
-      if (qpath.size() < p) {
-        qpath.push_back(d2);
-        ++pushed;
-      }
-    }
+    PathScope<double> path(
+        qpath, static_cast<std::size_t>(options_.num_path_distances), d1, d2);
     // Visit children in decreasing order of their distance upper bound.
     struct Ranked {
       double bound;
@@ -1134,96 +920,6 @@ class MvpTree {
       if (r.bound < FarTau(heap, k)) break;
       FarthestKnnNode(*node.children[r.child], query, k, qpath, heap, stats);
     }
-    qpath.resize(qpath.size() - pushed);
-  }
-
-  /// KnnSearchNode with a hard cap on distance computations. Returns false
-  /// once the budget is exhausted (unwinds the whole recursion).
-  bool KnnSearchNodeBudgeted(const Node& node, const Object& query,
-                             std::size_t k, std::vector<double>& qpath,
-                             std::vector<Neighbor>& heap, SearchStats& stats,
-                             std::uint64_t budget) const {
-    ++stats.nodes_visited;
-    if (stats.distance_computations >= budget) return false;
-    const double d1 = metric_(query, objects_[node.vp1_id]);
-    ++stats.distance_computations;
-    Offer(heap, k, Neighbor{node.vp1_id, d1});
-    double d2 = 0.0;
-    if (node.has_vp2) {
-      if (stats.distance_computations >= budget) return false;
-      d2 = metric_(query, objects_[node.vp2_id]);
-      ++stats.distance_computations;
-      Offer(heap, k, Neighbor{node.vp2_id, d2});
-    }
-
-    if (node.is_leaf) {
-      for (const LeafEntry& x : node.bucket) {
-        ++stats.leaf_points_seen;
-        const double r = Tau(heap, k);
-        bool pass = std::abs(d1 - x.d1) <= r &&
-                    (!node.has_vp2 || std::abs(d2 - x.d2) <= r);
-        if (pass) {
-          const std::size_t checks = std::min(
-              qpath.size(), static_cast<std::size_t>(x.path_length));
-          for (std::size_t j = 0; j < checks; ++j) {
-            if (std::abs(qpath[j] - path_pool_[x.path_offset + j]) > r) {
-              pass = false;
-              break;
-            }
-          }
-        }
-        if (!pass) {
-          ++stats.leaf_points_filtered;
-          continue;
-        }
-        if (stats.distance_computations >= budget) return false;
-        const double d = metric_(query, objects_[x.id]);
-        ++stats.distance_computations;
-        Offer(heap, k, Neighbor{x.id, d});
-      }
-      return true;
-    }
-
-    const std::size_t p =
-        static_cast<std::size_t>(options_.num_path_distances);
-    std::size_t pushed = 0;
-    if (qpath.size() < p) {
-      qpath.push_back(d1);
-      ++pushed;
-      if (qpath.size() < p) {
-        qpath.push_back(d2);
-        ++pushed;
-      }
-    }
-    struct Ranked {
-      double bound;
-      std::size_t child;
-    };
-    const std::size_t m = static_cast<std::size_t>(options_.order);
-    std::vector<Ranked> ranked;
-    ranked.reserve(m * m);
-    for (std::size_t g = 0; g < m; ++g) {
-      const double b1 =
-          std::max({0.0, node.lower1[g] - d1, d1 - node.upper1[g]});
-      for (std::size_t s = 0; s < m; ++s) {
-        const std::size_t c = g * m + s;
-        if (node.children[c] == nullptr) continue;
-        const double b2 =
-            std::max({0.0, node.lower2[c] - d2, d2 - node.upper2[c]});
-        ranked.push_back(Ranked{std::max(b1, b2), c});
-      }
-    }
-    std::sort(ranked.begin(), ranked.end(),
-              [](const Ranked& a, const Ranked& b) { return a.bound < b.bound; });
-    bool alive = true;
-    for (const Ranked& r : ranked) {
-      if (r.bound > Tau(heap, k)) break;
-      alive = KnnSearchNodeBudgeted(*node.children[r.child], query, k, qpath,
-                                    heap, stats, budget);
-      if (!alive) break;
-    }
-    qpath.resize(qpath.size() - pushed);
-    return alive;
   }
 
   void CollectStats(const Node& node, std::size_t depth,
@@ -1239,10 +935,6 @@ class MvpTree {
     for (const auto& child : node.children) {
       if (child != nullptr) CollectStats(*child, depth + 1, stats);
     }
-  }
-
-  static void MergeStats(SearchStats* out, const SearchStats& in) {
-    MergeSearchStats(out, in);
   }
 
   std::vector<Object> objects_;

@@ -3,24 +3,45 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/query.h"
 
 /// \file
-/// Search primitives shared by every representation of an mvp-tree.
+/// The mvp-tree search of §4.3, written once for every representation.
 ///
-/// The heap tree (core/mvp_tree.h) and the flat mmap-native view
-/// (snapshot/flat_tree.h) must return bit-identical results for the same
-/// logical tree — the equivalence suite asserts it query by query. The
-/// pruning and candidate-set arithmetic both traversals rely on therefore
-/// lives here, once: an annulus/shell intersection test, the k-NN
-/// shrinking-radius bookkeeping, and stats merging. Keeping these shared
-/// makes "the two representations agree" a structural property instead of
-/// a discipline.
+/// The heap tree (core/mvp_tree.h) and the flat arena layouts v1 and v2
+/// (snapshot/flat_tree.h) store the same logical tree in different bytes
+/// and differ in nothing else: each supplies a small node accessor, and the
+/// range and k-NN recursions below run on it. Everything that decides
+/// results and SearchStats lives here once — the order of metric calls, the
+/// counters, root priming, the exclusion rule, PATH bookkeeping, shell
+/// pruning, child ranking and leaf filtering — so the representations are
+/// bit-identical in results and stats by construction, and
+/// tests/search_counts_golden_test.cc pins the counts themselves.
+///
+/// A node accessor is a cheap value with, for a node handle `NodeRef` (a
+/// pointer; null means "no node"):
+///
+///   NodeRef Root() const;                  null for an empty tree
+///   std::size_t Order() const;             m
+///   std::size_t PathDistances() const;     p
+///   bool IsLeaf(NodeRef) const;            bool HasVp2(NodeRef) const;
+///   std::size_t Vp1(NodeRef) const;        std::size_t Vp2(NodeRef) const;
+///   ShellBounds Shells(NodeRef) const;     internal nodes
+///   NodeRef Child(NodeRef, std::size_t c) const;   slot c = g*m + s
+///   Leaf Leaf(NodeRef) const;              leaf nodes, a cursor (below)
+///   const Metric& metric() const;          Object object(std::size_t) const;
+///
+/// A leaf cursor has size(), id(i), the per-entry annulus test
+/// Passes(i, LeafQuery, r) used against k-NN's shrinking radius, and
+/// optionally a 64-wide range-mode mask Mask(base, n, LeafQuery, r); a
+/// cursor without one (AosLeaf) is masked entry by entry.
 
 namespace mvp::core {
 
@@ -41,12 +62,11 @@ inline double KnnTau(const std::vector<Neighbor>& heap, std::size_t k) {
 /// searched structure's own id space. A default-constructed value excludes
 /// nothing, and a search passed it is exactly the unexcluded search.
 ///
-/// The rule, the same in every representation: an excluded vantage point
-/// is still evaluated (its distance drives pruning and PATH) but never
-/// offered to the heap; an excluded leaf entry is never evaluated and
-/// counts as seen and filtered. Leaf filters test the exclusion after the
-/// annulus tests, which reject most entries more cheaply; the order
-/// changes neither results nor SearchStats.
+/// The rule: an excluded vantage point is still evaluated (its distance
+/// drives pruning and PATH) but never offered to the heap; an excluded leaf
+/// entry is never evaluated and counts as seen and filtered. The leaf
+/// filter tests the exclusion after the annulus tests, which reject most
+/// entries more cheaply; the order changes neither results nor SearchStats.
 struct Exclusion {
   const void* context = nullptr;
   bool (*excluded)(const void*, std::size_t) = nullptr;
@@ -77,64 +97,19 @@ inline void KnnOffer(std::vector<Neighbor>& heap, std::size_t k, Neighbor n) {
   }
 }
 
-/// Chunk width of the two-phase range-search leaf filter. 64 entries = one
-/// pass/fail bit per position in a std::uint64_t mask, which is also what
-/// metric::kernels::AnnulusMask produces per sweep.
-inline constexpr std::size_t kLeafFilterChunk = 64;
-
-/// The range-search leaf filter, shared by every representation.
-///
-/// Leaves are processed in kLeafFilterChunk-entry chunks, two phases per
-/// chunk: `mask_of(base, n)` computes an n-bit pass mask using only the
-/// precomputed D1/D2/PATH arrays (no metric calls — the flat SoA layout runs
-/// this as branchless compare+mask sweeps), then the chunk's seen/filtered
-/// counters are charged, then `eval(i)` runs the real metric on each
-/// surviving entry in ascending order (each call is a cancellation point).
-/// The heap tree and both flat arena versions all funnel through this one
-/// structure, so the interleaving of counter updates and metric calls — and
-/// therefore SearchStats at any mid-leaf budget cancellation — is identical
-/// across representations by construction.
-///
-/// `mask_of` must leave bits >= n clear.
-template <typename MaskFn, typename EvalFn>
-void ChunkedRangeFilter(std::size_t count, MaskFn&& mask_of, EvalFn&& eval,
-                        SearchStats& stats) {
-  for (std::size_t base = 0; base < count; base += kLeafFilterChunk) {
-    const std::size_t n = std::min(kLeafFilterChunk, count - base);
-    std::uint64_t mask = mask_of(base, n);
-    stats.leaf_points_seen += n;
-    stats.leaf_points_filtered += n - static_cast<std::size_t>(
-        std::popcount(mask));
-    while (mask != 0) {
-      const unsigned bit = static_cast<unsigned>(std::countr_zero(mask));
-      mask &= mask - 1;
-      eval(base + bit);
-    }
-  }
-}
-
 /// Precomputed root vantage-point distances for one query of a batch
 /// (serve::RunBatch amortises a root's vp distances across co-arriving
-/// queries with the many-queries-one-vantage-point kernel shape). A consumer
-/// substitutes d1/d2 for its own root metric calls; the values are
-/// bit-identical to what those calls would return, and the consumer still
-/// charges SearchStats (and the cancellation budget) for each one, so primed
-/// and unprimed searches are indistinguishable in results and stats.
+/// queries with the many-queries-one-vantage-point kernel shape). The
+/// traversal substitutes d1/d2 for its own root metric calls; the values
+/// are bit-identical to what those calls would return, and each one is
+/// still charged to SearchStats and to the metric's cancellation budget,
+/// so primed and unprimed searches are indistinguishable.
 struct RootPrime {
   double d1 = 0.0;
   double d2 = 0.0;
   bool has_d1 = false;
   bool has_d2 = false;
 };
-
-/// Charges one primed (already-evaluated) distance to the active
-/// cancellation budget, if the metric participates in budget accounting.
-template <typename Metric>
-inline void ConsumePrimedDistance(const Metric& metric) {
-  if constexpr (requires { metric.CountPrimed(); }) {
-    metric.CountPrimed();
-  }
-}
 
 /// Accumulates one search's counters into an aggregate.
 inline void MergeSearchStats(SearchStats* out, const SearchStats& in) {
@@ -143,6 +118,287 @@ inline void MergeSearchStats(SearchStats* out, const SearchStats& in) {
   out->leaf_points_seen += in.leaf_points_seen;
   out->leaf_points_filtered += in.leaf_points_filtered;
 }
+
+/// Step 3.1 of §4.3 while descending: appends a node's two vantage-point
+/// values to a PATH while it holds fewer than p, and takes them off again
+/// when the scope ends. Searches keep the query's distances (qpath);
+/// validation keeps the ancestor vantage points themselves.
+template <typename T>
+class PathScope {
+ public:
+  PathScope(std::vector<T>& path, std::size_t p, T first, T second)
+      : path_(path), size_(path.size()) {
+    if (path.size() < p) path.push_back(first);
+    if (path.size() < p) path.push_back(second);
+  }
+  ~PathScope() { path_.resize(size_); }
+  PathScope(const PathScope&) = delete;
+  PathScope& operator=(const PathScope&) = delete;
+
+ private:
+  std::vector<T>& path_;
+  std::size_t size_;
+};
+
+/// An internal node's shells: m around vp1 and, per first-level partition,
+/// m around vp2, flattened as child slot c = g*m + s.
+struct ShellBounds {
+  const double* lower1;
+  const double* upper1;
+  const double* lower2;
+  const double* upper2;
+};
+
+/// What a leaf's annulus tests compare against: the query's distances to
+/// the leaf's vantage points and to its ancestors' (qpath).
+struct LeafQuery {
+  double d1;
+  double d2;
+  bool has_vp2;
+  const std::vector<double>& qpath;
+
+  /// Step 2 of §4.3 for one entry: it survives radius r iff its D1, D2 and
+  /// first `checks` PATH distances (xpath[j * stride]) each lie within r of
+  /// the query's distance to the same vantage point.
+  bool Admits(double x1, double x2, const double* xpath, std::size_t stride,
+              std::size_t checks, double r) const {
+    if (!(std::abs(d1 - x1) <= r && (!has_vp2 || std::abs(d2 - x2) <= r))) {
+      return false;
+    }
+    for (std::size_t j = 0; j < checks; ++j) {
+      if (std::abs(qpath[j] - xpath[j * stride]) > r) return false;
+    }
+    return true;
+  }
+};
+
+/// Leaf cursor over array-of-structs entries — the heap tree's buckets and
+/// the v1 flat arena — each with an id, D1, D2 and a path_offset /
+/// path_length slice of a shared PATH pool.
+template <typename Entry>
+struct AosLeaf {
+  const Entry* entries;
+  std::size_t count;
+  const double* path;
+
+  std::size_t size() const { return count; }
+  std::size_t id(std::size_t i) const { return entries[i].id; }
+  bool Passes(std::size_t i, const LeafQuery& q, double r) const {
+    const Entry& x = entries[i];
+    const std::size_t checks =
+        std::min(q.qpath.size(), static_cast<std::size_t>(x.path_length));
+    return q.Admits(x.d1, x.d2, path + x.path_offset, 1, checks, r);
+  }
+};
+
+/// Distance-evaluation policies of a Traversal. NoBudget compiles to
+/// nothing. DistanceBudget throws Exhausted at the first metric evaluation
+/// past `limit` (counted in the search's own SearchStats), unwinding the
+/// search the way serve::CancelChecked does; the caller catches it and
+/// keeps what the result vector holds.
+struct NoBudget {
+  void Charge(const SearchStats&) const {}
+};
+struct DistanceBudget {
+  struct Exhausted {};
+  std::uint64_t limit = 0;
+  void Charge(const SearchStats& stats) const {
+    if (stats.distance_computations >= limit) throw Exhausted{};
+  }
+};
+
+/// One search over a node accessor: the §4.3 range recursion and the
+/// shrinking-radius k-NN recursion. Counts into the caller's `stats` as it
+/// goes, so a search cut short by an exception (cancellation, budget)
+/// leaves both its results so far and exact stats at the cut.
+template <typename Nodes, typename Query, typename Budget = NoBudget>
+class Traversal {
+ public:
+  Traversal(Nodes nodes, const Query& query, SearchStats& stats,
+            Budget budget = {})
+      : nodes_(nodes), query_(query), stats_(stats), budget_(budget) {
+    qpath_.reserve(nodes_.PathDistances());
+  }
+
+  /// Appends every object within `radius` (closed ball) to `*out`,
+  /// unsorted. `prime` optionally supplies the root's distances.
+  void Range(double radius, std::vector<Neighbor>* out,
+             const RootPrime* prime = nullptr) {
+    if (const NodeRef root = nodes_.Root(); root != nullptr) {
+      RangeNode(root, radius, *out, prime);
+    }
+  }
+
+  /// Keeps the k nearest objects `exclude` does not name in `*heap`, a
+  /// max-heap under NeighborLess (pass it empty). Children are visited in
+  /// order of their distance lower bound over both vantage points.
+  void Knn(std::size_t k, std::vector<Neighbor>* heap, Exclusion exclude = {},
+           const RootPrime* prime = nullptr) {
+    if (const NodeRef root = nodes_.Root(); root != nullptr && k > 0) {
+      KnnNode(root, k, *heap, exclude, prime);
+    }
+  }
+
+ private:
+  using NodeRef = decltype(std::declval<const Nodes&>().Root());
+  static constexpr std::size_t kChunk = 64;  // one mask bit per entry
+
+  /// The single distance-evaluation point: every metric call (or primed
+  /// value standing in for one) passes the budget and is counted here.
+  double Distance(std::size_t id, const double* primed = nullptr) {
+    budget_.Charge(stats_);
+    double d;
+    if (primed != nullptr) {
+      if constexpr (requires { nodes_.metric().CountPrimed(); }) {
+        nodes_.metric().CountPrimed();
+      }
+      d = *primed;
+    } else {
+      d = nodes_.metric()(query_, nodes_.object(id));
+    }
+    ++stats_.distance_computations;
+    return d;
+  }
+
+  /// Step 1 of §4.3: enters `node` and evaluates its vantage points,
+  /// handing each to `take(id, d)` before the next is evaluated. d2 is 0
+  /// for a node with one vantage point.
+  template <typename Take>
+  std::pair<double, double> VantagePoints(NodeRef node,
+                                          const RootPrime* prime,
+                                          Take&& take) {
+    ++stats_.nodes_visited;
+    const std::size_t vp1 = nodes_.Vp1(node);
+    const double d1 =
+        Distance(vp1, prime != nullptr && prime->has_d1 ? &prime->d1 : nullptr);
+    take(vp1, d1);
+    double d2 = 0.0;
+    if (nodes_.HasVp2(node)) {
+      const std::size_t vp2 = nodes_.Vp2(node);
+      d2 = Distance(vp2,
+                    prime != nullptr && prime->has_d2 ? &prime->d2 : nullptr);
+      take(vp2, d2);
+    }
+    return {d1, d2};
+  }
+
+  void RangeNode(NodeRef node, double radius, std::vector<Neighbor>& out,
+                 const RootPrime* prime) {
+    const auto [d1, d2] =
+        VantagePoints(node, prime, [&](std::size_t id, double d) {
+          if (d <= radius) out.push_back(Neighbor{id, d});
+        });
+    if (nodes_.IsLeaf(node)) {
+      RangeLeaf(nodes_.Leaf(node), LeafQuery{d1, d2, nodes_.HasVp2(node),
+                                             qpath_},
+                radius, out);
+      return;
+    }
+    // Steps 3.2/3.3 generalized: enter child (g, s) iff the query annulus
+    // around BOTH vantage points intersects the child's shells.
+    PathScope<double> path(qpath_, nodes_.PathDistances(), d1, d2);
+    const std::size_t m = nodes_.Order();
+    const ShellBounds b = nodes_.Shells(node);
+    for (std::size_t g = 0; g < m; ++g) {
+      if (!ShellIntersects(d1, radius, b.lower1[g], b.upper1[g])) continue;
+      for (std::size_t s = 0; s < m; ++s) {
+        const std::size_t c = g * m + s;
+        const NodeRef child = nodes_.Child(node, c);
+        if (child == nullptr ||
+            !ShellIntersects(d2, radius, b.lower2[c], b.upper2[c])) {
+          continue;
+        }
+        RangeNode(child, radius, out, nullptr);
+      }
+    }
+  }
+
+  /// Range-mode leaf filter. The radius is fixed, so each 64-entry chunk
+  /// gets its pass mask from the stored distances alone, is charged to the
+  /// seen/filtered counters, and only then evaluates its survivors in
+  /// ascending order — so stats at a mid-leaf cut are chunk-exact.
+  template <typename Leaf>
+  void RangeLeaf(const Leaf& leaf, const LeafQuery& q, double radius,
+                 std::vector<Neighbor>& out) {
+    for (std::size_t base = 0; base < leaf.size(); base += kChunk) {
+      const std::size_t n = std::min(kChunk, leaf.size() - base);
+      std::uint64_t mask = 0;
+      if constexpr (requires { leaf.Mask(base, n, q, radius); }) {
+        mask = leaf.Mask(base, n, q, radius);
+      } else {
+        for (std::size_t i = 0; i < n; ++i) {
+          if (leaf.Passes(base + i, q, radius)) mask |= std::uint64_t{1} << i;
+        }
+      }
+      stats_.leaf_points_seen += n;
+      stats_.leaf_points_filtered +=
+          n - static_cast<std::size_t>(std::popcount(mask));
+      while (mask != 0) {
+        const std::size_t id = leaf.id(base + std::countr_zero(mask));
+        mask &= mask - 1;
+        const double d = Distance(id);
+        if (d <= radius) out.push_back(Neighbor{id, d});
+      }
+    }
+  }
+
+  void KnnNode(NodeRef node, std::size_t k, std::vector<Neighbor>& heap,
+               Exclusion exclude, const RootPrime* prime) {
+    const auto [d1, d2] =
+        VantagePoints(node, prime, [&](std::size_t id, double d) {
+          if (!exclude(id)) KnnOffer(heap, k, Neighbor{id, d});
+        });
+    if (nodes_.IsLeaf(node)) {
+      // tau shrinks with every offer, so the filter stays per-entry: a
+      // chunk-wide mask would use a stale radius.
+      const auto leaf = nodes_.Leaf(node);
+      const LeafQuery q{d1, d2, nodes_.HasVp2(node), qpath_};
+      for (std::size_t i = 0; i < leaf.size(); ++i) {
+        ++stats_.leaf_points_seen;
+        if (!leaf.Passes(i, q, KnnTau(heap, k)) || exclude(leaf.id(i))) {
+          ++stats_.leaf_points_filtered;
+          continue;
+        }
+        const std::size_t id = leaf.id(i);
+        KnnOffer(heap, k, Neighbor{id, Distance(id)});
+      }
+      return;
+    }
+    // Children in increasing order of their combined lower bound; stop as
+    // soon as the bound exceeds the current k-th best.
+    PathScope<double> path(qpath_, nodes_.PathDistances(), d1, d2);
+    struct Ranked {
+      double bound;
+      NodeRef child;
+    };
+    const std::size_t m = nodes_.Order();
+    const ShellBounds b = nodes_.Shells(node);
+    std::vector<Ranked> ranked;
+    ranked.reserve(m * m);
+    for (std::size_t g = 0; g < m; ++g) {
+      const double b1 = std::max({0.0, b.lower1[g] - d1, d1 - b.upper1[g]});
+      for (std::size_t s = 0; s < m; ++s) {
+        const std::size_t c = g * m + s;
+        const NodeRef child = nodes_.Child(node, c);
+        if (child == nullptr) continue;
+        const double b2 = std::max({0.0, b.lower2[c] - d2, d2 - b.upper2[c]});
+        ranked.push_back(Ranked{std::max(b1, b2), child});
+      }
+    }
+    std::sort(ranked.begin(), ranked.end(),
+              [](const Ranked& a, const Ranked& b) { return a.bound < b.bound; });
+    for (const Ranked& r : ranked) {
+      if (r.bound > KnnTau(heap, k)) break;
+      KnnNode(r.child, k, heap, exclude, nullptr);
+    }
+  }
+
+  Nodes nodes_;
+  const Query& query_;
+  SearchStats& stats_;
+  [[no_unique_address]] Budget budget_;
+  std::vector<double> qpath_;
+};
 
 }  // namespace mvp::core
 

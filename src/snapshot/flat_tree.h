@@ -2,7 +2,6 @@
 #define MVPTREE_SNAPSHOT_FLAT_TREE_H_
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -75,10 +74,12 @@
 /// strictly forward (preorder), that every node is referenced exactly once,
 /// and that depth stays within the same cap as heap deserialization — so a
 /// corrupted arena yields Status::Corruption at open, never a crash or an
-/// unterminated traversal. The searches mirror core::MvpTree statement for
-/// statement (sharing core/search_shared.h) so results and
-/// distance-computation counts are bit-identical to the heap tree built
-/// from the same stream.
+/// unterminated traversal. Searching runs the one mvp-tree traversal in
+/// core/search_shared.h, the same one the heap tree runs: a view supplies
+/// only a node accessor over the arena (one per leaf layout), so results and
+/// every SearchStats counter are bit-identical to the heap tree built from
+/// the same stream by construction, and tests/search_counts_golden_test.cc
+/// pins the counts.
 
 namespace mvp::snapshot::flat {
 
@@ -235,8 +236,8 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
 /// metrics (and serve::CancelChecked wrappers of them) do.
 ///
 /// Search results, their order of discovery, and every SearchStats counter
-/// are bit-identical to core::MvpTree over the same logical tree: both
-/// traversals evaluate the same metric calls in the same sequence
+/// are bit-identical to core::MvpTree over the same logical tree: both run
+/// core::Traversal and differ only in their node accessor
 /// (tests/flat_equivalence_test.cc holds this to 1k+ random queries).
 /// Thread safety: immutable after Open; const searches are freely
 /// concurrent (same contract as MvpTree).
@@ -317,12 +318,9 @@ class FlatTreeView {
     MVP_DCHECK(out != nullptr);
     SearchStats local;
     SearchStats& sink = stats != nullptr ? *stats : local;
-    if (p_.header.root != kNoNode) {
-      std::vector<double> qpath;
-      qpath.reserve(p_.header.num_path_distances);
-      RangeSearchNode(p_.header.root, query, radius, qpath, *out, sink,
-                      root_prime);
-    }
+    WithNodes([&](auto nodes) {
+      core::Traversal(nodes, query, sink).Range(radius, out, root_prime);
+    });
   }
 
   /// Mirrors MvpTree::KnnSearch (sorted by distance then id), including
@@ -350,313 +348,105 @@ class FlatTreeView {
     MVP_DCHECK(heap != nullptr);
     SearchStats local;
     SearchStats& sink = stats != nullptr ? *stats : local;
-    if (p_.header.root != kNoNode && k > 0) {
-      std::vector<double> qpath;
-      qpath.reserve(p_.header.num_path_distances);
-      KnnSearchNode(p_.header.root, query, k, qpath, *heap, sink, exclude,
-                    root_prime);
-    }
+    WithNodes([&](auto nodes) {
+      core::Traversal(nodes, query, sink).Knn(k, heap, exclude, root_prime);
+    });
   }
 
  private:
   FlatTreeView(FlatArenaParts parts, Metric metric)
       : p_(parts), metric_(std::move(metric)) {}
 
-  bool IsLeaf(const FlatNodeRec& n) const { return (n.flags & kNodeLeaf) != 0; }
   bool HasVp2(const FlatNodeRec& n) const {
     return (n.flags & kNodeHasVp2) != 0;
   }
 
-  // The traversals below are line-for-line transcriptions of
-  // MvpTree::RangeSearchNode / KnnSearchNode / FilterLeaf with pointer
-  // dereferences replaced by arena index arithmetic. Keep them in lockstep
-  // with core/mvp_tree.h: any divergence is a bug the equivalence suite
-  // is designed to catch.
+  /// v2 leaf cursor: contiguous id/D1/D2 columns and a column-major PATH
+  /// slab (slab[j*count + i] = PATH[j] of entry i). Range masks sweep them
+  /// 64 wide with the branchless AnnulusMask kernel, whose pass bits equal
+  /// the scalar per-entry tests.
+  struct SoaLeaf {
+    const std::uint32_t* ids;
+    const double* d1s;
+    const double* d2s;
+    const double* slab;
+    std::size_t count;
+    std::size_t path_length;
 
-  template <typename Query>
-  void RangeSearchNode(std::uint64_t ni, const Query& query, double radius,
-                       std::vector<double>& qpath,
-                       std::vector<Neighbor>& result, SearchStats& stats,
-                       const core::RootPrime* prime = nullptr) const {
-    const FlatNodeRec& node = p_.nodes[ni];
-    ++stats.nodes_visited;
-    // A primed distance replaces the metric call with its precomputed
-    // (bit-identical) value but is still charged to the stats and the
-    // cancellation budget, so batched and unbatched searches agree exactly.
-    double d1;
-    if (prime != nullptr && prime->has_d1) {
-      core::ConsumePrimedDistance(metric_);
-      d1 = prime->d1;
-    } else {
-      d1 = metric_(query, object(node.vp1));
+    std::size_t size() const { return count; }
+    std::size_t id(std::size_t i) const { return ids[i]; }
+    std::size_t Checks(const core::LeafQuery& q) const {
+      return std::min(q.qpath.size(), path_length);
     }
-    ++stats.distance_computations;
-    if (d1 <= radius) result.push_back(Neighbor{node.vp1, d1});
-    double d2 = 0.0;
-    if (HasVp2(node)) {
-      if (prime != nullptr && prime->has_d2) {
-        core::ConsumePrimedDistance(metric_);
-        d2 = prime->d2;
+    std::uint64_t Mask(std::size_t base, std::size_t n,
+                       const core::LeafQuery& q, double r) const {
+      std::uint64_t mask = metric::kernels::AnnulusMask(q.d1, d1s + base, n, r);
+      if (q.has_vp2 && mask != 0) {
+        mask &= metric::kernels::AnnulusMask(q.d2, d2s + base, n, r);
+      }
+      for (std::size_t j = 0; j < Checks(q) && mask != 0; ++j) {
+        mask &= metric::kernels::AnnulusMask(q.qpath[j],
+                                             slab + j * count + base, n, r);
+      }
+      return mask;
+    }
+    bool Passes(std::size_t i, const core::LeafQuery& q, double r) const {
+      return q.Admits(d1s[i], d2s[i], slab + i, count, Checks(q), r);
+    }
+  };
+
+  /// The node accessor core::Traversal runs on, over the arena's preorder
+  /// nodes; kSoa selects the v2 leaf layout, the rest is shared by both.
+  template <bool kSoa>
+  struct Nodes {
+    const FlatTreeView* view;
+
+    const FlatNodeRec* Root() const {
+      const FlatArenaParts& p = view->p_;
+      return p.header.root == kNoNode ? nullptr : p.nodes + p.header.root;
+    }
+    std::size_t Order() const { return view->p_.header.order; }
+    std::size_t PathDistances() const {
+      return view->p_.header.num_path_distances;
+    }
+    bool IsLeaf(const FlatNodeRec* n) const {
+      return (n->flags & kNodeLeaf) != 0;
+    }
+    bool HasVp2(const FlatNodeRec* n) const { return view->HasVp2(*n); }
+    std::size_t Vp1(const FlatNodeRec* n) const { return n->vp1; }
+    std::size_t Vp2(const FlatNodeRec* n) const { return n->vp2; }
+    core::ShellBounds Shells(const FlatNodeRec* n) const {
+      const std::size_t m = Order();
+      const double* lower1 = view->p_.bounds + n->begin;
+      return {lower1, lower1 + m, lower1 + 2 * m, lower1 + 2 * m + m * m};
+    }
+    const FlatNodeRec* Child(const FlatNodeRec* n, std::size_t c) const {
+      const std::uint32_t child = view->p_.children[n->children + c];
+      return child == kNullChild ? nullptr : view->p_.nodes + child;
+    }
+    auto Leaf(const FlatNodeRec* n) const {
+      const FlatArenaParts& p = view->p_;
+      if constexpr (kSoa) {
+        const FlatLeafPathRec& lp = p.leafpaths[n - p.nodes];
+        return SoaLeaf{p.ids + n->begin, p.d1 + n->begin, p.d2 + n->begin,
+                       p.path + lp.slab_offset, n->count, lp.path_length};
       } else {
-        d2 = metric_(query, object(node.vp2));
-      }
-      ++stats.distance_computations;
-      if (d2 <= radius) result.push_back(Neighbor{node.vp2, d2});
-    }
-
-    if (IsLeaf(node)) {
-      FilterLeaf(node, query, radius, d1, d2, qpath, &result, nullptr, 0,
-                 stats, core::Exclusion{});
-      return;
-    }
-
-    const std::size_t p = p_.header.num_path_distances;
-    std::size_t pushed = 0;
-    if (qpath.size() < p) {
-      qpath.push_back(d1);
-      ++pushed;
-      if (qpath.size() < p) {
-        qpath.push_back(d2);
-        ++pushed;
+        return core::AosLeaf<FlatLeafEntryRec>{p.entries + n->begin, n->count,
+                                               p.path};
       }
     }
+    const Metric& metric() const { return view->metric_; }
+    VectorView object(std::size_t id) const { return view->object(id); }
+  };
 
-    const std::size_t m = p_.header.order;
-    const double* lower1 = p_.bounds + node.begin;
-    const double* upper1 = lower1 + m;
-    const double* lower2 = upper1 + m;
-    const double* upper2 = lower2 + m * m;
-    const std::uint32_t* kids = p_.children + node.children;
-    for (std::size_t g = 0; g < m; ++g) {
-      if (!core::ShellIntersects(d1, radius, lower1[g], upper1[g])) continue;
-      for (std::size_t s = 0; s < m; ++s) {
-        const std::size_t c = g * m + s;
-        if (kids[c] == kNullChild) continue;
-        if (!core::ShellIntersects(d2, radius, lower2[c], upper2[c])) continue;
-        RangeSearchNode(kids[c], query, radius, qpath, result, stats);
-      }
-    }
-    qpath.resize(qpath.size() - pushed);
-  }
-
-  template <typename Query>
-  void FilterLeaf(const FlatNodeRec& node, const Query& query, double radius,
-                  double d1, double d2, const std::vector<double>& qpath,
-                  std::vector<Neighbor>* range_out,
-                  std::vector<Neighbor>* heap_out, std::size_t k,
-                  SearchStats& stats, core::Exclusion exclude) const {
+  /// Calls fn(nodes) with the accessor for this arena's leaf layout.
+  template <typename Fn>
+  void WithNodes(Fn&& fn) const {
     if (p_.header.version >= kFlatVersionV2) {
-      FilterLeafV2(node, query, radius, d1, d2, qpath, range_out, heap_out, k,
-                   stats, exclude);
-      return;
-    }
-    const FlatLeafEntryRec* bucket = p_.entries + node.begin;
-    const bool has_vp2 = HasVp2(node);
-    if (range_out != nullptr) {
-      // Same chunked two-phase structure as the heap tree (see
-      // core::ChunkedRangeFilter); the per-entry tests run scalar over the
-      // v1 AoS records.
-      core::ChunkedRangeFilter(
-          node.count,
-          [&](std::size_t base, std::size_t n) {
-            std::uint64_t mask = 0;
-            for (std::size_t i = 0; i < n; ++i) {
-              const FlatLeafEntryRec& x = bucket[base + i];
-              bool pass = std::abs(d1 - x.d1) <= radius &&
-                          (!has_vp2 || std::abs(d2 - x.d2) <= radius);
-              if (pass) {
-                const std::size_t checks = std::min(
-                    qpath.size(), static_cast<std::size_t>(x.path_length));
-                for (std::size_t j = 0; j < checks; ++j) {
-                  if (std::abs(qpath[j] - p_.path[x.path_offset + j]) >
-                      radius) {
-                    pass = false;
-                    break;
-                  }
-                }
-              }
-              if (pass) mask |= std::uint64_t{1} << i;
-            }
-            return mask;
-          },
-          [&](std::size_t i) {
-            const FlatLeafEntryRec& x = bucket[i];
-            const double d = metric_(query, object(x.id));
-            ++stats.distance_computations;
-            if (d <= radius) range_out->push_back(Neighbor{x.id, d});
-          },
-          stats);
-      return;
-    }
-    for (std::uint32_t i = 0; i < node.count; ++i) {
-      const FlatLeafEntryRec& x = bucket[i];
-      ++stats.leaf_points_seen;
-      const double r = core::KnnTau(*heap_out, k);
-      bool pass = std::abs(d1 - x.d1) <= r &&
-                  (!has_vp2 || std::abs(d2 - x.d2) <= r);
-      if (pass) {
-        const std::size_t checks =
-            std::min(qpath.size(), static_cast<std::size_t>(x.path_length));
-        for (std::size_t j = 0; j < checks; ++j) {
-          if (std::abs(qpath[j] - p_.path[x.path_offset + j]) > r) {
-            pass = false;
-            break;
-          }
-        }
-      }
-      if (!pass || exclude(x.id)) {
-        ++stats.leaf_points_filtered;
-        continue;
-      }
-      const double d = metric_(query, object(x.id));
-      ++stats.distance_computations;
-      core::KnnOffer(*heap_out, k, Neighbor{x.id, d});
-    }
-  }
-
-  /// v2 structure-of-arrays leaf filter. Range mode sweeps the contiguous
-  /// D1/D2 columns and the column-major PATH slab with the branchless
-  /// compare+mask kernel (metric::kernels::AnnulusMask), 64 entries per
-  /// chunk; the pass bits are identical to the scalar per-entry tests, so
-  /// results and SearchStats match the heap tree and the v1 view exactly.
-  template <typename Query>
-  void FilterLeafV2(const FlatNodeRec& node, const Query& query, double radius,
-                    double d1, double d2, const std::vector<double>& qpath,
-                    std::vector<Neighbor>* range_out,
-                    std::vector<Neighbor>* heap_out, std::size_t k,
-                    SearchStats& stats, core::Exclusion exclude) const {
-    const std::uint64_t ni =
-        static_cast<std::uint64_t>(&node - p_.nodes);
-    const std::uint32_t* ids = p_.ids + node.begin;
-    const double* d1s = p_.d1 + node.begin;
-    const double* d2s = p_.d2 + node.begin;
-    const FlatLeafPathRec& lp = p_.leafpaths[ni];
-    const double* slab = p_.path + lp.slab_offset;
-    const std::size_t count = node.count;
-    const std::size_t checks =
-        std::min(qpath.size(), static_cast<std::size_t>(lp.path_length));
-    const bool has_vp2 = HasVp2(node);
-    if (range_out != nullptr) {
-      core::ChunkedRangeFilter(
-          count,
-          [&](std::size_t base, std::size_t n) {
-            std::uint64_t mask =
-                metric::kernels::AnnulusMask(d1, d1s + base, n, radius);
-            if (has_vp2 && mask != 0) {
-              mask &= metric::kernels::AnnulusMask(d2, d2s + base, n, radius);
-            }
-            for (std::size_t j = 0; j < checks && mask != 0; ++j) {
-              mask &= metric::kernels::AnnulusMask(
-                  qpath[j], slab + j * count + base, n, radius);
-            }
-            return mask;
-          },
-          [&](std::size_t i) {
-            const double d = metric_(query, object(ids[i]));
-            ++stats.distance_computations;
-            if (d <= radius) range_out->push_back(Neighbor{ids[i], d});
-          },
-          stats);
-      return;
-    }
-    // k-NN mode stays per-entry (tau shrinks with every offer), reading the
-    // SoA columns scalar-wise.
-    for (std::size_t i = 0; i < count; ++i) {
-      ++stats.leaf_points_seen;
-      const double r = core::KnnTau(*heap_out, k);
-      bool pass = std::abs(d1 - d1s[i]) <= r &&
-                  (!has_vp2 || std::abs(d2 - d2s[i]) <= r);
-      if (pass) {
-        for (std::size_t j = 0; j < checks; ++j) {
-          if (std::abs(qpath[j] - slab[j * count + i]) > r) {
-            pass = false;
-            break;
-          }
-        }
-      }
-      if (!pass || exclude(ids[i])) {
-        ++stats.leaf_points_filtered;
-        continue;
-      }
-      const double d = metric_(query, object(ids[i]));
-      ++stats.distance_computations;
-      core::KnnOffer(*heap_out, k, Neighbor{ids[i], d});
-    }
-  }
-
-  template <typename Query>
-  void KnnSearchNode(std::uint64_t ni, const Query& query, std::size_t k,
-                     std::vector<double>& qpath, std::vector<Neighbor>& heap,
-                     SearchStats& stats, core::Exclusion exclude,
-                     const core::RootPrime* prime = nullptr) const {
-    const FlatNodeRec& node = p_.nodes[ni];
-    ++stats.nodes_visited;
-    double d1;
-    if (prime != nullptr && prime->has_d1) {
-      core::ConsumePrimedDistance(metric_);
-      d1 = prime->d1;
+      fn(Nodes<true>{this});
     } else {
-      d1 = metric_(query, object(node.vp1));
+      fn(Nodes<false>{this});
     }
-    ++stats.distance_computations;
-    if (!exclude(node.vp1)) core::KnnOffer(heap, k, Neighbor{node.vp1, d1});
-    double d2 = 0.0;
-    if (HasVp2(node)) {
-      if (prime != nullptr && prime->has_d2) {
-        core::ConsumePrimedDistance(metric_);
-        d2 = prime->d2;
-      } else {
-        d2 = metric_(query, object(node.vp2));
-      }
-      ++stats.distance_computations;
-      if (!exclude(node.vp2)) core::KnnOffer(heap, k, Neighbor{node.vp2, d2});
-    }
-
-    if (IsLeaf(node)) {
-      FilterLeaf(node, query, 0.0, d1, d2, qpath, nullptr, &heap, k, stats,
-                 exclude);
-      return;
-    }
-
-    const std::size_t p = p_.header.num_path_distances;
-    std::size_t pushed = 0;
-    if (qpath.size() < p) {
-      qpath.push_back(d1);
-      ++pushed;
-      if (qpath.size() < p) {
-        qpath.push_back(d2);
-        ++pushed;
-      }
-    }
-
-    struct Ranked {
-      double bound;
-      std::size_t child;
-    };
-    const std::size_t m = p_.header.order;
-    const double* lower1 = p_.bounds + node.begin;
-    const double* upper1 = lower1 + m;
-    const double* lower2 = upper1 + m;
-    const double* upper2 = lower2 + m * m;
-    const std::uint32_t* kids = p_.children + node.children;
-    std::vector<Ranked> ranked;
-    ranked.reserve(m * m);
-    for (std::size_t g = 0; g < m; ++g) {
-      const double b1 = std::max({0.0, lower1[g] - d1, d1 - upper1[g]});
-      for (std::size_t s = 0; s < m; ++s) {
-        const std::size_t c = g * m + s;
-        if (kids[c] == kNullChild) continue;
-        const double b2 = std::max({0.0, lower2[c] - d2, d2 - upper2[c]});
-        ranked.push_back(Ranked{std::max(b1, b2), c});
-      }
-    }
-    std::sort(ranked.begin(), ranked.end(),
-              [](const Ranked& a, const Ranked& b) { return a.bound < b.bound; });
-    for (const Ranked& r : ranked) {
-      if (r.bound > core::KnnTau(heap, k)) break;
-      KnnSearchNode(kids[r.child], query, k, qpath, heap, stats, exclude);
-    }
-    qpath.resize(qpath.size() - pushed);
   }
 
   FlatArenaParts p_;
