@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -216,6 +217,14 @@ void EmitFlatSeeds(const fs::path& dir,
             {arena.value().begin(),
              arena.value().begin() +
                  static_cast<std::ptrdiff_t>(arena.value().size() * 3 / 4)});
+  // The root is internal; clearing its second-vantage-point flag leaves a
+  // node the traversal cannot search, which the parser must refuse.
+  std::vector<std::uint8_t> no_vp2 = arena.value();
+  mvp::snapshot::flat::FlatHeaderRec header;
+  std::memcpy(&header, no_vp2.data(), sizeof(header));
+  no_vp2[static_cast<std::size_t>(header.nodes_offset)] &=
+      static_cast<std::uint8_t>(~mvp::snapshot::flat::kNodeHasVp2);
+  WriteSeed(dir / "arena_root_no_vp2.bin", 1, no_vp2);
 }
 
 void EmitWalSeeds(const fs::path& dir) {

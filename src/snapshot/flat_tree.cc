@@ -58,6 +58,10 @@ Result<std::uint64_t> TranscodeNode(BinaryReader* reader, ArenaBuilder* b,
   if (vp1 >= b->object_count || (has_vp2 != 0 && vp2 >= b->object_count)) {
     return Status::Corruption("vantage point id out of range");
   }
+  if (tag == 2 && has_vp2 == 0) {
+    return Status::Corruption(
+        "internal mvp-tree node lacks a second vantage point");
+  }
 
   const std::uint64_t index = b->nodes.size();
   if (index >= kNullChild) {
@@ -550,6 +554,10 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
         next_slab += slab_len;
       }
       continue;
+    }
+    if ((node.flags & kNodeHasVp2) == 0) {
+      return Status::Corruption(
+          "flat arena internal node lacks a second vantage point");
     }
     if (v2) {
       const FlatLeafPathRec& lp = parts.leafpaths[static_cast<std::size_t>(i)];

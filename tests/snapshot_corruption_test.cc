@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common/codec.h"
+#include "common/serialize.h"
+#include "core/mvp_tree.h"
 #include "dataset/vector_gen.h"
 #include "metric/lp.h"
+#include "snapshot/flat_tree.h"
 #include "snapshot/format.h"
 #include "snapshot/manifest.h"
 #include "snapshot/snapshot_store.h"
@@ -597,6 +601,85 @@ TEST_F(FlatSnapshotCorruptionTest, HeapSnapshotRejectedByFlatOpen) {
   ASSERT_TRUE(store.SaveSharded(built.value(), VectorCodec()).ok());
   EXPECT_FALSE(store.OpenFlat(L2()).ok());
   EXPECT_TRUE(store.LoadSharded<Vector>(L2(), VectorCodec()).ok());
+}
+
+/// A serialized multi-level tree whose root, an internal node, has its
+/// second vantage point flag cleared. No builder writes such a node and the
+/// traversal relies on every internal node having both vantage points (it
+/// would test the second-level shells against a distance of 0 and drop
+/// results), so the heap reader, the arena transcoder and the arena parser
+/// all refuse it.
+class MissingSecondVantagePointTest : public ::testing::Test {
+ protected:
+  using Tree = core::MvpTree<Vector, L2>;
+  static constexpr std::size_t kCount = 300;
+  static constexpr std::size_t kDim = 4;
+
+  void SetUp() override {
+    Tree::Options options;
+    options.leaf_capacity = 9;
+    auto built = Tree::Build(dataset::UniformVectors(kCount, kDim, 43), L2(),
+                             options);
+    ASSERT_TRUE(built.ok());
+    BinaryWriter writer;
+    ASSERT_TRUE(built.value().Serialize(&writer, VectorCodec()).ok());
+    stream_ = std::move(writer).TakeBuffer();
+    // The 29-byte options header, the objects (u64 length + doubles each),
+    // the PATH pool (u64 length + doubles), then the root's tag and vp1.
+    const std::size_t pool = 29 + kCount * (8 + 8 * kDim);
+    std::uint64_t path_count = 0;
+    std::memcpy(&path_count, stream_.data() + pool, sizeof(path_count));
+    const std::size_t root = pool + 8 + 8 * path_count;
+    ASSERT_EQ(stream_[root], 2);  // internal node tag
+    ASSERT_EQ(stream_[root + 9], 1);
+    damaged_ = stream_;
+    damaged_[root + 9] = 0;
+  }
+
+  std::vector<std::uint8_t> stream_;
+  std::vector<std::uint8_t> damaged_;
+};
+
+TEST_F(MissingSecondVantagePointTest, HeapStreamReaderRejects) {
+  BinaryReader intact(stream_);
+  ASSERT_TRUE(Tree::Deserialize(&intact, L2(), VectorCodec()).ok());
+  BinaryReader reader(damaged_);
+  EXPECT_EQ(Tree::Deserialize(&reader, L2(), VectorCodec()).status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST_F(MissingSecondVantagePointTest, BuildFlatArenaRejects) {
+  for (const std::uint32_t version :
+       {flat::kFlatVersionV1, flat::kFlatVersionV2}) {
+    ASSERT_TRUE(
+        flat::BuildFlatArena(stream_.data(), stream_.size(), version).ok());
+    EXPECT_EQ(flat::BuildFlatArena(damaged_.data(), damaged_.size(), version)
+                  .status()
+                  .code(),
+              StatusCode::kCorruption)
+        << "v" << version;
+  }
+}
+
+TEST_F(MissingSecondVantagePointTest, ParseFlatArenaRejectsV1AndV2) {
+  for (const std::uint32_t version :
+       {flat::kFlatVersionV1, flat::kFlatVersionV2}) {
+    auto built = flat::BuildFlatArena(stream_.data(), stream_.size(), version);
+    ASSERT_TRUE(built.ok());
+    std::vector<std::uint8_t> arena = std::move(built).ValueOrDie();
+    ASSERT_TRUE(flat::ParseFlatArena(arena.data(), arena.size()).ok());
+    // The root is node 0; its flags word opens its record.
+    flat::FlatHeaderRec header;
+    std::memcpy(&header, arena.data(), sizeof(header));
+    std::uint32_t flags = 0;
+    std::memcpy(&flags, arena.data() + header.nodes_offset, sizeof(flags));
+    ASSERT_EQ(flags, flat::kNodeHasVp2);  // internal, two vantage points
+    flags = 0;
+    std::memcpy(arena.data() + header.nodes_offset, &flags, sizeof(flags));
+    EXPECT_EQ(flat::ParseFlatArena(arena.data(), arena.size()).status().code(),
+              StatusCode::kCorruption)
+        << "v" << version;
+  }
 }
 
 }  // namespace
