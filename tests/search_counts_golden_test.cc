@@ -14,6 +14,7 @@
 #include "common/codec.h"
 #include "common/query.h"
 #include "common/serialize.h"
+#include "core/generalized_mvp_tree.h"
 #include "core/mvp_tree.h"
 #include "core/search_shared.h"
 #include "dataset/vector_gen.h"
@@ -24,7 +25,7 @@
 /// SearchStats totals plus a hash over its results' (id, distance bits) are
 /// COMMITTED under tests/testdata/search_counts/, and this suite recomputes
 /// them over the heap tree, a flat v1 arena and a flat v2 arena built from
-/// the same tree.
+/// the same tree, and over GeneralizedMvpTree at several v.
 ///
 /// flat_equivalence_test proves the representations agree with each other;
 /// it cannot see a change that moves all of them the same way, because they
@@ -129,12 +130,8 @@ std::vector<Vector> Clustered(std::size_t count, std::size_t dim,
 /// case. `approximate` is null for representations without a budgeted
 /// search.
 template <typename Tree>
-std::vector<std::string> RunCases(
-    const std::string& rep, const Tree& tree, const Recipe& recipe,
-    const std::function<std::vector<Neighbor>(const Vector&, std::size_t,
-                                              std::uint64_t, SearchStats*)>*
-        approximate) {
-  std::vector<std::string> lines;
+void AppendRangeCases(const std::string& rep, const Tree& tree,
+                      const Recipe& recipe, std::vector<std::string>* lines) {
   for (const double r : recipe.radii) {
     CaseTotals t;
     for (const Vector& q : recipe.queries) {
@@ -143,8 +140,18 @@ std::vector<std::string> RunCases(
     }
     std::ostringstream name;
     name << "range(r=" << r << ")";
-    lines.push_back(t.Line(rep, name.str()));
+    lines->push_back(t.Line(rep, name.str()));
   }
+}
+
+template <typename Tree>
+std::vector<std::string> RunCases(
+    const std::string& rep, const Tree& tree, const Recipe& recipe,
+    const std::function<std::vector<Neighbor>(const Vector&, std::size_t,
+                                              std::uint64_t, SearchStats*)>*
+        approximate) {
+  std::vector<std::string> lines;
+  AppendRangeCases(rep, tree, recipe, &lines);
   // Every id congruent to 3 mod 7: a dense, deterministic stand-in for a
   // dynamic layer's tombstones.
   const auto is_erased = [](std::size_t id) { return id % 7 == 3; };
@@ -211,9 +218,9 @@ std::vector<std::string> ComputeLines(const Recipe& recipe) {
   return lines;
 }
 
-void CheckGolden(const Recipe& recipe) {
-  const std::vector<std::string> lines = ComputeLines(recipe);
-  const std::string path = GoldenPath(recipe.name);
+void CheckGolden(const std::string& name,
+                 const std::vector<std::string>& lines) {
+  const std::string path = GoldenPath(name);
   if (BlessMode()) {
     std::filesystem::create_directories(
         std::filesystem::path(path).parent_path());
@@ -231,6 +238,10 @@ void CheckGolden(const Recipe& recipe) {
   for (std::size_t i = 0; i < lines.size(); ++i) {
     EXPECT_EQ(want[i], lines[i]) << path << " line " << i + 1;
   }
+}
+
+void CheckGolden(const Recipe& recipe) {
+  CheckGolden(recipe.name, ComputeLines(recipe));
 }
 
 TEST(SearchCountsGoldenTest, UniformPaperDefaults) {
@@ -256,6 +267,45 @@ TEST(SearchCountsGoldenTest, UniformSmallLeavesExactBounds) {
   recipe.options.num_path_distances = 3;
   recipe.options.store_exact_bounds = true;
   CheckGolden(recipe);
+}
+
+/// GeneralizedMvpTree keeps v vantage points per node (fanout m^v): v = 1,
+/// 2, 3 at the paper's mvpt(3,80) with p = 5, and v = 4 with small leaves
+/// so four shell levels carry the pruning. It takes no exclusion or budget,
+/// so its cases are range and plain k-NN.
+TEST(SearchCountsGoldenTest, GeneralizedVantagePointsPerNode) {
+  using GenTree = core::GeneralizedMvpTree<Vector, L2>;
+  const Recipe recipe{"generalized", dataset::UniformVectors(2000, 10, 17),
+                      dataset::UniformQueryVectors(25, 10, 4242),
+                      {0.5, 0.7, 0.9}, {}};
+  struct Shape {
+    int m, v, k, p;
+  };
+  std::vector<std::string> lines;
+  for (const Shape shape : {Shape{3, 1, 80, 5}, Shape{3, 2, 80, 5},
+                            Shape{3, 3, 80, 5}, Shape{2, 4, 9, 3}}) {
+    GenTree::Options options;
+    options.order = shape.m;
+    options.vantage_points = shape.v;
+    options.leaf_capacity = shape.k;
+    options.num_path_distances = shape.p;
+    auto built = GenTree::Build(recipe.data, L2(), options);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const GenTree& tree = built.value();
+    std::ostringstream rep;
+    rep << "gen(m=" << shape.m << ",v=" << shape.v << ",k=" << shape.k
+        << ",p=" << shape.p << ")";
+    AppendRangeCases(rep.str(), tree, recipe, &lines);
+    for (const std::size_t k : {std::size_t{1}, std::size_t{10}}) {
+      CaseTotals t;
+      for (const Vector& q : recipe.queries) {
+        SearchStats s;
+        t.Add(tree.KnnSearch(q, k, &s), s);
+      }
+      lines.push_back(t.Line(rep.str(), "knn(k=" + std::to_string(k) + ")"));
+    }
+  }
+  CheckGolden(recipe.name, lines);
 }
 
 }  // namespace
