@@ -2,41 +2,59 @@
 #define MVPTREE_CORE_SEARCH_SHARED_H_
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "common/macros.h"
 #include "common/query.h"
 
 /// \file
 /// The mvp-tree search of §4.3, written once for every representation.
 ///
 /// The heap tree (core/mvp_tree.h) and the flat arena layouts v1 and v2
-/// (snapshot/flat_tree.h) store the same logical tree in different bytes
-/// and differ in nothing else: each supplies a small node accessor, and the
-/// range and k-NN recursions below run on it. Everything that decides
-/// results and SearchStats lives here once — the order of metric calls, the
-/// counters, root priming, the exclusion rule, PATH bookkeeping, shell
-/// pruning, child ranking and leaf filtering — so the representations are
-/// bit-identical in results and stats by construction, and
-/// tests/search_counts_golden_test.cc pins the counts themselves.
+/// (snapshot/flat_tree.h) store the same logical tree in different bytes,
+/// and GeneralizedMvpTree (core/generalized_mvp_tree.h) keeps v vantage
+/// points per node instead of two. Each supplies only a small node accessor,
+/// and the range and k-NN recursions below run on it. Everything that
+/// decides results and SearchStats lives here once — the order of metric
+/// calls, the counters, root priming, the exclusion rule, PATH bookkeeping,
+/// shell pruning, child ranking and leaf filtering — so the heap tree and
+/// both flat layouts are bit-identical in results and stats by
+/// construction, and tests/search_counts_golden_test.cc pins the counts.
 ///
 /// A node accessor is a cheap value with, for a node handle `NodeRef` (a
 /// pointer; null means "no node"):
 ///
 ///   NodeRef Root() const;                  null for an empty tree
 ///   std::size_t Order() const;             m
+///   std::size_t Levels() const;            v, vantage points per internal
+///                                          node (a static constexpr 2 for
+///                                          the mvp-trees, so their shell
+///                                          loops keep a constant bound)
 ///   std::size_t PathDistances() const;     p
-///   bool IsLeaf(NodeRef) const;            bool HasVp2(NodeRef) const;
-///   std::size_t Vp1(NodeRef) const;        std::size_t Vp2(NodeRef) const;
-///   ShellBounds Shells(NodeRef) const;     internal nodes
-///   NodeRef Child(NodeRef, std::size_t c) const;   slot c = g*m + s
+///   bool IsLeaf(NodeRef) const;
+///   std::size_t VpCount(NodeRef) const;    Levels() for an internal node,
+///                                          1..Levels() for a leaf
+///   std::size_t Vp(NodeRef, std::size_t l) const;   id of vantage point l
+///   ShellBounds Shells(NodeRef, std::size_t l) const;   internal nodes:
+///                                          level l's m^(l+1) shells around
+///                                          vantage point l
+///   NodeRef Child(NodeRef, std::size_t c) const;   slot c < m^v, which
+///                                          reads its level-l shell at
+///                                          c / m^(v-1-l)
 ///   Leaf Leaf(NodeRef) const;              leaf nodes, a cursor (below)
 ///   const Metric& metric() const;          Object object(std::size_t) const;
+///
+/// For v = 2, level 0 is the m shells around the first vantage point and
+/// level 1 the m per first-level partition around the second, slot
+/// c = g*m + s: the paper's mvp-tree node.
 ///
 /// A leaf cursor has size(), id(i), the per-entry annulus test
 /// Passes(i, LeafQuery, r) used against k-NN's shrinking radius, and
@@ -44,6 +62,10 @@
 /// cursor without one (AosLeaf) is masked entry by entry.
 
 namespace mvp::core {
+
+/// Most vantage points one node may keep: GeneralizedMvpTree's bound on v,
+/// and the size of the traversal's per-node distance array.
+inline constexpr std::size_t kMaxVantagePoints = 8;
 
 /// Does the query annulus [d-r, d+r] intersect the shell [lo, hi]?
 inline bool ShellIntersects(double d, double r, double lo, double hi) {
@@ -109,6 +131,12 @@ struct RootPrime {
   double d2 = 0.0;
   bool has_d1 = false;
   bool has_d2 = false;
+
+  /// The primed distance to the root's vantage point l, or null.
+  const double* At(std::size_t l) const {
+    if (l == 0) return has_d1 ? &d1 : nullptr;
+    return l == 1 && has_d2 ? &d2 : nullptr;
+  }
 };
 
 /// Accumulates one search's counters into an aggregate.
@@ -119,17 +147,18 @@ inline void MergeSearchStats(SearchStats* out, const SearchStats& in) {
   out->leaf_points_filtered += in.leaf_points_filtered;
 }
 
-/// Step 3.1 of §4.3 while descending: appends a node's two vantage-point
-/// values to a PATH while it holds fewer than p, and takes them off again
-/// when the scope ends. Searches keep the query's distances (qpath);
-/// validation keeps the ancestor vantage points themselves.
+/// Step 3.1 of §4.3 while descending: appends a node's vantage-point
+/// values, in level order, to a PATH while it holds fewer than p, and takes
+/// them off again when the scope ends. Searches keep the query's distances
+/// (qpath); validation keeps the ancestor vantage points themselves.
 template <typename T>
 class PathScope {
  public:
-  PathScope(std::vector<T>& path, std::size_t p, T first, T second)
+  PathScope(std::vector<T>& path, std::size_t p, std::span<const T> values)
       : path_(path), size_(path.size()) {
-    if (path.size() < p) path.push_back(first);
-    if (path.size() < p) path.push_back(second);
+    for (std::size_t l = 0; l < values.size() && path.size() < p; ++l) {
+      path.push_back(values[l]);
+    }
   }
   ~PathScope() { path_.resize(size_); }
   PathScope(const PathScope&) = delete;
@@ -140,30 +169,30 @@ class PathScope {
   std::size_t size_;
 };
 
-/// An internal node's shells: m around vp1 and, per first-level partition,
-/// m around vp2, flattened as child slot c = g*m + s.
+/// One level of an internal node's shells, indexed by slot prefix.
 struct ShellBounds {
-  const double* lower1;
-  const double* upper1;
-  const double* lower2;
-  const double* upper2;
+  const double* lower;
+  const double* upper;
 };
 
 /// What a leaf's annulus tests compare against: the query's distances to
-/// the leaf's vantage points and to its ancestors' (qpath).
+/// the leaf's vantage points (d[l] for l < vps) and to its ancestors'
+/// (qpath).
 struct LeafQuery {
-  double d1;
-  double d2;
-  bool has_vp2;
+  const double* d;
+  std::size_t vps;
   const std::vector<double>& qpath;
 
-  /// Step 2 of §4.3 for one entry: it survives radius r iff its D1, D2 and
-  /// first `checks` PATH distances (xpath[j * stride]) each lie within r of
-  /// the query's distance to the same vantage point.
-  bool Admits(double x1, double x2, const double* xpath, std::size_t stride,
+  /// Step 2 of §4.3 for one entry: it survives radius r iff its distance to
+  /// each of the leaf's vantage points (stored(l)) and its first `checks`
+  /// PATH distances (xpath[j * stride]) each lie within r of the query's
+  /// distance to the same vantage point. A cursor storing a fixed number of
+  /// distances per entry passes it as kColumns, a constant loop bound.
+  template <std::size_t kColumns, typename Stored>
+  bool Admits(const Stored& stored, const double* xpath, std::size_t stride,
               std::size_t checks, double r) const {
-    if (!(std::abs(d1 - x1) <= r && (!has_vp2 || std::abs(d2 - x2) <= r))) {
-      return false;
+    for (std::size_t l = 0; l < kColumns && l < vps; ++l) {
+      if (!(std::abs(d[l] - stored(l)) <= r)) return false;
     }
     for (std::size_t j = 0; j < checks; ++j) {
       if (std::abs(qpath[j] - xpath[j * stride]) > r) return false;
@@ -187,7 +216,8 @@ struct AosLeaf {
     const Entry& x = entries[i];
     const std::size_t checks =
         std::min(q.qpath.size(), static_cast<std::size_t>(x.path_length));
-    return q.Admits(x.d1, x.d2, path + x.path_offset, 1, checks, r);
+    return q.Admits<2>([&x](std::size_t l) { return l == 0 ? x.d1 : x.d2; },
+                       path + x.path_offset, 1, checks, r);
   }
 };
 
@@ -231,7 +261,7 @@ class Traversal {
 
   /// Keeps the k nearest objects `exclude` does not name in `*heap`, a
   /// max-heap under NeighborLess (pass it empty). Children are visited in
-  /// order of their distance lower bound over both vantage points.
+  /// order of their distance lower bound over all vantage points.
   void Knn(std::size_t k, std::vector<Neighbor>* heap, Exclusion exclude = {},
            const RootPrime* prime = nullptr) {
     if (const NodeRef root = nodes_.Root(); root != nullptr && k > 0) {
@@ -241,7 +271,13 @@ class Traversal {
 
  private:
   using NodeRef = decltype(std::declval<const Nodes&>().Root());
+  using Distances = std::array<double, kMaxVantagePoints>;
   static constexpr std::size_t kChunk = 64;  // one mask bit per entry
+
+  struct Ranked {
+    double bound;
+    NodeRef child;
+  };
 
   /// The single distance-evaluation point: every metric call (or primed
   /// value standing in for one) passes the budget and is counted here.
@@ -260,55 +296,57 @@ class Traversal {
     return d;
   }
 
-  /// Step 1 of §4.3: enters `node` and evaluates its vantage points,
-  /// handing each to `take(id, d)` before the next is evaluated. d2 is 0
-  /// for a node with one vantage point.
+  /// Step 1 of §4.3: enters `node` and evaluates its vantage points into
+  /// d in level order, handing each to `take(id, d)` before the next is
+  /// evaluated. Returns how many the node has.
   template <typename Take>
-  std::pair<double, double> VantagePoints(NodeRef node,
-                                          const RootPrime* prime,
-                                          Take&& take) {
+  std::size_t VantagePoints(NodeRef node, const RootPrime* prime,
+                            Distances& d, Take&& take) {
     ++stats_.nodes_visited;
-    const std::size_t vp1 = nodes_.Vp1(node);
-    const double d1 =
-        Distance(vp1, prime != nullptr && prime->has_d1 ? &prime->d1 : nullptr);
-    take(vp1, d1);
-    double d2 = 0.0;
-    if (nodes_.HasVp2(node)) {
-      const std::size_t vp2 = nodes_.Vp2(node);
-      d2 = Distance(vp2,
-                    prime != nullptr && prime->has_d2 ? &prime->d2 : nullptr);
-      take(vp2, d2);
+    const std::size_t vps = nodes_.VpCount(node);
+    MVP_DCHECK(vps <= kMaxVantagePoints);
+    for (std::size_t l = 0; l < vps; ++l) {
+      const std::size_t id = nodes_.Vp(node, l);
+      d[l] = Distance(id, prime != nullptr ? prime->At(l) : nullptr);
+      take(id, d[l]);
     }
-    return {d1, d2};
+    return vps;
   }
 
   void RangeNode(NodeRef node, double radius, std::vector<Neighbor>& out,
                  const RootPrime* prime) {
-    const auto [d1, d2] =
-        VantagePoints(node, prime, [&](std::size_t id, double d) {
-          if (d <= radius) out.push_back(Neighbor{id, d});
+    Distances d;
+    const std::size_t vps =
+        VantagePoints(node, prime, d, [&](std::size_t id, double dist) {
+          if (dist <= radius) out.push_back(Neighbor{id, dist});
         });
     if (nodes_.IsLeaf(node)) {
-      RangeLeaf(nodes_.Leaf(node), LeafQuery{d1, d2, nodes_.HasVp2(node),
-                                             qpath_},
-                radius, out);
+      RangeLeaf(nodes_.Leaf(node), LeafQuery{d.data(), vps, qpath_}, radius,
+                out);
       return;
     }
-    // Steps 3.2/3.3 generalized: enter child (g, s) iff the query annulus
-    // around BOTH vantage points intersects the child's shells.
-    PathScope<double> path(qpath_, nodes_.PathDistances(), d1, d2);
-    const std::size_t m = nodes_.Order();
-    const ShellBounds b = nodes_.Shells(node);
-    for (std::size_t g = 0; g < m; ++g) {
-      if (!ShellIntersects(d1, radius, b.lower1[g], b.upper1[g])) continue;
-      for (std::size_t s = 0; s < m; ++s) {
-        const std::size_t c = g * m + s;
-        const NodeRef child = nodes_.Child(node, c);
-        if (child == nullptr ||
-            !ShellIntersects(d2, radius, b.lower2[c], b.upper2[c])) {
-          continue;
-        }
+    PathScope<double> path(qpath_, nodes_.PathDistances(), {d.data(), vps});
+    RangeShells(node, d, radius, 0, 0, out);
+  }
+
+  /// Steps 3.2/3.3 generalized: descends shell level l below slot prefix
+  /// `prefix` in slot order, and enters a child iff the query annulus
+  /// around every vantage point intersects the child's shell on its level.
+  void RangeShells(NodeRef node, const Distances& d, double radius,
+                   std::size_t l, std::size_t prefix,
+                   std::vector<Neighbor>& out) {
+    if (l == nodes_.Levels()) {
+      if (const NodeRef child = nodes_.Child(node, prefix); child != nullptr) {
         RangeNode(child, radius, out, nullptr);
+      }
+      return;
+    }
+    const std::size_t m = nodes_.Order();
+    const ShellBounds b = nodes_.Shells(node, l);
+    for (std::size_t s = 0; s < m; ++s) {
+      const std::size_t idx = prefix * m + s;
+      if (ShellIntersects(d[l], radius, b.lower[idx], b.upper[idx])) {
+        RangeShells(node, d, radius, l + 1, idx, out);
       }
     }
   }
@@ -344,15 +382,16 @@ class Traversal {
 
   void KnnNode(NodeRef node, std::size_t k, std::vector<Neighbor>& heap,
                Exclusion exclude, const RootPrime* prime) {
-    const auto [d1, d2] =
-        VantagePoints(node, prime, [&](std::size_t id, double d) {
-          if (!exclude(id)) KnnOffer(heap, k, Neighbor{id, d});
+    Distances d;
+    const std::size_t vps =
+        VantagePoints(node, prime, d, [&](std::size_t id, double dist) {
+          if (!exclude(id)) KnnOffer(heap, k, Neighbor{id, dist});
         });
     if (nodes_.IsLeaf(node)) {
       // tau shrinks with every offer, so the filter stays per-entry: a
       // chunk-wide mask would use a stale radius.
       const auto leaf = nodes_.Leaf(node);
-      const LeafQuery q{d1, d2, nodes_.HasVp2(node), qpath_};
+      const LeafQuery q{d.data(), vps, qpath_};
       for (std::size_t i = 0; i < leaf.size(); ++i) {
         ++stats_.leaf_points_seen;
         if (!leaf.Passes(i, q, KnnTau(heap, k)) || exclude(leaf.id(i))) {
@@ -364,32 +403,41 @@ class Traversal {
       }
       return;
     }
-    // Children in increasing order of their combined lower bound; stop as
-    // soon as the bound exceeds the current k-th best.
-    PathScope<double> path(qpath_, nodes_.PathDistances(), d1, d2);
-    struct Ranked {
-      double bound;
-      NodeRef child;
-    };
-    const std::size_t m = nodes_.Order();
-    const ShellBounds b = nodes_.Shells(node);
+    // Children in increasing order of their lower bound; stop as soon as
+    // the bound exceeds the current k-th best.
+    PathScope<double> path(qpath_, nodes_.PathDistances(), {d.data(), vps});
+    std::size_t fanout = 1;
+    for (std::size_t l = 0; l < nodes_.Levels(); ++l) fanout *= nodes_.Order();
     std::vector<Ranked> ranked;
-    ranked.reserve(m * m);
-    for (std::size_t g = 0; g < m; ++g) {
-      const double b1 = std::max({0.0, b.lower1[g] - d1, d1 - b.upper1[g]});
-      for (std::size_t s = 0; s < m; ++s) {
-        const std::size_t c = g * m + s;
-        const NodeRef child = nodes_.Child(node, c);
-        if (child == nullptr) continue;
-        const double b2 = std::max({0.0, b.lower2[c] - d2, d2 - b.upper2[c]});
-        ranked.push_back(Ranked{std::max(b1, b2), child});
-      }
-    }
+    ranked.reserve(fanout);
+    RankShells(node, d, 0, 0, 0.0, ranked);
     std::sort(ranked.begin(), ranked.end(),
               [](const Ranked& a, const Ranked& b) { return a.bound < b.bound; });
     for (const Ranked& r : ranked) {
       if (r.bound > KnnTau(heap, k)) break;
       KnnNode(r.child, k, heap, exclude, nullptr);
+    }
+  }
+
+  /// Appends the children below slot prefix `prefix` of shell level l in
+  /// slot order, each with its distance lower bound: the largest, over its
+  /// levels, of the query's distance from that level's shell.
+  void RankShells(NodeRef node, const Distances& d, std::size_t l,
+                  std::size_t prefix, double bound,
+                  std::vector<Ranked>& ranked) {
+    if (l == nodes_.Levels()) {
+      if (const NodeRef child = nodes_.Child(node, prefix); child != nullptr) {
+        ranked.push_back(Ranked{bound, child});
+      }
+      return;
+    }
+    const std::size_t m = nodes_.Order();
+    const ShellBounds b = nodes_.Shells(node, l);
+    for (std::size_t s = 0; s < m; ++s) {
+      const std::size_t idx = prefix * m + s;
+      RankShells(node, d, l + 1, idx,
+                 std::max({bound, b.lower[idx] - d[l], d[l] - b.upper[idx]}),
+                 ranked);
     }
   }
 

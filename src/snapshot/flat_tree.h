@@ -281,9 +281,9 @@ class FlatTreeView {
     if (p_.header.root == kNoNode) return false;
     const FlatNodeRec& root = p_.nodes[p_.header.root];
     *vp1 = p_.objects + root.vp1 * static_cast<std::size_t>(p_.header.dim);
-    *vp2 = HasVp2(root) ? p_.objects +
-                              root.vp2 * static_cast<std::size_t>(p_.header.dim)
-                        : nullptr;
+    *vp2 = (root.flags & kNodeHasVp2) != 0
+               ? p_.objects + root.vp2 * static_cast<std::size_t>(p_.header.dim)
+               : nullptr;
     return true;
   }
 
@@ -357,10 +357,6 @@ class FlatTreeView {
   FlatTreeView(FlatArenaParts parts, Metric metric)
       : p_(parts), metric_(std::move(metric)) {}
 
-  bool HasVp2(const FlatNodeRec& n) const {
-    return (n.flags & kNodeHasVp2) != 0;
-  }
-
   /// v2 leaf cursor: contiguous id/D1/D2 columns and a column-major PATH
   /// slab (slab[j*count + i] = PATH[j] of entry i). Range masks sweep them
   /// 64 wide with the branchless AnnulusMask kernel, whose pass bits equal
@@ -380,9 +376,10 @@ class FlatTreeView {
     }
     std::uint64_t Mask(std::size_t base, std::size_t n,
                        const core::LeafQuery& q, double r) const {
-      std::uint64_t mask = metric::kernels::AnnulusMask(q.d1, d1s + base, n, r);
-      if (q.has_vp2 && mask != 0) {
-        mask &= metric::kernels::AnnulusMask(q.d2, d2s + base, n, r);
+      std::uint64_t mask =
+          metric::kernels::AnnulusMask(q.d[0], d1s + base, n, r);
+      if (q.vps > 1 && mask != 0) {
+        mask &= metric::kernels::AnnulusMask(q.d[1], d2s + base, n, r);
       }
       for (std::size_t j = 0; j < Checks(q) && mask != 0; ++j) {
         mask &= metric::kernels::AnnulusMask(q.qpath[j],
@@ -391,7 +388,9 @@ class FlatTreeView {
       return mask;
     }
     bool Passes(std::size_t i, const core::LeafQuery& q, double r) const {
-      return q.Admits(d1s[i], d2s[i], slab + i, count, Checks(q), r);
+      return q.Admits<2>(
+          [this, i](std::size_t l) { return l == 0 ? d1s[i] : d2s[i]; },
+          slab + i, count, Checks(q), r);
     }
   };
 
@@ -409,16 +408,21 @@ class FlatTreeView {
     std::size_t PathDistances() const {
       return view->p_.header.num_path_distances;
     }
+    static constexpr std::size_t Levels() { return 2; }
     bool IsLeaf(const FlatNodeRec* n) const {
       return (n->flags & kNodeLeaf) != 0;
     }
-    bool HasVp2(const FlatNodeRec* n) const { return view->HasVp2(*n); }
-    std::size_t Vp1(const FlatNodeRec* n) const { return n->vp1; }
-    std::size_t Vp2(const FlatNodeRec* n) const { return n->vp2; }
-    core::ShellBounds Shells(const FlatNodeRec* n) const {
+    std::size_t VpCount(const FlatNodeRec* n) const {
+      return (n->flags & kNodeHasVp2) != 0 ? 2 : 1;
+    }
+    std::size_t Vp(const FlatNodeRec* n, std::size_t l) const {
+      return l == 0 ? n->vp1 : n->vp2;
+    }
+    core::ShellBounds Shells(const FlatNodeRec* n, std::size_t l) const {
       const std::size_t m = Order();
       const double* lower1 = view->p_.bounds + n->begin;
-      return {lower1, lower1 + m, lower1 + 2 * m, lower1 + 2 * m + m * m};
+      return l == 0 ? core::ShellBounds{lower1, lower1 + m}
+                    : core::ShellBounds{lower1 + 2 * m, lower1 + 2 * m + m * m};
     }
     const FlatNodeRec* Child(const FlatNodeRec* n, std::size_t c) const {
       const std::uint32_t child = view->p_.children[n->children + c];
