@@ -4,10 +4,10 @@
 // stream; any arena the builder accepts MUST validate under ParseFlatArena
 // (the builder's output is the parser's contract). Mode 1 treats the bytes
 // as a hostile arena — v1 or v2, the version field is attacker-controlled:
-// ParseFlatArena either rejects it or returns a view that is safe to
-// search — range and k-NN traversals over an accepted arena must stay in
-// bounds (ASan checks this, not us). Mode 2 is mode 0 for the legacy v1
-// encoding, keeping the still-supported v1 writer under fuzz too.
+// FlatTreeView::Open either rejects it or returns a view that is safe to
+// search (a v1 arena is validated, then upgraded to v2 at open) — range
+// and k-NN traversals over an accepted arena must stay in bounds (ASan
+// checks this, not us).
 //
 // Input layout: [u8 mode][body...].
 
@@ -23,15 +23,12 @@
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size < 2) return 0;
-  const std::uint8_t mode = data[0] % 3;
+  const std::uint8_t mode = data[0] % 2;
   ++data;
   --size;
 
-  if (mode == 0 || mode == 2) {
-    const std::uint32_t version = mode == 2
-                                      ? mvp::snapshot::flat::kFlatVersionV1
-                                      : mvp::snapshot::flat::kFlatVersionLatest;
-    auto arena = mvp::snapshot::flat::BuildFlatArena(data, size, version);
+  if (mode == 0) {
+    auto arena = mvp::snapshot::flat::BuildFlatArena(data, size);
     if (arena.ok()) {
       auto parts = mvp::snapshot::flat::ParseFlatArena(
           arena.value().data(), arena.value().size());

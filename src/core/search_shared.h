@@ -18,16 +18,17 @@
 /// \file
 /// The mvp-tree search of §4.3, written once for every representation.
 ///
-/// The heap tree (core/mvp_tree.h) and the flat arena layouts v1 and v2
-/// (snapshot/flat_tree.h) store the same logical tree in different bytes,
-/// and GeneralizedMvpTree (core/generalized_mvp_tree.h) keeps v vantage
-/// points per node instead of two. Each supplies only a small node accessor,
-/// and the range and k-NN recursions below run on it. Everything that
-/// decides results and SearchStats lives here once — the order of metric
-/// calls, the counters, root priming, the exclusion rule, PATH bookkeeping,
-/// shell pruning, child ranking and leaf filtering — so the heap tree and
-/// both flat layouts are bit-identical in results and stats by
-/// construction, and tests/search_counts_golden_test.cc pins the counts.
+/// The heap tree (core/mvp_tree.h, array-of-structs leaves) and the flat
+/// arena (snapshot/flat_tree.h, structure-of-arrays leaves) store the same
+/// logical tree in different bytes, and GeneralizedMvpTree
+/// (core/generalized_mvp_tree.h) keeps v vantage points per node instead of
+/// two. Each supplies only a small node accessor, and the range and k-NN
+/// recursions below run on it. Everything that decides results and
+/// SearchStats lives here once — the order of metric calls, the counters,
+/// root priming, the exclusion rule, PATH bookkeeping, shell pruning, child
+/// ranking and leaf filtering — so the heap tree and the flat arena are
+/// bit-identical in results and stats by construction, and
+/// tests/search_counts_golden_test.cc pins the counts.
 ///
 /// A node accessor is a cheap value with, for a node handle `NodeRef` (a
 /// pointer; null means "no node"):
@@ -59,7 +60,7 @@
 /// A leaf cursor has size(), id(i), the per-entry annulus test
 /// Passes(i, LeafQuery, r) used against k-NN's shrinking radius, and
 /// optionally a 64-wide range-mode mask Mask(base, n, LeafQuery, r); a
-/// cursor without one (AosLeaf) is masked entry by entry.
+/// cursor without one (AosLeaf, the heap tree's) is masked entry by entry.
 
 namespace mvp::core {
 
@@ -201,8 +202,8 @@ struct LeafQuery {
   }
 };
 
-/// Leaf cursor over array-of-structs entries — the heap tree's buckets and
-/// the v1 flat arena — each with an id, D1, D2 and a path_offset /
+/// Leaf cursor over array-of-structs entries, used by the heap tree's
+/// buckets only: each entry has an id, D1, D2 and a path_offset /
 /// path_length slice of a shared PATH pool.
 template <typename Entry>
 struct AosLeaf {

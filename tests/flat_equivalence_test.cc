@@ -10,7 +10,6 @@
 #include "common/codec.h"
 #include "common/query.h"
 #include "common/rng.h"
-#include "common/serialize.h"
 #include "core/search_shared.h"
 #include "dataset/vector_gen.h"
 #include "metric/counting.h"
@@ -31,12 +30,12 @@
 /// budget must match too: both representations evaluate the same metric
 /// sequence, so a budget cancels both at the same evaluation.
 ///
-/// Three representations are differentially tested: the heap tree, the
-/// current flat format (v2, SoA leaves swept by the batch kernels), and a
-/// v1 (AoS) encoding of the same trees — plus the batched RunBatch door
-/// (which primes root distances with the many-queries-one-vantage-point
-/// kernel) and every reachable SIMD dispatch tier. Same ids, bit-identical
-/// distances, same four SearchStats counters, everywhere.
+/// The heap tree and the flat arena (SoA leaves swept by the batch kernels)
+/// are differentially tested, through the plain searches, the batched
+/// RunBatch door (which primes root distances with the
+/// many-queries-one-vantage-point kernel) and every reachable SIMD dispatch
+/// tier. Same ids, bit-identical distances, same four SearchStats counters,
+/// everywhere.
 
 namespace mvp::snapshot {
 namespace {
@@ -92,47 +91,12 @@ class FlatEquivalenceTest : public ::testing::TestWithParam<bool> {
     for (std::size_t s = 0; s < flat_->num_shards(); ++s) {
       ASSERT_EQ(flat_->flat_shard(s).version(), flat::kFlatVersionV2);
     }
-
-    BuildV1();
   }
   void TearDown() override {
     heap_.reset();
     flat_.reset();  // views die before the mapping-owning index they alias
-    flat_v1_.reset();
     std::filesystem::remove_all(dir_ + "_heap");
     std::filesystem::remove_all(dir_ + "_flat");
-  }
-
-  /// Encodes the SAME shard trees as format v1 (AoS leaf entries) and
-  /// restores a third index over the buffers — the legacy-snapshot serving
-  /// path, without a round-trip through a store.
-  void BuildV1() {
-    const std::size_t k = heap_->num_shards();
-    auto arenas = std::make_shared<std::vector<std::vector<std::uint8_t>>>();
-    arenas->reserve(k);
-    for (std::size_t s = 0; s < k; ++s) {
-      BinaryWriter stream;
-      ASSERT_TRUE(heap_->shard(s).Serialize(&stream, VectorCodec{}).ok());
-      auto arena = flat::BuildFlatArena(
-          stream.buffer().data(), stream.buffer().size(), flat::kFlatVersionV1);
-      ASSERT_TRUE(arena.ok()) << arena.status().ToString();
-      arenas->push_back(std::move(arena).ValueOrDie());
-    }
-    std::vector<Index::FlatView> views;
-    for (std::size_t s = 0; s < k; ++s) {
-      auto view = Index::FlatView::Open((*arenas)[s].data(),
-                                        (*arenas)[s].size(),
-                                        serve::CancelChecked<L2>(L2()));
-      ASSERT_TRUE(view.ok()) << view.status().ToString();
-      ASSERT_EQ(view.value().version(), flat::kFlatVersionV1);
-      views.push_back(std::move(view).ValueOrDie());
-    }
-    auto restored = Index::RestoreFlat(heap_->options(), heap_->size(),
-                                       std::move(views),
-                                       std::shared_ptr<const void>(arenas));
-    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-    flat_v1_.emplace(std::move(restored).ValueOrDie());
-    ASSERT_TRUE(flat_v1_->flat_serving());
   }
 
   static void ExpectIdentical(const std::vector<Neighbor>& a,
@@ -157,8 +121,7 @@ class FlatEquivalenceTest : public ::testing::TestWithParam<bool> {
   std::string dir_;
   std::vector<Vector> data_;
   std::optional<Index> heap_;
-  std::optional<Index> flat_;     // current format (v2, SoA leaves)
-  std::optional<Index> flat_v1_;  // same trees encoded as v1 (AoS leaves)
+  std::optional<Index> flat_;
 };
 
 TEST_P(FlatEquivalenceTest, RangeSearchBitIdentical) {
@@ -182,27 +145,6 @@ TEST_P(FlatEquivalenceTest, KnnSearchBitIdentical) {
     const auto heap_result = heap_->KnnSearch(queries[q], k, &hs);
     const auto flat_result = flat_->KnnSearch(queries[q], k, &fs);
     ExpectIdentical(heap_result, flat_result, hs, fs, q);
-  }
-}
-
-TEST_P(FlatEquivalenceTest, V1AndV2LayoutsBitIdenticalToHeap) {
-  const auto queries = dataset::UniformQueryVectors(300, 8, 791);
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    const double radius = (q % 3 == 0) ? 0.3 : 0.9;
-    SearchStats hs, fs, vs;
-    const auto heap_result = heap_->RangeSearch(queries[q], radius, &hs);
-    const auto v2_result = flat_->RangeSearch(queries[q], radius, &fs);
-    const auto v1_result = flat_v1_->RangeSearch(queries[q], radius, &vs);
-    ExpectIdentical(heap_result, v2_result, hs, fs, q);
-    ExpectIdentical(heap_result, v1_result, hs, vs, q);
-
-    SearchStats hks, fks, vks;
-    const std::size_t k = 1 + q % 11;
-    const auto heap_knn = heap_->KnnSearch(queries[q], k, &hks);
-    const auto v2_knn = flat_->KnnSearch(queries[q], k, &fks);
-    const auto v1_knn = flat_v1_->KnnSearch(queries[q], k, &vks);
-    ExpectIdentical(heap_knn, v2_knn, hks, fks, q);
-    ExpectIdentical(heap_knn, v1_knn, hks, vks, q);
   }
 }
 
@@ -290,38 +232,6 @@ TEST_P(FlatEquivalenceTest, PartialResultsUnderBudgetBitIdentical) {
   EXPECT_GT(cancels, 0u);
 }
 
-TEST_P(FlatEquivalenceTest, BudgetedPartialsAgreeAcrossAllThreeLayouts) {
-  const auto queries = dataset::UniformQueryVectors(60, 8, 785);
-  std::size_t cancels = 0;
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    for (const std::uint64_t budget : {std::uint64_t{70}, std::uint64_t{200}}) {
-      bool hc = false, fc = false, vc = false;
-      SearchStats hs, fs, vs;
-      auto heap_result =
-          RunBudgeted(budget, &hc, &hs, [&](auto* out, auto* stats) {
-            heap_->RangeSearchInto(queries[q], 0.8, out, stats);
-          });
-      auto v2_result =
-          RunBudgeted(budget, &fc, &fs, [&](auto* out, auto* stats) {
-            flat_->RangeSearchInto(queries[q], 0.8, out, stats);
-          });
-      auto v1_result =
-          RunBudgeted(budget, &vc, &vs, [&](auto* out, auto* stats) {
-            flat_v1_->RangeSearchInto(queries[q], 0.8, out, stats);
-          });
-      EXPECT_EQ(hc, fc) << "query " << q << " budget " << budget;
-      EXPECT_EQ(hc, vc) << "query " << q << " budget " << budget;
-      if (hc) ++cancels;
-      std::sort(heap_result.begin(), heap_result.end(), NeighborLess);
-      std::sort(v2_result.begin(), v2_result.end(), NeighborLess);
-      std::sort(v1_result.begin(), v1_result.end(), NeighborLess);
-      ExpectIdentical(heap_result, v2_result, hs, fs, q);
-      ExpectIdentical(heap_result, v1_result, hs, vs, q);
-    }
-  }
-  EXPECT_GT(cancels, 0u);
-}
-
 /// The batch front door: RunBatch over the flat index primes every query's
 /// root vantage-point distances with one many-queries-one-vantage-point
 /// kernel sweep per shard. Outcomes — statuses, partial flags, neighbors,
@@ -349,23 +259,19 @@ TEST_P(FlatEquivalenceTest, RunBatchPrimedBitIdenticalAcrossLayouts) {
   }
 
   const auto heap_out = serve::RunBatch(*heap_, batch, nullptr);
-  const auto v2_out = serve::RunBatch(*flat_, batch, nullptr);
-  const auto v1_out = serve::RunBatch(*flat_v1_, batch, nullptr);
+  const auto flat_out = serve::RunBatch(*flat_, batch, nullptr);
   ASSERT_EQ(heap_out.size(), batch.size());
-  ASSERT_EQ(v2_out.size(), batch.size());
-  ASSERT_EQ(v1_out.size(), batch.size());
+  ASSERT_EQ(flat_out.size(), batch.size());
   std::size_t partials = 0;
   for (std::size_t q = 0; q < batch.size(); ++q) {
-    for (const auto* other : {&v2_out[q], &v1_out[q]}) {
-      EXPECT_EQ(heap_out[q].status.code(), other->status.code())
-          << "query " << q;
-      EXPECT_EQ(heap_out[q].partial, other->partial) << "query " << q;
-      ExpectIdentical(heap_out[q].neighbors, other->neighbors,
-                      heap_out[q].search, other->search, q);
-      EXPECT_EQ(heap_out[q].distance_computations,
-                other->distance_computations)
-          << "query " << q;
-    }
+    EXPECT_EQ(heap_out[q].status.code(), flat_out[q].status.code())
+        << "query " << q;
+    EXPECT_EQ(heap_out[q].partial, flat_out[q].partial) << "query " << q;
+    ExpectIdentical(heap_out[q].neighbors, flat_out[q].neighbors,
+                    heap_out[q].search, flat_out[q].search, q);
+    EXPECT_EQ(heap_out[q].distance_computations,
+              flat_out[q].distance_computations)
+        << "query " << q;
     if (heap_out[q].partial) ++partials;
   }
   // The budgeted queries must actually have been cut, or the partial-path
@@ -435,7 +341,7 @@ TEST_P(FlatEquivalenceTest, EveryKernelTierServesBitIdentically) {
 }
 
 /// k-NN under an exclusion set (core::Exclusion, what the dynamic overlay
-/// hands its base for tombstones): every layout and every reachable tier
+/// hands its base for tombstones): both layouts and every reachable tier
 /// applies the one rule — excluded vantage points evaluated but never
 /// offered, excluded leaf entries never evaluated — so results and
 /// all four SearchStats counters stay bit-identical, no excluded id comes
@@ -480,15 +386,12 @@ TEST_P(FlatEquivalenceTest, KnnUnderExclusionBitIdenticalAcrossLayouts) {
         if (!excluded[n.id] && expected.size() < k) expected.push_back(n);
       }
 
-      SearchStats hs, fs, vs;
+      SearchStats hs, fs;
       const auto heap_knn = heap_->KnnSearch(queries[q], k, &hs, nullptr,
                                              exclude);
-      const auto v2_knn = flat_->KnnSearch(queries[q], k, &fs, nullptr,
-                                           exclude);
-      const auto v1_knn = flat_v1_->KnnSearch(queries[q], k, &vs, nullptr,
-                                              exclude);
-      ExpectIdentical(heap_knn, v2_knn, hs, fs, q);
-      ExpectIdentical(heap_knn, v1_knn, hs, vs, q);
+      const auto flat_knn = flat_->KnnSearch(queries[q], k, &fs, nullptr,
+                                             exclude);
+      ExpectIdentical(heap_knn, flat_knn, hs, fs, q);
       ASSERT_EQ(heap_knn.size(), expected.size()) << "query " << q;
       for (std::size_t i = 0; i < expected.size(); ++i) {
         EXPECT_FALSE(excluded[heap_knn[i].id]) << "query " << q;
@@ -509,7 +412,7 @@ TEST_P(FlatEquivalenceTest, KnnUnderExclusionBitIdenticalAcrossLayouts) {
       ExpectIdentical(heap_knn, primed, hs, ps, q);
 
       // Excluding nothing is the plain search, stats included.
-      for (const Index* index : {&*heap_, &*flat_, &*flat_v1_}) {
+      for (const Index* index : {&*heap_, &*flat_}) {
         SearchStats plain, none, all_false;
         const auto plain_knn = index->KnnSearch(queries[q], k, &plain);
         const auto none_knn = index->KnnSearch(queries[q], k, &none, nullptr,

@@ -24,8 +24,8 @@
 /// Golden counts for the mvp-tree search traversal: every case's four
 /// SearchStats totals plus a hash over its results' (id, distance bits) are
 /// COMMITTED under tests/testdata/search_counts/, and this suite recomputes
-/// them over the heap tree, a flat v1 arena and a flat v2 arena built from
-/// the same tree, and over GeneralizedMvpTree at several v.
+/// them over the heap tree, the flat (v2) arena built from the same tree,
+/// and GeneralizedMvpTree at several v.
 ///
 /// flat_equivalence_test proves the representations agree with each other;
 /// it cannot see a change that moves all of them the same way, because they
@@ -203,18 +203,14 @@ std::vector<std::string> ComputeLines(const Recipe& recipe) {
 
   BinaryWriter stream;
   EXPECT_TRUE(heap.Serialize(&stream, VectorCodec{}).ok());
-  for (const std::uint32_t version :
-       {snapshot::flat::kFlatVersionV1, snapshot::flat::kFlatVersionV2}) {
-    auto arena = snapshot::flat::BuildFlatArena(
-        stream.buffer().data(), stream.buffer().size(), version);
-    EXPECT_TRUE(arena.ok()) << arena.status().ToString();
-    const std::vector<std::uint8_t> bytes = std::move(arena).ValueOrDie();
-    auto view = FlatView::Open(bytes.data(), bytes.size(), L2());
-    EXPECT_TRUE(view.ok()) << view.status().ToString();
-    const auto more = RunCases("flat_v" + std::to_string(version),
-                               view.value(), recipe, nullptr);
-    lines.insert(lines.end(), more.begin(), more.end());
-  }
+  auto arena = snapshot::flat::BuildFlatArena(stream.buffer().data(),
+                                              stream.buffer().size());
+  EXPECT_TRUE(arena.ok()) << arena.status().ToString();
+  const std::vector<std::uint8_t> bytes = std::move(arena).ValueOrDie();
+  auto view = FlatView::Open(bytes.data(), bytes.size(), L2());
+  EXPECT_TRUE(view.ok()) << view.status().ToString();
+  const auto more = RunCases("flat_v2", view.value(), recipe, nullptr);
+  lines.insert(lines.end(), more.begin(), more.end());
   return lines;
 }
 
