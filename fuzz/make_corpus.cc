@@ -335,6 +335,8 @@ void EmitGoldenSeeds(const fs::path& corpus, const fs::path& repo) {
 
   // Extract the golden flat arena out of its container chunk (payload is
   // [u64 shard index][arena]) and seed the arena harness with it.
+  // golden_arena_huge_p.bin, the same arena with p = 2^31 - 1, is frozen
+  // next to it (docs/static_analysis.md).
   auto parsed = mvp::snapshot::ContainerReader::Parse(
       container.value().data(), container.value().size());
   CORPUS_CHECK(parsed.ok(), "golden container failed to parse");

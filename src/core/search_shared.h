@@ -248,7 +248,9 @@ class Traversal {
   Traversal(Nodes nodes, const Query& query, SearchStats& stats,
             Budget budget = {})
       : nodes_(nodes), query_(query), stats_(stats), budget_(budget) {
-    qpath_.reserve(nodes_.PathDistances());
+    // A flat arena's p is an unchecked header field, so the reserve is
+    // capped; qpath_ still grows to p when a deep search needs it.
+    qpath_.reserve(std::min(nodes_.PathDistances(), kQpathReserve));
   }
 
   /// Appends every object within `radius` (closed ball) to `*out`,
@@ -271,6 +273,7 @@ class Traversal {
   }
 
  private:
+  static constexpr std::size_t kQpathReserve = 64;
   using NodeRef = decltype(std::declval<const Nodes&>().Root());
   using Distances = std::array<double, kMaxVantagePoints>;
   static constexpr std::size_t kChunk = 64;  // one mask bit per entry

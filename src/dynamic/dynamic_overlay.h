@@ -16,7 +16,6 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "core/search_shared.h"
-#include "dynamic/dynamic_index.h"
 #include "dynamic/mvp_forest.h"
 #include "metric/metric.h"
 #include "serve/sharded_index.h"
@@ -85,11 +84,6 @@ class DynamicOverlay {
  public:
   using Memtable = MvpForest<Object, Metric>;
   using BaseIndex = serve::ShardedMvpIndex<Object, Metric>;
-  // The memtable slot is typed against the DynamicIndex interface, so a
-  // signature drift in the forest's merge machinery is a compile error
-  // here, not a silently different overlay.
-  static_assert(DynamicIndexFor<Memtable, Object>,
-                "MvpForest must satisfy the DynamicIndex interface");
 
   struct Options {
     /// Memtable (Bentley-Saxe forest) parameters.
@@ -591,29 +585,12 @@ class DynamicOverlay {
   /// layer to empty on top of it.
   Status InstallBaseLocked(std::uint64_t gen, serve::ThreadPool* pool)
       MVP_REQUIRES(mu_) {
-    auto manifest = store_.ReadManifest(gen);
-    if (!manifest.ok()) return manifest.status();
-    const snapshot::SnapshotManifest& m = manifest.value();
-    if (m.index_kind == snapshot::IndexKind::kShardedMvpIndex) {
-      auto loaded =
-          store_.LoadSharded<Object, Metric>(metric_, codec_, pool, gen);
-      if (!loaded.ok()) return loaded.status();
-      base_stable_ids_ = std::move(loaded.value().stable_ids);
-      base_.emplace(std::move(loaded.value().index));
-    } else if (m.index_kind == snapshot::IndexKind::kFlatShardedMvpIndex) {
-      if constexpr (BaseIndex::kFlatCapable) {
-        auto loaded = store_.OpenFlat<Metric>(metric_, pool, gen);
-        if (!loaded.ok()) return loaded.status();
-        base_stable_ids_.clear();  // flat generations are always identity
-        base_.emplace(std::move(loaded.value().index));
-      } else {
-        return Status::InvalidArgument(
-            "flat base generations require dense vector objects");
-      }
-    } else {
-      return Status::InvalidArgument(
-          "dynamic overlay bases must be sharded (heap or flat) generations");
-    }
+    auto loaded =
+        store_.LoadSharded<Object, Metric>(metric_, codec_, pool, gen);
+    if (!loaded.ok()) return loaded.status();
+    const snapshot::SnapshotManifest& m = loaded.value().manifest;
+    base_stable_ids_ = std::move(loaded.value().stable_ids);
+    base_.emplace(std::move(loaded.value().index));
     options_.rebuild = base_->options();
     base_generation_ = gen;
     memtable_offset_ = m.next_stable_id != 0 ? m.next_stable_id

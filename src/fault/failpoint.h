@@ -139,7 +139,7 @@ class ScopedFailpoint {
 /// Evaluates to true when the named failpoint is armed and fires. Use in
 /// production code as:
 ///
-///   if (MVP_FAILPOINT("snapshot/load")) return Status::IOError("injected");
+///   if (MVP_FAILPOINT("wal/sync")) return Status::IOError("injected");
 ///
 /// Disarmed cost: one relaxed atomic load and a predicted-not-taken branch.
 #define MVP_FAILPOINT(name) \

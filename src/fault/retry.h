@@ -14,10 +14,9 @@
 
 /// \file
 /// Retry with exponential backoff and jitter, for transient I/O failures.
-/// Used by AsyncSnapshotLoader::LoadAndSwap so a snapshot load that hits a
-/// transient error (NFS hiccup, antivirus holding a handle, injected
-/// failpoint) is retried a bounded number of times before the loader gives
-/// up and keeps serving the old generation.
+/// Used by FailoverClient (net/failover.h), which retries an RPC on the
+/// next endpoint after a conversation failure (a refused connect, a torn
+/// frame, an injected fault) a bounded number of times before giving up.
 
 namespace mvp::fault {
 

@@ -15,7 +15,7 @@
 /// them through the same WriteFileAtomic / CURRENT-last discipline the
 /// snapshot store itself uses. The follower never rebuilds anything: after
 /// a pull, its store is byte-identical to the leader's generation, so
-/// OpenFlat/LoadSharded serve bit-identical results and SearchStats.
+/// LoadSharded serves bit-identical results and SearchStats.
 ///
 /// The pull is **resumable** (the container lands in a `.partial` file
 /// opened in append mode; a re-run resumes from its size) and

@@ -167,36 +167,13 @@ class StaticCollection final : public Collection {
   }
 
   Status Refresh(serve::ThreadPool* pool) override {
-    auto current = store_.CurrentGeneration();
-    if (!current.ok()) return current.status();
-    auto manifest = store_.ReadManifest(current.value());
-    if (!manifest.ok()) return manifest.status();
-    std::shared_ptr<Generation> generation;
-    switch (manifest.value().index_kind) {
-      case snapshot::IndexKind::kFlatShardedMvpIndex: {
-        auto loaded = store_.template OpenFlat<Metric>(Metric{}, pool);
-        if (!loaded.ok()) return loaded.status();
-        generation =
-            std::make_shared<Generation>(std::move(loaded.value().index));
-        generation->generation = loaded.value().generation;
-        break;
-      }
-      case snapshot::IndexKind::kShardedMvpIndex: {
-        auto loaded = store_.template LoadSharded<Vector, Metric>(
-            Metric{}, VectorCodec{}, pool);
-        if (!loaded.ok()) return loaded.status();
-        generation =
-            std::make_shared<Generation>(std::move(loaded.value().index));
-        generation->stable_ids = std::move(loaded.value().stable_ids);
-        generation->generation = loaded.value().generation;
-        break;
-      }
-      default:
-        return Status::NotSupported(
-            "static collection '" + options_.name +
-            "': committed generation is not a full sharded snapshot (serve "
-            "delta lineages through a dynamic collection)");
-    }
+    auto loaded = store_.template LoadSharded<Vector, Metric>(
+        Metric{}, VectorCodec{}, pool);
+    if (!loaded.ok()) return loaded.status();
+    auto generation =
+        std::make_shared<Generation>(std::move(loaded.value().index));
+    generation->stable_ids = std::move(loaded.value().stable_ids);
+    generation->generation = loaded.value().generation;
     cell_.Publish(std::move(generation));
     return Status::OK();
   }

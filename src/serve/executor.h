@@ -166,14 +166,15 @@ const P* PrimeAt(const std::vector<P>& primes, std::size_t i) {
 }
 
 /// Invokes the right search, preferring the `*SearchInto` harvest
-/// interface (results survive a cancellation unwind in `*out`) and passing
-/// the shard pool through when the index accepts one (ShardedMvpIndex).
-/// Sets `*harvestable` before any index work, so the catch handler knows
-/// whether `*out` is meaningful. Results land in `*out` unsorted.
-///
-/// `prime` is the query's batch-primed root distances (PrimeIfSupported /
-/// PrimeAt): forwarded when the index's `*SearchInto` accepts it, ignored
-/// otherwise. A null prime of the right type simply runs unprimed.
+/// interface (results survive a cancellation unwind in `*out`). An index
+/// whose `*SearchInto` takes the shard pool and `prime` — the query's
+/// batch-primed root distances (PrimeIfSupported / PrimeAt) — gets both
+/// (ShardedMvpIndex); one whose `*SearchInto` takes neither (MvpTree,
+/// DynamicOverlay) runs unpooled and unprimed; any other index is called
+/// through its plain RangeSearch/KnnSearch. A null prime of the right type
+/// simply runs unprimed. Sets `*harvestable` before any index work, so the
+/// catch handler knows whether `*out` is meaningful. Results land in `*out`
+/// unsorted.
 template <typename Index, typename Object, typename Prime>
 void SearchInto(const Index& index, const BatchQuery<Object>& query,
                 std::vector<Neighbor>* out, SearchStats* stats,
@@ -193,17 +194,6 @@ void SearchInto(const Index& index, const BatchQuery<Object>& query,
     }
   } else if constexpr (requires {
                          index.RangeSearchInto(query.object, query.radius,
-                                               out, stats, shard_pool);
-                       }) {
-    *harvestable = true;
-    if (query.kind == Kind::kRange) {
-      index.RangeSearchInto(query.object, query.radius, out, stats,
-                            shard_pool);
-    } else {
-      index.KnnSearchInto(query.object, query.k, out, stats, shard_pool);
-    }
-  } else if constexpr (requires {
-                         index.RangeSearchInto(query.object, query.radius,
                                                out, stats);
                        }) {
     *harvestable = true;
@@ -212,15 +202,6 @@ void SearchInto(const Index& index, const BatchQuery<Object>& query,
     } else {
       index.KnnSearchInto(query.object, query.k, out, stats);
     }
-  } else if constexpr (requires {
-                         index.RangeSearch(query.object, query.radius, stats,
-                                           shard_pool);
-                       }) {
-    *harvestable = false;
-    *out = query.kind == Kind::kRange
-               ? index.RangeSearch(query.object, query.radius, stats,
-                                   shard_pool)
-               : index.KnnSearch(query.object, query.k, stats, shard_pool);
   } else {
     *harvestable = false;
     *out = query.kind == Kind::kRange

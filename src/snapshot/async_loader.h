@@ -3,37 +3,28 @@
 
 #include <atomic>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <utility>
-#include <vector>
-
-#include "common/status.h"
-#include "fault/failpoint.h"
-#include "fault/retry.h"
-#include "serve/sharded_index.h"
-#include "serve/thread_pool.h"
-#include "snapshot/snapshot_store.h"
 
 /// \file
-/// Hot-swap snapshot loading: bring a new index generation up behind the
-/// serving path, then publish it with one atomic pointer swap.
+/// Hot swap of the live index generation: GenerationCell, one atomic
+/// pointer that the serving path reads and a loader publishes into.
 ///
-/// The serving side holds a GenerationCell and does `cell.Get()` once per
-/// query — an atomic shared_ptr load, no lock, no reader registration. The
-/// loading side deserializes the whole snapshot off to the side (on the
-/// serve pool, shards in parallel) while queries keep running against the
-/// old generation, and only when the new index is fully built does
-/// Publish() swap the pointer. This is the RCU discipline with shared_ptr
-/// as the grace period: in-flight queries that grabbed the old generation
-/// keep it alive through their own reference; the last one out frees it.
-/// No query ever observes a half-loaded index, and no query ever waits on
-/// a loader.
+/// The serving side does `cell.Get()` once per query — an atomic
+/// shared_ptr load, no lock, no reader registration. The loading side
+/// (the server's StaticCollection::Refresh, on the serve pool) runs
+/// SnapshotStore::LoadSharded off to the side while queries keep running
+/// against the old generation, and only when the new index is fully built
+/// does Publish() swap the pointer. This is the RCU discipline with
+/// shared_ptr as the grace period: in-flight queries that grabbed the old
+/// generation keep it alive through their own reference; the last one out
+/// frees it. No query ever observes a half-loaded index, and no query ever
+/// waits on a loader. A load that fails publishes nothing, so the old
+/// generation keeps serving.
 ///
 /// Thread-safety analysis: the publication point is a single
 /// std::atomic<std::shared_ptr> — lock-free on the reader side by
-/// construction, so there is no capability to annotate here; the pool the
-/// loader runs on carries the lock annotations.
+/// construction, so there is no capability to annotate here.
 
 namespace mvp::snapshot {
 
@@ -75,86 +66,6 @@ class GenerationCell {
  private:
   std::atomic<std::shared_ptr<const Index>> current_{nullptr};
   std::atomic<std::uint64_t> version_{0};
-};
-
-/// Loads snapshots on a ThreadPool and publishes them into a
-/// GenerationCell. The returned future resolves to the load's Status; on
-/// error nothing is published and the old generation keeps serving.
-class AsyncSnapshotLoader {
- public:
-  explicit AsyncSnapshotLoader(serve::ThreadPool* pool) : pool_(pool) {
-    MVP_DCHECK(pool != nullptr);
-  }
-
-  /// Asynchronously loads `store`'s committed sharded-index generation and
-  /// publishes it into `cell` on success. Shard deserialization itself
-  /// also fans out across the pool (ParallelFor's helping protocol makes
-  /// the nested fan-out deadlock-free). `cell` must outlive the returned
-  /// future's completion.
-  ///
-  /// Transient I/O failures (per `retry.retryable`; default: IOError only)
-  /// are retried with exponential backoff + jitter. The cell is published
-  /// exactly once, on the attempt that succeeds; exhausted retries — or a
-  /// non-retryable failure such as Corruption — publish nothing, and the
-  /// old generation keeps serving. The failpoint "snapshot/load" injects a
-  /// failure before each load attempt (see docs/fault_injection.md).
-  template <typename Object, metric::MetricFor<Object> Metric,
-            CodecFor<Object> Codec>
-  std::future<Status> LoadAndSwap(
-      SnapshotStore store, Metric metric, Codec codec,
-      GenerationCell<serve::ShardedMvpIndex<Object, Metric>>* cell,
-      fault::RetryOptions retry = {}) {
-    MVP_DCHECK(cell != nullptr);
-    serve::ThreadPool* pool = pool_;
-    return pool_->Submit([store = std::move(store), metric = std::move(metric),
-                          codec = std::move(codec), cell, pool,
-                          retry = std::move(retry)]() -> Status {
-      return fault::RetryWithBackoff(retry, [&]() -> Status {
-        if (MVP_FAILPOINT("snapshot/load")) {
-          return Status::IOError("injected transient snapshot load failure");
-        }
-        auto loaded = store.template LoadSharded<Object>(metric, codec, pool);
-        if (!loaded.ok()) return loaded.status();
-        using Index = serve::ShardedMvpIndex<Object, Metric>;
-        cell->Publish(std::make_shared<const Index>(
-            std::move(loaded).ValueOrDie().index));
-        return Status::OK();
-      });
-    });
-  }
-
-  /// LoadAndSwap for a flat snapshot (SaveFlat/OpenFlat): the published
-  /// generation serves straight off the mmap'd container with zero
-  /// deserialization, and it lands in the SAME GenerationCell type as a
-  /// heap load — the serving path cannot tell (and need not care) which
-  /// representation a swap brought in. Same retry/failpoint/publish-once
-  /// contract as LoadAndSwap.
-  template <metric::MetricFor<std::vector<double>> Metric>
-  std::future<Status> LoadAndSwapFlat(
-      SnapshotStore store, Metric metric,
-      GenerationCell<serve::ShardedMvpIndex<std::vector<double>, Metric>>*
-          cell,
-      fault::RetryOptions retry = {}) {
-    MVP_DCHECK(cell != nullptr);
-    serve::ThreadPool* pool = pool_;
-    return pool_->Submit([store = std::move(store), metric = std::move(metric),
-                          cell, pool, retry = std::move(retry)]() -> Status {
-      return fault::RetryWithBackoff(retry, [&]() -> Status {
-        if (MVP_FAILPOINT("snapshot/load")) {
-          return Status::IOError("injected transient snapshot load failure");
-        }
-        auto loaded = store.OpenFlat(metric, pool);
-        if (!loaded.ok()) return loaded.status();
-        using Index = serve::ShardedMvpIndex<std::vector<double>, Metric>;
-        cell->Publish(std::make_shared<const Index>(
-            std::move(loaded).ValueOrDie().index));
-        return Status::OK();
-      });
-    });
-  }
-
- private:
-  serve::ThreadPool* pool_;
 };
 
 }  // namespace mvp::snapshot

@@ -38,6 +38,9 @@ inline constexpr std::uint32_t kManifestVersionEpoch = 3;
 /// Index kinds a snapshot can hold.
 enum class IndexKind : std::uint8_t {
   kShardedMvpIndex = 1,
+  /// Reserved: a whole MvpForest, written by earlier releases. Parse still
+  /// accepts it so old stores list and prune, but nothing writes or loads
+  /// it.
   kMvpForest = 2,
   /// A sharded mvp-index stored as flat arenas (ChunkKind::kFlatShard)
   /// served directly out of the mapping — no deserialization on load.
@@ -48,6 +51,22 @@ enum class IndexKind : std::uint8_t {
   /// version-2 manifest.
   kDynamicDelta = 4,
 };
+
+/// `kind`'s name and number, for status messages.
+inline std::string IndexKindName(IndexKind kind) {
+  const auto number = std::to_string(static_cast<int>(kind));
+  switch (kind) {
+    case IndexKind::kShardedMvpIndex:
+      return "heap sharded (kind " + number + ")";
+    case IndexKind::kMvpForest:
+      return "forest (kind " + number + ", reserved)";
+    case IndexKind::kFlatShardedMvpIndex:
+      return "flat sharded (kind " + number + ")";
+    case IndexKind::kDynamicDelta:
+      return "dynamic delta (kind " + number + ")";
+  }
+  return "unknown (kind " + number + ")";
+}
 
 /// Fingerprint of a container file: CRC32C of all its bytes in the high
 /// word, low 32 bits of its length in the low word. Cheap to recompute at
@@ -71,8 +90,9 @@ struct SnapshotManifest {
   std::uint64_t payload_bytes = 0;  ///< container file size
   std::uint64_t dataset_fingerprint = 0;  ///< ContainerFingerprint(container)
 
-  // Build parameters, recorded for validation on load. For a forest these
-  // describe its static-tree options (num_shards is unused and zero).
+  // Build parameters, recorded for validation on load. For a delta
+  // generation these describe its forest's static-tree options (num_shards
+  // is unused and zero).
   std::uint64_t num_shards = 0;
   std::int32_t order = 0;
   std::int32_t leaf_capacity = 0;

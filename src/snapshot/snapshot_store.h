@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -35,7 +36,8 @@
 ///   <dir>/CURRENT            names the live generation ("gen-000007")
 ///   <dir>/gen-000007/MANIFEST      self-checksummed metadata + build params
 ///   <dir>/gen-000007/shards.mvps   chunked CRC32C container (one chunk per
-///                                  shard tree, or one forest stream)
+///                                  shard tree or flat arena, or a delta's
+///                                  forest stream and id maps)
 ///
 /// Crash safety is the LevelDB/RocksDB discipline: every file is written
 /// via temp + fsync + atomic rename (WriteFileAtomic), and a generation
@@ -69,14 +71,6 @@ struct LoadedDelta {
   dynamic::MvpForest<Object, Metric> forest;
   std::vector<std::uint64_t> forest_stable_ids;
   std::vector<std::uint64_t> base_tombstones;
-  SnapshotManifest manifest;
-  std::uint64_t generation = 0;
-};
-
-/// A dynamic forest loaded from a snapshot, with its provenance.
-template <typename Object, metric::MetricFor<Object> Metric>
-struct LoadedForest {
-  dynamic::MvpForest<Object, Metric> forest;
   SnapshotManifest manifest;
   std::uint64_t generation = 0;
 };
@@ -353,15 +347,10 @@ class SnapshotStore {
       container.AddChunk(ChunkKind::kTombstones,
                          std::move(chunk).TakeBuffer());
     }
-    const auto& tree_options = forest.options().tree;
     SnapshotManifest manifest;
     manifest.index_kind = IndexKind::kDynamicDelta;
     manifest.object_count = forest.size();
-    manifest.order = tree_options.order;
-    manifest.leaf_capacity = tree_options.leaf_capacity;
-    manifest.num_path_distances = tree_options.num_path_distances;
-    manifest.seed = tree_options.seed;
-    manifest.store_exact_bounds = tree_options.store_exact_bounds ? 1 : 0;
+    RecordTreeParams(forest.options().tree, &manifest);
     manifest.base_generation = base_generation;
     manifest.last_applied_seq = last_applied_seq;
     manifest.next_stable_id = next_stable_id;
@@ -376,7 +365,7 @@ class SnapshotStore {
       Metric metric, const Codec& codec,
       typename dynamic::MvpForest<Object, Metric>::Options options = {},
       std::optional<std::uint64_t> at_generation = std::nullopt) const {
-    auto opened = OpenGeneration(at_generation, IndexKind::kDynamicDelta);
+    auto opened = OpenGeneration(at_generation, {IndexKind::kDynamicDelta});
     if (!opened.ok()) return opened.status();
     OpenedGeneration gen = std::move(opened).ValueOrDie();
     const SnapshotManifest& manifest = gen.manifest;
@@ -418,11 +407,7 @@ class SnapshotStore {
         return Status::Corruption("trailing bytes after tombstone chunk");
       }
     }
-    options.tree.order = manifest.order;
-    options.tree.leaf_capacity = manifest.leaf_capacity;
-    options.tree.num_path_distances = manifest.num_path_distances;
-    options.tree.seed = manifest.seed;
-    options.tree.store_exact_bounds = manifest.store_exact_bounds != 0;
+    ApplyTreeParams(manifest, &options.tree);
     {
       const auto [payload, length] =
           gen.container.chunk_payload(forest_chunks[0]);
@@ -441,11 +426,16 @@ class SnapshotStore {
     return loaded;
   }
 
-  /// Loads a generation's sharded index (`at_generation` defaults to the
-  /// committed one). Every chunk's CRC32C is verified before its bytes are
-  /// trusted; the manifest's recorded build parameters are validated
-  /// against the deserialized trees. With a pool, shards are verified and
-  /// deserialized in parallel.
+  /// Loads a full generation's sharded index (`at_generation` defaults to
+  /// the committed one), whichever layout the manifest records. A heap
+  /// generation (kShardedMvpIndex) is deserialized: every chunk's CRC32C is
+  /// verified before its bytes are trusted, the manifest's build parameters
+  /// are validated against the trees, and with a pool shards are decoded in
+  /// parallel. A flat generation (kFlatShardedMvpIndex) opens exactly as
+  /// OpenFlat does and comes back flat_serving(); instantiations that are
+  /// not kFlatCapable get InvalidArgument for it. Either way the index
+  /// answers with the same results and SearchStats. Any other kind is
+  /// InvalidArgument.
   template <typename Object, metric::MetricFor<Object> Metric,
             CodecFor<Object> Codec>
   Result<LoadedSharded<Object, Metric>> LoadSharded(
@@ -455,9 +445,20 @@ class SnapshotStore {
     using Tree = typename Index::Tree;
     using Part = std::pair<Tree, std::vector<std::size_t>>;
 
-    auto opened = OpenGeneration(at_generation, IndexKind::kShardedMvpIndex);
+    auto opened = OpenGeneration(
+        at_generation,
+        {IndexKind::kShardedMvpIndex, IndexKind::kFlatShardedMvpIndex});
     if (!opened.ok()) return opened.status();
     OpenedGeneration gen = std::move(opened).ValueOrDie();
+    if (gen.manifest.index_kind == IndexKind::kFlatShardedMvpIndex) {
+      if constexpr (Index::kFlatCapable) {
+        return OpenFlatGeneration(std::move(gen), std::move(metric), pool);
+      } else {
+        return Status::InvalidArgument(
+            "flat generations serve only dense vectors under a metric over "
+            "flat::VectorView");
+      }
+    }
     const SnapshotManifest& manifest = gen.manifest;
     MVP_RETURN_NOT_OK(ValidateManifestParams(manifest));
 
@@ -587,178 +588,31 @@ class SnapshotStore {
                          kFlatChunkAlignment);
     }
 
-    const auto params = index.build_params();
     SnapshotManifest manifest;
     manifest.index_kind = IndexKind::kFlatShardedMvpIndex;
     manifest.object_count = index.size();
-    manifest.num_shards = params.num_shards;
-    manifest.order = params.order;
-    manifest.leaf_capacity = params.leaf_capacity;
-    manifest.num_path_distances = params.num_path_distances;
-    manifest.seed = params.seed;
-    manifest.store_exact_bounds = params.store_exact_bounds ? 1 : 0;
+    manifest.num_shards = index.options().num_shards;
+    RecordTreeParams(index.options().tree, &manifest);
     return CommitGeneration(std::move(container).Finalize(), manifest);
   }
 
-  /// Opens the committed generation's flat index for zero-deserialization
-  /// serving: map the container, CRC each chunk, validate each arena's
-  /// offsets once, and serve searches straight off the mapping. No object
-  /// decode, no tree reconstruction, no per-load allocation proportional
-  /// to the index — time-to-first-query is the validation scan, not a
-  /// rebuild. The returned index keeps the mapping alive; results are
-  /// bit-identical to LoadSharded of the same logical index.
+  /// Opens a flat generation (`at_generation` defaults to the committed
+  /// one) for zero-deserialization serving: map the container, check its
+  /// fingerprint once, validate each arena's offsets, and serve searches
+  /// straight off the mapping. No object decode, no tree reconstruction,
+  /// no per-load allocation proportional to the index — time-to-first-query
+  /// is the checksum pass, not a rebuild. The returned index keeps the
+  /// mapping alive. LoadSharded takes this same path for a flat generation;
+  /// OpenFlat differs only in refusing a heap one.
   template <metric::MetricFor<std::vector<double>> Metric>
   Result<LoadedSharded<std::vector<double>, Metric>> OpenFlat(
       Metric metric, serve::ThreadPool* pool = nullptr,
       std::optional<std::uint64_t> at_generation = std::nullopt) const {
-    using Index = serve::ShardedMvpIndex<std::vector<double>, Metric>;
-    using View = typename Index::FlatView;
-
-    // Prefault the mapping: the fingerprint pass below streams every byte
-    // immediately, so batch page-table population beats demand faulting.
-    auto opened = OpenGeneration(at_generation, IndexKind::kFlatShardedMvpIndex,
-                                 /*prefault=*/true);
+    auto opened =
+        OpenGeneration(at_generation, {IndexKind::kFlatShardedMvpIndex});
     if (!opened.ok()) return opened.status();
-    OpenedGeneration gen = std::move(opened).ValueOrDie();
-    const SnapshotManifest& manifest = gen.manifest;
-    MVP_RETURN_NOT_OK(ValidateManifestParams(manifest));
-
-    const auto chunks = gen.container.ChunksOfKind(ChunkKind::kFlatShard);
-    if (manifest.num_shards < 1 || chunks.size() != manifest.num_shards ||
-        gen.container.num_chunks() != manifest.num_chunks) {
-      return Status::Corruption("snapshot chunk census mismatches manifest");
-    }
-
-    // The views alias the mapping for the index's whole lifetime, so move
-    // it into shared ownership now (its data pointer is stable under move,
-    // keeping the ContainerReader's spans valid).
-    auto mapping = std::make_shared<MmapFile>(std::move(gen.mapping));
-
-    // One checksum pass, not two: a matching whole-file fingerprint
-    // (CRC32C over every byte, plus the length) proves the container is
-    // byte-for-byte what was committed, which subsumes each chunk's CRC —
-    // so the per-chunk verification is skipped below. Running it first
-    // also lets the block-parallel CRC fault the fresh mapping's pages in
-    // from all pool threads at once; this pass IS the flat open's cost
-    // (arena validation is microseconds), so it is worth spreading.
-    if (FingerprintFromCrc(
-            ParallelCrc32c(mapping->data(), mapping->size(), pool),
-            mapping->size()) != manifest.dataset_fingerprint) {
-      return Status::Corruption(
-          "snapshot container does not match its manifest fingerprint");
-    }
-
-    const std::size_t k = chunks.size();
-    std::vector<std::optional<View>> views(k);
-    std::vector<Status> statuses(k);
-    auto open_shard = [&](std::size_t c) {
-      statuses[c] = OpenFlatChunk<Metric>(gen.container, chunks[c], metric,
-                                          manifest, k, &views,
-                                          /*verify_chunk_crc=*/false);
-    };
-    if (pool == nullptr || k == 1) {
-      for (std::size_t c = 0; c < k; ++c) open_shard(c);
-    } else {
-      serve::ParallelFor(*pool, k, open_shard);
-    }
-    for (const Status& status : statuses) MVP_RETURN_NOT_OK(status);
-
-    typename Index::Options options;
-    options.num_shards = manifest.num_shards;
-    options.tree.order = manifest.order;
-    options.tree.leaf_capacity = manifest.leaf_capacity;
-    options.tree.num_path_distances = manifest.num_path_distances;
-    options.tree.seed = manifest.seed;
-    options.tree.store_exact_bounds = manifest.store_exact_bounds != 0;
-
-    std::vector<View> owned;
-    owned.reserve(k);
-    for (auto& view : views) {
-      if (!view.has_value()) {
-        return Status::Corruption("snapshot shard chunks do not cover every "
-                                  "shard exactly once");
-      }
-      owned.push_back(std::move(*view));
-    }
-    auto restored =
-        Index::RestoreFlat(options, manifest.object_count, std::move(owned),
-                           std::shared_ptr<const void>(mapping));
-    if (!restored.ok()) return restored.status();
-
-    LoadedSharded<std::vector<double>, Metric> loaded{
-        std::move(restored).ValueOrDie(), manifest, gen.generation,
-        /*stable_ids=*/{}};  // flat generations use the identity mapping
-    return loaded;
-  }
-
-  // ---- dynamic forest ------------------------------------------------------
-
-  /// Persists `forest` (buffer, tombstones and all levels) as a new
-  /// committed generation.
-  template <typename Object, metric::MetricFor<Object> Metric,
-            CodecFor<Object> Codec>
-  Result<std::uint64_t> SaveForest(
-      const dynamic::MvpForest<Object, Metric>& forest, const Codec& codec) {
-    BinaryWriter chunk;
-    MVP_RETURN_NOT_OK(forest.Serialize(&chunk, codec));
-    ContainerWriter container;
-    container.AddChunk(ChunkKind::kForest, std::move(chunk).TakeBuffer());
-
-    const auto& tree_options = forest.options().tree;
-    SnapshotManifest manifest;
-    manifest.index_kind = IndexKind::kMvpForest;
-    manifest.object_count = forest.size();
-    manifest.order = tree_options.order;
-    manifest.leaf_capacity = tree_options.leaf_capacity;
-    manifest.num_path_distances = tree_options.num_path_distances;
-    manifest.seed = tree_options.seed;
-    manifest.store_exact_bounds = tree_options.store_exact_bounds ? 1 : 0;
-    return CommitGeneration(std::move(container).Finalize(), manifest);
-  }
-
-  /// Loads the committed generation's forest. The manifest's recorded tree
-  /// parameters are applied to the returned forest's options, so future
-  /// inserts/merges keep building with the saved configuration; the other
-  /// `options` fields (buffer capacity, tombstone policy) are the
-  /// caller's.
-  template <typename Object, metric::MetricFor<Object> Metric,
-            CodecFor<Object> Codec>
-  Result<LoadedForest<Object, Metric>> LoadForest(
-      Metric metric, const Codec& codec,
-      typename dynamic::MvpForest<Object, Metric>::Options options = {}) const {
-    auto opened = OpenGeneration(std::nullopt, IndexKind::kMvpForest);
-    if (!opened.ok()) return opened.status();
-    OpenedGeneration gen = std::move(opened).ValueOrDie();
-    const SnapshotManifest& manifest = gen.manifest;
-    MVP_RETURN_NOT_OK(ValidateManifestParams(manifest));
-
-    const auto chunks = gen.container.ChunksOfKind(ChunkKind::kForest);
-    if (chunks.size() != 1 || gen.container.num_chunks() != manifest.num_chunks) {
-      return Status::Corruption("snapshot chunk census mismatches manifest");
-    }
-    MVP_RETURN_NOT_OK(gen.container.VerifyChunk(chunks[0]));
-    MVP_RETURN_NOT_OK(VerifyFingerprint(gen));
-    const auto [payload, length] = gen.container.chunk_payload(chunks[0]);
-
-    options.tree.order = manifest.order;
-    options.tree.leaf_capacity = manifest.leaf_capacity;
-    options.tree.num_path_distances = manifest.num_path_distances;
-    options.tree.seed = manifest.seed;
-    options.tree.store_exact_bounds = manifest.store_exact_bounds != 0;
-
-    BinaryReader reader(payload, length);
-    auto forest = dynamic::MvpForest<Object, Metric>::Deserialize(
-        &reader, std::move(metric), codec, std::move(options));
-    if (!forest.ok()) return forest.status();
-    if (!reader.AtEnd()) {
-      return Status::Corruption("trailing bytes after forest stream");
-    }
-    if (forest.value().size() != manifest.object_count) {
-      return Status::Corruption("snapshot object count mismatches manifest");
-    }
-    LoadedForest<Object, Metric> loaded{std::move(forest).ValueOrDie(),
-                                        manifest, gen.generation};
-    return loaded;
+    return OpenFlatGeneration(std::move(opened).ValueOrDie(),
+                              std::move(metric), pool);
   }
 
  private:
@@ -812,15 +666,10 @@ class SnapshotStore {
       MVP_RETURN_NOT_OK(index.shard(s).Serialize(&chunk, codec));
       payloads->push_back(std::move(chunk).TakeBuffer());
     }
-    const auto params = index.build_params();
     manifest->index_kind = IndexKind::kShardedMvpIndex;
     manifest->object_count = index.size();
-    manifest->num_shards = params.num_shards;
-    manifest->order = params.order;
-    manifest->leaf_capacity = params.leaf_capacity;
-    manifest->num_path_distances = params.num_path_distances;
-    manifest->seed = params.seed;
-    manifest->store_exact_bounds = params.store_exact_bounds ? 1 : 0;
+    manifest->num_shards = index.options().num_shards;
+    RecordTreeParams(index.options().tree, manifest);
     return Status::OK();
   }
 
@@ -1083,11 +932,14 @@ class SnapshotStore {
   }
 
   /// Opens a generation (header + manifest validation; `at_generation`
-  /// empty means the committed one) for a load path expecting a specific
-  /// index kind.
+  /// empty means the committed one) for a load path that accepts the
+  /// index kinds `expected`. Another kind is a healthy generation the
+  /// caller cannot serve, so InvalidArgument names both. A flat
+  /// generation's mapping is prefaulted: its fingerprint pass streams every
+  /// byte at once, so batch page-table population beats demand faulting.
   Result<OpenedGeneration> OpenGeneration(
-      std::optional<std::uint64_t> at_generation, IndexKind expected_kind,
-      bool prefault = false) const {
+      std::optional<std::uint64_t> at_generation,
+      std::initializer_list<IndexKind> expected) const {
     OpenedGeneration gen;
     if (at_generation.has_value()) {
       gen.generation = *at_generation;
@@ -1103,10 +955,20 @@ class SnapshotStore {
     auto manifest = SnapshotManifest::Parse(manifest_bytes.value());
     if (!manifest.ok()) return manifest.status();
     gen.manifest = std::move(manifest).ValueOrDie();
-    if (gen.manifest.index_kind != expected_kind) {
-      return Status::Corruption("snapshot holds a different index kind");
+    if (std::find(expected.begin(), expected.end(),
+                  gen.manifest.index_kind) == expected.end()) {
+      std::string want;
+      for (const IndexKind kind : expected) {
+        want += (want.empty() ? "" : " or ") + IndexKindName(kind);
+      }
+      return Status::InvalidArgument(
+          GenerationName(gen.generation) + " holds a " +
+          IndexKindName(gen.manifest.index_kind) + " generation; expected " +
+          want);
     }
 
+    const bool prefault =
+        gen.manifest.index_kind == IndexKind::kFlatShardedMvpIndex;
     auto mapping = MmapFile::Open(gen_dir + "/" + kContainerFile, prefault);
     if (!mapping.ok()) return mapping.status();
     gen.mapping = std::move(mapping).ValueOrDie();
@@ -1171,6 +1033,104 @@ class SnapshotStore {
     std::vector<std::size_t> ids(raw_ids.begin(), raw_ids.end());
     slot.emplace(std::move(tree).ValueOrDie(), std::move(ids));
     return Status::OK();
+  }
+
+  /// The one mapping between a manifest's recorded build parameters and
+  /// tree options (a tree's or a forest's Options::tree): every save path
+  /// records them, OpenFlat and LoadDelta apply them.
+  template <typename TreeOptions>
+  static void RecordTreeParams(const TreeOptions& tree,
+                               SnapshotManifest* manifest) {
+    manifest->order = tree.order;
+    manifest->leaf_capacity = tree.leaf_capacity;
+    manifest->num_path_distances = tree.num_path_distances;
+    manifest->seed = tree.seed;
+    manifest->store_exact_bounds = tree.store_exact_bounds ? 1 : 0;
+  }
+  template <typename TreeOptions>
+  static void ApplyTreeParams(const SnapshotManifest& manifest,
+                              TreeOptions* tree) {
+    tree->order = manifest.order;
+    tree->leaf_capacity = manifest.leaf_capacity;
+    tree->num_path_distances = manifest.num_path_distances;
+    tree->seed = manifest.seed;
+    tree->store_exact_bounds = manifest.store_exact_bounds != 0;
+  }
+
+  /// The flat open shared by OpenFlat and LoadSharded: `gen` holds a
+  /// kFlatShardedMvpIndex generation. One fingerprint pass over the
+  /// mapping, then each arena's offsets are validated and its shard is
+  /// served in place; the index keeps the mapping alive.
+  template <metric::MetricFor<std::vector<double>> Metric>
+  static Result<LoadedSharded<std::vector<double>, Metric>> OpenFlatGeneration(
+      OpenedGeneration gen, Metric metric, serve::ThreadPool* pool) {
+    using Index = serve::ShardedMvpIndex<std::vector<double>, Metric>;
+    using View = typename Index::FlatView;
+    const SnapshotManifest& manifest = gen.manifest;
+    MVP_RETURN_NOT_OK(ValidateManifestParams(manifest));
+
+    const auto chunks = gen.container.ChunksOfKind(ChunkKind::kFlatShard);
+    if (manifest.num_shards < 1 || chunks.size() != manifest.num_shards ||
+        gen.container.num_chunks() != manifest.num_chunks) {
+      return Status::Corruption("snapshot chunk census mismatches manifest");
+    }
+
+    // The views alias the mapping for the index's whole lifetime, so move
+    // it into shared ownership now (its data pointer is stable under move,
+    // keeping the ContainerReader's spans valid).
+    auto mapping = std::make_shared<MmapFile>(std::move(gen.mapping));
+
+    // One checksum pass, not two: a matching whole-file fingerprint
+    // (CRC32C over every byte, plus the length) proves the container is
+    // byte-for-byte what was committed, which subsumes each chunk's CRC —
+    // so the per-chunk verification is skipped below. Running it first
+    // also lets the block-parallel CRC fault the fresh mapping's pages in
+    // from all pool threads at once; this pass IS the flat open's cost
+    // (arena validation is microseconds), so it is worth spreading.
+    if (FingerprintFromCrc(
+            ParallelCrc32c(mapping->data(), mapping->size(), pool),
+            mapping->size()) != manifest.dataset_fingerprint) {
+      return Status::Corruption(
+          "snapshot container does not match its manifest fingerprint");
+    }
+
+    const std::size_t k = chunks.size();
+    std::vector<std::optional<View>> views(k);
+    std::vector<Status> statuses(k);
+    auto open_shard = [&](std::size_t c) {
+      statuses[c] = OpenFlatChunk<Metric>(gen.container, chunks[c], metric,
+                                          manifest, k, &views,
+                                          /*verify_chunk_crc=*/false);
+    };
+    if (pool == nullptr || k == 1) {
+      for (std::size_t c = 0; c < k; ++c) open_shard(c);
+    } else {
+      serve::ParallelFor(*pool, k, open_shard);
+    }
+    for (const Status& status : statuses) MVP_RETURN_NOT_OK(status);
+
+    typename Index::Options options;
+    options.num_shards = manifest.num_shards;
+    ApplyTreeParams(manifest, &options.tree);
+
+    std::vector<View> owned;
+    owned.reserve(k);
+    for (auto& view : views) {
+      if (!view.has_value()) {
+        return Status::Corruption("snapshot shard chunks do not cover every "
+                                  "shard exactly once");
+      }
+      owned.push_back(std::move(*view));
+    }
+    auto restored =
+        Index::RestoreFlat(options, manifest.object_count, std::move(owned),
+                           std::shared_ptr<const void>(mapping));
+    if (!restored.ok()) return restored.status();
+
+    LoadedSharded<std::vector<double>, Metric> loaded{
+        std::move(restored).ValueOrDie(), manifest, gen.generation,
+        /*stable_ids=*/{}};  // flat generations use the identity mapping
+    return loaded;
   }
 
   /// Verifies and opens one flat shard chunk into views[shard_index]:

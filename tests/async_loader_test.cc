@@ -2,12 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -15,8 +14,6 @@
 
 #include "common/codec.h"
 #include "dataset/vector_gen.h"
-#include "fault/failpoint.h"
-#include "fault/retry.h"
 #include "metric/lp.h"
 #include "snapshot/snapshot_store.h"
 
@@ -105,11 +102,24 @@ TEST_F(AsyncLoaderTest, QueriesServeOldGenerationDuringLoadThenSwap) {
   Cell cell{old_gen};
   ASSERT_EQ(cell.version(), 1u);
 
+  // The server's Refresh, on another thread: LoadSharded decodes the
+  // shards on the pool, then the result is published into the cell.
   serve::ThreadPool pool(2);
-  AsyncSnapshotLoader loader(&pool);
   Gate gate;
-  auto future =
-      loader.LoadAndSwap<Vector>(store, L2(), GatedVectorCodec{&gate}, &cell);
+  auto loader = std::async(std::launch::async, [&]() -> Status {
+    auto loaded = store.LoadSharded<Vector>(L2(), GatedVectorCodec{&gate},
+                                            &pool);
+    if (!loaded.ok()) return loaded.status();
+    cell.Publish(
+        std::make_shared<const Index>(std::move(loaded).ValueOrDie().index));
+    return Status::OK();
+  });
+  // Destroyed before `loader`, whose destructor joins: a failed assertion
+  // below must not leave the load blocked on the gate.
+  struct OpenOnExit {
+    Gate* gate;
+    ~OpenOnExit() { gate->Open(); }
+  } open_on_exit{&gate};
 
   // Hold until a loader thread is provably blocked mid-deserialization.
   ASSERT_TRUE(gate.AwaitWaiter(std::chrono::seconds(30)));
@@ -129,7 +139,7 @@ TEST_F(AsyncLoaderTest, QueriesServeOldGenerationDuringLoadThenSwap) {
   EXPECT_EQ(cell.version(), 1u);  // no swap observed yet
 
   gate.Open();
-  ASSERT_TRUE(future.get().ok());
+  ASSERT_TRUE(loader.get().ok());
   EXPECT_EQ(cell.version(), 2u);
 
   // New generation serves, bit-identical to the index that was saved.
@@ -150,108 +160,6 @@ TEST_F(AsyncLoaderTest, QueriesServeOldGenerationDuringLoadThenSwap) {
   // shared_ptr), and is released once they drop it.
   EXPECT_EQ(old_gen->size(), 40u);
   EXPECT_GE(old_gen.use_count(), 1);
-}
-
-TEST_F(AsyncLoaderTest, FailedLoadLeavesOldGenerationServing) {
-  SnapshotStore store(dir_);
-  const Index saved = BuildIndex(80, 3);
-  ASSERT_TRUE(store.SaveSharded(saved, VectorCodec()).ok());
-
-  // Corrupt one payload byte of the committed container.
-  const std::string path =
-      store.GenerationDir(1) + "/" + SnapshotStore::kContainerFile;
-  auto bytes = ReadFile(path);
-  ASSERT_TRUE(bytes.ok());
-  auto corrupted = std::move(bytes).ValueOrDie();
-  corrupted[corrupted.size() - 5] ^= 0x20;
-  ASSERT_TRUE(WriteFile(path, corrupted).ok());
-
-  auto old_gen = std::make_shared<const Index>(BuildIndex(25, 4));
-  Cell cell{old_gen};
-  serve::ThreadPool pool(2);
-  AsyncSnapshotLoader loader(&pool);
-  auto future = loader.LoadAndSwap<Vector>(store, L2(), VectorCodec(), &cell);
-
-  const Status status = future.get();
-  EXPECT_EQ(status.code(), StatusCode::kCorruption);
-  EXPECT_EQ(cell.version(), 1u);  // nothing was published
-  auto generation = cell.Get();
-  ASSERT_NE(generation, nullptr);
-  EXPECT_EQ(generation->size(), 25u);
-}
-
-TEST_F(AsyncLoaderTest, BackToBackLoadsPublishMonotonically) {
-  SnapshotStore store(dir_);
-  serve::ThreadPool pool(2);
-  AsyncSnapshotLoader loader(&pool);
-  Cell cell;
-  EXPECT_EQ(cell.Get(), nullptr);
-
-  for (std::uint64_t round = 1; round <= 3; ++round) {
-    const Index index = BuildIndex(30 * round, round);
-    ASSERT_TRUE(store.SaveSharded(index, VectorCodec()).ok());
-    auto future = loader.LoadAndSwap<Vector>(store, L2(), VectorCodec(), &cell);
-    ASSERT_TRUE(future.get().ok());
-    EXPECT_EQ(cell.version(), round);
-    auto generation = cell.Get();
-    ASSERT_NE(generation, nullptr);
-    EXPECT_EQ(generation->size(), 30 * round);
-  }
-}
-
-TEST_F(AsyncLoaderTest, TransientLoadFailureIsRetriedAndSwapsExactlyOnce) {
-  SnapshotStore store(dir_);
-  const Index next = BuildIndex(100, 8);
-  ASSERT_TRUE(store.SaveSharded(next, VectorCodec()).ok());
-
-  auto old_gen = std::make_shared<const Index>(BuildIndex(30, 9));
-  Cell cell{old_gen};
-  serve::ThreadPool pool(2);
-  AsyncSnapshotLoader loader(&pool);
-
-  // The first load attempt fails with an injected transient IOError; the
-  // retry succeeds. No real sleeping — the backoff goes through the seam.
-  fault::FailpointConfig config;
-  config.max_fires = 1;
-  fault::ScopedFailpoint fp("snapshot/load", config);
-  fault::RetryOptions retry;
-  retry.max_attempts = 3;
-  std::atomic<int> sleeps{0};
-  retry.sleep = [&sleeps](std::chrono::nanoseconds) { ++sleeps; };
-
-  auto future =
-      loader.LoadAndSwap<Vector>(store, L2(), VectorCodec(), &cell, retry);
-  ASSERT_TRUE(future.get().ok());
-  EXPECT_EQ(sleeps.load(), 1);   // exactly one failed attempt
-  EXPECT_EQ(cell.version(), 2u); // swapped exactly once
-  auto generation = cell.Get();
-  ASSERT_NE(generation, nullptr);
-  EXPECT_EQ(generation->size(), 100u);
-}
-
-TEST_F(AsyncLoaderTest, ExhaustedRetriesPublishNothing) {
-  SnapshotStore store(dir_);
-  ASSERT_TRUE(store.SaveSharded(BuildIndex(100, 10), VectorCodec()).ok());
-
-  auto old_gen = std::make_shared<const Index>(BuildIndex(30, 11));
-  Cell cell{old_gen};
-  serve::ThreadPool pool(2);
-  AsyncSnapshotLoader loader(&pool);
-
-  fault::ScopedFailpoint fp("snapshot/load", {});  // every attempt fails
-  fault::RetryOptions retry;
-  retry.max_attempts = 3;
-  retry.sleep = [](std::chrono::nanoseconds) {};
-
-  auto future =
-      loader.LoadAndSwap<Vector>(store, L2(), VectorCodec(), &cell, retry);
-  const Status status = future.get();
-  EXPECT_EQ(status.code(), StatusCode::kIOError);
-  EXPECT_EQ(fault::Failpoints::Instance().fires("snapshot/load"), 3u);
-  EXPECT_EQ(cell.version(), 1u);  // old generation still serving
-  auto generation = cell.Get();
-  ASSERT_NE(generation, nullptr);
-  EXPECT_EQ(generation->size(), 30u);
 }
 
 TEST_F(AsyncLoaderTest, GenerationCellKeepsOldAliveAcrossPublish) {

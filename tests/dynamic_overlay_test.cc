@@ -3,8 +3,7 @@
 // current live set — across randomized insert/erase workloads (including
 // erases of base objects, memtable objects, and re-inserted keys),
 // checkpoints, compactions, reopens, and flat (mmap-served) bases. Plus
-// the DynamicIndex interface wiring and the representation-naming save
-// guards.
+// the representation-naming save guards.
 
 #include "dynamic/dynamic_overlay.h"
 
@@ -23,9 +22,6 @@
 #include "common/query.h"
 #include "common/status.h"
 #include "core/search_shared.h"
-#include "dynamic/dynamic_index.h"
-#include "dynamic/mvp_forest.h"
-#include "metric/edit_distance.h"
 #include "metric/lp.h"
 #include "scan/linear_scan.h"
 #include "serve/executor.h"
@@ -40,13 +36,6 @@ namespace {
 using Vec = std::vector<double>;
 using Overlay = DynamicOverlay<Vec, metric::L2, VectorCodec>;
 using Oracle = serve::ShardedMvpIndex<Vec, metric::L2>;
-
-// Satellite: the memtable implementation is typed against the
-// DynamicIndex interface — checked here at compile time, in tier-1.
-static_assert(DynamicIndexFor<MvpForest<Vec, metric::L2>, Vec>);
-static_assert(DynamicIndexFor<MvpForest<std::string, metric::Levenshtein>,
-                              std::string>);
-static_assert(!DynamicIndexFor<Oracle, Vec>);  // static index: no Insert
 
 class DynamicOverlayTest : public ::testing::Test {
  protected:

@@ -91,10 +91,16 @@ class FlatEquivalenceTest : public ::testing::TestWithParam<bool> {
     for (std::size_t s = 0; s < flat_->num_shards(); ++s) {
       ASSERT_EQ(flat_->flat_shard(s).version(), flat::kFlatVersionV2);
     }
+    // The same flat generation through the layout-agnostic loader.
+    auto loaded = flat_store.LoadSharded<Vector>(L2(), VectorCodec());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    loaded_.emplace(std::move(loaded).ValueOrDie().index);
+    ASSERT_TRUE(loaded_->flat_serving());
   }
   void TearDown() override {
     heap_.reset();
     flat_.reset();  // views die before the mapping-owning index they alias
+    loaded_.reset();
     std::filesystem::remove_all(dir_ + "_heap");
     std::filesystem::remove_all(dir_ + "_flat");
   }
@@ -122,6 +128,7 @@ class FlatEquivalenceTest : public ::testing::TestWithParam<bool> {
   std::vector<Vector> data_;
   std::optional<Index> heap_;
   std::optional<Index> flat_;
+  std::optional<Index> loaded_;  ///< LoadSharded of the flat generation
 };
 
 TEST_P(FlatEquivalenceTest, RangeSearchBitIdentical) {
@@ -145,6 +152,29 @@ TEST_P(FlatEquivalenceTest, KnnSearchBitIdentical) {
     const auto heap_result = heap_->KnnSearch(queries[q], k, &hs);
     const auto flat_result = flat_->KnnSearch(queries[q], k, &fs);
     ExpectIdentical(heap_result, flat_result, hs, fs, q);
+  }
+}
+
+TEST_P(FlatEquivalenceTest, LoadShardedOfFlatGenerationBitIdentical) {
+  // LoadSharded opens a flat generation through OpenFlat's path, so its
+  // index answers exactly as OpenFlat's and the heap load's do.
+  const auto queries = dataset::UniformQueryVectors(300, 8, 779);
+  const double radii[] = {0.2, 0.6, 1.1};
+  const std::size_t ks[] = {1, 5, 17};
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    SearchStats hs, fs, ls;
+    const auto heap_range = heap_->RangeSearch(queries[q], radii[q % 3], &hs);
+    const auto flat_range = flat_->RangeSearch(queries[q], radii[q % 3], &fs);
+    const auto range = loaded_->RangeSearch(queries[q], radii[q % 3], &ls);
+    ExpectIdentical(heap_range, range, hs, ls, q);
+    ExpectIdentical(flat_range, range, fs, ls, q);
+
+    SearchStats hk, fk, lk;
+    const auto heap_knn = heap_->KnnSearch(queries[q], ks[q % 3], &hk);
+    const auto flat_knn = flat_->KnnSearch(queries[q], ks[q % 3], &fk);
+    const auto knn = loaded_->KnnSearch(queries[q], ks[q % 3], &lk);
+    ExpectIdentical(heap_knn, knn, hk, lk, q);
+    ExpectIdentical(flat_knn, knn, fk, lk, q);
   }
 }
 

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -586,22 +592,35 @@ TEST_F(FlatSnapshotCorruptionTest, TamperedManifestParamsFailFast) {
 }
 
 TEST_F(FlatSnapshotCorruptionTest, HeapSnapshotRejectedByFlatOpen) {
-  // A heap-tree snapshot must not open through the flat path (and vice
-  // versa): the manifest's index kind gates the representation.
+  // LoadSharded opens either layout; OpenFlat opens only the flat one.
+  SnapshotStore store(dir_);
+  // While the fixture's flat generation is current, LoadSharded serves it
+  // flat, answering as OpenFlat's index does...
+  auto loaded = store.LoadSharded<Vector>(L2(), VectorCodec());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded.value().index.flat_serving());
+  EXPECT_TRUE(loaded.value().stable_ids.empty());
+  auto opened = store.OpenFlat(L2());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  for (const auto& q : dataset::UniformQueryVectors(20, 5, 23)) {
+    SearchStats ls, os;
+    EXPECT_EQ(loaded.value().index.KnnSearch(q, 4, &ls),
+              opened.value().index.KnnSearch(q, 4, &os));
+    EXPECT_EQ(ls.distance_computations, os.distance_computations);
+  }
+  // ...and once a heap generation is current, OpenFlat refuses it as a
+  // generation of another kind, while LoadSharded deserializes it.
   Index::Options options;
   options.num_shards = 3;
   options.tree.leaf_capacity = 6;
   auto built = Index::Build(dataset::UniformVectors(90, 5, 19), L2(), options);
   ASSERT_TRUE(built.ok());
-  SnapshotStore store(dir_);
-  // While the fixture's flat generation is current, the heap loader must
-  // refuse it...
-  EXPECT_FALSE(store.LoadSharded<Vector>(L2(), VectorCodec()).ok());
-  // ...and once a heap generation is current, the flat opener must refuse
-  // that.
   ASSERT_TRUE(store.SaveSharded(built.value(), VectorCodec()).ok());
-  EXPECT_FALSE(store.OpenFlat(L2()).ok());
-  EXPECT_TRUE(store.LoadSharded<Vector>(L2(), VectorCodec()).ok());
+  EXPECT_EQ(store.OpenFlat(L2()).status().code(),
+            StatusCode::kInvalidArgument);
+  auto heap = store.LoadSharded<Vector>(L2(), VectorCodec());
+  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+  EXPECT_FALSE(heap.value().index.flat_serving());
 }
 
 /// A serialized multi-level tree whose root, an internal node, has its
@@ -798,6 +817,80 @@ TEST(FrozenV1ArenaTest, OpenRejectsSharedEntriesAndPathSlices) {
   }
   ASSERT_GE(leaves, 2u);
   EXPECT_EQ(OpenCode(no_paths), StatusCode::kCorruption);
+}
+
+/// A flat arena's header p is untrusted, and the traversal sizes its
+/// query PATH from it. Searched in a child process whose address space is
+/// capped at 1 GiB over its current size, golden_flat's shard-0 arena with
+/// p patched to 2^31 - 1 must answer, results and distance counts, exactly
+/// as the intact arena does. Child exit codes: 2 results differ, 3
+/// bad_alloc, 4 setup failed (1 is the sanitizers' error exit).
+TEST(HostilePathCountTest, HugeHeaderPSearchesInBoundedMemory) {
+  auto arenas =
+      GoldenShardArenas(std::string(MVPT_TESTDATA_DIR) + "/golden_flat");
+  ASSERT_FALSE(arenas.empty());
+  const std::vector<std::uint8_t>& intact = arenas[0];
+  flat::FlatHeaderRec header;
+  std::memcpy(&header, intact.data(), sizeof(header));
+  ASSERT_EQ(header.version, flat::kFlatVersionV2);
+  std::vector<std::uint8_t> hostile = intact;
+  header.num_path_distances = 0x7fffffff;
+  std::memcpy(hostile.data(), &header, sizeof(header));
+  ASSERT_EQ(OpenCode(hostile), StatusCode::kOk);
+
+  using View = flat::FlatTreeView<L2>;
+  auto search = [](const View& view, const Vector& q, SearchStats* stats) {
+    auto hits = view.RangeSearch(q, 0.5, stats);
+    for (const Neighbor& n : view.KnnSearch(q, 5, stats)) hits.push_back(n);
+    return hits;
+  };
+  auto view = View::Open(intact.data(), intact.size(), L2());
+  ASSERT_TRUE(view.ok());
+  const auto queries = dataset::UniformQueryVectors(10, header.dim, 41);
+  std::vector<std::vector<Neighbor>> expected;
+  std::vector<std::uint64_t> expected_dists;
+  for (const auto& q : queries) {
+    SearchStats stats;
+    expected.push_back(search(view.value(), q, &stats));
+    expected_dists.push_back(stats.distance_computations);
+  }
+
+  long pages = 0;
+  std::FILE* statm = std::fopen("/proc/self/statm", "r");
+  if (statm == nullptr) GTEST_SKIP() << "needs /proc/self/statm";
+  const bool read = std::fscanf(statm, "%ld", &pages) == 1;
+  std::fclose(statm);
+  ASSERT_TRUE(read);
+  const rlim_t cap = static_cast<rlim_t>(pages) *
+                         static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
+                     (rlim_t{1} << 30);
+
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    int code = 0;
+    try {
+      const rlimit limit{cap, cap};
+      if (setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(4);
+      auto served = View::Open(hostile.data(), hostile.size(), L2());
+      if (!served.ok()) std::_Exit(4);
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        SearchStats stats;
+        if (search(served.value(), queries[i], &stats) != expected[i] ||
+            stats.distance_computations != expected_dists[i]) {
+          code = 2;
+        }
+      }
+    } catch (const std::bad_alloc&) {
+      code = 3;
+    }
+    std::_Exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal "
+                                 << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 }  // namespace

@@ -156,12 +156,23 @@ TEST_F(SnapshotFaultpointsTest, EveryCommitFailurePointLeavesPriorGenServing) {
 }
 
 TEST_F(SnapshotFaultpointsTest, ForestCommitPathSurvivesTheSameEnumeration) {
+  // The delta commit path (a forest chunk over a base generation) under the
+  // same enumeration: after every interrupted SaveDelta the committed delta
+  // still loads with its forest intact.
   SnapshotStore store(dir_);
+  ASSERT_TRUE(store.SaveSharded(BuildIndex(50, 3), VectorCodec()).ok());
 
+  auto save_delta = [&](const Forest& forest) {
+    std::vector<std::uint64_t> stable_ids(forest.size());
+    for (std::size_t f = 0; f < stable_ids.size(); ++f) stable_ids[f] = 50 + f;
+    return store.SaveDelta(forest, stable_ids, /*base_tombstones=*/{0, 7},
+                           /*base_generation=*/1, stable_ids.size(),
+                           50 + stable_ids.size(), VectorCodec());
+  };
   Forest forest{L2()};
   const auto data = dataset::UniformVectors(90, 4, 3);
   for (const auto& v : data) forest.Insert(v);
-  ASSERT_TRUE(store.SaveForest(forest, VectorCodec()).ok());
+  ASSERT_TRUE(save_delta(forest).ok());
   const auto queries = dataset::UniformQueryVectors(4, 4, 11);
   std::vector<std::vector<Neighbor>> expected;
   for (const auto& q : queries) expected.push_back(forest.RangeSearch(q, 0.7));
@@ -174,16 +185,18 @@ TEST_F(SnapshotFaultpointsTest, ForestCommitPathSurvivesTheSameEnumeration) {
     fault::Failpoints::Instance().Arm(s.failpoint, ConfigFor(s));
     bool failed = false;
     try {
-      failed = !store.SaveForest(bigger, VectorCodec()).ok();
+      failed = !save_delta(bigger).ok();
     } catch (const fault::CrashError&) {
       failed = true;
     }
     EXPECT_TRUE(failed) << "the armed failpoint did not interrupt the save";
     fault::Failpoints::Instance().DisarmAll();
 
-    auto loaded = store.LoadForest<Vector>(L2(), VectorCodec());
+    auto loaded = store.LoadDelta<Vector>(L2(), VectorCodec());
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(loaded.value().generation, 1u);
+    EXPECT_EQ(loaded.value().generation, 2u);
+    EXPECT_EQ(loaded.value().base_tombstones,
+              (std::vector<std::uint64_t>{0, 7}));
     for (std::size_t i = 0; i < queries.size(); ++i) {
       const auto got = loaded.value().forest.RangeSearch(queries[i], 0.7);
       ASSERT_EQ(got.size(), expected[i].size()) << "query " << i;
@@ -194,10 +207,10 @@ TEST_F(SnapshotFaultpointsTest, ForestCommitPathSurvivesTheSameEnumeration) {
     }
   }
 
-  ASSERT_TRUE(store.SaveForest(bigger, VectorCodec()).ok());
-  auto loaded = store.LoadForest<Vector>(L2(), VectorCodec());
+  ASSERT_TRUE(save_delta(bigger).ok());
+  auto loaded = store.LoadDelta<Vector>(L2(), VectorCodec());
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().generation, 2u);
+  EXPECT_EQ(loaded.value().generation, 3u);
   EXPECT_EQ(loaded.value().forest.size(), 140u);
 }
 

@@ -10,6 +10,7 @@
 #include "common/codec.h"
 #include "dataset/vector_gen.h"
 #include "dynamic/mvp_forest.h"
+#include "metric/edit_distance.h"
 #include "metric/lp.h"
 #include "serve/sharded_index.h"
 #include "serve/thread_pool.h"
@@ -109,48 +110,6 @@ TEST_F(SnapshotTest, SingleShardAndEmptyDatasetRoundTrip) {
   }
 }
 
-TEST_F(SnapshotTest, ForestRoundTripBitIdentical) {
-  Forest forest{L2()};
-  const auto data = dataset::UniformVectors(250, 6, 13);
-  std::vector<std::size_t> ids;
-  for (const auto& v : data) ids.push_back(forest.Insert(v));
-  for (std::size_t i = 0; i < ids.size(); i += 7) {
-    ASSERT_TRUE(forest.Erase(ids[i]).ok());
-  }
-
-  SnapshotStore store(dir_);
-  auto gen = store.SaveForest(forest, VectorCodec());
-  ASSERT_TRUE(gen.ok()) << gen.status().ToString();
-
-  auto loaded = store.LoadForest<Vector>(L2(), VectorCodec());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().forest.size(), forest.size());
-  EXPECT_EQ(loaded.value().forest.tombstone_count(), forest.tombstone_count());
-
-  const auto queries = dataset::UniformQueryVectors(6, 6, 31);
-  for (const auto& q : queries) {
-    const auto ea = forest.RangeSearch(q, 0.8);
-    const auto eb = loaded.value().forest.RangeSearch(q, 0.8);
-    ASSERT_EQ(ea.size(), eb.size());
-    for (std::size_t i = 0; i < ea.size(); ++i) {
-      EXPECT_EQ(ea[i].id, eb[i].id);
-      EXPECT_EQ(ea[i].distance, eb[i].distance);
-    }
-    const auto ka = forest.KnnSearch(q, 5);
-    const auto kb = loaded.value().forest.KnnSearch(q, 5);
-    ASSERT_EQ(ka.size(), kb.size());
-    for (std::size_t i = 0; i < ka.size(); ++i) {
-      EXPECT_EQ(ka[i].id, kb[i].id);
-    }
-  }
-
-  // A loaded forest must keep working as a dynamic index.
-  auto& reloaded = loaded.value().forest;
-  const std::size_t before = reloaded.size();
-  reloaded.Insert(data[0]);
-  EXPECT_EQ(reloaded.size(), before + 1);
-}
-
 TEST_F(SnapshotTest, GenerationsAdvanceAndOldOnesSurvive) {
   SnapshotStore store(dir_);
   const Index first = BuildIndex(100, 2, 1);
@@ -208,17 +167,47 @@ TEST_F(SnapshotTest, InterruptedSaveLeavesPriorGenerationLoadable) {
 }
 
 TEST_F(SnapshotTest, KindMismatchRejected) {
+  // A healthy generation of a kind the loader cannot serve is a caller
+  // mistake, not damaged bytes: InvalidArgument, naming both kinds.
   SnapshotStore store(dir_);
   const Index index = BuildIndex(60, 2, 4);
   ASSERT_TRUE(store.SaveSharded(index, VectorCodec()).ok());
-  auto as_forest = store.LoadForest<Vector>(L2(), VectorCodec());
-  EXPECT_EQ(as_forest.status().code(), StatusCode::kCorruption);
+  const Status as_delta = store.LoadDelta<Vector>(L2(), VectorCodec()).status();
+  EXPECT_EQ(as_delta.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(as_delta.message().find("holds a heap sharded (kind 1)"),
+            std::string::npos)
+      << as_delta.message();
+  EXPECT_NE(as_delta.message().find("expected dynamic delta (kind 4)"),
+            std::string::npos)
+      << as_delta.message();
 
   Forest forest{L2()};
   forest.Insert({1, 2, 3, 4, 5, 6});
-  ASSERT_TRUE(store.SaveForest(forest, VectorCodec()).ok());
-  auto as_sharded = store.LoadSharded<Vector>(L2(), VectorCodec());
-  EXPECT_EQ(as_sharded.status().code(), StatusCode::kCorruption);
+  ASSERT_TRUE(store
+                  .SaveDelta(forest, {60}, {}, /*base_generation=*/1,
+                             /*last_applied_seq=*/1, /*next_stable_id=*/61,
+                             VectorCodec())
+                  .ok());
+  const Status as_sharded =
+      store.LoadSharded<Vector>(L2(), VectorCodec()).status();
+  EXPECT_EQ(as_sharded.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(as_sharded.message().find(
+                "gen-000002 holds a dynamic delta (kind 4) generation; "
+                "expected heap sharded (kind 1) or flat sharded (kind 3)"),
+            std::string::npos)
+      << as_sharded.message();
+  EXPECT_EQ(store.OpenFlat(L2()).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // A flat generation is served only by instantiations that can search
+  // flat arenas (kFlatCapable); edit-distance strings cannot.
+  SnapshotStore flat_store(dir_ + "/flat");
+  ASSERT_TRUE(flat_store.SaveFlat(index).ok());
+  EXPECT_EQ(flat_store
+                .LoadSharded<std::string>(metric::Levenshtein(), StringCodec())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(SnapshotTest, ManifestRecordsBuildParams) {
@@ -250,21 +239,37 @@ TEST_F(SnapshotTest, ManifestRecordsBuildParams) {
 }
 
 TEST_F(SnapshotTest, ForestLoadAppliesManifestTreeParams) {
+  // A delta generation's forest is rebuilt with the tree parameters its
+  // manifest records, whatever tree options the caller loads it with.
   SnapshotStore store(dir_);
   Forest::Options options;
   options.tree.order = 4;
   options.tree.leaf_capacity = 10;
+  options.tree.num_path_distances = 3;
   options.tree.seed = 77;
+  options.tree.store_exact_bounds = true;
   Forest forest{L2(), options};
-  for (const auto& v : dataset::UniformVectors(90, 6, 21)) forest.Insert(v);
-  ASSERT_TRUE(store.SaveForest(forest, VectorCodec()).ok());
+  std::vector<std::uint64_t> stable_ids;
+  for (const auto& v : dataset::UniformVectors(90, 6, 21)) {
+    stable_ids.push_back(forest.Insert(v));
+  }
+  ASSERT_TRUE(store
+                  .SaveDelta(forest, stable_ids, {}, /*base_generation=*/0,
+                             /*last_applied_seq=*/90, /*next_stable_id=*/90,
+                             VectorCodec())
+                  .ok());
 
   // Load with default options: the manifest's tree params must win.
-  auto loaded = store.LoadForest<Vector>(L2(), VectorCodec());
+  auto loaded = store.LoadDelta<Vector>(L2(), VectorCodec());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().forest.options().tree.order, 4);
-  EXPECT_EQ(loaded.value().forest.options().tree.leaf_capacity, 10);
-  EXPECT_EQ(loaded.value().forest.options().tree.seed, 77u);
+  const auto& tree = loaded.value().forest.options().tree;
+  EXPECT_EQ(tree.order, 4);
+  EXPECT_EQ(tree.leaf_capacity, 10);
+  EXPECT_EQ(tree.num_path_distances, 3);
+  EXPECT_EQ(tree.seed, 77u);
+  EXPECT_TRUE(tree.store_exact_bounds);
+  EXPECT_EQ(loaded.value().forest_stable_ids, stable_ids);
+  EXPECT_EQ(loaded.value().forest.size(), 90u);
 }
 
 }  // namespace

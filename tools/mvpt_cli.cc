@@ -33,10 +33,11 @@
 //                                # new checksummed snapshot generation;
 //                                # --flat writes the mmap-native flat layout
 //   mvpt snapshot-load --dir store/ --metric l1|l2|linf [--threads N]
-//                      [--point "x1,x2,..." (--radius R | --knn K)] [--flat]
+//                      [--point "x1,x2,..." (--radius R | --knn K)]
 //                                # load + verify the committed generation
-//                                # (docs/index_format.md has the layout);
-//                                # --flat serves straight out of the mapping
+//                                # (docs/index_format.md has the layout); a
+//                                # flat one serves straight out of the
+//                                # mapping (--flat is accepted and ignored)
 //   mvpt insert --dir store/ --metric l1|l2|linf
 //               (--point "x1,x2,..." | --input data.csv) [--checkpoint]
 //                                # durably insert into the store's dynamic
@@ -731,7 +732,8 @@ int RunServeBench(const Args& args) {
                                       .count();
       if (!flat_gen.ok()) return Fail(flat_gen.status().ToString());
       const auto fopen_t0 = std::chrono::steady_clock::now();
-      auto flat = store.OpenFlat(metric::L2(), &build_pool);
+      auto flat =
+          store.LoadSharded<Vector>(metric::L2(), VectorCodec(), &build_pool);
       flat_open_ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - fopen_t0)
                          .count();
@@ -849,12 +851,9 @@ int SnapshotLoadWith(const Args& args, Metric metric) {
   const auto threads = static_cast<std::size_t>(args.GetInt("threads", 2));
   serve::ThreadPool pool(threads > 0 ? threads : 1);
 
-  const bool flat = args.Has("flat");
   const auto t0 = std::chrono::steady_clock::now();
   auto loaded =
-      flat ? store.OpenFlat(metric, &pool)
-           : store.LoadSharded<Vector>(std::move(metric), VectorCodec(),
-                                       &pool);
+      store.LoadSharded<Vector>(std::move(metric), VectorCodec(), &pool);
   if (!loaded.ok()) return Fail(loaded.status().ToString());
   const double load_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - t0)
@@ -863,7 +862,9 @@ int SnapshotLoadWith(const Args& args, Metric metric) {
   const auto& manifest = loaded.value().manifest;
   std::printf("%s generation %llu in %.1f ms (checksums verified): "
               "%llu objects, %llu shards, mvpt(m=%d, k=%d, p=%d), seed %llu\n",
-              flat ? "opened flat (zero-deserialization)" : "loaded",
+              loaded.value().index.flat_serving()
+                  ? "opened flat (zero-deserialization)"
+                  : "loaded",
               static_cast<unsigned long long>(loaded.value().generation),
               load_ms,
               static_cast<unsigned long long>(manifest.object_count),
