@@ -1,8 +1,14 @@
-// Fuzz harness for the MVPZ flat arena (snapshot/flat_tree.h).
+// Fuzz harness for the MVPZ flat arena (snapshot/flat_tree.h) and the
+// MVPT stream parser it shares with the heap tree (core/tree_layout.h).
 //
 // Mode 0 feeds the bytes to BuildFlatArena as a serialized mvp-tree
 // stream; any arena the builder accepts MUST validate under ParseFlatArena
-// (the builder's output is the parser's contract). Mode 1 treats the bytes
+// (the builder's output is the parser's contract). The same bytes are
+// deserialized as a heap MvpTree<Vector, L2> — the path heap snapshot
+// chunks, delta forests and replicated generations take — which must
+// accept exactly the streams the builder accepts, except those the builder
+// refuses with InvalidArgument for ragged or oversized vectors; a range and
+// a k-NN search then run on every tree both accept. Mode 1 treats the bytes
 // as a hostile arena — v1 or v2, the version field is attacker-controlled:
 // FlatTreeView::Open either rejects it or returns a view that is safe to
 // search (a v1 arena is validated, then upgraded to v2 at open) — range
@@ -15,7 +21,10 @@
 #include <cstring>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/query.h"
+#include "common/serialize.h"
+#include "core/mvp_tree.h"
 #include "fuzz_util.h"
 #include "metric/lp.h"
 #include "snapshot/flat_tree.h"
@@ -28,12 +37,26 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   --size;
 
   if (mode == 0) {
+    mvp::BinaryReader reader(data, size);
+    auto heap = mvp::core::MvpTree<mvp::metric::Vector, mvp::metric::L2>::
+        Deserialize(&reader, mvp::metric::L2{}, mvp::VectorCodec{});
+    const bool heap_ok = heap.ok() && reader.AtEnd();
     auto arena = mvp::snapshot::flat::BuildFlatArena(data, size);
-    if (arena.ok()) {
-      auto parts = mvp::snapshot::flat::ParseFlatArena(
-          arena.value().data(), arena.value().size());
-      FUZZ_ASSERT(parts.ok(), "BuildFlatArena output failed ParseFlatArena");
-    }
+    FUZZ_ASSERT(arena.ok() == heap_ok ||
+                    (heap_ok && arena.status().code() ==
+                                    mvp::StatusCode::kInvalidArgument),
+                "MvpTree::Deserialize and BuildFlatArena disagree");
+    if (!arena.ok()) return 0;
+    auto parts = mvp::snapshot::flat::ParseFlatArena(arena.value().data(),
+                                                     arena.value().size());
+    FUZZ_ASSERT(parts.ok(), "BuildFlatArena output failed ParseFlatArena");
+    // The builder accepted, so every vector has one dimension.
+    const auto& tree = heap.value();
+    const std::vector<double> query(
+        tree.size() == 0 ? 0 : tree.object(0).size(), 0.25);
+    mvp::SearchStats stats;
+    (void)tree.RangeSearch(query, 1.5, &stats);
+    (void)tree.KnnSearch(query, 3, &stats);
     return 0;
   }
 

@@ -173,7 +173,7 @@ void EmitWireSeeds(const fs::path& dir) {
 }
 
 /// One serialized single-shard mvp-tree stream over a tiny pinned dataset
-/// — the exact input shape BuildFlatArena transcodes.
+/// — the exact input shape BuildFlatArena reads.
 std::vector<std::uint8_t> SampleTreeStream() {
   using Index =
       mvp::serve::ShardedMvpIndex<mvp::metric::Vector, mvp::metric::L2>;
@@ -194,6 +194,9 @@ std::vector<std::uint8_t> SampleTreeStream() {
 
 void EmitFlatSeeds(const fs::path& dir,
                    const std::vector<std::uint8_t>& stream) {
+  // tree_stream_path_over_p.bin is frozen: this stream with p rewritten to
+  // 0, so its entries keep more PATH distances than the header allows —
+  // once accepted by both stream entry points, now Corruption in both.
   WriteSeed(dir / "tree_stream.bin", 0, stream);
   // The arena encoding of the same tree, with a bit-flipped and a torn
   // variant so the parser's structural validation is seeded, not just the
@@ -217,7 +220,7 @@ void EmitFlatSeeds(const fs::path& dir,
   mvp::snapshot::flat::FlatHeaderRec header;
   std::memcpy(&header, no_vp2.data(), sizeof(header));
   no_vp2[static_cast<std::size_t>(header.nodes_offset)] &=
-      static_cast<std::uint8_t>(~mvp::snapshot::flat::kNodeHasVp2);
+      static_cast<std::uint8_t>(~mvp::core::kNodeHasVp2);
   WriteSeed(dir / "arena_root_no_vp2.bin", 1, no_vp2);
 }
 

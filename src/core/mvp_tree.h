@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -16,6 +15,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/search_shared.h"
+#include "core/tree_layout.h"
 #include "metric/metric.h"
 #include "vptree/vp_select.h"
 
@@ -42,6 +42,12 @@
 /// is delayed to the leaf level" where those stored distances make most
 /// candidate points free to reject.
 ///
+/// The tree keeps its structure in the layout of core/tree_layout.h —
+/// preorder node records, an m*m child slot table, one bounds pool and
+/// per-leaf id/D1/D2 columns with column-major PATH slabs — in vectors it
+/// owns next to its objects: the very arrays a flat arena holds. Ids are
+/// u32, so a tree holds at most 2^32-1 objects.
+///
 /// Template parameters mirror the paper's setting: any object domain with a
 /// metric distance function and nothing else.
 ///
@@ -55,36 +61,39 @@
 
 namespace mvp::core {
 
+/// Construction parameters of an mvp-tree — the paper's (m, k, p) triple
+/// plus reproduction knobs. MvpTree<Object, Metric>::Options names it.
+struct MvpTreeOptions {
+  /// m: "the number of partitions created by each vantage point". Fanout
+  /// of an internal node is m². Paper: "order 3 (m) gives the most
+  /// reasonable results".
+  int order = 3;
+  /// k: "the maximum fanout for the leaf nodes". The paper's best
+  /// configurations use large leaves (e.g. mvpt(3,80)): "It is a good
+  /// idea to keep k large so that most of the data items are kept in the
+  /// leaves."
+  int leaf_capacity = 80;
+  /// p: "the number of distances for the data points at the leaves to be
+  /// kept". Paper uses 5 for the vector experiments, 4 for images.
+  int num_path_distances = 5;
+  /// First-vantage-point picker (paper default: random; §4.2 notes any
+  /// vp-tree selection heuristic applies).
+  vptree::VpSelectOptions selection;
+  /// Seed for random choices.
+  std::uint64_t seed = 0;
+  /// Ablation: store exact per-child [min,max] distance bounds instead of
+  /// the paper's m-1 cutoff values per vantage point.
+  bool store_exact_bounds = false;
+};
+
 template <typename Object, metric::MetricFor<Object> Metric>
 class MvpTree {
  public:
-  /// Construction parameters — the paper's (m, k, p) triple plus
-  /// reproduction knobs.
-  struct Options {
-    /// m: "the number of partitions created by each vantage point". Fanout
-    /// of an internal node is m². Paper: "order 3 (m) gives the most
-    /// reasonable results".
-    int order = 3;
-    /// k: "the maximum fanout for the leaf nodes". The paper's best
-    /// configurations use large leaves (e.g. mvpt(3,80)): "It is a good
-    /// idea to keep k large so that most of the data items are kept in the
-    /// leaves."
-    int leaf_capacity = 80;
-    /// p: "the number of distances for the data points at the leaves to be
-    /// kept". Paper uses 5 for the vector experiments, 4 for images.
-    int num_path_distances = 5;
-    /// First-vantage-point picker (paper default: random; §4.2 notes any
-    /// vp-tree selection heuristic applies).
-    vptree::VpSelectOptions selection;
-    /// Seed for random choices.
-    std::uint64_t seed = 0;
-    /// Ablation: store exact per-child [min,max] distance bounds instead of
-    /// the paper's m-1 cutoff values per vantage point.
-    bool store_exact_bounds = false;
-  };
+  using Options = MvpTreeOptions;
 
   /// Builds an mvp-tree over `objects`; ids are positions in the input.
-  /// Returns InvalidArgument for unusable options. Empty input is valid.
+  /// Returns InvalidArgument for unusable options or more than 2^32-1
+  /// objects. Empty input is valid.
   static Result<MvpTree> Build(std::vector<Object> objects, Metric metric,
                                const Options& options = Options{}) {
     if (options.order < 2) {
@@ -95,6 +104,9 @@ class MvpTree {
     }
     if (options.num_path_distances < 0) {
       return Status::InvalidArgument("mvp-tree path distances (p) must be >= 0");
+    }
+    if (objects.size() > kMaxTreeObjects) {
+      return Status::InvalidArgument("mvp-trees hold at most 2^32-1 objects");
     }
     MvpTree tree(std::move(objects), std::move(metric), options);
     tree.BuildTree();
@@ -127,7 +139,7 @@ class MvpTree {
     MVP_DCHECK(radius >= 0);
     MVP_DCHECK(out != nullptr);
     SearchStats local;
-    Traversal(Nodes{this}, query, stats != nullptr ? *stats : local)
+    Traversal(Access(), query, stats != nullptr ? *stats : local)
         .Range(radius, out);
   }
 
@@ -160,7 +172,7 @@ class MvpTree {
                      Exclusion exclude = {}) const {
     MVP_DCHECK(heap != nullptr);
     SearchStats local;
-    Traversal(Nodes{this}, query, stats != nullptr ? *stats : local)
+    Traversal(Access(), query, stats != nullptr ? *stats : local)
         .Knn(k, heap, exclude);
   }
 
@@ -178,7 +190,7 @@ class MvpTree {
     SearchStats local;
     if (max_distance_computations > 0) {
       try {
-        Traversal(Nodes{this}, query, local,
+        Traversal(Access(), query, local,
                   DistanceBudget{max_distance_computations})
             .Knn(k, &heap);
       } catch (const DistanceBudget::Exhausted&) {
@@ -199,9 +211,10 @@ class MvpTree {
                                             SearchStats* stats = nullptr) const {
     std::vector<Neighbor> result;
     SearchStats local;
-    if (root_ != nullptr) {
+    const auto nodes = Access();
+    if (const NodeRec* root = nodes.Root(); root != nullptr) {
       std::vector<double> qpath;
-      FarthestRangeNode(*root_, query, radius, qpath, result, local);
+      FarthestRangeNode(nodes, root, query, radius, qpath, result, local);
     }
     std::sort(result.begin(), result.end(), FartherFirst);
     if (stats != nullptr) MergeSearchStats(stats, local);
@@ -214,9 +227,10 @@ class MvpTree {
                                        SearchStats* stats = nullptr) const {
     std::vector<Neighbor> heap;  // min-heap on distance (worst of the best k)
     SearchStats local;
-    if (root_ != nullptr && k > 0) {
+    const auto nodes = Access();
+    if (const NodeRec* root = nodes.Root(); root != nullptr && k > 0) {
       std::vector<double> qpath;
-      FarthestKnnNode(*root_, query, k, qpath, heap, local);
+      FarthestKnnNode(nodes, root, query, k, qpath, heap, local);
     }
     std::sort(heap.begin(), heap.end(), FartherFirst);
     if (stats != nullptr) MergeSearchStats(stats, local);
@@ -230,6 +244,10 @@ class MvpTree {
   }
   const Metric& metric() const { return metric_; }
   const Options& options() const { return options_; }
+  /// The stored objects by id and the tree's arrays, which a flat arena is
+  /// laid out from (snapshot::flat::BuildFlatArena).
+  const std::vector<Object>& objects() const { return objects_; }
+  const TreeLayout& layout() const { return layout_; }
 
   /// Structural statistics. For a full mvp-tree of height h the paper gives
   /// 2*(m^(2h) - 1)/(m^2 - 1) vantage points and m^(2(h-1))*k leaf points;
@@ -237,7 +255,10 @@ class MvpTree {
   TreeStats Stats() const {
     TreeStats stats;
     stats.construction_distance_computations = construction_distances_;
-    if (root_ != nullptr) CollectStats(*root_, 1, stats);
+    const auto nodes = Access();
+    if (const NodeRec* root = nodes.Root(); root != nullptr) {
+      CollectStats(nodes, root, 1, stats);
+    }
     return stats;
   }
 
@@ -250,13 +271,15 @@ class MvpTree {
   /// deserializing untrusted bytes or when developing custom metrics.
   Status ValidateInvariants() const {
     std::vector<bool> seen(objects_.size(), false);
-    if (root_ == nullptr) {
+    const auto nodes = Access();
+    const NodeRec* root = nodes.Root();
+    if (root == nullptr) {
       return objects_.empty()
                  ? Status::OK()
                  : Status::Corruption("non-empty tree has no root");
     }
     std::vector<const Object*> ancestors;
-    MVP_RETURN_NOT_OK(ValidateNode(*root_, ancestors, seen));
+    MVP_RETURN_NOT_OK(ValidateNode(nodes, root, ancestors, seen));
     for (std::size_t id = 0; id < seen.size(); ++id) {
       if (!seen[id]) {
         return Status::Corruption("object " + std::to_string(id) +
@@ -280,14 +303,15 @@ class MvpTree {
     writer->Write<std::uint8_t>(options_.store_exact_bounds ? 1 : 0);
     writer->Write<std::uint64_t>(objects_.size());
     for (const Object& obj : objects_) codec.Write(*writer, obj);
-    writer->WriteVector(path_pool_);
-    WriteNode(writer, root_.get());
+    layout_.Write(writer, Order());
     return Status::OK();
   }
 
   /// Reconstructs a tree serialized by Serialize. `metric` must equal the
   /// build-time metric (stored distances are trusted, not recomputed).
-  /// Corrupted or truncated input yields a Corruption status, never UB.
+  /// Corrupted or truncated input yields a Corruption status, never UB;
+  /// more than 2^32-1 objects is InvalidArgument. TreeLayout::Read parses
+  /// the structure, for flat arenas too.
   template <CodecFor<Object> Codec>
   static Result<MvpTree> Deserialize(BinaryReader* reader, Metric metric,
                                      const Codec& codec) {
@@ -311,6 +335,9 @@ class MvpTree {
     }
     std::uint64_t count = 0;
     MVP_RETURN_NOT_OK(reader->Read<std::uint64_t>(&count));
+    if (count > kMaxTreeObjects) {
+      return Status::InvalidArgument("mvp-trees hold at most 2^32-1 objects");
+    }
     if (count > reader->remaining()) {
       // Every serialized object occupies at least one byte; cheap guard
       // against allocating from a corrupt count.
@@ -320,47 +347,18 @@ class MvpTree {
     for (auto& obj : objects) MVP_RETURN_NOT_OK(codec.Read(*reader, &obj));
 
     MvpTree tree(std::move(objects), std::move(metric), options);
-    MVP_RETURN_NOT_OK(reader->ReadVector(&tree.path_pool_));
-    auto root = ReadNode(reader, tree, 0);
-    if (!root.ok()) return root.status();
-    tree.root_ = std::move(root).ValueOrDie();
+    MVP_RETURN_NOT_OK(
+        tree.layout_.Read(reader, count, tree.Order(), tree.PathDistances()));
     return tree;
   }
 
   /// On-disk stream identity, public so other readers of the serialized
-  /// stream (the flat-arena transcoder, the snapshot store's fail-fast
-  /// options peek) share one definition instead of re-declaring magics.
+  /// stream (the snapshot store's fail-fast options peek) share one
+  /// definition instead of re-declaring magics.
   static constexpr std::uint32_t kMagic = 0x5450564d;  // "MVPT"
   static constexpr std::uint32_t kFormatVersion = 1;
-  static constexpr std::size_t kMaxDeserializeDepth = 512;
 
  private:
-  /// One data point stored in a leaf: its id, exact distances to the leaf's
-  /// two vantage points (the paper's D1[i], D2[i] arrays), and its PATH
-  /// distances to the first p ancestor vantage points, stored in a shared
-  /// flat pool to keep leaves cache-friendly.
-  struct LeafEntry {
-    std::size_t id = 0;
-    double d1 = 0.0;
-    double d2 = 0.0;
-    std::uint32_t path_offset = 0;
-    std::uint32_t path_length = 0;
-  };
-
-  struct Node {
-    bool is_leaf = false;
-    std::size_t vp1_id = 0;
-    std::size_t vp2_id = 0;
-    bool has_vp2 = false;
-    // Internal nodes: m shells around vp1 and, per first-level partition,
-    // m shells around vp2 — flattened as child index c = i*m + j.
-    std::vector<double> lower1, upper1;  // size m
-    std::vector<double> lower2, upper2;  // size m*m
-    std::vector<std::unique_ptr<Node>> children;  // size m*m
-    // Leaf nodes:
-    std::vector<LeafEntry> bucket;
-  };
-
   /// Construction working entry; `path` accumulates ancestor distances.
   struct Entry {
     std::size_t id = 0;
@@ -374,6 +372,18 @@ class MvpTree {
         metric_(std::move(metric)),
         options_(options) {}
 
+  std::size_t Order() const { return static_cast<std::size_t>(options_.order); }
+  std::size_t PathDistances() const {
+    return static_cast<std::size_t>(options_.num_path_distances);
+  }
+
+  /// The node accessor the shared §4.3 traversal (core/search_shared.h) and
+  /// every walk below run on; a flat view supplies the same one over its
+  /// arena.
+  TreeNodes<MvpTree> Access() const {
+    return {this, layout_.Arrays(Order(), PathDistances())};
+  }
+
   double Distance(const Object& a, const Object& b) {
     ++construction_distances_;
     return metric_(a, b);
@@ -383,7 +393,7 @@ class MvpTree {
     Rng rng(options_.seed);
     std::vector<Entry> entries(objects_.size());
     for (std::size_t i = 0; i < objects_.size(); ++i) entries[i].id = i;
-    root_ = BuildNode(entries, 0, entries.size(), rng);
+    BuildNode(entries, 0, entries.size(), rng);
   }
 
   /// §4.2's construction, generalized from m=2 to any m: the first vantage
@@ -391,21 +401,19 @@ class MvpTree {
   /// the second vantage point — drawn from the partition farthest from the
   /// first ("If the two vantage points were close to each other, they would
   /// not be able to effectively partition the dataset") — splits each group
-  /// into m subgroups.
-  std::unique_ptr<Node> BuildNode(std::vector<Entry>& entries,
-                                  std::size_t begin, std::size_t end,
-                                  Rng& rng) {
-    if (begin == end) return nullptr;
+  /// into m subgroups. Appends the subtree to layout_ in preorder and
+  /// returns its root's index, kNullChild for an empty range.
+  std::uint32_t BuildNode(std::vector<Entry>& entries, std::size_t begin,
+                          std::size_t end, Rng& rng) {
+    if (begin == end) return kNullChild;
     const std::size_t count = end - begin;
-    const std::size_t p =
-        static_cast<std::size_t>(options_.num_path_distances);
+    const std::size_t p = PathDistances();
 
     if (count <= static_cast<std::size_t>(options_.leaf_capacity) + 2) {
       return BuildLeaf(entries, begin, end, rng);
     }
 
-    auto node = std::make_unique<Node>();
-    const std::size_t m = static_cast<std::size_t>(options_.order);
+    const std::size_t m = Order();
 
     // -- First vantage point.
     const std::size_t vp1_pos = vptree::SelectVantagePoint(
@@ -413,8 +421,8 @@ class MvpTree {
         [&](std::size_t i) -> const Object& { return objects_[entries[i].id]; },
         metric_, rng, options_.selection, &construction_distances_);
     std::swap(entries[begin], entries[vp1_pos]);
-    node->vp1_id = entries[begin].id;
-    const Object& vp1 = objects_[node->vp1_id];
+    const std::size_t vp1_id = entries[begin].id;
+    const Object& vp1 = objects_[vp1_id];
 
     // d(Si, Sv1) for every remaining point; record in PATH while room.
     for (std::size_t i = begin + 1; i < end; ++i) {
@@ -440,9 +448,8 @@ class MvpTree {
     MVP_DCHECK(last_begin < end);  // count >= k+3 >= 4 ensures non-empty
     const std::size_t vp2_pos = last_begin + rng.NextIndex(end - last_begin);
     std::swap(entries[vp2_pos], entries[end - 1]);
-    node->vp2_id = entries[end - 1].id;
-    node->has_vp2 = true;
-    const Object& vp2 = objects_[node->vp2_id];
+    const std::size_t vp2_id = entries[end - 1].id;
+    const Object& vp2 = objects_[vp2_id];
     const std::size_t shrunk_end = end - 1;  // vp2 no longer a data point
 
     // d(Sj, Sv2) for every remaining point; record in PATH while room.
@@ -451,11 +458,17 @@ class MvpTree {
       if (entries[i].path.size() < p) entries[i].path.push_back(entries[i].d2);
     }
 
-    node->children.resize(m * m);
-    node->lower1.assign(m, 0.0);
-    node->upper1.assign(m, std::numeric_limits<double>::infinity());
-    node->lower2.assign(m * m, 0.0);
-    node->upper2.assign(m * m, std::numeric_limits<double>::infinity());
+    // The node precedes its children (preorder). Shells start open, and
+    // an empty partition keeps them so: lower 0, upper +inf.
+    const std::uint32_t index = layout_.AddInternal(
+        static_cast<std::uint32_t>(vp1_id), static_cast<std::uint32_t>(vp2_id),
+        m);
+    const std::size_t lower1 = layout_.nodes[index].begin;
+    const std::size_t upper1 = lower1 + m;
+    const std::size_t lower2 = upper1 + m;
+    const std::size_t upper2 = lower2 + m * m;
+    const std::size_t slots = layout_.nodes[index].children;
+    std::vector<double>& bounds = layout_.bounds;
 
     double prev_cutoff1 = 0.0;
     for (std::size_t g = 0; g < m; ++g) {
@@ -464,14 +477,13 @@ class MvpTree {
       if (g_begin >= g_end) continue;  // tiny node: empty partition
 
       // Shell bounds around vp1 for this group.
+      auto [mn, mx] = MinMaxD1(entries, g_begin, g_end);
       if (options_.store_exact_bounds) {
-        auto [mn, mx] = MinMaxD1(entries, g_begin, g_end);
-        node->lower1[g] = mn;
-        node->upper1[g] = mx;
+        bounds[lower1 + g] = mn;
+        bounds[upper1 + g] = mx;
       } else {
-        auto [mn, mx] = MinMaxD1(entries, g_begin, g_end);
-        node->lower1[g] = g == 0 ? 0.0 : prev_cutoff1;
-        node->upper1[g] =
+        bounds[lower1 + g] = g == 0 ? 0.0 : prev_cutoff1;
+        bounds[upper1 + g] =
             g + 1 == m ? std::numeric_limits<double>::infinity() : mx;
         prev_cutoff1 = mx;
       }
@@ -488,34 +500,34 @@ class MvpTree {
         if (s_begin >= s_end) continue;
         const std::size_t c = g * m + s;
         if (options_.store_exact_bounds) {
-          node->lower2[c] = entries[s_begin].d2;
-          node->upper2[c] = entries[s_end - 1].d2;
+          bounds[lower2 + c] = entries[s_begin].d2;
+          bounds[upper2 + c] = entries[s_end - 1].d2;
         } else {
-          node->lower2[c] = s == 0 ? 0.0 : prev_cutoff2;
-          node->upper2[c] = s + 1 == m
-                                ? std::numeric_limits<double>::infinity()
-                                : entries[s_end - 1].d2;
+          bounds[lower2 + c] = s == 0 ? 0.0 : prev_cutoff2;
+          bounds[upper2 + c] = s + 1 == m
+                                   ? std::numeric_limits<double>::infinity()
+                                   : entries[s_end - 1].d2;
           prev_cutoff2 = entries[s_end - 1].d2;
         }
-        node->children[c] = BuildNode(entries, s_begin, s_end, rng);
+        const std::uint32_t child = BuildNode(entries, s_begin, s_end, rng);
+        layout_.children[slots + c] = child;
       }
     }
-    return node;
+    return index;
   }
 
-  std::unique_ptr<Node> BuildLeaf(std::vector<Entry>& entries,
-                                  std::size_t begin, std::size_t end,
-                                  Rng& rng) {
-    auto leaf = std::make_unique<Node>();
-    leaf->is_leaf = true;
+  std::uint32_t BuildLeaf(std::vector<Entry>& entries, std::size_t begin,
+                          std::size_t end, Rng& rng) {
     const std::size_t count = end - begin;
 
     // First vantage point: arbitrary (2.1).
     const std::size_t vp1_pos = begin + rng.NextIndex(count);
     std::swap(entries[begin], entries[vp1_pos]);
-    leaf->vp1_id = entries[begin].id;
-    const Object& vp1 = objects_[leaf->vp1_id];
-    if (count == 1) return leaf;  // single point: vantage point only
+    const auto vp1_id = static_cast<std::uint32_t>(entries[begin].id);
+    if (count == 1) {  // single point: vantage point only
+      return layout_.AddLeaf(vp1_id, 0, false, 0, 0);
+    }
+    const Object& vp1 = objects_[vp1_id];
 
     // D1 for the rest (2.3); second vantage point = farthest from the first
     // (2.4: "the farthest point may very well be the best candidate").
@@ -525,25 +537,29 @@ class MvpTree {
       if (entries[i].d1 > entries[farthest].d1) farthest = i;
     }
     std::swap(entries[begin + 1], entries[farthest]);
-    leaf->vp2_id = entries[begin + 1].id;
-    leaf->has_vp2 = true;
-    const Object& vp2 = objects_[leaf->vp2_id];
+    const auto vp2_id = static_cast<std::uint32_t>(entries[begin + 1].id);
+    const Object& vp2 = objects_[vp2_id];
 
-    // D2 for the data points (2.6) and bucket materialization.
-    leaf->bucket.reserve(count - 2);
+    // D2 for the data points (2.6), then the leaf's columns and PATH slab.
+    // Every point of a leaf passed the same ancestors, so all keep the
+    // same number of PATH distances.
+    const std::size_t n = count - 2;
+    const std::size_t path_length = n > 0 ? entries[begin + 2].path.size() : 0;
     for (std::size_t i = begin + 2; i < end; ++i) {
       entries[i].d2 = Distance(vp2, objects_[entries[i].id]);
-      LeafEntry e;
-      e.id = entries[i].id;
-      e.d1 = entries[i].d1;
-      e.d2 = entries[i].d2;
-      e.path_offset = static_cast<std::uint32_t>(path_pool_.size());
-      e.path_length = static_cast<std::uint32_t>(entries[i].path.size());
-      path_pool_.insert(path_pool_.end(), entries[i].path.begin(),
-                        entries[i].path.end());
-      leaf->bucket.push_back(e);
+      layout_.ids.push_back(static_cast<std::uint32_t>(entries[i].id));
+      layout_.d1.push_back(entries[i].d1);
+      layout_.d2.push_back(entries[i].d2);
     }
-    return leaf;
+    const std::uint32_t index =
+        layout_.AddLeaf(vp1_id, vp2_id, true, n, path_length);
+    double* slab = layout_.path.data() + layout_.leafpaths[index].slab_offset;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::vector<double>& path = entries[begin + 2 + i].path;
+      MVP_DCHECK(path.size() == path_length);
+      for (std::size_t j = 0; j < path_length; ++j) slab[j * n + i] = path[j];
+    }
+    return index;
   }
 
   static std::pair<double, double> MinMaxD1(const std::vector<Entry>& entries,
@@ -560,43 +576,10 @@ class MvpTree {
     return {mn, mx};
   }
 
-  // ---------------------------------------------------------------- search
-
-  /// The node accessor the shared §4.3 traversal (core/search_shared.h)
-  /// runs on; the flat views supply the same interface over arena bytes.
-  struct Nodes {
-    const MvpTree* tree;
-
-    const Node* Root() const { return tree->root_.get(); }
-    std::size_t Order() const {
-      return static_cast<std::size_t>(tree->options_.order);
-    }
-    std::size_t PathDistances() const {
-      return static_cast<std::size_t>(tree->options_.num_path_distances);
-    }
-    static constexpr std::size_t Levels() { return 2; }
-    bool IsLeaf(const Node* n) const { return n->is_leaf; }
-    std::size_t VpCount(const Node* n) const { return n->has_vp2 ? 2 : 1; }
-    std::size_t Vp(const Node* n, std::size_t l) const {
-      return l == 0 ? n->vp1_id : n->vp2_id;
-    }
-    ShellBounds Shells(const Node* n, std::size_t l) const {
-      return l == 0 ? ShellBounds{n->lower1.data(), n->upper1.data()}
-                    : ShellBounds{n->lower2.data(), n->upper2.data()};
-    }
-    const Node* Child(const Node* n, std::size_t c) const {
-      return n->children[c].get();
-    }
-    AosLeaf<LeafEntry> Leaf(const Node* n) const {
-      return {n->bucket.data(), n->bucket.size(), tree->path_pool_.data()};
-    }
-    const Metric& metric() const { return tree->metric_; }
-    const Object& object(std::size_t id) const { return tree->objects_[id]; }
-  };
-
   // --------------------------------------------------------- validation
 
-  Status ValidateNode(const Node& node, std::vector<const Object*>& ancestors,
+  Status ValidateNode(const TreeNodes<MvpTree>& nodes, const NodeRec* node,
+                      std::vector<const Object*>& ancestors,
                       std::vector<bool>& seen) const {
     auto mark = [&](std::size_t id) -> Status {
       if (id >= objects_.size()) {
@@ -609,32 +592,34 @@ class MvpTree {
       seen[id] = true;
       return Status::OK();
     };
-    MVP_RETURN_NOT_OK(mark(node.vp1_id));
-    if (node.has_vp2) MVP_RETURN_NOT_OK(mark(node.vp2_id));
+    const bool has_vp2 = nodes.VpCount(node) == 2;
+    MVP_RETURN_NOT_OK(mark(nodes.Vp(node, 0)));
+    if (has_vp2) MVP_RETURN_NOT_OK(mark(nodes.Vp(node, 1)));
 
-    const Object& vp1 = objects_[node.vp1_id];
-    const Object* vp2 = node.has_vp2 ? &objects_[node.vp2_id] : nullptr;
+    const Object& vp1 = objects_[nodes.Vp(node, 0)];
+    const Object* vp2 = has_vp2 ? &objects_[nodes.Vp(node, 1)] : nullptr;
     constexpr double kTol = 1e-9;
 
-    if (node.is_leaf) {
-      for (const LeafEntry& x : node.bucket) {
-        MVP_RETURN_NOT_OK(mark(x.id));
-        const Object& obj = objects_[x.id];
-        if (std::abs(metric_(obj, vp1) - x.d1) > kTol) {
+    if (nodes.IsLeaf(node)) {
+      const SoaLeaf leaf = nodes.Leaf(node);
+      const std::size_t expect_path =
+          std::min(ancestors.size(), PathDistances());
+      for (std::size_t i = 0; i < leaf.size(); ++i) {
+        MVP_RETURN_NOT_OK(mark(leaf.id(i)));
+        const Object& obj = objects_[leaf.id(i)];
+        if (std::abs(metric_(obj, vp1) - leaf.d1s[i]) > kTol) {
           return Status::Corruption("leaf D1 mismatches actual distance");
         }
-        if (vp2 != nullptr && std::abs(metric_(obj, *vp2) - x.d2) > kTol) {
+        if (vp2 != nullptr &&
+            std::abs(metric_(obj, *vp2) - leaf.d2s[i]) > kTol) {
           return Status::Corruption("leaf D2 mismatches actual distance");
         }
-        const std::size_t expect_path = std::min(
-            ancestors.size(),
-            static_cast<std::size_t>(options_.num_path_distances));
-        if (x.path_length != expect_path) {
+        if (leaf.path_length != expect_path) {
           return Status::Corruption("leaf PATH length mismatch");
         }
-        for (std::size_t j = 0; j < x.path_length; ++j) {
+        for (std::size_t j = 0; j < leaf.path_length; ++j) {
           if (std::abs(metric_(obj, *ancestors[j]) -
-                       path_pool_[x.path_offset + j]) > kTol) {
+                       leaf.slab[j * leaf.count + i]) > kTol) {
             return Status::Corruption("leaf PATH distance mismatch");
           }
         }
@@ -642,35 +627,32 @@ class MvpTree {
       return Status::OK();
     }
 
-    const std::size_t m = static_cast<std::size_t>(options_.order);
-    if (node.children.size() != m * m) {
-      return Status::Corruption("internal node child count mismatch");
-    }
+    const std::size_t m = Order();
     const Object* const vps[] = {&vp1, vp2};
-    PathScope<const Object*> path(
-        ancestors, static_cast<std::size_t>(options_.num_path_distances), vps);
+    PathScope<const Object*> path(ancestors, PathDistances(), vps);
+    const ShellBounds shells1 = nodes.Shells(node, 0);
+    const ShellBounds shells2 = nodes.Shells(node, 1);
     Status status;
     for (std::size_t g = 0; g < m && status.ok(); ++g) {
       for (std::size_t s = 0; s < m && status.ok(); ++s) {
         const std::size_t c = g * m + s;
-        if (node.children[c] == nullptr) continue;
-        status = ValidateShell(*node.children[c], vp1, node.lower1[g],
-                               node.upper1[g]);
+        const NodeRec* child = nodes.Child(node, c);
+        if (child == nullptr) continue;
+        status = ValidateShell(nodes, child, vp1, shells1.lower[g],
+                               shells1.upper[g]);
         if (status.ok() && vp2 != nullptr) {
-          status = ValidateShell(*node.children[c], *vp2, node.lower2[c],
-                                 node.upper2[c]);
+          status = ValidateShell(nodes, child, *vp2, shells2.lower[c],
+                                 shells2.upper[c]);
         }
-        if (status.ok()) {
-          status = ValidateNode(*node.children[c], ancestors, seen);
-        }
+        if (status.ok()) status = ValidateNode(nodes, child, ancestors, seen);
       }
     }
     return status;
   }
 
   /// Every point of `subtree` must lie in [lo, hi] around `vp`.
-  Status ValidateShell(const Node& subtree, const Object& vp, double lo,
-                       double hi) const {
+  Status ValidateShell(const TreeNodes<MvpTree>& nodes, const NodeRec* subtree,
+                       const Object& vp, double lo, double hi) const {
     constexpr double kTol = 1e-9;
     auto check = [&](std::size_t id) -> Status {
       const double d = metric_(objects_[id], vp);
@@ -679,117 +661,22 @@ class MvpTree {
       }
       return Status::OK();
     };
-    MVP_RETURN_NOT_OK(check(subtree.vp1_id));
-    if (subtree.has_vp2) MVP_RETURN_NOT_OK(check(subtree.vp2_id));
-    if (subtree.is_leaf) {
-      for (const LeafEntry& x : subtree.bucket) MVP_RETURN_NOT_OK(check(x.id));
+    for (std::size_t l = 0; l < nodes.VpCount(subtree); ++l) {
+      MVP_RETURN_NOT_OK(check(nodes.Vp(subtree, l)));
+    }
+    if (nodes.IsLeaf(subtree)) {
+      const SoaLeaf leaf = nodes.Leaf(subtree);
+      for (std::size_t i = 0; i < leaf.size(); ++i) {
+        MVP_RETURN_NOT_OK(check(leaf.id(i)));
+      }
       return Status::OK();
     }
-    for (const auto& child : subtree.children) {
-      if (child != nullptr) MVP_RETURN_NOT_OK(ValidateShell(*child, vp, lo, hi));
+    for (std::size_t c = 0; c < Order() * Order(); ++c) {
+      if (const NodeRec* child = nodes.Child(subtree, c); child != nullptr) {
+        MVP_RETURN_NOT_OK(ValidateShell(nodes, child, vp, lo, hi));
+      }
     }
     return Status::OK();
-  }
-
-  // ------------------------------------------------------- serialization
-
-  static void WriteNode(BinaryWriter* writer, const Node* node) {
-    if (node == nullptr) {
-      writer->Write<std::uint8_t>(0);
-      return;
-    }
-    writer->Write<std::uint8_t>(node->is_leaf ? 1 : 2);
-    writer->Write<std::uint64_t>(node->vp1_id);
-    writer->Write<std::uint8_t>(node->has_vp2 ? 1 : 0);
-    writer->Write<std::uint64_t>(node->vp2_id);
-    if (node->is_leaf) {
-      writer->Write<std::uint64_t>(node->bucket.size());
-      for (const LeafEntry& e : node->bucket) {
-        writer->Write<std::uint64_t>(e.id);
-        writer->Write<double>(e.d1);
-        writer->Write<double>(e.d2);
-        writer->Write<std::uint32_t>(e.path_offset);
-        writer->Write<std::uint32_t>(e.path_length);
-      }
-      return;
-    }
-    writer->WriteVector(node->lower1);
-    writer->WriteVector(node->upper1);
-    writer->WriteVector(node->lower2);
-    writer->WriteVector(node->upper2);
-    for (const auto& child : node->children) WriteNode(writer, child.get());
-  }
-
-  static Result<std::unique_ptr<Node>> ReadNode(BinaryReader* reader,
-                                                const MvpTree& tree,
-                                                std::size_t depth) {
-    if (depth > kMaxDeserializeDepth) {
-      return Status::Corruption("mvp-tree nesting too deep");
-    }
-    std::uint8_t tag = 0;
-    MVP_RETURN_NOT_OK(reader->Read<std::uint8_t>(&tag));
-    if (tag == 0) return std::unique_ptr<Node>();
-    if (tag > 2) return Status::Corruption("bad mvp-tree node tag");
-
-    auto node = std::make_unique<Node>();
-    node->is_leaf = tag == 1;
-    std::uint64_t vp1 = 0, vp2 = 0;
-    std::uint8_t has_vp2 = 0;
-    MVP_RETURN_NOT_OK(reader->Read<std::uint64_t>(&vp1));
-    MVP_RETURN_NOT_OK(reader->Read<std::uint8_t>(&has_vp2));
-    MVP_RETURN_NOT_OK(reader->Read<std::uint64_t>(&vp2));
-    const std::size_t n = tree.objects_.size();
-    if (vp1 >= n || (has_vp2 != 0 && vp2 >= n)) {
-      return Status::Corruption("vantage point id out of range");
-    }
-    if (!node->is_leaf && has_vp2 == 0) {
-      return Status::Corruption(
-          "internal mvp-tree node lacks a second vantage point");
-    }
-    node->vp1_id = static_cast<std::size_t>(vp1);
-    node->vp2_id = static_cast<std::size_t>(vp2);
-    node->has_vp2 = has_vp2 != 0;
-
-    if (node->is_leaf) {
-      std::uint64_t bucket_size = 0;
-      MVP_RETURN_NOT_OK(reader->Read<std::uint64_t>(&bucket_size));
-      if (bucket_size > reader->remaining()) {
-        return Status::Corruption("leaf bucket size exceeds buffer");
-      }
-      node->bucket.resize(static_cast<std::size_t>(bucket_size));
-      for (LeafEntry& e : node->bucket) {
-        std::uint64_t id = 0;
-        MVP_RETURN_NOT_OK(reader->Read<std::uint64_t>(&id));
-        MVP_RETURN_NOT_OK(reader->Read<double>(&e.d1));
-        MVP_RETURN_NOT_OK(reader->Read<double>(&e.d2));
-        MVP_RETURN_NOT_OK(reader->Read<std::uint32_t>(&e.path_offset));
-        MVP_RETURN_NOT_OK(reader->Read<std::uint32_t>(&e.path_length));
-        if (id >= n) return Status::Corruption("leaf point id out of range");
-        if (static_cast<std::size_t>(e.path_offset) + e.path_length >
-            tree.path_pool_.size()) {
-          return Status::Corruption("leaf PATH slice out of pool range");
-        }
-        e.id = static_cast<std::size_t>(id);
-      }
-      return node;
-    }
-
-    const std::size_t m = static_cast<std::size_t>(tree.options_.order);
-    MVP_RETURN_NOT_OK(reader->ReadVector(&node->lower1));
-    MVP_RETURN_NOT_OK(reader->ReadVector(&node->upper1));
-    MVP_RETURN_NOT_OK(reader->ReadVector(&node->lower2));
-    MVP_RETURN_NOT_OK(reader->ReadVector(&node->upper2));
-    if (node->lower1.size() != m || node->upper1.size() != m ||
-        node->lower2.size() != m * m || node->upper2.size() != m * m) {
-      return Status::Corruption("internal node bound arrays malformed");
-    }
-    node->children.resize(m * m);
-    for (auto& child : node->children) {
-      auto sub = ReadNode(reader, tree, depth + 1);
-      if (!sub.ok()) return sub.status();
-      child = std::move(sub).ValueOrDie();
-    }
-    return node;
   }
 
   // ------------------------------------------------------ farthest search
@@ -799,60 +686,64 @@ class MvpTree {
     return a.id < b.id;
   }
 
-  /// Upper bound on d(Q, x) for a leaf entry from the stored distances:
+  /// Upper bound on d(Q, x) for leaf entry i from the stored distances:
   /// d(Q,x) <= d(Q,sv) + d(x,sv) for every stored vantage point.
-  double LeafUpperBound(const Node& node, const LeafEntry& x, double d1,
-                        double d2, const std::vector<double>& qpath) const {
-    double ub = d1 + x.d1;
-    if (node.has_vp2) ub = std::min(ub, d2 + x.d2);
-    const std::size_t checks =
-        std::min(qpath.size(), static_cast<std::size_t>(x.path_length));
-    for (std::size_t j = 0; j < checks; ++j) {
-      ub = std::min(ub, qpath[j] + path_pool_[x.path_offset + j]);
+  static double LeafUpperBound(const SoaLeaf& leaf, std::size_t i,
+                               bool has_vp2, double d1, double d2,
+                               const std::vector<double>& qpath) {
+    double ub = d1 + leaf.d1s[i];
+    if (has_vp2) ub = std::min(ub, d2 + leaf.d2s[i]);
+    for (std::size_t j = 0; j < leaf.Checks(qpath); ++j) {
+      ub = std::min(ub, qpath[j] + leaf.slab[j * leaf.count + i]);
     }
     return ub;
   }
 
-  void FarthestRangeNode(const Node& node, const Object& query, double radius,
+  void FarthestRangeNode(const TreeNodes<MvpTree>& nodes, const NodeRec* node,
+                         const Object& query, double radius,
                          std::vector<double>& qpath,
                          std::vector<Neighbor>& result,
                          SearchStats& stats) const {
     ++stats.nodes_visited;
-    const double d1 = metric_(query, objects_[node.vp1_id]);
+    const std::size_t vp1_id = nodes.Vp(node, 0);
+    const double d1 = metric_(query, objects_[vp1_id]);
     ++stats.distance_computations;
-    if (d1 >= radius) result.push_back(Neighbor{node.vp1_id, d1});
+    if (d1 >= radius) result.push_back(Neighbor{vp1_id, d1});
+    const bool has_vp2 = nodes.VpCount(node) == 2;
     double d2 = 0.0;
-    if (node.has_vp2) {
-      d2 = metric_(query, objects_[node.vp2_id]);
+    if (has_vp2) {
+      const std::size_t vp2_id = nodes.Vp(node, 1);
+      d2 = metric_(query, objects_[vp2_id]);
       ++stats.distance_computations;
-      if (d2 >= radius) result.push_back(Neighbor{node.vp2_id, d2});
+      if (d2 >= radius) result.push_back(Neighbor{vp2_id, d2});
     }
-    if (node.is_leaf) {
-      for (const LeafEntry& x : node.bucket) {
+    if (nodes.IsLeaf(node)) {
+      const SoaLeaf leaf = nodes.Leaf(node);
+      for (std::size_t i = 0; i < leaf.size(); ++i) {
         ++stats.leaf_points_seen;
-        if (LeafUpperBound(node, x, d1, d2, qpath) < radius) {
+        if (LeafUpperBound(leaf, i, has_vp2, d1, d2, qpath) < radius) {
           ++stats.leaf_points_filtered;
           continue;
         }
-        const double d = metric_(query, objects_[x.id]);
+        const double d = metric_(query, objects_[leaf.id(i)]);
         ++stats.distance_computations;
-        if (d >= radius) result.push_back(Neighbor{x.id, d});
+        if (d >= radius) result.push_back(Neighbor{leaf.id(i), d});
       }
       return;
     }
-    PathScope<double> path(
-        qpath, static_cast<std::size_t>(options_.num_path_distances),
-        std::array{d1, d2});
-    const std::size_t m = static_cast<std::size_t>(options_.order);
+    PathScope<double> path(qpath, PathDistances(), std::array{d1, d2});
+    const std::size_t m = Order();
+    const ShellBounds shells1 = nodes.Shells(node, 0);
+    const ShellBounds shells2 = nodes.Shells(node, 1);
     for (std::size_t g = 0; g < m; ++g) {
       // Max possible distance within shell g: d1 + upper1[g].
-      if (d1 + node.upper1[g] < radius) continue;
+      if (d1 + shells1.upper[g] < radius) continue;
       for (std::size_t s = 0; s < m; ++s) {
         const std::size_t c = g * m + s;
-        if (node.children[c] == nullptr) continue;
-        if (d2 + node.upper2[c] < radius) continue;
-        FarthestRangeNode(*node.children[c], query, radius, qpath, result,
-                          stats);
+        const NodeRec* child = nodes.Child(node, c);
+        if (child == nullptr) continue;
+        if (d2 + shells2.upper[c] < radius) continue;
+        FarthestRangeNode(nodes, child, query, radius, qpath, result, stats);
       }
     }
   }
@@ -877,80 +768,88 @@ class MvpTree {
     }
   }
 
-  void FarthestKnnNode(const Node& node, const Object& query, std::size_t k,
+  void FarthestKnnNode(const TreeNodes<MvpTree>& nodes, const NodeRec* node,
+                       const Object& query, std::size_t k,
                        std::vector<double>& qpath,
                        std::vector<Neighbor>& heap,
                        SearchStats& stats) const {
     ++stats.nodes_visited;
-    const double d1 = metric_(query, objects_[node.vp1_id]);
+    const std::size_t vp1_id = nodes.Vp(node, 0);
+    const double d1 = metric_(query, objects_[vp1_id]);
     ++stats.distance_computations;
-    OfferFar(heap, k, Neighbor{node.vp1_id, d1});
+    OfferFar(heap, k, Neighbor{vp1_id, d1});
+    const bool has_vp2 = nodes.VpCount(node) == 2;
     double d2 = 0.0;
-    if (node.has_vp2) {
-      d2 = metric_(query, objects_[node.vp2_id]);
+    if (has_vp2) {
+      const std::size_t vp2_id = nodes.Vp(node, 1);
+      d2 = metric_(query, objects_[vp2_id]);
       ++stats.distance_computations;
-      OfferFar(heap, k, Neighbor{node.vp2_id, d2});
+      OfferFar(heap, k, Neighbor{vp2_id, d2});
     }
-    if (node.is_leaf) {
-      for (const LeafEntry& x : node.bucket) {
+    if (nodes.IsLeaf(node)) {
+      const SoaLeaf leaf = nodes.Leaf(node);
+      for (std::size_t i = 0; i < leaf.size(); ++i) {
         ++stats.leaf_points_seen;
-        if (LeafUpperBound(node, x, d1, d2, qpath) < FarTau(heap, k)) {
+        if (LeafUpperBound(leaf, i, has_vp2, d1, d2, qpath) <
+            FarTau(heap, k)) {
           ++stats.leaf_points_filtered;
           continue;
         }
-        const double d = metric_(query, objects_[x.id]);
+        const double d = metric_(query, objects_[leaf.id(i)]);
         ++stats.distance_computations;
-        OfferFar(heap, k, Neighbor{x.id, d});
+        OfferFar(heap, k, Neighbor{leaf.id(i), d});
       }
       return;
     }
-    PathScope<double> path(
-        qpath, static_cast<std::size_t>(options_.num_path_distances),
-        std::array{d1, d2});
+    PathScope<double> path(qpath, PathDistances(), std::array{d1, d2});
     // Visit children in decreasing order of their distance upper bound.
     struct Ranked {
       double bound;
-      std::size_t child;
+      const NodeRec* child;
     };
-    const std::size_t m = static_cast<std::size_t>(options_.order);
+    const std::size_t m = Order();
+    const ShellBounds shells1 = nodes.Shells(node, 0);
+    const ShellBounds shells2 = nodes.Shells(node, 1);
     std::vector<Ranked> ranked;
     ranked.reserve(m * m);
     for (std::size_t g = 0; g < m; ++g) {
       for (std::size_t s = 0; s < m; ++s) {
         const std::size_t c = g * m + s;
-        if (node.children[c] == nullptr) continue;
+        const NodeRec* child = nodes.Child(node, c);
+        if (child == nullptr) continue;
         ranked.push_back(Ranked{
-            std::min(d1 + node.upper1[g], d2 + node.upper2[c]), c});
+            std::min(d1 + shells1.upper[g], d2 + shells2.upper[c]), child});
       }
     }
     std::sort(ranked.begin(), ranked.end(),
               [](const Ranked& a, const Ranked& b) { return a.bound > b.bound; });
     for (const Ranked& r : ranked) {
       if (r.bound < FarTau(heap, k)) break;
-      FarthestKnnNode(*node.children[r.child], query, k, qpath, heap, stats);
+      FarthestKnnNode(nodes, r.child, query, k, qpath, heap, stats);
     }
   }
 
-  void CollectStats(const Node& node, std::size_t depth,
-                    TreeStats& stats) const {
+  void CollectStats(const TreeNodes<MvpTree>& nodes, const NodeRec* node,
+                    std::size_t depth, TreeStats& stats) const {
     stats.height = std::max(stats.height, depth);
-    stats.num_vantage_points += node.has_vp2 ? 2 : 1;
-    if (node.is_leaf) {
+    stats.num_vantage_points += nodes.VpCount(node);
+    if (nodes.IsLeaf(node)) {
       ++stats.num_leaf_nodes;
-      stats.num_leaf_points += node.bucket.size();
+      stats.num_leaf_points += nodes.Leaf(node).size();
       return;
     }
     ++stats.num_internal_nodes;
-    for (const auto& child : node.children) {
-      if (child != nullptr) CollectStats(*child, depth + 1, stats);
+    for (std::size_t c = 0; c < Order() * Order(); ++c) {
+      if (const NodeRec* child = nodes.Child(node, c); child != nullptr) {
+        CollectStats(nodes, child, depth + 1, stats);
+      }
     }
   }
 
   std::vector<Object> objects_;
   Metric metric_;
   Options options_;
-  std::unique_ptr<Node> root_;
-  std::vector<double> path_pool_;
+  TreeLayout layout_;
   std::uint64_t construction_distances_ = 0;
 };
 

@@ -18,17 +18,15 @@
 /// \file
 /// The mvp-tree search of §4.3, written once for every representation.
 ///
-/// The heap tree (core/mvp_tree.h, array-of-structs leaves) and the flat
-/// arena (snapshot/flat_tree.h, structure-of-arrays leaves) store the same
-/// logical tree in different bytes, and GeneralizedMvpTree
+/// The heap tree (core/mvp_tree.h) and the flat arena (snapshot/flat_tree.h)
+/// hold the same structure-of-arrays layout and share one node accessor,
+/// core::TreeNodes (core/tree_layout.h); GeneralizedMvpTree
 /// (core/generalized_mvp_tree.h) keeps v vantage points per node instead of
-/// two. Each supplies only a small node accessor, and the range and k-NN
-/// recursions below run on it. Everything that decides results and
-/// SearchStats lives here once — the order of metric calls, the counters,
-/// root priming, the exclusion rule, PATH bookkeeping, shell pruning, child
-/// ranking and leaf filtering — so the heap tree and the flat arena are
-/// bit-identical in results and stats by construction, and
-/// tests/search_counts_golden_test.cc pins the counts.
+/// two and supplies its own. The range and k-NN recursions below run on an
+/// accessor. Everything that decides results and SearchStats lives here
+/// once — the order of metric calls, the counters, root priming, the
+/// exclusion rule, PATH bookkeeping, shell pruning, child ranking and leaf
+/// filtering — and tests/search_counts_golden_test.cc pins the counts.
 ///
 /// A node accessor is a cheap value with, for a node handle `NodeRef` (a
 /// pointer; null means "no node"):
@@ -60,7 +58,7 @@
 /// A leaf cursor has size(), id(i), the per-entry annulus test
 /// Passes(i, LeafQuery, r) used against k-NN's shrinking radius, and
 /// optionally a 64-wide range-mode mask Mask(base, n, LeafQuery, r); a
-/// cursor without one (AosLeaf, the heap tree's) is masked entry by entry.
+/// cursor without one (GeneralizedMvpTree's) is masked entry by entry.
 
 namespace mvp::core {
 
@@ -199,26 +197,6 @@ struct LeafQuery {
       if (std::abs(qpath[j] - xpath[j * stride]) > r) return false;
     }
     return true;
-  }
-};
-
-/// Leaf cursor over array-of-structs entries, used by the heap tree's
-/// buckets only: each entry has an id, D1, D2 and a path_offset /
-/// path_length slice of a shared PATH pool.
-template <typename Entry>
-struct AosLeaf {
-  const Entry* entries;
-  std::size_t count;
-  const double* path;
-
-  std::size_t size() const { return count; }
-  std::size_t id(std::size_t i) const { return entries[i].id; }
-  bool Passes(std::size_t i, const LeafQuery& q, double r) const {
-    const Entry& x = entries[i];
-    const std::size_t checks =
-        std::min(q.qpath.size(), static_cast<std::size_t>(x.path_length));
-    return q.Admits<2>([&x](std::size_t l) { return l == 0 ? x.d1 : x.d2; },
-                       path + x.path_offset, 1, checks, r);
   }
 };
 

@@ -5,152 +5,20 @@
 #include <span>
 #include <string>
 
+#include "common/codec.h"
 #include "common/serialize.h"
-#include "core/mvp_tree.h"
 #include "metric/lp.h"
 
 /// \file
-/// Flat-arena transcoding (serialized MvpTree stream or v1 arena -> v2
-/// arena) and untrusted-arena validation. Non-template code: the arena
-/// layout is object-type-specific (dense real vectors), which is what makes
-/// the in-place VectorView serving possible at all.
+/// Flat-arena layout (a heap tree's arrays, a serialized MvpTree stream or
+/// a v1 arena -> v2 arena) and untrusted-arena validation. Non-template
+/// code: the arena layout is object-type-specific (dense real vectors),
+/// which is what makes the in-place VectorView serving possible at all.
 
 namespace mvp::snapshot::flat {
 namespace {
 
-// The stream being transcoded is exactly what MvpTree::Serialize emits;
-// share its identity constants (any instantiation carries the same values).
-using SourceTree = core::MvpTree<metric::Vector, metric::L2>;
-
 std::uint64_t Align8(std::uint64_t v) { return (v + 7) & ~std::uint64_t{7}; }
-
-/// A v1-shaped arena that EmitArena lays out as v2: the header's options,
-/// dim, object count and root, and spans that are exactly a v1 arena's
-/// sections. They view an ArenaBuilder's vectors, or a validated v1 arena
-/// in place, so the upgrade copies nothing before emitting.
-struct ArenaSections {
-  FlatHeaderRec header;
-  std::span<const double> objects;
-  std::span<const double> path;
-  std::span<const double> bounds;
-  std::span<const FlatLeafEntryRec> entries;
-  std::span<const FlatNodeRec> nodes;
-  std::span<const std::uint32_t> children;
-};
-
-/// Mutable arena-in-progress, appended during the preorder walk of a
-/// stream; Sections() views it for EmitArena.
-struct ArenaBuilder {
-  FlatHeaderRec header;
-  std::vector<double> objects;
-  std::vector<double> path;
-  std::vector<double> bounds;
-  std::vector<FlatLeafEntryRec> entries;
-  std::vector<FlatNodeRec> nodes;
-  std::vector<std::uint32_t> children;
-
-  ArenaSections Sections() const {
-    return {header, objects, path, bounds, entries, nodes, children};
-  }
-};
-
-/// Transcodes one serialized node (and, preorder, its subtree). Returns the
-/// flat node index, or kNoNode for a null child. Mirrors the validation of
-/// MvpTree::ReadNode so a stream the heap path would reject is rejected
-/// here too.
-Result<std::uint64_t> TranscodeNode(BinaryReader* reader, ArenaBuilder* b,
-                                    std::size_t m, std::size_t depth) {
-  if (depth > kMaxFlatDepth) {
-    return Status::Corruption("mvp-tree nesting too deep");
-  }
-  std::uint8_t tag = 0;
-  MVP_RETURN_NOT_OK(reader->Read<std::uint8_t>(&tag));
-  if (tag == 0) return kNoNode;
-  if (tag > 2) return Status::Corruption("bad mvp-tree node tag");
-
-  std::uint64_t vp1 = 0, vp2 = 0;
-  std::uint8_t has_vp2 = 0;
-  MVP_RETURN_NOT_OK(reader->Read<std::uint64_t>(&vp1));
-  MVP_RETURN_NOT_OK(reader->Read<std::uint8_t>(&has_vp2));
-  MVP_RETURN_NOT_OK(reader->Read<std::uint64_t>(&vp2));
-  const std::uint64_t object_count = b->header.object_count;
-  if (vp1 >= object_count || (has_vp2 != 0 && vp2 >= object_count)) {
-    return Status::Corruption("vantage point id out of range");
-  }
-  if (tag == 2 && has_vp2 == 0) {
-    return Status::Corruption(
-        "internal mvp-tree node lacks a second vantage point");
-  }
-
-  const std::uint64_t index = b->nodes.size();
-  if (index >= kNullChild) {
-    return Status::Corruption("flat tree node count exceeds format limit");
-  }
-  b->nodes.emplace_back();  // filled below; children recurse after it
-  FlatNodeRec rec;
-  rec.vp1 = static_cast<std::uint32_t>(vp1);
-  rec.vp2 = static_cast<std::uint32_t>(vp2);
-  if (has_vp2 != 0) rec.flags |= kNodeHasVp2;
-
-  if (tag == 1) {  // leaf
-    rec.flags |= kNodeLeaf;
-    std::uint64_t bucket_size = 0;
-    MVP_RETURN_NOT_OK(reader->Read<std::uint64_t>(&bucket_size));
-    if (bucket_size > reader->remaining()) {
-      return Status::Corruption("leaf bucket size exceeds buffer");
-    }
-    rec.begin = b->entries.size();
-    rec.count = static_cast<std::uint32_t>(bucket_size);
-    for (std::uint64_t i = 0; i < bucket_size; ++i) {
-      FlatLeafEntryRec e;
-      std::uint64_t id = 0;
-      MVP_RETURN_NOT_OK(reader->Read<std::uint64_t>(&id));
-      MVP_RETURN_NOT_OK(reader->Read<double>(&e.d1));
-      MVP_RETURN_NOT_OK(reader->Read<double>(&e.d2));
-      MVP_RETURN_NOT_OK(reader->Read<std::uint32_t>(&e.path_offset));
-      MVP_RETURN_NOT_OK(reader->Read<std::uint32_t>(&e.path_length));
-      if (id >= object_count) {
-        return Status::Corruption("leaf point id out of range");
-      }
-      if (static_cast<std::size_t>(e.path_offset) + e.path_length >
-          b->path.size()) {
-        return Status::Corruption("leaf PATH slice out of pool range");
-      }
-      e.id = static_cast<std::uint32_t>(id);
-      b->entries.push_back(e);
-    }
-    b->nodes[static_cast<std::size_t>(index)] = rec;
-    return index;
-  }
-
-  // Internal node: bounds arrays, then m*m children, preorder.
-  std::vector<double> lower1, upper1, lower2, upper2;
-  MVP_RETURN_NOT_OK(reader->ReadVector(&lower1));
-  MVP_RETURN_NOT_OK(reader->ReadVector(&upper1));
-  MVP_RETURN_NOT_OK(reader->ReadVector(&lower2));
-  MVP_RETURN_NOT_OK(reader->ReadVector(&upper2));
-  if (lower1.size() != m || upper1.size() != m || lower2.size() != m * m ||
-      upper2.size() != m * m) {
-    return Status::Corruption("internal node bound arrays malformed");
-  }
-  rec.begin = b->bounds.size();
-  b->bounds.insert(b->bounds.end(), lower1.begin(), lower1.end());
-  b->bounds.insert(b->bounds.end(), upper1.begin(), upper1.end());
-  b->bounds.insert(b->bounds.end(), lower2.begin(), lower2.end());
-  b->bounds.insert(b->bounds.end(), upper2.begin(), upper2.end());
-  rec.children = b->children.size();
-  b->children.insert(b->children.end(), m * m, kNullChild);
-  b->nodes[static_cast<std::size_t>(index)] = rec;
-
-  for (std::size_t c = 0; c < m * m; ++c) {
-    auto child = TranscodeNode(reader, b, m, depth + 1);
-    if (!child.ok()) return child.status();
-    const std::uint64_t ci = child.value();
-    b->children[static_cast<std::size_t>(rec.children) + c] =
-        ci == kNoNode ? kNullChild : static_cast<std::uint32_t>(ci);
-  }
-  return index;
-}
 
 /// Copies a vector or span of trivially copyable records to `offset`.
 template <typename Section>
@@ -161,172 +29,99 @@ void CopySection(std::vector<std::uint8_t>* arena, std::uint64_t offset,
               values.size() * sizeof(values[0]));
 }
 
-/// v2 structure-of-arrays leaf sections, derived from the AoS entries the
-/// transcoder collected. Slabs are emitted leaf by leaf in node (preorder)
-/// order, so their offsets are the canonical gap-free sequence
-/// ParseFlatArena later enforces.
-struct SoaSections {
-  std::vector<std::uint32_t> ids;
-  std::vector<double> d1;
-  std::vector<double> d2;
-  std::vector<double> slab;  ///< replaces the v1 PATH pool
-  std::vector<FlatLeafPathRec> leafpaths;
-};
-
-Status BuildSoaSections(const ArenaSections& b, SoaSections* soa) {
-  soa->ids.reserve(b.entries.size());
-  soa->d1.reserve(b.entries.size());
-  soa->d2.reserve(b.entries.size());
-  for (const FlatLeafEntryRec& e : b.entries) {
-    soa->ids.push_back(e.id);
-    soa->d1.push_back(e.d1);
-    soa->d2.push_back(e.d2);
-  }
-  soa->leafpaths.resize(b.nodes.size());
-  for (std::size_t ni = 0; ni < b.nodes.size(); ++ni) {
-    const FlatNodeRec& node = b.nodes[ni];
-    if ((node.flags & kNodeLeaf) == 0) continue;
-    const std::size_t begin = static_cast<std::size_t>(node.begin);
-    FlatLeafPathRec lp;
-    lp.slab_offset = soa->slab.size();
-    lp.path_length = node.count > 0 ? b.entries[begin].path_length : 0;
-    for (std::uint32_t i = 0; i < node.count; ++i) {
-      if (b.entries[begin + i].path_length != lp.path_length) {
-        // The heap tree records one PATH prefix length per leaf; a stream
-        // with mixed lengths in a leaf has no SoA slab representation.
-        return Status::Corruption("leaf PATH lengths inconsistent in a leaf");
-      }
-    }
-    for (std::uint32_t j = 0; j < lp.path_length; ++j) {
-      for (std::uint32_t i = 0; i < node.count; ++i) {
-        soa->slab.push_back(b.path[b.entries[begin + i].path_offset + j]);
-      }
-    }
-    soa->leafpaths[ni] = lp;
-  }
-  return Status::OK();
-}
-
-/// Lays out `b` as a v2 arena. Every section offset stays 8-aligned (the
-/// u32 ids section can end off an 8-byte boundary, hence the explicit
-/// Align8 between sections).
-Result<std::vector<std::uint8_t>> EmitArena(const ArenaSections& b) {
-  SoaSections soa;
-  MVP_RETURN_NOT_OK(BuildSoaSections(b, &soa));
-
-  FlatHeaderRec h = b.header;
+/// Lays out `t` as a v2 arena behind header `h` (options, dim and object
+/// count filled) and the row-major `objects`. Every section offset stays
+/// 8-aligned (the u32 ids section can end off an 8-byte boundary, hence the
+/// explicit Align8 between sections).
+std::vector<std::uint8_t> EmitArena(FlatHeaderRec h,
+                                    std::span<const double> objects,
+                                    const core::TreeLayout& t) {
   h.version = kFlatVersionV2;
-  h.node_count = b.nodes.size();
+  h.reserved = 0;
+  h.node_count = t.nodes.size();
+  h.root = t.nodes.empty() ? kNoNode : 0;
   FlatHeaderExtRec ext;
   std::uint64_t offset = kFlatHeaderBytesV2;
   h.objects_offset = offset;
-  offset = Align8(offset + b.objects.size() * sizeof(double));
+  offset = Align8(offset + objects.size() * sizeof(double));
   h.path_offset = offset;
-  h.path_count = soa.slab.size();
-  offset = Align8(offset + soa.slab.size() * sizeof(double));
+  h.path_count = t.path.size();
+  offset = Align8(offset + t.path.size() * sizeof(double));
   h.bounds_offset = offset;
-  h.bounds_count = b.bounds.size();
-  offset = Align8(offset + b.bounds.size() * sizeof(double));
+  h.bounds_count = t.bounds.size();
+  offset = Align8(offset + t.bounds.size() * sizeof(double));
   h.entries_offset = offset;  // ids section in v2
-  h.entry_count = soa.ids.size();
-  offset = Align8(offset + soa.ids.size() * sizeof(std::uint32_t));
+  h.entry_count = t.ids.size();
+  offset = Align8(offset + t.ids.size() * sizeof(std::uint32_t));
   ext.d1_offset = offset;
-  offset = Align8(offset + soa.d1.size() * sizeof(double));
+  offset = Align8(offset + t.d1.size() * sizeof(double));
   ext.d2_offset = offset;
-  offset = Align8(offset + soa.d2.size() * sizeof(double));
+  offset = Align8(offset + t.d2.size() * sizeof(double));
   ext.leafpaths_offset = offset;
-  offset = Align8(offset + soa.leafpaths.size() * sizeof(FlatLeafPathRec));
+  offset = Align8(offset + t.leafpaths.size() * sizeof(core::LeafPathRec));
   h.nodes_offset = offset;
-  offset = Align8(offset + b.nodes.size() * sizeof(FlatNodeRec));
+  offset = Align8(offset + t.nodes.size() * sizeof(core::NodeRec));
   h.children_offset = offset;
-  h.children_count = b.children.size();
-  offset = Align8(offset + b.children.size() * sizeof(std::uint32_t));
+  h.children_count = t.children.size();
+  offset = Align8(offset + t.children.size() * sizeof(std::uint32_t));
   h.arena_bytes = offset;
 
   std::vector<std::uint8_t> arena(static_cast<std::size_t>(offset), 0);
   std::memcpy(arena.data(), &h, sizeof(h));
   std::memcpy(arena.data() + sizeof(h), &ext, sizeof(ext));
-  CopySection(&arena, h.objects_offset, b.objects);
-  CopySection(&arena, h.path_offset, soa.slab);
-  CopySection(&arena, h.bounds_offset, b.bounds);
-  CopySection(&arena, h.entries_offset, soa.ids);
-  CopySection(&arena, ext.d1_offset, soa.d1);
-  CopySection(&arena, ext.d2_offset, soa.d2);
-  CopySection(&arena, ext.leafpaths_offset, soa.leafpaths);
-  CopySection(&arena, h.nodes_offset, b.nodes);
-  CopySection(&arena, h.children_offset, b.children);
+  CopySection(&arena, h.objects_offset, objects);
+  CopySection(&arena, h.path_offset, t.path);
+  CopySection(&arena, h.bounds_offset, t.bounds);
+  CopySection(&arena, h.entries_offset, t.ids);
+  CopySection(&arena, ext.d1_offset, t.d1);
+  CopySection(&arena, ext.d2_offset, t.d2);
+  CopySection(&arena, ext.leafpaths_offset, t.leafpaths);
+  CopySection(&arena, h.nodes_offset, t.nodes);
+  CopySection(&arena, h.children_offset, t.children);
   return arena;
 }
 
 }  // namespace
 
-Result<std::vector<std::uint8_t>> BuildFlatArena(const std::uint8_t* stream,
-                                                 std::size_t length) {
-  BinaryReader reader(stream, length);
-  std::uint32_t magic = 0, stream_version = 0;
-  MVP_RETURN_NOT_OK(reader.Read<std::uint32_t>(&magic));
-  if (magic != SourceTree::kMagic) {
-    return Status::Corruption("bad mvp-tree magic");
-  }
-  MVP_RETURN_NOT_OK(reader.Read<std::uint32_t>(&stream_version));
-  if (stream_version != SourceTree::kFormatVersion) {
-    return Status::NotSupported("unknown mvp-tree format version");
-  }
-  std::int32_t order = 0, leaf_capacity = 0, num_paths = 0;
-  std::uint8_t bounds_flag = 0;
-  MVP_RETURN_NOT_OK(reader.Read<std::int32_t>(&order));
-  MVP_RETURN_NOT_OK(reader.Read<std::int32_t>(&leaf_capacity));
-  MVP_RETURN_NOT_OK(reader.Read<std::int32_t>(&num_paths));
-  MVP_RETURN_NOT_OK(reader.Read<std::uint8_t>(&bounds_flag));
-  if (order < 2 || leaf_capacity < 1 || num_paths < 0) {
-    return Status::Corruption("mvp-tree options out of range");
-  }
-
-  std::uint64_t count = 0;
-  MVP_RETURN_NOT_OK(reader.Read<std::uint64_t>(&count));
-  if (count > reader.remaining()) {
-    return Status::Corruption("object count exceeds buffer");
-  }
-  if (count > std::numeric_limits<std::uint32_t>::max()) {
-    return Status::InvalidArgument(
-        "flat arenas hold at most 2^32-1 objects per shard");
-  }
-
-  ArenaBuilder b;
-  FlatHeaderRec& h = b.header;
-  h.order = static_cast<std::uint32_t>(order);
-  h.leaf_capacity = static_cast<std::uint32_t>(leaf_capacity);
-  h.num_path_distances = static_cast<std::uint32_t>(num_paths);
-  if (bounds_flag != 0) h.flags |= kHeaderExactBounds;
-  h.object_count = count;
-  std::size_t dim = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::vector<double> v;
-    MVP_RETURN_NOT_OK(reader.ReadVector(&v));
-    if (i == 0) {
-      dim = v.size();
-    } else if (v.size() != dim) {
-      return Status::InvalidArgument(
-          "flat arenas require equal-dimension vectors");
-    }
-    b.objects.insert(b.objects.end(), v.begin(), v.end());
-  }
+Result<std::vector<std::uint8_t>> BuildFlatArena(
+    const core::MvpTreeOptions& options,
+    const std::vector<std::vector<double>>& objects,
+    const core::TreeLayout& layout) {
+  const std::size_t dim = objects.empty() ? 0 : objects[0].size();
   if (dim > std::numeric_limits<std::uint32_t>::max()) {
     return Status::InvalidArgument("vector dimension exceeds format limit");
   }
+  std::vector<double> rows;
+  rows.reserve(objects.size() * dim);
+  for (const std::vector<double>& v : objects) {
+    if (v.size() != dim) {
+      return Status::InvalidArgument(
+          "flat arenas require equal-dimension vectors");
+    }
+    rows.insert(rows.end(), v.begin(), v.end());
+  }
+  FlatHeaderRec h;
+  h.order = static_cast<std::uint32_t>(options.order);
+  h.leaf_capacity = static_cast<std::uint32_t>(options.leaf_capacity);
+  h.num_path_distances =
+      static_cast<std::uint32_t>(options.num_path_distances);
+  if (options.store_exact_bounds) h.flags |= kHeaderExactBounds;
   h.dim = static_cast<std::uint32_t>(dim);
-  MVP_RETURN_NOT_OK(reader.ReadVector(&b.path));
+  h.object_count = objects.size();
+  return EmitArena(h, rows, layout);
+}
 
-  auto root = TranscodeNode(&reader, &b, static_cast<std::size_t>(order), 0);
-  if (!root.ok()) return root.status();
+Result<std::vector<std::uint8_t>> BuildFlatArena(const std::uint8_t* stream,
+                                                 std::size_t length) {
+  BinaryReader reader(stream, length);
+  auto tree = core::MvpTree<metric::Vector, metric::L2>::Deserialize(
+      &reader, metric::L2{}, VectorCodec{});
+  if (!tree.ok()) return tree.status();
   if (!reader.AtEnd()) {
     return Status::Corruption("trailing bytes after mvp-tree stream");
   }
-  if (root.value() == kNoNode && count != 0) {
-    return Status::Corruption("non-empty tree has no root");
-  }
-  h.root = root.value();
-  return EmitArena(b.Sections());
+  return BuildFlatArena(tree.value().options(), tree.value().objects(),
+                        tree.value().layout());
 }
 
 Result<std::vector<std::uint8_t>> UpgradeFlatArena(const FlatArenaParts& v1) {
@@ -334,16 +129,40 @@ Result<std::vector<std::uint8_t>> UpgradeFlatArena(const FlatArenaParts& v1) {
   if (in.version != kFlatVersionV1) {
     return Status::InvalidArgument("not a v1 flat arena");
   }
-  // EmitArena rewrites the version and every section offset and count.
-  ArenaSections b{in,
-                  {v1.objects, in.object_count * in.dim},
-                  {v1.path, in.path_count},
-                  {v1.bounds, in.bounds_count},
-                  {v1.entries, in.entry_count},
-                  {v1.nodes, in.node_count},
-                  {v1.children, in.children_count}};
-  b.header.reserved = 0;
-  return EmitArena(b);
+  // Nodes, children and bounds carry over; the AoS entries split into the
+  // id/D1/D2 columns, and each leaf's PATH slices into its slab.
+  const core::TreeArrays& a = v1.tree;
+  core::TreeLayout t;
+  t.nodes.assign(a.nodes, a.nodes + in.node_count);
+  t.children.assign(a.children, a.children + in.children_count);
+  t.bounds.assign(a.bounds, a.bounds + in.bounds_count);
+  for (const FlatLeafEntryRec& e : std::span(v1.entries, in.entry_count)) {
+    t.ids.push_back(e.id);
+    t.d1.push_back(e.d1);
+    t.d2.push_back(e.d2);
+  }
+  t.leafpaths.resize(t.nodes.size());
+  for (std::size_t ni = 0; ni < t.nodes.size(); ++ni) {
+    const core::NodeRec& node = t.nodes[ni];
+    if ((node.flags & core::kNodeLeaf) == 0) continue;
+    const FlatLeafEntryRec* entries = v1.entries + node.begin;
+    core::LeafPathRec& lp = t.leafpaths[ni];
+    lp.slab_offset = t.path.size();
+    lp.path_length = node.count > 0 ? entries[0].path_length : 0;
+    for (std::uint32_t i = 0; i < node.count; ++i) {
+      if (entries[i].path_length != lp.path_length) {
+        // A heap tree records one PATH prefix length per leaf; mixed
+        // lengths in a leaf have no slab representation.
+        return Status::Corruption("leaf PATH lengths inconsistent in a leaf");
+      }
+    }
+    for (std::uint32_t j = 0; j < lp.path_length; ++j) {
+      for (std::uint32_t i = 0; i < node.count; ++i) {
+        t.path.push_back(a.path[std::size_t{entries[i].path_offset} + j]);
+      }
+    }
+  }
+  return EmitArena(in, {v1.objects, in.object_count * in.dim}, t);
 }
 
 namespace {
@@ -441,7 +260,7 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
     MVP_RETURN_NOT_OK(SectionInBounds(ext.d2_offset, h.entry_count,
                                       sizeof(double), size, "d2"));
     MVP_RETURN_NOT_OK(SectionInBounds(ext.leafpaths_offset, h.node_count,
-                                      sizeof(FlatLeafPathRec), size,
+                                      sizeof(core::LeafPathRec), size,
                                       "leafpaths"));
   } else {
     MVP_RETURN_NOT_OK(SectionInBounds(h.entries_offset, h.entry_count,
@@ -449,24 +268,27 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
                                       "entries"));
   }
   MVP_RETURN_NOT_OK(SectionInBounds(h.nodes_offset, h.node_count,
-                                    sizeof(FlatNodeRec), size, "nodes"));
+                                    sizeof(core::NodeRec), size, "nodes"));
   MVP_RETURN_NOT_OK(SectionInBounds(h.children_offset, h.children_count,
                                     sizeof(std::uint32_t), size, "children"));
 
   FlatArenaParts parts;
   parts.header = h;
   parts.objects = reinterpret_cast<const double*>(data + h.objects_offset);
-  parts.path = reinterpret_cast<const double*>(data + h.path_offset);
-  parts.bounds = reinterpret_cast<const double*>(data + h.bounds_offset);
-  parts.nodes = reinterpret_cast<const FlatNodeRec*>(data + h.nodes_offset);
-  parts.children =
-      reinterpret_cast<const std::uint32_t*>(data + h.children_offset);
+  core::TreeArrays& t = parts.tree;
+  t.order = h.order;
+  t.path_distances = h.num_path_distances;
+  t.node_count = static_cast<std::size_t>(h.node_count);
+  t.path = reinterpret_cast<const double*>(data + h.path_offset);
+  t.bounds = reinterpret_cast<const double*>(data + h.bounds_offset);
+  t.nodes = reinterpret_cast<const core::NodeRec*>(data + h.nodes_offset);
+  t.children = reinterpret_cast<const std::uint32_t*>(data + h.children_offset);
   if (v2) {
-    parts.ids = reinterpret_cast<const std::uint32_t*>(data + h.entries_offset);
-    parts.d1 = reinterpret_cast<const double*>(data + ext.d1_offset);
-    parts.d2 = reinterpret_cast<const double*>(data + ext.d2_offset);
-    parts.leafpaths =
-        reinterpret_cast<const FlatLeafPathRec*>(data + ext.leafpaths_offset);
+    t.ids = reinterpret_cast<const std::uint32_t*>(data + h.entries_offset);
+    t.d1 = reinterpret_cast<const double*>(data + ext.d1_offset);
+    t.d2 = reinterpret_cast<const double*>(data + ext.d2_offset);
+    t.leafpaths =
+        reinterpret_cast<const core::LeafPathRec*>(data + ext.leafpaths_offset);
   } else {
     parts.entries =
         reinterpret_cast<const FlatLeafEntryRec*>(data + h.entries_offset);
@@ -474,7 +296,7 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
 
   // Every leaf entry's id (and, v1, its PATH slice), in one linear pass.
   for (std::uint64_t i = 0; i < h.entry_count; ++i) {
-    if ((v2 ? parts.ids[i] : parts.entries[i].id) >= h.object_count) {
+    if ((v2 ? t.ids[i] : parts.entries[i].id) >= h.object_count) {
       return Status::Corruption("flat leaf entry id out of range");
     }
     if (v2) continue;
@@ -516,25 +338,25 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
   std::vector<std::uint32_t> depth(static_cast<std::size_t>(h.node_count), 0);
   depth[0] = 1;
   for (std::uint64_t i = 0; i < h.node_count; ++i) {
-    const FlatNodeRec& node = parts.nodes[i];
+    const core::NodeRec& node = t.nodes[i];
     if (depth[static_cast<std::size_t>(i)] == 0) {
       return Status::Corruption("flat arena node unreachable from root");
     }
-    if ((node.flags & ~(kNodeLeaf | kNodeHasVp2)) != 0) {
+    if ((node.flags & ~(core::kNodeLeaf | core::kNodeHasVp2)) != 0) {
       return Status::Corruption("flat arena node has unknown flags");
     }
     if (node.vp1 >= h.object_count ||
-        ((node.flags & kNodeHasVp2) != 0 && node.vp2 >= h.object_count)) {
+        ((node.flags & core::kNodeHasVp2) != 0 && node.vp2 >= h.object_count)) {
       return Status::Corruption("flat arena vantage point id out of range");
     }
-    if ((node.flags & kNodeLeaf) != 0) {
+    if ((node.flags & core::kNodeLeaf) != 0) {
       if (node.begin > h.entry_count ||
           node.count > h.entry_count - node.begin) {
         return Status::Corruption("flat arena leaf entry range out of bounds");
       }
       if (v2) {
-        const FlatLeafPathRec& lp =
-            parts.leafpaths[static_cast<std::size_t>(i)];
+        const core::LeafPathRec& lp =
+            t.leafpaths[static_cast<std::size_t>(i)];
         if (lp.reserved != 0) {
           return Status::Corruption("flat arena leaf path record malformed");
         }
@@ -566,12 +388,12 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
       }
       continue;
     }
-    if ((node.flags & kNodeHasVp2) == 0) {
+    if ((node.flags & core::kNodeHasVp2) == 0) {
       return Status::Corruption(
           "flat arena internal node lacks a second vantage point");
     }
     if (v2) {
-      const FlatLeafPathRec& lp = parts.leafpaths[static_cast<std::size_t>(i)];
+      const core::LeafPathRec& lp = t.leafpaths[static_cast<std::size_t>(i)];
       if (lp.slab_offset != 0 || lp.path_length != 0 || lp.reserved != 0) {
         return Status::Corruption(
             "flat arena internal node has a PATH slab record");
@@ -586,13 +408,13 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
         m * m > h.children_count - node.children) {
       return Status::Corruption("flat arena children range out of bounds");
     }
-    if (depth[static_cast<std::size_t>(i)] >= kMaxFlatDepth) {
+    if (depth[static_cast<std::size_t>(i)] >= core::kMaxTreeDepth) {
       return Status::Corruption("flat tree nesting too deep");
     }
     for (std::uint64_t c = 0; c < m * m; ++c) {
       const std::uint32_t child =
-          parts.children[static_cast<std::size_t>(node.children + c)];
-      if (child == kNullChild) continue;
+          t.children[static_cast<std::size_t>(node.children + c)];
+      if (child == core::kNullChild) continue;
       if (child >= h.node_count || child <= i) {
         return Status::Corruption("flat arena child link is not preorder");
       }

@@ -12,50 +12,37 @@
 #include "common/macros.h"
 #include "common/query.h"
 #include "common/status.h"
+#include "core/mvp_tree.h"
 #include "core/search_shared.h"
-#include "metric/kernels/kernels.h"
+#include "core/tree_layout.h"
 
 /// \file
 /// The flat mvp-tree: a position-independent, offset-based encoding of one
 /// shard tree in a single contiguous arena, searched directly out of the
 /// mmap'd snapshot container — zero deserialization, zero per-load
-/// allocation. Where the heap tree pays a full pointer-tree reconstruction
-/// (object decode, node allocation, bound-vector copies) before its first
-/// query, opening a flat arena is: map the file, CRC the chunk, validate
-/// the arena's offsets once, and search.
+/// allocation. Where the heap tree pays an object decode and a structure
+/// parse before its first query, opening a flat arena is: map the file, CRC
+/// the chunk, validate the arena's offsets once, and search.
 ///
-/// Layout (all integers little-endian; docs/index_format.md has the
+/// The arena's sections are the arrays of core/tree_layout.h byte for byte,
+/// the same ones a heap tree owns in vectors, behind a header and the
+/// stored vectors (all integers little-endian; docs/index_format.md has the
 /// byte-level diagrams; every section starts on an 8-byte boundary within
 /// the arena, and the snapshot writer 8-aligns the arena's file offset so
 /// in-memory records are naturally aligned under both mmap and the heap
-/// fallback).
-///
-/// Version 2 is the only layout a view serves:
+/// fallback). Version 2 is the only layout a view serves:
 ///
 ///   FlatHeaderRec + FlatHeaderExtRec   fixed 192 bytes
 ///   objects   f64[object_count * dim]     vectors, row-major, viewed in
 ///                                         place
-///   path      f64[path_count]             per-leaf *column-major* PATH
-///                                         slabs: leaf slabs in node order,
-///                                         slab[j*count + i] = PATH[j] of
-///                                         entry i — a contiguous run per
-///                                         vantage point, swept 64 wide
-///   bounds    f64[bounds_count]           per internal node at `begin`:
-///                                         lower1[m] upper1[m]
-///                                         lower2[m*m] upper2[m*m]
-///   ids       u32[entry_count]            at entries_offset: leaf point ids
-///   d1        f64[entry_count]            contiguous D1[] column
-///   d2        f64[entry_count]            contiguous D2[] column
-///   leafpaths FlatLeafPathRec[node_count] per-node slab offset + length
-///                                         (zeroed for internal nodes)
-///   nodes     FlatNodeRec[node_count]     preorder; root is node 0
-///   children  u32[children_count]         m*m slots per internal node;
-///                                         0xFFFFFFFF = absent child
+///   path      f64[path_count]             the column-major PATH slabs
+///   bounds    f64[bounds_count]           the shell bounds pool
+///   ids       u32[entry_count]            at entries_offset
+///   d1, d2    f64[entry_count]            the D1[]/D2[] columns
+///   leafpaths LeafPathRec[node_count]     per-node PATH slab records
+///   nodes     NodeRec[node_count]         preorder; root is node 0
+///   children  u32[children_count]         m*m slots per internal node
 ///
-/// The SoA leaf columns let range-search leaf filtering run as branchless
-/// SIMD compare+mask sweeps straight off the mmap (metric/kernels/kernels.h).
-///
-/// ids/d1/d2 are parallel arrays indexed by a leaf's `begin..begin+count`.
 /// Slabs are canonical: laid end to end in node order with no gaps or
 /// overlap, which ParseFlatArena enforces, so a hostile arena cannot alias
 /// slabs or leave them misaligned.
@@ -69,24 +56,20 @@
 /// Safety: the arena is untrusted bytes. ParseFlatArena bounds-checks every
 /// offset/count, and a structural pass enforces that child links point
 /// strictly forward (preorder), that every node is referenced exactly once,
-/// and that depth stays within the same cap as heap deserialization — so a
-/// corrupted arena yields Status::Corruption at open, never a crash or an
-/// unterminated traversal. Searching runs the one mvp-tree traversal in
-/// core/search_shared.h, the same one the heap tree runs: a view supplies
-/// only a node accessor over the arena, so results and every SearchStats
-/// counter are bit-identical to the heap tree built from the same stream by
-/// construction, and tests/search_counts_golden_test.cc pins the counts.
+/// and that depth stays within core::kMaxTreeDepth — so a corrupted arena
+/// yields Status::Corruption at open, never a crash or an unterminated
+/// traversal. A view searches through core::TreeNodes, the accessor the
+/// heap tree uses, so results and every SearchStats counter are
+/// bit-identical to the heap tree by construction, and
+/// tests/search_counts_golden_test.cc pins the counts.
 
 namespace mvp::snapshot::flat {
 
 inline constexpr std::uint32_t kFlatMagic = 0x5a50564d;  // "MVPZ"
 inline constexpr std::uint32_t kFlatVersionV1 = 1;
 inline constexpr std::uint32_t kFlatVersionV2 = 2;  ///< the one written
-inline constexpr std::uint64_t kNoNode = ~std::uint64_t{0};
-inline constexpr std::uint32_t kNullChild = 0xffffffffu;
+inline constexpr std::uint64_t kNoNode = ~std::uint64_t{0};  ///< empty root
 inline constexpr std::size_t kFlatAlignment = 8;
-/// Same nesting cap as MvpTree deserialization.
-inline constexpr std::size_t kMaxFlatDepth = 512;
 
 /// Fixed arena header. POD with explicit field order chosen so the struct
 /// has no padding; written/read by memcpy on the (little-endian,
@@ -137,24 +120,7 @@ inline constexpr std::size_t kFlatHeaderBytesV2 =
 
 inline constexpr std::uint32_t kHeaderExactBounds = 1u << 0;
 
-/// One tree node, 32 bytes. Leaves: `begin`/`count` select a run of leaf
-/// entries. Internal nodes: `begin` indexes the bounds pool (2m + 2m*m
-/// doubles), `children` indexes m*m slots in the children pool.
-struct FlatNodeRec {
-  std::uint32_t flags = 0;  ///< bit0 = leaf, bit1 = has_vp2
-  std::uint32_t vp1 = 0;
-  std::uint32_t vp2 = 0;
-  std::uint32_t count = 0;
-  std::uint64_t begin = 0;
-  std::uint64_t children = 0;
-};
-static_assert(sizeof(FlatNodeRec) == 32, "node layout drifted");
-
-inline constexpr std::uint32_t kNodeLeaf = 1u << 0;
-inline constexpr std::uint32_t kNodeHasVp2 = 1u << 1;
-
 /// One v1 leaf point, 32 bytes: the paper's D1[i]/D2[i] plus its PATH slice.
-/// Also the transcoder's intermediate record for every leaf entry.
 struct FlatLeafEntryRec {
   std::uint32_t id = 0;
   std::uint32_t path_offset = 0;
@@ -164,17 +130,6 @@ struct FlatLeafEntryRec {
   double d2 = 0.0;
 };
 static_assert(sizeof(FlatLeafEntryRec) == 32, "leaf entry layout drifted");
-
-/// One v2 per-node PATH slab descriptor, 16 bytes. For a leaf,
-/// `slab_offset` indexes the path pool and the slab holds
-/// `path_length * count` doubles column-major (slab[j*count + i]); every
-/// entry of a leaf shares one path_length. Zeroed for internal nodes.
-struct FlatLeafPathRec {
-  std::uint64_t slab_offset = 0;
-  std::uint32_t path_length = 0;
-  std::uint32_t reserved = 0;
-};
-static_assert(sizeof(FlatLeafPathRec) == 16, "leaf path layout drifted");
 
 /// Zero-copy view of one stored vector inside the arena. Duck-compatible
 /// with std::vector<double> for the Lp metrics' templated operator(), so
@@ -191,28 +146,29 @@ class VectorView {
   std::size_t dim_;
 };
 
-/// Transcodes one serialized MvpTree stream (the exact bytes
-/// MvpTree::Serialize + VectorCodec emit — vector objects only) into a
-/// self-contained v2 flat arena. Validates the stream as strictly as
-/// MvpTree::Deserialize does; the result is byte-stable for a given stream.
+/// Lays out a heap tree over vectors as a v2 flat arena, straight from its
+/// arrays (core::MvpTree::objects() and layout()). InvalidArgument for
+/// vectors of unequal dimension or a dimension over u32.
+Result<std::vector<std::uint8_t>> BuildFlatArena(
+    const core::MvpTreeOptions& options,
+    const std::vector<std::vector<double>>& objects,
+    const core::TreeLayout& layout);
+
+/// The v2 arena of one serialized MvpTree stream (the exact bytes
+/// MvpTree::Serialize + VectorCodec emit): MvpTree::Deserialize, which
+/// parses the structure for both representations, then the overload
+/// above. Also Corruption for bytes after the stream.
 Result<std::vector<std::uint8_t>> BuildFlatArena(const std::uint8_t* stream,
                                                  std::size_t length);
 
 /// A bounds-checked, structurally validated view into a flat arena. All
-/// pointers alias the caller's bytes, which must outlive the view.
+/// pointers alias the caller's bytes, which must outlive the view. For v1,
+/// `tree` has no ids/d1/d2/leafpaths and its path is the shared pool.
 struct FlatArenaParts {
   FlatHeaderRec header;
   const double* objects = nullptr;
-  const double* path = nullptr;
-  const double* bounds = nullptr;
   const FlatLeafEntryRec* entries = nullptr;  ///< v1 only
-  const FlatNodeRec* nodes = nullptr;
-  const std::uint32_t* children = nullptr;
-  // v2 structure-of-arrays leaf sections (null for v1 arenas).
-  const std::uint32_t* ids = nullptr;
-  const double* d1 = nullptr;
-  const double* d2 = nullptr;
-  const FlatLeafPathRec* leafpaths = nullptr;
+  core::TreeArrays tree;
 };
 
 /// Parses + validates an arena (untrusted bytes): header sanity, section
@@ -235,8 +191,9 @@ Result<std::vector<std::uint8_t>> UpgradeFlatArena(const FlatArenaParts& v1);
 ///
 /// Search results, their order of discovery, and every SearchStats counter
 /// are bit-identical to core::MvpTree over the same logical tree: both run
-/// core::Traversal and differ only in their node accessor
-/// (tests/flat_equivalence_test.cc holds this to 1k+ random queries).
+/// core::Traversal on core::TreeNodes over the same arrays and differ only
+/// in who owns the bytes (tests/flat_equivalence_test.cc holds this to 1k+
+/// random queries).
 /// Thread safety: immutable after Open; const searches are freely
 /// concurrent (same contract as MvpTree).
 template <typename Metric>
@@ -288,9 +245,9 @@ class FlatTreeView {
   /// vantage point. Pointers alias the arena.
   bool RootVantagePoints(const double** vp1, const double** vp2) const {
     if (p_.header.root == kNoNode) return false;
-    const FlatNodeRec& root = p_.nodes[p_.header.root];
+    const core::NodeRec& root = p_.tree.nodes[0];
     *vp1 = p_.objects + root.vp1 * static_cast<std::size_t>(p_.header.dim);
-    *vp2 = (root.flags & kNodeHasVp2) != 0
+    *vp2 = (root.flags & core::kNodeHasVp2) != 0
                ? p_.objects + root.vp2 * static_cast<std::size_t>(p_.header.dim)
                : nullptr;
     return true;
@@ -327,7 +284,7 @@ class FlatTreeView {
     MVP_DCHECK(out != nullptr);
     SearchStats local;
     SearchStats& sink = stats != nullptr ? *stats : local;
-    core::Traversal(Nodes{this}, query, sink).Range(radius, out, root_prime);
+    core::Traversal(Access(), query, sink).Range(radius, out, root_prime);
   }
 
   /// Mirrors MvpTree::KnnSearch (sorted by distance then id), including
@@ -355,7 +312,7 @@ class FlatTreeView {
     MVP_DCHECK(heap != nullptr);
     SearchStats local;
     SearchStats& sink = stats != nullptr ? *stats : local;
-    core::Traversal(Nodes{this}, query, sink).Knn(k, heap, exclude, root_prime);
+    core::Traversal(Access(), query, sink).Knn(k, heap, exclude, root_prime);
   }
 
  private:
@@ -364,85 +321,9 @@ class FlatTreeView {
                Metric metric)
       : p_(parts), upgraded_(std::move(upgraded)), metric_(std::move(metric)) {}
 
-  /// Leaf cursor: contiguous id/D1/D2 columns and a column-major PATH
-  /// slab (slab[j*count + i] = PATH[j] of entry i). Range masks sweep them
-  /// 64 wide with the branchless AnnulusMask kernel, whose pass bits equal
-  /// the scalar per-entry tests.
-  struct SoaLeaf {
-    const std::uint32_t* ids;
-    const double* d1s;
-    const double* d2s;
-    const double* slab;
-    std::size_t count;
-    std::size_t path_length;
-
-    std::size_t size() const { return count; }
-    std::size_t id(std::size_t i) const { return ids[i]; }
-    std::size_t Checks(const core::LeafQuery& q) const {
-      return std::min(q.qpath.size(), path_length);
-    }
-    std::uint64_t Mask(std::size_t base, std::size_t n,
-                       const core::LeafQuery& q, double r) const {
-      std::uint64_t mask =
-          metric::kernels::AnnulusMask(q.d[0], d1s + base, n, r);
-      if (q.vps > 1 && mask != 0) {
-        mask &= metric::kernels::AnnulusMask(q.d[1], d2s + base, n, r);
-      }
-      for (std::size_t j = 0; j < Checks(q) && mask != 0; ++j) {
-        mask &= metric::kernels::AnnulusMask(q.qpath[j],
-                                             slab + j * count + base, n, r);
-      }
-      return mask;
-    }
-    bool Passes(std::size_t i, const core::LeafQuery& q, double r) const {
-      return q.Admits<2>(
-          [this, i](std::size_t l) { return l == 0 ? d1s[i] : d2s[i]; },
-          slab + i, count, Checks(q), r);
-    }
-  };
-
-  /// The node accessor core::Traversal runs on, over the arena's preorder
-  /// nodes.
-  struct Nodes {
-    const FlatTreeView* view;
-
-    const FlatNodeRec* Root() const {
-      const FlatArenaParts& p = view->p_;
-      return p.header.root == kNoNode ? nullptr : p.nodes + p.header.root;
-    }
-    std::size_t Order() const { return view->p_.header.order; }
-    std::size_t PathDistances() const {
-      return view->p_.header.num_path_distances;
-    }
-    static constexpr std::size_t Levels() { return 2; }
-    bool IsLeaf(const FlatNodeRec* n) const {
-      return (n->flags & kNodeLeaf) != 0;
-    }
-    std::size_t VpCount(const FlatNodeRec* n) const {
-      return (n->flags & kNodeHasVp2) != 0 ? 2 : 1;
-    }
-    std::size_t Vp(const FlatNodeRec* n, std::size_t l) const {
-      return l == 0 ? n->vp1 : n->vp2;
-    }
-    core::ShellBounds Shells(const FlatNodeRec* n, std::size_t l) const {
-      const std::size_t m = Order();
-      const double* lower1 = view->p_.bounds + n->begin;
-      return l == 0 ? core::ShellBounds{lower1, lower1 + m}
-                    : core::ShellBounds{lower1 + 2 * m, lower1 + 2 * m + m * m};
-    }
-    const FlatNodeRec* Child(const FlatNodeRec* n, std::size_t c) const {
-      const std::uint32_t child = view->p_.children[n->children + c];
-      return child == kNullChild ? nullptr : view->p_.nodes + child;
-    }
-    SoaLeaf Leaf(const FlatNodeRec* n) const {
-      const FlatArenaParts& p = view->p_;
-      const FlatLeafPathRec& lp = p.leafpaths[n - p.nodes];
-      return SoaLeaf{p.ids + n->begin, p.d1 + n->begin, p.d2 + n->begin,
-                     p.path + lp.slab_offset, n->count, lp.path_length};
-    }
-    const Metric& metric() const { return view->metric_; }
-    VectorView object(std::size_t id) const { return view->object(id); }
-  };
+  /// The node accessor core::Traversal runs on: the heap tree's, over the
+  /// arena's sections.
+  core::TreeNodes<FlatTreeView> Access() const { return {this, p_.tree}; }
 
   FlatArenaParts p_;
   /// Owns the bytes p_ points into when Open upgraded a v1 arena.

@@ -567,10 +567,9 @@ class SnapshotStore {
               "flat snapshots require the canonical round-robin id layout");
         }
       }
-      BinaryWriter stream;
-      MVP_RETURN_NOT_OK(index.shard(s).Serialize(&stream, VectorCodec{}));
-      auto arena = flat::BuildFlatArena(stream.buffer().data(),
-                                       stream.buffer().size());
+      const auto& tree = index.shard(s);
+      auto arena =
+          flat::BuildFlatArena(tree.options(), tree.objects(), tree.layout());
       if (!arena.ok()) return arena.status();
       // Payload: u64 shard index, then the arena. The 8-byte chunk
       // alignment keeps the arena (at payload + 8) on an 8-byte file

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/codec.h"
 #include "core/mvp_tree.h"
@@ -8,6 +11,7 @@
 #include "dataset/words.h"
 #include "metric/edit_distance.h"
 #include "metric/lp.h"
+#include "snapshot/flat_tree.h"
 
 namespace mvp::core {
 namespace {
@@ -214,6 +218,127 @@ TEST(MvpTreeSerializeTest, FileRoundTrip) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().size(), 120u);
   std::remove(path.c_str());
+}
+
+// ------------------------------------------------------ hostile streams
+//
+// The heap tree and the flat arena builder parse a stream's structure
+// through one function (TreeLayout::Read), so both entry points must give
+// every stream the same status.
+
+/// The golden snapshot recipe's tree: 48 points, m = 3, k = 4, p = 2.
+std::vector<std::uint8_t> GoldenRecipeStream() {
+  VecTree::Options options;
+  options.order = 3;
+  options.leaf_capacity = 4;
+  options.num_path_distances = 2;
+  auto built = VecTree::Build(dataset::UniformVectors(48, 4, 7), L2(), options);
+  EXPECT_TRUE(built.ok());
+  return SerializeTree(built.value());
+}
+
+constexpr std::size_t kPathDistancesOffset = 16;  // magic, version, m, k
+constexpr std::size_t kObjectCountOffset = 21;    // then p, exact bounds
+
+/// Byte offsets of each leaf entry's u32 PATH length, grouped by leaf in
+/// stream order, of a VectorCodec stream.
+std::vector<std::vector<std::size_t>> LeafPathLengthOffsets(
+    const std::vector<std::uint8_t>& stream) {
+  BinaryReader r(stream);
+  std::uint32_t u32 = 0;
+  std::int32_t order = 0;
+  std::uint8_t u8 = 0;
+  std::uint64_t count = 0;
+  std::vector<double> skip;
+  EXPECT_TRUE(r.Read(&u32).ok() && r.Read(&u32).ok() && r.Read(&order).ok());
+  EXPECT_TRUE(r.Read(&u32).ok() && r.Read(&u32).ok() && r.Read(&u8).ok());
+  EXPECT_TRUE(r.Read(&count).ok());
+  for (std::uint64_t i = 0; i <= count; ++i) {  // the objects, then the pool
+    EXPECT_TRUE(r.ReadVector(&skip).ok());
+  }
+  const std::size_t m = static_cast<std::size_t>(order);
+  std::vector<std::vector<std::size_t>> leaves;
+  auto walk = [&](auto&& self) -> void {
+    std::uint8_t tag = 0;
+    std::uint64_t u64 = 0;
+    ASSERT_TRUE(r.Read(&tag).ok());
+    if (tag == 0) return;
+    ASSERT_TRUE(r.Read(&u64).ok() && r.Read(&u8).ok() && r.Read(&u64).ok());
+    if (tag == 1) {
+      std::uint64_t entries = 0;
+      ASSERT_TRUE(r.Read(&entries).ok());
+      leaves.emplace_back();
+      for (std::uint64_t i = 0; i < entries; ++i) {
+        double d = 0.0;
+        ASSERT_TRUE(r.Read(&u64).ok() && r.Read(&d).ok() && r.Read(&d).ok() &&
+                    r.Read(&u32).ok());
+        leaves.back().push_back(stream.size() - r.remaining());
+        ASSERT_TRUE(r.Read(&u32).ok());
+      }
+      return;
+    }
+    for (int bounds = 0; bounds < 4; ++bounds) {
+      ASSERT_TRUE(r.ReadVector(&skip).ok());
+    }
+    for (std::size_t c = 0; c < m * m; ++c) self(self);
+  };
+  walk(walk);
+  EXPECT_TRUE(r.AtEnd());
+  return leaves;
+}
+
+void PokeU32(std::vector<std::uint8_t>& bytes, std::size_t offset,
+             std::uint32_t value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof(value));
+}
+
+StatusCode HeapCode(const std::vector<std::uint8_t>& stream, std::size_t size) {
+  BinaryReader reader(stream.data(), size);
+  return VecTree::Deserialize(&reader, L2(), VectorCodec()).status().code();
+}
+
+StatusCode FlatCode(const std::vector<std::uint8_t>& stream, std::size_t size) {
+  return snapshot::flat::BuildFlatArena(stream.data(), size).status().code();
+}
+
+TEST(MvpTreeStreamTest, EntryPathLongerThanPRejected) {
+  auto stream = GoldenRecipeStream();
+  // Every entry below the root keeps 2 PATH distances; the header now
+  // promises none.
+  PokeU32(stream, kPathDistancesOffset, 0);
+  EXPECT_EQ(HeapCode(stream, stream.size()), StatusCode::kCorruption);
+  EXPECT_EQ(FlatCode(stream, stream.size()), StatusCode::kCorruption);
+}
+
+TEST(MvpTreeStreamTest, ObjectCountOverU32IsInvalidArgument) {
+  auto stream = GoldenRecipeStream();
+  const std::uint64_t count = std::uint64_t{1} << 32;
+  std::memcpy(stream.data() + kObjectCountOffset, &count, sizeof(count));
+  EXPECT_EQ(HeapCode(stream, stream.size()), StatusCode::kInvalidArgument);
+  EXPECT_EQ(FlatCode(stream, stream.size()), StatusCode::kInvalidArgument);
+}
+
+TEST(MvpTreeStreamTest, HeapAndFlatEntryPointsReturnOneStatus) {
+  const auto intact = GoldenRecipeStream();
+  for (std::size_t cut = 0; cut <= intact.size(); ++cut) {
+    EXPECT_EQ(HeapCode(intact, cut), FlatCode(intact, cut))
+        << "prefix of " << cut << " bytes";
+  }
+  EXPECT_EQ(HeapCode(intact, intact.size()), StatusCode::kOk);
+
+  auto no_paths = intact;
+  PokeU32(no_paths, kPathDistancesOffset, 0);
+  EXPECT_EQ(HeapCode(no_paths, no_paths.size()),
+            FlatCode(no_paths, no_paths.size()));
+
+  const auto leaves = LeafPathLengthOffsets(intact);
+  const auto multi = std::find_if(leaves.begin(), leaves.end(),
+                                  [](const auto& l) { return l.size() > 1; });
+  ASSERT_NE(multi, leaves.end());
+  auto mixed = intact;
+  PokeU32(mixed, (*multi)[1], 0);
+  EXPECT_EQ(HeapCode(mixed, mixed.size()), FlatCode(mixed, mixed.size()));
+  EXPECT_EQ(HeapCode(mixed, mixed.size()), StatusCode::kCorruption);
 }
 
 }  // namespace

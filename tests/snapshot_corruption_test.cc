@@ -627,8 +627,8 @@ TEST_F(FlatSnapshotCorruptionTest, HeapSnapshotRejectedByFlatOpen) {
 /// second vantage point flag cleared. No builder writes such a node and the
 /// traversal relies on every internal node having both vantage points (it
 /// would test the second-level shells against a distance of 0 and drop
-/// results), so the heap reader, the arena transcoder and the arena parser
-/// all refuse it.
+/// results), so the stream parser, through both of its entry points, and
+/// the arena parser refuse it.
 class MissingSecondVantagePointTest : public ::testing::Test {
  protected:
   using Tree = core::MvpTree<Vector, L2>;
@@ -711,7 +711,7 @@ TEST_F(MissingSecondVantagePointTest, ParseFlatArenaRejectsV1AndV2) {
     std::memcpy(&header, arena.data(), sizeof(header));
     std::uint32_t flags = 0;
     std::memcpy(&flags, arena.data() + header.nodes_offset, sizeof(flags));
-    ASSERT_EQ(flags, flat::kNodeHasVp2);  // internal, two vantage points
+    ASSERT_EQ(flags, core::kNodeHasVp2);  // internal, two vantage points
     flags = 0;
     std::memcpy(arena.data() + header.nodes_offset, &flags, sizeof(flags));
     EXPECT_EQ(flat::ParseFlatArena(arena.data(), arena.size()).status().code(),
@@ -806,10 +806,10 @@ TEST(FrozenV1ArenaTest, OpenRejectsSharedEntriesAndPathSlices) {
   std::size_t leaves = 0;
   for (std::uint64_t i = 0; i < header.node_count; ++i) {
     std::uint8_t* at =
-        no_paths.data() + header.nodes_offset + i * sizeof(flat::FlatNodeRec);
-    flat::FlatNodeRec node;
+        no_paths.data() + header.nodes_offset + i * sizeof(core::NodeRec);
+    core::NodeRec node;
     std::memcpy(&node, at, sizeof(node));
-    if ((node.flags & flat::kNodeLeaf) == 0) continue;
+    if ((node.flags & core::kNodeLeaf) == 0) continue;
     ++leaves;
     node.begin = 0;
     node.count = static_cast<std::uint32_t>(header.entry_count);
