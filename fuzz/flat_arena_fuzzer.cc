@@ -6,14 +6,14 @@
 // (the builder's output is the parser's contract). The same bytes are
 // deserialized as a heap MvpTree<Vector, L2> — the path heap snapshot
 // chunks, delta forests and replicated generations take — which must
-// accept exactly the streams the builder accepts, except those the builder
-// refuses with InvalidArgument for ragged or oversized vectors; a range and
-// a k-NN search then run on every tree both accept. Mode 1 treats the bytes
-// as a hostile arena — v1 or v2, the version field is attacker-controlled:
-// FlatTreeView::Open either rejects it or returns a view that is safe to
-// search (a v1 arena is validated, then upgraded to v2 at open) — range
-// and k-NN traversals over an accepted arena must stay in bounds (ASan
-// checks this, not us).
+// accept exactly the streams the builder accepts: the builder goes through
+// the same Deserialize, so ragged, zero-dimension or oversized vectors fail
+// both alike. A range and a k-NN search then run on every tree both
+// accept. Mode 1 treats the bytes as a hostile arena — v1 or v2, the
+// version field is attacker-controlled: FlatTreeView::Open either rejects
+// it or returns a view that is safe to search (a v1 arena is validated,
+// then upgraded to v2 at open) — range and k-NN traversals over an
+// accepted arena must stay in bounds (ASan checks this, not us).
 //
 // Input layout: [u8 mode][body...].
 
@@ -42,18 +42,14 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
         Deserialize(&reader, mvp::metric::L2{}, mvp::VectorCodec{});
     const bool heap_ok = heap.ok() && reader.AtEnd();
     auto arena = mvp::snapshot::flat::BuildFlatArena(data, size);
-    FUZZ_ASSERT(arena.ok() == heap_ok ||
-                    (heap_ok && arena.status().code() ==
-                                    mvp::StatusCode::kInvalidArgument),
+    FUZZ_ASSERT(arena.ok() == heap_ok,
                 "MvpTree::Deserialize and BuildFlatArena disagree");
     if (!arena.ok()) return 0;
     auto parts = mvp::snapshot::flat::ParseFlatArena(arena.value().data(),
                                                      arena.value().size());
     FUZZ_ASSERT(parts.ok(), "BuildFlatArena output failed ParseFlatArena");
-    // The builder accepted, so every vector has one dimension.
     const auto& tree = heap.value();
-    const std::vector<double> query(
-        tree.size() == 0 ? 0 : tree.object(0).size(), 0.25);
+    const std::vector<double> query(tree.dim(), 0.25);
     mvp::SearchStats stats;
     (void)tree.RangeSearch(query, 1.5, &stats);
     (void)tree.KnnSearch(query, 3, &stats);

@@ -198,6 +198,18 @@ void EmitFlatSeeds(const fs::path& dir,
   // 0, so its entries keep more PATH distances than the header allows —
   // once accepted by both stream entry points, now Corruption in both.
   WriteSeed(dir / "tree_stream.bin", 0, stream);
+  // The same stream with object 1's vector cut to 3 of its 4 values. A
+  // vector tree keeps one row-major slab, so both entry points reject the
+  // ragged stream as Corruption (the builder once refused it with
+  // InvalidArgument while the heap tree accepted it).
+  constexpr std::size_t kRow1 = 29 + 8 + 4 * sizeof(double);  // header, row 0
+  std::vector<std::uint8_t> ragged = stream;
+  const std::uint64_t ragged_dim = 3;
+  std::memcpy(ragged.data() + kRow1, &ragged_dim, sizeof(ragged_dim));
+  const auto row1 = ragged.begin() + static_cast<std::ptrdiff_t>(kRow1 + 8);
+  ragged.erase(row1 + static_cast<std::ptrdiff_t>(3 * sizeof(double)),
+               row1 + static_cast<std::ptrdiff_t>(4 * sizeof(double)));
+  WriteSeed(dir / "tree_stream_ragged.bin", 0, ragged);
   // The arena encoding of the same tree, with a bit-flipped and a torn
   // variant so the parser's structural validation is seeded, not just the
   // happy path. arena_v1.bin, arena_v1_bitflip.bin and

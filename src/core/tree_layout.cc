@@ -207,6 +207,12 @@ Status TreeLayout::Read(BinaryReader* reader, std::uint64_t objects,
                         std::size_t m, std::size_t p) {
   std::vector<double> pool;
   MVP_RETURN_NOT_OK(reader->ReadVector(&pool));
+  // The entries and slabs fit in these; each object read consumed bytes
+  // of the stream, so the reservations stay proportional to it.
+  ids.reserve(static_cast<std::size_t>(objects));
+  d1.reserve(static_cast<std::size_t>(objects));
+  d2.reserve(static_cast<std::size_t>(objects));
+  path.reserve(pool.size());
   auto root = ReadNode({reader, objects, m, p, pool, this}, 0);
   if (!root.ok()) return root.status();
   if (root.value() == kNullChild && objects != 0) {

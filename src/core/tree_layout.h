@@ -161,7 +161,8 @@ struct SoaLeaf {
 
 /// The node accessor core::Traversal runs on (core/search_shared.h), over
 /// one tree's arrays. `Owner` supplies metric() and object(id): a heap tree
-/// its stored objects, a flat view VectorViews into its arena.
+/// its stored objects (metric::VectorView rows of its slab for vectors), a
+/// flat view VectorViews into its arena.
 template <typename Owner>
 struct TreeNodes {
   const Owner* owner;

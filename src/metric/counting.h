@@ -48,8 +48,10 @@ class CountingMetric {
   CountingMetric(M inner, DistanceCounter counter)
       : inner_(std::move(inner)), counter_(std::move(counter)) {}
 
-  template <typename O>
-  double operator()(const O& a, const O& b) const {
+  // Two independent type parameters, so a vector tree's (query, row view)
+  // and (row view, row view) evaluations count too.
+  template <typename A, typename B>
+  double operator()(const A& a, const B& b) const {
     counter_.Increment();
     return inner_(a, b);
   }
@@ -99,8 +101,10 @@ class AtomicCountingMetric {
   AtomicCountingMetric(M inner, AtomicDistanceCounter counter)
       : inner_(std::move(inner)), counter_(std::move(counter)) {}
 
-  template <typename O>
-  double operator()(const O& a, const O& b) const {
+  // Two independent type parameters, so a vector tree's (query, row view)
+  // and (row view, row view) evaluations count too.
+  template <typename A, typename B>
+  double operator()(const A& a, const B& b) const {
     counter_.Increment();
     return inner_(a, b);
   }

@@ -20,19 +20,50 @@
 /// Each operator() is a template over two vector-like arguments (anything
 /// with size() and operator[]), so the same metric — and the same floating
 /// point expression, hence bit-identical distances — applies to an owned
-/// std::vector<double> and to a zero-copy view over an mmap'd flat arena
-/// (snapshot/flat_tree.h). A concrete (Vector, Vector) overload delegates
-/// to the template so braced-initializer calls like d({0, 1}, {1, 0})
-/// still deduce.
+/// std::vector<double> and to a VectorView, the zero-copy row a vector
+/// mvp-tree's slab (core/mvp_tree.h) or a mapped flat arena
+/// (snapshot/flat_tree.h) hands out. A concrete (Vector, Vector) overload
+/// delegates to the template so braced-initializer calls like
+/// d({0, 1}, {1, 0}) still deduce.
 
 namespace mvp::metric {
 
 using Vector = std::vector<double>;
 
+/// Zero-copy view of one stored row of doubles: a row of a vector
+/// mvp-tree's slab or of a flat arena's objects section. Duck-compatible
+/// with Vector for the metrics' templated operator(), so d(query, stored)
+/// runs on the stored bytes with no materialization; the explicit
+/// conversion makes an owned copy.
+class VectorView {
+ public:
+  VectorView(const double* data, std::size_t dim) : data_(data), dim_(dim) {}
+  std::size_t size() const { return dim_; }
+  double operator[](std::size_t i) const { return data_[i]; }
+  const double* data() const { return data_; }
+  const double* begin() const { return data_; }
+  const double* end() const { return data_ + dim_; }
+  explicit operator Vector() const { return Vector(data_, data_ + dim_); }
+
+ private:
+  const double* data_;
+  std::size_t dim_;
+};
+
+/// A metric a vector mvp-tree can evaluate over its stored rows: an owned
+/// query against a row (searches) and a row against a row (construction
+/// and validation). The bundled Lp metrics, and the counting and
+/// cancellation wrappers of them, qualify.
+template <typename M>
+concept RowMetric = requires(const M& m, const Vector& v, const VectorView& r) {
+  { m(v, r) } -> std::convertible_to<double>;
+  { m(r, r) } -> std::convertible_to<double>;
+};
+
 namespace internal {
 
 /// Vector-like types exposing contiguous double storage (std::vector<double>,
-/// snapshot::flat::VectorView, std::array<double, N>, ...). Pairs of these
+/// VectorView, std::array<double, N>, ...). Pairs of these
 /// delegate to the out-of-line scalar kernels in metric/kernels/ — the
 /// canonical reference compiled with -ffp-contract=off, so the result is
 /// bit-identical on every architecture. Non-contiguous argument types keep

@@ -48,9 +48,11 @@
 ///
 /// Each shard holds ONE of two representations behind the same search
 /// interface: the heap tree (Build/Restore — owns its objects, supports
-/// any Object type) or a flat mmap-native view (RestoreFlat — vector
-/// datasets served directly out of a snapshot mapping with zero
-/// deserialization; snapshot/flat_tree.h). Searches dispatch per shard and
+/// any Object type; over vectors it owns one row-major slab) or a flat
+/// mmap-native view (RestoreFlat — vector datasets served directly out of
+/// a snapshot mapping with zero deserialization; snapshot/flat_tree.h).
+/// For vectors both evaluate the same rows in place as metric::VectorView,
+/// differing only in who owns the bytes. Searches dispatch per shard and
 /// return bit-identical results either way; flat shards recover global ids
 /// arithmetically (local i in shard s of K is global i*K + s) instead of
 /// from a stored map.
@@ -69,13 +71,11 @@ class ShardedMvpIndex {
   using FlatView = snapshot::flat::FlatTreeView<CancelChecked<Metric>>;
 
   /// Whether this instantiation can serve the flat representation: vector
-  /// objects AND a metric that evaluates against a zero-copy VectorView
-  /// (all bundled Lp metrics do; a metric restricted to owned vectors
-  /// simply never sees flat shards).
+  /// objects. A vector tree's metric already evaluates against the
+  /// zero-copy metric::VectorView rows a flat arena hands out
+  /// (metric::RowMetric, which core::MvpTree checks).
   static constexpr bool kFlatCapable =
-      std::is_same_v<Object, std::vector<double>> &&
-      std::is_invocable_r_v<double, const Metric&, const Object&,
-                            const snapshot::flat::VectorView&>;
+      std::is_same_v<Object, std::vector<double>>;
 
   struct Options {
     /// Number of independent mvp-trees the data is partitioned over.

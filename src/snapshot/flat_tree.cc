@@ -1,7 +1,6 @@
 #include "snapshot/flat_tree.h"
 
 #include <cstring>
-#include <limits>
 #include <span>
 #include <string>
 
@@ -83,23 +82,10 @@ std::vector<std::uint8_t> EmitArena(FlatHeaderRec h,
 
 }  // namespace
 
-Result<std::vector<std::uint8_t>> BuildFlatArena(
-    const core::MvpTreeOptions& options,
-    const std::vector<std::vector<double>>& objects,
-    const core::TreeLayout& layout) {
-  const std::size_t dim = objects.empty() ? 0 : objects[0].size();
-  if (dim > std::numeric_limits<std::uint32_t>::max()) {
-    return Status::InvalidArgument("vector dimension exceeds format limit");
-  }
-  std::vector<double> rows;
-  rows.reserve(objects.size() * dim);
-  for (const std::vector<double>& v : objects) {
-    if (v.size() != dim) {
-      return Status::InvalidArgument(
-          "flat arenas require equal-dimension vectors");
-    }
-    rows.insert(rows.end(), v.begin(), v.end());
-  }
+std::vector<std::uint8_t> BuildFlatArena(const core::MvpTreeOptions& options,
+                                         std::span<const double> rows,
+                                         std::size_t dim,
+                                         const core::TreeLayout& layout) {
   FlatHeaderRec h;
   h.order = static_cast<std::uint32_t>(options.order);
   h.leaf_capacity = static_cast<std::uint32_t>(options.leaf_capacity);
@@ -107,7 +93,7 @@ Result<std::vector<std::uint8_t>> BuildFlatArena(
       static_cast<std::uint32_t>(options.num_path_distances);
   if (options.store_exact_bounds) h.flags |= kHeaderExactBounds;
   h.dim = static_cast<std::uint32_t>(dim);
-  h.object_count = objects.size();
+  h.object_count = dim == 0 ? 0 : rows.size() / dim;
   return EmitArena(h, rows, layout);
 }
 
@@ -120,8 +106,8 @@ Result<std::vector<std::uint8_t>> BuildFlatArena(const std::uint8_t* stream,
   if (!reader.AtEnd()) {
     return Status::Corruption("trailing bytes after mvp-tree stream");
   }
-  return BuildFlatArena(tree.value().options(), tree.value().objects(),
-                        tree.value().layout());
+  return BuildFlatArena(tree.value().options(), tree.value().rows(),
+                        tree.value().dim(), tree.value().layout());
 }
 
 Result<std::vector<std::uint8_t>> UpgradeFlatArena(const FlatArenaParts& v1) {

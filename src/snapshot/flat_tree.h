@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "core/mvp_tree.h"
 #include "core/search_shared.h"
 #include "core/tree_layout.h"
+#include "metric/lp.h"
 
 /// \file
 /// The flat mvp-tree: a position-independent, offset-based encoding of one
@@ -26,11 +28,13 @@
 ///
 /// The arena's sections are the arrays of core/tree_layout.h byte for byte,
 /// the same ones a heap tree owns in vectors, behind a header and the
-/// stored vectors (all integers little-endian; docs/index_format.md has the
-/// byte-level diagrams; every section starts on an 8-byte boundary within
-/// the arena, and the snapshot writer 8-aligns the arena's file offset so
-/// in-memory records are naturally aligned under both mmap and the heap
-/// fallback). Version 2 is the only layout a view serves:
+/// stored vectors — the row-major slab a heap vector tree owns, which both
+/// hand out as metric::VectorView (all integers little-endian;
+/// docs/index_format.md has the byte-level diagrams; every section starts
+/// on an 8-byte boundary within the arena, and the snapshot writer
+/// 8-aligns the arena's file offset so in-memory records are naturally
+/// aligned under both mmap and the heap fallback). Version 2 is the only
+/// layout a view serves:
 ///
 ///   FlatHeaderRec + FlatHeaderExtRec   fixed 192 bytes
 ///   objects   f64[object_count * dim]     vectors, row-major, viewed in
@@ -131,28 +135,13 @@ struct FlatLeafEntryRec {
 };
 static_assert(sizeof(FlatLeafEntryRec) == 32, "leaf entry layout drifted");
 
-/// Zero-copy view of one stored vector inside the arena. Duck-compatible
-/// with std::vector<double> for the Lp metrics' templated operator(), so
-/// d(query, stored) runs on the mapped bytes with no materialization.
-class VectorView {
- public:
-  VectorView(const double* data, std::size_t dim) : data_(data), dim_(dim) {}
-  std::size_t size() const { return dim_; }
-  double operator[](std::size_t i) const { return data_[i]; }
-  const double* data() const { return data_; }
-
- private:
-  const double* data_;
-  std::size_t dim_;
-};
-
 /// Lays out a heap tree over vectors as a v2 flat arena, straight from its
-/// arrays (core::MvpTree::objects() and layout()). InvalidArgument for
-/// vectors of unequal dimension or a dimension over u32.
-Result<std::vector<std::uint8_t>> BuildFlatArena(
-    const core::MvpTreeOptions& options,
-    const std::vector<std::vector<double>>& objects,
-    const core::TreeLayout& layout);
+/// arrays: the row-major slab of `dim`-double rows (core::MvpTree::rows()
+/// and dim(), which the tree keeps within the header's u32) and layout().
+std::vector<std::uint8_t> BuildFlatArena(const core::MvpTreeOptions& options,
+                                         std::span<const double> rows,
+                                         std::size_t dim,
+                                         const core::TreeLayout& layout);
 
 /// The v2 arena of one serialized MvpTree stream (the exact bytes
 /// MvpTree::Serialize + VectorCodec emit): MvpTree::Deserialize, which
@@ -186,8 +175,9 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
 Result<std::vector<std::uint8_t>> UpgradeFlatArena(const FlatArenaParts& v1);
 
 /// Read-only mvp-tree over a validated flat arena. Query objects are dense
-/// real vectors; `Metric` must accept (query, VectorView) — all bundled Lp
-/// metrics (and serve::CancelChecked wrappers of them) do.
+/// real vectors; `Metric` must accept (query, metric::VectorView), as a
+/// heap vector tree's does (metric::RowMetric) — all bundled Lp metrics
+/// (and the counting and serve::CancelChecked wrappers of them) do.
 ///
 /// Search results, their order of discovery, and every SearchStats counter
 /// are bit-identical to core::MvpTree over the same logical tree: both run
@@ -253,9 +243,9 @@ class FlatTreeView {
     return true;
   }
 
-  VectorView object(std::size_t id) const {
+  metric::VectorView object(std::size_t id) const {
     MVP_DCHECK(id < p_.header.object_count);
-    return VectorView(p_.objects + id * p_.header.dim, p_.header.dim);
+    return metric::VectorView(p_.objects + id * p_.header.dim, p_.header.dim);
   }
 
   /// Mirrors MvpTree::RangeSearch (sorted by distance then id).

@@ -100,7 +100,9 @@ class ContainerWriter {
 
   std::size_t num_chunks() const { return entries_.size(); }
 
-  /// Lays out header + payloads and returns the whole file's bytes.
+  /// Lays out header + payloads and returns the whole file's bytes. Each
+  /// payload is freed once copied into the file image, so a save never
+  /// holds two full copies of the container.
   std::vector<std::uint8_t> Finalize() && {
     std::uint64_t offset = ContainerHeaderBytes(entries_.size());
     for (std::size_t i = 0; i < entries_.size(); ++i) {
@@ -137,6 +139,7 @@ class ContainerWriter {
         std::memcpy(file.data() + base, payloads_[i].data(),
                     payloads_[i].size());
       }
+      std::vector<std::uint8_t>().swap(payloads_[i]);
     }
     return file;
   }

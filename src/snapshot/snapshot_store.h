@@ -455,8 +455,7 @@ class SnapshotStore {
         return OpenFlatGeneration(std::move(gen), std::move(metric), pool);
       } else {
         return Status::InvalidArgument(
-            "flat generations serve only dense vectors under a metric over "
-            "flat::VectorView");
+            "flat generations serve only dense vector objects");
       }
     }
     const SnapshotManifest& manifest = gen.manifest;
@@ -568,9 +567,8 @@ class SnapshotStore {
         }
       }
       const auto& tree = index.shard(s);
-      auto arena =
-          flat::BuildFlatArena(tree.options(), tree.objects(), tree.layout());
-      if (!arena.ok()) return arena.status();
+      const std::vector<std::uint8_t> arena = flat::BuildFlatArena(
+          tree.options(), tree.rows(), tree.dim(), tree.layout());
       // Payload: u64 shard index, then the arena. The 8-byte chunk
       // alignment keeps the arena (at payload + 8) on an 8-byte file
       // offset, which mmap carries into memory.
@@ -580,9 +578,8 @@ class SnapshotStore {
       // resize+memcpy rather than a range insert — see the note on
       // BinaryWriter::Write (GCC 12 -Wnonnull false positive).
       const std::size_t base = bytes.size();
-      bytes.resize(base + arena.value().size());
-      std::memcpy(bytes.data() + base, arena.value().data(),
-                  arena.value().size());
+      bytes.resize(base + arena.size());
+      std::memcpy(bytes.data() + base, arena.data(), arena.size());
       container.AddChunk(ChunkKind::kFlatShard, std::move(bytes),
                          kFlatChunkAlignment);
     }

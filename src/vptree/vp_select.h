@@ -34,7 +34,8 @@ struct VpSelectOptions {
 };
 
 /// Picks a vantage point among positions [begin, end) of a working array.
-/// `object_at(i)` must return a reference to the object at position i;
+/// `object_at(i)` must return the object at position i, by reference or
+/// as a view (a vector tree's metric::VectorView rows);
 /// `metric` the distance function. Distance computations performed by the
 /// heuristic are added to *distance_count. Returns the chosen position.
 template <typename ObjectAt, typename Metric>

@@ -147,7 +147,8 @@ TEST(AdmissionTest, ConcurrentAdmitsNeverExceedTheCap) {
 class SlowL2 {
  public:
   SlowL2() = default;
-  double operator()(const Vector& a, const Vector& b) const {
+  template <typename A, typename B>
+  double operator()(const A& a, const B& b) const {
     std::this_thread::sleep_for(microseconds(200));
     return inner_(a, b);
   }

@@ -318,6 +318,31 @@ TEST(MvpTreeStreamTest, ObjectCountOverU32IsInvalidArgument) {
   EXPECT_EQ(FlatCode(stream, stream.size()), StatusCode::kInvalidArgument);
 }
 
+/// `stream` with object `id`'s vector cut to its first `dim` values (the
+/// golden recipe's objects are 4-d: a u64 length and 4 doubles each).
+std::vector<std::uint8_t> WithRowCut(std::vector<std::uint8_t> stream,
+                                     std::size_t id, std::uint64_t dim) {
+  constexpr std::size_t kObjectsOffset = kObjectCountOffset + 8;
+  const std::size_t at = kObjectsOffset + id * (8 + 4 * sizeof(double));
+  std::memcpy(stream.data() + at, &dim, sizeof(dim));
+  const auto values = stream.begin() + static_cast<std::ptrdiff_t>(at + 8);
+  stream.erase(values + static_cast<std::ptrdiff_t>(dim * sizeof(double)),
+               values + static_cast<std::ptrdiff_t>(4 * sizeof(double)));
+  return stream;
+}
+
+TEST(MvpTreeStreamTest, RaggedOrZeroDimensionVectorsRejected) {
+  const auto intact = GoldenRecipeStream();
+  // The slab holds one dimension, so both entry points refuse a ragged
+  // stream the same way (the heap tree used to accept it).
+  const auto ragged = WithRowCut(intact, 5, 3);
+  EXPECT_EQ(HeapCode(ragged, ragged.size()), StatusCode::kCorruption);
+  EXPECT_EQ(FlatCode(ragged, ragged.size()), StatusCode::kCorruption);
+  const auto zero_dim = WithRowCut(intact, 0, 0);
+  EXPECT_EQ(HeapCode(zero_dim, zero_dim.size()), StatusCode::kCorruption);
+  EXPECT_EQ(FlatCode(zero_dim, zero_dim.size()), StatusCode::kCorruption);
+}
+
 TEST(MvpTreeStreamTest, HeapAndFlatEntryPointsReturnOneStatus) {
   const auto intact = GoldenRecipeStream();
   for (std::size_t cut = 0; cut <= intact.size(); ++cut) {

@@ -47,6 +47,20 @@ TEST(MvpTreeTest, RejectsBadOptions) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(MvpTreeTest, RejectsRaggedAndZeroDimensionVectors) {
+  // A vector tree stores one row-major slab, so every vector must share
+  // one dimension of at least 1.
+  EXPECT_EQ(VecTree::Build({{1, 2}, {3, 4}, {5}}, L2()).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(VecTree::Build({{}, {}}, L2()).status().code(),
+            StatusCode::kInvalidArgument);
+  auto built = VecTree::Build({{1, 2}, {3, 4}, {5, 6}}, L2());
+  ASSERT_TRUE(built.ok());
+  EXPECT_EQ(built.value().dim(), 2u);
+  EXPECT_EQ(built.value().rows(), (std::vector<double>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(Vector(built.value().object(1)), (Vector{3, 4}));
+}
+
 TEST(MvpTreeTest, EmptyTree) {
   auto tree = MustBuild({});
   EXPECT_EQ(tree.size(), 0u);

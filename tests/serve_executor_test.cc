@@ -37,7 +37,8 @@ class ThrottledL2 {
  public:
   ThrottledL2() : stall_us_(std::make_shared<std::atomic<int>>(0)) {}
 
-  double operator()(const Vector& a, const Vector& b) const {
+  template <typename A, typename B>
+  double operator()(const A& a, const B& b) const {
     const int stall = stall_us_->load(std::memory_order_relaxed);
     if (stall > 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(stall));
