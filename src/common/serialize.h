@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <ranges>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -45,11 +46,13 @@ class BinaryWriter {
 
   void WriteString(const std::string& s) { WriteBytes(s.data(), s.size()); }
 
-  /// Length-prefixed vector of arithmetic values.
-  template <typename T>
-  void WriteVector(const std::vector<T>& values) {
+  /// Length-prefixed run of arithmetic values, from any contiguous range
+  /// (a std::vector or a std::span).
+  template <std::ranges::contiguous_range R>
+  void WriteVector(const R& values) {
+    using T = std::ranges::range_value_t<R>;
     static_assert(std::is_arithmetic_v<T>);
-    Write<std::uint64_t>(values.size());
+    Write<std::uint64_t>(std::ranges::size(values));
     for (const T& v : values) Write<T>(v);
   }
 

@@ -452,6 +452,77 @@ TEST_F(DynamicOverlayTest, ReopenReplaysTheWalWithoutACheckpoint) {
   EXPECT_EQ(id.value(), 50u);
 }
 
+// A vector mvp-tree holds rows of one dimension, so the overlay refuses a
+// vector of any other before logging it: the insert fails, issues no id and
+// writes no WAL record, the memtable's next merge goes through, and the
+// store reopens. A reopen takes the dimension from the memtable, or from
+// the base after a compaction. A shipped record of another dimension is
+// Corruption and is not appended to the follower's WAL.
+TEST_F(DynamicOverlayTest, InsertOfAnotherDimensionIsRefusedBeforeTheWal) {
+  std::mt19937_64 rng(31);
+  std::map<std::uint64_t, Vec> live;
+  const auto insert_live = [&](Overlay& overlay) {
+    Vec v = RandomVec(rng);
+    auto id = overlay.Insert(v);
+    ASSERT_TRUE(id.ok()) << id.status().message();
+    live[id.value()] = std::move(v);
+  };
+  const auto expect_refused = [](Overlay& overlay, std::size_t dim) {
+    EXPECT_EQ(overlay.Insert(Vec(dim, 0.5)).status().code(),
+              StatusCode::kInvalidArgument)
+        << dim << "-d";
+  };
+  {
+    auto opened = OpenOverlay();
+    ASSERT_TRUE(opened.ok());
+    Overlay& overlay = *opened.value();
+    expect_refused(overlay, 0);  // no dimension fits an empty vector
+    insert_live(overlay);
+    expect_refused(overlay, kDim - 1);
+    expect_refused(overlay, kDim + 1);
+    // Past the buffer capacity (16), so the memtable merges a level.
+    for (int i = 0; i < 20; ++i) insert_live(overlay);
+    expect_refused(overlay, kDim - 1);
+    EXPECT_EQ(overlay.next_stable_id(), 21u);
+    EXPECT_EQ(overlay.applied_seq(), 21u);
+    ExpectEquivalent(overlay, live, rng, 10, "refused");
+  }
+  {
+    auto reopened = OpenOverlay();
+    ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+    Overlay& overlay = *reopened.value();
+    EXPECT_EQ(overlay.stats().replayed_records, 21u);
+    ExpectEquivalent(overlay, live, rng, 10, "reopened");
+    expect_refused(overlay, kDim - 1);
+    ASSERT_TRUE(overlay.Compact().ok());
+  }
+  std::uint64_t next_id = 0;
+  {
+    auto reopened = OpenOverlay();
+    ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+    Overlay& overlay = *reopened.value();
+    EXPECT_EQ(overlay.memtable_size(), 0u);
+    expect_refused(overlay, kDim + 1);
+    insert_live(overlay);
+
+    BinaryWriter payload;
+    VectorCodec{}.Write(payload, Vec(kDim - 1, 0.5));
+    wal::WalRecord record;
+    record.op = wal::WalOp::kInsert;
+    record.seq = overlay.applied_seq() + 1;
+    record.id = overlay.next_stable_id();
+    record.payload = std::move(payload).TakeBuffer();
+    EXPECT_EQ(overlay.ApplyReplicated({record}).code(),
+              StatusCode::kCorruption);
+    insert_live(overlay);  // its fsync would flush a logged refused record
+    next_id = overlay.next_stable_id();
+  }
+  auto reopened = OpenOverlay();
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  EXPECT_EQ(reopened.value()->next_stable_id(), next_id);
+  ExpectEquivalent(*reopened.value(), live, rng, 10, "after shipped refusal");
+}
+
 TEST_F(DynamicOverlayTest, CheckpointWritesADeltaProportionalToChurn) {
   auto opened = OpenOverlay();
   ASSERT_TRUE(opened.ok());
@@ -551,6 +622,8 @@ TEST_F(DynamicOverlayTest, OverlayServesOverAFlatBase) {
   Overlay& overlay = *opened.value();
   EXPECT_TRUE(overlay.base_flat_serving());
   EXPECT_EQ(overlay.size(), 120u);
+  EXPECT_EQ(overlay.Insert(Vec(kDim + 1, 0.5)).status().code(),
+            StatusCode::kInvalidArgument);  // the flat rows' dimension
 
   // Erase base objects, insert new ones — all on top of the mapping.
   ASSERT_TRUE(overlay.Erase(7).ok());

@@ -430,8 +430,10 @@ TEST(MvpForestTest, ForEachLiveVisitsBufferAndEveryLevelExactlyOnce) {
   ASSERT_GT(forest.num_trees(), 0u);
 
   std::map<std::size_t, Vector> seen;
-  forest.ForEachLive([&](std::size_t id, const Vector& object) {
-    EXPECT_TRUE(seen.emplace(id, object).second) << "id visited twice: " << id;
+  // A buffered object comes as a const Vector&, a level's as a row view.
+  forest.ForEachLive([&](std::size_t id, const auto& object) {
+    EXPECT_TRUE(seen.emplace(id, Vector(object)).second)
+        << "id visited twice: " << id;
   });
   ASSERT_EQ(seen.size(), forest.size());
   for (std::size_t id = 0; id < 155; ++id) {
@@ -458,7 +460,7 @@ TEST(MvpForestTest, MergeMathKeepsLevelsContiguousAndComplete) {
     if (i == 15 || i == 16 || i == 31 || i == 63 || i == 127 || i == 255 ||
         i == 299) {
       std::size_t visited = 0;
-      forest.ForEachLive([&](std::size_t, const Vector&) { ++visited; });
+      forest.ForEachLive([&](std::size_t, const auto&) { ++visited; });
       EXPECT_EQ(visited, i + 1) << "after insert " << i;
       EXPECT_EQ(forest.size(), i + 1);
       EXPECT_EQ(forest.buffered() + 0u, forest.buffered());
