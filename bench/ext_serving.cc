@@ -5,7 +5,9 @@
 // bit-identical to a single unsharded mvp-tree. Speedups depend on the
 // machine's core count; the result-equality checks do not.
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
@@ -107,6 +109,50 @@ int Run() {
   std::printf("results identical to the unsharded tree in every "
               "configuration: %s\n",
               all_match ? "yes" : "NO (BUG)");
+
+  // Single-query latency with `parallel_shards`: each query runs alone on a
+  // 4-thread pool, so a range query searches the shards its ball meets side
+  // by side, while k-NN (k = 10) walks the shards nearest shell first under
+  // one shared bound.
+  {
+    Sharded::Options options;
+    options.num_shards = 4;
+    const Sharded index =
+        Sharded::Build(data, L2(), options, &build_pool).ValueOrDie();
+    serve::ThreadPool pool(4);
+    serve::ExecutorOptions exec;
+    exec.parallel_shards = true;
+    harness::Table latency({"query", "p50_us", "p99_us", "dist/query"});
+    for (const bool knn : {false, true}) {
+      std::vector<double> us;
+      std::uint64_t dists = 0;
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        std::vector<serve::BatchQuery<Vector>> one{batch[i]};
+        if (knn) {
+          one[0].kind = serve::BatchQuery<Vector>::Kind::kKnn;
+          one[0].k = 10;
+        }
+        const auto start = Clock::now();
+        const auto out = serve::RunBatch(index, one, &pool, nullptr, exec);
+        us.push_back(MillisSince(start) * 1e3);
+        dists += out[0].distance_computations;
+        all_match = all_match &&
+                    out[0].neighbors == (knn ? plain.KnnSearch(one[0].object, 10)
+                                             : baseline[i].neighbors);
+      }
+      std::sort(us.begin(), us.end());
+      latency.AddRow(
+          {knn ? "10-NN" : "range", harness::FormatDouble(us[us.size() / 2], 0),
+           harness::FormatDouble(us[std::min(us.size() - 1, us.size() * 99 / 100)],
+                                 0),
+           harness::FormatDouble(static_cast<double>(dists) /
+                                     static_cast<double>(us.size()),
+                                 1)});
+    }
+    std::printf("single queries, 4 shards, parallel_shards on a 4-thread "
+                "pool:\n");
+    std::cout << latency.ToText();
+  }
 
   // Deadline behaviour: replay the batch with a budget that cuts into the
   // queue tail. Degradation is graceful twice over — expired queries

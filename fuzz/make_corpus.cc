@@ -284,6 +284,9 @@ void EmitSnapshotSeeds(const fs::path& dir,
     manifest.next_stable_id = 64;
     manifest.leader_epoch = 3;
     WriteSeed(dir / "manifest_v3.bin", 0, manifest.Serialize());
+    manifest.index_kind = mvp::snapshot::IndexKind::kShardedMvpIndex;
+    manifest.partition = mvp::ShardPartition{1, 5, {{0.0, 0.4}, {0.4, 1.3}}};
+    WriteSeed(dir / "manifest_v4.bin", 0, manifest.Serialize());
   }
   {
     mvp::snapshot::ContainerWriter writer;

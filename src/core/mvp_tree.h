@@ -305,15 +305,19 @@ class MvpTree {
   /// caller-owned `*stats`. On a mid-search cancellation the heap holds the
   /// best <= k neighbors among the points evaluated so far — a valid
   /// degraded answer, though not necessarily the true top-k. Callers
-  /// sort (std::sort or std::sort_heap) before presenting.
+  /// sort (std::sort or std::sort_heap) before presenting. `bound` caps
+  /// the pruning radius at a k-th distance the caller already holds
+  /// (Traversal::Knn); candidates strictly farther may then be missing.
   void KnnSearchInto(const Object& query, std::size_t k,
                      std::vector<Neighbor>* heap,
                      SearchStats* stats = nullptr,
-                     Exclusion exclude = {}) const {
+                     Exclusion exclude = {},
+                     double bound =
+                         std::numeric_limits<double>::infinity()) const {
     MVP_DCHECK(heap != nullptr);
     SearchStats local;
     Traversal(Access(), query, stats != nullptr ? *stats : local)
-        .Knn(k, heap, exclude);
+        .Knn(k, heap, exclude, nullptr, bound);
   }
 
   /// Budgeted (approximate) k-NN: identical to KnnSearch but stops after

@@ -242,9 +242,15 @@ class Traversal {
 
   /// Keeps the k nearest objects `exclude` does not name in `*heap`, a
   /// max-heap under NeighborLess (pass it empty). Children are visited in
-  /// order of their distance lower bound over all vantage points.
+  /// order of their distance lower bound over all vantage points. `bound`
+  /// caps the pruning radius at a k-th distance already known elsewhere
+  /// (another shard or level of the same answer): candidates strictly
+  /// farther cannot make that answer, so they may be skipped, and ties
+  /// survive. +infinity is the plain search.
   void Knn(std::size_t k, std::vector<Neighbor>* heap, Exclusion exclude = {},
-           const RootPrime* prime = nullptr) {
+           const RootPrime* prime = nullptr,
+           double bound = std::numeric_limits<double>::infinity()) {
+    bound_ = bound;
     if (const NodeRef root = nodes_.Root(); root != nullptr && k > 0) {
       KnnNode(root, k, *heap, exclude, prime);
     }
@@ -362,6 +368,11 @@ class Traversal {
     }
   }
 
+  /// k-NN's pruning radius: the heap's k-th best, capped by bound_.
+  double Tau(const std::vector<Neighbor>& heap, std::size_t k) const {
+    return std::min(KnnTau(heap, k), bound_);
+  }
+
   void KnnNode(NodeRef node, std::size_t k, std::vector<Neighbor>& heap,
                Exclusion exclude, const RootPrime* prime) {
     Distances d;
@@ -376,7 +387,7 @@ class Traversal {
       const LeafQuery q{d.data(), vps, qpath_};
       for (std::size_t i = 0; i < leaf.size(); ++i) {
         ++stats_.leaf_points_seen;
-        if (!leaf.Passes(i, q, KnnTau(heap, k)) || exclude(leaf.id(i))) {
+        if (!leaf.Passes(i, q, Tau(heap, k)) || exclude(leaf.id(i))) {
           ++stats_.leaf_points_filtered;
           continue;
         }
@@ -396,7 +407,7 @@ class Traversal {
     std::sort(ranked.begin(), ranked.end(),
               [](const Ranked& a, const Ranked& b) { return a.bound < b.bound; });
     for (const Ranked& r : ranked) {
-      if (r.bound > KnnTau(heap, k)) break;
+      if (r.bound > Tau(heap, k)) break;
       KnnNode(r.child, k, heap, exclude, nullptr);
     }
   }
@@ -427,6 +438,7 @@ class Traversal {
   const Query& query_;
   SearchStats& stats_;
   [[no_unique_address]] Budget budget_;
+  double bound_ = std::numeric_limits<double>::infinity();
   std::vector<double> qpath_;
 };
 

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -257,17 +258,20 @@ class DynamicOverlay {
     if (cancelled) throw serve::CancelledError();
   }
 
-  /// KnnSearch's harvest interface: appends each base shard's best k live
+  /// KnnSearch's harvest interface: appends the base's best k live
   /// candidates (tombstones are excluded inside the traversal) plus the
-  /// memtable's best k, all unsorted — the caller sorts and trims to k,
-  /// landing on exactly the KnnSearch result. On cancellation the
-  /// candidates evaluated so far are appended before the rethrow, same
-  /// contract as the sharded index.
+  /// memtable's, all unsorted — the caller sorts and trims to k, landing on
+  /// exactly the KnnSearch result. The memtable search is capped at the
+  /// base answer's k-th distance, so it skips only candidates strictly
+  /// worse than k live base objects. On cancellation the candidates
+  /// evaluated so far are appended before the rethrow, same contract as
+  /// the sharded index.
   void KnnSearchInto(const Object& query, std::size_t k,
                      std::vector<Neighbor>* out,
                      SearchStats* stats = nullptr) const MVP_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     bool cancelled = false;
+    double bound = std::numeric_limits<double>::infinity();
     if (base_.has_value()) {
       std::vector<Neighbor> base_hits;
       const std::vector<bool>& erased = base_erased_;
@@ -281,10 +285,16 @@ class DynamicOverlay {
       } catch (const serve::CancelledError&) {
         cancelled = true;
       }
+      if (k > 0 && base_hits.size() >= k) {
+        bound = std::max_element(base_hits.begin(), base_hits.end(),
+                                 NeighborLess)
+                    ->distance;
+      }
       AppendBaseHitsLocked(base_hits, out);
     }
     if (!cancelled) {
-      AppendMemtableHitsLocked(memtable_.KnnSearch(query, k, stats), out);
+      AppendMemtableHitsLocked(memtable_.KnnSearch(query, k, stats, bound),
+                               out);
     }
     if (cancelled) throw serve::CancelledError();
   }
@@ -515,26 +525,17 @@ class DynamicOverlay {
   void GatherBaseLiveLocked(
       std::vector<std::pair<std::uint64_t, Object>>* live) const
       MVP_REQUIRES(mu_) {
-    const std::size_t k = base_->num_shards();
-    for (std::size_t s = 0; s < k; ++s) {
-      if (base_->flat_serving()) {
-        if constexpr (BaseIndex::kFlatCapable) {
-          const auto& view = base_->flat_shard(s);
-          for (std::size_t local = 0; local < view.size(); ++local) {
-            const std::size_t g = local * k + s;
-            if (base_erased_[g]) continue;
-            live->emplace_back(BaseStableLocked(g),
-                               Object(view.object(local)));
-          }
-        }
-      } else {
-        const auto& tree = base_->shard(s);
-        const auto& globals = base_->shard_global_ids(s);
-        for (std::size_t local = 0; local < tree.size(); ++local) {
-          const std::size_t g = globals[local];
-          if (base_erased_[g]) continue;
+    for (std::size_t s = 0; s < base_->num_shards(); ++s) {
+      const auto& globals = base_->shard_global_ids(s);
+      for (std::size_t local = 0; local < globals.size(); ++local) {
+        const std::size_t g = globals[local];
+        if (base_erased_[g]) continue;
+        if (!base_->flat_serving()) {
           live->emplace_back(BaseStableLocked(g),
-                             Object(tree.object(local)));
+                             Object(base_->shard(s).object(local)));
+        } else if constexpr (BaseIndex::kFlatCapable) {
+          live->emplace_back(BaseStableLocked(g),
+                             Object(base_->flat_shard(s).object(local)));
         }
       }
     }

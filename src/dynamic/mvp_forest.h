@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -13,6 +14,7 @@
 #include "common/query.h"
 #include "common/status.h"
 #include "core/mvp_tree.h"
+#include "core/search_shared.h"
 #include "metric/metric.h"
 
 /// \file
@@ -123,15 +125,22 @@ class MvpForest {
     return result;
   }
 
-  /// The k nearest live objects.
-  std::vector<Neighbor> KnnSearch(const Object& query, std::size_t k,
-                                  SearchStats* stats = nullptr) const {
-    std::vector<Neighbor> candidates;
+  /// The k nearest live objects. The buffer is scanned first, then each
+  /// level's tree is searched capped at the running k-th best (and at
+  /// `bound`, a k-th distance the caller already holds, as DynamicOverlay
+  /// does with its base answer): candidates strictly farther than the cap
+  /// cannot make the caller's answer, so they may be missing from this one.
+  std::vector<Neighbor> KnnSearch(
+      const Object& query, std::size_t k, SearchStats* stats = nullptr,
+      double bound = std::numeric_limits<double>::infinity()) const {
+    std::vector<Neighbor> best;  // max-heap under NeighborLess
     for (const auto& entry : buffer_) {
       const double d = metric_(query, entry.object);
       if (stats != nullptr) ++stats->distance_computations;
-      candidates.push_back(Neighbor{entry.id, d});
+      if (k > 0) core::KnnOffer(best, k, Neighbor{entry.id, d});
     }
+    if (k == 0) return best;
+    std::vector<Neighbor> found;
     for (const auto& level : levels_) {
       if (!level.has_value()) continue;
       // The level's tree skips its deleted points inside the traversal
@@ -139,14 +148,16 @@ class MvpForest {
       const auto deleted = [&](std::size_t local) {
         return state_[level->ids[local]] == kDeleted;
       };
-      for (const auto& hit : level->tree->KnnSearch(
-               query, k, stats, core::Exclusion::Of(deleted))) {
-        candidates.push_back(Neighbor{level->ids[hit.id], hit.distance});
+      found.clear();
+      level->tree->KnnSearchInto(query, k, &found, stats,
+                                 core::Exclusion::Of(deleted),
+                                 std::min(bound, core::KnnTau(best, k)));
+      for (const Neighbor& hit : found) {
+        core::KnnOffer(best, k, Neighbor{level->ids[hit.id], hit.distance});
       }
     }
-    std::sort(candidates.begin(), candidates.end(), NeighborLess);
-    if (candidates.size() > k) candidates.resize(k);
-    return candidates;
+    std::sort_heap(best.begin(), best.end(), NeighborLess);
+    return best;
   }
 
   std::size_t size() const { return live_count_; }

@@ -112,9 +112,12 @@ struct QueryOutcome {
 };
 
 struct ExecutorOptions {
-  /// Also fan each query out across its index's shards (ShardedMvpIndex
-  /// only). Lowers single-query latency; for batch throughput the
-  /// query-level parallelism is usually enough and cheaper.
+  /// Also fan each query out across the shards of its index
+  /// (ShardedMvpIndex only): a range query over the shards its ball meets,
+  /// a k-NN query over its second wave of shards (the shells the nearest
+  /// shell's k-th distance does not exclude). Lowers single-query latency
+  /// and computes the same distances as without it; for batch throughput
+  /// the query-level parallelism is usually enough and cheaper.
   bool parallel_shards = false;
   /// When set, every query must be admitted before it runs; refusals come
   /// back as ResourceExhausted outcomes. The controller is the caller's —
@@ -274,8 +277,9 @@ std::vector<QueryOutcome> RunBatch(const Index& index,
         }
       }
       if (harvestable) {
-        // Harvested hits arrive unsorted (and k-NN as a per-shard union);
-        // normalize to the library-wide presentation order.
+        // Harvested hits arrive unsorted (and an overlay's k-NN as a union
+        // of base and memtable candidates); normalize to the library-wide
+        // presentation order.
         std::sort(out.neighbors.begin(), out.neighbors.end(), NeighborLess);
         if (query.kind == BatchQuery<Object>::Kind::kKnn &&
             out.neighbors.size() > query.k) {

@@ -3,9 +3,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <numeric>
 #include <optional>
+#include <random>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -13,6 +17,7 @@
 
 #include "common/macros.h"
 #include "common/query.h"
+#include "common/shard_partition.h"
 #include "common/status.h"
 #include "core/mvp_tree.h"
 #include "core/search_shared.h"
@@ -25,26 +30,40 @@
 /// \file
 /// Sharded mvp-tree — the serving layer's unit of parallelism.
 ///
-/// A single mvp-tree search is a sequential recursion; a machine serving
-/// heavy traffic wants both queries-across-cores and, for latency-critical
-/// single queries, one-query-across-cores. ShardedMvpIndex provides the
-/// substrate for both: the dataset is partitioned round-robin over K
-/// independent mvp-trees, built in parallel on a ThreadPool, and every
-/// query fans out per-shard searches whose merged result is EXACTLY the
-/// result one unsharded tree over the same data would return (same ids,
-/// same distances — round-robin keeps global ids stable, and merging sorts
-/// by the library-wide NeighborLess order). tests/sharded_index_test.cc
-/// asserts this equivalence bit for bit.
+/// The dataset is split over K independent mvp-trees, built in parallel on
+/// a ThreadPool, and every answer is EXACTLY the one a linear scan (or one
+/// unsharded tree) gives: same ids, same distances, sorted by the
+/// library-wide NeighborLess order. tests/sharded_index_test.cc asserts
+/// this bit for bit.
 ///
-/// Trade-off (docs/serving.md discusses it): K shards of n/K points do
-/// slightly more total distance computations than one tree of n points —
-/// each shard pays its own vantage-point evaluations — in exchange for a
-/// build that scales near-linearly with cores and searches that can run
-/// K-wide. Keep K near the core count, not higher.
+/// The split is the paper's m-way vp split (§3), one level above the
+/// trees: Build picks one seeded top vantage point v, ranks every object by
+/// (d(v, x), global id) and gives shard s the ranks [n·s/K, n·(s+1)/K). So
+/// shard s is a shell [lo_s, hi_s] around v, and a search computes
+/// d0 = d(q, v) once and prunes whole shards by the triangle inequality,
+/// the same rule core::ShellIntersects applies inside every node:
+///   - range visits shard s iff [d0 - r, d0 + r] meets [lo_s, hi_s], and
+///     may search the visited shards in parallel;
+///   - k-NN ranks shards by max(0, lo_s - d0, d0 - hi_s) and searches in
+///     two waves into one global heap: the nearest shell first, then every
+///     shell whose bound does not exceed the k-th distance that wave found,
+///     each capped at it, side by side when a pool is given.
+/// With one shard there is no v, and the index is that shard's tree.
 ///
-/// Every shard tree is built over a CancelChecked metric, so any search —
-/// serial or fanned out — is cancellable mid-flight by the executor's
-/// deadline machinery at the granularity of one distance computation.
+/// Generations written before the partition dealt objects out round-robin
+/// (global id g in shard g % K). They restore with no v and unbounded
+/// shells [0, +inf), so they run the same search without shard pruning.
+///
+/// Trade-off (docs/serving.md gives measured counts): building costs n
+/// distances more than the K shard trees, one per object to v, and a k-NN
+/// query then costs about what one unsharded tree costs. Both query kinds
+/// search their shards in parallel on a pool, and the same shards with the
+/// same caps without one, so pooled and serial counts are equal.
+///
+/// Every shard tree is built over a CancelChecked metric, and d(q, v) is
+/// evaluated through it, so any search is cancellable mid-flight by the
+/// executor's deadline machinery at the granularity of one distance
+/// computation.
 ///
 /// Each shard holds ONE of two representations behind the same search
 /// interface: the heap tree (Build/Restore — owns its objects, supports
@@ -53,9 +72,8 @@
 /// a snapshot mapping with zero deserialization; snapshot/flat_tree.h).
 /// For vectors both evaluate the same rows in place as metric::VectorView,
 /// differing only in who owns the bytes. Searches dispatch per shard and
-/// return bit-identical results either way; flat shards recover global ids
-/// arithmetically (local i in shard s of K is global i*K + s) instead of
-/// from a stored map.
+/// return bit-identical results either way. Every shard keeps an ascending
+/// local-id -> global-id map, which snapshots of either layout store.
 ///
 /// Thread-safety analysis: the index is immutable after Build/Restore and
 /// searched concurrently without locks; per-query fan-out state is either
@@ -123,17 +141,27 @@ class ShardedMvpIndex {
     friend bool operator==(const BuildParams&, const BuildParams&) = default;
   };
 
-  /// Precomputed root vantage-point distances for one query of a batch,
-  /// one core::RootPrime per shard (PrimeBatch; consumed by the primed
-  /// RangeSearchInto/KnnSearchInto overload parameter). Empty when the
-  /// index could not be primed.
+  /// Precomputed distances for one query of a batch (PrimeBatch; consumed
+  /// by the primed RangeSearchInto/KnnSearchInto overload parameter): d(q,
+  /// v) to the top vantage point, and one core::RootPrime per shard. Empty
+  /// when the index could not be primed.
   struct QueryPrime {
+    double vantage = 0.0;
+    bool has_vantage = false;
     std::vector<core::RootPrime> shard;
   };
 
-  /// Partitions `objects` round-robin over the shards (global id g lands in
-  /// shard g % K) and builds the shard trees — in parallel on `pool` when
-  /// one is given, serially otherwise. The result is identical either way.
+  /// The metric partition Build records and snapshots persist
+  /// (common/shard_partition.h): v as (shard, local id), and each shard's
+  /// shell around it.
+  using Shell = ShardShell;
+  using Partition = ShardPartition;
+
+  /// Partitions `objects` into K shells around one seeded vantage point
+  /// (see the file comment) and builds the shard trees. The n distances to
+  /// v and the shard builds run on `pool` when one is given, serially
+  /// otherwise; the result is identical either way. Shard s's objects keep
+  /// ascending global ids, so local ids order ties as global ids do.
   static Result<ShardedMvpIndex> Build(std::vector<Object> objects,
                                        Metric metric, const Options& options,
                                        ThreadPool* pool = nullptr) {
@@ -142,19 +170,63 @@ class ShardedMvpIndex {
     if (index.options_.num_shards == 0) {
       index.options_.num_shards = AdaptiveShardCount(objects.size());
     }
-    index.size_ = objects.size();
+    const std::size_t n = objects.size();
+    index.size_ = n;
     const std::size_t k = index.options_.num_shards;
 
-    std::vector<std::vector<Object>> parts(k);
     std::vector<std::vector<std::size_t>> ids(k);
+    std::vector<Shell> shells(k);
+    std::optional<std::size_t> vantage;  // global id of v
+    if (k == 1 || n == 0) {
+      ids[0].resize(n);
+      std::iota(ids[0].begin(), ids[0].end(), std::size_t{0});
+    } else {
+      vantage = std::mt19937_64(options.tree.seed ^ kVantageSeedSalt)() % n;
+      const std::vector<double> dist =
+          VantageDistances(objects, *vantage, metric, pool);
+      index.partition_distances_ = n;
+      // Rank by (distance, global id). nth_element at each cut finds the
+      // first object of every shard; an ascending pass then places each
+      // object by those K-1 keys, so every id map comes out ascending.
+      const auto by_rank = [&dist](std::size_t a, std::size_t b) {
+        return dist[a] < dist[b] || (dist[a] == dist[b] && a < b);
+      };
+      std::vector<std::size_t> firsts;  // shards 1..K-1
+      {
+        std::vector<std::size_t> order(n);
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        for (std::size_t s = 1; s < k; ++s) {
+          std::nth_element(order.begin() + Cut(n, k, s - 1),
+                           order.begin() + Cut(n, k, s), order.end(), by_rank);
+          firsts.push_back(order[Cut(n, k, s)]);
+        }
+      }
+      for (std::size_t s = 0; s < k; ++s) {
+        ids[s].reserve(Cut(n, k, s + 1) - Cut(n, k, s));
+        shells[s] = Shell{kInfinity, -kInfinity};
+      }
+      for (std::size_t g = 0; g < n; ++g) {
+        const std::size_t s = static_cast<std::size_t>(
+            std::upper_bound(firsts.begin(), firsts.end(), g, by_rank) -
+            firsts.begin());
+        ids[s].push_back(g);
+        shells[s].lo = std::min(shells[s].lo, dist[g]);
+        shells[s].hi = std::max(shells[s].hi, dist[g]);
+      }
+      for (std::size_t s = 0; s < k; ++s) {
+        // An empty shard's shell meets no query.
+        if (ids[s].empty()) shells[s] = Shell{kInfinity, kInfinity};
+      }
+    }
+
+    std::vector<std::vector<Object>> parts(k);
     for (std::size_t s = 0; s < k; ++s) {
-      parts[s].reserve(objects.size() / k + 1);
-      ids[s].reserve(objects.size() / k + 1);
+      parts[s].reserve(ids[s].size());
+      for (const std::size_t g : ids[s]) {
+        parts[s].push_back(std::move(objects[g]));
+      }
     }
-    for (std::size_t g = 0; g < objects.size(); ++g) {
-      parts[g % k].push_back(std::move(objects[g]));
-      ids[g % k].push_back(g);
-    }
+    std::vector<Object>().swap(objects);
 
     std::vector<std::optional<Result<Tree>>> built(k);
     auto build_shard = [&](std::size_t s) {
@@ -172,16 +244,26 @@ class ShardedMvpIndex {
     index.shards_.reserve(k);
     for (std::size_t s = 0; s < k; ++s) {
       if (!built[s]->ok()) return built[s]->status();
-      index.shards_.push_back(std::make_unique<Shard>(
-          Shard{std::move(*built[s]).ValueOrDie(), std::move(ids[s]),
-                std::nullopt}));
+      auto shard = std::make_unique<Shard>();
+      shard->tree.emplace(std::move(*built[s]).ValueOrDie());
+      shard->ids = std::move(ids[s]);
+      shard->shell = shells[s];
+      if (vantage.has_value()) {
+        const auto& v_ids = shard->ids;
+        const auto it = std::lower_bound(v_ids.begin(), v_ids.end(), *vantage);
+        if (it != v_ids.end() && *it == *vantage) {
+          index.vantage_.emplace(s, static_cast<std::size_t>(it - v_ids.begin()));
+        }
+      }
+      index.shards_.push_back(std::move(shard));
     }
     return index;
   }
 
   /// All objects within `radius` of `query` (closed ball), sorted by
-  /// distance then global id — exactly the unsharded MvpTree result. With
-  /// a pool, shards are searched in parallel (the calling thread helps).
+  /// distance then global id — exactly a linear scan's result. With a pool,
+  /// the shards whose shells meet the query ball are searched in parallel
+  /// (the calling thread helps).
   std::vector<Neighbor> RangeSearch(const Object& query, double radius,
                                     SearchStats* stats = nullptr,
                                     ThreadPool* pool = nullptr) const {
@@ -202,26 +284,47 @@ class ShardedMvpIndex {
                        SearchStats* stats = nullptr,
                        ThreadPool* pool = nullptr,
                        const QueryPrime* prime = nullptr) const {
-    FanOutInto(
-        [&](std::size_t s, const Shard& shard, std::vector<Neighbor>* sink,
-            SearchStats* shard_stats) {
+    MVP_DCHECK(out != nullptr);
+    const double d0 = VantageDistance(query, stats, prime);
+    std::vector<std::size_t> visit;
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      const Shell& shell = shards_[s]->shell;
+      if (core::ShellIntersects(d0, radius, shell.lo, shell.hi)) {
+        visit.push_back(s);
+      }
+    }
+    std::vector<std::vector<Neighbor>> hits(visit.size());
+    std::vector<SearchStats> shard_stats(visit.size());
+    const bool cancelled = ForEachShard(
+        visit.size(), pool, [&](std::size_t i) {
+          const std::size_t s = visit[i];
+          const Shard& shard = *shards_[s];
           if (shard.tree.has_value()) {
-            shard.tree->RangeSearchInto(query, radius, sink, shard_stats);
+            shard.tree->RangeSearchInto(query, radius, &hits[i],
+                                        &shard_stats[i]);
           } else if constexpr (kFlatCapable) {
-            shard.flat->RangeSearchInto(query, radius, sink, shard_stats,
-                                        ShardPrime(prime, s));
-          } else {
-            MVP_DCHECK(false);  // flat shards need a flat-capable metric
+            shard.flat->RangeSearchInto(query, radius, &hits[i],
+                                        &shard_stats[i], ShardPrime(prime, s));
           }
-        },
-        out, stats, pool);
+        });
+    std::size_t total = 0;
+    for (const auto& h : hits) total += h.size();
+    out->reserve(out->size() + total);
+    for (std::size_t i = 0; i < visit.size(); ++i) {
+      const Shard& shard = *shards_[visit[i]];
+      for (const Neighbor& n : hits[i]) {
+        out->push_back(Neighbor{shard.ids[n.id], n.distance});
+      }
+      if (stats != nullptr) core::MergeSearchStats(stats, shard_stats[i]);
+    }
+    if (cancelled) throw CancelledError();
   }
 
-  /// The k nearest objects, sorted by distance then global id — exactly
-  /// the unsharded result: each shard returns its own best k, and the best
-  /// k of that union are the global best k. `exclude` names GLOBAL ids that
-  /// must not be returned (core::Exclusion); the answer is then the k
-  /// nearest among the rest.
+  /// The k nearest objects, sorted by distance then global id — exactly a
+  /// linear scan's result. `exclude` names GLOBAL ids that must not be
+  /// returned (core::Exclusion); the answer is then the k nearest among the
+  /// rest. With a pool, the second wave of shards (see KnnSearchInto) is
+  /// searched in parallel, and `exclude` may be called from pool threads.
   std::vector<Neighbor> KnnSearch(const Object& query, std::size_t k,
                                   SearchStats* stats = nullptr,
                                   ThreadPool* pool = nullptr,
@@ -229,49 +332,77 @@ class ShardedMvpIndex {
     std::vector<Neighbor> merged;
     KnnSearchInto(query, k, &merged, stats, pool, nullptr, exclude);
     std::sort(merged.begin(), merged.end(), NeighborLess);
-    if (merged.size() > k) merged.resize(k);
     return merged;
   }
 
-  /// KnnSearch appending each shard's (unsorted) candidate set into the
-  /// caller-owned `*out` — up to k per shard, so the caller sorts and trims
-  /// to k. On cancellation the harvested union holds the best candidates
-  /// among the points evaluated so far (a valid degraded answer; not
-  /// necessarily the true top-k), appended before CancelledError is
-  /// rethrown. `exclude` names global ids, as in KnnSearch.
+  /// KnnSearch appending its (unsorted) best <= k into the caller-owned
+  /// `*out`, in two waves over the shards ranked by their shells' lower
+  /// bound max(0, lo - d0, d0 - hi):
+  ///   1. the nearest shell, unbounded, which yields a k-th distance tau;
+  ///   2. every other shell whose lower bound is not above tau, each capped
+  ///      at tau — side by side on `pool` when one is given.
+  /// Shells with a lower bound above tau hold no answer (pruning is strict,
+  /// so ties survive). The schedule does not depend on `pool`, so pooled
+  /// and serial searches compute exactly the same distances. On
+  /// cancellation the best candidates among the points evaluated so far (a
+  /// valid degraded answer; not necessarily the true top-k), including
+  /// what interrupted shards had found, are appended before CancelledError
+  /// is rethrown. `exclude` names global ids, as in KnnSearch.
   void KnnSearchInto(const Object& query, std::size_t k,
                      std::vector<Neighbor>* out, SearchStats* stats = nullptr,
                      ThreadPool* pool = nullptr,
                      const QueryPrime* prime = nullptr,
                      core::Exclusion exclude = {}) const {
-    FanOutInto(
-        [&](std::size_t s, const Shard& shard, std::vector<Neighbor>* sink,
-            SearchStats* shard_stats) {
-          // The shard searches its local ids; translate them for `exclude`.
-          const auto excluded_local = [&](std::size_t local) {
-            return exclude(GlobalId(s, local));
-          };
-          const core::Exclusion shard_exclude =
-              exclude ? core::Exclusion::Of(excluded_local)
-                      : core::Exclusion{};
-          if (shard.tree.has_value()) {
-            shard.tree->KnnSearchInto(query, k, sink, shard_stats,
-                                      shard_exclude);
-          } else if constexpr (kFlatCapable) {
-            shard.flat->KnnSearchInto(query, k, sink, shard_stats,
-                                      ShardPrime(prime, s), shard_exclude);
-          } else {
-            MVP_DCHECK(false);  // flat shards need a flat-capable metric
-          }
-        },
-        out, stats, pool);
+    MVP_DCHECK(out != nullptr);
+    if (k == 0) return;
+    const double d0 = VantageDistance(query, stats, prime);
+    std::vector<std::pair<double, std::size_t>> order;  // (lower bound, s)
+    order.reserve(shards_.size());
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      const Shell& shell = shards_[s]->shell;
+      order.emplace_back(std::max({0.0, shell.lo - d0, d0 - shell.hi}), s);
+    }
+    std::sort(order.begin(), order.end());
+
+    std::vector<Neighbor> best;  // max-heap of global ids under NeighborLess
+    // Searches order[first, last) capped at `tau` and merges the hits into
+    // `best` and the counts into `*stats`; returns whether it was cancelled.
+    const auto wave = [&](std::size_t first, std::size_t last, double tau) {
+      std::vector<std::vector<Neighbor>> found(last - first);  // local ids
+      std::vector<SearchStats> shard_stats(last - first);
+      const bool cancelled =
+          ForEachShard(last - first, pool, [&](std::size_t i) {
+            ShardKnn(order[first + i].second, query, k, tau, exclude, prime,
+                     &found[i], &shard_stats[i]);
+          });
+      for (std::size_t i = 0; i < found.size(); ++i) {
+        const Shard& shard = *shards_[order[first + i].second];
+        for (const Neighbor& n : found[i]) {
+          core::KnnOffer(best, k, Neighbor{shard.ids[n.id], n.distance});
+        }
+        if (stats != nullptr) core::MergeSearchStats(stats, shard_stats[i]);
+      }
+      return cancelled;
+    };
+    bool cancelled = wave(0, std::min<std::size_t>(1, order.size()), kInfinity);
+    if (!cancelled && order.size() > 1) {
+      const double tau = core::KnnTau(best, k);
+      std::size_t last = 1;
+      while (last < order.size() && order[last].first <= tau) ++last;
+      cancelled = wave(1, last, tau);
+    }
+    out->insert(out->end(), best.begin(), best.end());
+    if (cancelled) throw CancelledError();
   }
 
   /// Precomputes, for each query of a co-arriving batch, its distance to
-  /// every shard root's vantage points — the paper's cost model made batch-
-  /// shaped: one many-queries-one-vantage-point kernel sweep per vantage
-  /// point (metric/kernels/kernels.h) instead of one metric call per query.
-  /// The primed values are bit-identical to what each search would compute
+  /// the top vantage point v and to every shard root's vantage points — the
+  /// paper's cost model made batch-shaped: one many-queries-one-vantage-
+  /// point kernel sweep per vantage point (metric/kernels/kernels.h)
+  /// instead of one metric call per query. A shard the query's shell test
+  /// later prunes leaves its two root distances unused; at most 2·K per
+  /// query, which docs/serving.md weighs against a search's count. The
+  /// primed values are bit-identical to what each search would compute
   /// itself, and consumers still charge SearchStats and the cancellation
   /// budget per primed distance, so batched and unbatched execution agree
   /// exactly. Returns empty when priming does not apply: heap serving, a
@@ -284,21 +415,15 @@ class ShardedMvpIndex {
     std::vector<QueryPrime> primes;
     if constexpr (kFlatCapable && metric::kernels::FamilyFor<Metric>::available) {
       if (!flat_serving() || queries.empty()) return primes;
-      constexpr metric::kernels::Family kFamily =
-          metric::kernels::FamilyFor<Metric>::family;
       const std::size_t num_shards = shards_.size();
       primes.resize(queries.size());
       for (auto& qp : primes) qp.shard.resize(num_shards);
       std::vector<const double*> qptrs;
       std::vector<std::size_t> qidx;
-      std::vector<double> out1;
-      std::vector<double> out2;
-      for (std::size_t s = 0; s < num_shards; ++s) {
-        const FlatView& view = *shards_[s]->flat;
-        const double* vp1 = nullptr;
-        const double* vp2 = nullptr;
-        if (!view.RootVantagePoints(&vp1, &vp2)) continue;
-        const std::size_t dim = view.dim();
+      std::vector<double> dists;
+      // d(q, vp) for every query of dimension `dim` into `dists`, with
+      // qidx naming the queries swept; false when none was.
+      const auto sweep = [&](const double* vp, std::size_t dim) {
         qptrs.clear();
         qidx.clear();
         for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -307,22 +432,33 @@ class ShardedMvpIndex {
             qidx.push_back(i);
           }
         }
-        if (qptrs.empty()) continue;
-        out1.resize(qptrs.size());
-        metric::kernels::ManyToOne(kFamily, qptrs.data(), qptrs.size(), vp1,
-                                   dim, out1.data());
-        if (vp2 != nullptr) {
-          out2.resize(qptrs.size());
-          metric::kernels::ManyToOne(kFamily, qptrs.data(), qptrs.size(), vp2,
-                                     dim, out2.data());
+        if (qptrs.empty()) return false;
+        dists.resize(qptrs.size());
+        metric::kernels::ManyToOne(metric::kernels::FamilyFor<Metric>::family,
+                                   qptrs.data(), qptrs.size(), vp, dim,
+                                   dists.data());
+        return true;
+      };
+      if (vantage_.has_value()) {
+        const auto [s, local] = *vantage_;
+        const metric::VectorView v = shards_[s]->flat->object(local);
+        if (sweep(v.data(), v.size())) {
+          for (std::size_t j = 0; j < qidx.size(); ++j) {
+            primes[qidx[j]].vantage = dists[j];
+            primes[qidx[j]].has_vantage = true;
+          }
         }
-        for (std::size_t j = 0; j < qptrs.size(); ++j) {
-          core::RootPrime& rp = primes[qidx[j]].shard[s];
-          rp.d1 = out1[j];
-          rp.has_d1 = true;
-          if (vp2 != nullptr) {
-            rp.d2 = out2[j];
-            rp.has_d2 = true;
+      }
+      for (std::size_t s = 0; s < num_shards; ++s) {
+        const FlatView& view = *shards_[s]->flat;
+        const double* vps[2] = {nullptr, nullptr};
+        if (!view.RootVantagePoints(&vps[0], &vps[1])) continue;
+        for (std::size_t l = 0; l < 2 && vps[l] != nullptr; ++l) {
+          if (!sweep(vps[l], view.dim())) break;
+          for (std::size_t j = 0; j < qidx.size(); ++j) {
+            core::RootPrime& rp = primes[qidx[j]].shard[s];
+            (l == 0 ? rp.d1 : rp.d2) = dists[j];
+            (l == 0 ? rp.has_d1 : rp.has_d2) = true;
           }
         }
       }
@@ -354,13 +490,22 @@ class ShardedMvpIndex {
     return *shards_[s]->flat;
   }
 
-  /// Shard s's local-id -> global-id map (round-robin: entry i is the
-  /// global id of the i-th object handed to shard s's tree). The snapshot
-  /// writer persists this next to each shard tree. Heap representation
-  /// only — flat shards derive the mapping arithmetically.
+  /// Shard s's local-id -> global-id map, ascending: entry i is the global
+  /// id of the shard tree's object i. Both representations keep one; the
+  /// snapshot writers persist it next to each shard.
   const std::vector<std::size_t>& shard_global_ids(std::size_t s) const {
-    MVP_DCHECK(s < shards_.size() && shards_[s]->tree.has_value());
-    return shards_[s]->global_ids;
+    MVP_DCHECK(s < shards_.size());
+    return shards_[s]->ids;
+  }
+
+  /// The metric partition (top vantage point and shells), or nullopt for an
+  /// index without one: a single shard, no objects, or a round-robin
+  /// generation restored from an older snapshot.
+  std::optional<Partition> partition() const {
+    if (!vantage_.has_value()) return std::nullopt;
+    Partition partition{vantage_->first, vantage_->second, {}};
+    for (const auto& shard : shards_) partition.shells.push_back(shard->shell);
+    return partition;
   }
 
   BuildParams build_params() const {
@@ -375,92 +520,80 @@ class ShardedMvpIndex {
   }
 
   /// Reassembles an index from deserialized shard trees and their global-id
-  /// maps (the inverse of per-shard serialization). Validates the
-  /// round-robin partition invariant — shard s holds exactly the global
-  /// ids congruent to s mod K, each id exactly once — so a snapshot whose
-  /// chunks were reordered, dropped, or truncated is rejected as
-  /// Corruption instead of producing an index with silently wrong ids.
+  /// maps (the inverse of per-shard serialization), and `partition` when
+  /// the snapshot recorded one. See Assemble for what is validated.
   static Result<ShardedMvpIndex> Restore(
       const Options& options,
-      std::vector<std::pair<Tree, std::vector<std::size_t>>> parts) {
-    const std::size_t k = options.num_shards;
-    if (k < 1 || parts.size() != k) {
-      return Status::Corruption("shard count mismatches restore options");
-    }
+      std::vector<std::pair<Tree, std::vector<std::size_t>>> parts,
+      std::optional<Partition> partition = std::nullopt) {
+    std::vector<std::unique_ptr<Shard>> shards;
     std::size_t total = 0;
-    for (const auto& [tree, ids] : parts) {
+    for (auto& [tree, ids] : parts) {
       if (tree.size() != ids.size()) {
         return Status::Corruption("shard tree size mismatches its id map");
       }
       total += ids.size();
+      auto shard = std::make_unique<Shard>();
+      shard->tree.emplace(std::move(tree));
+      shard->ids = std::move(ids);
+      shards.push_back(std::move(shard));
     }
-    std::vector<bool> seen(total, false);
-    for (std::size_t s = 0; s < k; ++s) {
-      for (const std::size_t id : parts[s].second) {
-        if (id >= total || id % k != s || seen[id]) {
-          return Status::Corruption("shard id map violates the round-robin "
-                                    "partition invariant");
-        }
-        seen[id] = true;
-      }
-    }
-    ShardedMvpIndex index;
-    index.options_ = options;
-    index.size_ = total;
-    index.shards_.reserve(k);
-    for (auto& [tree, ids] : parts) {
-      index.shards_.push_back(std::make_unique<Shard>(
-          Shard{std::move(tree), std::move(ids), std::nullopt}));
-    }
-    return index;
+    return Assemble(options, total, std::move(shards), std::move(partition),
+                    nullptr);
   }
 
   /// Reassembles an index serving directly out of flat arenas in a mapped
   /// snapshot — zero deserialization; the shards alias `arena_owner`'s
   /// bytes, which the index keeps alive. `views` is one validated
-  /// FlatTreeView per shard, in shard order. Flat chunks carry no id map,
-  /// so the round-robin invariant is enforced arithmetically: shard s of K
-  /// must hold exactly ceil((total - s) / K) objects, and local id i maps
-  /// to global id i*K + s (SaveFlat refuses indexes whose id maps are not
-  /// in this canonical form).
+  /// FlatTreeView per shard and `ids` one id map per view, in shard order.
+  /// A round-robin generation stored no id maps: pass `ids` empty, and
+  /// shard s's local id i is synthesized as global id i*K + s.
   static Result<ShardedMvpIndex> RestoreFlat(
       const Options& options, std::size_t total, std::vector<FlatView> views,
+      std::vector<std::vector<std::size_t>> ids,
+      std::optional<Partition> partition,
       std::shared_ptr<const void> arena_owner) {
-    const std::size_t k = options.num_shards;
-    if (k < 1 || views.size() != k) {
-      return Status::Corruption("shard count mismatches restore options");
+    const std::size_t k = views.size();
+    if (!ids.empty() && ids.size() != k) {
+      return Status::Corruption("flat id map count mismatches shard count");
     }
+    if (ids.empty() && partition.has_value()) {
+      return Status::Corruption("partitioned flat generation lacks id maps");
+    }
+    std::vector<std::unique_ptr<Shard>> shards;
     for (std::size_t s = 0; s < k; ++s) {
-      const std::size_t expected = total > s ? (total - s - 1) / k + 1 : 0;
-      if (views[s].size() != expected) {
-        return Status::Corruption(
-            "flat shard size violates the round-robin partition invariant");
-      }
-      if (views[s].order() != options.tree.order ||
-          views[s].leaf_capacity() != options.tree.leaf_capacity ||
-          views[s].num_path_distances() != options.tree.num_path_distances ||
-          views[s].store_exact_bounds() != options.tree.store_exact_bounds) {
+      FlatView& view = views[s];
+      if (view.order() != options.tree.order ||
+          view.leaf_capacity() != options.tree.leaf_capacity ||
+          view.num_path_distances() != options.tree.num_path_distances ||
+          view.store_exact_bounds() != options.tree.store_exact_bounds) {
         return Status::InvalidArgument(
             "flat shard build parameters mismatch restore options");
       }
+      auto shard = std::make_unique<Shard>();
+      if (ids.empty()) {
+        shard->ids.resize(view.size());
+        for (std::size_t i = 0; i < view.size(); ++i) shard->ids[i] = i * k + s;
+      } else {
+        shard->ids = std::move(ids[s]);
+      }
+      if (shard->ids.size() != view.size()) {
+        return Status::Corruption("flat shard size mismatches its id map");
+      }
+      shard->flat.emplace(std::move(view));
+      shards.push_back(std::move(shard));
     }
-    ShardedMvpIndex index;
-    index.options_ = options;
-    index.size_ = total;
-    index.arena_owner_ = std::move(arena_owner);
-    index.shards_.reserve(k);
-    for (auto& view : views) {
-      index.shards_.push_back(std::make_unique<Shard>(
-          Shard{std::nullopt, {}, std::move(view)}));
-    }
-    return index;
+    return Assemble(options, total, std::move(shards), std::move(partition),
+                    std::move(arena_owner));
   }
 
-  /// Aggregated structural statistics (construction distances sum over
-  /// shards; height is the tallest shard's). Heap representation only —
-  /// flat arenas do not record construction-time statistics.
+  /// Aggregated structural statistics. Construction distances sum over the
+  /// shards plus the partition's n distances to v; height is the tallest
+  /// shard's. Heap representation only — flat arenas do not record
+  /// construction-time statistics, and Restore starts the counts at zero.
   TreeStats Stats() const {
     TreeStats total;
+    total.construction_distance_computations = partition_distances_;
     for (const auto& shard : shards_) {
       MVP_DCHECK(shard->tree.has_value());
       const TreeStats s = shard->tree->Stats();
@@ -476,21 +609,144 @@ class ShardedMvpIndex {
   }
 
  private:
-  /// Exactly one representation is engaged: `tree` (heap, with its stored
-  /// id map) or `flat` (arena view; global ids are arithmetic).
+  static constexpr double kInfinity = std::numeric_limits<double>::infinity();
+  /// Mixed into Options::tree.seed to pick v, so v does not follow the
+  /// first shard tree's own random choices.
+  static constexpr std::uint64_t kVantageSeedSalt = 0x76616e7461676531ull;
+  /// Objects per task of the parallel distance pass.
+  static constexpr std::size_t kDistanceBlock = 4096;
+
+  /// Exactly one representation is engaged: `tree` (heap) or `flat` (arena
+  /// view). `ids` is the local -> global id map.
   struct Shard {
     std::optional<Tree> tree;
-    std::vector<std::size_t> global_ids;  // heap only: local id -> global id
     std::optional<FlatView> flat;
+    std::vector<std::size_t> ids;
+    Shell shell;
   };
 
   ShardedMvpIndex() = default;
 
-  /// Local -> global id for shard s under either representation.
-  std::size_t GlobalId(std::size_t s, std::size_t local) const {
+  /// First rank of shard s of K over n objects.
+  static std::size_t Cut(std::size_t n, std::size_t k, std::size_t s) {
+    return n / k * s + n % k * s / k;
+  }
+
+  /// d(v, x) for every object, split into blocks across `pool`. A NaN
+  /// distance ranks last, as +infinity, so the shells stay well-formed.
+  static std::vector<double> VantageDistances(
+      const std::vector<Object>& objects, std::size_t v, const Metric& metric,
+      ThreadPool* pool) {
+    std::vector<double> dist(objects.size());
+    const std::size_t blocks =
+        (objects.size() + kDistanceBlock - 1) / kDistanceBlock;
+    auto block = [&](std::size_t b) {
+      const std::size_t end =
+          std::min(objects.size(), (b + 1) * kDistanceBlock);
+      for (std::size_t i = b * kDistanceBlock; i < end; ++i) {
+        const double d = metric(objects[v], objects[i]);
+        dist[i] = std::isnan(d) ? kInfinity : d;
+      }
+    };
+    if (pool == nullptr) {
+      for (std::size_t b = 0; b < blocks; ++b) block(b);
+    } else {
+      ParallelFor(*pool, blocks, block);
+    }
+    return dist;
+  }
+
+  /// d(q, v), evaluated through the vantage shard's CancelChecked metric
+  /// (or taken from `prime` and charged to it) and counted in `*stats`; 0
+  /// when the index has no v (its shells are then unbounded, so every
+  /// shard is visited).
+  double VantageDistance(const Object& query, SearchStats* stats,
+                         const QueryPrime* prime) const {
+    if (!vantage_.has_value()) return 0.0;
+    const auto [s, local] = *vantage_;
     const Shard& shard = *shards_[s];
-    return shard.tree.has_value() ? shard.global_ids[local]
-                                  : local * shards_.size() + s;
+    double d = 0.0;  // flat shards need a flat-capable instantiation
+    if (shard.tree.has_value()) {
+      d = shard.tree->metric()(query, shard.tree->object(local));
+    } else if constexpr (kFlatCapable) {
+      if (prime != nullptr && prime->has_vantage) {
+        shard.flat->metric().CountPrimed();
+        d = prime->vantage;
+      } else {
+        d = shard.flat->metric()(query, shard.flat->object(local));
+      }
+    }
+    if (stats != nullptr) ++stats->distance_computations;
+    return d;
+  }
+
+  /// Validates the partition and installs the shards. With `partition`:
+  /// v names an object, there is one shell per shard with lo <= hi and no
+  /// NaN bound, and the id maps are each ascending and together a
+  /// permutation of [0, total). Without it (a round-robin generation):
+  /// shard s holds exactly the global ids congruent to s mod K. Either way
+  /// a snapshot whose chunks were reordered, dropped or truncated is
+  /// rejected as Corruption instead of producing silently wrong ids.
+  static Result<ShardedMvpIndex> Assemble(
+      const Options& options, std::size_t total,
+      std::vector<std::unique_ptr<Shard>> shards,
+      std::optional<Partition> partition,
+      std::shared_ptr<const void> arena_owner) {
+    const std::size_t k = options.num_shards;
+    if (k < 1 || shards.size() != k) {
+      return Status::Corruption("shard count mismatches restore options");
+    }
+    std::size_t sum = 0;
+    for (const auto& shard : shards) sum += shard->ids.size();
+    if (sum != total) {
+      return Status::Corruption("shard sizes do not sum to the object count");
+    }
+    if (partition.has_value()) {
+      if (partition->shells.size() != k ||
+          partition->vantage_shard >= k ||
+          partition->vantage_local >=
+              shards[partition->vantage_shard]->ids.size()) {
+        return Status::Corruption(
+            "shard partition names no stored vantage point");
+      }
+      for (const Shell& shell : partition->shells) {
+        if (std::isnan(shell.lo) || std::isnan(shell.hi) ||
+            shell.lo > shell.hi) {
+          return Status::Corruption("shard partition holds a malformed shell");
+        }
+      }
+    }
+    std::vector<bool> seen(total, false);
+    for (std::size_t s = 0; s < k; ++s) {
+      const auto& ids = shards[s]->ids;
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        const std::size_t id = ids[i];
+        const bool placed = partition.has_value()
+                                ? i == 0 || ids[i - 1] < id
+                                : id % k == s;
+        if (id >= total || !placed || seen[id]) {
+          return Status::Corruption(
+              partition.has_value()
+                  ? "shard id maps are not an ascending permutation"
+                  : "shard id map violates the round-robin partition "
+                    "invariant");
+        }
+        seen[id] = true;
+      }
+    }
+    ShardedMvpIndex index;
+    index.options_ = options;
+    index.size_ = total;
+    index.arena_owner_ = std::move(arena_owner);
+    if (partition.has_value()) {
+      index.vantage_.emplace(partition->vantage_shard,
+                             partition->vantage_local);
+      for (std::size_t s = 0; s < k; ++s) {
+        shards[s]->shell = partition->shells[s];
+      }
+    }
+    index.shards_ = std::move(shards);
+    return index;
   }
 
   /// This query's primed root distances for shard s, or null when the batch
@@ -501,71 +757,63 @@ class ShardedMvpIndex {
     return &prime->shard[s];
   }
 
-  /// Runs `search` over every shard into a per-shard sink, translates local
-  /// ids to global ids, and appends everything into `*out`. Parallel shard
-  /// searches propagate the caller's cancellation context onto the worker
-  /// threads, so a deadline set by the executor aborts all shards of the
-  /// query, and every shard's distance evaluations are flushed into the
-  /// query's counter.
-  ///
-  /// Cancellation (serial or parallel) is caught per shard: whatever every
-  /// shard accumulated before being interrupted is still translated,
-  /// appended and accounted — the partial-results harvest — and only then
-  /// is CancelledError rethrown to signal the caller the answer is
-  /// incomplete.
+  /// Shard s's k nearest to `query` (local ids) appended to `*found`, with
+  /// every candidate farther than `tau` pruned; `exclude` names global ids.
+  void ShardKnn(std::size_t s, const Object& query, std::size_t k, double tau,
+                const core::Exclusion& exclude, const QueryPrime* prime,
+                std::vector<Neighbor>* found, SearchStats* stats) const {
+    const Shard& shard = *shards_[s];
+    const auto excluded_local = [&](std::size_t local_id) {
+      return exclude(shard.ids[local_id]);
+    };
+    const core::Exclusion shard_exclude =
+        exclude ? core::Exclusion::Of(excluded_local) : core::Exclusion{};
+    if (shard.tree.has_value()) {
+      shard.tree->KnnSearchInto(query, k, found, stats, shard_exclude, tau);
+    } else if constexpr (kFlatCapable) {
+      shard.flat->KnnSearchInto(query, k, found, stats, ShardPrime(prime, s),
+                                shard_exclude, tau);
+    }
+  }
+
+  /// Runs `search(i)` for i in [0, count): serially, or in parallel on
+  /// `pool` with the caller's cancellation context carried onto the worker
+  /// threads, so a deadline set by the executor aborts every task and
+  /// every task's distance evaluations are flushed into the query's
+  /// counter. Cancellation is caught per task, so whatever every task
+  /// accumulated stays in place for the caller's harvest; returns whether
+  /// any task was cancelled.
   template <typename SearchFn>
-  void FanOutInto(const SearchFn& search, std::vector<Neighbor>* out,
-                  SearchStats* stats, ThreadPool* pool) const {
-    MVP_DCHECK(out != nullptr);
-    const std::size_t k = shards_.size();
-    std::vector<std::vector<Neighbor>> hits(k);
-    std::vector<SearchStats> shard_stats(k);
-    bool cancelled = false;
-
-    if (pool == nullptr || k == 1) {
+  static bool ForEachShard(std::size_t count, ThreadPool* pool,
+                           const SearchFn& search) {
+    if (pool == nullptr || count <= 1) {
       try {
-        for (std::size_t s = 0; s < k; ++s) {
-          search(s, *shards_[s], &hits[s],
-                 stats != nullptr ? &shard_stats[s] : nullptr);
-        }
+        for (std::size_t i = 0; i < count; ++i) search(i);
       } catch (const CancelledError&) {
-        cancelled = true;
+        return true;
       }
-    } else {
-      const CancelContext context = CancelScope::Current();
-      std::atomic<bool> flag{false};
-      ParallelFor(*pool, k, [&](std::size_t s) {
-        CancelScope scope(context);
-        try {
-          search(s, *shards_[s], &hits[s],
-                 stats != nullptr ? &shard_stats[s] : nullptr);
-        } catch (const CancelledError&) {
-          flag.store(true, std::memory_order_relaxed);
-        }
-      });
-      cancelled = flag.load(std::memory_order_relaxed);
+      return false;
     }
-
-    std::size_t total = 0;
-    for (const auto& h : hits) total += h.size();
-    out->reserve(out->size() + total);
-    for (std::size_t s = 0; s < k; ++s) {
-      for (const Neighbor& n : hits[s]) {
-        out->push_back(Neighbor{GlobalId(s, n.id), n.distance});
+    const CancelContext context = CancelScope::Current();
+    std::atomic<bool> flag{false};
+    ParallelFor(*pool, count, [&](std::size_t i) {
+      CancelScope scope(context);
+      try {
+        search(i);
+      } catch (const CancelledError&) {
+        flag.store(true, std::memory_order_relaxed);
       }
-      if (stats != nullptr) {
-        stats->distance_computations += shard_stats[s].distance_computations;
-        stats->nodes_visited += shard_stats[s].nodes_visited;
-        stats->leaf_points_seen += shard_stats[s].leaf_points_seen;
-        stats->leaf_points_filtered += shard_stats[s].leaf_points_filtered;
-      }
-    }
-    if (cancelled) throw CancelledError();
+    });
+    return flag.load(std::memory_order_relaxed);
   }
 
   Options options_;
   std::size_t size_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// v as (shard, local id); empty without a partition.
+  std::optional<std::pair<std::size_t, std::size_t>> vantage_;
+  /// Build's distances to v (n with a partition), for Stats().
+  std::uint64_t partition_distances_ = 0;
   /// Keeps the mapped snapshot (or heap-fallback buffer) the flat views
   /// alias alive for the index's lifetime. Null for heap indexes.
   std::shared_ptr<const void> arena_owner_;

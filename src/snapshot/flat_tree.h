@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <span>
 #include <utility>
@@ -292,17 +293,21 @@ class FlatTreeView {
   }
 
   /// Mirrors MvpTree::KnnSearchInto — `*heap` is a max-heap under
-  /// NeighborLess holding the best <= k seen so far.
+  /// NeighborLess holding the best <= k seen so far, and `bound` caps the
+  /// pruning radius.
   template <typename Query>
   void KnnSearchInto(const Query& query, std::size_t k,
                      std::vector<Neighbor>* heap,
                      SearchStats* stats = nullptr,
                      const core::RootPrime* root_prime = nullptr,
-                     core::Exclusion exclude = {}) const {
+                     core::Exclusion exclude = {},
+                     double bound =
+                         std::numeric_limits<double>::infinity()) const {
     MVP_DCHECK(heap != nullptr);
     SearchStats local;
     SearchStats& sink = stats != nullptr ? *stats : local;
-    core::Traversal(Access(), query, sink).Knn(k, heap, exclude, root_prime);
+    core::Traversal(Access(), query, sink)
+        .Knn(k, heap, exclude, root_prime, bound);
   }
 
  private:

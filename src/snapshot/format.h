@@ -52,6 +52,10 @@ enum class ChunkKind : std::uint32_t {
   /// referenced generation is pinned by the manifest's base_generation
   /// lineage, which PruneStaleGenerations preserves.
   kShardTreeRef = 6,
+  /// u64 shard index, u64v global ids (ascending): a flat shard's
+  /// local-id -> global-id map. A flat generation without these chunks is
+  /// round-robin (local id i of shard s of K is global id i*K + s).
+  kFlatShardIds = 7,
 };
 
 /// File-offset alignment required for ChunkKind::kFlatShard payloads: the

@@ -2,11 +2,14 @@
 #define MVPTREE_SNAPSHOT_MANIFEST_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/crc32c.h"
 #include "common/serialize.h"
+#include "common/shard_partition.h"
 #include "common/status.h"
 
 /// \file
@@ -34,6 +37,13 @@ inline constexpr std::uint32_t kManifestVersionLineage = 2;
 /// Written ONLY when a nonzero epoch is present — epoch-less stores keep
 /// their v1/v2 bytes, so golden files and pre-epoch binaries stay intact.
 inline constexpr std::uint32_t kManifestVersionEpoch = 3;
+/// Version 4 appends the shard partition (serve::ShardedMvpIndex's top
+/// vantage point and per-shard shells) after the v3 fields. Written ONLY
+/// for a partitioned index: a pre-partition binary would read its id maps
+/// under the round-robin rule and serve wrong ids, so it must reject the
+/// generation with NotSupported instead. Unpartitioned generations keep
+/// their v1–v3 bytes.
+inline constexpr std::uint32_t kManifestVersionPartition = 4;
 
 /// Index kinds a snapshot can hold.
 enum class IndexKind : std::uint8_t {
@@ -116,6 +126,10 @@ struct SnapshotManifest {
   /// deposed leader's writes cannot reach it (docs/network_serving.md).
   std::uint64_t leader_epoch = 0;
 
+  /// The shard partition of a partitioned sharded generation (version 4);
+  /// absent for round-robin, single-shard and delta generations.
+  std::optional<ShardPartition> partition;
+
   /// True when this manifest must carry the lineage fields, i.e. must be
   /// written as version 2 (and therefore be rejected by pre-lineage
   /// binaries instead of misread).
@@ -128,12 +142,18 @@ struct SnapshotManifest {
   /// manifest always carries the lineage fields too, even when zero.
   bool needs_epoch() const { return leader_epoch != 0; }
 
+  /// The version Serialize writes: the lowest that holds every field set.
+  std::uint32_t version() const {
+    if (partition.has_value()) return kManifestVersionPartition;
+    if (needs_epoch()) return kManifestVersionEpoch;
+    return needs_lineage() ? kManifestVersionLineage : kManifestVersion;
+  }
+
   std::vector<std::uint8_t> Serialize() const {
     BinaryWriter writer;
+    const std::uint32_t v = version();
     writer.Write<std::uint32_t>(kManifestMagic);
-    writer.Write<std::uint32_t>(needs_epoch()      ? kManifestVersionEpoch
-                                : needs_lineage() ? kManifestVersionLineage
-                                                  : kManifestVersion);
+    writer.Write<std::uint32_t>(v);
     writer.Write<std::uint8_t>(static_cast<std::uint8_t>(index_kind));
     writer.Write<std::uint64_t>(object_count);
     writer.Write<std::uint64_t>(num_chunks);
@@ -145,17 +165,30 @@ struct SnapshotManifest {
     writer.Write<std::int32_t>(num_path_distances);
     writer.Write<std::uint64_t>(seed);
     writer.Write<std::uint8_t>(store_exact_bounds);
-    if (needs_lineage() || needs_epoch()) {
+    if (v >= kManifestVersionLineage) {
       writer.Write<std::uint64_t>(base_generation);
       writer.Write<std::uint64_t>(last_applied_seq);
       writer.Write<std::uint64_t>(next_stable_id);
     }
-    if (needs_epoch()) {
+    if (v >= kManifestVersionEpoch) {
       writer.Write<std::uint64_t>(leader_epoch);
     }
+    if (partition.has_value()) WritePartition(*partition, &writer);
     writer.Write<std::uint32_t>(
         Crc32c(writer.buffer().data(), writer.buffer().size()));
     return std::move(writer).TakeBuffer();
+  }
+
+  /// The version-4 fields.
+  static void WritePartition(
+      const ShardPartition& partition, BinaryWriter* writer) {
+    writer->Write<std::uint64_t>(partition.vantage_shard);
+    writer->Write<std::uint64_t>(partition.vantage_local);
+    writer->Write<std::uint64_t>(partition.shells.size());
+    for (const ShardShell& shell : partition.shells) {
+      writer->Write<double>(shell.lo);
+      writer->Write<double>(shell.hi);
+    }
   }
 
   static Result<SnapshotManifest> Parse(const std::vector<std::uint8_t>& bytes) {
@@ -169,8 +202,7 @@ struct SnapshotManifest {
       return Status::Corruption("bad snapshot manifest magic");
     }
     MVP_RETURN_NOT_OK(reader.Read<std::uint32_t>(&version));
-    if (version != kManifestVersion && version != kManifestVersionLineage &&
-        version != kManifestVersionEpoch) {
+    if (version < kManifestVersion || version > kManifestVersionPartition) {
       return Status::NotSupported("unknown snapshot manifest version " +
                                   std::to_string(version));
     }
@@ -204,6 +236,22 @@ struct SnapshotManifest {
     }
     if (version >= kManifestVersionEpoch) {
       MVP_RETURN_NOT_OK(reader.Read<std::uint64_t>(&manifest.leader_epoch));
+    }
+    if (version >= kManifestVersionPartition) {
+      ShardPartition& partition = manifest.partition.emplace();
+      std::uint64_t count = 0;
+      MVP_RETURN_NOT_OK(reader.Read<std::uint64_t>(&partition.vantage_shard));
+      MVP_RETURN_NOT_OK(reader.Read<std::uint64_t>(&partition.vantage_local));
+      MVP_RETURN_NOT_OK(reader.Read<std::uint64_t>(&count));
+      // Each shell is 16 bytes: bound the untrusted count by what is left.
+      if (count > (bytes.size() - reader.position()) / 16) {
+        return Status::Corruption("snapshot manifest truncated");
+      }
+      partition.shells.resize(static_cast<std::size_t>(count));
+      for (ShardShell& shell : partition.shells) {
+        MVP_RETURN_NOT_OK(reader.Read<double>(&shell.lo));
+        MVP_RETURN_NOT_OK(reader.Read<double>(&shell.hi));
+      }
     }
     const std::size_t body_end = reader.position();
     std::uint32_t stored_crc = 0;

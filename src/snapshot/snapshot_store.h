@@ -531,7 +531,8 @@ class SnapshotStore {
     std::vector<Part> owned;
     owned.reserve(k);
     for (auto& part : parts) owned.push_back(std::move(*part));
-    auto restored = Index::Restore(options, std::move(owned));
+    auto restored = Index::Restore(options, std::move(owned),
+                                   manifest.partition);
     if (!restored.ok()) return restored.status();
     if (restored.value().size() != manifest.object_count) {
       return Status::Corruption("snapshot object count mismatches manifest");
@@ -547,25 +548,15 @@ class SnapshotStore {
 
   /// Persists `index` as flat arenas — one ChunkKind::kFlatShard chunk per
   /// shard, each holding a position-independent encoding the read path
-  /// serves DIRECTLY out of the mmap'd container (OpenFlat). Vector
-  /// datasets only (the arena views stored vectors in place). The index
-  /// must be in the canonical round-robin layout Build produces (global id
-  /// g in shard g % K at local slot g / K): flat chunks store no id map,
-  /// so the reader reconstructs ids arithmetically.
+  /// serves DIRECTLY out of the mmap'd container (OpenFlat), followed by a
+  /// kFlatShardIds chunk with the shard's id map. Vector datasets only (the
+  /// arena views stored vectors in place).
   template <metric::MetricFor<std::vector<double>> Metric>
   Result<std::uint64_t> SaveFlat(
       const serve::ShardedMvpIndex<std::vector<double>, Metric>& index) {
     MVP_RETURN_NOT_OK(RequireHeapRepresentation(index, "SaveFlat"));
-    const std::size_t k = index.num_shards();
     ContainerWriter container;
-    for (std::size_t s = 0; s < k; ++s) {
-      const auto& ids = index.shard_global_ids(s);
-      for (std::size_t i = 0; i < ids.size(); ++i) {
-        if (ids[i] != i * k + s) {
-          return Status::InvalidArgument(
-              "flat snapshots require the canonical round-robin id layout");
-        }
-      }
+    for (std::size_t s = 0; s < index.num_shards(); ++s) {
       const auto& tree = index.shard(s);
       const std::vector<std::uint8_t> arena = flat::BuildFlatArena(
           tree.options(), tree.rows(), tree.dim(), tree.layout());
@@ -582,12 +573,18 @@ class SnapshotStore {
       std::memcpy(bytes.data() + base, arena.data(), arena.size());
       container.AddChunk(ChunkKind::kFlatShard, std::move(bytes),
                          kFlatChunkAlignment);
+      BinaryWriter ids;
+      ids.Write<std::uint64_t>(s);
+      ids.WriteVector(index.shard_global_ids(s));
+      container.AddChunk(ChunkKind::kFlatShardIds,
+                         std::move(ids).TakeBuffer());
     }
 
     SnapshotManifest manifest;
     manifest.index_kind = IndexKind::kFlatShardedMvpIndex;
     manifest.object_count = index.size();
     manifest.num_shards = index.options().num_shards;
+    manifest.partition = index.partition();
     RecordTreeParams(index.options().tree, &manifest);
     return CommitGeneration(std::move(container).Finalize(), manifest);
   }
@@ -595,9 +592,9 @@ class SnapshotStore {
   /// Opens a flat generation (`at_generation` defaults to the committed
   /// one) for zero-deserialization serving: map the container, check its
   /// fingerprint once, validate each arena's offsets, and serve searches
-  /// straight off the mapping. No object decode, no tree reconstruction,
-  /// no per-load allocation proportional to the index — time-to-first-query
-  /// is the checksum pass, not a rebuild. The returned index keeps the
+  /// straight off the mapping. No object decode, no tree reconstruction;
+  /// only the id maps (8 bytes per object) are copied out — time-to-first-
+  /// query is the checksum pass, not a rebuild. The returned index keeps the
   /// mapping alive. LoadSharded takes this same path for a flat generation;
   /// OpenFlat differs only in refusing a heap one.
   template <metric::MetricFor<std::vector<double>> Metric>
@@ -665,6 +662,7 @@ class SnapshotStore {
     manifest->index_kind = IndexKind::kShardedMvpIndex;
     manifest->object_count = index.size();
     manifest->num_shards = index.options().num_shards;
+    manifest->partition = index.partition();
     RecordTreeParams(index.options().tree, manifest);
     return Status::OK();
   }
@@ -1066,7 +1064,10 @@ class SnapshotStore {
     MVP_RETURN_NOT_OK(ValidateManifestParams(manifest));
 
     const auto chunks = gen.container.ChunksOfKind(ChunkKind::kFlatShard);
+    const auto id_chunks =
+        gen.container.ChunksOfKind(ChunkKind::kFlatShardIds);
     if (manifest.num_shards < 1 || chunks.size() != manifest.num_shards ||
+        (!id_chunks.empty() && id_chunks.size() != chunks.size()) ||
         gen.container.num_chunks() != manifest.num_chunks) {
       return Status::Corruption("snapshot chunk census mismatches manifest");
     }
@@ -1105,6 +1106,14 @@ class SnapshotStore {
     }
     for (const Status& status : statuses) MVP_RETURN_NOT_OK(status);
 
+    // No id maps at all means a round-robin generation, whose maps
+    // RestoreFlat synthesizes.
+    std::vector<std::vector<std::size_t>> ids(id_chunks.empty() ? 0 : k);
+    std::vector<bool> seen(ids.size(), false);
+    for (const std::size_t c : id_chunks) {
+      MVP_RETURN_NOT_OK(ReadFlatIdChunk(gen.container, c, &ids, &seen));
+    }
+
     typename Index::Options options;
     options.num_shards = manifest.num_shards;
     ApplyTreeParams(manifest, &options.tree);
@@ -1118,15 +1127,39 @@ class SnapshotStore {
       }
       owned.push_back(std::move(*view));
     }
-    auto restored =
-        Index::RestoreFlat(options, manifest.object_count, std::move(owned),
-                           std::shared_ptr<const void>(mapping));
+    auto restored = Index::RestoreFlat(
+        options, manifest.object_count, std::move(owned), std::move(ids),
+        manifest.partition, std::shared_ptr<const void>(mapping));
     if (!restored.ok()) return restored.status();
 
     LoadedSharded<std::vector<double>, Metric> loaded{
         std::move(restored).ValueOrDie(), manifest, gen.generation,
         /*stable_ids=*/{}};  // flat generations use the identity mapping
     return loaded;
+  }
+
+  /// Decodes one kFlatShardIds chunk into (*ids)[shard]. The caller
+  /// proved the bytes through the manifest fingerprint; this checks the
+  /// framing: shard index in range and not seen before, no trailing bytes.
+  static Status ReadFlatIdChunk(const ContainerReader& container,
+                                std::size_t chunk_index,
+                                std::vector<std::vector<std::size_t>>* ids,
+                                std::vector<bool>* seen) {
+    const auto [payload, length] = container.chunk_payload(chunk_index);
+    BinaryReader reader(payload, length);
+    std::uint64_t shard = 0;
+    MVP_RETURN_NOT_OK(reader.Read<std::uint64_t>(&shard));
+    if (shard >= ids->size() || (*seen)[shard]) {
+      return Status::Corruption("bad shard index in flat id chunk " +
+                                std::to_string(chunk_index));
+    }
+    (*seen)[shard] = true;
+    MVP_RETURN_NOT_OK(reader.ReadVector(&(*ids)[shard]));
+    if (!reader.AtEnd()) {
+      return Status::Corruption("trailing bytes after flat id chunk " +
+                                std::to_string(chunk_index));
+    }
+    return Status::OK();
   }
 
   /// Verifies and opens one flat shard chunk into views[shard_index]:

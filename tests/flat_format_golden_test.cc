@@ -26,6 +26,12 @@
 /// explicit decision: bump the format version and re-bless, or fix the
 /// accidental incompatibility.
 ///
+/// golden_heap and golden_flat hold the recipe's shard partition (version-4
+/// manifests; flat id maps). golden_heap_round_robin, golden_flat_round_robin
+/// and golden_flat_v1 are FROZEN: written by earlier releases, which dealt
+/// objects out round-robin, they are never re-blessed and must keep opening
+/// and answering exactly.
+///
 /// Re-bless (after an INTENTIONAL format change):
 ///   MVPT_BLESS_GOLDEN=1 ./flat_format_golden_test
 /// then commit the rewritten tests/testdata/ contents.
@@ -143,6 +149,75 @@ TEST(FlatFormatGoldenTest, GoldenHeapFixtureLoadsAndMatchesRebuild) {
   }
 }
 
+TEST(FlatFormatGoldenTest, GoldenFixturesRecordThePartition) {
+  if (BlessMode()) GTEST_SKIP();
+  const auto partition = GoldenIndex().partition();
+  ASSERT_TRUE(partition.has_value());
+  for (const char* name : {"golden_heap", "golden_flat"}) {
+    SnapshotStore store(GoldenDir(name));
+    auto manifest = store.ReadManifest(1);
+    ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+    EXPECT_EQ(manifest.value().version(), kManifestVersionPartition) << name;
+    auto loaded = store.LoadSharded<Vector>(L2(), VectorCodec());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded.value().index.partition(), partition) << name;
+  }
+}
+
+/// Results and all four SearchStats counters of two searches agree.
+void ExpectSameSearch(const std::vector<Neighbor>& a,
+                      const std::vector<Neighbor>& b, const SearchStats& sa,
+                      const SearchStats& sb) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id, b[i].id);
+    EXPECT_EQ(a[i].distance, b[i].distance);
+  }
+  EXPECT_EQ(sa.distance_computations, sb.distance_computations);
+  EXPECT_EQ(sa.nodes_visited, sb.nodes_visited);
+  EXPECT_EQ(sa.leaf_points_seen, sb.leaf_points_seen);
+  EXPECT_EQ(sa.leaf_points_filtered, sb.leaf_points_filtered);
+}
+
+/// Results of two searches agree (ids and bit-identical distances).
+void ExpectSameResults(const std::vector<Neighbor>& a,
+                       const std::vector<Neighbor>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id, b[i].id);
+    EXPECT_EQ(a[i].distance, b[i].distance);
+  }
+}
+
+/// The frozen round-robin fixtures open through LoadSharded with no
+/// partition, answer exactly as a partitioned rebuild does, and agree with
+/// each other in all four counters.
+TEST(FlatFormatGoldenTest, FrozenRoundRobinFixturesOpenAndMatchRebuild) {
+  if (BlessMode()) GTEST_SKIP() << "frozen fixtures are never re-blessed";
+  SnapshotStore heap_store(GoldenDir("golden_heap_round_robin"));
+  SnapshotStore flat_store(GoldenDir("golden_flat_round_robin"));
+  auto heap = heap_store.LoadSharded<Vector>(L2(), VectorCodec());
+  auto flat = flat_store.LoadSharded<Vector>(L2(), VectorCodec());
+  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+  ASSERT_FALSE(heap.value().index.flat_serving());
+  ASSERT_TRUE(flat.value().index.flat_serving());
+  EXPECT_FALSE(heap.value().index.partition().has_value());
+  EXPECT_FALSE(flat.value().index.partition().has_value());
+  const Index rebuilt = GoldenIndex();
+  for (const auto& q : dataset::UniformQueryVectors(40, 4, 11)) {
+    SearchStats hs, fs, hks, fks;
+    const auto heap_range = heap.value().index.RangeSearch(q, 0.5, &hs);
+    ExpectSameSearch(heap_range, flat.value().index.RangeSearch(q, 0.5, &fs),
+                     hs, fs);
+    ExpectSameResults(heap_range, rebuilt.RangeSearch(q, 0.5));
+    const auto heap_knn = heap.value().index.KnnSearch(q, 5, &hks);
+    ExpectSameSearch(heap_knn, flat.value().index.KnnSearch(q, 5, &fks), hks,
+                     fks);
+    ExpectSameResults(heap_knn, rebuilt.KnnSearch(q, 5));
+  }
+}
+
 TEST(FlatFormatGoldenTest, GoldenFlatFixtureLoadsAndMatchesRebuild) {
   if (BlessMode()) GTEST_SKIP();
   SnapshotStore store(GoldenDir("golden_flat"));
@@ -162,27 +237,12 @@ TEST(FlatFormatGoldenTest, GoldenFlatFixtureLoadsAndMatchesRebuild) {
   }
 }
 
-/// Results and all four SearchStats counters of two searches agree.
-void ExpectSameSearch(const std::vector<Neighbor>& a,
-                      const std::vector<Neighbor>& b, const SearchStats& sa,
-                      const SearchStats& sb) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].id, b[i].id);
-    EXPECT_EQ(a[i].distance, b[i].distance);
-  }
-  EXPECT_EQ(sa.distance_computations, sb.distance_computations);
-  EXPECT_EQ(sa.nodes_visited, sb.nodes_visited);
-  EXPECT_EQ(sa.leaf_points_seen, sb.leaf_points_seen);
-  EXPECT_EQ(sa.leaf_points_filtered, sb.leaf_points_filtered);
-}
-
 /// The v1 arena fixture is FROZEN: it was blessed before the v2 SoA-leaf
 /// layout existed and is never re-blessed, so this test proves the current
 /// reader keeps opening real v1 snapshots from the field — upgraded to v2
-/// at open — and answers queries over them bit-identically to a fresh
-/// build, stats included. (Bless mode leaves the directory untouched on
-/// purpose.)
+/// at open. It answers queries exactly as a fresh build does, and as the
+/// frozen round-robin v2 fixture of the same trees does, stats included.
+/// (Bless mode leaves the directory untouched on purpose.)
 TEST(FlatFormatGoldenTest, FrozenV1FixtureStillOpensAndMatchesRebuild) {
   if (BlessMode()) GTEST_SKIP() << "frozen fixture is never re-blessed";
   SnapshotStore store(GoldenDir("golden_flat_v1"));
@@ -193,15 +253,20 @@ TEST(FlatFormatGoldenTest, FrozenV1FixtureStillOpensAndMatchesRebuild) {
   for (std::size_t s = 0; s < index.num_shards(); ++s) {
     EXPECT_EQ(index.flat_shard(s).version(), flat::kFlatVersionV2);
   }
+  SnapshotStore v2_store(GoldenDir("golden_flat_round_robin"));
+  auto v2 = v2_store.OpenFlat(L2());
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
   const Index rebuilt = GoldenIndex();
   const auto queries = dataset::UniformQueryVectors(40, 4, 11);
   for (const auto& q : queries) {
     SearchStats vs, rs;
-    ExpectSameSearch(index.RangeSearch(q, 0.5, &vs),
-                     rebuilt.RangeSearch(q, 0.5, &rs), vs, rs);
+    const auto range = index.RangeSearch(q, 0.5, &vs);
+    ExpectSameSearch(range, v2.value().index.RangeSearch(q, 0.5, &rs), vs, rs);
+    ExpectSameResults(range, rebuilt.RangeSearch(q, 0.5));
     SearchStats vks, rks;
-    ExpectSameSearch(index.KnnSearch(q, 5, &vks),
-                     rebuilt.KnnSearch(q, 5, &rks), vks, rks);
+    const auto knn = index.KnnSearch(q, 5, &vks);
+    ExpectSameSearch(knn, v2.value().index.KnnSearch(q, 5, &rks), vks, rks);
+    ExpectSameResults(knn, rebuilt.KnnSearch(q, 5));
   }
 }
 
@@ -217,12 +282,12 @@ std::vector<std::uint8_t> MustUpgrade(const std::vector<std::uint8_t>& v1) {
                        : std::vector<std::uint8_t>{};
 }
 
-/// The frozen v1 arenas upgrade byte for byte to the v2 arenas the current
-/// writer produces for the same trees.
+/// The frozen v1 arenas upgrade byte for byte to the v2 arenas the v2
+/// writer produced for the same (round-robin) trees.
 TEST(FlatFormatGoldenTest, FrozenV1ArenasUpgradeToGoldenV2Bytes) {
   if (BlessMode()) GTEST_SKIP();
   const auto v1 = GoldenShardArenas(GoldenDir("golden_flat_v1"));
-  const auto v2 = GoldenShardArenas(GoldenDir("golden_flat"));
+  const auto v2 = GoldenShardArenas(GoldenDir("golden_flat_round_robin"));
   ASSERT_EQ(v1.size(), 2u);
   ASSERT_EQ(v2.size(), v1.size());
   for (std::size_t s = 0; s < v1.size(); ++s) {

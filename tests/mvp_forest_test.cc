@@ -80,6 +80,29 @@ TEST(MvpForestTest, KnnMatchesLinearScan) {
   }
 }
 
+/// A caller's k-th distance as the starting cap (DynamicOverlay passes
+/// its base answer's) skips only candidates strictly worse than it: with
+/// the true k-th distance the answer is unchanged and costs no more, and
+/// with a tighter cap everything at or under it is still returned.
+TEST(MvpForestTest, KnnBoundSkipsOnlyWorseCandidates) {
+  const auto data = dataset::UniformVectors(600, 6, 17);
+  Forest forest{L2(), SmallOptions()};
+  for (const auto& v : data) forest.Insert(v);
+  ASSERT_GT(forest.num_trees(), 1u);
+  scan::LinearScan<Vector, L2> reference(data, L2());
+  for (const auto& q : dataset::UniformQueryVectors(12, 6, 19)) {
+    const auto want = reference.KnnSearch(q, 10);
+    SearchStats open, capped;
+    EXPECT_EQ(forest.KnnSearch(q, 10, &open), want);
+    EXPECT_EQ(forest.KnnSearch(q, 10, &capped, want.back().distance), want);
+    EXPECT_LE(capped.distance_computations, open.distance_computations);
+    const double tight = want[4].distance;
+    const auto got = forest.KnnSearch(q, 10, nullptr, tight);
+    ASSERT_GE(got.size(), 5u);
+    for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(got[i], want[i]);
+  }
+}
+
 TEST(MvpForestTest, ForestWidthStaysLogarithmic) {
   Forest forest{L2(), SmallOptions()};
   const auto data = dataset::UniformVectors(2000, 4, 11);

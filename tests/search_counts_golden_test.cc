@@ -19,13 +19,16 @@
 #include "core/search_shared.h"
 #include "dataset/vector_gen.h"
 #include "metric/lp.h"
+#include "serve/sharded_index.h"
 #include "snapshot/flat_tree.h"
+#include "snapshot/snapshot_store.h"
 
 /// Golden counts for the mvp-tree search traversal: every case's four
 /// SearchStats totals plus a hash over its results' (id, distance bits) are
 /// COMMITTED under tests/testdata/search_counts/, and this suite recomputes
 /// them over the heap tree, the flat (v2) arena built from the same tree,
-/// and GeneralizedMvpTree at several v.
+/// GeneralizedMvpTree at several v, and the sharded index's shells (heap
+/// and flat shards), so shard-level pruning is pinned too.
 ///
 /// flat_equivalence_test proves the representations agree with each other;
 /// it cannot see a change that moves all of them the same way, because they
@@ -240,16 +243,71 @@ void CheckGolden(const Recipe& recipe) {
   CheckGolden(recipe.name, ComputeLines(recipe));
 }
 
+Recipe UniformRecipe() {
+  return Recipe{"uniform", dataset::UniformVectors(2000, 10, 17),
+                dataset::UniformQueryVectors(25, 10, 4242), {0.5, 0.7, 0.9},
+                {}};
+}
+
+Recipe ClusteredRecipe() {
+  const auto data = Clustered(2000, 10, 23);
+  return Recipe{"clustered", data, NearDataQueries(data, 80, 0.02),
+                {0.1, 0.25, 0.5}, {}};
+}
+
 TEST(SearchCountsGoldenTest, UniformPaperDefaults) {
-  CheckGolden(Recipe{"uniform", dataset::UniformVectors(2000, 10, 17),
-                     dataset::UniformQueryVectors(25, 10, 4242),
-                     {0.5, 0.7, 0.9}, {}});
+  CheckGolden(UniformRecipe());
 }
 
 TEST(SearchCountsGoldenTest, ClusteredPaperDefaults) {
-  const auto data = Clustered(2000, 10, 23);
-  CheckGolden(Recipe{"clustered", data, NearDataQueries(data, 80, 0.02),
-                     {0.1, 0.25, 0.5}, {}});
+  CheckGolden(ClusteredRecipe());
+}
+
+/// ShardedMvpIndex at K = 4 over the uniform and clustered recipes: range
+/// and k-NN (with and without the exclusion), on heap shards and on the
+/// flat shards SaveFlat writes for them. The counts include d(q, v) and
+/// move with any change to how shards are partitioned, ordered or pruned.
+TEST(SearchCountsGoldenTest, ShardedShells) {
+  using Sharded = serve::ShardedMvpIndex<Vector, L2>;
+  const auto is_erased = [](std::size_t id) { return id % 7 == 3; };
+  const auto erased = core::Exclusion::Of(is_erased);
+  std::vector<std::string> lines;
+  for (const Recipe& recipe : {UniformRecipe(), ClusteredRecipe()}) {
+    Sharded::Options options;
+    options.num_shards = 4;
+    options.tree = recipe.options;
+    auto built = Sharded::Build(recipe.data, L2(), options);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const std::string dir =
+        ::testing::TempDir() + "/search_counts_sharded_" + recipe.name;
+    std::filesystem::remove_all(dir);
+    snapshot::SnapshotStore store(dir);
+    ASSERT_TRUE(store.SaveFlat(built.value()).ok());
+    auto flat = store.OpenFlat(L2());
+    ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+    for (const auto& [leg, index] :
+         {std::pair<std::string, const Sharded*>{"heap", &built.value()},
+          std::pair<std::string, const Sharded*>{"flat",
+                                                 &flat.value().index}}) {
+      const std::string rep = "sharded4_" + leg + " " + recipe.name;
+      AppendRangeCases(rep, *index, recipe, &lines);
+      for (const std::size_t k : {std::size_t{1}, std::size_t{10}}) {
+        for (const bool exclude : {false, true}) {
+          CaseTotals t;
+          for (const Vector& q : recipe.queries) {
+            SearchStats s;
+            t.Add(index->KnnSearch(q, k, &s, nullptr,
+                                   exclude ? erased : core::Exclusion{}),
+                  s);
+          }
+          lines.push_back(t.Line(rep, "knn(k=" + std::to_string(k) +
+                                          (exclude ? ",exclude)" : ")")));
+        }
+      }
+    }
+    std::filesystem::remove_all(dir);
+  }
+  CheckGolden("sharded", lines);
 }
 
 /// Small leaves, a short PATH and exact shell bounds: many more internal

@@ -109,7 +109,15 @@ TEST(ExecutorTest, SerialAndParallelExecutionAgree) {
   options.num_shards = 4;
   const auto index =
       ShardedMvpIndex<Vector, L2>::Build(data, L2(), options).ValueOrDie();
-  const auto batch = MakeRangeBatch(queries, 0.4);
+  auto batch = MakeRangeBatch(queries, 0.4);
+  // k-NN too: with parallel_shards its second wave of shards fans out.
+  for (const auto& q : queries) {
+    Query bq;
+    bq.kind = Query::Kind::kKnn;
+    bq.object = q;
+    bq.k = 10;
+    batch.push_back(bq);
+  }
 
   ThreadPool pool(4);
   const auto serial = RunBatch(index, batch, /*pool=*/nullptr);

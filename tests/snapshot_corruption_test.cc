@@ -312,20 +312,28 @@ class FlatSnapshotCorruptionTest : public ::testing::Test {
   /// arena's own structural validation.
   template <typename Fn>
   Status OpenWithMutatedArena(Fn mutate) {
+    return OpenWithMutatedChunk(0, [&](std::vector<std::uint8_t>& bytes) {
+      std::vector<std::uint8_t> arena(bytes.begin() + 8, bytes.end());
+      mutate(arena);
+      bytes.resize(8);
+      bytes.insert(bytes.end(), arena.begin(), arena.end());
+    });
+  }
+
+  /// Applies `mutate` to chunk `chunk`'s payload (the container holds each
+  /// shard's arena chunk followed by its id-map chunk), keeping every
+  /// chunk's kind and rebuilding every checksum, as above.
+  template <typename Fn>
+  Status OpenWithMutatedChunk(std::size_t chunk, Fn mutate) {
     auto parsed = ContainerReader::Parse(container_.data(), container_.size());
     EXPECT_TRUE(parsed.ok());
     ContainerWriter writer;
     for (std::size_t c = 0; c < parsed.value().num_chunks(); ++c) {
       const auto [payload, length] = parsed.value().chunk_payload(c);
       std::vector<std::uint8_t> bytes(payload, payload + length);
-      if (c == 0) {
-        std::vector<std::uint8_t> arena(bytes.begin() + 8, bytes.end());
-        mutate(arena);
-        bytes.resize(8);
-        bytes.insert(bytes.end(), arena.begin(), arena.end());
-      }
-      writer.AddChunk(ChunkKind::kFlatShard, std::move(bytes),
-                      kFlatChunkAlignment);
+      if (c == chunk) mutate(bytes);
+      writer.AddChunk(static_cast<ChunkKind>(parsed.value().chunk(c).kind),
+                      std::move(bytes), kFlatChunkAlignment);
     }
     auto file = std::move(writer).Finalize();
     auto manifest = SnapshotManifest::Parse(manifest_);
@@ -387,6 +395,51 @@ TEST_F(FlatSnapshotCorruptionTest, FixtureRoundTrips) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().index.size(), 90u);
   EXPECT_TRUE(loaded.value().index.flat_serving());
+}
+
+/// The checksum-rebuilding helpers change nothing by themselves: an
+/// untouched arena or id map still opens, so each rejection below is the
+/// structural validation's.
+TEST_F(FlatSnapshotCorruptionTest, RebuiltChecksumsAloneStillOpen) {
+  EXPECT_TRUE(OpenWithMutatedArena([](auto&) {}).ok());
+  EXPECT_TRUE(OpenWithMutatedChunk(1, [](auto&) {}).ok());
+}
+
+/// A flat shard's id map (the chunk after its arena: u64 shard, u64v ids)
+/// must name a shard once, match the shard's size and leave the partition
+/// an ascending permutation.
+TEST_F(FlatSnapshotCorruptionTest, MalformedIdMapRejected) {
+  const auto poke = [](std::size_t offset, std::uint64_t value) {
+    return [=](std::vector<std::uint8_t>& bytes) {
+      PokeU64(bytes, offset, value);
+    };
+  };
+  // Shard index out of range, and shard 1's map naming shard 0 again.
+  EXPECT_EQ(OpenWithMutatedChunk(1, poke(0, 3)).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(OpenWithMutatedChunk(3, poke(0, 0)).code(),
+            StatusCode::kCorruption);
+  // A count past the payload, and one short of the shard's size.
+  EXPECT_EQ(OpenWithMutatedChunk(1, poke(8, 1u << 20)).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(OpenWithMutatedChunk(1, [](std::vector<std::uint8_t>& bytes) {
+              PokeU64(bytes, 8, PeekU64(bytes, 8) - 1);
+              bytes.resize(bytes.size() - 8);
+            }).code(),
+            StatusCode::kCorruption);
+  // Trailing bytes; a descending pair; an id past the object count.
+  EXPECT_EQ(OpenWithMutatedChunk(1, [](std::vector<std::uint8_t>& bytes) {
+              bytes.push_back(0);
+            }).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(OpenWithMutatedChunk(1, [](std::vector<std::uint8_t>& bytes) {
+              const std::uint64_t first = PeekU64(bytes, 16);
+              PokeU64(bytes, 16, PeekU64(bytes, 24));
+              PokeU64(bytes, 24, first);
+            }).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(OpenWithMutatedChunk(1, poke(16, 90)).code(),
+            StatusCode::kCorruption);
 }
 
 TEST_F(FlatSnapshotCorruptionTest, EveryTruncationPrefixRejected) {
