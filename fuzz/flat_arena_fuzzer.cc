@@ -10,13 +10,17 @@
 // the same Deserialize, so ragged, zero-dimension or oversized vectors fail
 // both alike. A range and a k-NN search then run on every tree both
 // accept. Mode 1 treats the bytes as a hostile arena — v1 or v2, the
-// version field is attacker-controlled: FlatTreeView::Open either rejects
-// it or returns a view that is safe to search (a v1 arena is validated,
-// then upgraded to v2 at open) — range and k-NN traversals over an
-// accepted arena must stay in bounds (ASan checks this, not us).
+// version field is attacker-controlled: flat::OpenTree either rejects it or
+// returns an MvpTree that is safe to search (a v1 arena is validated, then
+// upgraded to v2 at open) — range and k-NN traversals over an accepted
+// arena must stay in bounds (ASan checks this, not us). The arena parser
+// and the stream parser must also agree: every accepted arena's tree is
+// Serialized, MvpTree::Deserialize must accept the stream, and both trees
+// must give equal range and k-NN answers and SearchStats.
 //
 // Input layout: [u8 mode][body...].
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -62,16 +66,49 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   std::memcpy(aligned.data(), data, size);
   const auto* base = reinterpret_cast<const std::uint8_t*>(aligned.data());
 
-  auto view = mvp::snapshot::flat::FlatTreeView<mvp::metric::L2>::Open(
-      base, size, mvp::metric::L2{});
-  if (!view.ok()) return 0;
-  const auto& tree = view.value();
+  auto opened = mvp::snapshot::flat::OpenTree(base, size, mvp::metric::L2{},
+                                              nullptr);
+  if (!opened.ok()) return 0;
+  const auto& tree = opened.value();
   // An empty arena's header can carry an arbitrary dim (no section
   // constrains it); cap the query allocation rather than OOM the harness.
   if (tree.dim() > 4096) return 0;
   const std::vector<double> query(tree.dim(), 0.25);
   mvp::SearchStats stats;
-  (void)tree.RangeSearch(query, 1.5, &stats);
-  (void)tree.KnnSearch(query, 3, &stats);
+  const auto range = tree.RangeSearch(query, 1.5, &stats);
+  const auto knn = tree.KnnSearch(query, 3, &stats);
+
+  mvp::BinaryWriter stream;
+  FUZZ_ASSERT(tree.Serialize(&stream, mvp::VectorCodec{}).ok(),
+              "an opened arena failed to serialize");
+  mvp::BinaryReader reader(stream.buffer().data(), stream.buffer().size());
+  auto parsed = mvp::core::MvpTree<mvp::metric::Vector, mvp::metric::L2>::
+      Deserialize(&reader, mvp::metric::L2{}, mvp::VectorCodec{});
+  FUZZ_ASSERT(parsed.ok() && reader.AtEnd(),
+              "MvpTree::Deserialize rejected an opened arena's stream");
+  // Bit for bit: a hostile arena's rows may hold NaN, and NaN != NaN.
+  const auto same = [](const std::vector<mvp::Neighbor>& a,
+                       const std::vector<mvp::Neighbor>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (a[i].id != b[i].id ||
+          std::bit_cast<std::uint64_t>(a[i].distance) !=
+              std::bit_cast<std::uint64_t>(b[i].distance)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  mvp::SearchStats parsed_stats;
+  FUZZ_ASSERT(
+      same(parsed.value().RangeSearch(query, 1.5, &parsed_stats), range) &&
+          same(parsed.value().KnnSearch(query, 3, &parsed_stats), knn),
+      "arena and stream trees answer differently");
+  FUZZ_ASSERT(
+      parsed_stats.distance_computations == stats.distance_computations &&
+          parsed_stats.nodes_visited == stats.nodes_visited &&
+          parsed_stats.leaf_points_seen == stats.leaf_points_seen &&
+          parsed_stats.leaf_points_filtered == stats.leaf_points_filtered,
+      "arena and stream trees count differently");
   return 0;
 }

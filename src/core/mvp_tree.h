@@ -7,6 +7,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -47,18 +49,21 @@
 ///
 /// The tree keeps its structure in the layout of core/tree_layout.h —
 /// preorder node records, an m*m child slot table, one bounds pool and
-/// per-leaf id/D1/D2 columns with column-major PATH slabs — in vectors it
-/// owns next to its objects: the very arrays a flat arena holds. A tree
-/// over dense vectors keeps its objects as one row-major slab of doubles,
-/// the rows of a flat arena's objects section, and evaluates them in place
-/// as metric::VectorView; any other object type is kept in a
-/// std::vector<Object> (ObjectStore). Ids are u32, so a tree holds at most
-/// 2^32-1 objects.
+/// per-leaf id/D1/D2 columns with column-major PATH slabs: the very arrays
+/// a flat arena holds. A tree over dense vectors keeps its objects as one
+/// row-major slab of doubles, the rows of a flat arena's objects section,
+/// and evaluates them in place as metric::VectorView; any other object type
+/// is kept in a std::vector<Object> (ObjectStore). Build and Deserialize
+/// give a tree its own arrays and rows; Borrow gives a vector tree a
+/// validated arena's (snapshot::flat::OpenTree), kept alive by a shared
+/// owner. Searches read one TreeArrays view either way, so there is one
+/// tree type and one code path. Ids are u32, so a tree holds at most 2^32-1
+/// objects.
 ///
 /// Template parameters mirror the paper's setting: any object domain with a
 /// metric distance function and nothing else.
 ///
-/// Thread safety: the tree is immutable after Build, so const member
+/// Thread safety: the tree is immutable once built or opened, so const member
 /// functions (all searches, Stats, Serialize, ValidateInvariants) may be
 /// called concurrently from any number of threads, provided the metric's
 /// operator() is itself const-thread-safe (all bundled metrics are;
@@ -129,43 +134,64 @@ class ObjectStore {
   std::vector<Object> objects_;
 };
 
-/// Dense vectors: one row-major slab of `dim` doubles per object, the rows
-/// a flat arena's objects section holds, handed out as metric::VectorView.
-/// Every object has the same dimension, at least 1 and at most u32's range
-/// (the arena's dim field): From rejects anything else as InvalidArgument,
-/// Read as Corruption.
+/// Dense vectors: one row-major slab of `dim` doubles per object, handed
+/// out as metric::VectorView. The slab is either owned (From, Read) or
+/// borrowed from a flat arena's objects section (Borrow); either way the
+/// row base is resolved once, so object access is one multiply-add. Every
+/// object has the same dimension, at least 1 and at most u32's range (the
+/// arena's dim field): From rejects anything else as InvalidArgument, Read
+/// as Corruption. Move-only, so no copy can keep pointing into a slab it
+/// does not own.
 template <>
 class ObjectStore<metric::Vector> {
  public:
+  ObjectStore() = default;
+  ObjectStore(ObjectStore&&) = default;
+  ObjectStore& operator=(ObjectStore&&) = default;
+  ObjectStore(const ObjectStore&) = delete;
+  ObjectStore& operator=(const ObjectStore&) = delete;
+
   /// Copies each vector into the slab and releases it right after, so the
   /// input and the slab are not both held in full.
   static Result<ObjectStore> From(std::vector<metric::Vector> objects) {
     ObjectStore store;
     if (objects.empty()) return store;
-    store.dim_ = objects[0].size();
+    const std::size_t dim = objects[0].size();
     for (const metric::Vector& v : objects) {
-      if (v.size() != store.dim_) {
+      if (v.size() != dim) {
         return Status::InvalidArgument(
             "mvp-tree vectors must all have one dimension");
       }
     }
-    if (!ValidDim(store.dim_)) {
+    if (!ValidDim(dim)) {
       return Status::InvalidArgument(
           "mvp-tree vector dimension must be 1 to 2^32-1");
     }
-    store.rows_.reserve(objects.size() * store.dim_);
+    store.owned_.reserve(objects.size() * dim);
     for (metric::Vector& v : objects) {
-      store.rows_.insert(store.rows_.end(), v.begin(), v.end());
+      store.owned_.insert(store.owned_.end(), v.begin(), v.end());
       metric::Vector().swap(v);
     }
+    store.Own(dim);
     return store;
   }
 
-  std::size_t size() const { return dim_ == 0 ? 0 : rows_.size() / dim_; }
-  metric::VectorView operator[](std::size_t id) const {
-    return {rows_.data() + id * dim_, dim_};
+  /// Views `count` rows of `dim` doubles at `rows`, which the caller keeps
+  /// alive and unmodified for the store's lifetime.
+  static ObjectStore Borrow(const double* rows, std::size_t count,
+                            std::size_t dim) {
+    ObjectStore store;
+    store.rows_ = rows;
+    store.count_ = count;
+    store.dim_ = count == 0 ? 0 : dim;
+    return store;
   }
-  const std::vector<double>& rows() const { return rows_; }
+
+  std::size_t size() const { return count_; }
+  metric::VectorView operator[](std::size_t id) const {
+    return {rows_ + id * dim_, dim_};
+  }
+  std::span<const double> rows() const { return {rows_, count_ * dim_}; }
   std::size_t dim() const { return dim_; }
 
   /// The dimensions a store can hold: 1 to u32's range (the arena's dim
@@ -190,6 +216,7 @@ class ObjectStore<metric::Vector> {
                                   const Codec& codec) {
     ObjectStore store;
     metric::Vector row;
+    std::size_t dim = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
       MVP_RETURN_NOT_OK(codec.Read(*reader, &row));
       if (i == 0) {
@@ -197,22 +224,32 @@ class ObjectStore<metric::Vector> {
           return Status::Corruption(
               "mvp-tree stream vector dimension is 0 or exceeds u32");
         }
-        store.dim_ = row.size();
+        dim = row.size();
         const std::uint64_t fit =
-            reader->remaining() / (sizeof(double) * store.dim_) + 1;
-        store.rows_.reserve(
-            static_cast<std::size_t>(std::min(count, fit) * store.dim_));
-      } else if (row.size() != store.dim_) {
+            reader->remaining() / (sizeof(double) * dim) + 1;
+        store.owned_.reserve(
+            static_cast<std::size_t>(std::min(count, fit) * dim));
+      } else if (row.size() != dim) {
         return Status::Corruption(
             "mvp-tree stream holds vectors of unequal dimension");
       }
-      store.rows_.insert(store.rows_.end(), row.begin(), row.end());
+      store.owned_.insert(store.owned_.end(), row.begin(), row.end());
     }
+    store.Own(dim);
     return store;
   }
 
  private:
-  std::vector<double> rows_;
+  /// Points the row base at the owned slab of `dim`-double rows.
+  void Own(std::size_t dim) {
+    rows_ = owned_.data();
+    dim_ = owned_.empty() ? 0 : dim;
+    count_ = owned_.empty() ? 0 : owned_.size() / dim;
+  }
+
+  std::vector<double> owned_;  ///< the slab; empty when borrowed
+  const double* rows_ = nullptr;
+  std::size_t count_ = 0;
   std::size_t dim_ = 0;  ///< 0 only for an empty store
 };
 
@@ -250,8 +287,33 @@ class MvpTree {
     if (!store.ok()) return store.status();
     MvpTree tree(std::move(store).ValueOrDie(), std::move(metric), options);
     tree.BuildTree();
+    tree.arrays_ = tree.layout_.Arrays(tree.Order(), tree.PathDistances());
     return tree;
   }
+
+  /// A vector tree over borrowed arrays and rows: `count` rows of `dim`
+  /// doubles at `rows`, and `arrays` (order and p as in `options`), all of
+  /// which `owner` keeps alive and unmodified for the tree's lifetime and
+  /// every move of it. The caller has validated them as a flat arena's
+  /// sections (snapshot::flat::ParseFlatArena), so the tree does not.
+  static MvpTree Borrow(const Options& options, const double* rows,
+                        std::size_t count, std::size_t dim,
+                        const TreeArrays& arrays, Metric metric,
+                        std::shared_ptr<const void> owner)
+    requires kRows
+  {
+    MvpTree tree(Store::Borrow(rows, count, dim), std::move(metric), options);
+    tree.arrays_ = arrays;
+    tree.owner_ = std::move(owner);
+    return tree;
+  }
+
+  /// Move-only: a copy of a tree over its own arrays would still view the
+  /// source's. Moving keeps every array and row where it is.
+  MvpTree(MvpTree&&) = default;
+  MvpTree& operator=(MvpTree&&) = default;
+  MvpTree(const MvpTree&) = delete;
+  MvpTree& operator=(const MvpTree&) = delete;
 
   /// All objects within `radius` of `query` (closed ball: d(Xi, Y) <= r),
   /// sorted by distance then id. Implements the depth-first search of §4.3
@@ -273,14 +335,18 @@ class MvpTree {
   /// each one a true member of the full answer, since every appended
   /// neighbor passed the d(Q, Xi) <= r test with an exact metric value.
   /// This is what the serving layer's partial-results harvest builds on.
+  /// `root_prime` optionally substitutes precomputed root vantage-point
+  /// distances (serve::RunBatch priming); results and stats are
+  /// bit-identical with or without it.
   void RangeSearchInto(const Object& query, double radius,
                        std::vector<Neighbor>* out,
-                       SearchStats* stats = nullptr) const {
+                       SearchStats* stats = nullptr,
+                       const RootPrime* root_prime = nullptr) const {
     MVP_DCHECK(radius >= 0);
     MVP_DCHECK(out != nullptr);
     SearchStats local;
     Traversal(Access(), query, stats != nullptr ? *stats : local)
-        .Range(radius, out);
+        .Range(radius, out, root_prime);
   }
 
   /// The k nearest objects via shrinking-radius branch-and-bound; children
@@ -308,16 +374,17 @@ class MvpTree {
   /// sort (std::sort or std::sort_heap) before presenting. `bound` caps
   /// the pruning radius at a k-th distance the caller already holds
   /// (Traversal::Knn); candidates strictly farther may then be missing.
+  /// `root_prime` is as in RangeSearchInto.
   void KnnSearchInto(const Object& query, std::size_t k,
                      std::vector<Neighbor>* heap,
                      SearchStats* stats = nullptr,
                      Exclusion exclude = {},
-                     double bound =
-                         std::numeric_limits<double>::infinity()) const {
+                     double bound = std::numeric_limits<double>::infinity(),
+                     const RootPrime* root_prime = nullptr) const {
     MVP_DCHECK(heap != nullptr);
     SearchStats local;
     Traversal(Access(), query, stats != nullptr ? *stats : local)
-        .Knn(k, heap, exclude, nullptr, bound);
+        .Knn(k, heap, exclude, root_prime, bound);
   }
 
   /// Budgeted (approximate) k-NN: identical to KnnSearch but stops after
@@ -393,7 +460,7 @@ class MvpTree {
   /// A vector tree's row-major slab (object id at rows()[id * dim()]), its
   /// dimension (0 when empty) and the tree's arrays: what a flat arena is
   /// laid out from (snapshot::flat::BuildFlatArena).
-  const std::vector<double>& rows() const
+  std::span<const double> rows() const
     requires kRows
   {
     return store_.rows();
@@ -403,7 +470,21 @@ class MvpTree {
   {
     return store_.dim();
   }
-  const TreeLayout& layout() const { return layout_; }
+  const TreeArrays& arrays() const { return arrays_; }
+
+  /// The root's vantage-point rows, for batch priming (core::RootPrime):
+  /// false on an empty tree; *vp2 is null when the root has one vantage
+  /// point.
+  bool RootVantagePoints(const double** vp1, const double** vp2) const
+    requires kRows
+  {
+    const NodeRec* root = Access().Root();
+    if (root == nullptr) return false;
+    *vp1 = store_[root->vp1].data();
+    *vp2 = (root->flags & kNodeHasVp2) != 0 ? store_[root->vp2].data()
+                                             : nullptr;
+    return true;
+  }
 
   /// Structural statistics. For a full mvp-tree of height h the paper gives
   /// 2*(m^(2h) - 1)/(m^2 - 1) vantage points and m^(2(h-1))*k leaf points;
@@ -458,7 +539,7 @@ class MvpTree {
     writer->Write<std::uint8_t>(options_.store_exact_bounds ? 1 : 0);
     writer->Write<std::uint64_t>(size());
     store_.Write(writer, codec);
-    layout_.Write(writer, Order());
+    arrays_.Write(writer);
     return Status::OK();
   }
 
@@ -505,6 +586,7 @@ class MvpTree {
     MvpTree tree(std::move(store).ValueOrDie(), std::move(metric), options);
     MVP_RETURN_NOT_OK(
         tree.layout_.Read(reader, count, tree.Order(), tree.PathDistances()));
+    tree.arrays_ = tree.layout_.Arrays(tree.Order(), tree.PathDistances());
     return tree;
   }
 
@@ -546,11 +628,8 @@ class MvpTree {
   }
 
   /// The node accessor the shared §4.3 traversal (core/search_shared.h) and
-  /// every walk below run on; a flat view supplies the same one over its
-  /// arena.
-  TreeNodes<MvpTree> Access() const {
-    return {this, layout_.Arrays(Order(), PathDistances())};
-  }
+  /// every walk below run on.
+  TreeNodes<MvpTree> Access() const { return {this, arrays_}; }
 
   template <typename A, typename B>
   double Distance(const A& a, const B& b) {
@@ -1039,7 +1118,12 @@ class MvpTree {
   Store store_;
   Metric metric_;
   Options options_;
+  /// The arrays Build and Deserialize write; empty for a borrowing tree.
   TreeLayout layout_;
+  /// What every search and walk reads: layout_'s arrays or the arena's.
+  TreeArrays arrays_;
+  /// Keeps a borrowing tree's arena alive; null otherwise.
+  std::shared_ptr<const void> owner_;
   std::uint64_t construction_distances_ = 0;
 };
 

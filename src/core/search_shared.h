@@ -18,8 +18,8 @@
 /// \file
 /// The mvp-tree search of §4.3, written once for every representation.
 ///
-/// The heap tree (core/mvp_tree.h) and the flat arena (snapshot/flat_tree.h)
-/// hold the same structure-of-arrays layout and share one node accessor,
+/// The mvp-tree (core/mvp_tree.h) — built, deserialized or opened over a
+/// flat arena (snapshot/flat_tree.h) — searches through one node accessor,
 /// core::TreeNodes (core/tree_layout.h); GeneralizedMvpTree
 /// (core/generalized_mvp_tree.h) keeps v vantage points per node instead of
 /// two and supplies its own. The range and k-NN recursions below run on an

@@ -128,8 +128,7 @@ Result<std::uint32_t> ReadNode(const StreamSource& s, std::size_t depth) {
   return index;
 }
 
-void WriteNode(const TreeLayout& t, BinaryWriter* w, std::uint32_t index,
-               std::size_t m) {
+void WriteNode(const TreeArrays& t, BinaryWriter* w, std::uint32_t index) {
   if (index == kNullChild) {
     w->Write<std::uint8_t>(0);
     return;
@@ -154,13 +153,14 @@ void WriteNode(const TreeLayout& t, BinaryWriter* w, std::uint32_t index,
     }
     return;
   }
+  const std::size_t m = t.order;
   std::size_t at = n.begin;
   for (const std::size_t length : {m, m, m * m, m * m}) {
     w->Write<std::uint64_t>(length);
     for (std::size_t k = 0; k < length; ++k) w->Write<double>(t.bounds[at++]);
   }
   for (std::size_t c = 0; c < m * m; ++c) {
-    WriteNode(t, w, t.children[n.children + c], m);
+    WriteNode(t, w, t.children[n.children + c]);
   }
 }
 
@@ -224,20 +224,21 @@ Status TreeLayout::Read(BinaryReader* reader, std::uint64_t objects,
   return Status::OK();
 }
 
-void TreeLayout::Write(BinaryWriter* writer, std::size_t m) const {
+void TreeArrays::Write(BinaryWriter* writer) const {
   // The PATH pool holds each entry's PATH in a row, leaves in node order —
   // the slabs transposed back.
-  writer->Write<std::uint64_t>(path.size());
-  for (std::size_t n = 0; n < nodes.size(); ++n) {
-    const std::size_t count = nodes[n].count;  // 0 for internal nodes
+  writer->Write<std::uint64_t>(path_count);
+  for (std::size_t n = 0; n < node_count; ++n) {
     const LeafPathRec& lp = leafpaths[n];
+    if ((nodes[n].flags & kNodeLeaf) == 0 || lp.path_length == 0) continue;
+    const std::size_t count = nodes[n].count;
     for (std::size_t i = 0; i < count; ++i) {
       for (std::size_t j = 0; j < lp.path_length; ++j) {
         writer->Write<double>(path[lp.slab_offset + j * count + i]);
       }
     }
   }
-  WriteNode(*this, writer, nodes.empty() ? kNullChild : 0, m);
+  WriteNode(*this, writer, node_count == 0 ? kNullChild : 0);
 }
 
 }  // namespace mvp::core

@@ -12,11 +12,11 @@
 #include "metric/kernels/kernels.h"
 
 /// \file
-/// The one mvp-tree layout (§4): structure-of-arrays nodes and leaves. A heap
-/// tree (core/mvp_tree.h) owns these arrays in vectors, a flat arena
-/// (snapshot/flat_tree.h) holds the same arrays byte for byte in its
-/// sections, and both are searched through the one node accessor and leaf
-/// cursor below. The two differ only in who owns the bytes.
+/// The one mvp-tree layout (§4): structure-of-arrays nodes and leaves. A
+/// built or deserialized tree (core/mvp_tree.h) owns these arrays in
+/// vectors, a flat arena (snapshot/flat_tree.h) holds the same arrays byte
+/// for byte in its sections, and a tree searches either through one
+/// TreeArrays view, the node accessor and the leaf cursor below.
 ///
 ///   nodes      NodeRec[]       preorder; the root is node 0
 ///   children   u32[]           m*m slots per internal node; kNullChild =
@@ -34,7 +34,8 @@
 /// Ids and node indices are u32, so one tree holds at most kMaxTreeObjects
 /// objects. TreeLayout::Read is the only parser of the MVPT stream's
 /// structure (MvpTree::Deserialize calls it, and BuildFlatArena goes through
-/// MvpTree::Deserialize); TreeLayout::Write emits it back byte for byte.
+/// MvpTree::Deserialize); TreeArrays::Write emits it back byte for byte,
+/// from owned arrays and arena sections alike.
 
 namespace mvp::core {
 
@@ -68,11 +69,17 @@ struct LeafPathRec {
 };
 static_assert(sizeof(LeafPathRec) == 16, "leaf path layout drifted");
 
-/// Non-owning view of one tree's arrays, with its m and p.
+/// Non-owning view of one tree's arrays, with its m and p and the length
+/// of each array (entry_count for ids, d1 and d2; node_count for nodes and
+/// leafpaths).
 struct TreeArrays {
   std::size_t order = 0;
   std::size_t path_distances = 0;
   std::size_t node_count = 0;
+  std::size_t children_count = 0;
+  std::size_t bounds_count = 0;
+  std::size_t entry_count = 0;
+  std::size_t path_count = 0;
   const NodeRec* nodes = nullptr;
   const std::uint32_t* children = nullptr;
   const double* bounds = nullptr;
@@ -81,6 +88,9 @@ struct TreeArrays {
   const double* d2 = nullptr;
   const LeafPathRec* leafpaths = nullptr;
   const double* path = nullptr;
+
+  /// Writes the structure part of the MVPT stream TreeLayout::Read parses.
+  void Write(BinaryWriter* writer) const;
 };
 
 /// The arrays, owned: what a heap tree holds and a flat arena is laid out
@@ -96,9 +106,10 @@ struct TreeLayout {
   std::vector<double> path;
 
   TreeArrays Arrays(std::size_t order, std::size_t p) const {
-    return {order,      p,         nodes.size(), nodes.data(),
-            children.data(), bounds.data(), ids.data(), d1.data(),
-            d2.data(),  leafpaths.data(), path.data()};
+    return {order, p, nodes.size(), children.size(), bounds.size(),
+            ids.size(), path.size(), nodes.data(), children.data(),
+            bounds.data(), ids.data(), d1.data(), d2.data(),
+            leafpaths.data(), path.data()};
   }
 
   /// Appends an internal node whose m*m children are absent and whose
@@ -120,8 +131,6 @@ struct TreeLayout {
   /// tile the pool in stream order.
   Status Read(BinaryReader* reader, std::uint64_t objects, std::size_t m,
               std::size_t p);
-  /// Writes the structure part of the MVPT stream Read parses.
-  void Write(BinaryWriter* writer, std::size_t m) const;
 };
 
 /// Leaf cursor: contiguous id/D1/D2 columns and a column-major PATH slab.
@@ -160,9 +169,8 @@ struct SoaLeaf {
 };
 
 /// The node accessor core::Traversal runs on (core/search_shared.h), over
-/// one tree's arrays. `Owner` supplies metric() and object(id): a heap tree
-/// its stored objects (metric::VectorView rows of its slab for vectors), a
-/// flat view VectorViews into its arena.
+/// one tree's arrays. `Owner` supplies metric() and object(id): the tree's
+/// stored objects (metric::VectorView rows for vectors, owned or mapped).
 template <typename Owner>
 struct TreeNodes {
   const Owner* owner;

@@ -304,6 +304,14 @@ class DynamicOverlay {
     return (base_.has_value() ? base_->size() : 0) - tombstone_count_ +
            memtable_.size();
   }
+  /// The dimension of a vector collection's rows (AdmitsLocked's rule); 0
+  /// until it holds a vector.
+  std::size_t dim() const MVP_EXCLUDES(mu_)
+    requires std::is_same_v<Object, metric::Vector>
+  {
+    MutexLock lock(&mu_);
+    return dim_;
+  }
 
   /// Folds the outstanding mutations into a committed generation and
   /// truncates the WAL; returns the new generation (or the current one
@@ -417,10 +425,6 @@ class DynamicOverlay {
     MutexLock lock(&mu_);
     return tombstone_count_;
   }
-  bool base_flat_serving() const MVP_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return base_.has_value() && base_->flat_serving();
-  }
   Stats stats() const MVP_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     return stats_;
@@ -519,9 +523,9 @@ class DynamicOverlay {
     }
   }
 
-  /// Collects every live base object as (stable id, owned object). Reads
-  /// heap trees or flat arenas, copying each stored object (a vector tree's
-  /// row or an arena's mapped row) out of it.
+  /// Collects every live base object as (stable id, owned object), copying
+  /// each stored object (for vectors, a row, owned or mapped) out of its
+  /// shard tree.
   void GatherBaseLiveLocked(
       std::vector<std::pair<std::uint64_t, Object>>* live) const
       MVP_REQUIRES(mu_) {
@@ -530,13 +534,8 @@ class DynamicOverlay {
       for (std::size_t local = 0; local < globals.size(); ++local) {
         const std::size_t g = globals[local];
         if (base_erased_[g]) continue;
-        if (!base_->flat_serving()) {
-          live->emplace_back(BaseStableLocked(g),
-                             Object(base_->shard(s).object(local)));
-        } else if constexpr (BaseIndex::kFlatCapable) {
-          live->emplace_back(BaseStableLocked(g),
-                             Object(base_->flat_shard(s).object(local)));
-        }
+        live->emplace_back(BaseStableLocked(g),
+                           Object(base_->shard(s).object(local)));
       }
     }
   }
@@ -676,17 +675,7 @@ class DynamicOverlay {
   /// else the memtable's live objects; 0 when it holds none.
   void LoadDimLocked() MVP_REQUIRES(mu_) {
     if constexpr (kVectors) {
-      std::size_t dim = 0;
-      if (base_.has_value()) {
-        for (std::size_t s = 0; s < base_->num_shards() && dim == 0; ++s) {
-          if (!base_->flat_serving()) {
-            dim = base_->shard(s).dim();  // 0 for an empty shard
-          } else if constexpr (BaseIndex::kFlatCapable) {
-            const auto& view = base_->flat_shard(s);
-            if (view.size() > 0) dim = view.dim();
-          }
-        }
-      }
+      std::size_t dim = base_.has_value() ? base_->dim() : 0;
       if (dim == 0) {
         memtable_.ForEachLive([&dim](std::size_t, const auto& object) {
           dim = object.size();

@@ -4,8 +4,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -46,6 +49,11 @@
 ///  * Backpressure: at most `ThreadPool::Options::queue_capacity` query
 ///    tasks are queued at once; the submitting thread runs queries itself
 ///    while the queue is full, so submission can never outrun execution.
+///  * Validation: a query the index cannot answer exactly — a range query
+///    whose radius is NaN or negative, or a vector query with a NaN
+///    coordinate or of another dimension than the collection's — gets
+///    Status::InvalidArgument and runs no search (ValidateQuery). This is
+///    the one check for the in-process and the network path alike.
 ///  * Accounting: each outcome carries wall latency (batch start to
 ///    completion, queue time included) and the exact number of distance
 ///    computations the query performed, aggregated across every thread
@@ -134,14 +142,46 @@ inline ServeClock::time_point DeadlineFrom(ServeClock::time_point start,
   return start + timeout;
 }
 
-/// Batch-primes the root vantage-point distances for every query of the
-/// batch when the index supports it (ShardedMvpIndex::PrimeBatch over flat
-/// shards of a kernel-capable metric). One many-queries-one-vantage-point
-/// SIMD sweep per shard root replaces per-query metric calls; the primed
-/// values are bit-identical and charged to stats/budgets at consumption, so
-/// outcomes match unprimed execution exactly. Returns the index's prime
-/// vector, or int{0} when the index has no PrimeBatch — PrimeAt below maps
-/// either onto the per-query prime pointer.
+/// OK when `index` can answer `query` exactly; otherwise InvalidArgument
+/// for a range radius that is NaN or negative, and, for vector queries, a
+/// NaN coordinate or a dimension other than the index's dim() (when the
+/// index reports one and holds vectors, dim() != 0). Without this check a
+/// query longer than the rows reads past a stored row, a shorter one is
+/// measured against a prefix of each row, and NaN distances break the
+/// NeighborLess ordering the result sort relies on.
+template <typename Index, typename Object>
+Status ValidateQuery(const Index& index, const BatchQuery<Object>& query) {
+  if (query.kind == BatchQuery<Object>::Kind::kRange &&
+      !(query.radius >= 0.0)) {
+    return Status::InvalidArgument("query radius is NaN or negative");
+  }
+  if constexpr (std::is_same_v<Object, std::vector<double>>) {
+    for (const double x : query.object) {
+      if (std::isnan(x)) {
+        return Status::InvalidArgument("query has a NaN coordinate");
+      }
+    }
+    if constexpr (requires { index.dim(); }) {
+      const std::size_t dim = index.dim();
+      if (dim != 0 && query.object.size() != dim) {
+        return Status::InvalidArgument(
+            "query dimension " + std::to_string(query.object.size()) +
+            " differs from the collection's " + std::to_string(dim));
+      }
+    }
+  }
+  return Status::OK();
+}
+
+/// Batch-primes the root vantage-point distances for every valid query of
+/// the batch when the index supports it (ShardedMvpIndex::PrimeBatch over
+/// vector shards of a kernel-capable metric). One
+/// many-queries-one-vantage-point SIMD sweep per shard root replaces
+/// per-query metric calls; the primed values are bit-identical and charged
+/// to stats/budgets at consumption, so outcomes match unprimed execution
+/// exactly. Returns the index's prime vector, or int{0} when the index has
+/// no PrimeBatch — PrimeAt below maps either onto the per-query prime
+/// pointer.
 template <typename Index, typename Object>
 auto PrimeIfSupported(const Index& index,
                       const std::vector<BatchQuery<Object>>& queries) {
@@ -152,7 +192,7 @@ auto PrimeIfSupported(const Index& index,
     if (queries.size() >= 2) {  // a single query gains nothing from batching
       objects.reserve(queries.size());
       for (const BatchQuery<Object>& q : queries) {
-        objects.push_back(&q.object);
+        objects.push_back(ValidateQuery(index, q).ok() ? &q.object : nullptr);
       }
     }
     return index.PrimeBatch(objects);
@@ -253,7 +293,10 @@ std::vector<QueryOutcome> RunBatch(const Index& index,
     SearchStats search_stats;
     bool harvestable = false;
     const ServeClock::time_point work_start = ServeClock::now();
-    if (work_start >= deadline) {
+    Status valid = internal::ValidateQuery(index, query);
+    if (!valid.ok()) {
+      out.status = std::move(valid);
+    } else if (work_start >= deadline) {
       out.status = Status::DeadlineExceeded("deadline passed before search");
     } else {
       try {

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <numeric>
 #include <optional>
 #include <random>
@@ -25,7 +24,6 @@
 #include "metric/metric.h"
 #include "serve/cancel.h"
 #include "serve/thread_pool.h"
-#include "snapshot/flat_tree.h"
 
 /// \file
 /// Sharded mvp-tree — the serving layer's unit of parallelism.
@@ -65,15 +63,11 @@
 /// executor's deadline machinery at the granularity of one distance
 /// computation.
 ///
-/// Each shard holds ONE of two representations behind the same search
-/// interface: the heap tree (Build/Restore — owns its objects, supports
-/// any Object type; over vectors it owns one row-major slab) or a flat
-/// mmap-native view (RestoreFlat — vector datasets served directly out of
-/// a snapshot mapping with zero deserialization; snapshot/flat_tree.h).
-/// For vectors both evaluate the same rows in place as metric::VectorView,
-/// differing only in who owns the bytes. Searches dispatch per shard and
-/// return bit-identical results either way. Every shard keeps an ascending
-/// local-id -> global-id map, which snapshots of either layout store.
+/// Each shard is one core::MvpTree and an ascending local-id -> global-id
+/// map, which snapshots of either layout store. A tree Build or a
+/// deserializing Restore made owns its objects and arrays; one opened from
+/// a flat snapshot (snapshot::flat::OpenTree) borrows them from the mapping
+/// and keeps it alive. Nothing above the tree tells the two apart.
 ///
 /// Thread-safety analysis: the index is immutable after Build/Restore and
 /// searched concurrently without locks; per-query fan-out state is either
@@ -84,16 +78,11 @@ namespace mvp::serve {
 
 template <typename Object, metric::MetricFor<Object> Metric>
 class ShardedMvpIndex {
+  /// Vector collections: one row dimension (dim()) and batch priming.
+  static constexpr bool kVectors = std::is_same_v<Object, metric::Vector>;
+
  public:
   using Tree = core::MvpTree<Object, CancelChecked<Metric>>;
-  using FlatView = snapshot::flat::FlatTreeView<CancelChecked<Metric>>;
-
-  /// Whether this instantiation can serve the flat representation: vector
-  /// objects. A vector tree's metric already evaluates against the
-  /// zero-copy metric::VectorView rows a flat arena hands out
-  /// (metric::RowMetric, which core::MvpTree checks).
-  static constexpr bool kFlatCapable =
-      std::is_same_v<Object, std::vector<double>>;
 
   struct Options {
     /// Number of independent mvp-trees the data is partitioned over.
@@ -244,18 +233,15 @@ class ShardedMvpIndex {
     index.shards_.reserve(k);
     for (std::size_t s = 0; s < k; ++s) {
       if (!built[s]->ok()) return built[s]->status();
-      auto shard = std::make_unique<Shard>();
-      shard->tree.emplace(std::move(*built[s]).ValueOrDie());
-      shard->ids = std::move(ids[s]);
-      shard->shell = shells[s];
       if (vantage.has_value()) {
-        const auto& v_ids = shard->ids;
+        const auto& v_ids = ids[s];
         const auto it = std::lower_bound(v_ids.begin(), v_ids.end(), *vantage);
         if (it != v_ids.end() && *it == *vantage) {
           index.vantage_.emplace(s, static_cast<std::size_t>(it - v_ids.begin()));
         }
       }
-      index.shards_.push_back(std::move(shard));
+      index.shards_.push_back(Shard{std::move(*built[s]).ValueOrDie(),
+                                    std::move(ids[s]), shells[s]});
     }
     return index;
   }
@@ -288,7 +274,7 @@ class ShardedMvpIndex {
     const double d0 = VantageDistance(query, stats, prime);
     std::vector<std::size_t> visit;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const Shell& shell = shards_[s]->shell;
+      const Shell& shell = shards_[s].shell;
       if (core::ShellIntersects(d0, radius, shell.lo, shell.hi)) {
         visit.push_back(s);
       }
@@ -298,20 +284,15 @@ class ShardedMvpIndex {
     const bool cancelled = ForEachShard(
         visit.size(), pool, [&](std::size_t i) {
           const std::size_t s = visit[i];
-          const Shard& shard = *shards_[s];
-          if (shard.tree.has_value()) {
-            shard.tree->RangeSearchInto(query, radius, &hits[i],
-                                        &shard_stats[i]);
-          } else if constexpr (kFlatCapable) {
-            shard.flat->RangeSearchInto(query, radius, &hits[i],
-                                        &shard_stats[i], ShardPrime(prime, s));
-          }
+          shards_[s].tree.RangeSearchInto(query, radius, &hits[i],
+                                          &shard_stats[i],
+                                          ShardPrime(prime, s));
         });
     std::size_t total = 0;
     for (const auto& h : hits) total += h.size();
     out->reserve(out->size() + total);
     for (std::size_t i = 0; i < visit.size(); ++i) {
-      const Shard& shard = *shards_[visit[i]];
+      const Shard& shard = shards_[visit[i]];
       for (const Neighbor& n : hits[i]) {
         out->push_back(Neighbor{shard.ids[n.id], n.distance});
       }
@@ -359,7 +340,7 @@ class ShardedMvpIndex {
     std::vector<std::pair<double, std::size_t>> order;  // (lower bound, s)
     order.reserve(shards_.size());
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const Shell& shell = shards_[s]->shell;
+      const Shell& shell = shards_[s].shell;
       order.emplace_back(std::max({0.0, shell.lo - d0, d0 - shell.hi}), s);
     }
     std::sort(order.begin(), order.end());
@@ -376,7 +357,7 @@ class ShardedMvpIndex {
                      &found[i], &shard_stats[i]);
           });
       for (std::size_t i = 0; i < found.size(); ++i) {
-        const Shard& shard = *shards_[order[first + i].second];
+        const Shard& shard = shards_[order[first + i].second];
         for (const Neighbor& n : found[i]) {
           core::KnnOffer(best, k, Neighbor{shard.ids[n.id], n.distance});
         }
@@ -405,16 +386,16 @@ class ShardedMvpIndex {
   /// primed values are bit-identical to what each search would compute
   /// itself, and consumers still charge SearchStats and the cancellation
   /// budget per primed distance, so batched and unbatched execution agree
-  /// exactly. Returns empty when priming does not apply: heap serving, a
-  /// metric without a batch kernel family, or no queries. Queries whose
-  /// dimension mismatches a shard's stored vectors are left unprimed (the
-  /// search then evaluates them itself, preserving whatever the metric does
-  /// with them).
+  /// exactly. Returns empty when priming does not apply: objects that are
+  /// not vectors, a metric without a batch kernel family, or no queries.
+  /// Queries whose dimension mismatches a shard's stored vectors are left
+  /// unprimed (the search then evaluates them itself, preserving whatever
+  /// the metric does with them).
   std::vector<QueryPrime> PrimeBatch(
       const std::vector<const Object*>& queries) const {
     std::vector<QueryPrime> primes;
-    if constexpr (kFlatCapable && metric::kernels::FamilyFor<Metric>::available) {
-      if (!flat_serving() || queries.empty()) return primes;
+    if constexpr (kVectors && metric::kernels::FamilyFor<Metric>::available) {
+      if (queries.empty()) return primes;
       const std::size_t num_shards = shards_.size();
       primes.resize(queries.size());
       for (auto& qp : primes) qp.shard.resize(num_shards);
@@ -441,7 +422,7 @@ class ShardedMvpIndex {
       };
       if (vantage_.has_value()) {
         const auto [s, local] = *vantage_;
-        const metric::VectorView v = shards_[s]->flat->object(local);
+        const metric::VectorView v = shards_[s].tree.object(local);
         if (sweep(v.data(), v.size())) {
           for (std::size_t j = 0; j < qidx.size(); ++j) {
             primes[qidx[j]].vantage = dists[j];
@@ -450,11 +431,11 @@ class ShardedMvpIndex {
         }
       }
       for (std::size_t s = 0; s < num_shards; ++s) {
-        const FlatView& view = *shards_[s]->flat;
+        const Tree& tree = shards_[s].tree;
         const double* vps[2] = {nullptr, nullptr};
-        if (!view.RootVantagePoints(&vps[0], &vps[1])) continue;
+        if (!tree.RootVantagePoints(&vps[0], &vps[1])) continue;
         for (std::size_t l = 0; l < 2 && vps[l] != nullptr; ++l) {
-          if (!sweep(vps[l], view.dim())) break;
+          if (!sweep(vps[l], tree.dim())) break;
           for (std::size_t j = 0; j < qidx.size(); ++j) {
             core::RootPrime& rp = primes[qidx[j]].shard[s];
             (l == 0 ? rp.d1 : rp.d2) = dists[j];
@@ -463,7 +444,7 @@ class ShardedMvpIndex {
         }
       }
     } else {
-      (void)queries;  // not a status: unused in the non-flat-capable branch
+      (void)queries;  // not a status: unused when priming does not apply
     }
     return primes;
   }
@@ -472,30 +453,33 @@ class ShardedMvpIndex {
   std::size_t num_shards() const { return shards_.size(); }
   const Options& options() const { return options_; }
 
-  /// True when this index serves from flat arenas (RestoreFlat) rather than
-  /// heap trees. Heap-only accessors below must not be called on it.
-  bool flat_serving() const {
-    return !shards_.empty() && shards_[0]->flat.has_value();
+  /// The dimension of a vector collection's rows, which every shard
+  /// shares (Restore checks it); 0 when the index holds no objects.
+  std::size_t dim() const
+    requires kVectors
+  {
+    for (const Shard& shard : shards_) {
+      if (shard.tree.size() > 0) return shard.tree.dim();
+    }
+    return 0;
   }
 
-  /// Heap representation only.
   const Tree& shard(std::size_t s) const {
-    MVP_DCHECK(s < shards_.size() && shards_[s]->tree.has_value());
-    return *shards_[s]->tree;
+    MVP_DCHECK(s < shards_.size());
+    return shards_[s].tree;
   }
 
-  /// Flat representation only.
-  const FlatView& flat_shard(std::size_t s) const {
-    MVP_DCHECK(s < shards_.size() && shards_[s]->flat.has_value());
-    return *shards_[s]->flat;
-  }
+  /// The same as shard(s), kept under this name because perfbench's layer
+  /// trace (perfbench/mvpbench.cc) calls it, and perfbench must build
+  /// unchanged at every commit so that its runs compare across commits.
+  const Tree& flat_shard(std::size_t s) const { return shard(s); }
 
   /// Shard s's local-id -> global-id map, ascending: entry i is the global
-  /// id of the shard tree's object i. Both representations keep one; the
-  /// snapshot writers persist it next to each shard.
+  /// id of the shard tree's object i. The snapshot writers persist it next
+  /// to each shard.
   const std::vector<std::size_t>& shard_global_ids(std::size_t s) const {
     MVP_DCHECK(s < shards_.size());
-    return shards_[s]->ids;
+    return shards_[s].ids;
   }
 
   /// The metric partition (top vantage point and shells), or nullopt for an
@@ -504,7 +488,7 @@ class ShardedMvpIndex {
   std::optional<Partition> partition() const {
     if (!vantage_.has_value()) return std::nullopt;
     Partition partition{vantage_->first, vantage_->second, {}};
-    for (const auto& shard : shards_) partition.shells.push_back(shard->shell);
+    for (const Shard& shard : shards_) partition.shells.push_back(shard.shell);
     return partition;
   }
 
@@ -519,84 +503,45 @@ class ShardedMvpIndex {
     return params;
   }
 
-  /// Reassembles an index from deserialized shard trees and their global-id
-  /// maps (the inverse of per-shard serialization), and `partition` when
-  /// the snapshot recorded one. See Assemble for what is validated.
+  /// Reassembles an index from shard trees — deserialized, or opened from
+  /// flat arenas — and their global-id maps (the inverse of per-shard
+  /// serialization), and `partition` when the snapshot recorded one. Every
+  /// tree of a vector index must hold rows of one dimension. See Assemble
+  /// for what else is validated.
   static Result<ShardedMvpIndex> Restore(
       const Options& options,
       std::vector<std::pair<Tree, std::vector<std::size_t>>> parts,
       std::optional<Partition> partition = std::nullopt) {
-    std::vector<std::unique_ptr<Shard>> shards;
+    std::vector<Shard> shards;
+    shards.reserve(parts.size());
     std::size_t total = 0;
+    std::size_t dim = 0;
     for (auto& [tree, ids] : parts) {
       if (tree.size() != ids.size()) {
         return Status::Corruption("shard tree size mismatches its id map");
       }
+      if constexpr (kVectors) {
+        if (tree.size() > 0 && dim != 0 && tree.dim() != dim) {
+          return Status::Corruption(
+              "shard trees hold rows of unequal dimension");
+        }
+        if (tree.size() > 0) dim = tree.dim();
+      }
       total += ids.size();
-      auto shard = std::make_unique<Shard>();
-      shard->tree.emplace(std::move(tree));
-      shard->ids = std::move(ids);
-      shards.push_back(std::move(shard));
+      shards.push_back(Shard{std::move(tree), std::move(ids), Shell{}});
     }
-    return Assemble(options, total, std::move(shards), std::move(partition),
-                    nullptr);
-  }
-
-  /// Reassembles an index serving directly out of flat arenas in a mapped
-  /// snapshot — zero deserialization; the shards alias `arena_owner`'s
-  /// bytes, which the index keeps alive. `views` is one validated
-  /// FlatTreeView per shard and `ids` one id map per view, in shard order.
-  /// A round-robin generation stored no id maps: pass `ids` empty, and
-  /// shard s's local id i is synthesized as global id i*K + s.
-  static Result<ShardedMvpIndex> RestoreFlat(
-      const Options& options, std::size_t total, std::vector<FlatView> views,
-      std::vector<std::vector<std::size_t>> ids,
-      std::optional<Partition> partition,
-      std::shared_ptr<const void> arena_owner) {
-    const std::size_t k = views.size();
-    if (!ids.empty() && ids.size() != k) {
-      return Status::Corruption("flat id map count mismatches shard count");
-    }
-    if (ids.empty() && partition.has_value()) {
-      return Status::Corruption("partitioned flat generation lacks id maps");
-    }
-    std::vector<std::unique_ptr<Shard>> shards;
-    for (std::size_t s = 0; s < k; ++s) {
-      FlatView& view = views[s];
-      if (view.order() != options.tree.order ||
-          view.leaf_capacity() != options.tree.leaf_capacity ||
-          view.num_path_distances() != options.tree.num_path_distances ||
-          view.store_exact_bounds() != options.tree.store_exact_bounds) {
-        return Status::InvalidArgument(
-            "flat shard build parameters mismatch restore options");
-      }
-      auto shard = std::make_unique<Shard>();
-      if (ids.empty()) {
-        shard->ids.resize(view.size());
-        for (std::size_t i = 0; i < view.size(); ++i) shard->ids[i] = i * k + s;
-      } else {
-        shard->ids = std::move(ids[s]);
-      }
-      if (shard->ids.size() != view.size()) {
-        return Status::Corruption("flat shard size mismatches its id map");
-      }
-      shard->flat.emplace(std::move(view));
-      shards.push_back(std::move(shard));
-    }
-    return Assemble(options, total, std::move(shards), std::move(partition),
-                    std::move(arena_owner));
+    return Assemble(options, total, std::move(shards), std::move(partition));
   }
 
   /// Aggregated structural statistics. Construction distances sum over the
   /// shards plus the partition's n distances to v; height is the tallest
-  /// shard's. Heap representation only — flat arenas do not record
-  /// construction-time statistics, and Restore starts the counts at zero.
+  /// shard's. Snapshots do not record construction-time statistics, so
+  /// Restore starts those counts at zero.
   TreeStats Stats() const {
     TreeStats total;
     total.construction_distance_computations = partition_distances_;
-    for (const auto& shard : shards_) {
-      MVP_DCHECK(shard->tree.has_value());
-      const TreeStats s = shard->tree->Stats();
+    for (const Shard& shard : shards_) {
+      const TreeStats s = shard.tree.Stats();
       total.num_internal_nodes += s.num_internal_nodes;
       total.num_leaf_nodes += s.num_leaf_nodes;
       total.num_vantage_points += s.num_vantage_points;
@@ -616,11 +561,10 @@ class ShardedMvpIndex {
   /// Objects per task of the parallel distance pass.
   static constexpr std::size_t kDistanceBlock = 4096;
 
-  /// Exactly one representation is engaged: `tree` (heap) or `flat` (arena
-  /// view). `ids` is the local -> global id map.
+  /// One shard: its tree, the local -> global id map, and its shell
+  /// around v.
   struct Shard {
-    std::optional<Tree> tree;
-    std::optional<FlatView> flat;
+    Tree tree;
     std::vector<std::size_t> ids;
     Shell shell;
   };
@@ -664,17 +608,13 @@ class ShardedMvpIndex {
                          const QueryPrime* prime) const {
     if (!vantage_.has_value()) return 0.0;
     const auto [s, local] = *vantage_;
-    const Shard& shard = *shards_[s];
-    double d = 0.0;  // flat shards need a flat-capable instantiation
-    if (shard.tree.has_value()) {
-      d = shard.tree->metric()(query, shard.tree->object(local));
-    } else if constexpr (kFlatCapable) {
-      if (prime != nullptr && prime->has_vantage) {
-        shard.flat->metric().CountPrimed();
-        d = prime->vantage;
-      } else {
-        d = shard.flat->metric()(query, shard.flat->object(local));
-      }
+    const Tree& tree = shards_[s].tree;
+    double d = 0.0;
+    if (prime != nullptr && prime->has_vantage) {
+      tree.metric().CountPrimed();
+      d = prime->vantage;
+    } else {
+      d = tree.metric()(query, tree.object(local));
     }
     if (stats != nullptr) ++stats->distance_computations;
     return d;
@@ -687,17 +627,16 @@ class ShardedMvpIndex {
   /// shard s holds exactly the global ids congruent to s mod K. Either way
   /// a snapshot whose chunks were reordered, dropped or truncated is
   /// rejected as Corruption instead of producing silently wrong ids.
-  static Result<ShardedMvpIndex> Assemble(
-      const Options& options, std::size_t total,
-      std::vector<std::unique_ptr<Shard>> shards,
-      std::optional<Partition> partition,
-      std::shared_ptr<const void> arena_owner) {
+  static Result<ShardedMvpIndex> Assemble(const Options& options,
+                                          std::size_t total,
+                                          std::vector<Shard> shards,
+                                          std::optional<Partition> partition) {
     const std::size_t k = options.num_shards;
     if (k < 1 || shards.size() != k) {
       return Status::Corruption("shard count mismatches restore options");
     }
     std::size_t sum = 0;
-    for (const auto& shard : shards) sum += shard->ids.size();
+    for (const Shard& shard : shards) sum += shard.ids.size();
     if (sum != total) {
       return Status::Corruption("shard sizes do not sum to the object count");
     }
@@ -705,7 +644,7 @@ class ShardedMvpIndex {
       if (partition->shells.size() != k ||
           partition->vantage_shard >= k ||
           partition->vantage_local >=
-              shards[partition->vantage_shard]->ids.size()) {
+              shards[partition->vantage_shard].ids.size()) {
         return Status::Corruption(
             "shard partition names no stored vantage point");
       }
@@ -718,7 +657,7 @@ class ShardedMvpIndex {
     }
     std::vector<bool> seen(total, false);
     for (std::size_t s = 0; s < k; ++s) {
-      const auto& ids = shards[s]->ids;
+      const auto& ids = shards[s].ids;
       for (std::size_t i = 0; i < ids.size(); ++i) {
         const std::size_t id = ids[i];
         const bool placed = partition.has_value()
@@ -737,12 +676,11 @@ class ShardedMvpIndex {
     ShardedMvpIndex index;
     index.options_ = options;
     index.size_ = total;
-    index.arena_owner_ = std::move(arena_owner);
     if (partition.has_value()) {
       index.vantage_.emplace(partition->vantage_shard,
                              partition->vantage_local);
       for (std::size_t s = 0; s < k; ++s) {
-        shards[s]->shell = partition->shells[s];
+        shards[s].shell = partition->shells[s];
       }
     }
     index.shards_ = std::move(shards);
@@ -762,18 +700,14 @@ class ShardedMvpIndex {
   void ShardKnn(std::size_t s, const Object& query, std::size_t k, double tau,
                 const core::Exclusion& exclude, const QueryPrime* prime,
                 std::vector<Neighbor>* found, SearchStats* stats) const {
-    const Shard& shard = *shards_[s];
+    const Shard& shard = shards_[s];
     const auto excluded_local = [&](std::size_t local_id) {
       return exclude(shard.ids[local_id]);
     };
     const core::Exclusion shard_exclude =
         exclude ? core::Exclusion::Of(excluded_local) : core::Exclusion{};
-    if (shard.tree.has_value()) {
-      shard.tree->KnnSearchInto(query, k, found, stats, shard_exclude, tau);
-    } else if constexpr (kFlatCapable) {
-      shard.flat->KnnSearchInto(query, k, found, stats, ShardPrime(prime, s),
-                                shard_exclude, tau);
-    }
+    shard.tree.KnnSearchInto(query, k, found, stats, shard_exclude, tau,
+                             ShardPrime(prime, s));
   }
 
   /// Runs `search(i)` for i in [0, count): serially, or in parallel on
@@ -809,14 +743,11 @@ class ShardedMvpIndex {
 
   Options options_;
   std::size_t size_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<Shard> shards_;
   /// v as (shard, local id); empty without a partition.
   std::optional<std::pair<std::size_t, std::size_t>> vantage_;
   /// Build's distances to v (n with a partition), for Stats().
   std::uint64_t partition_distances_ = 0;
-  /// Keeps the mapped snapshot (or heap-fallback buffer) the flat views
-  /// alias alive for the index's lifetime. Null for heap indexes.
-  std::shared_ptr<const void> arena_owner_;
 };
 
 }  // namespace mvp::serve

@@ -1,6 +1,7 @@
 #include "snapshot/flat_tree.h"
 
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 
@@ -19,13 +20,12 @@ namespace {
 
 std::uint64_t Align8(std::uint64_t v) { return (v + 7) & ~std::uint64_t{7}; }
 
-/// Copies a vector or span of trivially copyable records to `offset`.
-template <typename Section>
+/// Copies `count` trivially copyable records to `offset`.
+template <typename T>
 void CopySection(std::vector<std::uint8_t>* arena, std::uint64_t offset,
-                 const Section& values) {
-  if (values.empty()) return;
-  std::memcpy(arena->data() + offset, values.data(),
-              values.size() * sizeof(values[0]));
+                 const T* values, std::size_t count) {
+  if (count == 0) return;
+  std::memcpy(arena->data() + offset, values, count * sizeof(T));
 }
 
 /// Lays out `t` as a v2 arena behind header `h` (options, dim and object
@@ -34,49 +34,49 @@ void CopySection(std::vector<std::uint8_t>* arena, std::uint64_t offset,
 /// explicit Align8 between sections).
 std::vector<std::uint8_t> EmitArena(FlatHeaderRec h,
                                     std::span<const double> objects,
-                                    const core::TreeLayout& t) {
+                                    const core::TreeArrays& t) {
   h.version = kFlatVersionV2;
   h.reserved = 0;
-  h.node_count = t.nodes.size();
-  h.root = t.nodes.empty() ? kNoNode : 0;
+  h.node_count = t.node_count;
+  h.root = t.node_count == 0 ? kNoNode : 0;
   FlatHeaderExtRec ext;
   std::uint64_t offset = kFlatHeaderBytesV2;
   h.objects_offset = offset;
   offset = Align8(offset + objects.size() * sizeof(double));
   h.path_offset = offset;
-  h.path_count = t.path.size();
-  offset = Align8(offset + t.path.size() * sizeof(double));
+  h.path_count = t.path_count;
+  offset = Align8(offset + t.path_count * sizeof(double));
   h.bounds_offset = offset;
-  h.bounds_count = t.bounds.size();
-  offset = Align8(offset + t.bounds.size() * sizeof(double));
+  h.bounds_count = t.bounds_count;
+  offset = Align8(offset + t.bounds_count * sizeof(double));
   h.entries_offset = offset;  // ids section in v2
-  h.entry_count = t.ids.size();
-  offset = Align8(offset + t.ids.size() * sizeof(std::uint32_t));
+  h.entry_count = t.entry_count;
+  offset = Align8(offset + t.entry_count * sizeof(std::uint32_t));
   ext.d1_offset = offset;
-  offset = Align8(offset + t.d1.size() * sizeof(double));
+  offset = Align8(offset + t.entry_count * sizeof(double));
   ext.d2_offset = offset;
-  offset = Align8(offset + t.d2.size() * sizeof(double));
+  offset = Align8(offset + t.entry_count * sizeof(double));
   ext.leafpaths_offset = offset;
-  offset = Align8(offset + t.leafpaths.size() * sizeof(core::LeafPathRec));
+  offset = Align8(offset + t.node_count * sizeof(core::LeafPathRec));
   h.nodes_offset = offset;
-  offset = Align8(offset + t.nodes.size() * sizeof(core::NodeRec));
+  offset = Align8(offset + t.node_count * sizeof(core::NodeRec));
   h.children_offset = offset;
-  h.children_count = t.children.size();
-  offset = Align8(offset + t.children.size() * sizeof(std::uint32_t));
+  h.children_count = t.children_count;
+  offset = Align8(offset + t.children_count * sizeof(std::uint32_t));
   h.arena_bytes = offset;
 
   std::vector<std::uint8_t> arena(static_cast<std::size_t>(offset), 0);
   std::memcpy(arena.data(), &h, sizeof(h));
   std::memcpy(arena.data() + sizeof(h), &ext, sizeof(ext));
-  CopySection(&arena, h.objects_offset, objects);
-  CopySection(&arena, h.path_offset, t.path);
-  CopySection(&arena, h.bounds_offset, t.bounds);
-  CopySection(&arena, h.entries_offset, t.ids);
-  CopySection(&arena, ext.d1_offset, t.d1);
-  CopySection(&arena, ext.d2_offset, t.d2);
-  CopySection(&arena, ext.leafpaths_offset, t.leafpaths);
-  CopySection(&arena, h.nodes_offset, t.nodes);
-  CopySection(&arena, h.children_offset, t.children);
+  CopySection(&arena, h.objects_offset, objects.data(), objects.size());
+  CopySection(&arena, h.path_offset, t.path, t.path_count);
+  CopySection(&arena, h.bounds_offset, t.bounds, t.bounds_count);
+  CopySection(&arena, h.entries_offset, t.ids, t.entry_count);
+  CopySection(&arena, ext.d1_offset, t.d1, t.entry_count);
+  CopySection(&arena, ext.d2_offset, t.d2, t.entry_count);
+  CopySection(&arena, ext.leafpaths_offset, t.leafpaths, t.node_count);
+  CopySection(&arena, h.nodes_offset, t.nodes, t.node_count);
+  CopySection(&arena, h.children_offset, t.children, t.children_count);
   return arena;
 }
 
@@ -85,7 +85,7 @@ std::vector<std::uint8_t> EmitArena(FlatHeaderRec h,
 std::vector<std::uint8_t> BuildFlatArena(const core::MvpTreeOptions& options,
                                          std::span<const double> rows,
                                          std::size_t dim,
-                                         const core::TreeLayout& layout) {
+                                         const core::TreeArrays& arrays) {
   FlatHeaderRec h;
   h.order = static_cast<std::uint32_t>(options.order);
   h.leaf_capacity = static_cast<std::uint32_t>(options.leaf_capacity);
@@ -94,7 +94,7 @@ std::vector<std::uint8_t> BuildFlatArena(const core::MvpTreeOptions& options,
   if (options.store_exact_bounds) h.flags |= kHeaderExactBounds;
   h.dim = static_cast<std::uint32_t>(dim);
   h.object_count = dim == 0 ? 0 : rows.size() / dim;
-  return EmitArena(h, rows, layout);
+  return EmitArena(h, rows, arrays);
 }
 
 Result<std::vector<std::uint8_t>> BuildFlatArena(const std::uint8_t* stream,
@@ -107,7 +107,16 @@ Result<std::vector<std::uint8_t>> BuildFlatArena(const std::uint8_t* stream,
     return Status::Corruption("trailing bytes after mvp-tree stream");
   }
   return BuildFlatArena(tree.value().options(), tree.value().rows(),
-                        tree.value().dim(), tree.value().layout());
+                        tree.value().dim(), tree.value().arrays());
+}
+
+core::MvpTreeOptions HeaderOptions(const FlatHeaderRec& header) {
+  core::MvpTreeOptions options;
+  options.order = static_cast<int>(header.order);
+  options.leaf_capacity = static_cast<int>(header.leaf_capacity);
+  options.num_path_distances = static_cast<int>(header.num_path_distances);
+  options.store_exact_bounds = (header.flags & kHeaderExactBounds) != 0;
+  return options;
 }
 
 Result<std::vector<std::uint8_t>> UpgradeFlatArena(const FlatArenaParts& v1) {
@@ -148,7 +157,8 @@ Result<std::vector<std::uint8_t>> UpgradeFlatArena(const FlatArenaParts& v1) {
       }
     }
   }
-  return EmitArena(in, {v1.objects, in.object_count * in.dim}, t);
+  return EmitArena(in, {v1.objects, in.object_count * in.dim},
+                   t.Arrays(in.order, in.num_path_distances));
 }
 
 namespace {
@@ -265,11 +275,15 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
   t.order = h.order;
   t.path_distances = h.num_path_distances;
   t.node_count = static_cast<std::size_t>(h.node_count);
+  t.children_count = static_cast<std::size_t>(h.children_count);
+  t.bounds_count = static_cast<std::size_t>(h.bounds_count);
+  t.path_count = static_cast<std::size_t>(h.path_count);
   t.path = reinterpret_cast<const double*>(data + h.path_offset);
   t.bounds = reinterpret_cast<const double*>(data + h.bounds_offset);
   t.nodes = reinterpret_cast<const core::NodeRec*>(data + h.nodes_offset);
   t.children = reinterpret_cast<const std::uint32_t*>(data + h.children_offset);
   if (v2) {
+    t.entry_count = static_cast<std::size_t>(h.entry_count);
     t.ids = reinterpret_cast<const std::uint32_t*>(data + h.entries_offset);
     t.d1 = reinterpret_cast<const double*>(data + ext.d1_offset);
     t.d2 = reinterpret_cast<const double*>(data + ext.d2_offset);
@@ -315,10 +329,11 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
   // v2 slab canonicality: leaf slabs must tile the PATH pool exactly, in
   // node order, with no gaps or overlap — so no two leaves can alias slab
   // doubles and every slab is in bounds by construction. In v1, next_slab
-  // totals the slab the upgrade will emit and leaf_entries the entries it
-  // will walk: a writer gives every leaf its own entries and every entry
-  // its own PATH slice, so both stay within their sections, which bounds
-  // the upgrade's work and memory by the arena's size.
+  // totals the slab the upgrade will emit. In both, leaf_entries totals the
+  // entries the leaves hold: a writer gives every leaf its own entries (and
+  // in v1 every entry its own PATH slice), so the totals stay within their
+  // sections, which bounds the upgrade's and a re-serialization's work and
+  // memory by the arena's size.
   std::uint64_t next_slab = 0;
   std::uint64_t leaf_entries = 0;
   std::vector<std::uint32_t> depth(static_cast<std::size_t>(h.node_count), 0);
@@ -339,6 +354,10 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
       if (node.begin > h.entry_count ||
           node.count > h.entry_count - node.begin) {
         return Status::Corruption("flat arena leaf entry range out of bounds");
+      }
+      leaf_entries += node.count;
+      if (leaf_entries > h.entry_count) {
+        return Status::Corruption("flat arena leaves share leaf entries");
       }
       if (v2) {
         const core::LeafPathRec& lp =
@@ -361,10 +380,6 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
         }
         next_slab += slab_len;
       } else if (node.count > 0) {
-        leaf_entries += node.count;
-        if (leaf_entries > h.entry_count) {
-          return Status::Corruption("flat arena leaves share leaf entries");
-        }
         const std::uint64_t slab_len =
             std::uint64_t{parts.entries[node.begin].path_length} * node.count;
         if (slab_len > h.path_count - next_slab) {

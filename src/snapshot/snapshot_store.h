@@ -12,6 +12,7 @@
 #include <string>
 #include <system_error>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -225,7 +226,6 @@ class SnapshotStore {
   Result<std::uint64_t> SaveSharded(
       const serve::ShardedMvpIndex<Object, Metric>& index,
       const Codec& codec) {
-    MVP_RETURN_NOT_OK(RequireHeapRepresentation(index, "SaveSharded"));
     ContainerWriter container;
     SnapshotManifest manifest;
     MVP_RETURN_NOT_OK(
@@ -253,7 +253,6 @@ class SnapshotStore {
       std::uint64_t last_applied_seq, std::uint64_t next_stable_id,
       const Codec& codec, std::uint64_t reuse_base_generation = 0,
       std::uint64_t* reused_chunks = nullptr) {
-    MVP_RETURN_NOT_OK(RequireHeapRepresentation(index, "SaveCompacted"));
     if (stable_ids.size() != index.size()) {
       return Status::InvalidArgument(
           "stable-id map size mismatches the index");
@@ -432,10 +431,11 @@ class SnapshotStore {
   /// verified before its bytes are trusted, the manifest's build parameters
   /// are validated against the trees, and with a pool shards are decoded in
   /// parallel. A flat generation (kFlatShardedMvpIndex) opens exactly as
-  /// OpenFlat does and comes back flat_serving(); instantiations that are
-  /// not kFlatCapable get InvalidArgument for it. Either way the index
-  /// answers with the same results and SearchStats. Any other kind is
-  /// InvalidArgument.
+  /// OpenFlat does, into trees that borrow the mapping; instantiations
+  /// over objects other than vectors get InvalidArgument for it. Either way
+  /// the index is the same type and answers with the same results and
+  /// SearchStats; the manifest's index_kind says which layout it came
+  /// from. Any other kind is InvalidArgument.
   template <typename Object, metric::MetricFor<Object> Metric,
             CodecFor<Object> Codec>
   Result<LoadedSharded<Object, Metric>> LoadSharded(
@@ -451,7 +451,9 @@ class SnapshotStore {
     if (!opened.ok()) return opened.status();
     OpenedGeneration gen = std::move(opened).ValueOrDie();
     if (gen.manifest.index_kind == IndexKind::kFlatShardedMvpIndex) {
-      if constexpr (Index::kFlatCapable) {
+      // A flat arena stores vector rows; no other object type can open one.
+      constexpr bool kFlatCapable = std::is_same_v<Object, metric::Vector>;
+      if constexpr (kFlatCapable) {
         return OpenFlatGeneration(std::move(gen), std::move(metric), pool);
       } else {
         return Status::InvalidArgument(
@@ -549,17 +551,17 @@ class SnapshotStore {
   /// Persists `index` as flat arenas — one ChunkKind::kFlatShard chunk per
   /// shard, each holding a position-independent encoding the read path
   /// serves DIRECTLY out of the mmap'd container (OpenFlat), followed by a
-  /// kFlatShardIds chunk with the shard's id map. Vector datasets only (the
-  /// arena views stored vectors in place).
+  /// kFlatShardIds chunk with the shard's id map. Vector datasets only (an
+  /// opened tree borrows the stored vectors in place). An index opened
+  /// from a flat generation writes its arenas' bytes again.
   template <metric::MetricFor<std::vector<double>> Metric>
   Result<std::uint64_t> SaveFlat(
       const serve::ShardedMvpIndex<std::vector<double>, Metric>& index) {
-    MVP_RETURN_NOT_OK(RequireHeapRepresentation(index, "SaveFlat"));
     ContainerWriter container;
     for (std::size_t s = 0; s < index.num_shards(); ++s) {
       const auto& tree = index.shard(s);
       const std::vector<std::uint8_t> arena = flat::BuildFlatArena(
-          tree.options(), tree.rows(), tree.dim(), tree.layout());
+          tree.options(), tree.rows(), tree.dim(), tree.arrays());
       // Payload: u64 shard index, then the arena. The 8-byte chunk
       // alignment keeps the arena (at payload + 8) on an 8-byte file
       // offset, which mmap carries into memory.
@@ -594,9 +596,10 @@ class SnapshotStore {
   /// fingerprint once, validate each arena's offsets, and serve searches
   /// straight off the mapping. No object decode, no tree reconstruction;
   /// only the id maps (8 bytes per object) are copied out — time-to-first-
-  /// query is the checksum pass, not a rebuild. The returned index keeps the
-  /// mapping alive. LoadSharded takes this same path for a flat generation;
-  /// OpenFlat differs only in refusing a heap one.
+  /// query is the checksum pass, not a rebuild. Every shard tree keeps the
+  /// mapping alive, so the index outlives the store, the LoadedSharded and
+  /// the generation's files. LoadSharded takes this same path for a flat
+  /// generation; OpenFlat differs only in refusing a heap one.
   template <metric::MetricFor<std::vector<double>> Metric>
   Result<LoadedSharded<std::vector<double>, Metric>> OpenFlat(
       Metric metric, serve::ThreadPool* pool = nullptr,
@@ -619,26 +622,7 @@ class SnapshotStore {
     ContainerReader container;
   };
 
-  /// Fail-fast guard for every save path that walks heap shard trees: a
-  /// flat-serving index has no heap trees to serialize (its shards are
-  /// searched in place from the mmap'd snapshot), so saving it again would
-  /// dereference nothing useful. The message names BOTH representations —
-  /// what the index is (flat/mmap-backed) and what the operation needs
-  /// (heap) — so the caller knows which side to change.
-  template <typename Object, metric::MetricFor<Object> Metric>
-  static Status RequireHeapRepresentation(
-      const serve::ShardedMvpIndex<Object, Metric>& index, const char* op) {
-    if (index.flat_serving()) {
-      return Status::InvalidArgument(
-          std::string(op) +
-          " requires the heap (deserialized) representation, but this index "
-          "is flat-serving (searched in place from the mmap'd snapshot); "
-          "reload it with LoadSharded to re-serialize");
-    }
-    return Status::OK();
-  }
-
-  /// Serializes every heap shard (id map + tree stream) to one payload per
+  /// Serializes every shard (id map + tree stream) to one payload per
   /// shard and fills `manifest` with the index's kind, size and build
   /// parameters. Shared by the save paths, which differ in whether a
   /// payload becomes a physical chunk or a by-reference one.
@@ -667,7 +651,7 @@ class SnapshotStore {
     return Status::OK();
   }
 
-  /// Serializes every heap shard directly into `container` as physical
+  /// Serializes every shard directly into `container` as physical
   /// kShardTree chunks (see SerializeShardChunks).
   template <typename Object, metric::MetricFor<Object> Metric,
             CodecFor<Object> Codec>
@@ -1053,13 +1037,13 @@ class SnapshotStore {
 
   /// The flat open shared by OpenFlat and LoadSharded: `gen` holds a
   /// kFlatShardedMvpIndex generation. One fingerprint pass over the
-  /// mapping, then each arena's offsets are validated and its shard is
-  /// served in place; the index keeps the mapping alive.
+  /// mapping, then each arena's offsets are validated and its shard tree
+  /// borrows it in place, keeping the mapping alive.
   template <metric::MetricFor<std::vector<double>> Metric>
   static Result<LoadedSharded<std::vector<double>, Metric>> OpenFlatGeneration(
       OpenedGeneration gen, Metric metric, serve::ThreadPool* pool) {
     using Index = serve::ShardedMvpIndex<std::vector<double>, Metric>;
-    using View = typename Index::FlatView;
+    using Part = std::pair<typename Index::Tree, std::vector<std::size_t>>;
     const SnapshotManifest& manifest = gen.manifest;
     MVP_RETURN_NOT_OK(ValidateManifestParams(manifest));
 
@@ -1071,33 +1055,30 @@ class SnapshotStore {
         gen.container.num_chunks() != manifest.num_chunks) {
       return Status::Corruption("snapshot chunk census mismatches manifest");
     }
-
-    // The views alias the mapping for the index's whole lifetime, so move
-    // it into shared ownership now (its data pointer is stable under move,
-    // keeping the ContainerReader's spans valid).
-    auto mapping = std::make_shared<MmapFile>(std::move(gen.mapping));
+    if (id_chunks.empty() && manifest.partition.has_value()) {
+      return Status::Corruption("partitioned flat generation lacks id maps");
+    }
 
     // One checksum pass, not two: a matching whole-file fingerprint
     // (CRC32C over every byte, plus the length) proves the container is
     // byte-for-byte what was committed, which subsumes each chunk's CRC —
-    // so the per-chunk verification is skipped below. Running it first
-    // also lets the block-parallel CRC fault the fresh mapping's pages in
-    // from all pool threads at once; this pass IS the flat open's cost
-    // (arena validation is microseconds), so it is worth spreading.
-    if (FingerprintFromCrc(
-            ParallelCrc32c(mapping->data(), mapping->size(), pool),
-            mapping->size()) != manifest.dataset_fingerprint) {
-      return Status::Corruption(
-          "snapshot container does not match its manifest fingerprint");
-    }
+    // so no chunk is verified on its own below. Running it first also lets
+    // the block-parallel CRC fault the fresh mapping's pages in from all
+    // pool threads at once; this pass IS the flat open's cost (arena
+    // validation is microseconds), so it is worth spreading.
+    MVP_RETURN_NOT_OK(VerifyFingerprint(gen, pool));
+
+    // The trees alias the mapping for their whole lifetime, so move it into
+    // shared ownership (its data pointer is stable under move, keeping the
+    // ContainerReader's spans valid).
+    auto mapping = std::make_shared<MmapFile>(std::move(gen.mapping));
 
     const std::size_t k = chunks.size();
-    std::vector<std::optional<View>> views(k);
+    std::vector<std::optional<Part>> parts(k);
     std::vector<Status> statuses(k);
     auto open_shard = [&](std::size_t c) {
       statuses[c] = OpenFlatChunk<Metric>(gen.container, chunks[c], metric,
-                                          manifest, k, &views,
-                                          /*verify_chunk_crc=*/false);
+                                          manifest, mapping, &parts);
     };
     if (pool == nullptr || k == 1) {
       for (std::size_t c = 0; c < k; ++c) open_shard(c);
@@ -1105,32 +1086,40 @@ class SnapshotStore {
       serve::ParallelFor(*pool, k, open_shard);
     }
     for (const Status& status : statuses) MVP_RETURN_NOT_OK(status);
+    for (const auto& part : parts) {
+      if (!part.has_value()) {
+        return Status::Corruption("snapshot shard chunks do not cover every "
+                                  "shard exactly once");
+      }
+    }
 
-    // No id maps at all means a round-robin generation, whose maps
-    // RestoreFlat synthesizes.
-    std::vector<std::vector<std::size_t>> ids(id_chunks.empty() ? 0 : k);
-    std::vector<bool> seen(ids.size(), false);
-    for (const std::size_t c : id_chunks) {
-      MVP_RETURN_NOT_OK(ReadFlatIdChunk(gen.container, c, &ids, &seen));
+    if (id_chunks.empty()) {
+      // A round-robin generation stored no id maps: shard s's local id i is
+      // global id i*K + s.
+      for (std::size_t s = 0; s < k; ++s) {
+        auto& ids = parts[s]->second;
+        ids.resize(parts[s]->first.size());
+        for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = i * k + s;
+      }
+    } else {
+      std::vector<bool> seen(k, false);
+      for (const std::size_t c : id_chunks) {
+        MVP_RETURN_NOT_OK(ReadFlatIdChunk(gen.container, c, &parts, &seen));
+      }
     }
 
     typename Index::Options options;
     options.num_shards = manifest.num_shards;
     ApplyTreeParams(manifest, &options.tree);
-
-    std::vector<View> owned;
+    std::vector<Part> owned;
     owned.reserve(k);
-    for (auto& view : views) {
-      if (!view.has_value()) {
-        return Status::Corruption("snapshot shard chunks do not cover every "
-                                  "shard exactly once");
-      }
-      owned.push_back(std::move(*view));
-    }
-    auto restored = Index::RestoreFlat(
-        options, manifest.object_count, std::move(owned), std::move(ids),
-        manifest.partition, std::shared_ptr<const void>(mapping));
+    for (auto& part : parts) owned.push_back(std::move(*part));
+    auto restored =
+        Index::Restore(options, std::move(owned), manifest.partition);
     if (!restored.ok()) return restored.status();
+    if (restored.value().size() != manifest.object_count) {
+      return Status::Corruption("snapshot object count mismatches manifest");
+    }
 
     LoadedSharded<std::vector<double>, Metric> loaded{
         std::move(restored).ValueOrDie(), manifest, gen.generation,
@@ -1138,23 +1127,25 @@ class SnapshotStore {
     return loaded;
   }
 
-  /// Decodes one kFlatShardIds chunk into (*ids)[shard]. The caller
-  /// proved the bytes through the manifest fingerprint; this checks the
-  /// framing: shard index in range and not seen before, no trailing bytes.
+  /// Decodes one kFlatShardIds chunk into the id map of (*parts)[shard].
+  /// The caller proved the bytes through the manifest fingerprint; this
+  /// checks the framing: shard index in range and not seen before, no
+  /// trailing bytes.
+  template <typename Part>
   static Status ReadFlatIdChunk(const ContainerReader& container,
                                 std::size_t chunk_index,
-                                std::vector<std::vector<std::size_t>>* ids,
+                                std::vector<std::optional<Part>>* parts,
                                 std::vector<bool>* seen) {
     const auto [payload, length] = container.chunk_payload(chunk_index);
     BinaryReader reader(payload, length);
     std::uint64_t shard = 0;
     MVP_RETURN_NOT_OK(reader.Read<std::uint64_t>(&shard));
-    if (shard >= ids->size() || (*seen)[shard]) {
+    if (shard >= parts->size() || (*seen)[shard]) {
       return Status::Corruption("bad shard index in flat id chunk " +
                                 std::to_string(chunk_index));
     }
     (*seen)[shard] = true;
-    MVP_RETURN_NOT_OK(reader.ReadVector(&(*ids)[shard]));
+    MVP_RETURN_NOT_OK(reader.ReadVector(&(*parts)[shard]->second));
     if (!reader.AtEnd()) {
       return Status::Corruption("trailing bytes after flat id chunk " +
                                 std::to_string(chunk_index));
@@ -1162,51 +1153,43 @@ class SnapshotStore {
     return Status::OK();
   }
 
-  /// Verifies and opens one flat shard chunk into views[shard_index]:
-  /// chunk CRC (unless the caller already proved the whole file's bytes
-  /// via the manifest fingerprint, which subsumes every chunk CRC),
-  /// shard-index range, arena validation (ParseFlatArena), and the
-  /// fail-fast options-vs-manifest comparison — all without decoding a
-  /// single object.
-  template <metric::MetricFor<std::vector<double>> Metric>
-  static Status OpenFlatChunk(
-      const ContainerReader& container, std::size_t chunk_index,
-      const Metric& metric, const SnapshotManifest& manifest,
-      std::size_t num_shards,
-      std::vector<std::optional<typename serve::ShardedMvpIndex<
-          std::vector<double>, Metric>::FlatView>>* views,
-      bool verify_chunk_crc) {
-    using View = typename serve::ShardedMvpIndex<std::vector<double>,
-                                                 Metric>::FlatView;
-    if (verify_chunk_crc) {
-      MVP_RETURN_NOT_OK(container.VerifyChunk(chunk_index));
-    }
+  /// Opens one flat shard chunk into (*parts)[shard_index], its tree
+  /// borrowing the arena in `mapping`: shard-index range, arena validation
+  /// (flat::OpenTree), and the fail-fast options-vs-manifest comparison —
+  /// all without decoding a single object. The caller proved the chunk's
+  /// bytes through the manifest fingerprint.
+  template <metric::MetricFor<std::vector<double>> Metric, typename Part>
+  static Status OpenFlatChunk(const ContainerReader& container,
+                              std::size_t chunk_index, const Metric& metric,
+                              const SnapshotManifest& manifest,
+                              const std::shared_ptr<MmapFile>& mapping,
+                              std::vector<std::optional<Part>>* parts) {
     const auto [payload, length] = container.chunk_payload(chunk_index);
     BinaryReader reader(payload, length);
     std::uint64_t shard = 0;
     MVP_RETURN_NOT_OK(reader.Read<std::uint64_t>(&shard));
-    if (shard >= num_shards) {
+    if (shard >= parts->size()) {
       return Status::Corruption("shard index out of range in chunk " +
                                 std::to_string(chunk_index));
     }
-    auto view = View::Open(payload + sizeof(std::uint64_t),
-                           length - sizeof(std::uint64_t),
-                           serve::CancelChecked<Metric>(metric));
-    if (!view.ok()) return view.status();
-    if (view.value().order() != manifest.order ||
-        view.value().leaf_capacity() != manifest.leaf_capacity ||
-        view.value().num_path_distances() != manifest.num_path_distances ||
-        view.value().store_exact_bounds() !=
-            (manifest.store_exact_bounds != 0)) {
+    auto tree = flat::OpenTree(payload + sizeof(std::uint64_t),
+                               length - sizeof(std::uint64_t),
+                               serve::CancelChecked<Metric>(metric), mapping);
+    if (!tree.ok()) return tree.status();
+    const auto& options = tree.value().options();
+    if (options.order != manifest.order ||
+        options.leaf_capacity != manifest.leaf_capacity ||
+        options.num_path_distances != manifest.num_path_distances ||
+        options.store_exact_bounds != (manifest.store_exact_bounds != 0)) {
       return Status::InvalidArgument(
           "flat shard build parameters mismatch manifest (snapshot was "
           "written with different options)");
     }
-    auto& slot = (*views)[static_cast<std::size_t>(shard)];
+    auto& slot = (*parts)[static_cast<std::size_t>(shard)];
     if (slot.has_value()) {
       return Status::Corruption("duplicate shard index in snapshot");
     }
-    slot.emplace(std::move(view).ValueOrDie());
+    slot.emplace(std::move(tree).ValueOrDie(), std::vector<std::size_t>{});
     return Status::OK();
   }
 

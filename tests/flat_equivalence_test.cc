@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/codec.h"
@@ -18,7 +22,9 @@
 #include "serve/cancel.h"
 #include "serve/executor.h"
 #include "serve/sharded_index.h"
+#include "golden_arenas.h"
 #include "snapshot/flat_tree.h"
+#include "snapshot/manifest.h"
 #include "snapshot/snapshot_store.h"
 
 /// The equivalence layer for zero-deserialization serving: a flat index
@@ -78,28 +84,26 @@ class FlatEquivalenceTest : public ::testing::TestWithParam<bool> {
     ASSERT_TRUE(heap_store.SaveSharded(built.value(), VectorCodec()).ok());
     auto heap = heap_store.LoadSharded<Vector>(L2(), VectorCodec());
     ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+    ASSERT_EQ(heap.value().manifest.index_kind, IndexKind::kShardedMvpIndex);
     heap_.emplace(std::move(heap).ValueOrDie().index);
-    ASSERT_FALSE(heap_->flat_serving());
 
     SnapshotStore flat_store(dir_ + "_flat");
     ASSERT_TRUE(flat_store.SaveFlat(built.value()).ok());
     auto flat = flat_store.OpenFlat(L2());
     ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+    ASSERT_EQ(flat.value().manifest.index_kind,
+              IndexKind::kFlatShardedMvpIndex);
     flat_.emplace(std::move(flat).ValueOrDie().index);
-    ASSERT_TRUE(flat_->flat_serving());
-    // The snapshot pipeline writes the current format.
-    for (std::size_t s = 0; s < flat_->num_shards(); ++s) {
-      ASSERT_EQ(flat_->flat_shard(s).version(), flat::kFlatVersionV2);
-    }
     // The same flat generation through the layout-agnostic loader.
     auto loaded = flat_store.LoadSharded<Vector>(L2(), VectorCodec());
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_EQ(loaded.value().manifest.index_kind,
+              IndexKind::kFlatShardedMvpIndex);
     loaded_.emplace(std::move(loaded).ValueOrDie().index);
-    ASSERT_TRUE(loaded_->flat_serving());
   }
   void TearDown() override {
     heap_.reset();
-    flat_.reset();  // views die before the mapping-owning index they alias
+    flat_.reset();
     loaded_.reset();
     std::filesystem::remove_all(dir_ + "_heap");
     std::filesystem::remove_all(dir_ + "_flat");
@@ -262,12 +266,13 @@ TEST_P(FlatEquivalenceTest, PartialResultsUnderBudgetBitIdentical) {
   EXPECT_GT(cancels, 0u);
 }
 
-/// The batch front door: RunBatch over the flat index primes every query's
-/// root vantage-point distances with one many-queries-one-vantage-point
-/// kernel sweep per shard. Outcomes — statuses, partial flags, neighbors,
-/// and all four SearchStats counters — must still be bit-identical to the
-/// heap index, which runs completely unprimed, including for queries whose
-/// distance budget cuts them off mid-search.
+/// The batch front door: RunBatch primes every query's root vantage-point
+/// distances with one many-queries-one-vantage-point kernel sweep per shard
+/// root, over heap-built and flat-opened shards alike. Outcomes — statuses,
+/// partial flags, neighbors, and all four SearchStats counters — must equal
+/// an unprimed reference on both layouts: the same queries run one at a
+/// time, which RunBatch never primes. Queries whose distance budget cuts
+/// them off mid-search are included.
 TEST_P(FlatEquivalenceTest, RunBatchPrimedBitIdenticalAcrossLayouts) {
   using Query = serve::BatchQuery<Vector>;
   const auto queries = dataset::UniformQueryVectors(64, 8, 786);
@@ -287,6 +292,10 @@ TEST_P(FlatEquivalenceTest, RunBatchPrimedBitIdenticalAcrossLayouts) {
     if (q % 5 == 3) bq.max_distance_computations = 120;
     batch.push_back(std::move(bq));
   }
+  // Both layouts take the priming sweep.
+  const std::vector<const Vector*> pointers{&queries[0], &queries[1]};
+  ASSERT_EQ(heap_->PrimeBatch(pointers).size(), 2u);
+  ASSERT_EQ(flat_->PrimeBatch(pointers).size(), 2u);
 
   const auto heap_out = serve::RunBatch(*heap_, batch, nullptr);
   const auto flat_out = serve::RunBatch(*flat_, batch, nullptr);
@@ -294,15 +303,19 @@ TEST_P(FlatEquivalenceTest, RunBatchPrimedBitIdenticalAcrossLayouts) {
   ASSERT_EQ(flat_out.size(), batch.size());
   std::size_t partials = 0;
   for (std::size_t q = 0; q < batch.size(); ++q) {
-    EXPECT_EQ(heap_out[q].status.code(), flat_out[q].status.code())
-        << "query " << q;
-    EXPECT_EQ(heap_out[q].partial, flat_out[q].partial) << "query " << q;
-    ExpectIdentical(heap_out[q].neighbors, flat_out[q].neighbors,
-                    heap_out[q].search, flat_out[q].search, q);
-    EXPECT_EQ(heap_out[q].distance_computations,
-              flat_out[q].distance_computations)
-        << "query " << q;
-    if (heap_out[q].partial) ++partials;
+    const auto reference = serve::RunBatch(*heap_, std::vector{batch[q]},
+                                           nullptr);
+    ASSERT_EQ(reference.size(), 1u);
+    const serve::QueryOutcome& want = reference[0];
+    for (const serve::QueryOutcome* got : {&heap_out[q], &flat_out[q]}) {
+      EXPECT_EQ(want.status.code(), got->status.code()) << "query " << q;
+      EXPECT_EQ(want.partial, got->partial) << "query " << q;
+      ExpectIdentical(want.neighbors, got->neighbors, want.search,
+                      got->search, q);
+      EXPECT_EQ(want.distance_computations, got->distance_computations)
+          << "query " << q;
+    }
+    if (want.partial) ++partials;
   }
   // The budgeted queries must actually have been cut, or the partial-path
   // comparison is vacuous.
@@ -350,7 +363,7 @@ TEST_P(FlatEquivalenceTest, EveryKernelTierServesBitIdentically) {
       ExpectIdentical(heap_partial, flat_partial, hbs, fbs, q);
     }
 
-    // The primed batch path under this tier, against the unprimed heap.
+    // The primed batch path under this tier, on both layouts.
     using Query = serve::BatchQuery<Vector>;
     std::vector<Query> batch;
     for (std::size_t q = 0; q < 16; ++q) {
@@ -474,22 +487,23 @@ TEST(FlatEmptyShardTest, FewerObjectsThanShardsRoundTrips) {
   ASSERT_TRUE(saved.ok()) << saved.status().ToString();
   auto flat = store.OpenFlat(L2());
   ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+  EXPECT_EQ(flat.value().manifest.index_kind, IndexKind::kFlatShardedMvpIndex);
   {
     const Index index = std::move(flat).ValueOrDie().index;
-    EXPECT_TRUE(index.flat_serving());
     EXPECT_EQ(index.size(), 2u);
     const auto result = index.KnnSearch(data[0], 2);
     ASSERT_EQ(result.size(), 2u);
     EXPECT_EQ(result[0].id, 0u);
     EXPECT_EQ(result[0].distance, 0.0);
-  }  // views die before the directory goes away
+  }  // the index dies before the directory goes away
   std::filesystem::remove_all(dir);
 }
 
-TEST(FlatServingTest, ReSerializationFailsFast) {
-  // A flat-serving index has no heap trees to serialize; both save paths
-  // must reject it with InvalidArgument instead of dereferencing the
-  // disengaged heap representation.
+/// An index opened from a flat generation saves like any other: SaveFlat
+/// writes its shards' arenas back byte for byte, and SaveSharded writes a
+/// heap generation that LoadSharded reloads into the same answers and
+/// SearchStats.
+TEST(FlatServingTest, ReSerializationRoundTrips) {
   const std::string dir = ::testing::TempDir() + "/flateq_reserialize";
   std::filesystem::remove_all(dir);
   Index::Options options;
@@ -497,19 +511,168 @@ TEST(FlatServingTest, ReSerializationFailsFast) {
   auto built = Index::Build(dataset::UniformVectors(60, 8, 405), L2(), options);
   ASSERT_TRUE(built.ok());
 
-  SnapshotStore store(dir);
+  SnapshotStore store(dir + "/source");
   ASSERT_TRUE(store.SaveFlat(built.value()).ok());
   auto flat = store.OpenFlat(L2());
   ASSERT_TRUE(flat.ok()) << flat.status().ToString();
-  {
-    const Index index = std::move(flat).ValueOrDie().index;
-    ASSERT_TRUE(index.flat_serving());
-    EXPECT_EQ(store.SaveFlat(index).status().code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_EQ(store.SaveSharded(index, VectorCodec()).status().code(),
-              StatusCode::kInvalidArgument);
+  const Index index = std::move(flat).ValueOrDie().index;
+
+  SnapshotStore flat_again(dir + "/flat");
+  ASSERT_TRUE(flat_again.SaveFlat(index).ok());
+  const auto source_arenas = GoldenShardArenas(dir + "/source");
+  ASSERT_EQ(source_arenas.size(), 3u);
+  EXPECT_EQ(GoldenShardArenas(dir + "/flat"), source_arenas);
+
+  SnapshotStore heap_again(dir + "/heap");
+  ASSERT_TRUE(heap_again.SaveSharded(index, VectorCodec()).ok());
+  auto reloaded = heap_again.LoadSharded<Vector>(L2(), VectorCodec());
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(reloaded.value().manifest.index_kind, IndexKind::kShardedMvpIndex);
+  const Index& heap = reloaded.value().index;
+  const auto queries = dataset::UniformQueryVectors(30, 8, 406);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    SearchStats fs, hs, fks, hks;
+    const auto range = index.RangeSearch(queries[q], 0.7, &fs);
+    EXPECT_EQ(range, heap.RangeSearch(queries[q], 0.7, &hs)) << "query " << q;
+    const auto knn = index.KnnSearch(queries[q], 5, &fks);
+    EXPECT_EQ(knn, heap.KnnSearch(queries[q], 5, &hks)) << "query " << q;
+    for (const auto& [a, b] : {std::pair{fs, hs}, std::pair{fks, hks}}) {
+      EXPECT_EQ(a.distance_computations, b.distance_computations);
+      EXPECT_EQ(a.nodes_visited, b.nodes_visited);
+      EXPECT_EQ(a.leaf_points_seen, b.leaf_points_seen);
+      EXPECT_EQ(a.leaf_points_filtered, b.leaf_points_filtered);
+    }
   }
   std::filesystem::remove_all(dir);
+}
+
+/// Each tree opened from a flat generation keeps the mapping alive by
+/// itself: the index answers after its SnapshotStore, its LoadedSharded and
+/// the generation's files are all gone. Under ASan a dangling row or
+/// array read fails here.
+TEST(FlatKeepAliveTest, IndexOutlivesStoreAndPrunedGeneration) {
+  const std::string dir = ::testing::TempDir() + "/flateq_keepalive";
+  std::filesystem::remove_all(dir);
+  const auto data = dataset::UniformVectors(300, 6, 407);
+  Index::Options options;
+  options.num_shards = 3;
+  options.tree.leaf_capacity = 6;
+  auto built = Index::Build(data, L2(), options);
+  ASSERT_TRUE(built.ok());
+
+  std::optional<Index> opened;
+  {
+    SnapshotStore store(dir);
+    auto gen = store.SaveFlat(built.value());
+    ASSERT_TRUE(gen.ok()) << gen.status().ToString();
+    {
+      auto loaded = store.OpenFlat(L2());
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      opened.emplace(std::move(loaded).ValueOrDie().index);
+    }
+    // A later generation becomes current, and the opened one is pruned.
+    ASSERT_TRUE(store.SaveSharded(built.value(), VectorCodec()).ok());
+    EXPECT_EQ(store.PruneStaleGenerations(), 1u);
+    EXPECT_FALSE(std::filesystem::exists(store.GenerationDir(gen.value())));
+  }
+  std::filesystem::remove_all(dir);
+
+  for (const auto& q : dataset::UniformQueryVectors(20, 6, 408)) {
+    SearchStats os, bs;
+    EXPECT_EQ(opened->KnnSearch(q, 4, &os), built.value().KnnSearch(q, 4, &bs));
+    EXPECT_EQ(os.distance_computations, bs.distance_computations);
+    EXPECT_EQ(opened->RangeSearch(q, 0.6), built.value().RangeSearch(q, 0.6));
+  }
+}
+
+using OpenedTree = core::MvpTree<Vector, L2>;
+
+/// Range and k-NN answers plus stats of `tree` over `queries`, flattened.
+std::vector<std::pair<std::vector<Neighbor>, std::uint64_t>> Answers(
+    const OpenedTree& tree, const std::vector<Vector>& queries) {
+  std::vector<std::pair<std::vector<Neighbor>, std::uint64_t>> out;
+  for (const Vector& q : queries) {
+    SearchStats stats;
+    auto hits = tree.RangeSearch(q, 0.8, &stats);
+    for (const Neighbor& n : tree.KnnSearch(q, 3, &stats)) hits.push_back(n);
+    out.emplace_back(std::move(hits), stats.distance_computations);
+  }
+  return out;
+}
+
+/// An 8-byte-aligned copy of a corpus arena seed ([u8 harness mode][arena]).
+std::vector<std::uint64_t> CorpusArena(const std::string& name,
+                                       std::size_t* size) {
+  auto seed = ReadFile(std::string(MVPT_CORPUS_DIR) + "/flat_arena/" + name);
+  EXPECT_TRUE(seed.ok()) << name;
+  if (!seed.ok() || seed.value().size() < 2) return {};
+  *size = seed.value().size() - 1;
+  std::vector<std::uint64_t> aligned((*size + 7) / 8);
+  std::memcpy(aligned.data(), seed.value().data() + 1, *size);
+  return aligned;
+}
+
+/// A tree opened from a v1 arena owns the upgraded buffer, so it outlives
+/// the caller's input bytes and answers as the tree over the v2 twin does.
+TEST(FlatKeepAliveTest, V1TreeOutlivesItsInputBuffer) {
+  std::size_t v2_size = 0;
+  const auto v2 = CorpusArena("arena.bin", &v2_size);
+  auto reference = flat::OpenTree(
+      reinterpret_cast<const std::uint8_t*>(v2.data()), v2_size, L2(),
+      nullptr);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const auto queries =
+      dataset::UniformQueryVectors(10, reference.value().dim(), 409);
+
+  std::size_t v1_size = 0;
+  auto v1 = std::make_unique<std::vector<std::uint64_t>>(
+      CorpusArena("arena_v1.bin", &v1_size));
+  auto opened = flat::OpenTree(
+      reinterpret_cast<const std::uint8_t*>(v1->data()), v1_size, L2(),
+      nullptr);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  v1.reset();
+  EXPECT_EQ(Answers(opened.value(), queries),
+            Answers(reference.value(), queries));
+}
+
+/// A tree cannot be copied, and a move leaves no pointer into a freed
+/// buffer: moved built trees and moved opened trees answer as before once
+/// the source, and for the opened tree the caller's handle on its arena,
+/// are gone.
+TEST(FlatKeepAliveTest, MovedTreesKeepTheirBuffers) {
+  static_assert(!std::is_copy_constructible_v<OpenedTree>);
+  static_assert(!std::is_copy_assignable_v<OpenedTree>);
+  const auto data = dataset::UniformVectors(200, 5, 410);
+  const auto queries = dataset::UniformQueryVectors(10, 5, 411);
+  core::MvpTreeOptions options;
+  options.leaf_capacity = 6;
+
+  auto source = std::make_unique<OpenedTree>(
+      OpenedTree::Build(data, L2(), options).ValueOrDie());
+  const auto want = Answers(*source, queries);
+  BinaryWriter stream;
+  ASSERT_TRUE(source->Serialize(&stream, VectorCodec{}).ok());
+  auto arena = flat::BuildFlatArena(stream.buffer().data(),
+                                    stream.buffer().size());
+  ASSERT_TRUE(arena.ok()) << arena.status().ToString();
+
+  // Move-construct out of a built tree, then free the source.
+  OpenedTree moved = std::move(*source);
+  source.reset();
+  EXPECT_EQ(Answers(moved, queries), want);
+
+  // An opened tree shares its arena's owner; drop the caller's handle.
+  auto bytes = std::make_shared<std::vector<std::uint8_t>>(
+      std::move(arena).ValueOrDie());
+  auto opened = std::make_unique<OpenedTree>(
+      flat::OpenTree(bytes->data(), bytes->size(), L2(), bytes).ValueOrDie());
+  bytes.reset();
+  // Move-assign over a built tree (freeing its arrays), then free the
+  // source.
+  moved = std::move(*opened);
+  opened.reset();
+  EXPECT_EQ(Answers(moved, queries), want);
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, FlatEquivalenceTest,

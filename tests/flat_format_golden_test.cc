@@ -200,8 +200,8 @@ TEST(FlatFormatGoldenTest, FrozenRoundRobinFixturesOpenAndMatchRebuild) {
   auto flat = flat_store.LoadSharded<Vector>(L2(), VectorCodec());
   ASSERT_TRUE(heap.ok()) << heap.status().ToString();
   ASSERT_TRUE(flat.ok()) << flat.status().ToString();
-  ASSERT_FALSE(heap.value().index.flat_serving());
-  ASSERT_TRUE(flat.value().index.flat_serving());
+  ASSERT_EQ(heap.value().manifest.index_kind, IndexKind::kShardedMvpIndex);
+  ASSERT_EQ(flat.value().manifest.index_kind, IndexKind::kFlatShardedMvpIndex);
   EXPECT_FALSE(heap.value().index.partition().has_value());
   EXPECT_FALSE(flat.value().index.partition().has_value());
   const Index rebuilt = GoldenIndex();
@@ -223,7 +223,8 @@ TEST(FlatFormatGoldenTest, GoldenFlatFixtureLoadsAndMatchesRebuild) {
   SnapshotStore store(GoldenDir("golden_flat"));
   auto loaded = store.OpenFlat(L2());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_TRUE(loaded.value().index.flat_serving());
+  ASSERT_EQ(loaded.value().manifest.index_kind,
+            IndexKind::kFlatShardedMvpIndex);
   const Index rebuilt = GoldenIndex();
   const auto queries = dataset::UniformQueryVectors(40, 4, 11);
   for (const auto& q : queries) {
@@ -249,10 +250,8 @@ TEST(FlatFormatGoldenTest, FrozenV1FixtureStillOpensAndMatchesRebuild) {
   auto loaded = store.OpenFlat(L2());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const Index& index = loaded.value().index;
-  ASSERT_TRUE(index.flat_serving());
-  for (std::size_t s = 0; s < index.num_shards(); ++s) {
-    EXPECT_EQ(index.flat_shard(s).version(), flat::kFlatVersionV2);
-  }
+  ASSERT_EQ(loaded.value().manifest.index_kind,
+            IndexKind::kFlatShardedMvpIndex);
   SnapshotStore v2_store(GoldenDir("golden_flat_round_robin"));
   auto v2 = v2_store.OpenFlat(L2());
   ASSERT_TRUE(v2.ok()) << v2.status().ToString();
@@ -314,9 +313,15 @@ TEST(FlatFormatGoldenTest, GoldenFlatFixtureIsCurrentVersion) {
   SnapshotStore store(GoldenDir("golden_flat"));
   auto loaded = store.OpenFlat(L2());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  for (std::size_t s = 0; s < loaded.value().index.num_shards(); ++s) {
-    EXPECT_EQ(loaded.value().index.flat_shard(s).version(),
-              flat::kFlatVersionV2);
+  EXPECT_EQ(loaded.value().manifest.index_kind,
+            IndexKind::kFlatShardedMvpIndex);
+  const auto arenas = GoldenShardArenas(GoldenDir("golden_flat"));
+  ASSERT_EQ(arenas.size(), loaded.value().index.num_shards());
+  for (const auto& arena : arenas) {
+    flat::FlatHeaderRec header;
+    ASSERT_GE(arena.size(), sizeof(header));
+    std::memcpy(&header, arena.data(), sizeof(header));
+    EXPECT_EQ(header.version, flat::kFlatVersionV2);
   }
 }
 

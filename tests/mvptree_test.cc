@@ -57,7 +57,9 @@ TEST(MvpTreeTest, RejectsRaggedAndZeroDimensionVectors) {
   auto built = VecTree::Build({{1, 2}, {3, 4}, {5, 6}}, L2());
   ASSERT_TRUE(built.ok());
   EXPECT_EQ(built.value().dim(), 2u);
-  EXPECT_EQ(built.value().rows(), (std::vector<double>{1, 2, 3, 4, 5, 6}));
+  const auto rows = built.value().rows();
+  EXPECT_EQ(std::vector<double>(rows.begin(), rows.end()),
+            (std::vector<double>{1, 2, 3, 4, 5, 6}));
   EXPECT_EQ(Vector(built.value().object(1)), (Vector{3, 4}));
 }
 

@@ -46,7 +46,6 @@ namespace {
 using metric::L2;
 using metric::Vector;
 using HeapTree = core::MvpTree<Vector, L2>;
-using FlatView = snapshot::flat::FlatTreeView<L2>;
 
 #ifndef MVPT_TESTDATA_DIR
 #error "search_counts_golden_test requires the MVPT_TESTDATA_DIR definition"
@@ -210,7 +209,8 @@ std::vector<std::string> ComputeLines(const Recipe& recipe) {
                                               stream.buffer().size());
   EXPECT_TRUE(arena.ok()) << arena.status().ToString();
   const std::vector<std::uint8_t> bytes = std::move(arena).ValueOrDie();
-  auto view = FlatView::Open(bytes.data(), bytes.size(), L2());
+  auto view = snapshot::flat::OpenTree(bytes.data(), bytes.size(), L2(),
+                                       nullptr);
   EXPECT_TRUE(view.ok()) << view.status().ToString();
   const auto more = RunCases("flat_v2", view.value(), recipe, nullptr);
   lines.insert(lines.end(), more.begin(), more.end());

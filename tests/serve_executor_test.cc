@@ -2,8 +2,9 @@
 // per-query deadline enforcement (zero-budget queries never touch the
 // index; expiry mid-search cancels cooperatively, reports DeadlineExceeded,
 // and harvests the partial answer found so far), the distance-computation
-// budget degrading the same way, distance accounting, and the serving
-// stats sink — including the lock-free latency histogram.
+// budget degrading the same way, the rejection of malformed queries,
+// distance accounting, and the serving stats sink — including the
+// lock-free latency histogram.
 
 #include "serve/executor.h"
 
@@ -13,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -327,6 +329,72 @@ TEST(ExecutorTest, StatsAggregateAcrossBatch) {
   EXPECT_GT(snap.p50.count(), 0);
   EXPECT_LE(snap.p50.count(), snap.p95.count());
   EXPECT_LE(snap.p95.count(), snap.p99.count());
+}
+
+/// RunBatch refuses a query the index cannot answer exactly, before any
+/// search: a vector of another dimension than the collection's (without
+/// the check, a 3-d query against 8-d shards is measured against a prefix
+/// of each row, and a 12-d one reads past the last stored row, which ASan
+/// reports), a NaN coordinate, and a NaN or negative range radius. Each
+/// comes back InvalidArgument with no neighbors and no distance computed,
+/// serially and on a pool, from a sharded index and a single tree, and the
+/// valid queries batched with them answer as they do alone.
+TEST(ExecutorTest, MalformedQueriesAreRejectedBeforeSearch) {
+  const auto data = dataset::UniformVectors(600, 8, 19);
+  ShardedMvpIndex<Vector, L2>::Options options;
+  options.num_shards = 3;
+  options.tree.leaf_capacity = 6;
+  const auto index =
+      ShardedMvpIndex<Vector, L2>::Build(data, L2(), options).ValueOrDie();
+  const auto tree =
+      core::MvpTree<Vector, L2>::Build(data, L2(), options.tree).ValueOrDie();
+  ASSERT_EQ(index.dim(), 8u);
+
+  const auto good = dataset::UniformQueryVectors(2, 8, 20);
+  Vector nan_point = good[0];
+  nan_point[5] = std::numeric_limits<double>::quiet_NaN();
+  const auto make = [](Query::Kind kind, Vector point, double radius) {
+    Query q;
+    q.kind = kind;
+    q.object = std::move(point);
+    q.radius = radius;
+    q.k = 4;
+    return q;
+  };
+  const std::vector<Query> batch = {
+      make(Query::Kind::kRange, good[0], 0.5),
+      make(Query::Kind::kKnn, Vector(3, 0.5), 0.0),
+      make(Query::Kind::kRange, Vector(3, 0.5), 0.5),
+      make(Query::Kind::kRange, Vector(12, 0.5), 1e9),
+      make(Query::Kind::kKnn, nan_point, 0.0),
+      make(Query::Kind::kRange, good[1],
+           std::numeric_limits<double>::quiet_NaN()),
+      make(Query::Kind::kRange, good[1], -0.25),
+      make(Query::Kind::kKnn, good[1], 0.0),
+  };
+  const auto check = [&](const auto& target, ThreadPool* pool) {
+    const auto outcomes = RunBatch(target, batch, pool);
+    ASSERT_EQ(outcomes.size(), batch.size());
+    for (std::size_t i = 1; i + 1 < batch.size(); ++i) {
+      EXPECT_EQ(outcomes[i].status.code(), StatusCode::kInvalidArgument)
+          << "query " << i;
+      EXPECT_TRUE(outcomes[i].neighbors.empty()) << "query " << i;
+      EXPECT_FALSE(outcomes[i].partial) << "query " << i;
+      EXPECT_EQ(outcomes[i].distance_computations, 0u) << "query " << i;
+      EXPECT_EQ(outcomes[i].search.nodes_visited, 0u) << "query " << i;
+    }
+    for (const std::size_t i : {std::size_t{0}, batch.size() - 1}) {
+      const auto alone = RunBatch(target, std::vector{batch[i]}, nullptr);
+      ASSERT_TRUE(outcomes[i].status.ok()) << outcomes[i].status.ToString();
+      EXPECT_EQ(outcomes[i].neighbors, alone[0].neighbors);
+      EXPECT_EQ(outcomes[i].distance_computations,
+                alone[0].distance_computations);
+    }
+  };
+  ThreadPool pool(2);
+  check(index, nullptr);
+  check(index, &pool);
+  check(tree, nullptr);
 }
 
 TEST(LatencyHistogramTest, QuantilesBoundRecordedValues) {

@@ -394,7 +394,8 @@ TEST_F(FlatSnapshotCorruptionTest, FixtureRoundTrips) {
   auto loaded = store.OpenFlat(L2());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().index.size(), 90u);
-  EXPECT_TRUE(loaded.value().index.flat_serving());
+  EXPECT_EQ(loaded.value().manifest.index_kind,
+            IndexKind::kFlatShardedMvpIndex);
 }
 
 /// The checksum-rebuilding helpers change nothing by themselves: an
@@ -651,7 +652,8 @@ TEST_F(FlatSnapshotCorruptionTest, HeapSnapshotRejectedByFlatOpen) {
   // flat, answering as OpenFlat's index does...
   auto loaded = store.LoadSharded<Vector>(L2(), VectorCodec());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded.value().index.flat_serving());
+  EXPECT_EQ(loaded.value().manifest.index_kind,
+            IndexKind::kFlatShardedMvpIndex);
   EXPECT_TRUE(loaded.value().stable_ids.empty());
   auto opened = store.OpenFlat(L2());
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -673,7 +675,7 @@ TEST_F(FlatSnapshotCorruptionTest, HeapSnapshotRejectedByFlatOpen) {
             StatusCode::kInvalidArgument);
   auto heap = store.LoadSharded<Vector>(L2(), VectorCodec());
   ASSERT_TRUE(heap.ok()) << heap.status().ToString();
-  EXPECT_FALSE(heap.value().index.flat_serving());
+  EXPECT_EQ(heap.value().manifest.index_kind, IndexKind::kShardedMvpIndex);
 }
 
 /// A serialized multi-level tree whose root, an internal node, has its
@@ -747,7 +749,7 @@ std::vector<std::uint8_t> FrozenV1Arena() {
 }
 
 StatusCode OpenCode(const std::vector<std::uint8_t>& arena) {
-  return flat::FlatTreeView<L2>::Open(arena.data(), arena.size(), L2())
+  return flat::OpenTree(arena.data(), arena.size(), L2(), nullptr)
       .status()
       .code();
 }
@@ -777,6 +779,48 @@ TEST_F(MissingSecondVantagePointTest, ParseFlatArenaRejectsV1AndV2) {
 
 /// The v1-only leaf entry checks, which now guard the upgrade at open: a
 /// leaf entry's id and its PATH slice must lie inside their sections.
+/// v2 leaves hold at most the entries section between them, as v1 leaves
+/// must: a leaf whose count reaches into later leaves' entries is
+/// Corruption, so serializing an opened tree stays proportional to the
+/// arena. With p = 0 every PATH slab is empty, so the canonical-slab rule
+/// cannot catch it.
+TEST(V2LeafEntriesTest, LeavesSharingEntriesRejected) {
+  core::MvpTreeOptions options;
+  options.leaf_capacity = 6;
+  options.num_path_distances = 0;
+  auto built = core::MvpTree<Vector, L2>::Build(
+      dataset::UniformVectors(600, 4, 43), L2(), options);
+  ASSERT_TRUE(built.ok());
+  const auto& tree = built.value();
+  const std::vector<std::uint8_t> intact = flat::BuildFlatArena(
+      tree.options(), tree.rows(), tree.dim(), tree.arrays());
+  ASSERT_EQ(OpenCode(intact), StatusCode::kOk);
+  flat::FlatHeaderRec header;
+  std::memcpy(&header, intact.data(), sizeof(header));
+
+  std::vector<std::uint8_t> shared = intact;
+  bool grown = false;
+  for (std::uint64_t n = 0; n < header.node_count && !grown; ++n) {
+    core::NodeRec node;
+    const std::size_t at =
+        static_cast<std::size_t>(header.nodes_offset + n * sizeof(node));
+    std::memcpy(&node, shared.data() + at, sizeof(node));
+    if ((node.flags & core::kNodeLeaf) == 0 || node.count == 0 ||
+        node.begin + node.count == header.entry_count) {
+      continue;
+    }
+    node.count = static_cast<std::uint32_t>(header.entry_count - node.begin);
+    std::memcpy(shared.data() + at, &node, sizeof(node));
+    grown = true;
+  }
+  ASSERT_TRUE(grown);
+  const auto parsed = flat::ParseFlatArena(shared.data(), shared.size());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(parsed.status().message().find("share leaf entries"),
+            std::string::npos)
+      << parsed.status().ToString();
+}
+
 TEST(FrozenV1ArenaTest, OpenRejectsBadLeafEntries) {
   const std::vector<std::uint8_t> intact = FrozenV1Arena();
   ASSERT_EQ(OpenCode(intact), StatusCode::kOk);
@@ -891,13 +935,13 @@ TEST(HostilePathCountTest, HugeHeaderPSearchesInBoundedMemory) {
   std::memcpy(hostile.data(), &header, sizeof(header));
   ASSERT_EQ(OpenCode(hostile), StatusCode::kOk);
 
-  using View = flat::FlatTreeView<L2>;
-  auto search = [](const View& view, const Vector& q, SearchStats* stats) {
-    auto hits = view.RangeSearch(q, 0.5, stats);
-    for (const Neighbor& n : view.KnnSearch(q, 5, stats)) hits.push_back(n);
+  using Tree = core::MvpTree<Vector, L2>;
+  auto search = [](const Tree& tree, const Vector& q, SearchStats* stats) {
+    auto hits = tree.RangeSearch(q, 0.5, stats);
+    for (const Neighbor& n : tree.KnnSearch(q, 5, stats)) hits.push_back(n);
     return hits;
   };
-  auto view = View::Open(intact.data(), intact.size(), L2());
+  auto view = flat::OpenTree(intact.data(), intact.size(), L2(), nullptr);
   ASSERT_TRUE(view.ok());
   const auto queries = dataset::UniformQueryVectors(10, header.dim, 41);
   std::vector<std::vector<Neighbor>> expected;
@@ -925,7 +969,8 @@ TEST(HostilePathCountTest, HugeHeaderPSearchesInBoundedMemory) {
     try {
       const rlimit limit{cap, cap};
       if (setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(4);
-      auto served = View::Open(hostile.data(), hostile.size(), L2());
+      auto served =
+          flat::OpenTree(hostile.data(), hostile.size(), L2(), nullptr);
       if (!served.ok()) std::_Exit(4);
       for (std::size_t i = 0; i < queries.size(); ++i) {
         SearchStats stats;

@@ -200,7 +200,7 @@ TEST_F(SnapshotTest, KindMismatchRejected) {
             StatusCode::kInvalidArgument);
 
   // A flat generation is served only by instantiations that can search
-  // flat arenas (kFlatCapable); edit-distance strings cannot.
+  // flat arenas (vector objects only); edit-distance strings cannot.
   SnapshotStore flat_store(dir_ + "/flat");
   ASSERT_TRUE(flat_store.SaveFlat(index).ok());
   EXPECT_EQ(flat_store

@@ -862,7 +862,7 @@ int SnapshotLoadWith(const Args& args, Metric metric) {
   const auto& manifest = loaded.value().manifest;
   std::printf("%s generation %llu in %.1f ms (checksums verified): "
               "%llu objects, %llu shards, mvpt(m=%d, k=%d, p=%d), seed %llu\n",
-              loaded.value().index.flat_serving()
+              manifest.index_kind == snapshot::IndexKind::kFlatShardedMvpIndex
                   ? "opened flat (zero-deserialization)"
                   : "loaded",
               static_cast<unsigned long long>(loaded.value().generation),
