@@ -19,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -88,11 +89,42 @@ mvp::net::WireQuery SampleQuery() {
   return query;
 }
 
+/// Well-framed queries that decode cleanly but that no collection can
+/// answer exactly, named for their seed files: the server must refuse each
+/// (serve::RunBatch's ValidateQuery) without searching.
+struct BadQuery {
+  const char* name;
+  mvp::net::WireQuery query;
+};
+
+std::vector<BadQuery> BadQueries() {
+  std::vector<BadQuery> bad;
+  mvp::net::WireQuery range = SampleQuery();
+  range.kind = 0;  // range
+  range.radius = std::numeric_limits<double>::quiet_NaN();
+  bad.push_back({"nan_radius", range});
+  range.radius = -0.5;
+  bad.push_back({"negative_radius", range});
+  mvp::net::WireQuery knn = SampleQuery();
+  knn.point[1] = std::numeric_limits<double>::quiet_NaN();
+  bad.push_back({"nan_coordinate", knn});
+  knn = SampleQuery();
+  knn.point.push_back(0.5);  // the loopback collection holds 4-d points
+  bad.push_back({"wrong_dimension", knn});
+  return bad;
+}
+
 void EmitWireSeeds(const fs::path& dir) {
   {
     BinaryWriter w;
     mvp::net::EncodeQuery(SampleQuery(), &w);
     WriteSeed(dir / "query.bin", 0, w.buffer());
+  }
+  for (const BadQuery& bad : BadQueries()) {
+    BinaryWriter w;
+    mvp::net::EncodeQuery(bad.query, &w);
+    WriteSeed(dir / (std::string("query_") + bad.name + ".bin"), 0,
+              w.buffer());
   }
   {
     mvp::net::WireOutcome outcome;
@@ -327,6 +359,16 @@ void EmitServerSeeds(const fs::path& dir) {
   batch.Write<std::uint64_t>(1);
   mvp::net::EncodeQuery(SampleQuery(), &batch);
   WriteSeed(dir / "framed_batch.bin", 1, batch.buffer());
+
+  for (const BadQuery& bad : BadQueries()) {
+    BinaryWriter framed;
+    framed.Write<std::uint32_t>(
+        static_cast<std::uint32_t>(mvp::net::Op::kQuery));
+    framed.WriteString("fuzz");
+    mvp::net::EncodeQuery(bad.query, &framed);
+    WriteSeed(dir / (std::string("framed_query_") + bad.name + ".bin"), 1,
+              framed.buffer());
+  }
 
   // Not our protocol at all: exercises the bad-magic rejection path.
   const std::string http = "GET / HTTP/1.0\r\n\r\n";

@@ -9,11 +9,14 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/macros.h"
 #include "common/query.h"
+#include "metric/kernels/kernels.h"
+#include "metric/lp.h"
 
 /// \file
 /// The mvp-tree search of §4.3, written once for every representation.
@@ -59,6 +62,23 @@
 /// Passes(i, LeafQuery, r) used against k-NN's shrinking radius, and
 /// optionally a 64-wide range-mode mask Mask(base, n, LeafQuery, r); a
 /// cursor without one (GeneralizedMvpTree's) is masked entry by entry.
+///
+/// Gathered evaluation. A range search's radius is fixed, so it knows which
+/// distances it will need before it needs them: a leaf chunk's mask survivors,
+/// and the vantage points of every child an internal node enters. When the
+/// accessor hands out rows (metric::VectorView, the mvp-tree's) of the
+/// query's dimension and the metric unwraps to a batch-kernel family
+/// (metric::kernels::UnwrappedFamilyFor), each such set is evaluated in one
+/// lane-parallel metric::kernels::OneToRows call, bit-identical to the
+/// per-call metric, and the values are then consumed one by one through the
+/// primed path of Distance() — a child's through RootPrime — at exactly the
+/// points the per-call path evaluates them. So results, SearchStats, a
+/// DistanceBudget cut and the metric's own counting and cancellation are
+/// the same either way: a complete search consumes everything it computed,
+/// and a search cut short may have computed, but never charged, up to one
+/// chunk's survivors or one node's children's vantage points. k-NN, other
+/// metrics, other accessors and a query of another length than the rows
+/// evaluate per call.
 
 namespace mvp::core {
 
@@ -118,12 +138,13 @@ inline void KnnOffer(std::vector<Neighbor>& heap, std::size_t k, Neighbor n) {
   }
 }
 
-/// Precomputed root vantage-point distances for one query of a batch
-/// (serve::RunBatch amortises a root's vp distances across co-arriving
-/// queries with the many-queries-one-vantage-point kernel shape). The
-/// traversal substitutes d1/d2 for its own root metric calls; the values
-/// are bit-identical to what those calls would return, and each one is
-/// still charged to SearchStats and to the metric's cancellation budget,
+/// Precomputed vantage-point distances of the node a search enters: the
+/// root's for one query of a batch (serve::RunBatch amortises a root's vp
+/// distances across co-arriving queries with the many-queries-one-vantage-
+/// point kernel shape), or a child's that a range search gathered with its
+/// siblings'. The traversal substitutes d1/d2 for its own metric calls; the
+/// values are bit-identical to what those calls would return, and each one
+/// is still charged to SearchStats and to the metric's cancellation budget,
 /// so primed and unprimed searches are indistinguishable.
 struct RootPrime {
   double d1 = 0.0;
@@ -235,9 +256,17 @@ class Traversal {
   /// unsorted. `prime` optionally supplies the root's distances.
   void Range(double radius, std::vector<Neighbor>* out,
              const RootPrime* prime = nullptr) {
-    if (const NodeRef root = nodes_.Root(); root != nullptr) {
-      RangeNode(root, radius, *out, prime);
+    const NodeRef root = nodes_.Root();
+    if (root == nullptr) return;
+    if constexpr (kGathers) {
+      gather_ = query_.size() == nodes_.object(nodes_.Vp(root, 0)).size();
     }
+    RootPrime gathered;
+    if (gather_ && prime == nullptr) {
+      PrimeVantagePoints(&root, 1, &gathered);
+      prime = &gathered;
+    }
+    RangeNode(root, radius, *out, prime);
   }
 
   /// Keeps the k nearest objects `exclude` does not name in `*heap`, a
@@ -261,6 +290,15 @@ class Traversal {
   using NodeRef = decltype(std::declval<const Nodes&>().Root());
   using Distances = std::array<double, kMaxVantagePoints>;
   static constexpr std::size_t kChunk = 64;  // one mask bit per entry
+  using Family = metric::kernels::UnwrappedFamilyFor<
+      std::remove_cvref_t<decltype(std::declval<const Nodes&>().metric())>>;
+  /// Whether range searches may gather (see the file comment); Range then
+  /// checks the query's length against the rows'.
+  static constexpr bool kGathers =
+      Family::available && metric::internal::DenseDoubleRange<Query> &&
+      std::is_same_v<std::remove_cvref_t<decltype(std::declval<const Nodes&>()
+                                                      .object(0))>,
+                     metric::VectorView>;
 
   struct Ranked {
     double bound;
@@ -314,18 +352,33 @@ class Traversal {
       return;
     }
     PathScope<double> path(qpath_, nodes_.PathDistances(), {d.data(), vps});
-    RangeShells(node, d, radius, 0, 0, out);
+    // entered_ is a stack shared down the recursion: this node's children
+    // sit at [begin, end) while deeper calls push and pop above them.
+    const std::size_t begin = entered_.size();
+    EnterShells(node, d, radius, 0, 0);
+    const std::size_t end = entered_.size();
+    if (gather_) {
+      primes_.resize(end);
+      PrimeVantagePoints(entered_.data() + begin, end - begin,
+                         primes_.data() + begin);
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+      // A copy, because deeper calls may grow primes_.
+      const RootPrime child = gather_ ? primes_[i] : RootPrime{};
+      RangeNode(entered_[i], radius, out, gather_ ? &child : nullptr);
+    }
+    entered_.resize(begin);
   }
 
   /// Steps 3.2/3.3 generalized: descends shell level l below slot prefix
-  /// `prefix` in slot order, and enters a child iff the query annulus
-  /// around every vantage point intersects the child's shell on its level.
-  void RangeShells(NodeRef node, const Distances& d, double radius,
-                   std::size_t l, std::size_t prefix,
-                   std::vector<Neighbor>& out) {
+  /// `prefix` in slot order, and pushes a child onto entered_ iff the query
+  /// annulus around every vantage point intersects the child's shell on its
+  /// level.
+  void EnterShells(NodeRef node, const Distances& d, double radius,
+                   std::size_t l, std::size_t prefix) {
     if (l == nodes_.Levels()) {
       if (const NodeRef child = nodes_.Child(node, prefix); child != nullptr) {
-        RangeNode(child, radius, out, nullptr);
+        entered_.push_back(child);
       }
       return;
     }
@@ -334,15 +387,57 @@ class Traversal {
     for (std::size_t s = 0; s < m; ++s) {
       const std::size_t idx = prefix * m + s;
       if (ShellIntersects(d[l], radius, b.lower[idx], b.upper[idx])) {
-        RangeShells(node, d, radius, l + 1, idx, out);
+        EnterShells(node, d, radius, l + 1, idx);
       }
+    }
+  }
+
+  /// Gathered evaluation (gather_ only): the vantage points of `count`
+  /// nodes, in order, in one kernel call, into one RootPrime per node.
+  void PrimeVantagePoints(const NodeRef* nodes, std::size_t count,
+                          RootPrime* primes) {
+    rows_.clear();
+    for (std::size_t i = 0; i < count; ++i) {
+      MVP_DCHECK(nodes_.VpCount(nodes[i]) <= 2);  // RootPrime's d1, d2
+      for (std::size_t l = 0; l < nodes_.VpCount(nodes[i]); ++l) {
+        GatherRow(nodes_.Vp(nodes[i], l));
+      }
+    }
+    values_.resize(rows_.size());
+    EvaluateRows(values_.data());
+    const double* v = values_.data();
+    for (std::size_t i = 0; i < count; ++i) {
+      RootPrime& p = primes[i];
+      p = RootPrime{};
+      p.d1 = *v++;
+      p.has_d1 = true;
+      if (nodes_.VpCount(nodes[i]) == 2) {
+        p.d2 = *v++;
+        p.has_d2 = true;
+      }
+    }
+  }
+
+  /// Appends object `id`'s row to rows_ (gather_ only).
+  void GatherRow(std::size_t id) {
+    if constexpr (kGathers) rows_.push_back(nodes_.object(id).data());
+  }
+
+  /// out[i] = d(query, rows_[i]) for every gathered row, in one kernel call
+  /// bit-identical to the per-call metric (gather_ only).
+  void EvaluateRows(double* out) const {
+    if constexpr (kGathers) {
+      metric::kernels::OneToRows(Family::family, query_.data(), rows_.data(),
+                                 rows_.size(), query_.size(), out);
     }
   }
 
   /// Range-mode leaf filter. The radius is fixed, so each 64-entry chunk
   /// gets its pass mask from the stored distances alone, is charged to the
   /// seen/filtered counters, and only then evaluates its survivors in
-  /// ascending order — so stats at a mid-leaf cut are chunk-exact.
+  /// ascending order — gathered into one kernel call when gather_, and
+  /// charged one by one as they are consumed — so stats at a mid-leaf cut
+  /// are chunk-exact.
   template <typename Leaf>
   void RangeLeaf(const Leaf& leaf, const LeafQuery& q, double radius,
                  std::vector<Neighbor>& out) {
@@ -359,10 +454,17 @@ class Traversal {
       stats_.leaf_points_seen += n;
       stats_.leaf_points_filtered +=
           n - static_cast<std::size_t>(std::popcount(mask));
-      while (mask != 0) {
+      std::array<double, kChunk> values;
+      if (gather_ && mask != 0) {
+        rows_.clear();
+        for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+          GatherRow(leaf.id(base + std::countr_zero(m)));
+        }
+        EvaluateRows(values.data());
+      }
+      for (std::size_t j = 0; mask != 0; ++j, mask &= mask - 1) {
         const std::size_t id = leaf.id(base + std::countr_zero(mask));
-        mask &= mask - 1;
-        const double d = Distance(id);
+        const double d = Distance(id, gather_ ? &values[j] : nullptr);
         if (d <= radius) out.push_back(Neighbor{id, d});
       }
     }
@@ -440,6 +542,11 @@ class Traversal {
   [[no_unique_address]] Budget budget_;
   double bound_ = std::numeric_limits<double>::infinity();
   std::vector<double> qpath_;
+  bool gather_ = false;  ///< range search evaluates in gathered calls
+  std::vector<NodeRef> entered_;   ///< range: children to enter, as a stack
+  std::vector<RootPrime> primes_;  ///< gathered: entered_[i]'s distances
+  std::vector<const double*> rows_;  ///< gathered: rows of one kernel call
+  std::vector<double> values_;       ///< gathered: a node's children's d
 };
 
 }  // namespace mvp::core

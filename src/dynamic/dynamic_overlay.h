@@ -2,6 +2,7 @@
 #define MVPTREE_DYNAMIC_DYNAMIC_OVERLAY_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -135,7 +136,7 @@ class DynamicOverlay {
   /// order); the call then waits for the group-commit fsync covering its
   /// record, so a returned id is crash-durable. InvalidArgument, before
   /// anything is logged, for a vector whose dimension is not the
-  /// collection's (see AdmitsLocked).
+  /// collection's or that has a NaN coordinate (see AdmitsLocked).
   Result<std::size_t> Insert(Object object) MVP_EXCLUDES(mu_) {
     BinaryWriter payload;
     codec_.Write(payload, object);
@@ -143,9 +144,10 @@ class DynamicOverlay {
     std::size_t id = 0;
     {
       MutexLock lock(&mu_);
-      if (!AdmitsLocked(object)) {
+      if (!AdmitsLocked(object, /*fresh=*/true)) {
         return Status::InvalidArgument(
-            "vector dimension differs from the collection's");
+            "vector has a NaN coordinate or another dimension than the "
+            "collection's");
       }
       seq = next_seq_ + 1;
       id = static_cast<std::size_t>(next_stable_id_);
@@ -630,7 +632,7 @@ class DynamicOverlay {
       if (record.id != next_stable_id_) {
         return Status::Corruption("wal insert id out of sequence");
       }
-      if (!AdmitsLocked(object)) {
+      if (!AdmitsLocked(object, /*fresh=*/false)) {
         return Status::Corruption(
             "wal insert holds a vector of another dimension");
       }
@@ -654,9 +656,18 @@ class DynamicOverlay {
   /// fixed-width rows, and its Build refuses a mix, which a memtable merge
   /// or a compaction could not survive. True when `object` may join the
   /// collection: any object that is not a vector; a vector of dim_; or,
-  /// while dim_ is unset, a vector of any dimension a tree can hold.
-  bool AdmitsLocked(const Object& object) const MVP_REQUIRES(mu_) {
+  /// while dim_ is unset, a vector of any dimension a tree can hold. A
+  /// `fresh` vector (Insert's) must also have no NaN coordinate, whose NaN
+  /// distances no search can order. A logged one (WAL replay, a shipped
+  /// leader record) is held to the dimension alone, so logs that builds
+  /// without the NaN rule wrote replay as they always did.
+  bool AdmitsLocked(const Object& object, bool fresh) const
+      MVP_REQUIRES(mu_) {
     if constexpr (kVectors) {
+      if (fresh && std::any_of(object.begin(), object.end(),
+                               [](double x) { return std::isnan(x); })) {
+        return false;
+      }
       return dim_ == 0 ? core::ObjectStore<metric::Vector>::ValidDim(
                              object.size())
                        : object.size() == dim_;

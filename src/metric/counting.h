@@ -56,6 +56,15 @@ class CountingMetric {
     return inner_(a, b);
   }
 
+  /// Counts one primed evaluation (a value a batch kernel computed in
+  /// place of operator(), e.g. core::RootPrime), and hands the charge on to
+  /// an inner wrapper that takes one: the bookkeeping operator() does,
+  /// minus the metric call.
+  void CountPrimed() const {
+    counter_.Increment();
+    if constexpr (requires { inner_.CountPrimed(); }) inner_.CountPrimed();
+  }
+
   const M& inner() const { return inner_; }
   const DistanceCounter& counter() const { return counter_; }
 
@@ -107,6 +116,15 @@ class AtomicCountingMetric {
   double operator()(const A& a, const B& b) const {
     counter_.Increment();
     return inner_(a, b);
+  }
+
+  /// Counts one primed evaluation (a value a batch kernel computed in
+  /// place of operator(), e.g. core::RootPrime), and hands the charge on to
+  /// an inner wrapper that takes one: the bookkeeping operator() does,
+  /// minus the metric call.
+  void CountPrimed() const {
+    counter_.Increment();
+    if constexpr (requires { inner_.CountPrimed(); }) inner_.CountPrimed();
   }
 
   const M& inner() const { return inner_; }

@@ -74,6 +74,14 @@ void ScalarOneToMany(const double* query, const double* objects,
 }
 
 template <Family kFam>
+void ScalarOneToRows(const double* query, const double* const* rows,
+                     std::size_t count, std::size_t dim, double* out) {
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i] = PairDistance(kFam, query, rows[i], dim);
+  }
+}
+
+template <Family kFam>
 void ScalarManyToOne(const double* const* queries, std::size_t count,
                      const double* vp, std::size_t dim, double* out) {
   for (std::size_t i = 0; i < count; ++i) {
@@ -103,6 +111,8 @@ const Ops* ScalarOps() {
        &ScalarOneToMany<Family::kLInf>},
       {&ScalarManyToOne<Family::kL1>, &ScalarManyToOne<Family::kL2>,
        &ScalarManyToOne<Family::kLInf>},
+      {&ScalarOneToRows<Family::kL1>, &ScalarOneToRows<Family::kL2>,
+       &ScalarOneToRows<Family::kLInf>},
       &ScalarAnnulusMask,
   };
   return &ops;
@@ -274,6 +284,12 @@ void ManyToOne(Family family, const double* const* queries, std::size_t count,
                const double* vp, std::size_t dim, double* out) {
   const internal::Ops* ops = OpsForTier(ActiveTier());
   ops->many_to_one[static_cast<int>(family)](queries, count, vp, dim, out);
+}
+
+void OneToRows(Family family, const double* query, const double* const* rows,
+               std::size_t count, std::size_t dim, double* out) {
+  const internal::Ops* ops = OpsForTier(ActiveTier());
+  ops->one_to_rows[static_cast<int>(family)](query, rows, count, dim, out);
 }
 
 std::uint64_t AnnulusMask(double center, const double* values,

@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "common/status.h"
 
@@ -22,10 +24,15 @@
 /// dimensions in the same sequential order the scalar loop uses, so every
 /// lane's result is the scalar result bit for bit.
 ///
-/// Two batch shapes cover the serving hot paths:
+/// Three batch shapes cover the serving hot paths:
 ///   * one query × many objects  (`*OneToMany`) — linear sweeps, benches;
 ///   * many queries × one vantage point (`*ManyToOne`) — `serve::RunBatch`
-///     amortising a node's vantage-point distances over co-arriving queries.
+///     amortising a node's vantage-point distances over co-arriving queries;
+///   * one query × gathered rows (`*OneToRows`) — a row pointer per object,
+///     anywhere in memory: a range search's leaf survivors and its entered
+///     children's vantage points (core::Traversal). A tail shorter than the
+///     lane width runs as one more vector call whose missing lanes repeat
+///     the last row pointer, so it reads only rows the caller named.
 /// Single-pair distances (`L1Pair`/`L2Pair`/`LInfPair`) always run the scalar
 /// canonical path regardless of the active tier; they *are* the reference.
 ///
@@ -96,6 +103,12 @@ void OneToMany(Family family, const double* query, const double* objects,
                std::size_t count, std::size_t stride, std::size_t dim,
                double* out);
 
+/// One query against `count` rows named by pointer (repeats and aliases
+/// allowed). out[i] is bit-identical to PairDistance(family, query, rows[i],
+/// dim).
+void OneToRows(Family family, const double* query, const double* const* rows,
+               std::size_t count, std::size_t dim, double* out);
+
 /// `count` independent queries (pointer per query) against one vantage
 /// point. out[i] is bit-identical to PairDistance(family, queries[i], vp,
 /// dim).
@@ -121,6 +134,10 @@ struct Ops {
   void (*many_to_one[kFamilyCount])(const double* const* queries,
                                     std::size_t count, const double* vp,
                                     std::size_t dim, double* out);
+  void (*one_to_rows[kFamilyCount])(const double* query,
+                                    const double* const* rows,
+                                    std::size_t count, std::size_t dim,
+                                    double* out);
   std::uint64_t (*annulus_mask)(double center, const double* values,
                                 std::size_t count, double radius);
 };
@@ -144,6 +161,26 @@ Tier TierFromEnvOrDie(const char* value);
 template <typename Metric>
 struct FamilyFor {
   static constexpr bool available = false;
+};
+
+/// FamilyFor through a chain of wrappers: a metric that is not itself a
+/// family, but exposes inner() and can charge a primed evaluation
+/// (CountPrimed(), which must do exactly what one of its own evaluations
+/// does besides calling inner()), has its inner metric's family. So a
+/// counted or cancellable L2 still batches, and a chain with one wrapper
+/// that cannot charge a primed value does not.
+template <typename Metric>
+struct UnwrappedFamilyFor : FamilyFor<Metric> {};
+
+template <typename Metric>
+  requires(!FamilyFor<Metric>::available &&
+           requires(const Metric& m) {
+             m.CountPrimed();
+             m.inner();
+           })
+struct UnwrappedFamilyFor<Metric>
+    : UnwrappedFamilyFor<
+          std::remove_cvref_t<decltype(std::declval<const Metric&>().inner())>> {
 };
 
 }  // namespace mvp::metric::kernels

@@ -17,6 +17,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace mvp::metric::kernels {
@@ -113,6 +114,26 @@ void Avx2OneToMany(const double* query, const double* objects,
   }
 }
 
+// A tail shorter than four runs as one more Distance4 whose missing lanes
+// repeat the last row pointer, so it reads only rows the caller named.
+template <Family kFam>
+void Avx2OneToRows(const double* query, const double* const* rows,
+                   std::size_t count, std::size_t dim, double* out) {
+  std::size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    Distance4<kFam, /*kQueryBroadcast=*/true>(query, rows + i, dim, out + i);
+  }
+  if (i < count) {
+    const double* tail[4];
+    double vals[4];
+    for (std::size_t j = 0; j < 4; ++j) {
+      tail[j] = rows[std::min(i + j, count - 1)];
+    }
+    Distance4<kFam, /*kQueryBroadcast=*/true>(query, tail, dim, vals);
+    for (std::size_t j = 0; i + j < count; ++j) out[i + j] = vals[j];
+  }
+}
+
 template <Family kFam>
 void Avx2ManyToOne(const double* const* queries, std::size_t count,
                    const double* vp, std::size_t dim, double* out) {
@@ -156,6 +177,8 @@ const Ops* Avx2Ops() {
        &Avx2OneToMany<Family::kLInf>},
       {&Avx2ManyToOne<Family::kL1>, &Avx2ManyToOne<Family::kL2>,
        &Avx2ManyToOne<Family::kLInf>},
+      {&Avx2OneToRows<Family::kL1>, &Avx2OneToRows<Family::kL2>,
+       &Avx2OneToRows<Family::kLInf>},
       &Avx2AnnulusMask,
   };
   return &ops;

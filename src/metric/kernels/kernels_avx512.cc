@@ -11,6 +11,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace mvp::metric::kernels {
@@ -105,6 +106,26 @@ void Avx512OneToMany(const double* query, const double* objects,
   }
 }
 
+// A tail shorter than eight runs as one more Distance8 whose missing lanes
+// repeat the last row pointer, so it reads only rows the caller named.
+template <Family kFam>
+void Avx512OneToRows(const double* query, const double* const* rows,
+                     std::size_t count, std::size_t dim, double* out) {
+  std::size_t i = 0;
+  for (; i + 8 <= count; i += 8) {
+    Distance8<kFam, /*kQueryBroadcast=*/true>(query, rows + i, dim, out + i);
+  }
+  if (i < count) {
+    const double* tail[8];
+    double vals[8];
+    for (std::size_t j = 0; j < 8; ++j) {
+      tail[j] = rows[std::min(i + j, count - 1)];
+    }
+    Distance8<kFam, /*kQueryBroadcast=*/true>(query, tail, dim, vals);
+    for (std::size_t j = 0; i + j < count; ++j) out[i + j] = vals[j];
+  }
+}
+
 template <Family kFam>
 void Avx512ManyToOne(const double* const* queries, std::size_t count,
                      const double* vp, std::size_t dim, double* out) {
@@ -148,6 +169,8 @@ const Ops* Avx512Ops() {
        &Avx512OneToMany<Family::kLInf>},
       {&Avx512ManyToOne<Family::kL1>, &Avx512ManyToOne<Family::kL2>,
        &Avx512ManyToOne<Family::kLInf>},
+      {&Avx512OneToRows<Family::kL1>, &Avx512OneToRows<Family::kL2>,
+       &Avx512OneToRows<Family::kLInf>},
       &Avx512AnnulusMask,
   };
   return &ops;

@@ -82,6 +82,23 @@ void NeonOneToMany(const double* query, const double* objects,
   }
 }
 
+// An odd last row runs as one more Distance2 whose second lane repeats it,
+// so it reads only rows the caller named.
+template <Family kFam>
+void NeonOneToRows(const double* query, const double* const* rows,
+                   std::size_t count, std::size_t dim, double* out) {
+  std::size_t i = 0;
+  for (; i + 2 <= count; i += 2) {
+    Distance2<kFam, /*kQueryBroadcast=*/true>(query, rows + i, dim, out + i);
+  }
+  if (i < count) {
+    const double* tail[2] = {rows[i], rows[i]};
+    double vals[2];
+    Distance2<kFam, /*kQueryBroadcast=*/true>(query, tail, dim, vals);
+    out[i] = vals[0];
+  }
+}
+
 template <Family kFam>
 void NeonManyToOne(const double* const* queries, std::size_t count,
                    const double* vp, std::size_t dim, double* out) {
@@ -125,6 +142,8 @@ const Ops* NeonOps() {
        &NeonOneToMany<Family::kLInf>},
       {&NeonManyToOne<Family::kL1>, &NeonManyToOne<Family::kL2>,
        &NeonManyToOne<Family::kLInf>},
+      {&NeonOneToRows<Family::kL1>, &NeonOneToRows<Family::kL2>,
+       &NeonOneToRows<Family::kLInf>},
       &NeonAnnulusMask,
   };
   return &ops;

@@ -194,9 +194,13 @@ class CancelChecked {
   }
 
   /// Charges one primed distance (already evaluated by a batch kernel,
-  /// core::RootPrime) to the budget/cancellation accounting — exactly the
-  /// bookkeeping operator() would have done, minus the metric call.
-  void CountPrimed() const { CancellationPoint(); }
+  /// core::RootPrime) to the budget/cancellation accounting, and hands the
+  /// charge on to an inner wrapper that takes one — exactly the bookkeeping
+  /// operator() would have done, minus the metric call.
+  void CountPrimed() const {
+    CancellationPoint();
+    if constexpr (requires { inner_.CountPrimed(); }) inner_.CountPrimed();
+  }
 
   const M& inner() const { return inner_; }
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,6 +29,10 @@
 ///     assume 32/64-byte alignment);
 ///   * adversarial values: ±0, subnormals, ±Inf, NaN, and magnitude mixes
 ///     that make summation order observable;
+///   * gathered rows (OneToRows): every count through two full blocks of the
+///     widest tier plus a lane-filled tail, repeated and aliased row
+///     pointers, and rows ending exactly at the end of their allocation, so
+///     a sanitizer build catches a read past the last row;
 ///   * forced-tier dispatch: ForceTier error contract, and the
 ///     MVPT_FORCE_KERNEL resolver aborting on unknown/unavailable names.
 ///
@@ -164,6 +171,34 @@ void CheckShapes(Tier tier, std::size_t dim, std::size_t count,
   }
 }
 
+/// Runs OneToRows for every family over `rows` and memcmp-compares each
+/// output against PairDistance on the same row and the scalar table.
+void CheckOneToRows(const double* query, const std::vector<const double*>& rows,
+                    std::size_t dim, const std::string& ctx) {
+  const internal::Ops* scalar = internal::ScalarOps();
+  ASSERT_NE(scalar, nullptr);
+  const std::size_t count = rows.size();
+  std::vector<double> want(count), got(count);
+  for (Family family : kFamilies) {
+    const int f = static_cast<int>(family);
+    scalar->one_to_rows[f](query, rows.data(), count, dim, want.data());
+    OneToRows(family, query, rows.data(), count, dim, got.data());
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::string what = std::string(FamilyLabel(family)) +
+                               " OneToRows[" + std::to_string(i) + "] " + ctx;
+      ExpectBitsEqual(want[i], got[i], what);
+      ExpectBitsEqual(PairDistance(family, query, rows[i], dim), got[i],
+                      what + " vs PairDistance");
+    }
+  }
+}
+
+/// A heap block of exactly `n` doubles, so the last row of a slab filling
+/// it ends at the end of the allocation.
+std::unique_ptr<double[]> ExactBlock(std::size_t n) {
+  return std::unique_ptr<double[]>(new double[n == 0 ? 1 : n]);
+}
+
 class KernelConformanceTest : public ::testing::TestWithParam<Tier> {
  protected:
   void SetUp() override {
@@ -257,6 +292,106 @@ TEST_P(KernelConformanceTest, MisalignedAnnulusMask) {
         scalar->annulus_mask(0.25, buf.data() + 1, count, 0.5);
     EXPECT_EQ(want, AnnulusMask(0.25, buf.data() + 1, count, 0.5))
         << TierName(GetParam()) << " count=" << count;
+  }
+}
+
+TEST_P(KernelConformanceTest, OneToRowsEveryCountThroughLaneFill) {
+  // 1..2*8+1 covers one and two full blocks of every tier's lane width and
+  // every tail length, which runs as one more call over a repeated row.
+  Rng rng(8100);
+  for (std::size_t dim : {1u, 3u, 4u, 5u, 8u, 20u, 33u}) {
+    for (std::size_t count = 1; count <= 17; ++count) {
+      std::vector<double> query(dim);
+      FillValues(rng, query.data(), dim);
+      const auto slab = ExactBlock(count * dim);
+      FillValues(rng, slab.get(), count * dim);
+      // Odd counts gather in memory order, so a lane-filled tail repeats
+      // the row that ends the allocation; even counts gather in reverse,
+      // so the row order is not the memory order.
+      std::vector<const double*> rows(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        rows[i] = slab.get() + (count % 2 == 0 ? count - 1 - i : i) * dim;
+      }
+      CheckOneToRows(query.data(), rows, dim,
+                     std::string(TierName(GetParam())) + " dim=" +
+                         std::to_string(dim) + " count=" +
+                         std::to_string(count));
+    }
+  }
+}
+
+TEST_P(KernelConformanceTest, OneToRowsRepeatedAndAliasedRows) {
+  Rng rng(8200);
+  const std::size_t dim = 12;
+  std::vector<double> query(dim);
+  FillValues(rng, query.data(), dim);
+  for (std::size_t count : {1u, 2u, 3u, 7u, 9u, 17u}) {
+    // Every pointer the same row, the allocation's only row.
+    const auto one = ExactBlock(dim);
+    FillValues(rng, one.get(), dim);
+    CheckOneToRows(query.data(),
+                   std::vector<const double*>(count, one.get()), dim,
+                   "repeated count=" + std::to_string(count));
+    // Overlapping rows one double apart: row i shares dim-1 coordinates
+    // with row i+1, and the last ends at the end of the allocation.
+    const auto shifted = ExactBlock(dim + count - 1);
+    FillValues(rng, shifted.get(), dim + count - 1);
+    std::vector<const double*> aliased(count);
+    for (std::size_t i = 0; i < count; ++i) aliased[i] = shifted.get() + i;
+    CheckOneToRows(query.data(), aliased, dim,
+                   "aliased count=" + std::to_string(count));
+    // Rows named twice, out of order: a, b, a, b, ...
+    const auto two = ExactBlock(2 * dim);
+    FillValues(rng, two.get(), 2 * dim);
+    std::vector<const double*> alternating(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      alternating[i] = two.get() + (i % 2 == 0 ? dim : 0);
+    }
+    CheckOneToRows(query.data(), alternating, dim,
+                   "alternating count=" + std::to_string(count));
+  }
+}
+
+TEST_P(KernelConformanceTest, OneToRowsSpecialValuesBitIdentical) {
+  for (std::size_t dim : {1u, 4u, 7u, 12u}) {
+    for (std::size_t count : {1u, 3u, 8u, 11u}) {
+      for (std::size_t phase = 0; phase < 4; ++phase) {
+        std::vector<double> query(dim);
+        FillSpecials(query.data(), dim, phase * 3);
+        const auto slab = ExactBlock(count * dim);
+        FillSpecials(slab.get(), count * dim, phase);
+        std::vector<const double*> rows(count);
+        for (std::size_t i = 0; i < count; ++i) rows[i] = slab.get() + i * dim;
+        CheckOneToRows(query.data(), rows, dim,
+                       "specials dim=" + std::to_string(dim) + " count=" +
+                           std::to_string(count) + " phase=" +
+                           std::to_string(phase));
+      }
+    }
+  }
+  // Two NaNs with different payloads at one coordinate: which one survives
+  // a - b depends on the operand order, so it pins query - row. One payload
+  // at most reaches each row's sum: which of two NaN addends a sum keeps is
+  // not pinned (the compiler may commute an add), only the subtraction's.
+  const double query_nan = std::bit_cast<double>(0x7ff8000000000011ULL);
+  const double row_nan = std::bit_cast<double>(0xfff8000000000022ULL);
+  for (std::size_t count : {1u, 5u, 9u}) {
+    const std::size_t dim = 3;
+    std::vector<double> query = {1.0, query_nan, -0.0};
+    const auto slab = ExactBlock(count * dim);
+    for (std::size_t i = 0; i < count; ++i) {
+      slab[i * dim + 0] = 0.5;
+      slab[i * dim + 1] = i % 2 == 0 ? row_nan : 2.0;
+      slab[i * dim + 2] = i % 3 == 0 ? 0.0 : -0.0;
+    }
+    std::vector<const double*> rows(count);
+    for (std::size_t i = 0; i < count; ++i) rows[i] = slab.get() + i * dim;
+    CheckOneToRows(query.data(), rows, dim,
+                   "nan payloads count=" + std::to_string(count));
+    // And a NaN only in the rows.
+    query[1] = 2.0;
+    CheckOneToRows(query.data(), rows, dim,
+                   "row nan count=" + std::to_string(count));
   }
 }
 
