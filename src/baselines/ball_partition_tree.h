@@ -67,11 +67,7 @@ class BallPartitionTree {
       RangeSearchNode(*root_, query, radius, result, local);
     }
     std::sort(result.begin(), result.end(), NeighborLess);
-    if (stats != nullptr) {
-      stats->distance_computations += local.distance_computations;
-      stats->nodes_visited += local.nodes_visited;
-      stats->leaf_points_seen += local.leaf_points_seen;
-    }
+    if (stats != nullptr) MergeSearchStats(stats, local);
     return result;
   }
 
@@ -85,11 +81,7 @@ class BallPartitionTree {
       KnnSearchNode(*root_, query, k, heap, local);
     }
     std::sort_heap(heap.begin(), heap.end(), NeighborLess);
-    if (stats != nullptr) {
-      stats->distance_computations += local.distance_computations;
-      stats->nodes_visited += local.nodes_visited;
-      stats->leaf_points_seen += local.leaf_points_seen;
-    }
+    if (stats != nullptr) MergeSearchStats(stats, local);
     return heap;
   }
 
@@ -201,22 +193,6 @@ class BallPartitionTree {
     }
   }
 
-  static double Tau(const std::vector<Neighbor>& heap, std::size_t k) {
-    return heap.size() < k ? std::numeric_limits<double>::infinity()
-                           : heap.front().distance;
-  }
-
-  static void Offer(std::vector<Neighbor>& heap, std::size_t k, Neighbor n) {
-    if (heap.size() < k) {
-      heap.push_back(n);
-      std::push_heap(heap.begin(), heap.end(), NeighborLess);
-    } else if (NeighborLess(n, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), NeighborLess);
-      heap.back() = n;
-      std::push_heap(heap.begin(), heap.end(), NeighborLess);
-    }
-  }
-
   void KnnSearchNode(const Node& node, const Object& query, std::size_t k,
                      std::vector<Neighbor>& heap, SearchStats& stats) const {
     ++stats.nodes_visited;
@@ -225,7 +201,7 @@ class BallPartitionTree {
       for (const std::size_t id : node.bucket) {
         const double d = metric_(query, objects_[id]);
         ++stats.distance_computations;
-        Offer(heap, k, Neighbor{id, d});
+        KnnOffer(heap, k, Neighbor{id, d});
       }
       return;
     }
@@ -237,7 +213,7 @@ class BallPartitionTree {
     for (std::size_t c = 0; c < node.center_ids.size(); ++c) {
       const double d = metric_(query, objects_[node.center_ids[c]]);
       ++stats.distance_computations;
-      Offer(heap, k, Neighbor{node.center_ids[c], d});
+      KnnOffer(heap, k, Neighbor{node.center_ids[c], d});
       if (node.children[c] != nullptr) {
         ranked.push_back(Ranked{std::max(0.0, d - node.radii[c]), c});
       }
@@ -245,7 +221,7 @@ class BallPartitionTree {
     std::sort(ranked.begin(), ranked.end(),
               [](const Ranked& a, const Ranked& b) { return a.bound < b.bound; });
     for (const Ranked& r : ranked) {
-      if (r.bound > Tau(heap, k)) break;
+      if (r.bound > KnnTau(heap, k)) break;
       KnnSearchNode(*node.children[r.child], query, k, heap, stats);
     }
   }

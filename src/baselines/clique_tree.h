@@ -73,11 +73,7 @@ class CliqueTree {
       RangeSearchNode(*root_, query, radius, result, local);
     }
     std::sort(result.begin(), result.end(), NeighborLess);
-    if (stats != nullptr) {
-      stats->distance_computations += local.distance_computations;
-      stats->nodes_visited += local.nodes_visited;
-      stats->leaf_points_seen += local.leaf_points_seen;
-    }
+    if (stats != nullptr) MergeSearchStats(stats, local);
     return result;
   }
 

@@ -152,7 +152,7 @@ class DistanceMatrixIndex {
       ++computed;
       decided[pivot] = true;
       --remaining;
-      Offer(heap, k, Neighbor{pivot, d});
+      KnnOffer(heap, k, Neighbor{pivot, d});
       for (std::size_t i = 0; i < n; ++i) {
         if (decided[i]) continue;
         lower[i] = std::max(lower[i], std::abs(d - TableAt(pivot, i)));
@@ -199,17 +199,6 @@ class DistanceMatrixIndex {
 
   double TableAt(std::size_t i, std::size_t j) const {
     return table_[i * objects_.size() + j];
-  }
-
-  static void Offer(std::vector<Neighbor>& heap, std::size_t k, Neighbor n) {
-    if (heap.size() < k) {
-      heap.push_back(n);
-      std::push_heap(heap.begin(), heap.end(), NeighborLess);
-    } else if (NeighborLess(n, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), NeighborLess);
-      heap.back() = n;
-      std::push_heap(heap.begin(), heap.end(), NeighborLess);
-    }
   }
 
   std::vector<Object> objects_;

@@ -68,11 +68,7 @@ class Gnat {
       RangeSearchNode(*root_, query, radius, result, local);
     }
     std::sort(result.begin(), result.end(), NeighborLess);
-    if (stats != nullptr) {
-      stats->distance_computations += local.distance_computations;
-      stats->nodes_visited += local.nodes_visited;
-      stats->leaf_points_seen += local.leaf_points_seen;
-    }
+    if (stats != nullptr) MergeSearchStats(stats, local);
     return result;
   }
 
@@ -86,11 +82,7 @@ class Gnat {
       KnnSearchNode(*root_, query, k, heap, local);
     }
     std::sort_heap(heap.begin(), heap.end(), NeighborLess);
-    if (stats != nullptr) {
-      stats->distance_computations += local.distance_computations;
-      stats->nodes_visited += local.nodes_visited;
-      stats->leaf_points_seen += local.leaf_points_seen;
-    }
+    if (stats != nullptr) MergeSearchStats(stats, local);
     return heap;
   }
 
@@ -285,22 +277,6 @@ class Gnat {
     }
   }
 
-  static double Tau(const std::vector<Neighbor>& heap, std::size_t k) {
-    return heap.size() < k ? std::numeric_limits<double>::infinity()
-                           : heap.front().distance;
-  }
-
-  static void Offer(std::vector<Neighbor>& heap, std::size_t k, Neighbor n) {
-    if (heap.size() < k) {
-      heap.push_back(n);
-      std::push_heap(heap.begin(), heap.end(), NeighborLess);
-    } else if (NeighborLess(n, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), NeighborLess);
-      heap.back() = n;
-      std::push_heap(heap.begin(), heap.end(), NeighborLess);
-    }
-  }
-
   void KnnSearchNode(const Node& node, const Object& query, std::size_t k,
                      std::vector<Neighbor>& heap, SearchStats& stats) const {
     ++stats.nodes_visited;
@@ -309,7 +285,7 @@ class Gnat {
       for (const std::size_t id : node.bucket) {
         const double d = metric_(query, objects_[id]);
         ++stats.distance_computations;
-        Offer(heap, k, Neighbor{id, d});
+        KnnOffer(heap, k, Neighbor{id, d});
       }
       return;
     }
@@ -325,8 +301,8 @@ class Gnat {
       dist[s] = metric_(query, objects_[node.split_ids[s]]);
       computed[s] = true;
       ++stats.distance_computations;
-      Offer(heap, k, Neighbor{node.split_ids[s], dist[s]});
-      const double tau = Tau(heap, k);
+      KnnOffer(heap, k, Neighbor{node.split_ids[s], dist[s]});
+      const double tau = KnnTau(heap, k);
       for (std::size_t t = 0; t < num_splits; ++t) {
         if (t == s || !alive[t]) continue;
         if (!node.ranges[s][t].Intersects(dist[s], tau)) alive[t] = false;
@@ -348,7 +324,7 @@ class Gnat {
     std::sort(ranked.begin(), ranked.end(),
               [](const Ranked& a, const Ranked& b) { return a.bound < b.bound; });
     for (const Ranked& r : ranked) {
-      if (r.bound > Tau(heap, k)) break;
+      if (r.bound > KnnTau(heap, k)) break;
       KnnSearchNode(*node.children[r.child], query, k, heap, stats);
     }
   }

@@ -1026,7 +1026,7 @@ class MvpTree {
                        Neighbor n) {
     // Heap maximum under FartherFirst = the closest (least good) of the
     // kept k — the element evicted when something farther arrives. Mirrors
-    // core::KnnOffer, whose NeighborLess-heap keeps the farthest at the front.
+    // KnnOffer, whose NeighborLess-heap keeps the farthest at the front.
     if (heap.size() < k) {
       heap.push_back(n);
       std::push_heap(heap.begin(), heap.end(), FartherFirst);

@@ -23,13 +23,16 @@
 ///
 /// The mvp-tree (core/mvp_tree.h) — built, deserialized or opened over a
 /// flat arena (snapshot/flat_tree.h) — searches through one node accessor,
-/// core::TreeNodes (core/tree_layout.h); GeneralizedMvpTree
-/// (core/generalized_mvp_tree.h) keeps v vantage points per node instead of
-/// two and supplies its own. The range and k-NN recursions below run on an
-/// accessor. Everything that decides results and SearchStats lives here
-/// once — the order of metric calls, the counters, root priming, the
-/// exclusion rule, PATH bookkeeping, shell pruning, child ranking and leaf
-/// filtering — and tests/search_counts_golden_test.cc pins the counts.
+/// core::TreeNodes (core/tree_layout.h). The other two trees of the
+/// comparison share one node store, core::NodeTree (core/node_tree.h), and
+/// its accessor: GeneralizedMvpTree (core/generalized_mvp_tree.h) keeps v
+/// vantage points per node instead of two, and the vp-tree
+/// (vptree/vp_tree.h) one per internal node and none in its bucket leaves.
+/// The range and k-NN recursions below run on an accessor. Everything that
+/// decides results and SearchStats lives here once — the order of metric
+/// calls, the counters, root priming, the exclusion rule, PATH bookkeeping,
+/// shell pruning, child ranking and leaf filtering — and
+/// tests/search_counts_golden_test.cc pins the counts.
 ///
 /// A node accessor is a cheap value with, for a node handle `NodeRef` (a
 /// pointer; null means "no node"):
@@ -43,7 +46,9 @@
 ///   std::size_t PathDistances() const;     p
 ///   bool IsLeaf(NodeRef) const;
 ///   std::size_t VpCount(NodeRef) const;    Levels() for an internal node,
-///                                          1..Levels() for a leaf
+///                                          0..Levels() for a leaf (0: the
+///                                          vp-tree's buckets, whose entries
+///                                          all pass the annulus tests)
 ///   std::size_t Vp(NodeRef, std::size_t l) const;   id of vantage point l
 ///   ShellBounds Shells(NodeRef, std::size_t l) const;   internal nodes:
 ///                                          level l's m^(l+1) shells around
@@ -61,7 +66,7 @@
 /// A leaf cursor has size(), id(i), the per-entry annulus test
 /// Passes(i, LeafQuery, r) used against k-NN's shrinking radius, and
 /// optionally a 64-wide range-mode mask Mask(base, n, LeafQuery, r); a
-/// cursor without one (GeneralizedMvpTree's) is masked entry by entry.
+/// cursor without one (core::NodeTree's) is masked entry by entry.
 ///
 /// Gathered evaluation. A range search's radius is fixed, so it knows which
 /// distances it will need before it needs them: a leaf chunk's mask survivors,
@@ -89,13 +94,6 @@ inline constexpr std::size_t kMaxVantagePoints = 8;
 /// Does the query annulus [d-r, d+r] intersect the shell [lo, hi]?
 inline bool ShellIntersects(double d, double r, double lo, double hi) {
   return d - r <= hi && d + r >= lo;
-}
-
-/// Current k-NN pruning radius: the k-th best distance so far, or infinity
-/// while the candidate heap is not yet full.
-inline double KnnTau(const std::vector<Neighbor>& heap, std::size_t k) {
-  return heap.size() < k ? std::numeric_limits<double>::infinity()
-                         : heap.front().distance;
 }
 
 /// Ids a k-NN search must never return — the erased objects of a dynamic
@@ -126,18 +124,6 @@ struct Exclusion {
   explicit operator bool() const { return excluded != nullptr; }
 };
 
-/// Offers a candidate to the max-heap (under NeighborLess) of the best k.
-inline void KnnOffer(std::vector<Neighbor>& heap, std::size_t k, Neighbor n) {
-  if (heap.size() < k) {
-    heap.push_back(n);
-    std::push_heap(heap.begin(), heap.end(), NeighborLess);
-  } else if (NeighborLess(n, heap.front())) {
-    std::pop_heap(heap.begin(), heap.end(), NeighborLess);
-    heap.back() = n;
-    std::push_heap(heap.begin(), heap.end(), NeighborLess);
-  }
-}
-
 /// Precomputed vantage-point distances of the node a search enters: the
 /// root's for one query of a batch (serve::RunBatch amortises a root's vp
 /// distances across co-arriving queries with the many-queries-one-vantage-
@@ -158,14 +144,6 @@ struct RootPrime {
     return l == 1 && has_d2 ? &d2 : nullptr;
   }
 };
-
-/// Accumulates one search's counters into an aggregate.
-inline void MergeSearchStats(SearchStats* out, const SearchStats& in) {
-  out->distance_computations += in.distance_computations;
-  out->nodes_visited += in.nodes_visited;
-  out->leaf_points_seen += in.leaf_points_seen;
-  out->leaf_points_filtered += in.leaf_points_filtered;
-}
 
 /// Step 3.1 of §4.3 while descending: appends a node's vantage-point
 /// values, in level order, to a PATH while it holds fewer than p, and takes

@@ -137,7 +137,7 @@ class MvpForest {
     for (const auto& entry : buffer_) {
       const double d = metric_(query, entry.object);
       if (stats != nullptr) ++stats->distance_computations;
-      if (k > 0) core::KnnOffer(best, k, Neighbor{entry.id, d});
+      if (k > 0) KnnOffer(best, k, Neighbor{entry.id, d});
     }
     if (k == 0) return best;
     std::vector<Neighbor> found;
@@ -151,9 +151,9 @@ class MvpForest {
       found.clear();
       level->tree->KnnSearchInto(query, k, &found, stats,
                                  core::Exclusion::Of(deleted),
-                                 std::min(bound, core::KnnTau(best, k)));
+                                 std::min(bound, KnnTau(best, k)));
       for (const Neighbor& hit : found) {
-        core::KnnOffer(best, k, Neighbor{level->ids[hit.id], hit.distance});
+        KnnOffer(best, k, Neighbor{level->ids[hit.id], hit.distance});
       }
     }
     std::sort_heap(best.begin(), best.end(), NeighborLess);

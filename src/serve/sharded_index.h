@@ -296,7 +296,7 @@ class ShardedMvpIndex {
       for (const Neighbor& n : hits[i]) {
         out->push_back(Neighbor{shard.ids[n.id], n.distance});
       }
-      if (stats != nullptr) core::MergeSearchStats(stats, shard_stats[i]);
+      if (stats != nullptr) MergeSearchStats(stats, shard_stats[i]);
     }
     if (cancelled) throw CancelledError();
   }
@@ -359,15 +359,15 @@ class ShardedMvpIndex {
       for (std::size_t i = 0; i < found.size(); ++i) {
         const Shard& shard = shards_[order[first + i].second];
         for (const Neighbor& n : found[i]) {
-          core::KnnOffer(best, k, Neighbor{shard.ids[n.id], n.distance});
+          KnnOffer(best, k, Neighbor{shard.ids[n.id], n.distance});
         }
-        if (stats != nullptr) core::MergeSearchStats(stats, shard_stats[i]);
+        if (stats != nullptr) MergeSearchStats(stats, shard_stats[i]);
       }
       return cancelled;
     };
     bool cancelled = wave(0, std::min<std::size_t>(1, order.size()), kInfinity);
     if (!cancelled && order.size() > 1) {
-      const double tau = core::KnnTau(best, k);
+      const double tau = KnnTau(best, k);
       std::size_t last = 1;
       while (last < order.size() && order[last].first <= tau) ++last;
       cancelled = wave(1, last, tau);

@@ -172,7 +172,7 @@ class FilterIndex {
         }
         const double d = metric_(query, objects_[candidates[i].id]);
         ++high;
-        Offer(heap, k, Neighbor{candidates[i].id, d});
+        KnnOffer(heap, k, Neighbor{candidates[i].id, d});
       }
       if (stats != nullptr) {
         stats->low_distance_computations += low_stats.distance_computations;
@@ -201,17 +201,6 @@ class FilterIndex {
         metric_(std::move(metric)),
         transform_(std::move(transform)),
         low_tree_(std::move(low_tree)) {}
-
-  static void Offer(std::vector<Neighbor>& heap, std::size_t k, Neighbor n) {
-    if (heap.size() < k) {
-      heap.push_back(n);
-      std::push_heap(heap.begin(), heap.end(), NeighborLess);
-    } else if (NeighborLess(n, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), NeighborLess);
-      heap.back() = n;
-      std::push_heap(heap.begin(), heap.end(), NeighborLess);
-    }
-  }
 
   std::vector<Object> objects_;
   Metric metric_;

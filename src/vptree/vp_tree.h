@@ -4,15 +4,12 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
-#include <queue>
 #include <utility>
 #include <vector>
 
-#include "common/codec.h"
-#include "common/macros.h"
-#include "common/query.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "core/node_tree.h"
 #include "metric/metric.h"
 #include "vptree/vp_select.h"
 
@@ -28,11 +25,21 @@
 /// The vp-tree deliberately does NOT reuse vantage points across siblings
 /// and does NOT retain construction-time distances in its leaves — the two
 /// costs the mvp-tree (core/mvp_tree.h) removes.
+///
+/// The class only builds. Its nodes live in core::NodeTree
+/// (core/node_tree.h), the store it shares with GeneralizedMvpTree: an
+/// internal node is a store node with one vantage point and one shell
+/// level, a leaf a bucket with no vantage point and no PATH (p = 0), which
+/// the one mvp-tree traversal (core/search_shared.h) evaluates whole. So
+/// range and k-NN search, SearchStats and TreeStats are the traversal's.
 
 namespace mvp::vptree {
 
 template <typename Object, metric::MetricFor<Object> Metric>
-class VpTree {
+class VpTree : public core::NodeTree<Object, Metric> {
+  using Store = core::NodeTree<Object, Metric>;
+  using typename Store::Node;
+
  public:
   /// Construction parameters.
   struct Options {
@@ -67,116 +74,7 @@ class VpTree {
     return tree;
   }
 
-  /// All objects within `radius` of `query` (closed ball), sorted by
-  /// distance then id. §3.3's search generalized to order m.
-  std::vector<Neighbor> RangeSearch(const Object& query, double radius,
-                                    SearchStats* stats = nullptr) const {
-    MVP_DCHECK(radius >= 0);
-    std::vector<Neighbor> result;
-    SearchStats local;
-    if (root_ != nullptr) {
-      RangeSearchNode(*root_, query, radius, result, local);
-    }
-    std::sort(result.begin(), result.end(), NeighborLess);
-    if (stats != nullptr) Merge(stats, local);
-    return result;
-  }
-
-  /// The k nearest objects via shrinking-radius branch-and-bound ([Chi94]
-  /// adapts vp-trees to nearest-neighbor queries this way). Sorted by
-  /// distance then id.
-  std::vector<Neighbor> KnnSearch(const Object& query, std::size_t k,
-                                  SearchStats* stats = nullptr) const {
-    std::vector<Neighbor> heap;  // max-heap on NeighborLess
-    SearchStats local;
-    if (root_ != nullptr && k > 0) {
-      KnnSearchNode(*root_, query, k, heap, local);
-    }
-    std::sort_heap(heap.begin(), heap.end(), NeighborLess);
-    if (stats != nullptr) Merge(stats, local);
-    return heap;
-  }
-
-  std::size_t size() const { return objects_.size(); }
-  const Object& object(std::size_t id) const {
-    MVP_DCHECK(id < objects_.size());
-    return objects_[id];
-  }
-  const Metric& metric() const { return metric_; }
-  int order() const { return options_.order; }
-
-  /// Structural statistics (node/vantage-point counts, height,
-  /// construction cost in distance computations).
-  TreeStats Stats() const {
-    TreeStats stats;
-    stats.construction_distance_computations = construction_distances_;
-    if (root_ != nullptr) CollectStats(*root_, 1, stats);
-    return stats;
-  }
-
-  /// Serializes the tree (same conventions as MvpTree::Serialize: the
-  /// metric is not stored and must be supplied again at load time).
-  template <CodecFor<Object> Codec>
-  Status Serialize(BinaryWriter* writer, const Codec& codec) const {
-    writer->Write<std::uint32_t>(kMagic);
-    writer->Write<std::uint32_t>(kFormatVersion);
-    writer->Write<std::int32_t>(options_.order);
-    writer->Write<std::int32_t>(options_.leaf_capacity);
-    writer->Write<std::uint8_t>(options_.store_exact_bounds ? 1 : 0);
-    writer->Write<std::uint64_t>(objects_.size());
-    for (const Object& obj : objects_) codec.Write(*writer, obj);
-    WriteNode(writer, root_.get());
-    return Status::OK();
-  }
-
-  /// Reconstructs a serialized vp-tree; rejects corrupt input with a
-  /// Corruption status.
-  template <CodecFor<Object> Codec>
-  static Result<VpTree> Deserialize(BinaryReader* reader, Metric metric,
-                                    const Codec& codec) {
-    std::uint32_t magic = 0, version = 0;
-    MVP_RETURN_NOT_OK(reader->Read<std::uint32_t>(&magic));
-    if (magic != kMagic) return Status::Corruption("bad vp-tree magic");
-    MVP_RETURN_NOT_OK(reader->Read<std::uint32_t>(&version));
-    if (version != kFormatVersion) {
-      return Status::NotSupported("unknown vp-tree format version");
-    }
-    Options options;
-    std::uint8_t bounds_flag = 0;
-    MVP_RETURN_NOT_OK(reader->Read<std::int32_t>(&options.order));
-    MVP_RETURN_NOT_OK(reader->Read<std::int32_t>(&options.leaf_capacity));
-    MVP_RETURN_NOT_OK(reader->Read<std::uint8_t>(&bounds_flag));
-    options.store_exact_bounds = bounds_flag != 0;
-    if (options.order < 2 || options.leaf_capacity < 1) {
-      return Status::Corruption("vp-tree options out of range");
-    }
-    std::uint64_t count = 0;
-    MVP_RETURN_NOT_OK(reader->Read<std::uint64_t>(&count));
-    if (count > reader->remaining()) {
-      return Status::Corruption("object count exceeds buffer");
-    }
-    std::vector<Object> objects(static_cast<std::size_t>(count));
-    for (auto& obj : objects) MVP_RETURN_NOT_OK(codec.Read(*reader, &obj));
-    VpTree tree(std::move(objects), std::move(metric), options);
-    auto root = ReadNode(reader, tree, 0);
-    if (!root.ok()) return root.status();
-    tree.root_ = std::move(root).ValueOrDie();
-    return tree;
-  }
-
  private:
-  static constexpr std::uint32_t kMagic = 0x54505656;  // "VVPT"
-  static constexpr std::uint32_t kFormatVersion = 1;
-  static constexpr std::size_t kMaxDeserializeDepth = 512;
-  struct Node {
-    bool is_leaf = false;
-    std::size_t vp_id = 0;                  // internal: the vantage point
-    std::vector<double> lower;              // per-child shell lower bound
-    std::vector<double> upper;              // per-child shell upper bound
-    std::vector<std::unique_ptr<Node>> children;
-    std::vector<std::size_t> bucket;        // leaf: data-point ids
-  };
-
   /// Construction working entry: a data point plus its distance to the
   /// current vantage point.
   struct Entry {
@@ -185,17 +83,15 @@ class VpTree {
   };
 
   VpTree(std::vector<Object> objects, Metric metric, const Options& options)
-      : objects_(std::move(objects)),
-        metric_(std::move(metric)),
+      : Store(std::move(objects), std::move(metric),
+              static_cast<std::size_t>(options.order), 1, 0),
         options_(options) {}
 
   void BuildTree() {
     Rng rng(options_.seed);
-    std::vector<Entry> entries(objects_.size());
-    for (std::size_t i = 0; i < objects_.size(); ++i) {
-      entries[i] = Entry{i, 0.0};
-    }
-    root_ = BuildNode(entries, 0, entries.size(), rng);
+    std::vector<Entry> entries(this->size());
+    for (std::size_t i = 0; i < entries.size(); ++i) entries[i] = Entry{i, 0.0};
+    this->root_ = BuildNode(entries, 0, entries.size(), rng);
   }
 
   std::unique_ptr<Node> BuildNode(std::vector<Entry>& entries,
@@ -203,34 +99,36 @@ class VpTree {
                                   Rng& rng) {
     if (begin == end) return nullptr;
     const std::size_t count = end - begin;
+    auto node = std::make_unique<Node>();
     if (count <= static_cast<std::size_t>(options_.leaf_capacity)) {
-      auto leaf = std::make_unique<Node>();
-      leaf->is_leaf = true;
-      leaf->bucket.reserve(count);
+      // A bucket: no vantage point, no stored distances, no PATH.
+      node->is_leaf = true;
       for (std::size_t i = begin; i < end; ++i) {
-        leaf->bucket.push_back(entries[i].id);
+        this->AddLeafEntry(*node, entries[i].id, {}, {});
       }
-      return leaf;
+      return node;
     }
 
-    auto node = std::make_unique<Node>();
     // Pick the vantage point among this node's points and move it out of
     // the working range.
     const std::size_t vp_pos = SelectVantagePoint(
         begin, end,
-        [&](std::size_t i) -> const Object& { return objects_[entries[i].id]; },
-        metric_, rng, options_.selection, &construction_distances_);
+        [&](std::size_t i) -> const Object& {
+          return this->object(entries[i].id);
+        },
+        this->metric_, rng, options_.selection,
+        &this->construction_distances_);
     std::swap(entries[begin], entries[vp_pos]);
-    node->vp_id = entries[begin].id;
-    const Object& vp = objects_[node->vp_id];
+    node->vp_ids.push_back(entries[begin].id);
+    const Object& vp = this->object(entries[begin].id);
 
     // "the distances of this vantage point from all other points ... are
     // computed. Then, these points are sorted ... with respect to their
     // distances from the vantage point" (§1).
     for (std::size_t i = begin + 1; i < end; ++i) {
-      entries[i].dist = metric_(vp, objects_[entries[i].id]);
+      entries[i].dist = this->metric_(vp, this->object(entries[i].id));
     }
-    construction_distances_ += count - 1;
+    this->construction_distances_ += count - 1;
     std::sort(entries.begin() + static_cast<std::ptrdiff_t>(begin) + 1,
               entries.begin() + static_cast<std::ptrdiff_t>(end),
               [](const Entry& a, const Entry& b) { return a.dist < b.dist; });
@@ -240,22 +138,27 @@ class VpTree {
     const std::size_t points = count - 1;
     const std::size_t first = begin + 1;
     node->children.resize(m);
-    node->lower.assign(m, 0.0);
-    node->upper.assign(m, std::numeric_limits<double>::infinity());
+    // One shell level: child c's shell around the vantage point is
+    // [lower[c], upper[c]].
+    node->lower.assign(1, std::vector<double>(m, 0.0));
+    node->upper.assign(
+        1, std::vector<double>(m, std::numeric_limits<double>::infinity()));
+    std::vector<double>& lower = node->lower[0];
+    std::vector<double>& upper = node->upper[0];
     double prev_cutoff = 0.0;
     for (std::size_t child = 0; child < m; ++child) {
       const std::size_t group_begin = first + points * child / m;
       const std::size_t group_end = first + points * (child + 1) / m;
       if (group_begin == group_end) continue;  // tiny node: empty child
       if (options_.store_exact_bounds) {
-        node->lower[child] = entries[group_begin].dist;
-        node->upper[child] = entries[group_end - 1].dist;
+        lower[child] = entries[group_begin].dist;
+        upper[child] = entries[group_end - 1].dist;
       } else {
         // Faithful mode: m-1 cutoff values. Child i's shell is bounded above
         // by its boundary cutoff and below by the previous cutoff; the
         // innermost shell starts at 0 and the outermost is unbounded.
-        node->lower[child] = child == 0 ? 0.0 : prev_cutoff;
-        node->upper[child] =
+        lower[child] = child == 0 ? 0.0 : prev_cutoff;
+        upper[child] =
             child + 1 == m ? std::numeric_limits<double>::infinity()
                            : entries[group_end - 1].dist;
         prev_cutoff = entries[group_end - 1].dist;
@@ -265,180 +168,7 @@ class VpTree {
     return node;
   }
 
-  void RangeSearchNode(const Node& node, const Object& query, double radius,
-                       std::vector<Neighbor>& result,
-                       SearchStats& stats) const {
-    ++stats.nodes_visited;
-    if (node.is_leaf) {
-      stats.leaf_points_seen += node.bucket.size();
-      for (const std::size_t id : node.bucket) {
-        const double d = metric_(query, objects_[id]);
-        ++stats.distance_computations;
-        if (d <= radius) result.push_back(Neighbor{id, d});
-      }
-      return;
-    }
-    const double d = metric_(query, objects_[node.vp_id]);
-    ++stats.distance_computations;
-    if (d <= radius) result.push_back(Neighbor{node.vp_id, d});
-    for (std::size_t child = 0; child < node.children.size(); ++child) {
-      if (node.children[child] == nullptr) continue;
-      // Enter child iff [d-r, d+r] intersects the child's shell (the
-      // triangle-inequality argument of the paper's Appendix).
-      if (d - radius <= node.upper[child] && d + radius >= node.lower[child]) {
-        RangeSearchNode(*node.children[child], query, radius, result, stats);
-      }
-    }
-  }
-
-  /// Current pruning radius: the k-th best distance once k results exist.
-  static double Tau(const std::vector<Neighbor>& heap, std::size_t k) {
-    return heap.size() < k ? std::numeric_limits<double>::infinity()
-                           : heap.front().distance;
-  }
-
-  static void Offer(std::vector<Neighbor>& heap, std::size_t k, Neighbor n) {
-    if (heap.size() < k) {
-      heap.push_back(n);
-      std::push_heap(heap.begin(), heap.end(), NeighborLess);
-    } else if (NeighborLess(n, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), NeighborLess);
-      heap.back() = n;
-      std::push_heap(heap.begin(), heap.end(), NeighborLess);
-    }
-  }
-
-  void KnnSearchNode(const Node& node, const Object& query, std::size_t k,
-                     std::vector<Neighbor>& heap, SearchStats& stats) const {
-    ++stats.nodes_visited;
-    if (node.is_leaf) {
-      stats.leaf_points_seen += node.bucket.size();
-      for (const std::size_t id : node.bucket) {
-        const double d = metric_(query, objects_[id]);
-        ++stats.distance_computations;
-        Offer(heap, k, Neighbor{id, d});
-      }
-      return;
-    }
-    const double d = metric_(query, objects_[node.vp_id]);
-    ++stats.distance_computations;
-    Offer(heap, k, Neighbor{node.vp_id, d});
-
-    // Visit children in order of their lower-bound distance to the query so
-    // the pruning radius shrinks as fast as possible.
-    struct Ranked {
-      double bound;
-      std::size_t child;
-    };
-    std::vector<Ranked> ranked;
-    ranked.reserve(node.children.size());
-    for (std::size_t child = 0; child < node.children.size(); ++child) {
-      if (node.children[child] == nullptr) continue;
-      const double below = node.lower[child] - d;  // query inside the shell
-      const double above = d - node.upper[child];  // query outside the shell
-      ranked.push_back(Ranked{std::max({0.0, below, above}), child});
-    }
-    std::sort(ranked.begin(), ranked.end(),
-              [](const Ranked& a, const Ranked& b) { return a.bound < b.bound; });
-    for (const Ranked& r : ranked) {
-      if (r.bound > Tau(heap, k)) break;  // all remaining bounds are larger
-      KnnSearchNode(*node.children[r.child], query, k, heap, stats);
-    }
-  }
-
-  static void WriteNode(BinaryWriter* writer, const Node* node) {
-    if (node == nullptr) {
-      writer->Write<std::uint8_t>(0);
-      return;
-    }
-    writer->Write<std::uint8_t>(node->is_leaf ? 1 : 2);
-    if (node->is_leaf) {
-      writer->Write<std::uint64_t>(node->bucket.size());
-      for (const std::size_t id : node->bucket) {
-        writer->Write<std::uint64_t>(id);
-      }
-      return;
-    }
-    writer->Write<std::uint64_t>(node->vp_id);
-    writer->WriteVector(node->lower);
-    writer->WriteVector(node->upper);
-    for (const auto& child : node->children) WriteNode(writer, child.get());
-  }
-
-  static Result<std::unique_ptr<Node>> ReadNode(BinaryReader* reader,
-                                                const VpTree& tree,
-                                                std::size_t depth) {
-    if (depth > kMaxDeserializeDepth) {
-      return Status::Corruption("vp-tree nesting too deep");
-    }
-    std::uint8_t tag = 0;
-    MVP_RETURN_NOT_OK(reader->Read<std::uint8_t>(&tag));
-    if (tag == 0) return std::unique_ptr<Node>();
-    if (tag > 2) return Status::Corruption("bad vp-tree node tag");
-    auto node = std::make_unique<Node>();
-    node->is_leaf = tag == 1;
-    const std::size_t n = tree.objects_.size();
-    if (node->is_leaf) {
-      std::uint64_t bucket_size = 0;
-      MVP_RETURN_NOT_OK(reader->Read<std::uint64_t>(&bucket_size));
-      if (bucket_size > reader->remaining()) {
-        return Status::Corruption("leaf bucket size exceeds buffer");
-      }
-      node->bucket.resize(static_cast<std::size_t>(bucket_size));
-      for (auto& id : node->bucket) {
-        std::uint64_t raw = 0;
-        MVP_RETURN_NOT_OK(reader->Read<std::uint64_t>(&raw));
-        if (raw >= n) return Status::Corruption("leaf id out of range");
-        id = static_cast<std::size_t>(raw);
-      }
-      return node;
-    }
-    std::uint64_t vp = 0;
-    MVP_RETURN_NOT_OK(reader->Read<std::uint64_t>(&vp));
-    if (vp >= n) return Status::Corruption("vantage point id out of range");
-    node->vp_id = static_cast<std::size_t>(vp);
-    const std::size_t m = static_cast<std::size_t>(tree.options_.order);
-    MVP_RETURN_NOT_OK(reader->ReadVector(&node->lower));
-    MVP_RETURN_NOT_OK(reader->ReadVector(&node->upper));
-    if (node->lower.size() != m || node->upper.size() != m) {
-      return Status::Corruption("internal node bound arrays malformed");
-    }
-    node->children.resize(m);
-    for (auto& child : node->children) {
-      auto sub = ReadNode(reader, tree, depth + 1);
-      if (!sub.ok()) return sub.status();
-      child = std::move(sub).ValueOrDie();
-    }
-    return node;
-  }
-
-  void CollectStats(const Node& node, std::size_t depth,
-                    TreeStats& stats) const {
-    stats.height = std::max(stats.height, depth);
-    if (node.is_leaf) {
-      ++stats.num_leaf_nodes;
-      stats.num_leaf_points += node.bucket.size();
-      return;
-    }
-    ++stats.num_internal_nodes;
-    ++stats.num_vantage_points;
-    for (const auto& child : node.children) {
-      if (child != nullptr) CollectStats(*child, depth + 1, stats);
-    }
-  }
-
-  static void Merge(SearchStats* out, const SearchStats& in) {
-    out->distance_computations += in.distance_computations;
-    out->nodes_visited += in.nodes_visited;
-    out->leaf_points_seen += in.leaf_points_seen;
-    out->leaf_points_filtered += in.leaf_points_filtered;
-  }
-
-  std::vector<Object> objects_;
-  Metric metric_;
   Options options_;
-  std::unique_ptr<Node> root_;
-  std::uint64_t construction_distances_ = 0;
 };
 
 }  // namespace mvp::vptree

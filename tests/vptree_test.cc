@@ -1,7 +1,5 @@
 #include "vptree/vp_tree.h"
 
-#include "common/codec.h"
-
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -217,54 +215,6 @@ TEST(VpTreeTest, WorksWithEditDistance) {
   for (const double r : {0.0, 1.0, 2.0, 4.0}) {
     EXPECT_EQ(tree.RangeSearch(query, r).size(),
               reference.RangeSearch(query, r).size());
-  }
-}
-
-TEST(VpTreeTest, SerializeRoundTripPreservesBehaviour) {
-  const auto data = dataset::UniformVectors(400, 6, 59);
-  VecTree::Options options;
-  options.order = 3;
-  options.leaf_capacity = 4;
-  auto tree = MustBuild(data, options);
-  BinaryWriter writer;
-  ASSERT_TRUE(tree.Serialize(&writer, VectorCodec()).ok());
-  BinaryReader reader(writer.buffer());
-  auto loaded = VecTree::Deserialize(&reader, L2(), VectorCodec());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(reader.AtEnd());
-  const auto queries = dataset::UniformQueryVectors(5, 6, 61);
-  for (const auto& q : queries) {
-    SearchStats sa, sb;
-    const auto expected = tree.RangeSearch(q, 0.6, &sa);
-    const auto got = loaded.value().RangeSearch(q, 0.6, &sb);
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].id, expected[i].id);
-    }
-    EXPECT_EQ(sa.distance_computations, sb.distance_computations);
-  }
-}
-
-TEST(VpTreeTest, DeserializeRejectsCorruptInput) {
-  const auto data = dataset::UniformVectors(50, 3, 67);
-  auto tree = MustBuild(data, {});
-  BinaryWriter writer;
-  ASSERT_TRUE(tree.Serialize(&writer, VectorCodec()).ok());
-  auto bytes = writer.TakeBuffer();
-  {
-    BinaryWriter bad;
-    bad.Write<std::uint32_t>(0x12345678);
-    BinaryReader reader(bad.buffer());
-    EXPECT_EQ(VecTree::Deserialize(&reader, L2(), VectorCodec())
-                  .status()
-                  .code(),
-              StatusCode::kCorruption);
-  }
-  for (const double fraction : {0.2, 0.6, 0.95}) {
-    BinaryReader reader(
-        bytes.data(),
-        static_cast<std::size_t>(static_cast<double>(bytes.size()) * fraction));
-    EXPECT_FALSE(VecTree::Deserialize(&reader, L2(), VectorCodec()).ok());
   }
 }
 
