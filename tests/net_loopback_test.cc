@@ -14,7 +14,9 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/codec.h"
@@ -406,6 +408,52 @@ TEST_F(NetLoopbackTest, UnknownCollectionIsNotFound) {
   EXPECT_EQ(outcome.status().code(), StatusCode::kNotFound);
   // The connection survives a per-request error.
   EXPECT_TRUE(client.Ping().ok());
+  server->Stop();
+}
+
+// Queries the index cannot answer exactly — a NaN or negative radius, a NaN
+// coordinate, a point of the wrong dimension — come back InvalidArgument
+// in the outcome, and the same connection then answers a valid query as
+// the in-process executor does.
+TEST_F(NetLoopbackTest, InvalidQueriesAreRejectedOverTheWire) {
+  const std::string store_dir = StorePath("leader");
+  snapshot::SnapshotStore store(store_dir);
+  ASSERT_TRUE(store.SaveFlat(BuildLeaderIndex()).ok());
+
+  auto server = StartStatic(store_dir);
+  ASSERT_NE(server, nullptr);
+  Client client = MustConnect(*server);
+
+  const WireQuery valid = MixedQueries(1)[0];
+  ASSERT_EQ(valid.kind, 0u);
+  std::vector<std::pair<std::string, WireQuery>> invalid(4, {"", valid});
+  invalid[0].first = "NaN radius";
+  invalid[0].second.radius = std::numeric_limits<double>::quiet_NaN();
+  invalid[1].first = "negative radius";
+  invalid[1].second.radius = -0.5;
+  invalid[2].first = "NaN coordinate";
+  invalid[2].second.point[1] = std::numeric_limits<double>::quiet_NaN();
+  invalid[3].first = "wrong dimension";
+  invalid[3].second.point.pop_back();
+  for (const auto& [what, query] : invalid) {
+    auto outcome = client.Query("vecs", query);
+    ASSERT_TRUE(outcome.ok()) << what << ": " << outcome.status().ToString();
+    EXPECT_EQ(outcome.value().status_code,
+              static_cast<std::uint32_t>(StatusCode::kInvalidArgument))
+        << what;
+    EXPECT_TRUE(outcome.value().neighbors.empty()) << what;
+  }
+
+  auto answered = client.Query("vecs", valid);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  auto loaded = store.OpenFlat<L2>(L2());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const auto local = serve::RunBatch(loaded.value().index,
+                                     InProcessQueries({valid}), nullptr);
+  ASSERT_EQ(local.size(), 1u);
+  ASSERT_TRUE(local[0].status.ok());
+  ASSERT_FALSE(local[0].neighbors.empty());
+  ExpectOutcomeMatches(answered.value(), local[0], 0);
   server->Stop();
 }
 
