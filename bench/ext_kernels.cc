@@ -3,7 +3,8 @@
 // Measures the two batch shapes the serving path uses — one query against a
 // contiguous object slab (leaf sweeps) and many queries against one vantage
 // point (serve::RunBatch priming) — plus the AnnulusMask leaf-filter
-// primitive, for every kernel tier compiled into and supported by this
+// primitive in the shape a range search runs it (D1, D2 and five PATH
+// columns per 64-entry chunk), for every kernel tier compiled into and supported by this
 // binary. Every tier's outputs are byte-compared against the scalar
 // reference: the speedup numbers are only meaningful because the results
 // are bit-identical, and the binary exits nonzero if they are not.
@@ -168,9 +169,25 @@ int Run() {
     }
   }
 
-  // AnnulusMask: the v2 leaf filter sweeps 64-wide chunks of a path-distance
-  // column against [d(q,vp) - r, d(q,vp) + r].
-  const std::size_t chunks = count / kernels::kAnnulusMaskMaxCount;
+  // AnnulusMask: a range search's leaf filter tests each 64-entry chunk
+  // against the leaf's D1, D2 and PATH columns in one call — here a leaf of
+  // `count` entries with p = 5, its columns laid out column-major like a
+  // leaf's PATH slab, each column against [d(q,vp) - r, d(q,vp) + r].
+  constexpr std::size_t kMaskColumns = 2 + 5;
+  constexpr std::size_t kChunk = kernels::kAnnulusMaskMaxCount;
+  const std::size_t chunks = count / kChunk;
+  std::vector<double> leaf_columns(kMaskColumns * count);
+  for (std::size_t i = 0; i < leaf_columns.size(); ++i) {
+    leaf_columns[i] = slab[i % slab.size()];
+  }
+  const std::array<double, kMaskColumns> centers = {0.5, 0.5, 0.5, 0.5,
+                                                    0.5, 0.5, 0.5};
+  std::vector<std::array<const double*, kMaskColumns>> chunk_columns(chunks);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    for (std::size_t k = 0; k < kMaskColumns; ++k) {
+      chunk_columns[c][k] = leaf_columns.data() + k * count + c * kChunk;
+    }
+  }
   harness::Table mask_table(
       {"tier", "leaf-filter Melem/s", "speedup", "bit-identical"});
   std::vector<std::uint64_t> scalar_masks(chunks), masks(chunks);
@@ -184,9 +201,9 @@ int Run() {
     const double mask_s = BestOf([&] {
       for (std::size_t s = 0; s < sweeps; ++s) {
         for (std::size_t c = 0; c < chunks; ++c) {
-          masks[c] = kernels::AnnulusMask(
-              0.5, slab.data() + c * kernels::kAnnulusMaskMaxCount,
-              kernels::kAnnulusMaskMaxCount, 0.25);
+          masks[c] = kernels::AnnulusMask(centers.data(),
+                                          chunk_columns[c].data(),
+                                          kMaskColumns, kChunk, 0.45);
         }
       }
     });
@@ -201,7 +218,7 @@ int Run() {
       if (speedup > mask_speedup) mask_speedup = speedup;
     }
     const double rate =
-        static_cast<double>(sweeps * chunks * kernels::kAnnulusMaskMaxCount) /
+        static_cast<double>(sweeps * chunks * kChunk) /
         mask_s / 1e6;
     mask_table.AddRow({kernels::TierName(tier), harness::FormatDouble(rate, 1),
                        tier == kernels::Tier::kScalar

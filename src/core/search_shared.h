@@ -65,25 +65,30 @@
 ///
 /// A leaf cursor has size(), id(i), the per-entry annulus test
 /// Passes(i, LeafQuery, r) used against k-NN's shrinking radius, and
-/// optionally a 64-wide range-mode mask Mask(base, n, LeafQuery, r); a
-/// cursor without one (core::NodeTree's) is masked entry by entry.
+/// optionally a 64-wide range-mode mask Mask(base, n, LeafQuery, r) over
+/// all of the leaf's columns at once (core::SoaLeaf's, one fused
+/// metric::kernels::AnnulusMask call); a cursor without one
+/// (core::NodeTree's) is masked entry by entry.
 ///
 /// Gathered evaluation. A range search's radius is fixed, so it knows which
-/// distances it will need before it needs them: a leaf chunk's mask survivors,
-/// and the vantage points of every child an internal node enters. When the
-/// accessor hands out rows (metric::VectorView, the mvp-tree's) of the
-/// query's dimension and the metric unwraps to a batch-kernel family
-/// (metric::kernels::UnwrappedFamilyFor), each such set is evaluated in one
-/// lane-parallel metric::kernels::OneToRows call, bit-identical to the
-/// per-call metric, and the values are then consumed one by one through the
-/// primed path of Distance() — a child's through RootPrime — at exactly the
-/// points the per-call path evaluates them. So results, SearchStats, a
-/// DistanceBudget cut and the metric's own counting and cancellation are
-/// the same either way: a complete search consumes everything it computed,
-/// and a search cut short may have computed, but never charged, up to one
-/// chunk's survivors or one node's children's vantage points. k-NN, other
-/// metrics, other accessors and a query of another length than the rows
-/// evaluate per call.
+/// distances it will need before it needs them: the vantage points of every
+/// child an internal node enters, and then the mask survivors of every
+/// leaf among those children. When the accessor hands out rows
+/// (metric::VectorView, the mvp-tree's) of the query's dimension and the
+/// metric unwraps to a batch-kernel family
+/// (metric::kernels::UnwrappedFamilyFor), each of the two sets is evaluated
+/// in one lane-parallel metric::kernels::OneToRows call, bit-identical to
+/// the per-call metric, so a range search waits on memory about twice per
+/// node rather than once per leaf chunk. The values are then consumed one
+/// by one through the primed path of Distance() — a child's through
+/// RootPrime — at exactly the points the per-call path evaluates them. So
+/// results, SearchStats, a DistanceBudget cut and the metric's own counting
+/// and cancellation are the same either way: a complete search consumes
+/// everything it computed, and a search cut short may have computed, but
+/// never charged, for each node on the path from the root to the cut, its
+/// entered children's vantage points and its entered leaf children's
+/// survivors. k-NN, other metrics, other accessors and a query of another
+/// length than the rows evaluate per call.
 
 namespace mvp::core {
 
@@ -239,12 +244,16 @@ class Traversal {
     if constexpr (kGathers) {
       gather_ = query_.size() == nodes_.object(nodes_.Vp(root, 0)).size();
     }
-    RootPrime gathered;
-    if (gather_ && prime == nullptr) {
-      PrimeVantagePoints(&root, 1, &gathered);
-      prime = &gathered;
+    // The root is swept like a node's only entered child. A gathering sweep
+    // needs all of its distances before it charges any, so a caller's
+    // partial prime is completed, bit-identically, by the kernel.
+    entered_.assign(1, root);
+    primes_.assign(1, prime != nullptr ? *prime : RootPrime{});
+    const RootPrime& p = primes_[0];
+    if (gather_ && !(p.has_d1 && (nodes_.VpCount(root) == 1 || p.has_d2))) {
+      PrimeVantagePoints(&root, 1, primes_.data());
     }
-    RangeNode(root, radius, *out, prime);
+    RangeChildren(0, 1, radius, *out, prime != nullptr || gather_);
   }
 
   /// Keeps the k nearest objects `exclude` does not name in `*heap`, a
@@ -317,35 +326,116 @@ class Traversal {
     return vps;
   }
 
-  void RangeNode(NodeRef node, double radius, std::vector<Neighbor>& out,
-                 const RootPrime* prime) {
-    Distances d;
-    const std::size_t vps =
-        VantagePoints(node, prime, d, [&](std::size_t id, double dist) {
-          if (dist <= radius) out.push_back(Neighbor{id, dist});
-        });
-    if (nodes_.IsLeaf(node)) {
-      RangeLeaf(nodes_.Leaf(node), LeafQuery{d.data(), vps, qpath_}, radius,
-                out);
-      return;
-    }
-    PathScope<double> path(qpath_, nodes_.PathDistances(), {d.data(), vps});
-    // entered_ is a stack shared down the recursion: this node's children
-    // sit at [begin, end) while deeper calls push and pop above them.
-    const std::size_t begin = entered_.size();
-    EnterShells(node, d, radius, 0, 0);
-    const std::size_t end = entered_.size();
+  /// Enters the nodes at entered_[begin, end) — one node's entered
+  /// children in slot order, or the root — as one sweep. When the search
+  /// gathers, the chunk masks of every leaf among them come first, from the
+  /// stored distances and the primed vantage-point distances, and all their
+  /// survivors' rows are evaluated in one kernel call. Then the nodes are
+  /// walked in order and charged where the per-call search charges them:
+  /// nodes_visited and the vantage points on entry; a leaf chunk by chunk,
+  /// its seen/filtered counts and then its survivors in ascending order, so
+  /// stats at a mid-leaf cut are chunk-exact; an internal node's subtree by
+  /// recursion. Without gathering a leaf's vantage-point distances are
+  /// unknown until charged, so its masks are computed once it is entered.
+  /// `primed`: primes_[begin, end) hold the nodes' vantage-point distances.
+  void RangeChildren(std::size_t begin, std::size_t end, double radius,
+                     std::vector<Neighbor>& out, bool primed) {
+    // masks_ and values_ are stacks like entered_: this sweep's entries sit
+    // above their sizes on entry while deeper sweeps push and pop.
+    const std::size_t mask_base = masks_.size();
+    const std::size_t value_base = values_.size();
     if (gather_) {
-      primes_.resize(end);
-      PrimeVantagePoints(entered_.data() + begin, end - begin,
-                         primes_.data() + begin);
+      for (std::size_t i = begin; i < end; ++i) {
+        if (!nodes_.IsLeaf(entered_[i])) continue;
+        Distances d{};
+        const std::size_t vps = nodes_.VpCount(entered_[i]);
+        for (std::size_t l = 0; l < vps; ++l) d[l] = *primes_[i].At(l);
+        AppendMasks(nodes_.Leaf(entered_[i]), LeafQuery{d.data(), vps, qpath_},
+                    radius);
+      }
+      rows_.clear();
+      std::size_t next = mask_base;
+      for (std::size_t i = begin; i < end; ++i) {
+        if (!nodes_.IsLeaf(entered_[i])) continue;
+        const auto leaf = nodes_.Leaf(entered_[i]);
+        for (std::size_t base = 0; base < leaf.size(); base += kChunk) {
+          for (std::uint64_t m = masks_[next++]; m != 0; m &= m - 1) {
+            GatherRow(leaf.id(base + std::countr_zero(m)));
+          }
+        }
+      }
+      values_.resize(value_base + rows_.size());
+      EvaluateRows(values_.data() + value_base);
     }
+    std::size_t next_mask = mask_base;
+    std::size_t next_value = value_base;
     for (std::size_t i = begin; i < end; ++i) {
+      const NodeRef node = entered_[i];
       // A copy, because deeper calls may grow primes_.
-      const RootPrime child = gather_ ? primes_[i] : RootPrime{};
-      RangeNode(entered_[i], radius, out, gather_ ? &child : nullptr);
+      const RootPrime prime = primed ? primes_[i] : RootPrime{};
+      Distances d;
+      const std::size_t vps = VantagePoints(
+          node, primed ? &prime : nullptr, d, [&](std::size_t id, double dist) {
+            if (dist <= radius) out.push_back(Neighbor{id, dist});
+          });
+      if (!nodes_.IsLeaf(node)) {
+        PathScope<double> path(qpath_, nodes_.PathDistances(), {d.data(), vps});
+        // entered_ is a stack shared down the recursion: this node's
+        // children sit at [child_begin, child_end) while deeper calls push
+        // and pop above them.
+        const std::size_t child_begin = entered_.size();
+        EnterShells(node, d, radius, 0, 0);
+        const std::size_t child_end = entered_.size();
+        if (gather_) {
+          primes_.resize(child_end);
+          PrimeVantagePoints(entered_.data() + child_begin,
+                             child_end - child_begin,
+                             primes_.data() + child_begin);
+        }
+        RangeChildren(child_begin, child_end, radius, out, gather_);
+        entered_.resize(child_begin);
+        continue;
+      }
+      const auto leaf = nodes_.Leaf(node);
+      if (!gather_) {
+        next_mask = masks_.size();
+        AppendMasks(leaf, LeafQuery{d.data(), vps, qpath_}, radius);
+      }
+      for (std::size_t base = 0; base < leaf.size(); base += kChunk) {
+        const std::size_t n = std::min(kChunk, leaf.size() - base);
+        std::uint64_t mask = masks_[next_mask++];
+        stats_.leaf_points_seen += n;
+        stats_.leaf_points_filtered +=
+            n - static_cast<std::size_t>(std::popcount(mask));
+        for (; mask != 0; mask &= mask - 1) {
+          const std::size_t id = leaf.id(base + std::countr_zero(mask));
+          const double dist =
+              Distance(id, gather_ ? &values_[next_value++] : nullptr);
+          if (dist <= radius) out.push_back(Neighbor{id, dist});
+        }
+      }
     }
-    entered_.resize(begin);
+    masks_.resize(mask_base);
+    values_.resize(value_base);
+  }
+
+  /// Step 2 of §4.3 in range mode: appends to masks_ the pass mask of each
+  /// of `leaf`'s 64-entry chunks under the fixed radius, from the stored
+  /// distances alone.
+  template <typename Leaf>
+  void AppendMasks(const Leaf& leaf, const LeafQuery& q, double radius) {
+    for (std::size_t base = 0; base < leaf.size(); base += kChunk) {
+      const std::size_t n = std::min(kChunk, leaf.size() - base);
+      std::uint64_t mask = 0;
+      if constexpr (requires { leaf.Mask(base, n, q, radius); }) {
+        mask = leaf.Mask(base, n, q, radius);
+      } else {
+        for (std::size_t i = 0; i < n; ++i) {
+          if (leaf.Passes(base + i, q, radius)) mask |= std::uint64_t{1} << i;
+        }
+      }
+      masks_.push_back(mask);
+    }
   }
 
   /// Steps 3.2/3.3 generalized: descends shell level l below slot prefix
@@ -381,9 +471,11 @@ class Traversal {
         GatherRow(nodes_.Vp(nodes[i], l));
       }
     }
-    values_.resize(rows_.size());
-    EvaluateRows(values_.data());
-    const double* v = values_.data();
+    // Scratch above the top of the values_ stack.
+    const std::size_t top = values_.size();
+    values_.resize(top + rows_.size());
+    EvaluateRows(values_.data() + top);
+    const double* v = values_.data() + top;
     for (std::size_t i = 0; i < count; ++i) {
       RootPrime& p = primes[i];
       p = RootPrime{};
@@ -394,6 +486,7 @@ class Traversal {
         p.has_d2 = true;
       }
     }
+    values_.resize(top);
   }
 
   /// Appends object `id`'s row to rows_ (gather_ only).
@@ -407,44 +500,6 @@ class Traversal {
     if constexpr (kGathers) {
       metric::kernels::OneToRows(Family::family, query_.data(), rows_.data(),
                                  rows_.size(), query_.size(), out);
-    }
-  }
-
-  /// Range-mode leaf filter. The radius is fixed, so each 64-entry chunk
-  /// gets its pass mask from the stored distances alone, is charged to the
-  /// seen/filtered counters, and only then evaluates its survivors in
-  /// ascending order — gathered into one kernel call when gather_, and
-  /// charged one by one as they are consumed — so stats at a mid-leaf cut
-  /// are chunk-exact.
-  template <typename Leaf>
-  void RangeLeaf(const Leaf& leaf, const LeafQuery& q, double radius,
-                 std::vector<Neighbor>& out) {
-    for (std::size_t base = 0; base < leaf.size(); base += kChunk) {
-      const std::size_t n = std::min(kChunk, leaf.size() - base);
-      std::uint64_t mask = 0;
-      if constexpr (requires { leaf.Mask(base, n, q, radius); }) {
-        mask = leaf.Mask(base, n, q, radius);
-      } else {
-        for (std::size_t i = 0; i < n; ++i) {
-          if (leaf.Passes(base + i, q, radius)) mask |= std::uint64_t{1} << i;
-        }
-      }
-      stats_.leaf_points_seen += n;
-      stats_.leaf_points_filtered +=
-          n - static_cast<std::size_t>(std::popcount(mask));
-      std::array<double, kChunk> values;
-      if (gather_ && mask != 0) {
-        rows_.clear();
-        for (std::uint64_t m = mask; m != 0; m &= m - 1) {
-          GatherRow(leaf.id(base + std::countr_zero(m)));
-        }
-        EvaluateRows(values.data());
-      }
-      for (std::size_t j = 0; mask != 0; ++j, mask &= mask - 1) {
-        const std::size_t id = leaf.id(base + std::countr_zero(mask));
-        const double d = Distance(id, gather_ ? &values[j] : nullptr);
-        if (d <= radius) out.push_back(Neighbor{id, d});
-      }
     }
   }
 
@@ -523,8 +578,9 @@ class Traversal {
   bool gather_ = false;  ///< range search evaluates in gathered calls
   std::vector<NodeRef> entered_;   ///< range: children to enter, as a stack
   std::vector<RootPrime> primes_;  ///< gathered: entered_[i]'s distances
-  std::vector<const double*> rows_;  ///< gathered: rows of one kernel call
-  std::vector<double> values_;       ///< gathered: a node's children's d
+  std::vector<std::uint64_t> masks_;  ///< range: leaf chunk masks, a stack
+  std::vector<const double*> rows_;   ///< gathered: rows of one kernel call
+  std::vector<double> values_;  ///< gathered: survivors' distances, a stack
 };
 
 }  // namespace mvp::core

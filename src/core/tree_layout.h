@@ -2,6 +2,7 @@
 #define MVPTREE_CORE_TREE_LAYOUT_H_
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -29,7 +30,10 @@
 ///                              internal nodes)
 ///   path       f64[]           the slabs end to end in node order. A slab is
 ///                              column-major, slab[j*count + i] = PATH[j] of
-///                              entry i, so each PATH column sweeps 64 wide
+///                              entry i, so a 64-entry chunk's PATH values
+///                              are one contiguous run per column, which a
+///                              range mask reads with its D1 and D2 runs in
+///                              one AnnulusMask call (SoaLeaf::Mask)
 ///
 /// Ids and node indices are u32, so one tree holds at most kMaxTreeObjects
 /// objects. TreeLayout::Read is the only parser of the MVPT stream's
@@ -134,9 +138,14 @@ struct TreeLayout {
 };
 
 /// Leaf cursor: contiguous id/D1/D2 columns and a column-major PATH slab.
-/// Range masks sweep them 64 wide with the branchless AnnulusMask kernel,
-/// whose pass bits equal the scalar per-entry tests.
+/// A range mask tests one 64-entry chunk against all of the leaf's columns
+/// in one branchless AnnulusMask call — D1, D2 and PATH[0..checks), up to
+/// kMaskColumns per call, so one call whenever p <= 6 — and its pass bits
+/// equal the scalar per-entry tests.
 struct SoaLeaf {
+  /// Columns per AnnulusMask call: D1, D2 and six PATH columns.
+  static constexpr std::size_t kMaskColumns = 8;
+
   const std::uint32_t* ids;
   const double* d1s;
   const double* d2s;
@@ -151,15 +160,26 @@ struct SoaLeaf {
   }
   std::uint64_t Mask(std::size_t base, std::size_t n, const LeafQuery& q,
                      double r) const {
-    std::uint64_t mask = metric::kernels::AnnulusMask(q.d[0], d1s + base, n, r);
-    if (q.vps > 1 && mask != 0) {
-      mask &= metric::kernels::AnnulusMask(q.d[1], d2s + base, n, r);
+    std::array<double, kMaskColumns> centers{};
+    std::array<const double*, kMaskColumns> columns{};
+    std::size_t k = 0;
+    std::uint64_t mask = ~std::uint64_t{0};
+    const auto add = [&](double center, const double* column) {
+      if (k == kMaskColumns) {
+        mask &= metric::kernels::AnnulusMask(centers.data(), columns.data(), k,
+                                             n, r);
+        k = 0;
+      }
+      centers[k] = center;
+      columns[k++] = column + base;
+    };
+    add(q.d[0], d1s);
+    if (q.vps > 1) add(q.d[1], d2s);
+    for (std::size_t j = 0; j < Checks(q.qpath); ++j) {
+      add(q.qpath[j], slab + j * count);
     }
-    for (std::size_t j = 0; j < Checks(q.qpath) && mask != 0; ++j) {
-      mask &= metric::kernels::AnnulusMask(q.qpath[j], slab + j * count + base,
-                                           n, r);
-    }
-    return mask;
+    return mask &
+           metric::kernels::AnnulusMask(centers.data(), columns.data(), k, n, r);
   }
   bool Passes(std::size_t i, const LeafQuery& q, double r) const {
     return q.Admits<2>(

@@ -89,14 +89,17 @@ void ScalarManyToOne(const double* const* queries, std::size_t count,
   }
 }
 
-std::uint64_t ScalarAnnulusMask(double center, const double* values,
-                                std::size_t count, double radius) {
-  MVP_DCHECK(count <= kAnnulusMaskMaxCount);
+std::uint64_t ScalarAnnulusMask(const double* centers,
+                                const double* const* columns,
+                                std::size_t num_columns, std::size_t count,
+                                double radius) {
   std::uint64_t mask = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    if (std::fabs(center - values[i]) <= radius) {
-      mask |= std::uint64_t{1} << i;
+    bool pass = true;
+    for (std::size_t c = 0; c < num_columns; ++c) {
+      pass = pass && std::fabs(centers[c] - columns[c][i]) <= radius;
     }
+    if (pass) mask |= std::uint64_t{1} << i;
   }
   return mask;
 }
@@ -288,14 +291,29 @@ void ManyToOne(Family family, const double* const* queries, std::size_t count,
 
 void OneToRows(Family family, const double* query, const double* const* rows,
                std::size_t count, std::size_t dim, double* out) {
+  // Requests every cache line of every row up front, so the rows' misses
+  // overlap instead of each stalling the kernel at its first load. A line
+  // is requested at every 64-byte step from the row's start and at its last
+  // byte, so an unaligned row's final line is requested too.
+  constexpr std::size_t kLine = 64;
+  const std::size_t bytes = dim * sizeof(double);
+  if (bytes > 0) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const char* row = reinterpret_cast<const char*>(rows[i]);
+      for (std::size_t b = 0; b < bytes; b += kLine) __builtin_prefetch(row + b);
+      __builtin_prefetch(row + bytes - 1);
+    }
+  }
   const internal::Ops* ops = OpsForTier(ActiveTier());
   ops->one_to_rows[static_cast<int>(family)](query, rows, count, dim, out);
 }
 
-std::uint64_t AnnulusMask(double center, const double* values,
-                          std::size_t count, double radius) {
+std::uint64_t AnnulusMask(const double* centers, const double* const* columns,
+                          std::size_t num_columns, std::size_t count,
+                          double radius) {
+  MVP_DCHECK(count <= kAnnulusMaskMaxCount);
   const internal::Ops* ops = OpsForTier(ActiveTier());
-  return ops->annulus_mask(center, values, count, radius);
+  return ops->annulus_mask(centers, columns, num_columns, count, radius);
 }
 
 }  // namespace mvp::metric::kernels

@@ -37,9 +37,19 @@
 /// canonical path regardless of the active tier; they *are* the reference.
 ///
 /// `AnnulusMask` is the leaf-filter primitive: a branchless compare+mask
-/// sweep answering |center - values[i]| <= radius for up to 64 values at
-/// once. Comparisons are exact (no rounding), so tiers are trivially
-/// identical; NaN anywhere fails the test, matching the scalar `<=`.
+/// sweep over one chunk of up to 64 leaf entries and any number of their
+/// stored-distance columns (a leaf's D1, D2 and PATH columns, each with the
+/// query's distance to the same vantage point as its center), answering in
+/// one call whether every |center - column[i]| <= radius. Each column is
+/// tested in full, with no early exit between columns, so the loads of all
+/// of a chunk's columns are in flight together. Comparisons are exact (no
+/// rounding), so tiers are trivially identical; NaN anywhere fails the
+/// test, matching the scalar `<=`.
+///
+/// `OneToRows` requests every row's cache lines before the tier kernel runs
+/// (one prefetch loop in the dispatcher, for every tier): gathered rows are
+/// scattered over the object slab, and the kernel would otherwise wait on
+/// each one's first load in turn.
 ///
 /// Dispatch: the best tier is picked once via CPUID-style feature probes
 /// (`__builtin_cpu_supports`); `MVPT_FORCE_KERNEL=scalar|avx2|avx512|neon`
@@ -105,7 +115,7 @@ void OneToMany(Family family, const double* query, const double* objects,
 
 /// One query against `count` rows named by pointer (repeats and aliases
 /// allowed). out[i] is bit-identical to PairDistance(family, query, rows[i],
-/// dim).
+/// dim). Every row is prefetched before the first distance is computed.
 void OneToRows(Family family, const double* query, const double* const* rows,
                std::size_t count, std::size_t dim, double* out);
 
@@ -115,16 +125,26 @@ void OneToRows(Family family, const double* query, const double* const* rows,
 void ManyToOne(Family family, const double* const* queries, std::size_t count,
                const double* vp, std::size_t dim, double* out);
 
-/// Annulus compare+mask sweep: bit i of the result is set iff
-/// |center - values[i]| <= radius. `count` must be <= 64; bits >= count are
-/// zero. NaN in center, values, or radius fails the test (bit clear),
-/// matching the scalar `<=` on a NaN operand.
-std::uint64_t AnnulusMask(double center, const double* values,
-                          std::size_t count, double radius);
+/// Annulus compare+mask sweep over `num_columns` columns of `count` values
+/// each: bit i of the result is set iff |centers[c] - columns[c][i]| <=
+/// radius for every c < num_columns (so every bit below `count` when
+/// num_columns is 0). `count` must be <= 64; bits >= count are zero. Each
+/// column is read at [0, count) only. NaN in a center, a value or the
+/// radius fails the test (bit clear), matching the scalar `<=` on a NaN
+/// operand.
+std::uint64_t AnnulusMask(const double* centers, const double* const* columns,
+                          std::size_t num_columns, std::size_t count,
+                          double radius);
 
 inline constexpr std::size_t kAnnulusMaskMaxCount = 64;
 
 namespace internal {
+
+/// The bits below `count` (<= 64): every tier's AnnulusMask before its
+/// first column.
+inline std::uint64_t LowBits(std::size_t count) {
+  return count >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << count) - 1;
+}
 
 /// Per-tier kernel table. Entries are indexed by (int)Family.
 struct Ops {
@@ -138,8 +158,10 @@ struct Ops {
                                     const double* const* rows,
                                     std::size_t count, std::size_t dim,
                                     double* out);
-  std::uint64_t (*annulus_mask)(double center, const double* values,
-                                std::size_t count, double radius);
+  std::uint64_t (*annulus_mask)(const double* centers,
+                                const double* const* columns,
+                                std::size_t num_columns, std::size_t count,
+                                double radius);
 };
 
 /// Tier tables. A tier not compiled into this binary returns nullptr.

@@ -148,21 +148,30 @@ void Avx2ManyToOne(const double* const* queries, std::size_t count,
   }
 }
 
-std::uint64_t Avx2AnnulusMask(double center, const double* values,
-                              std::size_t count, double radius) {
-  const __m256d c = _mm256_set1_pd(center);
+// Column by column, four entries per compare, and a scalar tail.
+std::uint64_t Avx2AnnulusMask(const double* centers,
+                              const double* const* columns,
+                              std::size_t num_columns, std::size_t count,
+                              double radius) {
   const __m256d r = _mm256_set1_pd(radius);
-  std::uint64_t mask = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256d diff = AbsPd(_mm256_sub_pd(c, _mm256_loadu_pd(values + i)));
-    const int bits = _mm256_movemask_pd(_mm256_cmp_pd(diff, r, _CMP_LE_OQ));
-    mask |= static_cast<std::uint64_t>(bits) << i;
-  }
-  for (; i < count; ++i) {
-    if (std::fabs(center - values[i]) <= radius) {
-      mask |= std::uint64_t{1} << i;
+  std::uint64_t mask = internal::LowBits(count);
+  for (std::size_t c = 0; c < num_columns; ++c) {
+    const __m256d center = _mm256_set1_pd(centers[c]);
+    const double* values = columns[c];
+    std::uint64_t bits = 0;
+    std::size_t i = 0;
+    for (; i + 4 <= count; i += 4) {
+      const __m256d diff =
+          AbsPd(_mm256_sub_pd(center, _mm256_loadu_pd(values + i)));
+      const int le = _mm256_movemask_pd(_mm256_cmp_pd(diff, r, _CMP_LE_OQ));
+      bits |= static_cast<std::uint64_t>(le) << i;
     }
+    for (; i < count; ++i) {
+      if (std::fabs(centers[c] - values[i]) <= radius) {
+        bits |= std::uint64_t{1} << i;
+      }
+    }
+    mask &= bits;
   }
   return mask;
 }

@@ -140,21 +140,36 @@ void Avx512ManyToOne(const double* const* queries, std::size_t count,
   }
 }
 
-std::uint64_t Avx512AnnulusMask(double center, const double* values,
-                                std::size_t count, double radius) {
-  const __m512d c = _mm512_set1_pd(center);
+// Column by column, eight entries per compare; a tail shorter than eight
+// is one masked load, which reads no lane past `count`.
+std::uint64_t Avx512AnnulusMask(const double* centers,
+                                const double* const* columns,
+                                std::size_t num_columns, std::size_t count,
+                                double radius) {
   const __m512d r = _mm512_set1_pd(radius);
-  std::uint64_t mask = 0;
-  std::size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    const __m512d diff = Abs512(_mm512_sub_pd(c, _mm512_loadu_pd(values + i)));
-    const __mmask8 le = _mm512_cmp_pd_mask(diff, r, _CMP_LE_OQ);
-    mask |= static_cast<std::uint64_t>(le) << i;
-  }
-  for (; i < count; ++i) {
-    if (std::fabs(center - values[i]) <= radius) {
-      mask |= std::uint64_t{1} << i;
+  std::uint64_t mask = internal::LowBits(count);
+  for (std::size_t c = 0; c < num_columns; ++c) {
+    const __m512d center = _mm512_set1_pd(centers[c]);
+    const double* values = columns[c];
+    std::uint64_t bits = 0;
+    std::size_t i = 0;
+    for (; i + 8 <= count; i += 8) {
+      const __m512d diff =
+          Abs512(_mm512_sub_pd(center, _mm512_loadu_pd(values + i)));
+      bits |= static_cast<std::uint64_t>(
+                  _mm512_cmp_pd_mask(diff, r, _CMP_LE_OQ))
+              << i;
     }
+    if (i < count) {
+      const __mmask8 lanes =
+          static_cast<__mmask8>(internal::LowBits(count - i));
+      const __m512d diff = Abs512(
+          _mm512_sub_pd(center, _mm512_maskz_loadu_pd(lanes, values + i)));
+      bits |= static_cast<std::uint64_t>(
+                  _mm512_mask_cmp_pd_mask(lanes, diff, r, _CMP_LE_OQ))
+              << i;
+    }
+    mask &= bits;
   }
   return mask;
 }

@@ -112,22 +112,31 @@ void NeonManyToOne(const double* const* queries, std::size_t count,
   }
 }
 
-std::uint64_t NeonAnnulusMask(double center, const double* values,
-                              std::size_t count, double radius) {
-  const float64x2_t c = vdupq_n_f64(center);
+// Column by column, two entries per compare, and a scalar tail.
+std::uint64_t NeonAnnulusMask(const double* centers,
+                              const double* const* columns,
+                              std::size_t num_columns, std::size_t count,
+                              double radius) {
   const float64x2_t r = vdupq_n_f64(radius);
-  std::uint64_t mask = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const float64x2_t diff = vabsq_f64(vsubq_f64(c, vld1q_f64(values + i)));
-    const uint64x2_t le = vcleq_f64(diff, r);
-    mask |= (vgetq_lane_u64(le, 0) & 1) << i;
-    mask |= (vgetq_lane_u64(le, 1) & 1) << (i + 1);
-  }
-  for (; i < count; ++i) {
-    if (std::fabs(center - values[i]) <= radius) {
-      mask |= std::uint64_t{1} << i;
+  std::uint64_t mask = internal::LowBits(count);
+  for (std::size_t c = 0; c < num_columns; ++c) {
+    const float64x2_t center = vdupq_n_f64(centers[c]);
+    const double* values = columns[c];
+    std::uint64_t bits = 0;
+    std::size_t i = 0;
+    for (; i + 2 <= count; i += 2) {
+      const float64x2_t diff =
+          vabsq_f64(vsubq_f64(center, vld1q_f64(values + i)));
+      const uint64x2_t le = vcleq_f64(diff, r);
+      bits |= (vgetq_lane_u64(le, 0) & 1) << i;
+      bits |= (vgetq_lane_u64(le, 1) & 1) << (i + 1);
     }
+    for (; i < count; ++i) {
+      if (std::fabs(centers[c] - values[i]) <= radius) {
+        bits |= std::uint64_t{1} << i;
+      }
+    }
+    mask &= bits;
   }
   return mask;
 }

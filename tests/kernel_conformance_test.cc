@@ -29,6 +29,9 @@
 ///     assume 32/64-byte alignment);
 ///   * adversarial values: ±0, subnormals, ±Inf, NaN, and magnitude mixes
 ///     that make summation order observable;
+///   * the leaf-filter mask (AnnulusMask): 0..9 columns at every chunk size
+///     0..64, NaN in centers, values and radius, misaligned columns, and
+///     columns ending exactly at the end of their allocation;
 ///   * gathered rows (OneToRows): every count through two full blocks of the
 ///     widest tier plus a lane-filled tail, repeated and aliased row
 ///     pointers, and rows ending exactly at the end of their allocation, so
@@ -249,49 +252,90 @@ TEST_P(KernelConformanceTest, SpecialValuesBitIdentical) {
   }
 }
 
+/// Leaf-filter columns for AnnulusMask: `num_columns` columns of `count`
+/// values, each its own allocation starting `offset` doubles in and ending
+/// right after its last value, so a read past `count` is a heap overflow a
+/// sanitizer build reports.
+struct MaskColumns {
+  std::vector<std::unique_ptr<double[]>> storage;
+  std::vector<double> centers;
+  std::vector<const double*> columns;
+
+  MaskColumns(Rng& rng, std::size_t num_columns, std::size_t count,
+              std::size_t offset) {
+    for (std::size_t c = 0; c < num_columns; ++c) {
+      storage.push_back(std::make_unique<double[]>(offset + count));
+      double* values = storage.back().get() + offset;
+      for (std::size_t i = 0; i < count; ++i) values[i] = 2 * rng.NextDouble();
+      centers.push_back(1.0);
+      columns.push_back(values);
+    }
+  }
+  std::uint64_t Scalar(std::size_t count, double radius) const {
+    return internal::ScalarOps()->annulus_mask(
+        centers.data(), columns.data(), columns.size(), count, radius);
+  }
+  std::uint64_t Dispatched(std::size_t count, double radius) const {
+    return AnnulusMask(centers.data(), columns.data(), columns.size(), count,
+                       radius);
+  }
+};
+
 TEST_P(KernelConformanceTest, AnnulusMaskMatchesScalar) {
-  const internal::Ops* scalar = internal::ScalarOps();
-  ASSERT_NE(scalar, nullptr);
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   Rng rng(99);
-  std::vector<double> values(kAnnulusMaskMaxCount + 1);
-  for (std::size_t count = 0; count <= kAnnulusMaskMaxCount; ++count) {
-    FillValues(rng, values.data(), count);
-    // Sprinkle exact-boundary and special entries.
-    if (count > 0) values[0] = 1.5;
-    if (count > 2) values[2] = std::numeric_limits<double>::quiet_NaN();
-    if (count > 3) values[3] = std::numeric_limits<double>::infinity();
-    if (count > 4) values[4] = -0.0;
-    for (double radius : {0.0, 0.5, 1e300, -1.0,
-                          std::numeric_limits<double>::quiet_NaN()}) {
-      const double center = (count % 2 == 0) ? 1.5 : -0.75;
-      const std::uint64_t want =
-          scalar->annulus_mask(center, values.data(), count, radius);
-      const std::uint64_t got =
-          AnnulusMask(center, values.data(), count, radius);
-      EXPECT_EQ(want, got) << TierName(GetParam()) << " count=" << count
-                           << " radius=" << radius;
-      // Cross-check against the definition, not just the scalar table.
-      for (std::size_t i = 0; i < count; ++i) {
-        const bool bit = (got >> i) & 1;
-        EXPECT_EQ(bit, std::fabs(center - values[i]) <= radius)
-            << "bit " << i << " count=" << count << " radius=" << radius;
+  for (std::size_t num_columns = 0; num_columns <= 9; ++num_columns) {
+    for (std::size_t count = 0; count <= kAnnulusMaskMaxCount; ++count) {
+      MaskColumns cols(rng, num_columns, count, 0);
+      // Sprinkle exact-boundary and special entries over the columns.
+      for (std::size_t c = 0; c < num_columns && count > 0; ++c) {
+        double* values = cols.storage[c].get();
+        values[(c * 7) % count] = 1.5;  // |1.0 - 1.5| == 0.5 exactly
+        values[(c * 5 + 2) % count] = c % 2 == 0 ? kNaN : -0.0;
+        values[(c * 3 + 3) % count] =
+            std::numeric_limits<double>::infinity();
       }
-      // Bits at and above `count` must be zero.
-      if (count < 64) EXPECT_EQ(got >> count, 0u);
+      // A NaN center fails its whole column.
+      if (num_columns > 0 && count % 5 == 0) {
+        cols.centers[count % num_columns] = kNaN;
+      }
+      for (double radius : {0.0, 0.5, 0.9, 1e300, -1.0, kNaN}) {
+        const std::string ctx = std::string(TierName(GetParam())) +
+                                " columns=" + std::to_string(num_columns) +
+                                " count=" + std::to_string(count) +
+                                " radius=" + std::to_string(radius);
+        const std::uint64_t got = cols.Dispatched(count, radius);
+        EXPECT_EQ(cols.Scalar(count, radius), got) << ctx;
+        // Cross-check against the definition, not just the scalar table.
+        for (std::size_t i = 0; i < count; ++i) {
+          bool pass = true;
+          for (std::size_t c = 0; c < num_columns; ++c) {
+            pass = pass &&
+                   std::fabs(cols.centers[c] - cols.columns[c][i]) <= radius;
+          }
+          EXPECT_EQ(((got >> i) & 1) != 0, pass) << ctx << " bit " << i;
+        }
+        // Bits at and above `count` must be zero.
+        if (count < 64) {
+          EXPECT_EQ(got >> count, 0u) << ctx;
+        }
+        if (::testing::Test::HasFailure()) return;
+      }
     }
   }
 }
 
 TEST_P(KernelConformanceTest, MisalignedAnnulusMask) {
   Rng rng(7);
-  std::vector<double> buf(kAnnulusMaskMaxCount + 1);
-  FillValues(rng, buf.data(), buf.size());
-  const internal::Ops* scalar = internal::ScalarOps();
-  for (std::size_t count : {1u, 7u, 31u, 63u, 64u}) {
-    const std::uint64_t want =
-        scalar->annulus_mask(0.25, buf.data() + 1, count, 0.5);
-    EXPECT_EQ(want, AnnulusMask(0.25, buf.data() + 1, count, 0.5))
-        << TierName(GetParam()) << " count=" << count;
+  for (std::size_t offset : {1u, 3u}) {
+    for (std::size_t num_columns : {1u, 2u, 7u, 9u}) {
+      for (std::size_t count : {1u, 7u, 31u, 63u, 64u}) {
+        const MaskColumns cols(rng, num_columns, count, offset);
+        EXPECT_EQ(cols.Scalar(count, 0.9), cols.Dispatched(count, 0.9))
+            << TierName(GetParam()) << " offset=" << offset
+            << " columns=" << num_columns << " count=" << count;
+      }
+    }
   }
 }
 
