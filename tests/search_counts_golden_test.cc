@@ -27,7 +27,8 @@
 /// Golden counts for the mvp-tree search traversal: every case's four
 /// SearchStats totals plus a hash over its results' (id, distance bits) are
 /// COMMITTED under tests/testdata/search_counts/, and this suite recomputes
-/// them over the heap tree, the flat (v2) arena built from the same tree,
+/// them over the heap tree, the flat (v2) arena built from the same tree
+/// (range, k-NN, budgeted k-NN and the two farthest query forms),
 /// GeneralizedMvpTree at several v, the vp-tree (with every TreeStats
 /// field of both comparison trees), and the sharded index's shells (heap
 /// and flat shards), so shard-level pruning is pinned too.
@@ -191,31 +192,41 @@ std::vector<std::string> RunCases(
   return lines;
 }
 
-std::vector<std::string> ComputeLines(const Recipe& recipe) {
+/// Builds the recipe's heap tree and opens the flat (v2) arena serialized
+/// from it, and hands each to `fn(rep, tree)`: "heap", then "flat_v2".
+template <typename Fn>
+void ForEachRepresentation(const Recipe& recipe, Fn&& fn) {
   auto built = HeapTree::Build(recipe.data, L2(), recipe.options);
-  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
   const HeapTree heap = std::move(built).ValueOrDie();
-
-  std::function<std::vector<Neighbor>(const Vector&, std::size_t,
-                                      std::uint64_t, SearchStats*)>
-      approximate = [&](const Vector& q, std::size_t k, std::uint64_t b,
-                        SearchStats* s) {
-        return heap.KnnSearchApproximate(q, k, b, s);
-      };
-  std::vector<std::string> lines =
-      RunCases("heap", heap, recipe, &approximate);
+  fn("heap", heap);
 
   BinaryWriter stream;
-  EXPECT_TRUE(heap.Serialize(&stream, VectorCodec{}).ok());
+  ASSERT_TRUE(heap.Serialize(&stream, VectorCodec{}).ok());
   auto arena = snapshot::flat::BuildFlatArena(stream.buffer().data(),
                                               stream.buffer().size());
-  EXPECT_TRUE(arena.ok()) << arena.status().ToString();
+  ASSERT_TRUE(arena.ok()) << arena.status().ToString();
   const std::vector<std::uint8_t> bytes = std::move(arena).ValueOrDie();
   auto view = snapshot::flat::OpenTree(bytes.data(), bytes.size(), L2(),
                                        nullptr);
-  EXPECT_TRUE(view.ok()) << view.status().ToString();
-  const auto more = RunCases("flat_v2", view.value(), recipe, nullptr);
-  lines.insert(lines.end(), more.begin(), more.end());
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  fn("flat_v2", view.value());
+}
+
+std::vector<std::string> ComputeLines(const Recipe& recipe) {
+  std::vector<std::string> lines;
+  ForEachRepresentation(recipe, [&](const std::string& rep,
+                                    const HeapTree& tree) {
+    std::function<std::vector<Neighbor>(const Vector&, std::size_t,
+                                        std::uint64_t, SearchStats*)>
+        approximate = [&](const Vector& q, std::size_t k, std::uint64_t b,
+                          SearchStats* s) {
+          return tree.KnnSearchApproximate(q, k, b, s);
+        };
+    const auto more =
+        RunCases(rep, tree, recipe, rep == "heap" ? &approximate : nullptr);
+    lines.insert(lines.end(), more.begin(), more.end());
+  });
   return lines;
 }
 
@@ -362,6 +373,43 @@ TEST(SearchCountsGoldenTest, GeneralizedVantagePointsPerNode) {
     }
   }
   CheckGolden(recipe.name, lines);
+}
+
+/// The paper's §2 farthest query forms over the uniform and clustered
+/// recipes, on the heap tree and its flat (v2) arena: FarthestRangeSearch at
+/// three radii, the smallest of which returns nearly every point, and
+/// FarthestSearch at k = 1, 10 and 50.
+TEST(SearchCountsGoldenTest, FarthestQueries) {
+  std::vector<std::string> lines;
+  for (const auto& [recipe, radii] :
+       {std::pair{UniformRecipe(), std::vector<double>{0.5, 1.3, 1.7}},
+        std::pair{ClusteredRecipe(), std::vector<double>{0.2, 1.0, 1.6}}}) {
+    ForEachRepresentation(recipe, [&](const std::string& leg,
+                                      const HeapTree& tree) {
+      const std::string rep = leg + " " + recipe.name;
+      for (const double r : radii) {
+        CaseTotals t;
+        for (const Vector& q : recipe.queries) {
+          SearchStats s;
+          t.Add(tree.FarthestRangeSearch(q, r, &s), s);
+        }
+        std::ostringstream name;
+        name << "farthest_range(r=" << r << ")";
+        lines.push_back(t.Line(rep, name.str()));
+      }
+      for (const std::size_t k :
+           {std::size_t{1}, std::size_t{10}, std::size_t{50}}) {
+        CaseTotals t;
+        for (const Vector& q : recipe.queries) {
+          SearchStats s;
+          t.Add(tree.FarthestSearch(q, k, &s), s);
+        }
+        lines.push_back(
+            t.Line(rep, "farthest(k=" + std::to_string(k) + ")"));
+      }
+    });
+  }
+  CheckGolden("farthest", lines);
 }
 
 /// One line with every TreeStats field of a built tree.
