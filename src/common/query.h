@@ -7,7 +7,8 @@
 #include <vector>
 
 /// \file
-/// Result and instrumentation types, and the k-NN candidate-heap helpers,
+/// Result and instrumentation types, the two result orders, and the best-k
+/// candidate-heap helpers (nearest or farthest first),
 /// shared by every index structure.
 
 namespace mvp {
@@ -24,6 +25,12 @@ struct Neighbor {
 /// Deterministic result order: by distance, ties by id.
 inline bool NeighborLess(const Neighbor& a, const Neighbor& b) {
   if (a.distance != b.distance) return a.distance < b.distance;
+  return a.id < b.id;
+}
+
+/// Farthest-first result order: by decreasing distance, ties by id.
+inline bool NeighborFarther(const Neighbor& a, const Neighbor& b) {
+  if (a.distance != b.distance) return a.distance > b.distance;
   return a.id < b.id;
 }
 
@@ -46,22 +53,32 @@ inline void MergeSearchStats(SearchStats* out, const SearchStats& in) {
   out->leaf_points_filtered += in.leaf_points_filtered;
 }
 
-/// Current k-NN pruning radius: the k-th best distance so far, or infinity
-/// while the candidate heap is not yet full.
+/// The pruning radius of a best-k search whose candidates form a max-heap
+/// under `Order` — NeighborLess keeps the k nearest, NeighborFarther the k
+/// farthest — before it holds k of them: a distance no candidate fails,
+/// +infinity nearest-first and 0 farthest-first.
+template <auto Order>
+inline constexpr double kOpenTau = std::numeric_limits<double>::infinity();
+template <>
+inline constexpr double kOpenTau<NeighborFarther> = 0.0;
+
+/// Current pruning radius of that search: the k-th best distance so far, or
+/// kOpenTau while the heap holds fewer than k.
+template <auto Order = NeighborLess>
 inline double KnnTau(const std::vector<Neighbor>& heap, std::size_t k) {
-  return heap.size() < k ? std::numeric_limits<double>::infinity()
-                         : heap.front().distance;
+  return heap.size() < k ? kOpenTau<Order> : heap.front().distance;
 }
 
-/// Offers a candidate to the max-heap (under NeighborLess) of the best k.
+/// Offers a candidate to the max-heap (under `Order`) of the best k.
+template <auto Order = NeighborLess>
 inline void KnnOffer(std::vector<Neighbor>& heap, std::size_t k, Neighbor n) {
   if (heap.size() < k) {
     heap.push_back(n);
-    std::push_heap(heap.begin(), heap.end(), NeighborLess);
-  } else if (NeighborLess(n, heap.front())) {
-    std::pop_heap(heap.begin(), heap.end(), NeighborLess);
+    std::push_heap(heap.begin(), heap.end(), Order);
+  } else if (Order(n, heap.front())) {
+    std::pop_heap(heap.begin(), heap.end(), Order);
     heap.back() = n;
-    std::push_heap(heap.begin(), heap.end(), NeighborLess);
+    std::push_heap(heap.begin(), heap.end(), Order);
   }
 }
 

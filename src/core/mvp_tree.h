@@ -415,35 +415,38 @@ class MvpTree {
 
   /// All objects at distance >= `radius` from `query` ("objects that are
   /// farther than a given range from a query object can also be asked",
-  /// §2), sorted by decreasing distance. Uses the dual pruning rule: a
-  /// subtree is skipped when d(Q,vp) + shell_upper < radius proves every
-  /// point is too close.
+  /// §2), sorted by decreasing distance then id. The farthest-first
+  /// recursion of FarthestSearch with no k limit and tau floored at
+  /// `radius`: a leaf entry is evaluated only if d(Q,sv) + D(x,sv) reaches
+  /// the radius for every stored vantage point, and a child only if
+  /// d(Q,vp) + shell_upper does for both of its shells.
   std::vector<Neighbor> FarthestRangeSearch(const Object& query, double radius,
                                             SearchStats* stats = nullptr) const {
     std::vector<Neighbor> result;
     SearchStats local;
-    const auto nodes = Access();
-    if (const NodeRec* root = nodes.Root(); root != nullptr) {
-      std::vector<double> qpath;
-      FarthestRangeNode(nodes, root, query, radius, qpath, result, local);
-    }
-    std::sort(result.begin(), result.end(), FartherFirst);
+    Traversal(Access(), query, local)
+        .template Knn<Farthest>(std::numeric_limits<std::size_t>::max(),
+                                &result, {}, nullptr, radius);
+    std::erase_if(result, [radius](const Neighbor& n) {
+      return !(n.distance >= radius);
+    });
+    std::sort(result.begin(), result.end(), NeighborFarther);
     if (stats != nullptr) MergeSearchStats(stats, local);
     return result;
   }
 
   /// The k objects farthest from `query` (§2's "the farthest, or the k
-  /// farthest objects"), sorted by decreasing distance.
+  /// farthest objects"), sorted by decreasing distance then id, so ties at
+  /// the k-th distance keep the lowest ids. The k-NN recursion run in
+  /// reverse (core::Farthest): tau is the k-th farthest distance so far,
+  /// children are visited in decreasing order of their distance upper
+  /// bound, and leaf entries are filtered on D1/D2/PATH upper bounds.
   std::vector<Neighbor> FarthestSearch(const Object& query, std::size_t k,
                                        SearchStats* stats = nullptr) const {
-    std::vector<Neighbor> heap;  // min-heap on distance (worst of the best k)
+    std::vector<Neighbor> heap;
     SearchStats local;
-    const auto nodes = Access();
-    if (const NodeRec* root = nodes.Root(); root != nullptr && k > 0) {
-      std::vector<double> qpath;
-      FarthestKnnNode(nodes, root, query, k, qpath, heap, local);
-    }
-    std::sort(heap.begin(), heap.end(), FartherFirst);
+    Traversal(Access(), query, local).template Knn<Farthest>(k, &heap);
+    std::sort_heap(heap.begin(), heap.end(), NeighborFarther);
     if (stats != nullptr) MergeSearchStats(stats, local);
     return heap;
   }
@@ -490,20 +493,17 @@ class MvpTree {
   /// 2*(m^(2h) - 1)/(m^2 - 1) vantage points and m^(2(h-1))*k leaf points;
   /// tests validate these formulas against this accounting.
   TreeStats Stats() const {
-    TreeStats stats;
+    TreeStats stats = CollectStats(Access());
     stats.construction_distance_computations = construction_distances_;
-    const auto nodes = Access();
-    if (const NodeRec* root = nodes.Root(); root != nullptr) {
-      CollectStats(nodes, root, 1, stats);
-    }
     return stats;
   }
 
   /// Deep consistency check (O(n log n) distance computations): verifies
   /// that every point is stored exactly once; that every leaf's D1/D2 and
   /// PATH entries equal the actual distances to the leaf's own and ancestor
-  /// vantage points; and that every point's distance to each ancestor
-  /// vantage point lies inside its child's recorded shell. Returns
+  /// vantage points (within 1e-9, or NaN where the actual one is NaN); and
+  /// that every point's distance to each ancestor vantage point lies inside
+  /// its child's recorded shell. Returns
   /// Corruption naming the first violated invariant — useful after
   /// deserializing untrusted bytes or when developing custom metrics.
   Status ValidateInvariants() const {
@@ -867,6 +867,13 @@ class MvpTree {
     const std::size_t vp1 = nodes.Vp(node, 0);
     const std::size_t vp2 = has_vp2 ? nodes.Vp(node, 1) : 0;
     constexpr double kTol = 1e-9;
+    // A stored distance is the recomputed one within kTol (equal infinities
+    // included), or NaN where that is NaN too: a tree built over a vector
+    // with a NaN coordinate stores NaN on purpose.
+    const auto matches = [](double actual, double stored) {
+      return actual == stored || std::abs(actual - stored) <= kTol ||
+             (std::isnan(actual) && std::isnan(stored));
+    };
 
     if (nodes.IsLeaf(node)) {
       const SoaLeaf leaf = nodes.Leaf(node);
@@ -875,19 +882,18 @@ class MvpTree {
       for (std::size_t i = 0; i < leaf.size(); ++i) {
         MVP_RETURN_NOT_OK(mark(leaf.id(i)));
         const auto& obj = store_[leaf.id(i)];
-        if (std::abs(metric_(obj, store_[vp1]) - leaf.d1s[i]) > kTol) {
+        if (!matches(metric_(obj, store_[vp1]), leaf.d1s[i])) {
           return Status::Corruption("leaf D1 mismatches actual distance");
         }
-        if (has_vp2 &&
-            std::abs(metric_(obj, store_[vp2]) - leaf.d2s[i]) > kTol) {
+        if (has_vp2 && !matches(metric_(obj, store_[vp2]), leaf.d2s[i])) {
           return Status::Corruption("leaf D2 mismatches actual distance");
         }
         if (leaf.path_length != expect_path) {
           return Status::Corruption("leaf PATH length mismatch");
         }
         for (std::size_t j = 0; j < leaf.path_length; ++j) {
-          if (std::abs(metric_(obj, store_[ancestors[j]]) -
-                       leaf.slab[j * leaf.count + i]) > kTol) {
+          if (!matches(metric_(obj, store_[ancestors[j]]),
+                       leaf.slab[j * leaf.count + i])) {
             return Status::Corruption("leaf PATH distance mismatch");
           }
         }
@@ -946,173 +952,6 @@ class MvpTree {
       }
     }
     return Status::OK();
-  }
-
-  // ------------------------------------------------------ farthest search
-
-  static bool FartherFirst(const Neighbor& a, const Neighbor& b) {
-    if (a.distance != b.distance) return a.distance > b.distance;
-    return a.id < b.id;
-  }
-
-  /// Upper bound on d(Q, x) for leaf entry i from the stored distances:
-  /// d(Q,x) <= d(Q,sv) + d(x,sv) for every stored vantage point.
-  static double LeafUpperBound(const SoaLeaf& leaf, std::size_t i,
-                               bool has_vp2, double d1, double d2,
-                               const std::vector<double>& qpath) {
-    double ub = d1 + leaf.d1s[i];
-    if (has_vp2) ub = std::min(ub, d2 + leaf.d2s[i]);
-    for (std::size_t j = 0; j < leaf.Checks(qpath); ++j) {
-      ub = std::min(ub, qpath[j] + leaf.slab[j * leaf.count + i]);
-    }
-    return ub;
-  }
-
-  void FarthestRangeNode(const TreeNodes<MvpTree>& nodes, const NodeRec* node,
-                         const Object& query, double radius,
-                         std::vector<double>& qpath,
-                         std::vector<Neighbor>& result,
-                         SearchStats& stats) const {
-    ++stats.nodes_visited;
-    const std::size_t vp1_id = nodes.Vp(node, 0);
-    const double d1 = metric_(query, store_[vp1_id]);
-    ++stats.distance_computations;
-    if (d1 >= radius) result.push_back(Neighbor{vp1_id, d1});
-    const bool has_vp2 = nodes.VpCount(node) == 2;
-    double d2 = 0.0;
-    if (has_vp2) {
-      const std::size_t vp2_id = nodes.Vp(node, 1);
-      d2 = metric_(query, store_[vp2_id]);
-      ++stats.distance_computations;
-      if (d2 >= radius) result.push_back(Neighbor{vp2_id, d2});
-    }
-    if (nodes.IsLeaf(node)) {
-      const SoaLeaf leaf = nodes.Leaf(node);
-      for (std::size_t i = 0; i < leaf.size(); ++i) {
-        ++stats.leaf_points_seen;
-        if (LeafUpperBound(leaf, i, has_vp2, d1, d2, qpath) < radius) {
-          ++stats.leaf_points_filtered;
-          continue;
-        }
-        const double d = metric_(query, store_[leaf.id(i)]);
-        ++stats.distance_computations;
-        if (d >= radius) result.push_back(Neighbor{leaf.id(i), d});
-      }
-      return;
-    }
-    PathScope<double> path(qpath, PathDistances(), std::array{d1, d2});
-    const std::size_t m = Order();
-    const ShellBounds shells1 = nodes.Shells(node, 0);
-    const ShellBounds shells2 = nodes.Shells(node, 1);
-    for (std::size_t g = 0; g < m; ++g) {
-      // Max possible distance within shell g: d1 + upper1[g].
-      if (d1 + shells1.upper[g] < radius) continue;
-      for (std::size_t s = 0; s < m; ++s) {
-        const std::size_t c = g * m + s;
-        const NodeRec* child = nodes.Child(node, c);
-        if (child == nullptr) continue;
-        if (d2 + shells2.upper[c] < radius) continue;
-        FarthestRangeNode(nodes, child, query, radius, qpath, result, stats);
-      }
-    }
-  }
-
-  /// Current farthest-k pruning threshold: the k-th farthest so far.
-  static double FarTau(const std::vector<Neighbor>& heap, std::size_t k) {
-    return heap.size() < k ? 0.0 : heap.front().distance;
-  }
-
-  static void OfferFar(std::vector<Neighbor>& heap, std::size_t k,
-                       Neighbor n) {
-    // Heap maximum under FartherFirst = the closest (least good) of the
-    // kept k — the element evicted when something farther arrives. Mirrors
-    // KnnOffer, whose NeighborLess-heap keeps the farthest at the front.
-    if (heap.size() < k) {
-      heap.push_back(n);
-      std::push_heap(heap.begin(), heap.end(), FartherFirst);
-    } else if (FartherFirst(n, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), FartherFirst);
-      heap.back() = n;
-      std::push_heap(heap.begin(), heap.end(), FartherFirst);
-    }
-  }
-
-  void FarthestKnnNode(const TreeNodes<MvpTree>& nodes, const NodeRec* node,
-                       const Object& query, std::size_t k,
-                       std::vector<double>& qpath,
-                       std::vector<Neighbor>& heap,
-                       SearchStats& stats) const {
-    ++stats.nodes_visited;
-    const std::size_t vp1_id = nodes.Vp(node, 0);
-    const double d1 = metric_(query, store_[vp1_id]);
-    ++stats.distance_computations;
-    OfferFar(heap, k, Neighbor{vp1_id, d1});
-    const bool has_vp2 = nodes.VpCount(node) == 2;
-    double d2 = 0.0;
-    if (has_vp2) {
-      const std::size_t vp2_id = nodes.Vp(node, 1);
-      d2 = metric_(query, store_[vp2_id]);
-      ++stats.distance_computations;
-      OfferFar(heap, k, Neighbor{vp2_id, d2});
-    }
-    if (nodes.IsLeaf(node)) {
-      const SoaLeaf leaf = nodes.Leaf(node);
-      for (std::size_t i = 0; i < leaf.size(); ++i) {
-        ++stats.leaf_points_seen;
-        if (LeafUpperBound(leaf, i, has_vp2, d1, d2, qpath) <
-            FarTau(heap, k)) {
-          ++stats.leaf_points_filtered;
-          continue;
-        }
-        const double d = metric_(query, store_[leaf.id(i)]);
-        ++stats.distance_computations;
-        OfferFar(heap, k, Neighbor{leaf.id(i), d});
-      }
-      return;
-    }
-    PathScope<double> path(qpath, PathDistances(), std::array{d1, d2});
-    // Visit children in decreasing order of their distance upper bound.
-    struct Ranked {
-      double bound;
-      const NodeRec* child;
-    };
-    const std::size_t m = Order();
-    const ShellBounds shells1 = nodes.Shells(node, 0);
-    const ShellBounds shells2 = nodes.Shells(node, 1);
-    std::vector<Ranked> ranked;
-    ranked.reserve(m * m);
-    for (std::size_t g = 0; g < m; ++g) {
-      for (std::size_t s = 0; s < m; ++s) {
-        const std::size_t c = g * m + s;
-        const NodeRec* child = nodes.Child(node, c);
-        if (child == nullptr) continue;
-        ranked.push_back(Ranked{
-            std::min(d1 + shells1.upper[g], d2 + shells2.upper[c]), child});
-      }
-    }
-    std::sort(ranked.begin(), ranked.end(),
-              [](const Ranked& a, const Ranked& b) { return a.bound > b.bound; });
-    for (const Ranked& r : ranked) {
-      if (r.bound < FarTau(heap, k)) break;
-      FarthestKnnNode(nodes, r.child, query, k, qpath, heap, stats);
-    }
-  }
-
-  void CollectStats(const TreeNodes<MvpTree>& nodes, const NodeRec* node,
-                    std::size_t depth, TreeStats& stats) const {
-    stats.height = std::max(stats.height, depth);
-    stats.num_vantage_points += nodes.VpCount(node);
-    if (nodes.IsLeaf(node)) {
-      ++stats.num_leaf_nodes;
-      stats.num_leaf_points += nodes.Leaf(node).size();
-      return;
-    }
-    ++stats.num_internal_nodes;
-    for (std::size_t c = 0; c < Order() * Order(); ++c) {
-      if (const NodeRec* child = nodes.Child(node, c); child != nullptr) {
-        CollectStats(nodes, child, depth + 1, stats);
-      }
-    }
   }
 
   Store store_;

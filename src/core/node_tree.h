@@ -21,8 +21,8 @@
 /// leaves without one). A derived class only builds: it fills root_ with
 /// Nodes and each leaf through AddLeafEntry. Range and k-NN search run the
 /// one §4.3 traversal (core/search_shared.h) over the Nodes accessor below,
-/// and Stats walks the same nodes, so both trees prune, count and report
-/// exactly as the traversal defines.
+/// and Stats walks the same nodes (core::CollectStats), so both trees
+/// prune, count and report exactly as the traversal defines.
 ///
 /// An internal node keeps Levels() vantage points and, for each level l,
 /// the shell bounds of its m^(l+1) partition prefixes; its m^Levels()
@@ -70,9 +70,8 @@ class NodeTree {
   /// Structural statistics (node/vantage-point counts, height,
   /// construction cost in distance computations).
   TreeStats Stats() const {
-    TreeStats stats;
+    TreeStats stats = CollectStats(Nodes{this});
     stats.construction_distance_computations = construction_distances_;
-    if (root_ != nullptr) CollectStats(*root_, 1, stats);
     return stats;
   }
 
@@ -164,21 +163,6 @@ class NodeTree {
     const Metric& metric() const { return tree->metric_; }
     const Object& object(std::size_t id) const { return tree->objects_[id]; }
   };
-
-  void CollectStats(const Node& node, std::size_t depth,
-                    TreeStats& stats) const {
-    stats.height = std::max(stats.height, depth);
-    stats.num_vantage_points += node.vp_ids.size();
-    if (node.is_leaf) {
-      ++stats.num_leaf_nodes;
-      stats.num_leaf_points += node.bucket.size();
-      return;
-    }
-    ++stats.num_internal_nodes;
-    for (const auto& child : node.children) {
-      if (child != nullptr) CollectStats(*child, depth + 1, stats);
-    }
-  }
 
   std::vector<Object> objects_;
   std::size_t order_;

@@ -28,11 +28,21 @@
 /// its accessor: GeneralizedMvpTree (core/generalized_mvp_tree.h) keeps v
 /// vantage points per node instead of two, and the vp-tree
 /// (vptree/vp_tree.h) one per internal node and none in its bucket leaves.
-/// The range and k-NN recursions below run on an accessor. Everything that
-/// decides results and SearchStats lives here once — the order of metric
-/// calls, the counters, root priming, the exclusion rule, PATH bookkeeping,
-/// shell pruning, child ranking and leaf filtering — and
-/// tests/search_counts_golden_test.cc pins the counts.
+/// The range and best-k recursions below run on an accessor. Everything
+/// that decides results and SearchStats lives here once — the order of
+/// metric calls, the counters, root priming, the exclusion rule, PATH
+/// bookkeeping, shell pruning, child ranking and leaf filtering — and
+/// tests/search_counts_golden_test.cc pins the counts. Every tree's Stats()
+/// walks the same accessor too (CollectStats).
+///
+/// Query forms. Range is §4.3's fixed-radius recursion. Knn is the
+/// shrinking-radius branch-and-bound, compiled in one of two directions:
+/// Nearest gives the k nearest, and Farthest the k farthest of §2 and,
+/// with no k limit and tau floored at r, its "farther than a given range"
+/// (MvpTree::FarthestSearch, MvpTree::FarthestRangeSearch). The directions
+/// are the two triangle-inequality bounds on the same stored distances:
+/// Nearest ranks children and filters leaf entries on |d(q,v) - d(x,v)|,
+/// Farthest on d(q,v) + d(x,v).
 ///
 /// A node accessor is a cheap value with, for a node handle `NodeRef` (a
 /// pointer; null means "no node"):
@@ -64,8 +74,9 @@
 /// c = g*m + s: the paper's mvp-tree node.
 ///
 /// A leaf cursor has size(), id(i), the per-entry annulus test
-/// Passes(i, LeafQuery, r) used against k-NN's shrinking radius, and
-/// optionally a 64-wide range-mode mask Mask(base, n, LeafQuery, r) over
+/// Passes(i, LeafQuery, r) used against k-NN's shrinking radius, for the
+/// Farthest direction the upper-bound test Reaches(i, LeafQuery, tau)
+/// (core::SoaLeaf's), and optionally a 64-wide range-mode mask Mask(base, n, LeafQuery, r) over
 /// all of the leaf's columns at once (core::SoaLeaf's, one fused
 /// metric::kernels::AnnulusMask call); a cursor without one
 /// (core::NodeTree's) is masked entry by entry.
@@ -202,7 +213,97 @@ struct LeafQuery {
     }
     return true;
   }
+
+  /// The farthest-first test for one entry, from the same stored distances:
+  /// it may lie at tau or farther only if the query's distance to each of
+  /// those vantage points plus the entry's own reaches tau, since
+  /// d(q,x) <= d(q,v) + d(x,v).
+  template <std::size_t kColumns, typename Stored>
+  bool Reaches(const Stored& stored, const double* xpath, std::size_t stride,
+               std::size_t checks, double tau) const {
+    for (std::size_t l = 0; l < kColumns && l < vps; ++l) {
+      if (d[l] + stored(l) < tau) return false;
+    }
+    for (std::size_t j = 0; j < checks; ++j) {
+      if (qpath[j] + xpath[j * stride] < tau) return false;
+    }
+    return true;
+  }
 };
+
+/// The two directions of Traversal::Knn: the two bounds of one pivot
+/// filtering lemma, |d(q,v) - d(x,v)| <= d(q,x) <= d(q,v) + d(x,v) for any
+/// vantage point v. Nearest keeps the k nearest under NeighborLess and
+/// prunes on the lower bound; Farthest keeps the k farthest under
+/// NeighborFarther and prunes on the upper one. Before(a, b): distance a
+/// ranks strictly ahead of b. A child's bound starts at kLoose and Fold
+/// takes in one shell level [lo, hi] at the query's distance d to that
+/// level's vantage point. MayBeat: leaf entry i is not ruled out by tau.
+struct Nearest {
+  static constexpr auto kOrder = NeighborLess;
+  static constexpr double kLoose = 0.0;
+  static bool Before(double a, double b) { return a < b; }
+  static double Fold(double bound, double d, double lo, double hi) {
+    return std::max({bound, lo - d, d - hi});
+  }
+  template <typename Leaf>
+  static bool MayBeat(const Leaf& leaf, std::size_t i, const LeafQuery& q,
+                      double tau) {
+    return leaf.Passes(i, q, tau);
+  }
+};
+struct Farthest {
+  static constexpr auto kOrder = NeighborFarther;
+  static constexpr double kLoose = std::numeric_limits<double>::infinity();
+  static bool Before(double a, double b) { return a > b; }
+  static double Fold(double bound, double d, double /*lo*/, double hi) {
+    return std::min(bound, d + hi);
+  }
+  template <typename Leaf>
+  static bool MayBeat(const Leaf& leaf, std::size_t i, const LeafQuery& q,
+                      double tau) {
+    return leaf.Reaches(i, q, tau);
+  }
+};
+
+/// Child slots per internal node: m^Levels().
+template <typename Nodes>
+std::size_t Fanout(const Nodes& nodes) {
+  std::size_t fanout = 1;
+  for (std::size_t l = 0; l < nodes.Levels(); ++l) fanout *= nodes.Order();
+  return fanout;
+}
+
+template <typename Nodes, typename NodeRef>
+void CollectStats(const Nodes& nodes, NodeRef node, std::size_t depth,
+                  TreeStats& stats) {
+  stats.height = std::max(stats.height, depth);
+  stats.num_vantage_points += nodes.VpCount(node);
+  if (nodes.IsLeaf(node)) {
+    ++stats.num_leaf_nodes;
+    stats.num_leaf_points += nodes.Leaf(node).size();
+    return;
+  }
+  ++stats.num_internal_nodes;
+  const std::size_t slots = Fanout(nodes);
+  for (std::size_t c = 0; c < slots; ++c) {
+    if (const NodeRef child = nodes.Child(node, c); child != nullptr) {
+      CollectStats(nodes, child, depth + 1, stats);
+    }
+  }
+}
+
+/// The structural statistics of the tree behind a node accessor, all but
+/// the construction cost: node, vantage-point and leaf-entry counts, and
+/// the height in nodes.
+template <typename Nodes>
+TreeStats CollectStats(const Nodes& nodes) {
+  TreeStats stats;
+  if (const auto root = nodes.Root(); root != nullptr) {
+    CollectStats(nodes, root, 1, stats);
+  }
+  return stats;
+}
 
 /// Distance-evaluation policies of a Traversal. NoBudget compiles to
 /// nothing. DistanceBudget throws Exhausted at the first metric evaluation
@@ -256,19 +357,22 @@ class Traversal {
     RangeChildren(0, 1, radius, *out, prime != nullptr || gather_);
   }
 
-  /// Keeps the k nearest objects `exclude` does not name in `*heap`, a
-  /// max-heap under NeighborLess (pass it empty). Children are visited in
-  /// order of their distance lower bound over all vantage points. `bound`
-  /// caps the pruning radius at a k-th distance already known elsewhere
-  /// (another shard or level of the same answer): candidates strictly
-  /// farther cannot make that answer, so they may be skipped, and ties
-  /// survive. +infinity is the plain search.
+  /// Keeps the k best objects `exclude` does not name in `*heap`, a
+  /// max-heap under Dir::kOrder (pass it empty): the k nearest, or with
+  /// Farthest the k farthest. Children are visited best bound first, each
+  /// bound taken over all vantage points. `bound` tightens tau to a k-th
+  /// distance already known elsewhere (another shard or level of the same
+  /// answer): candidates strictly behind it cannot make that answer, so
+  /// they may be skipped, and ties survive. Nearest caps tau with it,
+  /// Farthest floors tau with it; kOpenTau, the default, is the plain
+  /// search.
+  template <typename Dir = Nearest>
   void Knn(std::size_t k, std::vector<Neighbor>* heap, Exclusion exclude = {},
            const RootPrime* prime = nullptr,
-           double bound = std::numeric_limits<double>::infinity()) {
+           double bound = kOpenTau<Dir::kOrder>) {
     bound_ = bound;
     if (const NodeRef root = nodes_.Root(); root != nullptr && k > 0) {
-      KnnNode(root, k, *heap, exclude, prime);
+      KnnNode<Dir>(root, k, *heap, exclude, prime);
     }
   }
 
@@ -503,53 +607,59 @@ class Traversal {
     }
   }
 
-  /// k-NN's pruning radius: the heap's k-th best, capped by bound_.
+  /// Best-k pruning radius: the heap's k-th best, tightened to bound_.
+  template <typename Dir>
   double Tau(const std::vector<Neighbor>& heap, std::size_t k) const {
-    return std::min(KnnTau(heap, k), bound_);
+    const double tau = KnnTau<Dir::kOrder>(heap, k);
+    return Dir::Before(bound_, tau) ? bound_ : tau;
   }
 
+  template <typename Dir>
   void KnnNode(NodeRef node, std::size_t k, std::vector<Neighbor>& heap,
                Exclusion exclude, const RootPrime* prime) {
     Distances d;
     const std::size_t vps =
         VantagePoints(node, prime, d, [&](std::size_t id, double dist) {
-          if (!exclude(id)) KnnOffer(heap, k, Neighbor{id, dist});
+          if (!exclude(id)) KnnOffer<Dir::kOrder>(heap, k, Neighbor{id, dist});
         });
     if (nodes_.IsLeaf(node)) {
-      // tau shrinks with every offer, so the filter stays per-entry: a
+      // tau moves with every offer, so the filter stays per-entry: a
       // chunk-wide mask would use a stale radius.
       const auto leaf = nodes_.Leaf(node);
       const LeafQuery q{d.data(), vps, qpath_};
       for (std::size_t i = 0; i < leaf.size(); ++i) {
         ++stats_.leaf_points_seen;
-        if (!leaf.Passes(i, q, Tau(heap, k)) || exclude(leaf.id(i))) {
+        if (!Dir::MayBeat(leaf, i, q, Tau<Dir>(heap, k)) ||
+            exclude(leaf.id(i))) {
           ++stats_.leaf_points_filtered;
           continue;
         }
         const std::size_t id = leaf.id(i);
-        KnnOffer(heap, k, Neighbor{id, Distance(id)});
+        KnnOffer<Dir::kOrder>(heap, k, Neighbor{id, Distance(id)});
       }
       return;
     }
-    // Children in increasing order of their lower bound; stop as soon as
-    // the bound exceeds the current k-th best.
+    // Children best bound first; stop as soon as tau ranks ahead of a
+    // bound.
     PathScope<double> path(qpath_, nodes_.PathDistances(), {d.data(), vps});
-    std::size_t fanout = 1;
-    for (std::size_t l = 0; l < nodes_.Levels(); ++l) fanout *= nodes_.Order();
     std::vector<Ranked> ranked;
-    ranked.reserve(fanout);
-    RankShells(node, d, 0, 0, 0.0, ranked);
+    ranked.reserve(Fanout(nodes_));
+    RankShells<Dir>(node, d, 0, 0, Dir::kLoose, ranked);
     std::sort(ranked.begin(), ranked.end(),
-              [](const Ranked& a, const Ranked& b) { return a.bound < b.bound; });
+              [](const Ranked& a, const Ranked& b) {
+                return Dir::Before(a.bound, b.bound);
+              });
     for (const Ranked& r : ranked) {
-      if (r.bound > Tau(heap, k)) break;
-      KnnNode(r.child, k, heap, exclude, nullptr);
+      if (Dir::Before(Tau<Dir>(heap, k), r.bound)) break;
+      KnnNode<Dir>(r.child, k, heap, exclude, nullptr);
     }
   }
 
   /// Appends the children below slot prefix `prefix` of shell level l in
-  /// slot order, each with its distance lower bound: the largest, over its
-  /// levels, of the query's distance from that level's shell.
+  /// slot order, each with its bound folded over its levels: Nearest's
+  /// lower bound, the largest distance from the query to a shell, or
+  /// Farthest's upper bound, the smallest d[l] + upper.
+  template <typename Dir>
   void RankShells(NodeRef node, const Distances& d, std::size_t l,
                   std::size_t prefix, double bound,
                   std::vector<Ranked>& ranked) {
@@ -563,9 +673,9 @@ class Traversal {
     const ShellBounds b = nodes_.Shells(node, l);
     for (std::size_t s = 0; s < m; ++s) {
       const std::size_t idx = prefix * m + s;
-      RankShells(node, d, l + 1, idx,
-                 std::max({bound, b.lower[idx] - d[l], d[l] - b.upper[idx]}),
-                 ranked);
+      RankShells<Dir>(node, d, l + 1, idx,
+                      Dir::Fold(bound, d[l], b.lower[idx], b.upper[idx]),
+                      ranked);
     }
   }
 

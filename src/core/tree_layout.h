@@ -181,10 +181,15 @@ struct SoaLeaf {
     return mask &
            metric::kernels::AnnulusMask(centers.data(), columns.data(), k, n, r);
   }
+  /// Entry i's distance to the leaf's vantage point l.
+  auto Stored(std::size_t i) const {
+    return [this, i](std::size_t l) { return l == 0 ? d1s[i] : d2s[i]; };
+  }
   bool Passes(std::size_t i, const LeafQuery& q, double r) const {
-    return q.Admits<2>(
-        [this, i](std::size_t l) { return l == 0 ? d1s[i] : d2s[i]; },
-        slab + i, count, Checks(q.qpath), r);
+    return q.Admits<2>(Stored(i), slab + i, count, Checks(q.qpath), r);
+  }
+  bool Reaches(std::size_t i, const LeafQuery& q, double tau) const {
+    return q.Reaches<2>(Stored(i), slab + i, count, Checks(q.qpath), tau);
   }
 };
 

@@ -74,16 +74,12 @@ class LinearScan {
     if (stats != nullptr) {
       stats->distance_computations += objects_.size();
     }
-    auto greater = [](const Neighbor& a, const Neighbor& b) {
-      if (a.distance != b.distance) return a.distance > b.distance;
-      return a.id < b.id;
-    };
     if (k < all.size()) {
       std::nth_element(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(k),
-                       all.end(), greater);
+                       all.end(), NeighborFarther);
       all.resize(k);
     }
-    std::sort(all.begin(), all.end(), greater);
+    std::sort(all.begin(), all.end(), NeighborFarther);
     return all;
   }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -436,6 +437,63 @@ TEST(MvpTreeTest, ValidationCatchesTamperedDistances) {
   // caught by the deep check.
   ASSERT_GT(tampered_but_loaded, 0);
   EXPECT_GT(caught, 0);
+}
+
+/// Serializes `tree`, overwrites the one stored copy of the double `value`
+/// in the stream with NaN, and deep-validates what Deserialize reads back.
+/// Fails the test if `value` is not in the stream exactly once.
+Status ValidateWithNanAt(const VecTree& tree, double value) {
+  BinaryWriter writer;
+  EXPECT_TRUE(tree.Serialize(&writer, VectorCodec()).ok());
+  auto bytes = writer.TakeBuffer();
+  std::uint8_t pattern[sizeof(double)];
+  std::memcpy(pattern, &value, sizeof(double));
+  std::vector<std::size_t> hits;
+  for (std::size_t pos = 0; pos + sizeof(double) <= bytes.size(); ++pos) {
+    if (std::memcmp(bytes.data() + pos, pattern, sizeof(double)) == 0) {
+      hits.push_back(pos);
+    }
+  }
+  EXPECT_EQ(hits.size(), 1u) << "value " << value << " not unique";
+  if (hits.size() != 1) return Status::OK();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::memcpy(bytes.data() + hits[0], &nan, sizeof(double));
+  BinaryReader reader(bytes);
+  auto loaded = VecTree::Deserialize(&reader, L2(), VectorCodec());
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  if (!loaded.ok()) return Status::OK();
+  return loaded.value().ValidateInvariants();
+}
+
+TEST(MvpTreeTest, ValidationRejectsNanStoredDistances) {
+  const auto data = dataset::UniformVectors(500, 5, 223);
+  const auto tree = MustBuild(data);
+  const TreeArrays& a = tree.arrays();
+  ASSERT_GT(a.entry_count, 0u);
+  ASSERT_GT(a.path_count, 0u);
+  EXPECT_EQ(ValidateWithNanAt(tree, a.d1[0]).code(), StatusCode::kCorruption);
+  EXPECT_EQ(ValidateWithNanAt(tree, a.d2[0]).code(), StatusCode::kCorruption);
+  // A PATH value may repeat as an ancestor's shell cutoff; take the last
+  // one the stream holds once.
+  std::size_t j = a.path_count;
+  while (j-- > 0) {
+    const double v = a.path[j];
+    if (std::count(a.path, a.path + a.path_count, v) == 1 &&
+        std::count(a.bounds, a.bounds + a.bounds_count, v) == 0) {
+      break;
+    }
+  }
+  ASSERT_LT(j, a.path_count);
+  EXPECT_EQ(ValidateWithNanAt(tree, a.path[j]).code(),
+            StatusCode::kCorruption);
+}
+
+TEST(MvpTreeTest, TreeOverNanCoordinateStillValidates) {
+  auto data = dataset::UniformVectors(500, 5, 227);
+  data[17][2] = std::numeric_limits<double>::quiet_NaN();
+  const auto tree = MustBuild(data);
+  EXPECT_TRUE(tree.ValidateInvariants().ok())
+      << tree.ValidateInvariants().ToString();
 }
 
 TEST(MvpTreeTest, DeterministicForFixedSeed) {

@@ -1091,6 +1091,10 @@ int RunSelfTest() {
                  {"point", "0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5"},
                  {"knn", "5"}};
   if (RunQuery(query) != 0) return 1;
+  Args farthest = query;
+  farthest.named.erase("knn");
+  farthest.named["farthest"] = "3";
+  if (RunQuery(farthest) != 0) return 1;
   // Snapshot round trip through the store.
   const std::string snap_dir = dir + "/mvpt_selftest_snap";
   Args snap_save;
