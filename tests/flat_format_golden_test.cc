@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -11,6 +12,7 @@
 #include "common/codec.h"
 #include "common/serialize.h"
 #include "dataset/vector_gen.h"
+#include "dynamic/dynamic_overlay.h"
 #include "metric/lp.h"
 #include "serve/sharded_index.h"
 #include "snapshot/flat_tree.h"
@@ -30,11 +32,13 @@
 /// manifests; flat id maps). golden_heap_round_robin, golden_flat_round_robin
 /// and golden_flat_v1 are FROZEN: written by earlier releases, which dealt
 /// objects out round-robin, they are never re-blessed and must keep opening
-/// and answering exactly.
+/// and answering exactly. golden_heap and golden_heap_compacted are frozen
+/// too: they hold the MVPT stream layout (index kind 1), which no current
+/// writer emits, so they pin that the layout keeps opening.
 ///
 /// Re-bless (after an INTENTIONAL format change):
 ///   MVPT_BLESS_GOLDEN=1 ./flat_format_golden_test
-/// then commit the rewritten tests/testdata/ contents.
+/// then commit the rewritten tests/testdata/ contents (only golden_flat).
 
 namespace mvp::snapshot {
 namespace {
@@ -119,10 +123,39 @@ void CheckGolden(const std::string& name,
   std::filesystem::remove_all(fresh);
 }
 
+/// golden_heap is FROZEN and never re-blessed. Each of its shard chunks is,
+/// byte for byte, the recipe's shard framed as the kind-1 writer framed it:
+/// u64 shard index, u64v global ids, then the shard tree's MVPT stream
+/// (MvpTree::Serialize, which forest deltas and `mvpt build` still write).
 TEST(FlatFormatGoldenTest, HeapSnapshotBytesStable) {
-  CheckGolden("golden_heap", [](SnapshotStore& store) {
-    return store.SaveSharded(GoldenIndex(), VectorCodec());
-  });
+  if (BlessMode()) GTEST_SKIP() << "frozen fixture is never re-blessed";
+  SnapshotStore store(GoldenDir("golden_heap"));
+  auto manifest = store.ReadManifest(1);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  EXPECT_EQ(manifest.value().index_kind, IndexKind::kShardedMvpIndex);
+  const auto container = MustRead(store.GenerationDir(1) + "/" +
+                                  SnapshotStore::kContainerFile);
+  EXPECT_EQ(ContainerFingerprint(container.data(), container.size()),
+            manifest.value().dataset_fingerprint);
+  auto parsed = ContainerReader::Parse(container.data(), container.size());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const Index index = GoldenIndex();
+  ASSERT_EQ(parsed.value().num_chunks(), index.num_shards());
+  for (std::size_t s = 0; s < index.num_shards(); ++s) {
+    EXPECT_EQ(parsed.value().chunk(s).kind,
+              static_cast<std::uint32_t>(ChunkKind::kShardTree));
+    BinaryWriter want;
+    want.Write<std::uint64_t>(s);
+    want.Write<std::uint64_t>(index.shard_global_ids(s).size());
+    for (const std::size_t id : index.shard_global_ids(s)) {
+      want.Write<std::uint64_t>(id);
+    }
+    ASSERT_TRUE(index.shard(s).Serialize(&want, VectorCodec()).ok());
+    const auto [payload, length] = parsed.value().chunk_payload(s);
+    EXPECT_EQ(std::vector<std::uint8_t>(payload, payload + length),
+              want.buffer())
+        << "shard " << s;
+  }
 }
 
 TEST(FlatFormatGoldenTest, FlatSnapshotBytesStable) {
@@ -187,6 +220,107 @@ void ExpectSameResults(const std::vector<Neighbor>& a,
     EXPECT_EQ(a[i].id, b[i].id);
     EXPECT_EQ(a[i].distance, b[i].distance);
   }
+}
+
+// ---- golden_heap_compacted ---------------------------------------------
+//
+// FROZEN, never re-blessed: written by a release whose compaction wrote the
+// MVPT stream layout, through a DynamicOverlay whose rebuild options are
+// GoldenIndex's. The recipe's 48 points were inserted in order (stable ids
+// 0..47), stable ids 5, 17 and 40 erased, then Compact() committed
+// generation 1 (two kShardTree chunks and a kStableIds chunk that is not the
+// identity) and a second Compact(), with nothing changed, committed
+// generation 2: two kShardTreeRef chunks naming generation 1's shard chunks,
+// plus the same kStableIds chunk. The WAL was not kept.
+
+constexpr std::size_t kCompactedErased[] = {5, 17, 40};
+
+/// The compacted fixture's live set, ascending by stable id.
+std::vector<std::uint64_t> CompactedStableIds() {
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t id = 0; id < 48; ++id) {
+    if (std::find(std::begin(kCompactedErased), std::end(kCompactedErased),
+                  id) == std::end(kCompactedErased)) {
+      ids.push_back(id);
+    }
+  }
+  return ids;
+}
+
+/// A rebuild of the compacted fixture's live set, dense id g standing for
+/// stable id CompactedStableIds()[g].
+Index CompactedRebuild() {
+  const auto data = GoldenData();
+  std::vector<Vector> live;
+  for (const std::uint64_t id : CompactedStableIds()) live.push_back(data[id]);
+  auto built = Index::Build(std::move(live), L2(), GoldenIndex().options());
+  EXPECT_TRUE(built.ok());
+  return std::move(built).ValueOrDie();
+}
+
+/// `hits` of the rebuild, with dense ids mapped to stable ids.
+std::vector<Neighbor> ToStable(std::vector<Neighbor> hits) {
+  const auto stable = CompactedStableIds();
+  for (Neighbor& hit : hits) hit.id = static_cast<std::size_t>(stable[hit.id]);
+  return hits;
+}
+
+TEST(FlatFormatGoldenTest, FrozenCompactedHeapFixtureMatchesRebuild) {
+  if (BlessMode()) GTEST_SKIP() << "frozen fixture is never re-blessed";
+  SnapshotStore store(GoldenDir("golden_heap_compacted"));
+  const Index rebuilt = CompactedRebuild();
+  for (const std::uint64_t gen : {1, 2}) {
+    auto loaded = store.LoadSharded<Vector>(L2(), VectorCodec(), nullptr, gen);
+    ASSERT_TRUE(loaded.ok()) << gen << ": " << loaded.status().ToString();
+    const auto& m = loaded.value().manifest;
+    EXPECT_EQ(m.index_kind, IndexKind::kShardedMvpIndex);
+    EXPECT_EQ(m.next_stable_id, 48u);
+    EXPECT_EQ(m.base_generation, gen == 2 ? 1u : 0u);
+    EXPECT_EQ(loaded.value().stable_ids, CompactedStableIds());
+    const auto container = MustRead(store.GenerationDir(gen) + "/" +
+                                    SnapshotStore::kContainerFile);
+    auto parsed = ContainerReader::Parse(container.data(), container.size());
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed.value()
+                  .ChunksOfKind(gen == 2 ? ChunkKind::kShardTreeRef
+                                         : ChunkKind::kShardTree)
+                  .size(),
+              2u);
+    const Index& index = loaded.value().index;
+    for (const auto& q : dataset::UniformQueryVectors(40, 4, 11)) {
+      SearchStats ls, rs;
+      const auto range = index.RangeSearch(q, 0.5, &ls);
+      ExpectSameSearch(range, rebuilt.RangeSearch(q, 0.5, &rs), ls, rs);
+      SearchStats lks, rks;
+      const auto knn = index.KnnSearch(q, 5, &lks);
+      ExpectSameSearch(knn, rebuilt.KnnSearch(q, 5, &rks), lks, rks);
+    }
+  }
+}
+
+TEST(FlatFormatGoldenTest, FrozenCompactedHeapFixtureServesThroughOverlay) {
+  if (BlessMode()) GTEST_SKIP() << "frozen fixture is never re-blessed";
+  using Overlay = dynamic::DynamicOverlay<Vector, L2, VectorCodec>;
+  const std::string dir = CopyFixtureStore(
+      GoldenDir("golden_heap_compacted"),
+      ::testing::TempDir() + "/golden_heap_compacted_overlay");
+  {
+    auto overlay = Overlay::Open(dir, L2(), VectorCodec());
+    ASSERT_TRUE(overlay.ok()) << overlay.status().ToString();
+    Overlay& o = *overlay.value();
+    EXPECT_EQ(o.generation(), 2u);
+    EXPECT_EQ(o.size(), 45u);
+    EXPECT_EQ(o.next_stable_id(), 48u);
+    const Index rebuilt = CompactedRebuild();
+    for (const auto& q : dataset::UniformQueryVectors(40, 4, 11)) {
+      ExpectSameResults(o.RangeSearch(q, 0.5),
+                        ToStable(rebuilt.RangeSearch(q, 0.5)));
+      ExpectSameResults(o.KnnSearch(q, 5), ToStable(rebuilt.KnnSearch(q, 5)));
+    }
+    EXPECT_EQ(o.Erase(17).code(), StatusCode::kNotFound);
+    EXPECT_TRUE(o.Erase(16).ok());
+  }
+  std::filesystem::remove_all(dir);
 }
 
 /// The frozen round-robin fixtures open through LoadSharded with no

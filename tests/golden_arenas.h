@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -13,8 +14,9 @@
 #include "snapshot/snapshot_store.h"
 
 /// \file
-/// Test helper shared by the snapshot suites: the flat shard arenas of a
-/// committed fixture store, such as tests/testdata/golden_flat_v1.
+/// Test helpers shared by the snapshot suites: the flat shard arenas of a
+/// committed fixture store, such as tests/testdata/golden_flat_v1, and a
+/// scratch copy of a fixture store for tests that damage or extend one.
 
 namespace mvp::snapshot {
 
@@ -43,6 +45,17 @@ inline std::vector<std::vector<std::uint8_t>> GoldenShardArenas(
     arenas[shard].assign(payload + sizeof(shard), payload + length);
   }
   return arenas;
+}
+
+/// Replaces `dest` with a copy of the fixture store `source` (every
+/// generation and CURRENT), so a test can write to it without touching the
+/// committed fixture. Returns `dest`.
+inline std::string CopyFixtureStore(const std::string& source,
+                                    const std::string& dest) {
+  std::filesystem::remove_all(dest);
+  std::filesystem::copy(source, dest,
+                        std::filesystem::copy_options::recursive);
+  return dest;
 }
 
 }  // namespace mvp::snapshot

@@ -35,22 +35,27 @@ using metric::L2;
 using metric::Vector;
 using Index = serve::ShardedMvpIndex<Vector, L2>;
 
+#ifndef MVPT_TESTDATA_DIR
+#error "snapshot_corruption_test requires the MVPT_TESTDATA_DIR definition"
+#endif
+
+/// A scratch copy of the frozen kind-1 fixture (tests/testdata/golden_heap)
+/// under `name`, so the sweeps below damage real MVPT-stream bytes.
+std::string GoldenHeapCopy(const std::string& name) {
+  return CopyFixtureStore(std::string(MVPT_TESTDATA_DIR) + "/golden_heap",
+                          ::testing::TempDir() + "/" + name);
+}
+
+/// The sweeps run over golden_heap: two kShardTree chunks, one per shard.
 class SnapshotCorruptionTest : public ::testing::Test {
  protected:
+  static constexpr std::size_t kChunks = 2;
+
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/snapcorrupt_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-
-    Index::Options options;
-    options.num_shards = 3;
-    options.tree.leaf_capacity = 6;
-    auto built =
-        Index::Build(dataset::UniformVectors(90, 5, 19), L2(), options);
-    ASSERT_TRUE(built.ok());
-
+    dir_ = GoldenHeapCopy(
+        std::string("snapcorrupt_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     SnapshotStore store(dir_);
-    ASSERT_TRUE(store.SaveSharded(built.value(), VectorCodec()).ok());
     gen_dir_ = store.GenerationDir(1);
     auto bytes = ReadFile(gen_dir_ + "/" + SnapshotStore::kContainerFile);
     ASSERT_TRUE(bytes.ok());
@@ -104,7 +109,7 @@ TEST_F(SnapshotCorruptionTest, EveryTruncationPrefixRejectedByStore) {
 }
 
 TEST_F(SnapshotCorruptionTest, EveryHeaderByteFlipRejected) {
-  const std::size_t header_bytes = ContainerHeaderBytes(3);
+  const std::size_t header_bytes = ContainerHeaderBytes(kChunks);
   ASSERT_LE(header_bytes, container_.size());
   for (std::size_t pos = 0; pos < header_bytes; ++pos) {
     for (const std::uint8_t mask : {std::uint8_t{0x01}, std::uint8_t{0x80}}) {
@@ -133,7 +138,7 @@ TEST_F(SnapshotCorruptionTest, PayloadFlipReportsFailingChunk) {
 }
 
 TEST_F(SnapshotCorruptionTest, EveryPayloadByteFlipSweepRejected) {
-  const std::size_t header_bytes = ContainerHeaderBytes(3);
+  const std::size_t header_bytes = ContainerHeaderBytes(kChunks);
   for (std::size_t pos = header_bytes; pos < container_.size(); pos += 11) {
     auto corrupted = container_;
     corrupted[pos] ^= 0xff;
@@ -225,7 +230,7 @@ TEST_F(SnapshotCorruptionTest, SwappedChunkOrderStillLoadsCorrectly) {
   auto parsed = ContainerReader::Parse(container_.data(), container_.size());
   ASSERT_TRUE(parsed.ok());
   ContainerWriter writer;
-  for (const std::size_t c : {2, 0, 1}) {
+  for (const std::size_t c : {1, 0}) {
     const auto [payload, length] = parsed.value().chunk_payload(c);
     writer.AddChunk(ChunkKind::kShardTree,
                     std::vector<std::uint8_t>(payload, payload + length));
@@ -248,7 +253,7 @@ TEST_F(SnapshotCorruptionTest, DuplicatedShardChunkRejected) {
   auto parsed = ContainerReader::Parse(container_.data(), container_.size());
   ASSERT_TRUE(parsed.ok());
   ContainerWriter writer;
-  for (const std::size_t c : {0, 1, 1}) {  // shard 2's chunk replaced by 1's
+  for (const std::size_t c : {0, 0}) {  // shard 1's chunk replaced by 0's
     const auto [payload, length] = parsed.value().chunk_payload(c);
     writer.AddChunk(ChunkKind::kShardTree,
                     std::vector<std::uint8_t>(payload, payload + length));
@@ -663,19 +668,16 @@ TEST_F(FlatSnapshotCorruptionTest, HeapSnapshotRejectedByFlatOpen) {
               opened.value().index.KnnSearch(q, 4, &os));
     EXPECT_EQ(ls.distance_computations, os.distance_computations);
   }
-  // ...and once a heap generation is current, OpenFlat refuses it as a
-  // generation of another kind, while LoadSharded deserializes it.
-  Index::Options options;
-  options.num_shards = 3;
-  options.tree.leaf_capacity = 6;
-  auto built = Index::Build(dataset::UniformVectors(90, 5, 19), L2(), options);
-  ASSERT_TRUE(built.ok());
-  ASSERT_TRUE(store.SaveSharded(built.value(), VectorCodec()).ok());
-  EXPECT_EQ(store.OpenFlat(L2()).status().code(),
+  // ...while of a heap generation (a copy of the frozen golden_heap),
+  // OpenFlat refuses it as a generation of another kind, and LoadSharded
+  // deserializes it.
+  SnapshotStore heap_store(GoldenHeapCopy("flatcorrupt_heap_generation"));
+  EXPECT_EQ(heap_store.OpenFlat(L2()).status().code(),
             StatusCode::kInvalidArgument);
-  auto heap = store.LoadSharded<Vector>(L2(), VectorCodec());
+  auto heap = heap_store.LoadSharded<Vector>(L2(), VectorCodec());
   ASSERT_TRUE(heap.ok()) << heap.status().ToString();
   EXPECT_EQ(heap.value().manifest.index_kind, IndexKind::kShardedMvpIndex);
+  std::filesystem::remove_all(heap_store.dir());
 }
 
 /// A serialized multi-level tree whose root, an internal node, has its
@@ -730,10 +732,6 @@ TEST_F(MissingSecondVantagePointTest, BuildFlatArenaRejects) {
                 .code(),
             StatusCode::kCorruption);
 }
-
-#ifndef MVPT_TESTDATA_DIR
-#error "snapshot_corruption_test requires the MVPT_TESTDATA_DIR definition"
-#endif
 
 /// Shard 0's arena in the frozen v1 fixture (tests/testdata/golden_flat_v1):
 /// no writer emits v1 any more, so v1 validation runs on these bytes. Its
