@@ -1,15 +1,14 @@
 // Extension: snapshot store. Measures the snapshot/ subsystem on the
 // paper's §5.1.A workload (uniform 20-d vectors, L2): save throughput of
-// the checksummed container, load (mmap + parallel shard deserialization,
-// all CRCs verified) versus rebuilding from raw vectors, and the
-// time-to-first-query a server pays cold (build) versus warm (snapshot) —
-// across shard counts. Every loaded index is checked to return results
-// bit-identical to the index that was saved.
+// the checksummed container of flat arenas, open (mmap + one fingerprint
+// pass + arena validation, no deserialization) versus rebuilding from raw
+// vectors, and the time-to-first-query a server pays cold (build) versus
+// warm (snapshot open) — across shard counts. Every opened index is
+// checked to return results bit-identical to the index that was saved.
 //
-// A second table compares the flat (mmap-native, zero-deserialization)
-// snapshot layout against heap deserialization: open time, time to first
-// query, and steady-state per-query latency — with results and distance
-// counts required to stay bit-identical between the two representations.
+// A second table compares steady-state per-query latency of the built
+// index and the one served off the mapping, with distance counts required
+// to stay identical between the two.
 
 #include <chrono>
 #include <cstdio>
@@ -53,9 +52,9 @@ int Run() {
   const std::size_t dim = 20;
   harness::PrintFigureHeader(
       std::cout, "Extension: snapshot store",
-      "checksummed snapshot save/load vs rebuild, and cold vs warm start",
+      "checksummed snapshot save/open vs rebuild, and cold vs warm start",
       std::to_string(n) + " uniform " + std::to_string(dim) +
-          "-d vectors, L2, CRC32C verified on every load" +
+          "-d vectors, L2, CRC32C verified on every open" +
           (QuickMode() ? "  (quick mode)" : ""));
 
   const auto data = dataset::UniformVectors(n, dim, 4242);
@@ -66,14 +65,11 @@ int Run() {
   serve::ThreadPool pool(4);
 
   harness::Table table({"shards", "file_mb", "save_ms", "save_mb_s",
-                        "load_ms", "rebuild_ms", "load_speedup",
+                        "open_ms", "rebuild_ms", "open_speedup",
                         "ttfq_cold_ms", "ttfq_warm_ms"});
-  harness::Table flat_table({"shards", "flat_mb", "fsave_ms", "fopen_ms",
-                             "ttfq_heap_ms", "ttfq_flat_ms", "ttfq_ratio",
-                             "q_heap_us", "q_flat_us"});
+  harness::Table steady_table({"shards", "q_built_us", "q_opened_us"});
   bool all_match = true;
-  bool flat_match = true;
-  double worst_ttfq_ratio = 0.0;
+  double worst_speedup = 0.0;
 
   for (const std::size_t shards :
        {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
@@ -102,32 +98,31 @@ int Run() {
         snapshot::SnapshotStore::kContainerFile);
     const double mb = static_cast<double>(container_bytes) / (1024.0 * 1024.0);
 
-    // Warm start: mmap + parallel deserialization + CRC verification.
-    // Cold-start costs are single-digit milliseconds, which scheduler
-    // noise on a shared machine can double — so take the best of a few
-    // full repetitions (each one re-does ALL the load work from disk;
-    // both representations get the identical treatment below).
+    // Warm start: mmap + fingerprint pass + arena validation. Cold-start
+    // costs are single-digit milliseconds, which scheduler noise on a
+    // shared machine can double — so take the best of a few full
+    // repetitions (each one re-does ALL the open work from disk).
     constexpr int kColdReps = 3;
-    double load_ms = 0.0;
+    double open_ms = 0.0;
     double warm_query_ms = 0.0;
-    std::optional<snapshot::LoadedSharded<Vector, L2>> loaded;
+    std::optional<snapshot::LoadedSharded<Vector, L2>> opened;
     std::vector<Neighbor> warm_hits;
     for (int rep = 0; rep < kColdReps; ++rep) {
-      const auto load_t0 = Clock::now();
+      const auto open_t0 = Clock::now();
       auto attempt = store.LoadSharded<Vector>(L2(), VectorCodec(), &pool);
-      const double l = MillisSince(load_t0);
+      const double o = MillisSince(open_t0);
       if (!attempt.ok()) {
-        std::fprintf(stderr, "load failed: %s\n",
+        std::fprintf(stderr, "open failed: %s\n",
                      attempt.status().ToString().c_str());
         return 1;
       }
       const auto warm_q0 = Clock::now();
       auto hits = attempt.value().index.RangeSearch(query, radius);
       const double q = MillisSince(warm_q0);
-      if (rep == 0 || l + q < load_ms + warm_query_ms) {
-        load_ms = l;
+      if (rep == 0 || o + q < open_ms + warm_query_ms) {
+        open_ms = o;
         warm_query_ms = q;
-        loaded = std::move(attempt).ValueOrDie();
+        opened = std::move(attempt).ValueOrDie();
         warm_hits = std::move(hits);
       }
     }
@@ -140,122 +135,54 @@ int Run() {
     const double rebuild_ms = MillisSince(rebuild_t0);
     (void)rebuilt;  // built only to time the from-scratch baseline
 
-    if (warm_hits.size() != cold_hits.size()) all_match = false;
-    for (std::size_t i = 0; i < warm_hits.size() && all_match; ++i) {
-      if (warm_hits[i].id != cold_hits[i].id ||
-          warm_hits[i].distance != cold_hits[i].distance) {
-        all_match = false;
-      }
+    if (warm_hits != cold_hits) all_match = false;
+    const double speedup = rebuild_ms / open_ms;
+    if (worst_speedup == 0.0 || speedup < worst_speedup) {
+      worst_speedup = speedup;
     }
-
     table.AddRow({std::to_string(shards), harness::FormatDouble(mb, 1),
                   harness::FormatDouble(save_ms, 1),
                   harness::FormatDouble(mb / (save_ms / 1000.0), 0),
-                  harness::FormatDouble(load_ms, 1),
+                  harness::FormatDouble(open_ms, 2),
                   harness::FormatDouble(rebuild_ms, 1),
-                  harness::FormatDouble(rebuild_ms / load_ms, 1),
+                  harness::FormatDouble(speedup, 1),
                   harness::FormatDouble(build_ms + cold_query_ms, 1),
-                  harness::FormatDouble(load_ms + warm_query_ms, 1)});
+                  harness::FormatDouble(open_ms + warm_query_ms, 2)});
 
-    // Flat layout: save the arena form into its own store, open it with
-    // zero deserialization, compare cold-start and steady-state cost
-    // against the heap load above.
-    const std::string flat_dir = dir + "_flat";
-    std::filesystem::remove_all(flat_dir);
-    snapshot::SnapshotStore flat_store(flat_dir);
-    const auto fsave_t0 = Clock::now();
-    const auto flat_gen = flat_store.SaveFlat(built).ValueOrDie();
-    const double fsave_ms = MillisSince(fsave_t0);
-    const auto flat_bytes = std::filesystem::file_size(
-        flat_store.GenerationDir(flat_gen) + "/" +
-        snapshot::SnapshotStore::kContainerFile);
-    const double flat_mb = static_cast<double>(flat_bytes) / (1024.0 * 1024.0);
-
-    double fopen_ms = 0.0;
-    double flat_query_ms = 0.0;
-    std::optional<snapshot::LoadedSharded<Vector, L2>> flat;
-    std::vector<Neighbor> flat_hits;
-    for (int rep = 0; rep < kColdReps; ++rep) {
-      const auto fopen_t0 = Clock::now();
-      auto attempt = flat_store.OpenFlat(L2(), &pool);
-      const double o = MillisSince(fopen_t0);
-      if (!attempt.ok()) {
-        std::fprintf(stderr, "flat open failed: %s\n",
-                     attempt.status().ToString().c_str());
-        return 1;
+    // Steady state: replay the batch on both indexes serially and keep the
+    // distance-count equivalence honest while timing.
+    auto replay_ms = [&](const Sharded& index, std::uint64_t* distances) {
+      const auto t0 = Clock::now();
+      for (const auto& q : steady_queries) {
+        SearchStats stats;
+        // Results unused: only the timing and the distance count matter.
+        (void)index.RangeSearch(q, radius, &stats);
+        *distances += stats.distance_computations;
       }
-      const auto flat_q0 = Clock::now();
-      auto hits = attempt.value().index.RangeSearch(query, radius);
-      const double q = MillisSince(flat_q0);
-      if (rep == 0 || o + q < fopen_ms + flat_query_ms) {
-        fopen_ms = o;
-        flat_query_ms = q;
-        flat = std::move(attempt).ValueOrDie();
-        flat_hits = std::move(hits);
-      }
-    }
-    if (flat_hits.size() != warm_hits.size()) flat_match = false;
-    for (std::size_t i = 0; i < flat_hits.size() && flat_match; ++i) {
-      if (flat_hits[i].id != warm_hits[i].id ||
-          flat_hits[i].distance != warm_hits[i].distance) {
-        flat_match = false;
-      }
-    }
-
-    // Steady state: replay the batch on both representations serially and
-    // keep the distance-count equivalence honest while timing.
-    const auto heap_batch_t0 = Clock::now();
-    std::uint64_t heap_distances = 0;
-    for (const auto& q : steady_queries) {
-      SearchStats stats;
-      // Results unused: only the timing and the distance count matter here.
-      (void)loaded.value().index.RangeSearch(q, radius, &stats);
-      heap_distances += stats.distance_computations;
-    }
-    const double heap_batch_ms = MillisSince(heap_batch_t0);
-    const auto flat_batch_t0 = Clock::now();
-    std::uint64_t flat_distances = 0;
-    for (const auto& q : steady_queries) {
-      SearchStats stats;
-      // Results unused: only the timing and the distance count matter here.
-      (void)flat.value().index.RangeSearch(q, radius, &stats);
-      flat_distances += stats.distance_computations;
-    }
-    const double flat_batch_ms = MillisSince(flat_batch_t0);
-    if (heap_distances != flat_distances) flat_match = false;
-
-    const double ttfq_heap = load_ms + warm_query_ms;
-    const double ttfq_flat = fopen_ms + flat_query_ms;
-    const double ratio = ttfq_heap / ttfq_flat;
-    if (worst_ttfq_ratio == 0.0 || ratio < worst_ttfq_ratio) {
-      worst_ttfq_ratio = ratio;
-    }
+      return MillisSince(t0);
+    };
+    std::uint64_t built_distances = 0, opened_distances = 0;
+    const double built_ms = replay_ms(built, &built_distances);
+    const double opened_ms = replay_ms(opened->index, &opened_distances);
+    if (built_distances != opened_distances) all_match = false;
     const double per_query_us =
         1000.0 / static_cast<double>(steady_queries.size());
-    flat_table.AddRow(
-        {std::to_string(shards), harness::FormatDouble(flat_mb, 1),
-         harness::FormatDouble(fsave_ms, 1),
-         harness::FormatDouble(fopen_ms, 2),
-         harness::FormatDouble(ttfq_heap, 1),
-         harness::FormatDouble(ttfq_flat, 2),
-         harness::FormatDouble(ratio, 1),
-         harness::FormatDouble(heap_batch_ms * per_query_us, 0),
-         harness::FormatDouble(flat_batch_ms * per_query_us, 0)});
-    std::filesystem::remove_all(flat_dir);
+    steady_table.AddRow({std::to_string(shards),
+                         harness::FormatDouble(built_ms * per_query_us, 0),
+                         harness::FormatDouble(opened_ms * per_query_us, 0)});
     std::filesystem::remove_all(dir);
   }
 
   std::cout << table.ToText();
-  std::printf("loaded results bit-identical to the saved index: %s\n",
+  std::cout << steady_table.ToText();
+  std::printf("opened results and distance counts bit-identical to the "
+              "saved index: %s\n",
               all_match ? "yes" : "NO (BUG)");
-  std::cout << flat_table.ToText();
-  std::printf("flat results and distance counts bit-identical to heap: %s\n",
-              flat_match ? "yes" : "NO (BUG)");
-  std::printf("flat cold-start advantage (min over shard counts): %.1fx "
-              "lower time to first query than heap deserialization\n",
-              worst_ttfq_ratio);
+  std::printf("warm-start advantage (min over shard counts): %.1fx faster "
+              "open than a rebuild\n",
+              worst_speedup);
   std::filesystem::remove_all(BenchDir());
-  return all_match && flat_match ? 0 : 1;
+  return all_match ? 0 : 1;
 }
 
 }  // namespace

@@ -319,6 +319,9 @@ void EmitSnapshotSeeds(const fs::path& dir,
     manifest.index_kind = mvp::snapshot::IndexKind::kShardedMvpIndex;
     manifest.partition = mvp::ShardPartition{1, 5, {{0.0, 0.4}, {0.4, 1.3}}};
     WriteSeed(dir / "manifest_v4.bin", 0, manifest.Serialize());
+    // A compaction's flat generation: lineage fields on kind 3.
+    manifest.index_kind = mvp::snapshot::IndexKind::kFlatShardedMvpIndex;
+    WriteSeed(dir / "manifest_v5.bin", 0, manifest.Serialize());
   }
   {
     mvp::snapshot::ContainerWriter writer;

@@ -35,7 +35,9 @@
 /// A DynamicOverlay serves the union of two structures:
 ///
 ///   - the BASE: the snapshot store's committed full generation — a
-///     ShardedMvpIndex, heap or flat/mmap-served, completely immutable;
+///     ShardedMvpIndex served straight off its mapped flat arenas (or
+///     deserialized, for a generation an earlier release wrote as MVPT
+///     streams), completely immutable;
 ///   - the MEMTABLE: an MvpForest (dynamic/mvp_forest.h, the Bentley-Saxe
 ///     structure) absorbing every insert since the base was written, plus a
 ///     tombstone set naming the base objects erased since then.
@@ -85,6 +87,10 @@ namespace mvp::dynamic {
 template <typename Object, metric::MetricFor<Object> Metric,
           CodecFor<Object> Codec>
 class DynamicOverlay {
+  // Generations are written as flat arenas, which hold vector rows.
+  static_assert(std::is_same_v<Object, metric::Vector>,
+                "DynamicOverlay serves dense vector collections");
+
  public:
   using Memtable = MvpForest<Object, Metric>;
   using BaseIndex = serve::ShardedMvpIndex<Object, Metric>;
@@ -198,19 +204,8 @@ class DynamicOverlay {
   std::vector<Neighbor> RangeSearch(const Object& query, double radius,
                                     SearchStats* stats = nullptr) const
       MVP_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
     std::vector<Neighbor> result;
-    if (base_.has_value()) {
-      for (const Neighbor& hit : base_->RangeSearch(query, radius, stats)) {
-        if (base_erased_[hit.id]) continue;
-        result.push_back(Neighbor{
-            static_cast<std::size_t>(BaseStableLocked(hit.id)), hit.distance});
-      }
-    }
-    for (const Neighbor& hit : memtable_.RangeSearch(query, radius, stats)) {
-      result.push_back(Neighbor{
-          static_cast<std::size_t>(memtable_offset_) + hit.id, hit.distance});
-    }
+    RangeSearchInto(query, radius, &result, stats);
     std::sort(result.begin(), result.end(), NeighborLess);
     return result;
   }
@@ -306,11 +301,9 @@ class DynamicOverlay {
     return (base_.has_value() ? base_->size() : 0) - tombstone_count_ +
            memtable_.size();
   }
-  /// The dimension of a vector collection's rows (AdmitsLocked's rule); 0
-  /// until it holds a vector.
-  std::size_t dim() const MVP_EXCLUDES(mu_)
-    requires std::is_same_v<Object, metric::Vector>
-  {
+  /// The dimension of the collection's rows (AdmitsLocked's rule); 0 until
+  /// it holds a vector.
+  std::size_t dim() const MVP_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     return dim_;
   }
@@ -436,9 +429,6 @@ class DynamicOverlay {
   std::string wal_path() const { return dir_ + "/" + wal::kWalFileName; }
 
  private:
-  /// Vector collections keep one dimension (AdmitsLocked).
-  static constexpr bool kVectors = std::is_same_v<Object, metric::Vector>;
-
   DynamicOverlay(std::string dir, Metric metric, Codec codec,
                  Options options)
       : dir_(std::move(dir)),
@@ -564,12 +554,12 @@ class DynamicOverlay {
     auto built =
         BaseIndex::Build(std::move(objects), metric_, options_.rebuild, pool);
     if (!built.ok()) return built.status();
-    // Offer the outgoing base for chunk reuse: shards whose serialized
-    // bytes are unchanged (zero churn in that shard) are written as ~36-byte
-    // refs into the old container instead of full rewrites.
+    // Offer the outgoing base for chunk reuse: shards whose arena bytes are
+    // unchanged (zero churn in that shard) are written as 28-byte refs
+    // into the old container instead of full rewrites.
     std::uint64_t reused = 0;
     auto gen = store_.SaveCompacted(built.value(), stable_ids, next_seq_,
-                                    next_stable_id_, codec_, base_generation_,
+                                    next_stable_id_, base_generation_,
                                     &reused);
     if (!gen.ok()) return gen.status();
     stats_.compaction_reused_chunks += reused;
@@ -652,48 +642,43 @@ class DynamicOverlay {
     return Status::OK();
   }
 
-  /// Vector collections hold one dimension: a vector mvp-tree stores
+  /// The collection holds one dimension: a vector mvp-tree stores
   /// fixed-width rows, and its Build refuses a mix, which a memtable merge
   /// or a compaction could not survive. True when `object` may join the
-  /// collection: any object that is not a vector; a vector of dim_; or,
-  /// while dim_ is unset, a vector of any dimension a tree can hold. A
-  /// `fresh` vector (Insert's) must also have no NaN coordinate, whose NaN
-  /// distances no search can order. A logged one (WAL replay, a shipped
-  /// leader record) is held to the dimension alone, so logs that builds
-  /// without the NaN rule wrote replay as they always did.
+  /// collection: a vector of dim_, or, while dim_ is unset, a vector of any
+  /// dimension a tree can hold. A `fresh` vector (Insert's) must also have
+  /// no NaN coordinate, whose NaN distances no search can order. A logged
+  /// one (WAL replay, a shipped leader record) is held to the dimension
+  /// alone, so logs that builds without the NaN rule wrote replay as they
+  /// always did.
   bool AdmitsLocked(const Object& object, bool fresh) const
       MVP_REQUIRES(mu_) {
-    if constexpr (kVectors) {
-      if (fresh && std::any_of(object.begin(), object.end(),
-                               [](double x) { return std::isnan(x); })) {
-        return false;
-      }
-      return dim_ == 0 ? core::ObjectStore<metric::Vector>::ValidDim(
-                             object.size())
-                       : object.size() == dim_;
+    if (fresh && std::any_of(object.begin(), object.end(),
+                             [](double x) { return std::isnan(x); })) {
+      return false;
     }
-    return true;
+    return dim_ == 0
+               ? core::ObjectStore<metric::Vector>::ValidDim(object.size())
+               : object.size() == dim_;
   }
 
   /// Inserts an admitted object into the memtable, fixing dim_ with the
   /// first vector; returns its forest id.
   std::size_t InsertLocked(Object object) MVP_REQUIRES(mu_) {
-    if constexpr (kVectors) dim_ = object.size();
+    dim_ = object.size();
     return memtable_.Insert(std::move(object));
   }
 
   /// Sets dim_ from the vectors a loaded generation holds: the base's rows,
   /// else the memtable's live objects; 0 when it holds none.
   void LoadDimLocked() MVP_REQUIRES(mu_) {
-    if constexpr (kVectors) {
-      std::size_t dim = base_.has_value() ? base_->dim() : 0;
-      if (dim == 0) {
-        memtable_.ForEachLive([&dim](std::size_t, const auto& object) {
-          dim = object.size();
-        });
-      }
-      dim_ = dim;
+    std::size_t dim = base_.has_value() ? base_->dim() : 0;
+    if (dim == 0) {
+      memtable_.ForEachLive([&dim](std::size_t, const auto& object) {
+        dim = object.size();
+      });
     }
+    dim_ = dim;
   }
 
   /// Re-applies one WAL record during Open.
@@ -707,6 +692,9 @@ class DynamicOverlay {
     MutexLock lock(&mu_);
     std::uint64_t last_applied = 0;
     auto current = store_.CurrentGeneration();
+    if (!current.ok() && current.status().code() != StatusCode::kNotFound) {
+      return current.status();
+    }
     if (current.ok()) {
       auto manifest = store_.ReadManifest(current.value());
       if (!manifest.ok()) return manifest.status();
@@ -804,7 +792,7 @@ class DynamicOverlay {
   std::uint64_t checkpoint_seq_ MVP_GUARDED_BY(mu_) = 0;
   Stats stats_ MVP_GUARDED_BY(mu_);
   /// The dimension every vector in the collection shares; 0 until the
-  /// first vector is stored, and for other object types.
+  /// first vector is stored.
   std::size_t dim_ MVP_GUARDED_BY(mu_) = 0;
 };
 

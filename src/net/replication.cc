@@ -164,6 +164,11 @@ Result<std::uint64_t> PullGeneration(Client& client,
                                      const ReplicationOptions& options) {
   auto remote = client.CurrentGeneration(collection);
   if (!remote.ok()) return remote.status();
+  // No commit writes generation 0; following a leader that reports it would
+  // commit a CURRENT naming no generation.
+  if (remote.value() == 0) {
+    return Status::Corruption("leader reports generation 0");
+  }
   snapshot::SnapshotStore store(dest_dir);
 
   auto local = store.CurrentGeneration();

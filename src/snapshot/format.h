@@ -16,8 +16,9 @@
 /// The snapshot container: a chunked, checksummed framing around the
 /// BinaryWriter index codecs (docs/index_format.md documents the layout).
 ///
-/// A container holds N independent chunks — one per shard tree, or one
-/// whole forest stream. Every chunk carries its own CRC32C, and the header
+/// A container holds N independent chunks — per shard an arena (or an
+/// earlier release's tree stream) and its id map, or a delta's forest
+/// stream and id sets. Every chunk carries its own CRC32C, and the header
 /// (magic, version, flags, chunk table) carries one too, so truncation and
 /// bit-rot anywhere in the file surface as Status::Corruption naming the
 /// failing chunk, never as a crash or a silently wrong index. Chunk
@@ -32,7 +33,9 @@ inline constexpr std::uint32_t kContainerVersion = 1;
 
 /// What a chunk's payload contains.
 enum class ChunkKind : std::uint32_t {
-  kShardTree = 1,  ///< u64 shard index, u64v global ids, mvp-tree stream
+  /// u64 shard index, u64v global ids, mvp-tree stream. Written only by
+  /// earlier releases (index kind 1); read forever.
+  kShardTree = 1,
   kForest = 2,     ///< one MvpForest stream
   kFlatShard = 3,  ///< u64 shard index, then one flat mvp-tree arena
                    ///< (snapshot/flat_tree.h), searched in place
@@ -44,13 +47,14 @@ enum class ChunkKind : std::uint32_t {
   /// generation's tombstone set).
   kTombstones = 5,
   /// A by-reference shard chunk: `[u64 target generation][u64 target chunk
-  /// index][u64 payload length][u32 crc32c]`. Stands for the physical
-  /// kShardTree chunk it names in an earlier generation's container —
-  /// written by compaction when a shard's serialized bytes are identical
-  /// to the base's, so unchanged shards cost ~36 bytes instead of a full
-  /// rewrite. Refs always name a PHYSICAL chunk (never another ref); the
-  /// referenced generation is pinned by the manifest's base_generation
-  /// lineage, which PruneStaleGenerations preserves.
+  /// index][u64 payload length][u32 crc32c]`. Stands for the physical shard
+  /// chunk of its own generation's layout (kFlatShard, or kShardTree in a
+  /// generation an earlier release wrote) that it names in an earlier
+  /// generation's container — written by compaction when a shard's arena
+  /// is identical to the base's, so unchanged shards cost 28 bytes instead
+  /// of a full rewrite. Refs always name a PHYSICAL chunk (never another
+  /// ref); the referenced generation is pinned by the manifest's
+  /// base_generation lineage, which PruneStaleGenerations preserves.
   kShardTreeRef = 6,
   /// u64 shard index, u64v global ids (ascending): a flat shard's
   /// local-id -> global-id map. A flat generation without these chunks is

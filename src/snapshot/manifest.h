@@ -44,6 +44,14 @@ inline constexpr std::uint32_t kManifestVersionEpoch = 3;
 /// generation with NotSupported instead. Unpartitioned generations keep
 /// their v1–v3 bytes.
 inline constexpr std::uint32_t kManifestVersionPartition = 4;
+/// Version 5 marks a flat generation that carries lineage fields — a
+/// compaction's, whose kStableIds chunk maps dense ids to stable ids. A
+/// binary from before compaction wrote arenas would open it, ignore that
+/// chunk and serve dense ids as stable ids, so it must reject the
+/// generation with NotSupported instead. The layout is v4's, except that
+/// the partition block is preceded by a u8 flag (1 = present, 0 = absent).
+/// Every other manifest keeps its v1–v4 bytes.
+inline constexpr std::uint32_t kManifestVersionFlatLineage = 5;
 
 /// Index kinds a snapshot can hold.
 enum class IndexKind : std::uint8_t {
@@ -126,8 +134,8 @@ struct SnapshotManifest {
   /// deposed leader's writes cannot reach it (docs/network_serving.md).
   std::uint64_t leader_epoch = 0;
 
-  /// The shard partition of a partitioned sharded generation (version 4);
-  /// absent for round-robin, single-shard and delta generations.
+  /// The shard partition of a partitioned sharded generation (version 4
+  /// or 5); absent for round-robin, single-shard and delta generations.
   std::optional<ShardPartition> partition;
 
   /// True when this manifest must carry the lineage fields, i.e. must be
@@ -144,6 +152,9 @@ struct SnapshotManifest {
 
   /// The version Serialize writes: the lowest that holds every field set.
   std::uint32_t version() const {
+    if (index_kind == IndexKind::kFlatShardedMvpIndex && needs_lineage()) {
+      return kManifestVersionFlatLineage;
+    }
     if (partition.has_value()) return kManifestVersionPartition;
     if (needs_epoch()) return kManifestVersionEpoch;
     return needs_lineage() ? kManifestVersionLineage : kManifestVersion;
@@ -173,13 +184,16 @@ struct SnapshotManifest {
     if (v >= kManifestVersionEpoch) {
       writer.Write<std::uint64_t>(leader_epoch);
     }
+    if (v >= kManifestVersionFlatLineage) {
+      writer.Write<std::uint8_t>(partition.has_value() ? 1 : 0);
+    }
     if (partition.has_value()) WritePartition(*partition, &writer);
     writer.Write<std::uint32_t>(
         Crc32c(writer.buffer().data(), writer.buffer().size()));
     return std::move(writer).TakeBuffer();
   }
 
-  /// The version-4 fields.
+  /// The version-4 fields (version 5's when its flag is set).
   static void WritePartition(
       const ShardPartition& partition, BinaryWriter* writer) {
     writer->Write<std::uint64_t>(partition.vantage_shard);
@@ -202,7 +216,7 @@ struct SnapshotManifest {
       return Status::Corruption("bad snapshot manifest magic");
     }
     MVP_RETURN_NOT_OK(reader.Read<std::uint32_t>(&version));
-    if (version < kManifestVersion || version > kManifestVersionPartition) {
+    if (version < kManifestVersion || version > kManifestVersionFlatLineage) {
       return Status::NotSupported("unknown snapshot manifest version " +
                                   std::to_string(version));
     }
@@ -237,7 +251,15 @@ struct SnapshotManifest {
     if (version >= kManifestVersionEpoch) {
       MVP_RETURN_NOT_OK(reader.Read<std::uint64_t>(&manifest.leader_epoch));
     }
-    if (version >= kManifestVersionPartition) {
+    std::uint8_t has_partition = version >= kManifestVersionPartition;
+    if (version >= kManifestVersionFlatLineage) {
+      MVP_RETURN_NOT_OK(reader.Read<std::uint8_t>(&has_partition));
+      if (has_partition > 1 ||
+          manifest.index_kind != IndexKind::kFlatShardedMvpIndex) {
+        return Status::Corruption("bad version-5 snapshot manifest");
+      }
+    }
+    if (has_partition != 0) {
       ShardPartition& partition = manifest.partition.emplace();
       std::uint64_t count = 0;
       MVP_RETURN_NOT_OK(reader.Read<std::uint64_t>(&partition.vantage_shard));

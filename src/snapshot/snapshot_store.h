@@ -36,9 +36,9 @@
 ///
 ///   <dir>/CURRENT            names the live generation ("gen-000007")
 ///   <dir>/gen-000007/MANIFEST      self-checksummed metadata + build params
-///   <dir>/gen-000007/shards.mvps   chunked CRC32C container (one chunk per
-///                                  shard tree or flat arena, or a delta's
-///                                  forest stream and id maps)
+///   <dir>/gen-000007/shards.mvps   chunked CRC32C container (per shard a
+///                                  flat arena and its id map, or a delta's
+///                                  forest stream and id sets)
 ///
 /// Crash safety is the LevelDB/RocksDB discipline: every file is written
 /// via temp + fsync + atomic rename (WriteFileAtomic), and a generation
@@ -47,10 +47,12 @@
 /// loadable: half-written files live in a generation directory nothing
 /// references yet, and stray `.tmp` files are ignored by the read path.
 ///
-/// The read path mmaps the container and hands each shard loader a
-/// zero-copy span of the mapping, so parallel shard deserialization (on a
-/// serve::ThreadPool) shares one physical copy of the bytes and streams
-/// them straight from the page cache.
+/// Every writer lays a full generation out as flat arenas, which the read
+/// path serves in place off the mmap'd container. Generations an earlier
+/// release wrote as MVPT tree streams (index kind 1) still load: each shard
+/// loader gets a zero-copy span of the mapping, so parallel shard
+/// deserialization (on a serve::ThreadPool) shares one physical copy of the
+/// bytes and streams them straight from the page cache.
 
 namespace mvp::snapshot {
 
@@ -131,26 +133,33 @@ class SnapshotStore {
   }
 
   /// The live generation number, or NotFound when the store is empty (no
-  /// committed CURRENT). A store directory that does not exist yet is
-  /// simply an empty store.
+  /// CURRENT file). A store directory that does not exist yet is simply an
+  /// empty store. A CURRENT that cannot be read is an IOError, and one that
+  /// names no generation — no digits, a non-digit, or generation 0, which
+  /// no commit writes — is Corruption: neither is an empty store, so no
+  /// caller may reuse or prune generation numbers on its word.
   Result<std::uint64_t> CurrentGeneration() const {
-    auto bytes = ReadFile(dir_ + "/" + kCurrentFile);
+    const std::string path = dir_ + "/" + kCurrentFile;
+    auto bytes = ReadFile(path);
     if (!bytes.ok()) {
-      return Status::NotFound("snapshot store has no committed generation");
+      std::error_code ec;
+      if (!std::filesystem::exists(path, ec) && !ec) {
+        return Status::NotFound("snapshot store has no committed generation");
+      }
+      return bytes.status();
     }
     std::string name(bytes.value().begin(), bytes.value().end());
     while (!name.empty() && (name.back() == '\n' || name.back() == '\r')) {
       name.pop_back();
     }
-    if (name.rfind("gen-", 0) != 0) {
-      return Status::Corruption("CURRENT does not name a generation");
-    }
     std::uint64_t gen = 0;
-    for (std::size_t i = 4; i < name.size(); ++i) {
-      if (name[i] < '0' || name[i] > '9') {
-        return Status::Corruption("CURRENT does not name a generation");
-      }
+    bool valid = name.rfind("gen-", 0) == 0 && name.size() > 4;
+    for (std::size_t i = 4; valid && i < name.size(); ++i) {
+      valid = name[i] >= '0' && name[i] <= '9';
       gen = gen * 10 + static_cast<std::uint64_t>(name[i] - '0');
+    }
+    if (!valid || gen == 0) {
+      return Status::Corruption("CURRENT does not name a generation");
     }
     return gen;
   }
@@ -187,12 +196,17 @@ class SnapshotStore {
 
   /// Deletes every generation directory except the committed one and its
   /// lineage — a committed delta generation keeps the full generation it
-  /// layers on (base_generation) alive, transitively. Everything else is an
-  /// old generation or an orphan from an interrupted save. Returns how many
-  /// were removed.
-  std::size_t PruneStaleGenerations() {
+  /// layers on (base_generation) alive, transitively, as a compaction keeps
+  /// the generation its chunk refs name. Everything else is an old
+  /// generation or an orphan from an interrupted save. Returns how many
+  /// were removed; when CURRENT exists but cannot be read as a generation,
+  /// removes nothing and returns that error.
+  Result<std::size_t> PruneStaleGenerations() {
     std::vector<std::uint64_t> keep;
     auto current = CurrentGeneration();
+    if (!current.ok() && current.status().code() != StatusCode::kNotFound) {
+      return current.status();
+    }
     if (current.ok()) {
       std::uint64_t gen = current.value();
       // Walk the base chain (bounded: bases strictly decrease). A manifest
@@ -218,40 +232,39 @@ class SnapshotStore {
 
   // ---- sharded index -------------------------------------------------------
 
-  /// Persists `index` as a new generation and commits it. Returns the new
-  /// generation number. The previous generation is left on disk (prune
-  /// explicitly); a crash mid-save leaves it the committed one.
-  template <typename Object, metric::MetricFor<Object> Metric,
-            CodecFor<Object> Codec>
+  /// Persists `index` as a new generation and commits it, written exactly
+  /// as SaveFlat writes it: flat arenas are the one layout written for a
+  /// vector generation. `codec` is unused. Returns the new generation
+  /// number. The previous generation is left on disk (prune explicitly); a
+  /// crash mid-save leaves it the committed one.
+  template <metric::MetricFor<metric::Vector> Metric,
+            CodecFor<metric::Vector> Codec>
   Result<std::uint64_t> SaveSharded(
-      const serve::ShardedMvpIndex<Object, Metric>& index,
-      const Codec& codec) {
-    ContainerWriter container;
-    SnapshotManifest manifest;
-    MVP_RETURN_NOT_OK(
-        AppendShardedChunks(index, codec, &container, &manifest));
-    return CommitGeneration(std::move(container).Finalize(), manifest);
+      const serve::ShardedMvpIndex<metric::Vector, Metric>& index,
+      const Codec& /*codec*/) {
+    return SaveFlat(index);
   }
 
   /// Persists a checkpoint/compaction result: a sharded index whose global
   /// id g stands for stable id `stable_ids[g]` (ascending; the live ids
   /// that survived erasure), plus the WAL watermark and id high-water mark
-  /// that make recovery idempotent. Written as a version-2 manifest so
-  /// pre-lineage binaries reject it instead of serving the wrong ids.
+  /// that make recovery idempotent. Written as SaveFlat's arenas plus a
+  /// kStableIds chunk, under a version-5 manifest, so binaries that would
+  /// serve the dense ids of a flat generation as stable ids reject it.
   ///
-  /// When `reuse_base_generation` names an earlier kShardedMvpIndex
-  /// generation, any shard whose freshly serialized bytes are identical to
-  /// that generation's chunk is written as a ~36-byte kShardTreeRef instead
-  /// of a full rewrite — compaction I/O then scales with churn, not index
-  /// size. `reused_chunks` (optional) reports how many shards were
-  /// referenced rather than rewritten.
-  template <typename Object, metric::MetricFor<Object> Metric,
-            CodecFor<Object> Codec>
+  /// When `reuse_base_generation` names an earlier flat generation, any
+  /// shard whose kFlatShard payload is byte-identical to one of that
+  /// generation's physical shard chunks is written as a 28-byte
+  /// kShardTreeRef instead of a full rewrite — compaction I/O then scales
+  /// with churn, not index size. A base of the MVPT stream layout offers
+  /// nothing to reuse. `reused_chunks` (optional) reports how many shards
+  /// were referenced rather than rewritten.
+  template <metric::MetricFor<metric::Vector> Metric>
   Result<std::uint64_t> SaveCompacted(
-      const serve::ShardedMvpIndex<Object, Metric>& index,
+      const serve::ShardedMvpIndex<metric::Vector, Metric>& index,
       const std::vector<std::uint64_t>& stable_ids,
       std::uint64_t last_applied_seq, std::uint64_t next_stable_id,
-      const Codec& codec, std::uint64_t reuse_base_generation = 0,
+      std::uint64_t reuse_base_generation = 0,
       std::uint64_t* reused_chunks = nullptr) {
     if (stable_ids.size() != index.size()) {
       return Status::InvalidArgument(
@@ -262,46 +275,26 @@ class SnapshotStore {
         return Status::InvalidArgument("stable ids must be ascending");
       }
     }
-    std::vector<std::vector<std::uint8_t>> payloads;
-    SnapshotManifest manifest;
-    MVP_RETURN_NOT_OK(SerializeShardChunks(index, codec, &payloads, &manifest));
-
     // Resolve the base generation's shard chunks to PHYSICAL bytes so a new
     // ref never points at another ref. Failure anywhere here only disables
     // reuse — a full rewrite is always correct.
-    std::vector<MmapFile> base_mappings;  // keeps payload spans alive
+    std::optional<OpenedGeneration> base;  // keeps payload spans alive
     std::vector<ResolvedShardChunk> base_shards;
     if (reuse_base_generation != 0) {
-      auto resolved =
-          ResolveShardChunks(reuse_base_generation, &base_mappings);
-      if (resolved.ok()) base_shards = std::move(resolved).ValueOrDie();
+      auto opened = OpenGeneration(reuse_base_generation,
+                                   {IndexKind::kFlatShardedMvpIndex});
+      if (opened.ok()) {
+        base.emplace(std::move(opened).ValueOrDie());
+        auto resolved = ResolveShardChunks(base->generation, base->container,
+                                           ChunkKind::kFlatShard);
+        if (resolved.ok()) base_shards = std::move(resolved).ValueOrDie();
+      }
     }
 
     ContainerWriter container;
-    std::uint64_t reused = 0;
-    for (auto& payload : payloads) {
-      const ResolvedShardChunk* match = nullptr;
-      for (const ResolvedShardChunk& candidate : base_shards) {
-        if (candidate.length == payload.size() &&
-            std::memcmp(candidate.payload, payload.data(), payload.size()) ==
-                0) {
-          match = &candidate;
-          break;
-        }
-      }
-      if (match != nullptr) {
-        BinaryWriter ref;
-        ref.Write<std::uint64_t>(match->generation);
-        ref.Write<std::uint64_t>(match->chunk_index);
-        ref.Write<std::uint64_t>(match->length);
-        ref.Write<std::uint32_t>(match->crc32c);
-        container.AddChunk(ChunkKind::kShardTreeRef,
-                           std::move(ref).TakeBuffer());
-        ++reused;
-      } else {
-        container.AddChunk(ChunkKind::kShardTree, std::move(payload));
-      }
-    }
+    SnapshotManifest manifest;
+    const std::uint64_t reused =
+        AppendFlatChunks(index, base_shards, &container, &manifest);
     {
       BinaryWriter chunk;
       chunk.WriteVector(stable_ids);
@@ -427,7 +420,8 @@ class SnapshotStore {
 
   /// Loads a full generation's sharded index (`at_generation` defaults to
   /// the committed one), whichever layout the manifest records. A heap
-  /// generation (kShardedMvpIndex) is deserialized: every chunk's CRC32C is
+  /// generation (kShardedMvpIndex, written only by earlier releases) is
+  /// deserialized: every chunk's CRC32C is
   /// verified before its bytes are trusted, the manifest's build parameters
   /// are validated against the trees, and with a pool shards are decoded in
   /// parallel. A flat generation (kFlatShardedMvpIndex) opens exactly as
@@ -474,29 +468,13 @@ class SnapshotStore {
       return Status::Corruption("snapshot chunk census mismatches manifest");
     }
     std::vector<std::uint64_t> stable_ids;
-    if (!id_chunks.empty()) {
-      MVP_RETURN_NOT_OK(gen.container.VerifyChunk(id_chunks[0]));
-      const auto [payload, length] = gen.container.chunk_payload(id_chunks[0]);
-      BinaryReader reader(payload, length);
-      MVP_RETURN_NOT_OK(reader.ReadVector(&stable_ids));
-      if (!reader.AtEnd()) {
-        return Status::Corruption("trailing bytes after stable-id chunk");
-      }
-      if (stable_ids.size() != manifest.object_count) {
-        return Status::Corruption(
-            "stable-id map size mismatches snapshot object count");
-      }
-      for (std::size_t g = 1; g < stable_ids.size(); ++g) {
-        if (stable_ids[g] <= stable_ids[g - 1]) {
-          return Status::Corruption("snapshot stable ids are not ascending");
-        }
-      }
-    }
+    MVP_RETURN_NOT_OK(
+        ReadStableIds(gen.container, id_chunks, manifest, &stable_ids));
 
     // Resolve by-reference shard chunks (compaction reuse) to the physical
-    // spans they name; the extra mappings stay alive through the decode.
-    std::vector<MmapFile> ref_mappings;
-    auto resolved = ResolveShardChunks(gen.generation, &ref_mappings);
+    // spans they name; their mappings stay alive through the decode.
+    auto resolved = ResolveShardChunks(gen.generation, gen.container,
+                                       ChunkKind::kShardTree);
     if (!resolved.ok()) return resolved.status();
     if (resolved.value().size() != manifest.num_shards) {
       return Status::Corruption("snapshot chunk census mismatches manifest");
@@ -554,40 +532,12 @@ class SnapshotStore {
   /// kFlatShardIds chunk with the shard's id map. Vector datasets only (an
   /// opened tree borrows the stored vectors in place). An index opened
   /// from a flat generation writes its arenas' bytes again.
-  template <metric::MetricFor<std::vector<double>> Metric>
+  template <metric::MetricFor<metric::Vector> Metric>
   Result<std::uint64_t> SaveFlat(
-      const serve::ShardedMvpIndex<std::vector<double>, Metric>& index) {
+      const serve::ShardedMvpIndex<metric::Vector, Metric>& index) {
     ContainerWriter container;
-    for (std::size_t s = 0; s < index.num_shards(); ++s) {
-      const auto& tree = index.shard(s);
-      const std::vector<std::uint8_t> arena = flat::BuildFlatArena(
-          tree.options(), tree.rows(), tree.dim(), tree.arrays());
-      // Payload: u64 shard index, then the arena. The 8-byte chunk
-      // alignment keeps the arena (at payload + 8) on an 8-byte file
-      // offset, which mmap carries into memory.
-      BinaryWriter payload;
-      payload.Write<std::uint64_t>(s);
-      std::vector<std::uint8_t> bytes = std::move(payload).TakeBuffer();
-      // resize+memcpy rather than a range insert — see the note on
-      // BinaryWriter::Write (GCC 12 -Wnonnull false positive).
-      const std::size_t base = bytes.size();
-      bytes.resize(base + arena.size());
-      std::memcpy(bytes.data() + base, arena.data(), arena.size());
-      container.AddChunk(ChunkKind::kFlatShard, std::move(bytes),
-                         kFlatChunkAlignment);
-      BinaryWriter ids;
-      ids.Write<std::uint64_t>(s);
-      ids.WriteVector(index.shard_global_ids(s));
-      container.AddChunk(ChunkKind::kFlatShardIds,
-                         std::move(ids).TakeBuffer());
-    }
-
     SnapshotManifest manifest;
-    manifest.index_kind = IndexKind::kFlatShardedMvpIndex;
-    manifest.object_count = index.size();
-    manifest.num_shards = index.options().num_shards;
-    manifest.partition = index.partition();
-    RecordTreeParams(index.options().tree, &manifest);
+    AppendFlatChunks(index, /*reusable=*/{}, &container, &manifest);
     return CommitGeneration(std::move(container).Finalize(), manifest);
   }
 
@@ -600,8 +550,8 @@ class SnapshotStore {
   /// mapping alive, so the index outlives the store, the LoadedSharded and
   /// the generation's files. LoadSharded takes this same path for a flat
   /// generation; OpenFlat differs only in refusing a heap one.
-  template <metric::MetricFor<std::vector<double>> Metric>
-  Result<LoadedSharded<std::vector<double>, Metric>> OpenFlat(
+  template <metric::MetricFor<metric::Vector> Metric>
+  Result<LoadedSharded<metric::Vector, Metric>> OpenFlat(
       Metric metric, serve::ThreadPool* pool = nullptr,
       std::optional<std::uint64_t> at_generation = std::nullopt) const {
     auto opened =
@@ -622,103 +572,104 @@ class SnapshotStore {
     ContainerReader container;
   };
 
-  /// Serializes every shard (id map + tree stream) to one payload per
-  /// shard and fills `manifest` with the index's kind, size and build
-  /// parameters. Shared by the save paths, which differ in whether a
-  /// payload becomes a physical chunk or a by-reference one.
-  template <typename Object, metric::MetricFor<Object> Metric,
-            CodecFor<Object> Codec>
-  static Status SerializeShardChunks(
-      const serve::ShardedMvpIndex<Object, Metric>& index, const Codec& codec,
-      std::vector<std::vector<std::uint8_t>>* payloads,
-      SnapshotManifest* manifest) {
-    for (std::size_t s = 0; s < index.num_shards(); ++s) {
-      BinaryWriter chunk;
-      chunk.Write<std::uint64_t>(s);
-      const auto& ids = index.shard_global_ids(s);
-      chunk.Write<std::uint64_t>(ids.size());
-      for (const std::size_t id : ids) {
-        chunk.Write<std::uint64_t>(id);
-      }
-      MVP_RETURN_NOT_OK(index.shard(s).Serialize(&chunk, codec));
-      payloads->push_back(std::move(chunk).TakeBuffer());
-    }
-    manifest->index_kind = IndexKind::kShardedMvpIndex;
-    manifest->object_count = index.size();
-    manifest->num_shards = index.options().num_shards;
-    manifest->partition = index.partition();
-    RecordTreeParams(index.options().tree, manifest);
-    return Status::OK();
-  }
-
-  /// Serializes every shard directly into `container` as physical
-  /// kShardTree chunks (see SerializeShardChunks).
-  template <typename Object, metric::MetricFor<Object> Metric,
-            CodecFor<Object> Codec>
-  static Status AppendShardedChunks(
-      const serve::ShardedMvpIndex<Object, Metric>& index, const Codec& codec,
-      ContainerWriter* container, SnapshotManifest* manifest) {
-    std::vector<std::vector<std::uint8_t>> payloads;
-    MVP_RETURN_NOT_OK(SerializeShardChunks(index, codec, &payloads, manifest));
-    for (auto& payload : payloads) {
-      container->AddChunk(ChunkKind::kShardTree, std::move(payload));
-    }
-    return Status::OK();
-  }
-
   /// One shard chunk resolved to its physical location: the generation and
   /// chunk index actually holding the bytes (never a ref), plus the payload
-  /// span and its table CRC. Spans alias mappings owned by the caller.
+  /// span and its table CRC. `foreign` owns the mapping of a chunk that
+  /// lies in another generation's container (a ref's target), whose bytes
+  /// no fingerprint of the resolving generation covers; it is null for a
+  /// chunk of the resolving generation's own container.
   struct ResolvedShardChunk {
     std::uint64_t generation = 0;
     std::uint64_t chunk_index = 0;
     const std::uint8_t* payload = nullptr;
     std::uint64_t length = 0;
     std::uint32_t crc32c = 0;
+    std::shared_ptr<const MmapFile> foreign;
   };
 
-  /// Resolves generation `gen`'s shard chunks — physical kShardTree chunks
-  /// in place, kShardTreeRef chunks followed ONE hop to the physical chunk
-  /// they name (a ref naming another ref is Corruption; the writer never
-  /// produces one). Opened mappings are appended to `*mappings`, which must
-  /// outlive every returned span.
-  Result<std::vector<ResolvedShardChunk>> ResolveShardChunks(
-      std::uint64_t gen, std::vector<MmapFile>* mappings) const {
-    auto manifest = ReadManifest(gen);
-    if (!manifest.ok()) return manifest.status();
-    if (manifest.value().index_kind != IndexKind::kShardedMvpIndex) {
-      return Status::InvalidArgument(
-          "shard-chunk reuse requires a sharded base generation");
-    }
-    // gen number -> index into opened containers (below).
-    std::vector<std::pair<std::uint64_t, std::size_t>> opened;
-    std::vector<ContainerReader> readers;
-    auto open_container =
-        [&](std::uint64_t g) -> Result<std::size_t> {
-      for (const auto& [og, idx] : opened) {
-        if (og == g) return idx;
+  /// Appends `index` as flat arenas to `container` — per shard, one
+  /// kFlatShard chunk (u64 shard index, then the arena) and one
+  /// kFlatShardIds chunk (u64 shard index, u64v global ids) — and records
+  /// the index's kind, size and build parameters in `manifest`. A shard
+  /// whose kFlatShard payload is byte-identical to a chunk in `reusable`
+  /// is written as a kShardTreeRef naming that chunk instead. Returns how
+  /// many shards were.
+  template <metric::MetricFor<metric::Vector> Metric>
+  static std::uint64_t AppendFlatChunks(
+      const serve::ShardedMvpIndex<metric::Vector, Metric>& index,
+      const std::vector<ResolvedShardChunk>& reusable,
+      ContainerWriter* container, SnapshotManifest* manifest) {
+    std::uint64_t reused = 0;
+    for (std::size_t s = 0; s < index.num_shards(); ++s) {
+      const auto& tree = index.shard(s);
+      const std::vector<std::uint8_t> arena = flat::BuildFlatArena(
+          tree.options(), tree.rows(), tree.dim(), tree.arrays());
+      // Payload: u64 shard index, then the arena. The 8-byte chunk
+      // alignment keeps the arena (at payload + 8) on an 8-byte file
+      // offset, which mmap carries into memory.
+      BinaryWriter payload;
+      payload.Write<std::uint64_t>(s);
+      std::vector<std::uint8_t> bytes = std::move(payload).TakeBuffer();
+      // resize+memcpy rather than a range insert — see the note on
+      // BinaryWriter::Write (GCC 12 -Wnonnull false positive).
+      const std::size_t base = bytes.size();
+      bytes.resize(base + arena.size());
+      std::memcpy(bytes.data() + base, arena.data(), arena.size());
+      const auto match = std::find_if(
+          reusable.begin(), reusable.end(), [&](const ResolvedShardChunk& c) {
+            return c.length == bytes.size() &&
+                   std::memcmp(c.payload, bytes.data(), bytes.size()) == 0;
+          });
+      if (match != reusable.end()) {
+        BinaryWriter ref;
+        ref.Write<std::uint64_t>(match->generation);
+        ref.Write<std::uint64_t>(match->chunk_index);
+        ref.Write<std::uint64_t>(match->length);
+        ref.Write<std::uint32_t>(match->crc32c);
+        container->AddChunk(ChunkKind::kShardTreeRef,
+                            std::move(ref).TakeBuffer());
+        ++reused;
+      } else {
+        container->AddChunk(ChunkKind::kFlatShard, std::move(bytes),
+                            kFlatChunkAlignment);
       }
-      auto mapping = MmapFile::Open(GenerationDir(g) + "/" + kContainerFile);
-      if (!mapping.ok()) return mapping.status();
-      mappings->push_back(std::move(mapping).ValueOrDie());
-      auto reader = ContainerReader::Parse(mappings->back().data(),
-                                           mappings->back().size());
-      if (!reader.ok()) return reader.status();
-      readers.push_back(std::move(reader).ValueOrDie());
-      opened.emplace_back(g, readers.size() - 1);
-      return readers.size() - 1;
-    };
-    auto base = open_container(gen);
-    if (!base.ok()) return base.status();
-    // Copy: open_container below may grow `readers` and invalidate refs.
-    const ContainerReader container = readers[base.value()];
+      BinaryWriter ids;
+      ids.Write<std::uint64_t>(s);
+      ids.WriteVector(index.shard_global_ids(s));
+      container->AddChunk(ChunkKind::kFlatShardIds,
+                          std::move(ids).TakeBuffer());
+    }
+    manifest->index_kind = IndexKind::kFlatShardedMvpIndex;
+    manifest->object_count = index.size();
+    manifest->num_shards = index.options().num_shards;
+    manifest->partition = index.partition();
+    RecordTreeParams(index.options().tree, manifest);
+    return reused;
+  }
 
+  /// Resolves the shard chunks of generation `gen`, whose parsed container
+  /// is `container`: physical chunks of kind `physical` (kShardTree for the
+  /// MVPT stream layout, kFlatShard for arenas) in place, and kShardTreeRef
+  /// chunks followed ONE hop to the chunk they name. A ref must name a
+  /// physical chunk of the same kind in an older generation, with the
+  /// length and CRC32C that chunk's table records — never another ref, and
+  /// never the other layout's chunk; anything else is Corruption. The
+  /// referenced payloads themselves are not checksummed here.
+  Result<std::vector<ResolvedShardChunk>> ResolveShardChunks(
+      std::uint64_t gen, const ContainerReader& container,
+      ChunkKind physical) const {
+    struct Target {
+      std::uint64_t generation;
+      std::shared_ptr<const MmapFile> mapping;
+      ContainerReader reader;
+    };
+    std::vector<Target> targets;
     std::vector<ResolvedShardChunk> resolved;
     for (std::size_t i = 0; i < container.num_chunks(); ++i) {
       const ChunkEntry& entry = container.chunk(i);
-      if (entry.kind == static_cast<std::uint32_t>(ChunkKind::kShardTree)) {
+      if (entry.kind == static_cast<std::uint32_t>(physical)) {
         const auto [payload, length] = container.chunk_payload(i);
-        resolved.push_back({gen, i, payload, length, entry.crc32c});
+        resolved.push_back({gen, i, payload, length, entry.crc32c, nullptr});
         continue;
       }
       if (entry.kind != static_cast<std::uint32_t>(ChunkKind::kShardTreeRef)) {
@@ -740,18 +691,30 @@ class SnapshotStore {
         return Status::Corruption("shard ref does not name an older "
                                   "generation");
       }
-      auto target = open_container(target_gen);
-      if (!target.ok()) return target.status();
-      const ContainerReader& target_container = readers[target.value()];
+      auto target = std::find_if(
+          targets.begin(), targets.end(),
+          [&](const Target& t) { return t.generation == target_gen; });
+      if (target == targets.end()) {
+        auto mapping =
+            MmapFile::Open(GenerationDir(target_gen) + "/" + kContainerFile);
+        if (!mapping.ok()) return mapping.status();
+        auto shared =
+            std::make_shared<const MmapFile>(std::move(mapping).ValueOrDie());
+        auto parsed = ContainerReader::Parse(shared->data(), shared->size());
+        if (!parsed.ok()) return parsed.status();
+        targets.push_back(
+            {target_gen, std::move(shared), std::move(parsed).ValueOrDie()});
+        target = targets.end() - 1;
+      }
+      const ContainerReader& target_container = target->reader;
       if (target_index >= target_container.num_chunks()) {
         return Status::Corruption("shard ref chunk index out of range");
       }
       const ChunkEntry& target_entry =
           target_container.chunk(static_cast<std::size_t>(target_index));
-      if (target_entry.kind !=
-          static_cast<std::uint32_t>(ChunkKind::kShardTree)) {
+      if (target_entry.kind != static_cast<std::uint32_t>(physical)) {
         return Status::Corruption(
-            "shard ref does not name a physical shard chunk");
+            "shard ref does not name a physical shard chunk of its layout");
       }
       if (target_entry.length != length || target_entry.crc32c != crc) {
         return Status::Corruption(
@@ -760,9 +723,37 @@ class SnapshotStore {
       const auto [payload, payload_length] = target_container.chunk_payload(
           static_cast<std::size_t>(target_index));
       resolved.push_back({target_gen, target_index, payload, payload_length,
-                          target_entry.crc32c});
+                          target_entry.crc32c, target->mapping});
     }
     return resolved;
+  }
+
+  /// Reads the optional kStableIds chunk (`chunks` holds its index, or
+  /// nothing) of either layout into `*stable_ids`: its CRC32C, framing, a
+  /// size equal to the manifest's object count, and strictly ascending
+  /// ids. No chunk leaves `*stable_ids` empty, the identity mapping.
+  static Status ReadStableIds(const ContainerReader& container,
+                              const std::vector<std::size_t>& chunks,
+                              const SnapshotManifest& manifest,
+                              std::vector<std::uint64_t>* stable_ids) {
+    if (chunks.empty()) return Status::OK();
+    MVP_RETURN_NOT_OK(container.VerifyChunk(chunks[0]));
+    const auto [payload, length] = container.chunk_payload(chunks[0]);
+    BinaryReader reader(payload, length);
+    MVP_RETURN_NOT_OK(reader.ReadVector(stable_ids));
+    if (!reader.AtEnd()) {
+      return Status::Corruption("trailing bytes after stable-id chunk");
+    }
+    if (stable_ids->size() != manifest.object_count) {
+      return Status::Corruption(
+          "stable-id map size mismatches snapshot object count");
+    }
+    for (std::size_t g = 1; g < stable_ids->size(); ++g) {
+      if ((*stable_ids)[g] <= (*stable_ids)[g - 1]) {
+        return Status::Corruption("snapshot stable ids are not ascending");
+      }
+    }
+    return Status::OK();
   }
 
   /// Fail-fast gate run right after the manifest parses, BEFORE any chunk
@@ -889,7 +880,12 @@ class SnapshotStore {
     // golden snapshots and pre-epoch binaries are untouched.
     if (manifest.leader_epoch == 0) manifest.leader_epoch = ReadEpoch();
 
+    // Only an empty store starts at generation 1: a damaged CURRENT must
+    // not make the save recommit over (and first delete) a live generation.
     const auto current = CurrentGeneration();
+    if (!current.ok() && current.status().code() != StatusCode::kNotFound) {
+      return current.status();
+    }
     const std::uint64_t gen = current.ok() ? current.value() + 1 : 1;
     const std::string gen_dir = GenerationDir(gen);
     std::error_code ec;
@@ -1038,20 +1034,29 @@ class SnapshotStore {
   /// The flat open shared by OpenFlat and LoadSharded: `gen` holds a
   /// kFlatShardedMvpIndex generation. One fingerprint pass over the
   /// mapping, then each arena's offsets are validated and its shard tree
-  /// borrows it in place, keeping the mapping alive.
-  template <metric::MetricFor<std::vector<double>> Metric>
-  static Result<LoadedSharded<std::vector<double>, Metric>> OpenFlatGeneration(
-      OpenedGeneration gen, Metric metric, serve::ThreadPool* pool) {
-    using Index = serve::ShardedMvpIndex<std::vector<double>, Metric>;
+  /// borrows it in place, keeping the mapping alive. A kShardTreeRef shard
+  /// borrows its arena from an older generation's container, which the
+  /// fingerprint does not cover, so that arena's CRC32C is checked and its
+  /// tree keeps that container's mapping alive instead.
+  template <metric::MetricFor<metric::Vector> Metric>
+  Result<LoadedSharded<metric::Vector, Metric>> OpenFlatGeneration(
+      OpenedGeneration gen, Metric metric, serve::ThreadPool* pool) const {
+    using Index = serve::ShardedMvpIndex<metric::Vector, Metric>;
     using Part = std::pair<typename Index::Tree, std::vector<std::size_t>>;
     const SnapshotManifest& manifest = gen.manifest;
     MVP_RETURN_NOT_OK(ValidateManifestParams(manifest));
 
     const auto chunks = gen.container.ChunksOfKind(ChunkKind::kFlatShard);
+    const auto ref_chunks =
+        gen.container.ChunksOfKind(ChunkKind::kShardTreeRef);
     const auto id_chunks =
         gen.container.ChunksOfKind(ChunkKind::kFlatShardIds);
-    if (manifest.num_shards < 1 || chunks.size() != manifest.num_shards ||
-        (!id_chunks.empty() && id_chunks.size() != chunks.size()) ||
+    const auto stable_chunks =
+        gen.container.ChunksOfKind(ChunkKind::kStableIds);
+    const std::size_t k = chunks.size() + ref_chunks.size();
+    if (manifest.num_shards < 1 || k != manifest.num_shards ||
+        (!id_chunks.empty() && id_chunks.size() != k) ||
+        stable_chunks.size() > 1 ||
         gen.container.num_chunks() != manifest.num_chunks) {
       return Status::Corruption("snapshot chunk census mismatches manifest");
     }
@@ -1062,23 +1067,39 @@ class SnapshotStore {
     // One checksum pass, not two: a matching whole-file fingerprint
     // (CRC32C over every byte, plus the length) proves the container is
     // byte-for-byte what was committed, which subsumes each chunk's CRC —
-    // so no chunk is verified on its own below. Running it first also lets
-    // the block-parallel CRC fault the fresh mapping's pages in from all
-    // pool threads at once; this pass IS the flat open's cost (arena
-    // validation is microseconds), so it is worth spreading.
+    // so no chunk of this container is verified on its own below. Running
+    // it first also lets the block-parallel CRC fault the fresh mapping's
+    // pages in from all pool threads at once; this pass IS the flat open's
+    // cost (arena validation is microseconds), so it is worth spreading.
     MVP_RETURN_NOT_OK(VerifyFingerprint(gen, pool));
+    std::vector<std::uint64_t> stable_ids;
+    MVP_RETURN_NOT_OK(
+        ReadStableIds(gen.container, stable_chunks, manifest, &stable_ids));
+    auto resolved = ResolveShardChunks(gen.generation, gen.container,
+                                       ChunkKind::kFlatShard);
+    if (!resolved.ok()) return resolved.status();
 
     // The trees alias the mapping for their whole lifetime, so move it into
     // shared ownership (its data pointer is stable under move, keeping the
     // ContainerReader's spans valid).
-    auto mapping = std::make_shared<MmapFile>(std::move(gen.mapping));
+    const auto mapping = std::make_shared<const MmapFile>(std::move(gen.mapping));
 
-    const std::size_t k = chunks.size();
     std::vector<std::optional<Part>> parts(k);
     std::vector<Status> statuses(k);
     auto open_shard = [&](std::size_t c) {
-      statuses[c] = OpenFlatChunk<Metric>(gen.container, chunks[c], metric,
-                                          manifest, mapping, &parts);
+      const ResolvedShardChunk& chunk = resolved.value()[c];
+      if (chunk.foreign != nullptr &&
+          Crc32c(chunk.payload, static_cast<std::size_t>(chunk.length)) !=
+              chunk.crc32c) {
+        statuses[c] = Status::Corruption(
+            "snapshot chunk " + std::to_string(chunk.chunk_index) + " of " +
+            GenerationName(chunk.generation) +
+            " CRC32C mismatch (truncated or corrupt)");
+        return;
+      }
+      statuses[c] = OpenFlatChunk<Metric>(
+          chunk, chunk.foreign != nullptr ? chunk.foreign : mapping, metric,
+          manifest, &parts);
     };
     if (pool == nullptr || k == 1) {
       for (std::size_t c = 0; c < k; ++c) open_shard(c);
@@ -1121,9 +1142,9 @@ class SnapshotStore {
       return Status::Corruption("snapshot object count mismatches manifest");
     }
 
-    LoadedSharded<std::vector<double>, Metric> loaded{
+    LoadedSharded<metric::Vector, Metric> loaded{
         std::move(restored).ValueOrDie(), manifest, gen.generation,
-        /*stable_ids=*/{}};  // flat generations use the identity mapping
+        std::move(stable_ids)};
     return loaded;
   }
 
@@ -1153,28 +1174,29 @@ class SnapshotStore {
     return Status::OK();
   }
 
-  /// Opens one flat shard chunk into (*parts)[shard_index], its tree
-  /// borrowing the arena in `mapping`: shard-index range, arena validation
-  /// (flat::OpenTree), and the fail-fast options-vs-manifest comparison —
-  /// all without decoding a single object. The caller proved the chunk's
-  /// bytes through the manifest fingerprint.
-  template <metric::MetricFor<std::vector<double>> Metric, typename Part>
-  static Status OpenFlatChunk(const ContainerReader& container,
-                              std::size_t chunk_index, const Metric& metric,
+  /// Opens one resolved flat shard chunk into (*parts)[shard_index], its
+  /// tree borrowing the arena in `mapping`: shard-index range, arena
+  /// validation (flat::OpenTree), and the fail-fast options-vs-manifest
+  /// comparison — all without decoding a single object. The caller proved
+  /// the chunk's bytes.
+  template <metric::MetricFor<metric::Vector> Metric, typename Part>
+  static Status OpenFlatChunk(const ResolvedShardChunk& chunk,
+                              std::shared_ptr<const MmapFile> mapping,
+                              const Metric& metric,
                               const SnapshotManifest& manifest,
-                              const std::shared_ptr<MmapFile>& mapping,
                               std::vector<std::optional<Part>>* parts) {
-    const auto [payload, length] = container.chunk_payload(chunk_index);
-    BinaryReader reader(payload, length);
+    const auto length = static_cast<std::size_t>(chunk.length);
+    BinaryReader reader(chunk.payload, length);
     std::uint64_t shard = 0;
     MVP_RETURN_NOT_OK(reader.Read<std::uint64_t>(&shard));
     if (shard >= parts->size()) {
       return Status::Corruption("shard index out of range in chunk " +
-                                std::to_string(chunk_index));
+                                std::to_string(chunk.chunk_index));
     }
-    auto tree = flat::OpenTree(payload + sizeof(std::uint64_t),
+    auto tree = flat::OpenTree(chunk.payload + sizeof(std::uint64_t),
                                length - sizeof(std::uint64_t),
-                               serve::CancelChecked<Metric>(metric), mapping);
+                               serve::CancelChecked<Metric>(metric),
+                               std::move(mapping));
     if (!tree.ok()) return tree.status();
     const auto& options = tree.value().options();
     if (options.order != manifest.order ||

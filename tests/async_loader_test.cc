@@ -16,6 +16,7 @@
 #include "dataset/vector_gen.h"
 #include "metric/lp.h"
 #include "snapshot/snapshot_store.h"
+#include "snapshot_fixtures.h"
 
 namespace mvp::snapshot {
 namespace {
@@ -92,9 +93,11 @@ class AsyncLoaderTest : public ::testing::Test {
 };
 
 TEST_F(AsyncLoaderTest, QueriesServeOldGenerationDuringLoadThenSwap) {
-  SnapshotStore store(dir_);
+  // A generation in the MVPT stream layout, which LoadSharded decodes
+  // through the (gated) codec.
   const Index next = BuildIndex(120, 2);
-  ASSERT_TRUE(store.SaveSharded(next, VectorCodec()).ok());
+  ASSERT_NO_FATAL_FAILURE(WriteHeapGeneration(dir_, next));
+  SnapshotStore store(dir_);
 
   // Old generation the server starts with (different data than the
   // snapshot, so the swap is observable in results too).

@@ -29,6 +29,7 @@
 #include "serve/sharded_index.h"
 #include "snapshot/manifest.h"
 #include "snapshot/snapshot_store.h"
+#include "snapshot_fixtures.h"
 #include "wal/wal.h"
 
 namespace mvp::dynamic {
@@ -158,14 +159,19 @@ class DynamicOverlayTest : public ::testing::Test {
   }
 
   /// Commits one base generation over `objects` (stable id = position),
-  /// heap- or flat-served, for the next OpenOverlay to load.
+  /// flat-served or, as earlier releases wrote it, in the MVPT stream
+  /// layout (heap-served), for the next OpenOverlay to load.
   void SeedBase(std::vector<Vec> objects, bool flat) {
     auto built =
         Oracle::Build(std::move(objects), metric::L2{}, SmallOptions().rebuild);
     ASSERT_TRUE(built.ok());
+    if (!flat) {
+      ASSERT_NO_FATAL_FAILURE(
+          snapshot::WriteHeapGeneration(dir_, built.value()));
+      return;
+    }
     snapshot::SnapshotStore store(dir_);
-    auto gen = flat ? store.SaveFlat(built.value())
-                    : store.SaveSharded(built.value(), VectorCodec{});
+    auto gen = store.SaveFlat(built.value());
     ASSERT_TRUE(gen.ok()) << gen.status().message();
   }
 
@@ -638,7 +644,7 @@ TEST_F(DynamicOverlayTest, CheckpointWritesADeltaProportionalToChurn) {
   ExpectEquivalent(*reopened.value(), live, rng, 20, "delta-reopened");
 
   // Pruning keeps the delta's base alive (lineage), removing nothing here.
-  EXPECT_EQ(store.PruneStaleGenerations(), 0u);
+  EXPECT_EQ(store.PruneStaleGenerations().value(), 0u);
   auto repruned = OpenOverlay();
   ASSERT_TRUE(repruned.ok());
 }
@@ -696,12 +702,16 @@ TEST_F(DynamicOverlayTest, OverlayServesOverAFlatBase) {
   }
   ExpectEquivalent(overlay, live, rng, 40, "flat-base");
 
-  // Compaction materializes the mapped vectors into a fresh heap
-  // generation; results must not change.
+  // Compaction rebuilds the live set from the mapped vectors and writes it
+  // as fresh arenas; results must not change, before or after a reopen.
   auto gen = overlay.Compact();
   ASSERT_TRUE(gen.ok()) << gen.status().message();
-  EXPECT_EQ(BaseKind(), snapshot::IndexKind::kShardedMvpIndex);
+  EXPECT_EQ(BaseKind(), snapshot::IndexKind::kFlatShardedMvpIndex);
   ExpectEquivalent(overlay, live, rng, 40, "flat-compacted");
+  opened.value().reset();
+  auto reopened = OpenOverlay();
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  ExpectEquivalent(*reopened.value(), live, rng, 40, "flat-compacted-reopened");
 }
 
 TEST_F(DynamicOverlayTest, FarErasesCostAHeapBaseNoDistances) {
@@ -743,7 +753,7 @@ TEST_F(DynamicOverlayTest, SavePathsAcceptAnOpenedFlatIndex) {
   const auto want = index.KnnSearch(query, 5);
   for (const auto& saved :
        {store.SaveSharded(index, VectorCodec{}), store.SaveFlat(index),
-        store.SaveCompacted(index, stable_ids, 1, 60, VectorCodec{})}) {
+        store.SaveCompacted(index, stable_ids, 1, 60)}) {
     ASSERT_TRUE(saved.ok()) << saved.status().message();
     auto reloaded = store.LoadSharded<Vec>(metric::L2{}, VectorCodec{},
                                            nullptr, saved.value());

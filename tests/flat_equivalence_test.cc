@@ -22,7 +22,7 @@
 #include "serve/cancel.h"
 #include "serve/executor.h"
 #include "serve/sharded_index.h"
-#include "golden_arenas.h"
+#include "snapshot_fixtures.h"
 #include "snapshot/flat_tree.h"
 #include "snapshot/manifest.h"
 #include "snapshot/snapshot_store.h"
@@ -80,8 +80,8 @@ class FlatEquivalenceTest : public ::testing::TestWithParam<bool> {
     auto built = Index::Build(data_, L2(), options);
     ASSERT_TRUE(built.ok());
 
+    ASSERT_NO_FATAL_FAILURE(WriteHeapGeneration(dir_ + "_heap", built.value()));
     SnapshotStore heap_store(dir_ + "_heap");
-    ASSERT_TRUE(heap_store.SaveSharded(built.value(), VectorCodec()).ok());
     auto heap = heap_store.LoadSharded<Vector>(L2(), VectorCodec());
     ASSERT_TRUE(heap.ok()) << heap.status().ToString();
     ASSERT_EQ(heap.value().manifest.index_kind, IndexKind::kShardedMvpIndex);
@@ -500,9 +500,9 @@ TEST(FlatEmptyShardTest, FewerObjectsThanShardsRoundTrips) {
 }
 
 /// An index opened from a flat generation saves like any other: SaveFlat
-/// writes its shards' arenas back byte for byte, and SaveSharded writes a
-/// heap generation that LoadSharded reloads into the same answers and
-/// SearchStats.
+/// and SaveSharded both write its shards' arenas back byte for byte, and
+/// its trees serialize to an MVPT stream generation (as earlier releases
+/// wrote) that LoadSharded reloads into the same answers and SearchStats.
 TEST(FlatServingTest, ReSerializationRoundTrips) {
   const std::string dir = ::testing::TempDir() + "/flateq_reserialize";
   std::filesystem::remove_all(dir);
@@ -523,8 +523,12 @@ TEST(FlatServingTest, ReSerializationRoundTrips) {
   ASSERT_EQ(source_arenas.size(), 3u);
   EXPECT_EQ(GoldenShardArenas(dir + "/flat"), source_arenas);
 
+  SnapshotStore sharded_again(dir + "/sharded");
+  ASSERT_TRUE(sharded_again.SaveSharded(index, VectorCodec()).ok());
+  EXPECT_EQ(GoldenShardArenas(dir + "/sharded"), source_arenas);
+
+  ASSERT_NO_FATAL_FAILURE(WriteHeapGeneration(dir + "/heap", index));
   SnapshotStore heap_again(dir + "/heap");
-  ASSERT_TRUE(heap_again.SaveSharded(index, VectorCodec()).ok());
   auto reloaded = heap_again.LoadSharded<Vector>(L2(), VectorCodec());
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ(reloaded.value().manifest.index_kind, IndexKind::kShardedMvpIndex);
@@ -572,7 +576,7 @@ TEST(FlatKeepAliveTest, IndexOutlivesStoreAndPrunedGeneration) {
     }
     // A later generation becomes current, and the opened one is pruned.
     ASSERT_TRUE(store.SaveSharded(built.value(), VectorCodec()).ok());
-    EXPECT_EQ(store.PruneStaleGenerations(), 1u);
+    EXPECT_EQ(store.PruneStaleGenerations().value(), 1u);
     EXPECT_FALSE(std::filesystem::exists(store.GenerationDir(gen.value())));
   }
   std::filesystem::remove_all(dir);

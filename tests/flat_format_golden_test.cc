@@ -18,7 +18,7 @@
 #include "snapshot/flat_tree.h"
 #include "snapshot/format.h"
 #include "snapshot/snapshot_store.h"
-#include "golden_arenas.h"
+#include "snapshot_fixtures.h"
 
 /// Golden-file layer for the snapshot formats: canonical fixture stores
 /// (heap-tree and flat-arena) are COMMITTED under tests/testdata/, and this
@@ -123,39 +123,20 @@ void CheckGolden(const std::string& name,
   std::filesystem::remove_all(fresh);
 }
 
-/// golden_heap is FROZEN and never re-blessed. Each of its shard chunks is,
-/// byte for byte, the recipe's shard framed as the kind-1 writer framed it:
-/// u64 shard index, u64v global ids, then the shard tree's MVPT stream
-/// (MvpTree::Serialize, which forest deltas and `mvpt build` still write).
+/// golden_heap is FROZEN and never re-blessed: no writer in the library
+/// emits the MVPT stream layout any more. WriteHeapGeneration, the suites'
+/// kind-1 writer, must reproduce every byte of it from the recipe.
 TEST(FlatFormatGoldenTest, HeapSnapshotBytesStable) {
   if (BlessMode()) GTEST_SKIP() << "frozen fixture is never re-blessed";
-  SnapshotStore store(GoldenDir("golden_heap"));
-  auto manifest = store.ReadManifest(1);
-  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
-  EXPECT_EQ(manifest.value().index_kind, IndexKind::kShardedMvpIndex);
-  const auto container = MustRead(store.GenerationDir(1) + "/" +
-                                  SnapshotStore::kContainerFile);
-  EXPECT_EQ(ContainerFingerprint(container.data(), container.size()),
-            manifest.value().dataset_fingerprint);
-  auto parsed = ContainerReader::Parse(container.data(), container.size());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const Index index = GoldenIndex();
-  ASSERT_EQ(parsed.value().num_chunks(), index.num_shards());
-  for (std::size_t s = 0; s < index.num_shards(); ++s) {
-    EXPECT_EQ(parsed.value().chunk(s).kind,
-              static_cast<std::uint32_t>(ChunkKind::kShardTree));
-    BinaryWriter want;
-    want.Write<std::uint64_t>(s);
-    want.Write<std::uint64_t>(index.shard_global_ids(s).size());
-    for (const std::size_t id : index.shard_global_ids(s)) {
-      want.Write<std::uint64_t>(id);
-    }
-    ASSERT_TRUE(index.shard(s).Serialize(&want, VectorCodec()).ok());
-    const auto [payload, length] = parsed.value().chunk_payload(s);
-    EXPECT_EQ(std::vector<std::uint8_t>(payload, payload + length),
-              want.buffer())
-        << "shard " << s;
+  const std::string golden = GoldenDir("golden_heap");
+  const std::string fresh = ::testing::TempDir() + "/golden_heap_rewritten";
+  std::filesystem::remove_all(fresh);
+  ASSERT_NO_FATAL_FAILURE(WriteHeapGeneration(fresh, GoldenIndex()));
+  for (const char* file :
+       {"CURRENT", "gen-000001/MANIFEST", "gen-000001/shards.mvps"}) {
+    ExpectFileBytesEqual(golden + "/" + file, fresh + "/" + file);
   }
+  std::filesystem::remove_all(fresh);
 }
 
 TEST(FlatFormatGoldenTest, FlatSnapshotBytesStable) {

@@ -238,6 +238,33 @@ TEST_F(NetReplicationTest, FollowerServesBitIdenticalToLeader) {
   leader_->Stop();
 }
 
+// A leader whose CURRENT names generation 0 (which no commit writes) has no
+// generation to follow: the pull fails with Corruption before the follower
+// writes anything, and the follower keeps serving what it had.
+TEST_F(NetReplicationTest, LeaderNamingGenerationZeroIsRefused) {
+  StartLeader();
+  const std::string follower_dir = dir_ + "/follower";
+  Client leader_client = ConnectLeader();
+  ASSERT_TRUE(
+      PullGeneration(leader_client, "vecs", follower_dir, SmallChunks()).ok());
+  const std::string follower_current =
+      follower_dir + "/" + snapshot::SnapshotStore::kCurrentFile;
+  const auto before = MustRead(follower_current);
+
+  const std::string zero = "gen-000000\n";
+  ASSERT_TRUE(WriteFile(leader_dir_ + "/" +
+                            snapshot::SnapshotStore::kCurrentFile,
+                        std::vector<std::uint8_t>(zero.begin(), zero.end()))
+                  .ok());
+  auto pulled =
+      PullGeneration(leader_client, "vecs", follower_dir, SmallChunks());
+  EXPECT_EQ(pulled.status().code(), StatusCode::kCorruption)
+      << pulled.status().ToString();
+  EXPECT_EQ(MustRead(follower_current), before);
+  CheckFollowerInvariant(follower_dir);
+  leader_->Stop();
+}
+
 // A poisoned partial (garbage bytes already on disk where the resume
 // appends) must be caught by the fingerprint check, discarded, and never
 // committed; the retry then succeeds from scratch.

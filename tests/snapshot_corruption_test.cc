@@ -21,7 +21,7 @@
 #include "snapshot/format.h"
 #include "snapshot/manifest.h"
 #include "snapshot/snapshot_store.h"
-#include "golden_arenas.h"
+#include "snapshot_fixtures.h"
 
 /// Adversarial-input suite for the snapshot container: every truncation
 /// prefix and every header-region bit flip must surface as a non-OK Status

@@ -228,7 +228,7 @@ TEST_F(SnapshotFaultpointsTest, OrphanedGenerationFromCrashIsPrunable) {
   fault::Failpoints::Instance().DisarmAll();
 
   EXPECT_EQ(store.ListGenerations().size(), 2u);  // the orphan is on disk
-  EXPECT_EQ(store.PruneStaleGenerations(), 1u);   // and prunable
+  EXPECT_EQ(store.PruneStaleGenerations().value(), 1u);   // and prunable
   EXPECT_EQ(store.ListGenerations().size(), 1u);
   auto loaded = store.LoadSharded<Vector>(L2(), VectorCodec());
   ASSERT_TRUE(loaded.ok());

@@ -3,17 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common/codec.h"
 #include "dataset/vector_gen.h"
+#include "dynamic/dynamic_overlay.h"
 #include "dynamic/mvp_forest.h"
 #include "metric/edit_distance.h"
 #include "metric/lp.h"
 #include "serve/sharded_index.h"
 #include "serve/thread_pool.h"
+#include "snapshot/flat_tree.h"
 
 namespace mvp::snapshot {
 namespace {
@@ -125,7 +128,7 @@ TEST_F(SnapshotTest, GenerationsAdvanceAndOldOnesSurvive) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().index.size(), 200u);
 
-  EXPECT_EQ(store.PruneStaleGenerations(), 1u);
+  EXPECT_EQ(store.PruneStaleGenerations().value(), 1u);
   EXPECT_EQ(store.ListGenerations(), std::vector<std::uint64_t>{2});
   ASSERT_TRUE(store.LoadSharded<Vector>(L2(), VectorCodec()).ok());
 }
@@ -166,6 +169,41 @@ TEST_F(SnapshotTest, InterruptedSaveLeavesPriorGenerationLoadable) {
   ASSERT_TRUE(store.LoadSharded<Vector>(L2(), VectorCodec()).ok());
 }
 
+TEST_F(SnapshotTest, DamagedCurrentFailsSaveAndPruneLeavingGenerations) {
+  // CURRENT names no generation: garbage, a name without digits, or
+  // generation 0, which no commit writes. None of them is an empty store,
+  // so a save must not restart at generation 1 (deleting gen-000001 as an
+  // orphan first) and a prune must not treat every generation as stale.
+  const Index index = BuildIndex(60, 2, 4);
+  for (const std::string damaged : {"garbage", "gen-", "gen-000000"}) {
+    SCOPED_TRACE(damaged);
+    const std::string dir = dir_ + "/" + damaged;
+    SnapshotStore store(dir);
+    ASSERT_TRUE(store.SaveSharded(index, VectorCodec()).ok());
+    const std::string container =
+        store.GenerationDir(1) + "/" + SnapshotStore::kContainerFile;
+    const auto committed = ReadFile(container);
+    ASSERT_TRUE(committed.ok());
+    const std::string text = damaged + "\n";
+    ASSERT_TRUE(WriteFile(dir + "/" + SnapshotStore::kCurrentFile,
+                          std::vector<std::uint8_t>(text.begin(), text.end()))
+                    .ok());
+
+    EXPECT_EQ(store.CurrentGeneration().status().code(),
+              StatusCode::kCorruption);
+    EXPECT_EQ(store.SaveSharded(index, VectorCodec()).status().code(),
+              StatusCode::kCorruption);
+    EXPECT_EQ(store.PruneStaleGenerations().status().code(),
+              StatusCode::kCorruption);
+    EXPECT_EQ(store.ListGenerations(), std::vector<std::uint64_t>{1});
+    const auto after = ReadFile(container);
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(after.value(), committed.value());
+    EXPECT_TRUE(store.LoadSharded<Vector>(L2(), VectorCodec(), nullptr, 1)
+                    .ok());
+  }
+}
+
 TEST_F(SnapshotTest, KindMismatchRejected) {
   // A healthy generation of a kind the loader cannot serve is a caller
   // mistake, not damaged bytes: InvalidArgument, naming both kinds.
@@ -174,7 +212,7 @@ TEST_F(SnapshotTest, KindMismatchRejected) {
   ASSERT_TRUE(store.SaveSharded(index, VectorCodec()).ok());
   const Status as_delta = store.LoadDelta<Vector>(L2(), VectorCodec()).status();
   EXPECT_EQ(as_delta.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(as_delta.message().find("holds a heap sharded (kind 1)"),
+  EXPECT_NE(as_delta.message().find("holds a flat sharded (kind 3)"),
             std::string::npos)
       << as_delta.message();
   EXPECT_NE(as_delta.message().find("expected dynamic delta (kind 4)"),
@@ -201,10 +239,9 @@ TEST_F(SnapshotTest, KindMismatchRejected) {
 
   // A flat generation is served only by instantiations that can search
   // flat arenas (vector objects only); edit-distance strings cannot.
-  SnapshotStore flat_store(dir_ + "/flat");
-  ASSERT_TRUE(flat_store.SaveFlat(index).ok());
-  EXPECT_EQ(flat_store
-                .LoadSharded<std::string>(metric::Levenshtein(), StringCodec())
+  EXPECT_EQ(store
+                .LoadSharded<std::string>(metric::Levenshtein(), StringCodec(),
+                                          nullptr, /*at_generation=*/1)
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
@@ -227,14 +264,14 @@ TEST_F(SnapshotTest, ManifestRecordsBuildParams) {
   auto loaded = store.LoadSharded<Vector>(L2(), VectorCodec());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const SnapshotManifest& m = loaded.value().manifest;
-  EXPECT_EQ(m.index_kind, IndexKind::kShardedMvpIndex);
+  EXPECT_EQ(m.index_kind, IndexKind::kFlatShardedMvpIndex);
   EXPECT_EQ(m.num_shards, 3u);
   EXPECT_EQ(m.order, 4);
   EXPECT_EQ(m.leaf_capacity, 12);
   EXPECT_EQ(m.num_path_distances, 6);
   EXPECT_EQ(m.seed, 42u);
   EXPECT_EQ(m.store_exact_bounds, 1u);
-  EXPECT_EQ(m.num_chunks, 3u);
+  EXPECT_EQ(m.num_chunks, 6u);  // an arena and an id map per shard
   EXPECT_EQ(loaded.value().index.build_params(), built.value().build_params());
 }
 
@@ -270,6 +307,150 @@ TEST_F(SnapshotTest, ForestLoadAppliesManifestTreeParams) {
   EXPECT_TRUE(tree.store_exact_bounds);
   EXPECT_EQ(loaded.value().forest_stable_ids, stable_ids);
   EXPECT_EQ(loaded.value().forest.size(), 90u);
+}
+
+// ---- compaction generations ------------------------------------------------
+
+using Overlay = dynamic::DynamicOverlay<Vector, L2, VectorCodec>;
+
+/// Stable ids 0, 2, 4, ...: one per object of `index`.
+std::vector<std::uint64_t> EvenStableIds(const Index& index) {
+  std::vector<std::uint64_t> ids(index.size());
+  for (std::size_t g = 0; g < ids.size(); ++g) ids[g] = 2 * g;
+  return ids;
+}
+
+/// Commits `index` twice as a compaction: once in full, then again offering
+/// the first for reuse, so every shard of the second is a kShardTreeRef.
+/// Returns the second generation.
+std::uint64_t SaveCompactedTwice(SnapshotStore& store, const Index& index) {
+  const auto ids = EvenStableIds(index);
+  const std::uint64_t next = 2 * index.size();
+  auto full = store.SaveCompacted(index, ids, 9, next);
+  EXPECT_TRUE(full.ok()) << full.status().ToString();
+  std::uint64_t reused = 0;
+  auto refs = store.SaveCompacted(index, ids, 9, next, full.value(), &reused);
+  EXPECT_TRUE(refs.ok()) << refs.status().ToString();
+  EXPECT_EQ(reused, index.num_shards());
+  return refs.value();
+}
+
+TEST_F(SnapshotTest, CompactedFlatGenerationOfRefsOpensAndSurvivesPrune) {
+  SnapshotStore store(dir_);
+  const Index index = BuildIndex(200, 3, 5);
+  ASSERT_TRUE(store.SaveFlat(BuildIndex(50, 2, 6)).ok());  // stale gen 1
+  const std::uint64_t gen = SaveCompactedTwice(store, index);
+  ASSERT_EQ(gen, 3u);
+  {
+    auto container = ReadFile(store.GenerationDir(gen) + "/" +
+                              SnapshotStore::kContainerFile);
+    ASSERT_TRUE(container.ok());
+    auto parsed = ContainerReader::Parse(container.value().data(),
+                                         container.value().size());
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed.value().ChunksOfKind(ChunkKind::kShardTreeRef).size(),
+              3u);
+    EXPECT_TRUE(parsed.value().ChunksOfKind(ChunkKind::kFlatShard).empty());
+  }
+  // The ref target (gen 2) is the lineage's base; only gen 1 is stale.
+  EXPECT_EQ(store.PruneStaleGenerations().value(), 1u);
+  EXPECT_EQ(store.ListGenerations(), (std::vector<std::uint64_t>{2, 3}));
+
+  serve::ThreadPool pool(2);
+  auto loaded = store.LoadSharded<Vector>(L2(), VectorCodec(), &pool);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const SnapshotManifest& m = loaded.value().manifest;
+  EXPECT_EQ(m.index_kind, IndexKind::kFlatShardedMvpIndex);
+  EXPECT_EQ(m.version(), kManifestVersionFlatLineage);
+  EXPECT_EQ(m.base_generation, 2u);
+  EXPECT_EQ(m.next_stable_id, 400u);
+  EXPECT_EQ(m.last_applied_seq, 9u);
+  EXPECT_EQ(loaded.value().stable_ids, EvenStableIds(index));
+  ExpectIdenticalResults(index, loaded.value().index);
+
+  // The overlay restarts on it, serving the stable ids.
+  auto overlay = Overlay::Open(dir_, L2(), VectorCodec());
+  ASSERT_TRUE(overlay.ok()) << overlay.status().ToString();
+  EXPECT_EQ(overlay.value()->size(), 200u);
+  EXPECT_EQ(overlay.value()->next_stable_id(), 400u);
+  for (const auto& q : dataset::UniformQueryVectors(8, 6, 31)) {
+    auto want = index.KnnSearch(q, 6);
+    for (Neighbor& hit : want) hit.id *= 2;
+    EXPECT_EQ(overlay.value()->KnnSearch(q, 6), want);
+  }
+}
+
+TEST_F(SnapshotTest, DamagedRefTargetChunkIsCorruption) {
+  // Flip one bit of a stored coordinate in a chunk that generation 2 names
+  // by reference. The arena stays structurally valid and generation 2's
+  // fingerprint does not cover generation 1's container, so only the
+  // referenced chunk's own CRC32C can notice.
+  SnapshotStore store(dir_);
+  const Index index = BuildIndex(120, 2, 8);
+  ASSERT_EQ(SaveCompactedTwice(store, index), 2u);
+  const std::string path =
+      store.GenerationDir(1) + "/" + SnapshotStore::kContainerFile;
+  auto container = ReadFile(path);
+  ASSERT_TRUE(container.ok());
+  std::vector<std::uint8_t> bytes = std::move(container).ValueOrDie();
+  auto parsed = ContainerReader::Parse(bytes.data(), bytes.size());
+  ASSERT_TRUE(parsed.ok());
+  const ChunkEntry entry =
+      parsed.value().chunk(parsed.value().ChunksOfKind(ChunkKind::kFlatShard)[1]);
+  flat::FlatHeaderRec header;
+  std::memcpy(&header, bytes.data() + entry.offset + sizeof(std::uint64_t),
+              sizeof(header));
+  bytes[entry.offset + sizeof(std::uint64_t) + header.objects_offset] ^= 0x01;
+  ASSERT_TRUE(WriteFile(path, bytes).ok());
+
+  const Status loaded = store.LoadSharded<Vector>(L2(), VectorCodec()).status();
+  EXPECT_EQ(loaded.code(), StatusCode::kCorruption) << loaded.ToString();
+  EXPECT_NE(loaded.message().find("of gen-000001 CRC32C mismatch"),
+            std::string::npos)
+      << loaded.ToString();
+  EXPECT_EQ(Overlay::Open(dir_, L2(), VectorCodec()).status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST_F(SnapshotTest, ManifestV5RoundTrips) {
+  SnapshotManifest manifest;
+  manifest.index_kind = IndexKind::kFlatShardedMvpIndex;
+  manifest.object_count = 45;
+  manifest.num_chunks = 5;
+  manifest.payload_bytes = 4096;
+  manifest.dataset_fingerprint = 0x1234;
+  manifest.num_shards = 2;
+  manifest.order = 3;
+  manifest.leaf_capacity = 4;
+  manifest.num_path_distances = 2;
+  manifest.seed = 7;
+  manifest.next_stable_id = 48;
+  manifest.last_applied_seq = 51;
+  for (const bool partitioned : {false, true}) {
+    if (partitioned) {
+      manifest.partition = ShardPartition{1, 5, {{0.0, 0.4}, {0.4, 1.3}}};
+      manifest.base_generation = 3;
+      manifest.leader_epoch = 2;
+    }
+    const auto bytes = manifest.Serialize();
+    EXPECT_EQ(manifest.version(), kManifestVersionFlatLineage);
+    auto parsed = SnapshotManifest::Parse(bytes);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed.value().partition, manifest.partition);
+    EXPECT_EQ(parsed.value().next_stable_id, 48u);
+    EXPECT_EQ(parsed.value().base_generation, manifest.base_generation);
+    EXPECT_EQ(parsed.value().leader_epoch, manifest.leader_epoch);
+    EXPECT_EQ(parsed.value().Serialize(), bytes);
+  }
+  // A flat generation without lineage keeps its v1/v4 bytes, and so does a
+  // lineage-bearing generation of another kind.
+  SnapshotManifest plain = manifest;
+  plain.next_stable_id = plain.last_applied_seq = plain.base_generation = 0;
+  plain.leader_epoch = 0;
+  EXPECT_EQ(plain.version(), kManifestVersionPartition);
+  SnapshotManifest delta = manifest;
+  delta.index_kind = IndexKind::kDynamicDelta;
+  EXPECT_EQ(delta.version(), kManifestVersionPartition);
 }
 
 }  // namespace

@@ -15,10 +15,8 @@
 //                    [--threads "1,2,4,8"] [--queries Q]
 //                    [--radius R | --knn K] [--timeout-ms T]
 //                    [--snapshot-dir DIR]  # also time cold vs warm start
-//                    [--flat]    # with --snapshot-dir: additionally save a
-//                                # flat (mmap-native) snapshot and report its
-//                                # zero-deserialization time to first query,
-//                                # checking results stay bit-identical
+//                                # (the flat snapshot's zero-deserialization
+//                                # open), checking results stay bit-identical
 //                    [--deadline-partial MS]  # replay with an MS-millisecond
 //                                # deadline; expired queries return their
 //                                # partial harvest instead of nothing
@@ -28,16 +26,17 @@
 //                                # concurrent-serving throughput/latency
 //   mvpt snapshot-save --input data.csv --metric l1|l2|linf --dir store/
 //                      [--shards K] [--order M] [--leaf K] [--paths P]
-//                      [--seed S] [--threads N] [--flat]
+//                      [--seed S] [--threads N]
 //                                # build a sharded index, persist it as a
-//                                # new checksummed snapshot generation;
-//                                # --flat writes the mmap-native flat layout
+//                                # new checksummed snapshot generation of
+//                                # mmap-native flat arenas
 //   mvpt snapshot-load --dir store/ --metric l1|l2|linf [--threads N]
 //                      [--point "x1,x2,..." (--radius R | --knn K)]
 //                                # load + verify the committed generation
 //                                # (docs/index_format.md has the layout); a
 //                                # flat one serves straight out of the
-//                                # mapping (--flat is accepted and ignored)
+//                                # mapping, one an earlier release wrote as
+//                                # MVPT streams is deserialized
 //   mvpt insert --dir store/ --metric l1|l2|linf
 //               (--point "x1,x2,..." | --input data.csv) [--checkpoint]
 //                                # durably insert into the store's dynamic
@@ -681,8 +680,10 @@ int RunServeBench(const Args& args) {
                 static_cast<unsigned long long>(snap.queries));
   }
 
-  // Cold-start (build from raw data) vs warm-start (load a checksummed
-  // snapshot) time to first query.
+  // Cold-start (build from raw data) vs warm-start (open the checksummed
+  // snapshot's flat arenas straight off the mapping: one mmap and checksum
+  // pass, no per-node decode) time to first query. The opened index must
+  // answer every query bit-identically to the built one.
   if (args.Has("snapshot-dir")) {
     snapshot::SnapshotStore store(args.Get("snapshot-dir"));
     const auto save_t0 = std::chrono::steady_clock::now();
@@ -718,67 +719,27 @@ int RunServeBench(const Args& args) {
     ttfq.AddRow({"warm (snapshot)", harness::FormatDouble(load_ms, 1),
                  harness::FormatDouble(warm_q, 2),
                  harness::FormatDouble(load_ms + warm_q, 1)});
+    std::cout << ttfq.ToText();
 
-    // Zero-deserialization flavor: write the flat layout, open it straight
-    // off the mapping (one mmap + checksum pass, no per-node decode), and
-    // confirm it answers every query bit-identically to the heap index.
-    double flat_open_ms = 0.0, flat_q = 0.0;
-    if (args.Has("flat")) {
-      const auto fsave_t0 = std::chrono::steady_clock::now();
-      auto flat_gen = store.SaveFlat(sharded.value());
-      const double flat_save_ms = std::chrono::duration<double, std::milli>(
-                                      std::chrono::steady_clock::now() -
-                                      fsave_t0)
-                                      .count();
-      if (!flat_gen.ok()) return Fail(flat_gen.status().ToString());
-      const auto fopen_t0 = std::chrono::steady_clock::now();
-      auto flat =
-          store.LoadSharded<Vector>(metric::L2(), VectorCodec(), &build_pool);
-      flat_open_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - fopen_t0)
-                         .count();
-      if (!flat.ok()) return Fail(flat.status().ToString());
-      flat_q = first_query_ms(flat.value().index);
-      ttfq.AddRow({"flat (mmap)", harness::FormatDouble(flat_open_ms, 1),
-                   harness::FormatDouble(flat_q, 2),
-                   harness::FormatDouble(flat_open_ms + flat_q, 1)});
-
-      bool flat_match = true;
-      for (const auto& bq : batch) {
-        SearchStats hs, fs;
-        if (bq.kind == serve::BatchQuery<Vector>::Kind::kKnn) {
-          if (sharded.value().KnnSearch(bq.object, bq.k, &hs) !=
-              flat.value().index.KnnSearch(bq.object, bq.k, &fs)) {
-            flat_match = false;
-          }
-        } else {
-          if (sharded.value().RangeSearch(bq.object, bq.radius, &hs) !=
-              flat.value().index.RangeSearch(bq.object, bq.radius, &fs)) {
-            flat_match = false;
-          }
-        }
-        if (hs.distance_computations != fs.distance_computations) {
-          flat_match = false;
-        }
+    bool match = true;
+    for (const auto& bq : batch) {
+      SearchStats bs, ls;
+      if (bq.kind == serve::BatchQuery<Vector>::Kind::kKnn) {
+        match &= sharded.value().KnnSearch(bq.object, bq.k, &bs) ==
+                 loaded.value().index.KnnSearch(bq.object, bq.k, &ls);
+      } else {
+        match &= sharded.value().RangeSearch(bq.object, bq.radius, &bs) ==
+                 loaded.value().index.RangeSearch(bq.object, bq.radius, &ls);
       }
-      std::cout << ttfq.ToText();
-      std::printf("flat generation %llu (save %.1f ms); flat results and "
-                  "distance counts identical to heap: %s\n",
-                  static_cast<unsigned long long>(flat_gen.value()),
-                  flat_save_ms, flat_match ? "yes" : "NO (BUG)");
-      if (!flat_match) return 1;
-    } else {
-      std::cout << ttfq.ToText();
+      match &= bs.distance_computations == ls.distance_computations;
     }
     std::printf("snapshot generation %llu (save %.1f ms); warm start %.1fx "
-                "faster to first query\n",
+                "faster to first query; results and distance counts "
+                "identical to the built index: %s\n",
                 static_cast<unsigned long long>(gen.value()), save_ms,
-                (build_ms + cold_q) / (load_ms + warm_q));
-    if (args.Has("flat")) {
-      std::printf("flat start %.1fx faster to first query than heap warm "
-                  "start\n",
-                  (load_ms + warm_q) / (flat_open_ms + flat_q));
-    }
+                (build_ms + cold_q) / (load_ms + warm_q),
+                match ? "yes" : "NO (BUG)");
+    if (!match) return 1;
   }
   return 0;
 }
@@ -808,17 +769,14 @@ int SnapshotSaveWith(const Args& args, std::vector<Vector> data,
                               .count();
 
   snapshot::SnapshotStore store(args.Get("dir"));
-  const bool flat = args.Has("flat");
   const auto t1 = std::chrono::steady_clock::now();
-  auto gen = flat ? store.SaveFlat(built.value())
-                  : store.SaveSharded(built.value(), VectorCodec());
+  auto gen = store.SaveFlat(built.value());
   if (!gen.ok()) return Fail(gen.status().ToString());
   const double save_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - t1)
                              .count();
-  std::printf("%s snapshot generation %llu committed: %zu objects in %zu "
+  std::printf("flat snapshot generation %llu committed: %zu objects in %zu "
               "shards (build %.1f ms, save %.1f ms) -> %s\n",
-              flat ? "flat" : "heap",
               static_cast<unsigned long long>(gen.value()),
               built.value().size(), built.value().num_shards(), build_ms,
               save_ms, store.GenerationDir(gen.value()).c_str());
@@ -1011,8 +969,9 @@ int CompactWith(const Args& args, Metric metric) {
               compact_ms);
   if (args.Has("prune")) {
     snapshot::SnapshotStore store(args.Get("dir"));
-    std::printf("pruned %zu stale generation(s)\n",
-                store.PruneStaleGenerations());
+    auto pruned = store.PruneStaleGenerations();
+    if (!pruned.ok()) return Fail(pruned.status().ToString());
+    std::printf("pruned %zu stale generation(s)\n", pruned.value());
   }
   return 0;
 }
@@ -1359,7 +1318,8 @@ int Main(int argc, char** argv) {
     if (std::strncmp(arg, "--", 2) != 0) return Usage();
     const std::string key = arg + 2;
     // A key followed by another --key (or nothing) is a bare flag, e.g.
-    // --flat; Has() sees it and GetInt falls back to its default.
+    // --prune; Has() sees it and GetInt falls back to its default. Any key
+    // is accepted, so a retired flag such as --flat is simply ignored.
     const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
     if (value == nullptr || std::strncmp(value, "--", 2) == 0) {
       args.named[key] = std::string("1");
