@@ -482,46 +482,20 @@ class SnapshotStore {
 
     const std::size_t k = resolved.value().size();
     std::vector<std::optional<Part>> parts(k);
-    std::vector<Status> statuses(k);
-    auto load_shard = [&](std::size_t c) {
-      const ResolvedShardChunk& source = resolved.value()[c];
-      statuses[c] = DeserializeShardPayload<Object, Metric>(
-          source.payload, static_cast<std::size_t>(source.length),
-          source.crc32c, source.chunk_index, metric, codec, manifest, k,
-          &parts);
-    };
-    if (pool == nullptr || k == 1) {
-      for (std::size_t c = 0; c < k; ++c) load_shard(c);
-    } else {
-      serve::ParallelFor(*pool, k, load_shard);
-    }
-    for (const Status& status : statuses) MVP_RETURN_NOT_OK(status);
+    MVP_RETURN_NOT_OK(OpenShards(
+        k, pool,
+        [&](std::size_t c) {
+          const ResolvedShardChunk& source = resolved.value()[c];
+          return DeserializeShardPayload<Object, Metric>(
+              source.payload, static_cast<std::size_t>(source.length),
+              source.crc32c, source.chunk_index, metric, codec, manifest, k,
+              &parts);
+        },
+        parts));
     MVP_RETURN_NOT_OK(VerifyFingerprint(gen, pool));
-    for (const auto& part : parts) {
-      if (!part.has_value()) {
-        return Status::Corruption("snapshot shard chunks do not cover every "
-                                  "shard exactly once");
-      }
-    }
-
-    typename Index::Options options;
-    options.num_shards = manifest.num_shards;
-    options.tree = parts[0]->first.options();
-    options.tree.seed = manifest.seed;  // not in the tree stream (see docs)
-    std::vector<Part> owned;
-    owned.reserve(k);
-    for (auto& part : parts) owned.push_back(std::move(*part));
-    auto restored = Index::Restore(options, std::move(owned),
-                                   manifest.partition);
-    if (!restored.ok()) return restored.status();
-    if (restored.value().size() != manifest.object_count) {
-      return Status::Corruption("snapshot object count mismatches manifest");
-    }
-
-    LoadedSharded<Object, Metric> loaded{std::move(restored).ValueOrDie(),
-                                         manifest, gen.generation,
-                                         std::move(stable_ids)};
-    return loaded;
+    return RestoreLoaded<Object, Metric>(std::move(parts), manifest,
+                                         gen.generation,
+                                         std::move(stable_ids));
   }
 
   // ---- flat sharded index --------------------------------------------------
@@ -1085,34 +1059,23 @@ class SnapshotStore {
     const auto mapping = std::make_shared<const MmapFile>(std::move(gen.mapping));
 
     std::vector<std::optional<Part>> parts(k);
-    std::vector<Status> statuses(k);
-    auto open_shard = [&](std::size_t c) {
-      const ResolvedShardChunk& chunk = resolved.value()[c];
-      if (chunk.foreign != nullptr &&
-          Crc32c(chunk.payload, static_cast<std::size_t>(chunk.length)) !=
-              chunk.crc32c) {
-        statuses[c] = Status::Corruption(
-            "snapshot chunk " + std::to_string(chunk.chunk_index) + " of " +
-            GenerationName(chunk.generation) +
-            " CRC32C mismatch (truncated or corrupt)");
-        return;
-      }
-      statuses[c] = OpenFlatChunk<Metric>(
-          chunk, chunk.foreign != nullptr ? chunk.foreign : mapping, metric,
-          manifest, &parts);
-    };
-    if (pool == nullptr || k == 1) {
-      for (std::size_t c = 0; c < k; ++c) open_shard(c);
-    } else {
-      serve::ParallelFor(*pool, k, open_shard);
-    }
-    for (const Status& status : statuses) MVP_RETURN_NOT_OK(status);
-    for (const auto& part : parts) {
-      if (!part.has_value()) {
-        return Status::Corruption("snapshot shard chunks do not cover every "
-                                  "shard exactly once");
-      }
-    }
+    MVP_RETURN_NOT_OK(OpenShards(
+        k, pool,
+        [&](std::size_t c) {
+          const ResolvedShardChunk& chunk = resolved.value()[c];
+          if (chunk.foreign != nullptr &&
+              Crc32c(chunk.payload, static_cast<std::size_t>(chunk.length)) !=
+                  chunk.crc32c) {
+            return Status::Corruption(
+                "snapshot chunk " + std::to_string(chunk.chunk_index) +
+                " of " + GenerationName(chunk.generation) +
+                " CRC32C mismatch (truncated or corrupt)");
+          }
+          return OpenFlatChunk<Metric>(
+              chunk, chunk.foreign != nullptr ? chunk.foreign : mapping,
+              metric, manifest, &parts);
+        },
+        parts));
 
     if (id_chunks.empty()) {
       // A round-robin generation stored no id maps: shard s's local id i is
@@ -1129,11 +1092,48 @@ class SnapshotStore {
       }
     }
 
+    return RestoreLoaded<metric::Vector, Metric>(
+        std::move(parts), manifest, gen.generation, std::move(stable_ids));
+  }
+
+  /// Runs `open(c)` for each of the `k` shard chunks (in parallel on
+  /// `pool`, when there is one and more than one chunk), each filling its
+  /// shard's slot of `parts`; returns the first failure, or Corruption when
+  /// the chunks left a slot empty.
+  template <typename Part, typename OpenFn>
+  static Status OpenShards(std::size_t k, serve::ThreadPool* pool,
+                           const OpenFn& open,
+                           const std::vector<std::optional<Part>>& parts) {
+    std::vector<Status> statuses(k);
+    auto run = [&](std::size_t c) { statuses[c] = open(c); };
+    if (pool == nullptr || k == 1) {
+      for (std::size_t c = 0; c < k; ++c) run(c);
+    } else {
+      serve::ParallelFor(*pool, k, run);
+    }
+    for (const Status& status : statuses) MVP_RETURN_NOT_OK(status);
+    for (const auto& part : parts) {
+      if (!part.has_value()) {
+        return Status::Corruption("snapshot shard chunks do not cover every "
+                                  "shard exactly once");
+      }
+    }
+    return Status::OK();
+  }
+
+  /// The loaded index of a full generation: its shard trees and id maps
+  /// (`parts`, by shard) restored under the manifest's build parameters
+  /// and partition, holding exactly the manifest's object count.
+  template <typename Object, typename Metric, typename Part>
+  static Result<LoadedSharded<Object, Metric>> RestoreLoaded(
+      std::vector<std::optional<Part>> parts, const SnapshotManifest& manifest,
+      std::uint64_t generation, std::vector<std::uint64_t> stable_ids) {
+    using Index = serve::ShardedMvpIndex<Object, Metric>;
     typename Index::Options options;
     options.num_shards = manifest.num_shards;
     ApplyTreeParams(manifest, &options.tree);
     std::vector<Part> owned;
-    owned.reserve(k);
+    owned.reserve(parts.size());
     for (auto& part : parts) owned.push_back(std::move(*part));
     auto restored =
         Index::Restore(options, std::move(owned), manifest.partition);
@@ -1141,11 +1141,9 @@ class SnapshotStore {
     if (restored.value().size() != manifest.object_count) {
       return Status::Corruption("snapshot object count mismatches manifest");
     }
-
-    LoadedSharded<metric::Vector, Metric> loaded{
-        std::move(restored).ValueOrDie(), manifest, gen.generation,
-        std::move(stable_ids)};
-    return loaded;
+    return LoadedSharded<Object, Metric>{std::move(restored).ValueOrDie(),
+                                         manifest, generation,
+                                         std::move(stable_ids)};
   }
 
   /// Decodes one kFlatShardIds chunk into the id map of (*parts)[shard].
