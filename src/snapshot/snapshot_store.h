@@ -1056,7 +1056,8 @@ class SnapshotStore {
     // The trees alias the mapping for their whole lifetime, so move it into
     // shared ownership (its data pointer is stable under move, keeping the
     // ContainerReader's spans valid).
-    const auto mapping = std::make_shared<const MmapFile>(std::move(gen.mapping));
+    const auto mapping =
+        std::make_shared<const MmapFile>(std::move(gen.mapping));
 
     std::vector<std::optional<Part>> parts(k);
     MVP_RETURN_NOT_OK(OpenShards(

@@ -395,8 +395,8 @@ TEST_F(SnapshotTest, DamagedRefTargetChunkIsCorruption) {
   std::vector<std::uint8_t> bytes = std::move(container).ValueOrDie();
   auto parsed = ContainerReader::Parse(bytes.data(), bytes.size());
   ASSERT_TRUE(parsed.ok());
-  const ChunkEntry entry =
-      parsed.value().chunk(parsed.value().ChunksOfKind(ChunkKind::kFlatShard)[1]);
+  const auto arenas = parsed.value().ChunksOfKind(ChunkKind::kFlatShard);
+  const ChunkEntry entry = parsed.value().chunk(arenas[1]);
   flat::FlatHeaderRec header;
   std::memcpy(&header, bytes.data() + entry.offset + sizeof(std::uint64_t),
               sizeof(header));
