@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/codec.h"
@@ -20,6 +21,7 @@
 #include "dataset/vector_gen.h"
 #include "metric/lp.h"
 #include "snapshot/snapshot_store.h"
+#include "snapshot_fixtures.h"
 
 namespace mvp::snapshot {
 namespace {
@@ -122,29 +124,41 @@ TEST_F(MmapFileTest, SnapshotLoadsIdenticallyThroughBothPaths) {
   auto built = Index::Build(data, L2(), options);
   ASSERT_TRUE(built.ok());
 
-  SnapshotStore store(dir_ + "/store");
-  ASSERT_TRUE(store.SaveSharded(built.value(), VectorCodec()).ok());
+  // Both snapshot layouts: flat arenas, which every writer emits, and the
+  // MVPT stream (index kind 1) that earlier releases wrote.
+  SnapshotStore flat_store(dir_ + "/flat");
+  ASSERT_TRUE(flat_store.SaveFlat(built.value()).ok());
+  SnapshotStore heap_store(dir_ + "/heap");
+  ASSERT_NO_FATAL_FAILURE(WriteHeapGeneration(heap_store.dir(), built.value()));
 
-  auto via_mmap = store.LoadSharded<Vector>(L2(), VectorCodec());
-  ASSERT_TRUE(via_mmap.ok()) << via_mmap.status().ToString();
+  const std::pair<SnapshotStore*, IndexKind> layouts[] = {
+      {&flat_store, IndexKind::kFlatShardedMvpIndex},
+      {&heap_store, IndexKind::kShardedMvpIndex}};
+  for (const auto& [store, kind] : layouts) {
+    SCOPED_TRACE(store->dir());
+    auto via_mmap = store->LoadSharded<Vector>(L2(), VectorCodec());
+    ASSERT_TRUE(via_mmap.ok()) << via_mmap.status().ToString();
 
-  ForcedFallback forced;
-  auto via_heap = store.LoadSharded<Vector>(L2(), VectorCodec());
-  ASSERT_TRUE(via_heap.ok()) << via_heap.status().ToString();
+    ForcedFallback forced;
+    auto via_heap = store->LoadSharded<Vector>(L2(), VectorCodec());
+    ASSERT_TRUE(via_heap.ok()) << via_heap.status().ToString();
 
-  EXPECT_EQ(via_mmap.value().generation, via_heap.value().generation);
-  EXPECT_EQ(via_mmap.value().index.size(), via_heap.value().index.size());
-  const auto queries = dataset::UniformQueryVectors(8, 5, 32);
-  for (const auto& q : queries) {
-    const auto a = via_mmap.value().index.RangeSearch(q, 0.8);
-    const auto b = via_heap.value().index.RangeSearch(q, 0.8);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].id, b[i].id);
-      EXPECT_EQ(a[i].distance, b[i].distance);
+    EXPECT_EQ(via_mmap.value().generation, via_heap.value().generation);
+    EXPECT_EQ(via_mmap.value().manifest.index_kind, kind);
+    EXPECT_EQ(via_heap.value().manifest.index_kind, kind);
+    EXPECT_EQ(via_mmap.value().index.size(), via_heap.value().index.size());
+    const auto queries = dataset::UniformQueryVectors(8, 5, 32);
+    for (const auto& q : queries) {
+      const auto a = via_mmap.value().index.RangeSearch(q, 0.8);
+      const auto b = via_heap.value().index.RangeSearch(q, 0.8);
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].id, b[i].id);
+        EXPECT_EQ(a[i].distance, b[i].distance);
+      }
+      EXPECT_EQ(via_mmap.value().index.KnnSearch(q, 5),
+                via_heap.value().index.KnnSearch(q, 5));
     }
-    EXPECT_EQ(via_mmap.value().index.KnnSearch(q, 5),
-              via_heap.value().index.KnnSearch(q, 5));
   }
 }
 

@@ -36,6 +36,7 @@
 #include "serve/executor.h"
 #include "serve/thread_pool.h"
 #include "snapshot/snapshot_store.h"
+#include "snapshot_fixtures.h"
 
 namespace mvp::serve {
 namespace {
@@ -509,7 +510,9 @@ TEST(ShardedIndexTest, ShardsAreShellsAroundTheVantagePoint) {
 
 /// Heap, flat, LoadSharded (both layouts), the dynamic overlay and the
 /// network path serve one partitioned generation with identical results
-/// and all four SearchStats counters.
+/// and all four SearchStats counters. The heap store holds the MVPT stream
+/// layout (index kind 1) that earlier releases wrote, so LoadSharded and
+/// the overlay's base run the legacy read path.
 TEST(ShardedIndexTest, EveryServingPathAgreesExactly) {
   const auto data = Clustered(1500, 8, 61);
   const auto queries = NearData(data, 125);
@@ -518,7 +521,7 @@ TEST(ShardedIndexTest, EveryServingPathAgreesExactly) {
   std::filesystem::remove_all(dir);
   snapshot::SnapshotStore heap_store(dir + "/heap");
   snapshot::SnapshotStore flat_store(dir + "/flat");
-  ASSERT_TRUE(heap_store.SaveSharded(built, VectorCodec()).ok());
+  ASSERT_NO_FATAL_FAILURE(snapshot::WriteHeapGeneration(dir + "/heap", built));
   ASSERT_TRUE(flat_store.SaveFlat(built).ok());
   auto heap = heap_store.LoadSharded<Vector>(L2(), VectorCodec());
   auto flat = flat_store.OpenFlat(L2());
@@ -526,6 +529,10 @@ TEST(ShardedIndexTest, EveryServingPathAgreesExactly) {
   ASSERT_TRUE(heap.ok()) << heap.status().ToString();
   ASSERT_TRUE(flat.ok()) << flat.status().ToString();
   ASSERT_TRUE(loaded_flat.ok()) << loaded_flat.status().ToString();
+  EXPECT_EQ(heap.value().manifest.index_kind,
+            snapshot::IndexKind::kShardedMvpIndex);
+  EXPECT_EQ(loaded_flat.value().manifest.index_kind,
+            snapshot::IndexKind::kFlatShardedMvpIndex);
   EXPECT_EQ(heap.value().index.partition(), built.partition());
   EXPECT_EQ(flat.value().index.partition(), built.partition());
   using Overlay = dynamic::DynamicOverlay<Vector, L2, VectorCodec>;

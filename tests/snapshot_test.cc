@@ -17,6 +17,7 @@
 #include "serve/sharded_index.h"
 #include "serve/thread_pool.h"
 #include "snapshot/flat_tree.h"
+#include "snapshot_fixtures.h"
 
 namespace mvp::snapshot {
 namespace {
@@ -73,43 +74,77 @@ void ExpectIdenticalResults(const Index& a, const Index& b) {
   }
 }
 
+/// The two layouts a vector generation can hold: flat arenas (index kind
+/// 3), which every writer emits, and the MVPT stream (index kind 1), which
+/// only earlier releases wrote and which stays readable.
+enum class Layout { kFlat, kHeap };
+
+/// Commits `index` into the empty store at `store.dir()` as generation 1 in
+/// `layout`.
+void SaveAs(Layout layout, SnapshotStore& store, const Index& index) {
+  if (layout == Layout::kFlat) {
+    auto gen = store.SaveFlat(index);
+    ASSERT_TRUE(gen.ok()) << gen.status().ToString();
+    EXPECT_EQ(gen.value(), 1u);
+  } else {
+    WriteHeapGeneration(store.dir(), index);
+  }
+}
+
+constexpr Layout kLayouts[] = {Layout::kFlat, Layout::kHeap};
+
+const char* LayoutName(Layout layout) {
+  return layout == Layout::kFlat ? "flat" : "heap";
+}
+
 TEST_F(SnapshotTest, ShardedRoundTripBitIdentical) {
   const Index index = BuildIndex(400, 4, 7);
-  SnapshotStore store(dir_);
-  auto gen = store.SaveSharded(index, VectorCodec());
-  ASSERT_TRUE(gen.ok()) << gen.status().ToString();
-  EXPECT_EQ(gen.value(), 1u);
+  for (const Layout layout : kLayouts) {
+    SCOPED_TRACE(LayoutName(layout));
+    SnapshotStore store(dir_ + "/" + LayoutName(layout));
+    ASSERT_NO_FATAL_FAILURE(SaveAs(layout, store, index));
 
-  auto loaded = store.LoadSharded<Vector>(L2(), VectorCodec());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().generation, 1u);
-  EXPECT_EQ(loaded.value().index.size(), index.size());
-  EXPECT_EQ(loaded.value().index.num_shards(), index.num_shards());
-  EXPECT_EQ(loaded.value().index.build_params(), index.build_params());
-  EXPECT_EQ(loaded.value().manifest.object_count, index.size());
-  ExpectIdenticalResults(index, loaded.value().index);
+    auto loaded = store.LoadSharded<Vector>(L2(), VectorCodec());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded.value().generation, 1u);
+    EXPECT_EQ(loaded.value().manifest.index_kind,
+              layout == Layout::kFlat ? IndexKind::kFlatShardedMvpIndex
+                                      : IndexKind::kShardedMvpIndex);
+    EXPECT_EQ(loaded.value().index.size(), index.size());
+    EXPECT_EQ(loaded.value().index.num_shards(), index.num_shards());
+    EXPECT_EQ(loaded.value().index.build_params(), index.build_params());
+    EXPECT_EQ(loaded.value().manifest.object_count, index.size());
+    ExpectIdenticalResults(index, loaded.value().index);
+  }
 }
 
 TEST_F(SnapshotTest, ShardedRoundTripParallelLoadIdentical) {
   const Index index = BuildIndex(300, 5, 3);
-  SnapshotStore store(dir_);
-  ASSERT_TRUE(store.SaveSharded(index, VectorCodec()).ok());
   serve::ThreadPool pool(3);
-  auto loaded = store.LoadSharded<Vector>(L2(), VectorCodec(), &pool);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectIdenticalResults(index, loaded.value().index);
+  for (const Layout layout : kLayouts) {
+    SCOPED_TRACE(LayoutName(layout));
+    SnapshotStore store(dir_ + "/" + LayoutName(layout));
+    ASSERT_NO_FATAL_FAILURE(SaveAs(layout, store, index));
+    auto loaded = store.LoadSharded<Vector>(L2(), VectorCodec(), &pool);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ExpectIdenticalResults(index, loaded.value().index);
+  }
 }
 
 TEST_F(SnapshotTest, SingleShardAndEmptyDatasetRoundTrip) {
-  for (const std::size_t n : {std::size_t{0}, std::size_t{17}}) {
-    const Index index = BuildIndex(n, 1, 5);
-    SnapshotStore store(dir_ + "/n" + std::to_string(n));
-    std::filesystem::create_directories(store.dir());
-    ASSERT_TRUE(store.SaveSharded(index, VectorCodec()).ok());
-    auto loaded = store.LoadSharded<Vector>(L2(), VectorCodec());
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(loaded.value().index.size(), n);
-    ExpectIdenticalResults(index, loaded.value().index);
+  for (const Layout layout : kLayouts) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{17}}) {
+      SCOPED_TRACE(std::string(LayoutName(layout)) + " n=" +
+                   std::to_string(n));
+      const Index index = BuildIndex(n, 1, 5);
+      SnapshotStore store(dir_ + "/" + LayoutName(layout) + std::to_string(n));
+      std::filesystem::create_directories(store.dir());
+      ASSERT_NO_FATAL_FAILURE(SaveAs(layout, store, index));
+      auto loaded = store.LoadSharded<Vector>(L2(), VectorCodec());
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      EXPECT_EQ(loaded.value().index.size(), n);
+      ExpectIdenticalResults(index, loaded.value().index);
+    }
   }
 }
 
@@ -117,8 +152,8 @@ TEST_F(SnapshotTest, GenerationsAdvanceAndOldOnesSurvive) {
   SnapshotStore store(dir_);
   const Index first = BuildIndex(100, 2, 1);
   const Index second = BuildIndex(200, 3, 2);
-  ASSERT_TRUE(store.SaveSharded(first, VectorCodec()).ok());
-  auto gen2 = store.SaveSharded(second, VectorCodec());
+  ASSERT_TRUE(store.SaveFlat(first).ok());
+  auto gen2 = store.SaveFlat(second);
   ASSERT_TRUE(gen2.ok());
   EXPECT_EQ(gen2.value(), 2u);
   EXPECT_EQ(store.CurrentGeneration().value(), 2u);
@@ -143,7 +178,7 @@ TEST_F(SnapshotTest, EmptyStoreReportsNotFound) {
 TEST_F(SnapshotTest, InterruptedSaveLeavesPriorGenerationLoadable) {
   SnapshotStore store(dir_);
   const Index index = BuildIndex(150, 3, 9);
-  ASSERT_TRUE(store.SaveSharded(index, VectorCodec()).ok());
+  ASSERT_TRUE(store.SaveFlat(index).ok());
 
   // Simulate a crash mid-save of generation 2: the generation directory and
   // even a stray CURRENT.tmp exist, but the CURRENT rename never happened.
@@ -163,7 +198,7 @@ TEST_F(SnapshotTest, InterruptedSaveLeavesPriorGenerationLoadable) {
   ExpectIdenticalResults(index, loaded.value().index);
 
   // The next save reclaims the orphaned generation number cleanly.
-  auto gen = store.SaveSharded(index, VectorCodec());
+  auto gen = store.SaveFlat(index);
   ASSERT_TRUE(gen.ok());
   EXPECT_EQ(gen.value(), 2u);
   ASSERT_TRUE(store.LoadSharded<Vector>(L2(), VectorCodec()).ok());
@@ -179,7 +214,7 @@ TEST_F(SnapshotTest, DamagedCurrentFailsSaveAndPruneLeavingGenerations) {
     SCOPED_TRACE(damaged);
     const std::string dir = dir_ + "/" + damaged;
     SnapshotStore store(dir);
-    ASSERT_TRUE(store.SaveSharded(index, VectorCodec()).ok());
+    ASSERT_TRUE(store.SaveFlat(index).ok());
     const std::string container =
         store.GenerationDir(1) + "/" + SnapshotStore::kContainerFile;
     const auto committed = ReadFile(container);
@@ -191,7 +226,7 @@ TEST_F(SnapshotTest, DamagedCurrentFailsSaveAndPruneLeavingGenerations) {
 
     EXPECT_EQ(store.CurrentGeneration().status().code(),
               StatusCode::kCorruption);
-    EXPECT_EQ(store.SaveSharded(index, VectorCodec()).status().code(),
+    EXPECT_EQ(store.SaveFlat(index).status().code(),
               StatusCode::kCorruption);
     EXPECT_EQ(store.PruneStaleGenerations().status().code(),
               StatusCode::kCorruption);
@@ -209,7 +244,7 @@ TEST_F(SnapshotTest, KindMismatchRejected) {
   // mistake, not damaged bytes: InvalidArgument, naming both kinds.
   SnapshotStore store(dir_);
   const Index index = BuildIndex(60, 2, 4);
-  ASSERT_TRUE(store.SaveSharded(index, VectorCodec()).ok());
+  ASSERT_TRUE(store.SaveFlat(index).ok());
   const Status as_delta = store.LoadDelta<Vector>(L2(), VectorCodec()).status();
   EXPECT_EQ(as_delta.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(as_delta.message().find("holds a flat sharded (kind 3)"),
@@ -248,7 +283,6 @@ TEST_F(SnapshotTest, KindMismatchRejected) {
 }
 
 TEST_F(SnapshotTest, ManifestRecordsBuildParams) {
-  SnapshotStore store(dir_);
   Index::Options options;
   options.num_shards = 3;
   options.tree.order = 4;
@@ -259,20 +293,30 @@ TEST_F(SnapshotTest, ManifestRecordsBuildParams) {
   auto built =
       Index::Build(dataset::UniformVectors(120, 6, 15), L2(), options);
   ASSERT_TRUE(built.ok());
-  ASSERT_TRUE(store.SaveSharded(built.value(), VectorCodec()).ok());
+  for (const Layout layout : kLayouts) {
+    SCOPED_TRACE(LayoutName(layout));
+    SnapshotStore store(dir_ + "/" + LayoutName(layout));
+    ASSERT_NO_FATAL_FAILURE(SaveAs(layout, store, built.value()));
 
-  auto loaded = store.LoadSharded<Vector>(L2(), VectorCodec());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const SnapshotManifest& m = loaded.value().manifest;
-  EXPECT_EQ(m.index_kind, IndexKind::kFlatShardedMvpIndex);
-  EXPECT_EQ(m.num_shards, 3u);
-  EXPECT_EQ(m.order, 4);
-  EXPECT_EQ(m.leaf_capacity, 12);
-  EXPECT_EQ(m.num_path_distances, 6);
-  EXPECT_EQ(m.seed, 42u);
-  EXPECT_EQ(m.store_exact_bounds, 1u);
-  EXPECT_EQ(m.num_chunks, 6u);  // an arena and an id map per shard
-  EXPECT_EQ(loaded.value().index.build_params(), built.value().build_params());
+    auto loaded = store.LoadSharded<Vector>(L2(), VectorCodec());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const SnapshotManifest& m = loaded.value().manifest;
+    EXPECT_EQ(m.num_shards, 3u);
+    EXPECT_EQ(m.order, 4);
+    EXPECT_EQ(m.leaf_capacity, 12);
+    EXPECT_EQ(m.num_path_distances, 6);
+    EXPECT_EQ(m.seed, 42u);
+    EXPECT_EQ(m.store_exact_bounds, 1u);
+    if (layout == Layout::kFlat) {
+      EXPECT_EQ(m.index_kind, IndexKind::kFlatShardedMvpIndex);
+      EXPECT_EQ(m.num_chunks, 6u);  // an arena and an id map per shard
+    } else {
+      EXPECT_EQ(m.index_kind, IndexKind::kShardedMvpIndex);
+      EXPECT_EQ(m.num_chunks, 3u);  // one stream chunk per shard
+    }
+    EXPECT_EQ(loaded.value().index.build_params(),
+              built.value().build_params());
+  }
 }
 
 TEST_F(SnapshotTest, ForestLoadAppliesManifestTreeParams) {
