@@ -91,7 +91,7 @@ int Run() {
 
     // Save throughput (container + manifest + commit, fsync included).
     const auto save_t0 = Clock::now();
-    const auto gen = store.SaveSharded(built, VectorCodec()).ValueOrDie();
+    const auto gen = store.SaveFlat(built).ValueOrDie();
     const double save_ms = MillisSince(save_t0);
     const auto container_bytes = std::filesystem::file_size(
         store.GenerationDir(gen) + "/" +

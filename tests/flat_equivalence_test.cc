@@ -575,7 +575,7 @@ TEST(FlatKeepAliveTest, IndexOutlivesStoreAndPrunedGeneration) {
       opened.emplace(std::move(loaded).ValueOrDie().index);
     }
     // A later generation becomes current, and the opened one is pruned.
-    ASSERT_TRUE(store.SaveSharded(built.value(), VectorCodec()).ok());
+    ASSERT_TRUE(store.SaveFlat(built.value()).ok());
     EXPECT_EQ(store.PruneStaleGenerations().value(), 1u);
     EXPECT_FALSE(std::filesystem::exists(store.GenerationDir(gen.value())));
   }

@@ -106,7 +106,7 @@ TEST_F(SnapshotFaultpointsTest, EveryCommitFailurePointLeavesPriorGenServing) {
 
   // Stable state: generation 1, with known query answers.
   const Index gen1_index = BuildIndex(150, 1);
-  ASSERT_TRUE(store.SaveSharded(gen1_index, VectorCodec()).ok());
+  ASSERT_TRUE(store.SaveFlat(gen1_index).ok());
   const auto queries = dataset::UniformQueryVectors(6, 4, 9);
   std::vector<std::vector<Neighbor>> expected;
   for (const auto& q : queries) expected.push_back(gen1_index.RangeSearch(q, 0.7));
@@ -123,7 +123,7 @@ TEST_F(SnapshotFaultpointsTest, EveryCommitFailurePointLeavesPriorGenServing) {
     // process death at the armed syscall. Neither may advance CURRENT.
     bool failed = false;
     try {
-      const auto saved = store.SaveSharded(gen2_index, VectorCodec());
+      const auto saved = store.SaveFlat(gen2_index);
       failed = !saved.ok();
     } catch (const fault::CrashError&) {
       failed = true;
@@ -148,7 +148,7 @@ TEST_F(SnapshotFaultpointsTest, EveryCommitFailurePointLeavesPriorGenServing) {
   }
 
   // With nothing armed the same save commits, and generation 2 serves.
-  ASSERT_TRUE(store.SaveSharded(gen2_index, VectorCodec()).ok());
+  ASSERT_TRUE(store.SaveFlat(gen2_index).ok());
   auto loaded = store.LoadSharded<Vector>(L2(), VectorCodec());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().generation, 2u);
@@ -160,7 +160,7 @@ TEST_F(SnapshotFaultpointsTest, ForestCommitPathSurvivesTheSameEnumeration) {
   // same enumeration: after every interrupted SaveDelta the committed delta
   // still loads with its forest intact.
   SnapshotStore store(dir_);
-  ASSERT_TRUE(store.SaveSharded(BuildIndex(50, 3), VectorCodec()).ok());
+  ASSERT_TRUE(store.SaveFlat(BuildIndex(50, 3)).ok());
 
   auto save_delta = [&](const Forest& forest) {
     std::vector<std::uint64_t> stable_ids(forest.size());
@@ -216,14 +216,14 @@ TEST_F(SnapshotFaultpointsTest, ForestCommitPathSurvivesTheSameEnumeration) {
 
 TEST_F(SnapshotFaultpointsTest, OrphanedGenerationFromCrashIsPrunable) {
   SnapshotStore store(dir_);
-  ASSERT_TRUE(store.SaveSharded(BuildIndex(100, 5), VectorCodec()).ok());
+  ASSERT_TRUE(store.SaveFlat(BuildIndex(100, 5)).ok());
 
   // Crash at the CURRENT swap: gen-000002 fully written but never named.
   fault::FailpointConfig config;
   config.match = SnapshotStore::kCurrentFile;
   config.crash = true;
   fault::Failpoints::Instance().Arm("fs/rename", config);
-  EXPECT_THROW((void)store.SaveSharded(BuildIndex(130, 6), VectorCodec()),
+  EXPECT_THROW((void)store.SaveFlat(BuildIndex(130, 6)),
                fault::CrashError);
   fault::Failpoints::Instance().DisarmAll();
 

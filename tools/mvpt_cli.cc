@@ -687,7 +687,7 @@ int RunServeBench(const Args& args) {
   if (args.Has("snapshot-dir")) {
     snapshot::SnapshotStore store(args.Get("snapshot-dir"));
     const auto save_t0 = std::chrono::steady_clock::now();
-    auto gen = store.SaveSharded(sharded.value(), VectorCodec());
+    auto gen = store.SaveFlat(sharded.value());
     const double save_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - save_t0)
                                .count();
