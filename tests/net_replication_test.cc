@@ -14,11 +14,16 @@
 
 #if defined(MVPTREE_FAULT_FS_POSIX)
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/codec.h"
@@ -29,6 +34,7 @@
 #include "net/client.h"
 #include "net/replication.h"
 #include "net/server.h"
+#include "net/wire.h"
 #include "serve/executor.h"
 #include "serve/sharded_index.h"
 #include "snapshot/snapshot_store.h"
@@ -263,6 +269,113 @@ TEST_F(NetReplicationTest, LeaderNamingGenerationZeroIsRefused) {
   EXPECT_EQ(MustRead(follower_current), before);
   CheckFollowerInvariant(follower_dir);
   leader_->Stop();
+}
+
+/// A leader that speaks the wire protocol but answers CurrentGeneration
+/// with 0, as a release without the server-side check could. It serves one
+/// connection until the client hangs up, records the op of every request,
+/// and refuses every op but CurrentGeneration.
+class GenerationZeroLeader {
+ public:
+  GenerationZeroLeader() {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(listen_fd_, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = 0;  // any free port
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    EXPECT_EQ(::listen(listen_fd_, 1), 0);
+    socklen_t length = sizeof(addr);
+    EXPECT_EQ(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                            &length),
+              0);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] { Serve(); });
+  }
+  ~GenerationZeroLeader() {
+    if (thread_.joinable()) {
+      ::shutdown(listen_fd_, SHUT_RDWR);  // wakes an accept nobody will meet
+      thread_.join();
+    }
+    ::close(listen_fd_);
+  }
+
+  std::uint16_t port() const { return port_; }
+
+  /// Waits for the client to hang up; returns the ops it sent, in order.
+  std::vector<std::uint32_t> Finish() {
+    thread_.join();
+    return ops_;
+  }
+
+ private:
+  void Serve() {
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    if (fd < 0) return;
+    for (;;) {
+      auto request = RecvFrame(fd, "stub:leader");
+      if (!request.ok()) break;  // the client hung up
+      BinaryReader reader(request.value());
+      std::uint32_t op = 0;
+      if (!reader.Read<std::uint32_t>(&op).ok()) break;
+      ops_.push_back(op);
+      BinaryWriter out;
+      if (op == static_cast<std::uint32_t>(Op::kCurrentGeneration)) {
+        EncodeResponseStatus(Status::OK(), &out);
+        out.Write<std::uint64_t>(0);
+      } else {
+        EncodeResponseStatus(Status::NotSupported("stub leader"), &out);
+      }
+      if (!SendFrame(fd, out.buffer(), "stub:leader").ok()) break;
+    }
+    ::close(fd);
+  }
+
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::thread thread_;
+  std::vector<std::uint32_t> ops_;
+};
+
+// The follower's own guard: a leader that reports generation 0 over the
+// wire (the fixed server refuses to, so a stub plays an older one) is
+// refused after that one RPC, before the follower fetches or writes
+// anything.
+TEST_F(NetReplicationTest, RemoteGenerationZeroIsRefusedByTheFollower) {
+  StartLeader();
+  const std::string follower_dir = dir_ + "/follower";
+  {
+    Client leader_client = ConnectLeader();
+    ASSERT_TRUE(PullGeneration(leader_client, "vecs", follower_dir,
+                               SmallChunks())
+                    .ok());
+  }
+  leader_->Stop();
+  const std::string follower_current =
+      follower_dir + "/" + snapshot::SnapshotStore::kCurrentFile;
+  const auto before = MustRead(follower_current);
+  const auto listed_before = snapshot::SnapshotStore(follower_dir)
+                                 .ListGenerations();
+
+  GenerationZeroLeader stub;
+  {
+    auto client = Client::Connect("127.0.0.1", stub.port());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    auto pulled =
+        PullGeneration(client.value(), "vecs", follower_dir, SmallChunks());
+    EXPECT_EQ(pulled.status().code(), StatusCode::kCorruption)
+        << pulled.status().ToString();
+  }
+  const std::vector<std::uint32_t> only_current_generation = {
+      static_cast<std::uint32_t>(Op::kCurrentGeneration)};
+  EXPECT_EQ(stub.Finish(), only_current_generation);
+  EXPECT_EQ(MustRead(follower_current), before);
+  EXPECT_EQ(snapshot::SnapshotStore(follower_dir).ListGenerations(),
+            listed_before);
+  CheckFollowerInvariant(follower_dir);
 }
 
 // A poisoned partial (garbage bytes already on disk where the resume
