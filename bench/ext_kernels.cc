@@ -1,13 +1,12 @@
 // Extension benchmark: SIMD distance-kernel throughput (metric/kernels).
 //
-// Measures the two batch shapes the serving path uses — one query against a
-// contiguous object slab (leaf sweeps) and many queries against one vantage
-// point (serve::RunBatch priming) — plus the AnnulusMask leaf-filter
-// primitive in the shape a range search runs it (D1, D2 and five PATH
-// columns per 64-entry chunk), for every kernel tier compiled into and supported by this
-// binary. Every tier's outputs are byte-compared against the scalar
-// reference: the speedup numbers are only meaningful because the results
-// are bit-identical, and the binary exits nonzero if they are not.
+// Measures one query against a contiguous object slab (leaf sweeps) and the
+// AnnulusMask leaf-filter primitive in the shape a range search runs it (D1,
+// D2 and five PATH columns per 64-entry chunk), for every kernel tier
+// compiled into and supported by this binary. Every tier's outputs are
+// byte-compared against the scalar reference: the speedup numbers are only
+// meaningful because the results are bit-identical, and the binary exits
+// nonzero if they are not.
 
 #include <array>
 #include <chrono>
@@ -73,8 +72,8 @@ int Run() {
           " queries, best of " + std::to_string(kReps) + " reps" +
           (QuickMode() ? " (quick mode)" : ""));
 
-  // One contiguous row-major slab of objects (the v2 leaf layout) plus a
-  // pointer-per-query batch (the RunBatch priming shape).
+  // One contiguous row-major slab of objects (the v2 leaf layout) and the
+  // queries swept against it in turn.
   const auto data = dataset::UniformVectors(count, dim, 4242);
   std::vector<double> slab(count * dim);
   for (std::size_t i = 0; i < count; ++i) {
@@ -90,7 +89,6 @@ int Run() {
   for (std::size_t q = 0; q < num_queries; ++q) {
     queries[q] = query_vecs[q].data();
   }
-  const double* vp = slab.data();  // first object doubles as vantage point
 
   std::vector<kernels::Tier> tiers;
   for (int t = 0; t < kernels::kTierCount; ++t) {
@@ -102,19 +100,15 @@ int Run() {
       kernels::Family::kL1, kernels::Family::kL2, kernels::Family::kLInf};
 
   harness::Table table({"metric", "tier", "1->many Mdist/s", "speedup",
-                        "many->1 Mdist/s", "speedup", "bit-identical"});
+                        "bit-identical"});
   bool all_match = true;
-  // Min over families of the best SIMD tier's speedup, per batch shape.
+  // Min over families of the best SIMD tier's speedup.
   double min_o2m_speedup = 0.0;
-  double min_m2o_speedup = 0.0;
 
   std::vector<double> scalar_o2m(count), out_o2m(count);
-  std::vector<double> scalar_m2o(num_queries), out_m2o(num_queries);
   for (const auto family : families) {
     double scalar_o2m_s = 0.0;
-    double scalar_m2o_s = 0.0;
     double best_o2m = 0.0;
-    double best_m2o = 0.0;
     for (const auto tier : tiers) {
       if (!kernels::ForceTier(kernels::TierName(tier)).ok()) {
         all_match = false;
@@ -126,46 +120,28 @@ int Run() {
                              block, dim, dim, out_o2m.data());
         }
       });
-      const double m2o_s = BestOf([&] {
-        kernels::ManyToOne(family, queries.data(), num_queries, vp, dim,
-                           out_m2o.data());
-      });
       bool match = true;
       if (tier == kernels::Tier::kScalar) {
         scalar_o2m_s = o2m_s;
-        scalar_m2o_s = m2o_s;
         scalar_o2m = out_o2m;
-        scalar_m2o = out_m2o;
       } else {
         match = std::memcmp(scalar_o2m.data(), out_o2m.data(),
-                            block * sizeof(double)) == 0 &&
-                std::memcmp(scalar_m2o.data(), out_m2o.data(),
-                            num_queries * sizeof(double)) == 0;
+                            block * sizeof(double)) == 0;
         if (!match) all_match = false;
         if (scalar_o2m_s / o2m_s > best_o2m) best_o2m = scalar_o2m_s / o2m_s;
-        if (scalar_m2o_s / m2o_s > best_m2o) best_m2o = scalar_m2o_s / m2o_s;
       }
       const double o2m_rate =
           static_cast<double>(o2m_iters * block) / o2m_s / 1e6;
-      const double m2o_rate = static_cast<double>(num_queries) / m2o_s / 1e6;
       table.AddRow({FamilyLabel(family), kernels::TierName(tier),
                     harness::FormatDouble(o2m_rate, 1),
                     tier == kernels::Tier::kScalar
                         ? std::string("1.0")
                         : harness::FormatDouble(scalar_o2m_s / o2m_s, 1),
-                    harness::FormatDouble(m2o_rate, 1),
-                    tier == kernels::Tier::kScalar
-                        ? std::string("1.0")
-                        : harness::FormatDouble(scalar_m2o_s / m2o_s, 1),
                     match ? "yes" : "NO (BUG)"});
     }
-    if (tiers.size() > 1) {
-      if (min_o2m_speedup == 0.0 || best_o2m < min_o2m_speedup) {
-        min_o2m_speedup = best_o2m;
-      }
-      if (min_m2o_speedup == 0.0 || best_m2o < min_m2o_speedup) {
-        min_m2o_speedup = best_m2o;
-      }
+    if (tiers.size() > 1 &&
+        (min_o2m_speedup == 0.0 || best_o2m < min_o2m_speedup)) {
+      min_o2m_speedup = best_o2m;
     }
   }
 
@@ -235,8 +211,8 @@ int Run() {
               all_match ? "yes" : "NO (BUG)");
   if (tiers.size() > 1) {
     std::printf("best SIMD speedup, min across metrics: one->many %.1fx, "
-                "many->one (batch priming) %.1fx, leaf filter %.1fx\n",
-                min_o2m_speedup, min_m2o_speedup, mask_speedup);
+                "leaf filter %.1fx\n",
+                min_o2m_speedup, mask_speedup);
   } else {
     std::printf("no SIMD tier available on this host; scalar only\n");
   }

@@ -108,6 +108,8 @@ std::vector<BadQuery> BadQueries() {
   mvp::net::WireQuery knn = SampleQuery();
   knn.point[1] = std::numeric_limits<double>::quiet_NaN();
   bad.push_back({"nan_coordinate", knn});
+  knn.point[1] = std::numeric_limits<double>::infinity();
+  bad.push_back({"inf_coordinate", knn});
   knn = SampleQuery();
   knn.point.push_back(0.5);  // the loopback collection holds 4-d points
   bad.push_back({"wrong_dimension", knn});

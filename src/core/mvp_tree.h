@@ -268,7 +268,11 @@ class MvpTree {
   /// Builds an mvp-tree over `objects`; ids are positions in the input.
   /// Returns InvalidArgument for unusable options, more than 2^32-1
   /// objects, or vectors that do not share one dimension of 1 to 2^32-1.
-  /// Empty input is valid.
+  /// Empty input is valid. Coordinates are not checked: the caller must
+  /// supply finite ones, since a vantage point at infinity makes every
+  /// shell test below it NaN and hides finite points from searches
+  /// (DynamicOverlay::Insert refuses such vectors; library callers of
+  /// Build are on their own).
   static Result<MvpTree> Build(std::vector<Object> objects, Metric metric,
                                const Options& options = Options{}) {
     if (options.order < 2) {
@@ -335,18 +339,14 @@ class MvpTree {
   /// each one a true member of the full answer, since every appended
   /// neighbor passed the d(Q, Xi) <= r test with an exact metric value.
   /// This is what the serving layer's partial-results harvest builds on.
-  /// `root_prime` optionally substitutes precomputed root vantage-point
-  /// distances (serve::RunBatch priming); results and stats are
-  /// bit-identical with or without it.
   void RangeSearchInto(const Object& query, double radius,
                        std::vector<Neighbor>* out,
-                       SearchStats* stats = nullptr,
-                       const RootPrime* root_prime = nullptr) const {
+                       SearchStats* stats = nullptr) const {
     MVP_DCHECK(radius >= 0);
     MVP_DCHECK(out != nullptr);
     SearchStats local;
     Traversal(Access(), query, stats != nullptr ? *stats : local)
-        .Range(radius, out, root_prime);
+        .Range(radius, out);
   }
 
   /// The k nearest objects via shrinking-radius branch-and-bound; children
@@ -374,17 +374,16 @@ class MvpTree {
   /// sort (std::sort or std::sort_heap) before presenting. `bound` caps
   /// the pruning radius at a k-th distance the caller already holds
   /// (Traversal::Knn); candidates strictly farther may then be missing.
-  /// `root_prime` is as in RangeSearchInto.
   void KnnSearchInto(const Object& query, std::size_t k,
                      std::vector<Neighbor>* heap,
                      SearchStats* stats = nullptr,
                      Exclusion exclude = {},
-                     double bound = std::numeric_limits<double>::infinity(),
-                     const RootPrime* root_prime = nullptr) const {
+                     double bound = std::numeric_limits<double>::infinity())
+      const {
     MVP_DCHECK(heap != nullptr);
     SearchStats local;
     Traversal(Access(), query, stats != nullptr ? *stats : local)
-        .Knn(k, heap, exclude, root_prime, bound);
+        .Knn(k, heap, exclude, bound);
   }
 
   /// Budgeted (approximate) k-NN: identical to KnnSearch but stops after
@@ -426,7 +425,7 @@ class MvpTree {
     SearchStats local;
     Traversal(Access(), query, local)
         .template Knn<Farthest>(std::numeric_limits<std::size_t>::max(),
-                                &result, {}, nullptr, radius);
+                                &result, {}, radius);
     std::erase_if(result, [radius](const Neighbor& n) {
       return !(n.distance >= radius);
     });
@@ -474,20 +473,6 @@ class MvpTree {
     return store_.dim();
   }
   const TreeArrays& arrays() const { return arrays_; }
-
-  /// The root's vantage-point rows, for batch priming (core::RootPrime):
-  /// false on an empty tree; *vp2 is null when the root has one vantage
-  /// point.
-  bool RootVantagePoints(const double** vp1, const double** vp2) const
-    requires kRows
-  {
-    const NodeRec* root = Access().Root();
-    if (root == nullptr) return false;
-    *vp1 = store_[root->vp1].data();
-    *vp2 = (root->flags & kNodeHasVp2) != 0 ? store_[root->vp2].data()
-                                             : nullptr;
-    return true;
-  }
 
   /// Structural statistics. For a full mvp-tree of height h the paper gives
   /// 2*(m^(2h) - 1)/(m^2 - 1) vantage points and m^(2(h-1))*k leaf points;

@@ -30,7 +30,7 @@
 /// (vptree/vp_tree.h) one per internal node and none in its bucket leaves.
 /// The range and best-k recursions below run on an accessor. Everything
 /// that decides results and SearchStats lives here once — the order of
-/// metric calls, the counters, root priming, the exclusion rule, PATH
+/// metric calls, the counters, gathered evaluation, the exclusion rule, PATH
 /// bookkeeping, shell pruning, child ranking and leaf filtering — and
 /// tests/search_counts_golden_test.cc pins the counts. Every tree's Stats()
 /// walks the same accessor too (CollectStats).
@@ -140,21 +140,20 @@ struct Exclusion {
   explicit operator bool() const { return excluded != nullptr; }
 };
 
-/// Precomputed vantage-point distances of the node a search enters: the
-/// root's for one query of a batch (serve::RunBatch amortises a root's vp
-/// distances across co-arriving queries with the many-queries-one-vantage-
-/// point kernel shape), or a child's that a range search gathered with its
-/// siblings'. The traversal substitutes d1/d2 for its own metric calls; the
-/// values are bit-identical to what those calls would return, and each one
-/// is still charged to SearchStats and to the metric's cancellation budget,
-/// so primed and unprimed searches are indistinguishable.
+/// Precomputed vantage-point distances of a node a gathering range search
+/// enters: the root's, or a child's evaluated with its siblings' in one
+/// kernel call. The traversal substitutes d1/d2 for its own metric calls;
+/// the values are bit-identical to what those calls would return, and each
+/// one is still charged to SearchStats and to the metric's cancellation
+/// budget (CountPrimed), so gathered and per-call searches are
+/// indistinguishable.
 struct RootPrime {
   double d1 = 0.0;
   double d2 = 0.0;
   bool has_d1 = false;
   bool has_d2 = false;
 
-  /// The primed distance to the root's vantage point l, or null.
+  /// The precomputed distance to the node's vantage point l, or null.
   const double* At(std::size_t l) const {
     if (l == 0) return has_d1 ? &d1 : nullptr;
     return l == 1 && has_d2 ? &d2 : nullptr;
@@ -337,24 +336,18 @@ class Traversal {
   }
 
   /// Appends every object within `radius` (closed ball) to `*out`,
-  /// unsorted. `prime` optionally supplies the root's distances.
-  void Range(double radius, std::vector<Neighbor>* out,
-             const RootPrime* prime = nullptr) {
+  /// unsorted.
+  void Range(double radius, std::vector<Neighbor>* out) {
     const NodeRef root = nodes_.Root();
     if (root == nullptr) return;
     if constexpr (kGathers) {
       gather_ = query_.size() == nodes_.object(nodes_.Vp(root, 0)).size();
     }
-    // The root is swept like a node's only entered child. A gathering sweep
-    // needs all of its distances before it charges any, so a caller's
-    // partial prime is completed, bit-identically, by the kernel.
+    // The root is swept like a node's only entered child.
     entered_.assign(1, root);
-    primes_.assign(1, prime != nullptr ? *prime : RootPrime{});
-    const RootPrime& p = primes_[0];
-    if (gather_ && !(p.has_d1 && (nodes_.VpCount(root) == 1 || p.has_d2))) {
-      PrimeVantagePoints(&root, 1, primes_.data());
-    }
-    RangeChildren(0, 1, radius, *out, prime != nullptr || gather_);
+    primes_.assign(1, RootPrime{});
+    if (gather_) PrimeVantagePoints(&root, 1, primes_.data());
+    RangeChildren(0, 1, radius, *out);
   }
 
   /// Keeps the k best objects `exclude` does not name in `*heap`, a
@@ -368,11 +361,10 @@ class Traversal {
   /// search.
   template <typename Dir = Nearest>
   void Knn(std::size_t k, std::vector<Neighbor>* heap, Exclusion exclude = {},
-           const RootPrime* prime = nullptr,
            double bound = kOpenTau<Dir::kOrder>) {
     bound_ = bound;
     if (const NodeRef root = nodes_.Root(); root != nullptr && k > 0) {
-      KnnNode<Dir>(root, k, *heap, exclude, prime);
+      KnnNode<Dir>(root, k, *heap, exclude);
     }
   }
 
@@ -415,16 +407,17 @@ class Traversal {
 
   /// Step 1 of §4.3: enters `node` and evaluates its vantage points into
   /// d in level order, handing each to `take(id, d)` before the next is
-  /// evaluated. Returns how many the node has.
+  /// evaluated; a distance `known` holds is taken from it. Returns how many
+  /// the node has.
   template <typename Take>
-  std::size_t VantagePoints(NodeRef node, const RootPrime* prime,
+  std::size_t VantagePoints(NodeRef node, const RootPrime& known,
                             Distances& d, Take&& take) {
     ++stats_.nodes_visited;
     const std::size_t vps = nodes_.VpCount(node);
     MVP_DCHECK(vps <= kMaxVantagePoints);
     for (std::size_t l = 0; l < vps; ++l) {
       const std::size_t id = nodes_.Vp(node, l);
-      d[l] = Distance(id, prime != nullptr ? prime->At(l) : nullptr);
+      d[l] = Distance(id, known.At(l));
       take(id, d[l]);
     }
     return vps;
@@ -441,9 +434,10 @@ class Traversal {
   /// stats at a mid-leaf cut are chunk-exact; an internal node's subtree by
   /// recursion. Without gathering a leaf's vantage-point distances are
   /// unknown until charged, so its masks are computed once it is entered.
-  /// `primed`: primes_[begin, end) hold the nodes' vantage-point distances.
+  /// When gathering, primes_[begin, end) hold the nodes' vantage-point
+  /// distances.
   void RangeChildren(std::size_t begin, std::size_t end, double radius,
-                     std::vector<Neighbor>& out, bool primed) {
+                     std::vector<Neighbor>& out) {
     // masks_ and values_ are stacks like entered_: this sweep's entries sit
     // above their sizes on entry while deeper sweeps push and pop.
     const std::size_t mask_base = masks_.size();
@@ -476,10 +470,10 @@ class Traversal {
     for (std::size_t i = begin; i < end; ++i) {
       const NodeRef node = entered_[i];
       // A copy, because deeper calls may grow primes_.
-      const RootPrime prime = primed ? primes_[i] : RootPrime{};
+      const RootPrime prime = gather_ ? primes_[i] : RootPrime{};
       Distances d;
-      const std::size_t vps = VantagePoints(
-          node, primed ? &prime : nullptr, d, [&](std::size_t id, double dist) {
+      const std::size_t vps =
+          VantagePoints(node, prime, d, [&](std::size_t id, double dist) {
             if (dist <= radius) out.push_back(Neighbor{id, dist});
           });
       if (!nodes_.IsLeaf(node)) {
@@ -496,7 +490,7 @@ class Traversal {
                              child_end - child_begin,
                              primes_.data() + child_begin);
         }
-        RangeChildren(child_begin, child_end, radius, out, gather_);
+        RangeChildren(child_begin, child_end, radius, out);
         entered_.resize(child_begin);
         continue;
       }
@@ -616,10 +610,10 @@ class Traversal {
 
   template <typename Dir>
   void KnnNode(NodeRef node, std::size_t k, std::vector<Neighbor>& heap,
-               Exclusion exclude, const RootPrime* prime) {
+               Exclusion exclude) {
     Distances d;
     const std::size_t vps =
-        VantagePoints(node, prime, d, [&](std::size_t id, double dist) {
+        VantagePoints(node, RootPrime{}, d, [&](std::size_t id, double dist) {
           if (!exclude(id)) KnnOffer<Dir::kOrder>(heap, k, Neighbor{id, dist});
         });
     if (nodes_.IsLeaf(node)) {
@@ -651,7 +645,7 @@ class Traversal {
               });
     for (const Ranked& r : ranked) {
       if (Dir::Before(Tau<Dir>(heap, k), r.bound)) break;
-      KnnNode<Dir>(r.child, k, heap, exclude, nullptr);
+      KnnNode<Dir>(r.child, k, heap, exclude);
     }
   }
 

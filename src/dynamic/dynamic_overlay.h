@@ -142,7 +142,8 @@ class DynamicOverlay {
   /// order); the call then waits for the group-commit fsync covering its
   /// record, so a returned id is crash-durable. InvalidArgument, before
   /// anything is logged, for a vector whose dimension is not the
-  /// collection's or that has a NaN coordinate (see AdmitsLocked).
+  /// collection's or that has a NaN or infinite coordinate (see
+  /// AdmitsLocked).
   Result<std::size_t> Insert(Object object) MVP_EXCLUDES(mu_) {
     BinaryWriter payload;
     codec_.Write(payload, object);
@@ -152,8 +153,8 @@ class DynamicOverlay {
       MutexLock lock(&mu_);
       if (!AdmitsLocked(object, /*fresh=*/true)) {
         return Status::InvalidArgument(
-            "vector has a NaN coordinate or another dimension than the "
-            "collection's");
+            "vector has a NaN or infinite coordinate or another dimension "
+            "than the collection's");
       }
       seq = next_seq_ + 1;
       id = static_cast<std::size_t>(next_stable_id_);
@@ -277,8 +278,7 @@ class DynamicOverlay {
                                           ? core::Exclusion{}
                                           : core::Exclusion::Of(is_erased);
       try {
-        base_->KnnSearchInto(query, k, &base_hits, stats, nullptr, nullptr,
-                             exclude);
+        base_->KnnSearchInto(query, k, &base_hits, stats, nullptr, exclude);
       } catch (const serve::CancelledError&) {
         cancelled = true;
       }
@@ -647,14 +647,16 @@ class DynamicOverlay {
   /// or a compaction could not survive. True when `object` may join the
   /// collection: a vector of dim_, or, while dim_ is unset, a vector of any
   /// dimension a tree can hold. A `fresh` vector (Insert's) must also have
-  /// no NaN coordinate, whose NaN distances no search can order. A logged
-  /// one (WAL replay, a shipped leader record) is held to the dimension
-  /// alone, so logs that builds without the NaN rule wrote replay as they
-  /// always did.
+  /// only finite coordinates: NaN distances no search can order, and a
+  /// vantage point at infinity gives |inf - inf| = NaN, which fails every
+  /// shell test and hides the finite points below it from later queries.
+  /// A logged one (WAL replay, a shipped leader record) is held to the
+  /// dimension alone, so logs that builds without the finiteness rule wrote
+  /// replay as they always did.
   bool AdmitsLocked(const Object& object, bool fresh) const
       MVP_REQUIRES(mu_) {
-    if (fresh && std::any_of(object.begin(), object.end(),
-                             [](double x) { return std::isnan(x); })) {
+    if (fresh && !std::all_of(object.begin(), object.end(),
+                              [](double x) { return std::isfinite(x); })) {
       return false;
     }
     return dim_ == 0

@@ -81,14 +81,6 @@ void ScalarOneToRows(const double* query, const double* const* rows,
   }
 }
 
-template <Family kFam>
-void ScalarManyToOne(const double* const* queries, std::size_t count,
-                     const double* vp, std::size_t dim, double* out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = PairDistance(kFam, queries[i], vp, dim);
-  }
-}
-
 std::uint64_t ScalarAnnulusMask(const double* centers,
                                 const double* const* columns,
                                 std::size_t num_columns, std::size_t count,
@@ -112,8 +104,6 @@ const Ops* ScalarOps() {
   static const Ops ops = {
       {&ScalarOneToMany<Family::kL1>, &ScalarOneToMany<Family::kL2>,
        &ScalarOneToMany<Family::kLInf>},
-      {&ScalarManyToOne<Family::kL1>, &ScalarManyToOne<Family::kL2>,
-       &ScalarManyToOne<Family::kLInf>},
       {&ScalarOneToRows<Family::kL1>, &ScalarOneToRows<Family::kL2>,
        &ScalarOneToRows<Family::kLInf>},
       &ScalarAnnulusMask,
@@ -281,12 +271,6 @@ void OneToMany(Family family, const double* query, const double* objects,
   const internal::Ops* ops = OpsForTier(ActiveTier());
   ops->one_to_many[static_cast<int>(family)](query, objects, count, stride,
                                              dim, out);
-}
-
-void ManyToOne(Family family, const double* const* queries, std::size_t count,
-               const double* vp, std::size_t dim, double* out) {
-  const internal::Ops* ops = OpsForTier(ActiveTier());
-  ops->many_to_one[static_cast<int>(family)](queries, count, vp, dim, out);
 }
 
 void OneToRows(Family family, const double* query, const double* const* rows,

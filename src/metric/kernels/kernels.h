@@ -20,14 +20,12 @@
 /// sequential walk over the dimensions with unfused multiply+add (the kernel
 /// translation units are compiled with `-ffp-contract=off`). The vector tiers
 /// reproduce that order by vectorising across the *batch* dimension instead:
-/// each SIMD lane owns one object (or one query) and accumulates its
-/// dimensions in the same sequential order the scalar loop uses, so every
-/// lane's result is the scalar result bit for bit.
+/// each SIMD lane owns one object and accumulates its dimensions in the same
+/// sequential order the scalar loop uses, so every lane's result is the
+/// scalar result bit for bit.
 ///
-/// Three batch shapes cover the serving hot paths:
+/// Two batch shapes cover the serving hot paths:
 ///   * one query × many objects  (`*OneToMany`) — linear sweeps, benches;
-///   * many queries × one vantage point (`*ManyToOne`) — `serve::RunBatch`
-///     amortising a node's vantage-point distances over co-arriving queries;
 ///   * one query × gathered rows (`*OneToRows`) — a row pointer per object,
 ///     anywhere in memory: a range search's leaf survivors and its entered
 ///     children's vantage points (core::Traversal). A tail shorter than the
@@ -119,12 +117,6 @@ void OneToMany(Family family, const double* query, const double* objects,
 void OneToRows(Family family, const double* query, const double* const* rows,
                std::size_t count, std::size_t dim, double* out);
 
-/// `count` independent queries (pointer per query) against one vantage
-/// point. out[i] is bit-identical to PairDistance(family, queries[i], vp,
-/// dim).
-void ManyToOne(Family family, const double* const* queries, std::size_t count,
-               const double* vp, std::size_t dim, double* out);
-
 /// Annulus compare+mask sweep over `num_columns` columns of `count` values
 /// each: bit i of the result is set iff |centers[c] - columns[c][i]| <=
 /// radius for every c < num_columns (so every bit below `count` when
@@ -150,9 +142,6 @@ inline std::uint64_t LowBits(std::size_t count) {
 struct Ops {
   void (*one_to_many[kFamilyCount])(const double* query, const double* objects,
                                     std::size_t count, std::size_t stride,
-                                    std::size_t dim, double* out);
-  void (*many_to_one[kFamilyCount])(const double* const* queries,
-                                    std::size_t count, const double* vp,
                                     std::size_t dim, double* out);
   void (*one_to_rows[kFamilyCount])(const double* query,
                                     const double* const* rows,

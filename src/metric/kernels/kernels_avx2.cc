@@ -1,4 +1,4 @@
-// AVX2 tier: 4 double lanes, lane-per-object / lane-per-query batching
+// AVX2 tier: 4 double lanes, lane-per-object batching
 // (docs/simd_kernels.md). Compiled with -mavx2 -ffp-contract=off; only ever
 // called after the dispatcher has verified __builtin_cpu_supports("avx2").
 //
@@ -65,11 +65,11 @@ inline __m256d Finish(__m256d acc) {
   }
 }
 
-// Four vectors (lane-per-vector) against one broadcast vector. `a_is_query`
-// flips the subtraction so NaN payload propagation matches the scalar
-// `a[i] - b[i]` operand order exactly.
-template <Family kFam, bool kQueryBroadcast>
-inline void Distance4(const double* broadcast, const double* const rows[4],
+// Four rows (lane-per-row) against one broadcast query. The subtraction is
+// query - row, so NaN payload propagation matches the scalar `a[i] - b[i]`
+// operand order exactly.
+template <Family kFam>
+inline void Distance4(const double* query, const double* const rows[4],
                       std::size_t dim, double* out4) {
   __m256d acc = _mm256_setzero_pd();
   std::size_t i = 0;
@@ -80,19 +80,15 @@ inline void Distance4(const double* broadcast, const double* const rows[4],
                &c0, &c1, &c2, &c3);
     const __m256d cols[4] = {c0, c1, c2, c3};
     for (int j = 0; j < 4; ++j) {
-      const __m256d bv = _mm256_broadcast_sd(broadcast + i + j);
-      const __m256d diff = kQueryBroadcast ? _mm256_sub_pd(bv, cols[j])
-                                           : _mm256_sub_pd(cols[j], bv);
-      acc = Accumulate<kFam>(acc, diff);
+      const __m256d qv = _mm256_broadcast_sd(query + i + j);
+      acc = Accumulate<kFam>(acc, _mm256_sub_pd(qv, cols[j]));
     }
   }
   for (; i < dim; ++i) {
     const __m256d col = _mm256_set_pd(rows[3][i], rows[2][i], rows[1][i],
                                       rows[0][i]);
-    const __m256d bv = _mm256_broadcast_sd(broadcast + i);
-    const __m256d diff =
-        kQueryBroadcast ? _mm256_sub_pd(bv, col) : _mm256_sub_pd(col, bv);
-    acc = Accumulate<kFam>(acc, diff);
+    const __m256d qv = _mm256_broadcast_sd(query + i);
+    acc = Accumulate<kFam>(acc, _mm256_sub_pd(qv, col));
   }
   _mm256_storeu_pd(out4, Finish<kFam>(acc));
 }
@@ -107,7 +103,7 @@ void Avx2OneToMany(const double* query, const double* objects,
                              objects + (i + 1) * stride,
                              objects + (i + 2) * stride,
                              objects + (i + 3) * stride};
-    Distance4<kFam, /*kQueryBroadcast=*/true>(query, rows, dim, out + i);
+    Distance4<kFam>(query, rows, dim, out + i);
   }
   for (; i < count; ++i) {
     out[i] = PairDistance(kFam, query, objects + i * stride, dim);
@@ -121,7 +117,7 @@ void Avx2OneToRows(const double* query, const double* const* rows,
                    std::size_t count, std::size_t dim, double* out) {
   std::size_t i = 0;
   for (; i + 4 <= count; i += 4) {
-    Distance4<kFam, /*kQueryBroadcast=*/true>(query, rows + i, dim, out + i);
+    Distance4<kFam>(query, rows + i, dim, out + i);
   }
   if (i < count) {
     const double* tail[4];
@@ -129,22 +125,8 @@ void Avx2OneToRows(const double* query, const double* const* rows,
     for (std::size_t j = 0; j < 4; ++j) {
       tail[j] = rows[std::min(i + j, count - 1)];
     }
-    Distance4<kFam, /*kQueryBroadcast=*/true>(query, tail, dim, vals);
+    Distance4<kFam>(query, tail, dim, vals);
     for (std::size_t j = 0; i + j < count; ++j) out[i + j] = vals[j];
-  }
-}
-
-template <Family kFam>
-void Avx2ManyToOne(const double* const* queries, std::size_t count,
-                   const double* vp, std::size_t dim, double* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const double* rows[4] = {queries[i + 0], queries[i + 1], queries[i + 2],
-                             queries[i + 3]};
-    Distance4<kFam, /*kQueryBroadcast=*/false>(vp, rows, dim, out + i);
-  }
-  for (; i < count; ++i) {
-    out[i] = PairDistance(kFam, queries[i], vp, dim);
   }
 }
 
@@ -184,8 +166,6 @@ const Ops* Avx2Ops() {
   static const Ops ops = {
       {&Avx2OneToMany<Family::kL1>, &Avx2OneToMany<Family::kL2>,
        &Avx2OneToMany<Family::kLInf>},
-      {&Avx2ManyToOne<Family::kL1>, &Avx2ManyToOne<Family::kL2>,
-       &Avx2ManyToOne<Family::kLInf>},
       {&Avx2OneToRows<Family::kL1>, &Avx2OneToRows<Family::kL2>,
        &Avx2OneToRows<Family::kLInf>},
       &Avx2AnnulusMask,

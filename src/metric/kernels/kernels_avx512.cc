@@ -1,4 +1,4 @@
-// AVX-512 tier: 8 double lanes, lane-per-object / lane-per-query batching
+// AVX-512 tier: 8 double lanes, lane-per-object batching
 // (docs/simd_kernels.md). Compiled with -mavx512f -mavx512dq
 // -ffp-contract=off; only ever called after the dispatcher has verified
 // avx512f+avx512dq support. Bit-identity rules are the same as the AVX2
@@ -54,10 +54,11 @@ inline __m512d Finish(__m512d acc) {
   }
 }
 
-// Eight vectors (lane-per-vector) against one broadcast vector. The column
-// gather is two 4x4 256-bit transposes glued with insertf64x4.
-template <Family kFam, bool kQueryBroadcast>
-inline void Distance8(const double* broadcast, const double* const rows[8],
+// Eight rows (lane-per-row) against one broadcast query, subtracting
+// query - row as the scalar reference does. The column gather is two 4x4
+// 256-bit transposes glued with insertf64x4.
+template <Family kFam>
+inline void Distance8(const double* query, const double* const rows[8],
                       std::size_t dim, double* out8) {
   __m512d acc = _mm512_setzero_pd();
   std::size_t i = 0;
@@ -73,20 +74,16 @@ inline void Distance8(const double* broadcast, const double* const rows[8],
     for (int j = 0; j < 4; ++j) {
       const __m512d col = _mm512_insertf64x4(
           _mm512_castpd256_pd512(lo[j]), hi[j], 1);
-      const __m512d bv = _mm512_set1_pd(broadcast[i + j]);
-      const __m512d diff = kQueryBroadcast ? _mm512_sub_pd(bv, col)
-                                           : _mm512_sub_pd(col, bv);
-      acc = Accumulate<kFam>(acc, diff);
+      const __m512d qv = _mm512_set1_pd(query[i + j]);
+      acc = Accumulate<kFam>(acc, _mm512_sub_pd(qv, col));
     }
   }
   for (; i < dim; ++i) {
     const __m512d col =
         _mm512_set_pd(rows[7][i], rows[6][i], rows[5][i], rows[4][i],
                       rows[3][i], rows[2][i], rows[1][i], rows[0][i]);
-    const __m512d bv = _mm512_set1_pd(broadcast[i]);
-    const __m512d diff =
-        kQueryBroadcast ? _mm512_sub_pd(bv, col) : _mm512_sub_pd(col, bv);
-    acc = Accumulate<kFam>(acc, diff);
+    const __m512d qv = _mm512_set1_pd(query[i]);
+    acc = Accumulate<kFam>(acc, _mm512_sub_pd(qv, col));
   }
   _mm512_storeu_pd(out8, Finish<kFam>(acc));
 }
@@ -99,7 +96,7 @@ void Avx512OneToMany(const double* query, const double* objects,
   for (; i + 8 <= count; i += 8) {
     const double* rows[8];
     for (int j = 0; j < 8; ++j) rows[j] = objects + (i + j) * stride;
-    Distance8<kFam, /*kQueryBroadcast=*/true>(query, rows, dim, out + i);
+    Distance8<kFam>(query, rows, dim, out + i);
   }
   for (; i < count; ++i) {
     out[i] = PairDistance(kFam, query, objects + i * stride, dim);
@@ -113,7 +110,7 @@ void Avx512OneToRows(const double* query, const double* const* rows,
                      std::size_t count, std::size_t dim, double* out) {
   std::size_t i = 0;
   for (; i + 8 <= count; i += 8) {
-    Distance8<kFam, /*kQueryBroadcast=*/true>(query, rows + i, dim, out + i);
+    Distance8<kFam>(query, rows + i, dim, out + i);
   }
   if (i < count) {
     const double* tail[8];
@@ -121,22 +118,8 @@ void Avx512OneToRows(const double* query, const double* const* rows,
     for (std::size_t j = 0; j < 8; ++j) {
       tail[j] = rows[std::min(i + j, count - 1)];
     }
-    Distance8<kFam, /*kQueryBroadcast=*/true>(query, tail, dim, vals);
+    Distance8<kFam>(query, tail, dim, vals);
     for (std::size_t j = 0; i + j < count; ++j) out[i + j] = vals[j];
-  }
-}
-
-template <Family kFam>
-void Avx512ManyToOne(const double* const* queries, std::size_t count,
-                     const double* vp, std::size_t dim, double* out) {
-  std::size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    const double* rows[8];
-    for (int j = 0; j < 8; ++j) rows[j] = queries[i + j];
-    Distance8<kFam, /*kQueryBroadcast=*/false>(vp, rows, dim, out + i);
-  }
-  for (; i < count; ++i) {
-    out[i] = PairDistance(kFam, queries[i], vp, dim);
   }
 }
 
@@ -182,8 +165,6 @@ const Ops* Avx512Ops() {
   static const Ops ops = {
       {&Avx512OneToMany<Family::kL1>, &Avx512OneToMany<Family::kL2>,
        &Avx512OneToMany<Family::kLInf>},
-      {&Avx512ManyToOne<Family::kL1>, &Avx512ManyToOne<Family::kL2>,
-       &Avx512ManyToOne<Family::kLInf>},
       {&Avx512OneToRows<Family::kL1>, &Avx512OneToRows<Family::kL2>,
        &Avx512OneToRows<Family::kLInf>},
       &Avx512AnnulusMask,

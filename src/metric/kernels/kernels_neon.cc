@@ -39,9 +39,10 @@ inline float64x2_t Finish(float64x2_t acc) {
   }
 }
 
-// Two vectors (lane-per-vector) against one broadcast vector.
-template <Family kFam, bool kQueryBroadcast>
-inline void Distance2(const double* broadcast, const double* const rows[2],
+// Two rows (lane-per-row) against one broadcast query, subtracting
+// query - row as the scalar reference does.
+template <Family kFam>
+inline void Distance2(const double* query, const double* const rows[2],
                       std::size_t dim, double* out2) {
   float64x2_t acc = vdupq_n_f64(0.0);
   std::size_t i = 0;
@@ -50,19 +51,16 @@ inline void Distance2(const double* broadcast, const double* const rows[2],
     const float64x2_t b = vld1q_f64(rows[1] + i);
     const float64x2_t col0 = vzip1q_f64(a, b);
     const float64x2_t col1 = vzip2q_f64(a, b);
-    const float64x2_t bv0 = vdupq_n_f64(broadcast[i]);
-    const float64x2_t bv1 = vdupq_n_f64(broadcast[i + 1]);
-    acc = Accumulate<kFam>(acc, kQueryBroadcast ? vsubq_f64(bv0, col0)
-                                                : vsubq_f64(col0, bv0));
-    acc = Accumulate<kFam>(acc, kQueryBroadcast ? vsubq_f64(bv1, col1)
-                                                : vsubq_f64(col1, bv1));
+    const float64x2_t qv0 = vdupq_n_f64(query[i]);
+    const float64x2_t qv1 = vdupq_n_f64(query[i + 1]);
+    acc = Accumulate<kFam>(acc, vsubq_f64(qv0, col0));
+    acc = Accumulate<kFam>(acc, vsubq_f64(qv1, col1));
   }
   for (; i < dim; ++i) {
     float64x2_t col = vdupq_n_f64(rows[0][i]);
     col = vsetq_lane_f64(rows[1][i], col, 1);
-    const float64x2_t bv = vdupq_n_f64(broadcast[i]);
-    acc = Accumulate<kFam>(acc, kQueryBroadcast ? vsubq_f64(bv, col)
-                                                : vsubq_f64(col, bv));
+    const float64x2_t qv = vdupq_n_f64(query[i]);
+    acc = Accumulate<kFam>(acc, vsubq_f64(qv, col));
   }
   vst1q_f64(out2, Finish<kFam>(acc));
 }
@@ -75,7 +73,7 @@ void NeonOneToMany(const double* query, const double* objects,
   for (; i + 2 <= count; i += 2) {
     const double* rows[2] = {objects + (i + 0) * stride,
                              objects + (i + 1) * stride};
-    Distance2<kFam, /*kQueryBroadcast=*/true>(query, rows, dim, out + i);
+    Distance2<kFam>(query, rows, dim, out + i);
   }
   for (; i < count; ++i) {
     out[i] = PairDistance(kFam, query, objects + i * stride, dim);
@@ -89,26 +87,13 @@ void NeonOneToRows(const double* query, const double* const* rows,
                    std::size_t count, std::size_t dim, double* out) {
   std::size_t i = 0;
   for (; i + 2 <= count; i += 2) {
-    Distance2<kFam, /*kQueryBroadcast=*/true>(query, rows + i, dim, out + i);
+    Distance2<kFam>(query, rows + i, dim, out + i);
   }
   if (i < count) {
     const double* tail[2] = {rows[i], rows[i]};
     double vals[2];
-    Distance2<kFam, /*kQueryBroadcast=*/true>(query, tail, dim, vals);
+    Distance2<kFam>(query, tail, dim, vals);
     out[i] = vals[0];
-  }
-}
-
-template <Family kFam>
-void NeonManyToOne(const double* const* queries, std::size_t count,
-                   const double* vp, std::size_t dim, double* out) {
-  std::size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const double* rows[2] = {queries[i + 0], queries[i + 1]};
-    Distance2<kFam, /*kQueryBroadcast=*/false>(vp, rows, dim, out + i);
-  }
-  for (; i < count; ++i) {
-    out[i] = PairDistance(kFam, queries[i], vp, dim);
   }
 }
 
@@ -149,8 +134,6 @@ const Ops* NeonOps() {
   static const Ops ops = {
       {&NeonOneToMany<Family::kL1>, &NeonOneToMany<Family::kL2>,
        &NeonOneToMany<Family::kLInf>},
-      {&NeonManyToOne<Family::kL1>, &NeonManyToOne<Family::kL2>,
-       &NeonManyToOne<Family::kLInf>},
       {&NeonOneToRows<Family::kL1>, &NeonOneToRows<Family::kL2>,
        &NeonOneToRows<Family::kLInf>},
       &NeonAnnulusMask,

@@ -35,13 +35,12 @@
 ///    whose deadline expires mid-search is cancelled cooperatively at the
 ///    next distance computation (see serve/cancel.h).
 ///  * Graceful degradation: a cancelled query does not discard the work it
-///    already paid for. For indexes exposing the `*SearchInto` harvest
-///    interface (ShardedMvpIndex, MvpTree), the neighbors found before the
-///    cut are returned with `QueryOutcome::partial == true` and status
-///    DeadlineExceeded. Range partials are a true subset of the full
-///    answer (every hit passed the exact d <= r test); k-NN partials are
-///    the best candidates among the points evaluated so far. A per-query
-///    `max_distance_computations` budget degrades the same way.
+///    already paid for: the neighbors the `*SearchInto` harvest interface
+///    found before the cut are returned with `QueryOutcome::partial ==
+///    true` and status DeadlineExceeded. Range partials are a true subset
+///    of the full answer (every hit passed the exact d <= r test); k-NN
+///    partials are the best candidates among the points evaluated so far.
+///    A per-query `max_distance_computations` budget degrades the same way.
 ///  * Load shedding: with `ExecutorOptions::admission` set, each query asks
 ///    the AdmissionController before being submitted; refused queries get
 ///    Status::ResourceExhausted immediately — no queueing, no index work —
@@ -50,23 +49,25 @@
 ///    tasks are queued at once; the submitting thread runs queries itself
 ///    while the queue is full, so submission can never outrun execution.
 ///  * Validation: a query the index cannot answer exactly — a range query
-///    whose radius is NaN or negative, or a vector query with a NaN
-///    coordinate or of another dimension than the collection's — gets
-///    Status::InvalidArgument and runs no search (ValidateQuery). This is
-///    the one check for the in-process and the network path alike.
+///    whose radius is NaN or negative, or a vector query with a NaN or
+///    infinite coordinate or of another dimension than the collection's —
+///    gets Status::InvalidArgument and runs no search (ValidateQuery). This
+///    is the one check for the in-process and the network path alike. An
+///    infinite radius is valid.
 ///  * Accounting: each outcome carries wall latency (batch start to
 ///    completion, queue time included) and the exact number of distance
 ///    computations the query performed, aggregated across every thread
 ///    that worked on it. Outcomes are optionally folded into a shared
 ///    `ServeStats` (ok / partial / deadline_exceeded / shed).
 ///
-/// Mid-search cancellation requires the index's distance evaluations to be
-/// cancellation points, which ShardedMvpIndex guarantees (its shards are
-/// built over CancelChecked metrics). Any index with the standard
-/// RangeSearch/KnnSearch signatures works — but an index without
-/// cancellation points only honours deadlines at query start, not
-/// mid-search, and one without the `*SearchInto` interface reports
-/// cancellation with `partial == false` and no results.
+/// The index must provide the `*SearchInto` harvest interface:
+/// `RangeSearchInto(query, radius, out, stats)` and `KnnSearchInto(query,
+/// k, out, stats)`, each optionally followed by a shard pool — MvpTree,
+/// ShardedMvpIndex and DynamicOverlay do. Mid-search cancellation requires
+/// the index's distance evaluations to be cancellation points, which
+/// ShardedMvpIndex guarantees (its shards are built over CancelChecked
+/// metrics); an index without them only honours deadlines at query start,
+/// not mid-search.
 ///
 /// Thread-safety analysis: RunBatch owns all cross-thread state either
 /// per-task (each worker touches only its own QueryOutcome slot) or as a
@@ -144,11 +145,13 @@ inline ServeClock::time_point DeadlineFrom(ServeClock::time_point start,
 
 /// OK when `index` can answer `query` exactly; otherwise InvalidArgument
 /// for a range radius that is NaN or negative, and, for vector queries, a
-/// NaN coordinate or a dimension other than the index's dim() (when the
-/// index reports one and holds vectors, dim() != 0). Without this check a
-/// query longer than the rows reads past a stored row, a shorter one is
-/// measured against a prefix of each row, and NaN distances break the
-/// NeighborLess ordering the result sort relies on.
+/// NaN or infinite coordinate or a dimension other than the index's dim()
+/// (when the index reports one and holds vectors, dim() != 0). Without this
+/// check a query longer than the rows reads past a stored row, a shorter
+/// one is measured against a prefix of each row, NaN distances break the
+/// NeighborLess ordering the result sort relies on, and an infinite
+/// coordinate puts the query at distance +inf from every vantage point,
+/// where inf - inf = NaN fails every shell test and prunes live answers.
 template <typename Index, typename Object>
 Status ValidateQuery(const Index& index, const BatchQuery<Object>& query) {
   if (query.kind == BatchQuery<Object>::Kind::kRange &&
@@ -157,8 +160,9 @@ Status ValidateQuery(const Index& index, const BatchQuery<Object>& query) {
   }
   if constexpr (std::is_same_v<Object, std::vector<double>>) {
     for (const double x : query.object) {
-      if (std::isnan(x)) {
-        return Status::InvalidArgument("query has a NaN coordinate");
+      if (!std::isfinite(x)) {
+        return Status::InvalidArgument(
+            "query has a NaN or infinite coordinate");
       }
     }
     if constexpr (requires { index.dim(); }) {
@@ -173,83 +177,29 @@ Status ValidateQuery(const Index& index, const BatchQuery<Object>& query) {
   return Status::OK();
 }
 
-/// Batch-primes the root vantage-point distances for every valid query of
-/// the batch when the index supports it (ShardedMvpIndex::PrimeBatch over
-/// vector shards of a kernel-capable metric). One
-/// many-queries-one-vantage-point SIMD sweep per shard root replaces
-/// per-query metric calls; the primed values are bit-identical and charged
-/// to stats/budgets at consumption, so outcomes match unprimed execution
-/// exactly. Returns the index's prime vector, or int{0} when the index has
-/// no PrimeBatch — PrimeAt below maps either onto the per-query prime
-/// pointer.
+/// Invokes the index's `*SearchInto` harvest interface (results survive a
+/// cancellation unwind in `*out`, unsorted). An index whose `*SearchInto`
+/// takes the shard pool gets it (ShardedMvpIndex); one whose does not
+/// (MvpTree, DynamicOverlay) runs unpooled.
 template <typename Index, typename Object>
-auto PrimeIfSupported(const Index& index,
-                      const std::vector<BatchQuery<Object>>& queries) {
-  if constexpr (requires {
-                  index.PrimeBatch(std::vector<const Object*>{});
-                }) {
-    std::vector<const Object*> objects;
-    if (queries.size() >= 2) {  // a single query gains nothing from batching
-      objects.reserve(queries.size());
-      for (const BatchQuery<Object>& q : queries) {
-        objects.push_back(ValidateQuery(index, q).ok() ? &q.object : nullptr);
-      }
-    }
-    return index.PrimeBatch(objects);
-  } else {
-    return 0;
-  }
-}
-
-inline const void* PrimeAt(int, std::size_t) { return nullptr; }
-template <typename P>
-const P* PrimeAt(const std::vector<P>& primes, std::size_t i) {
-  if (i >= primes.size()) return nullptr;
-  return &primes[i];
-}
-
-/// Invokes the right search, preferring the `*SearchInto` harvest
-/// interface (results survive a cancellation unwind in `*out`). An index
-/// whose `*SearchInto` takes the shard pool and `prime` — the query's
-/// batch-primed root distances (PrimeIfSupported / PrimeAt) — gets both
-/// (ShardedMvpIndex); one whose `*SearchInto` takes neither (MvpTree,
-/// DynamicOverlay) runs unpooled and unprimed; any other index is called
-/// through its plain RangeSearch/KnnSearch. A null prime of the right type
-/// simply runs unprimed. Sets `*harvestable` before any index work, so the
-/// catch handler knows whether `*out` is meaningful. Results land in `*out`
-/// unsorted.
-template <typename Index, typename Object, typename Prime>
 void SearchInto(const Index& index, const BatchQuery<Object>& query,
                 std::vector<Neighbor>* out, SearchStats* stats,
-                ThreadPool* shard_pool, bool* harvestable, Prime prime) {
+                ThreadPool* shard_pool) {
   using Kind = typename BatchQuery<Object>::Kind;
   if constexpr (requires {
                   index.RangeSearchInto(query.object, query.radius, out,
-                                        stats, shard_pool, prime);
+                                        stats, shard_pool);
                 }) {
-    *harvestable = true;
     if (query.kind == Kind::kRange) {
       index.RangeSearchInto(query.object, query.radius, out, stats,
-                            shard_pool, prime);
+                            shard_pool);
     } else {
-      index.KnnSearchInto(query.object, query.k, out, stats, shard_pool,
-                          prime);
+      index.KnnSearchInto(query.object, query.k, out, stats, shard_pool);
     }
-  } else if constexpr (requires {
-                         index.RangeSearchInto(query.object, query.radius,
-                                               out, stats);
-                       }) {
-    *harvestable = true;
-    if (query.kind == Kind::kRange) {
-      index.RangeSearchInto(query.object, query.radius, out, stats);
-    } else {
-      index.KnnSearchInto(query.object, query.k, out, stats);
-    }
+  } else if (query.kind == Kind::kRange) {
+    index.RangeSearchInto(query.object, query.radius, out, stats);
   } else {
-    *harvestable = false;
-    *out = query.kind == Kind::kRange
-               ? index.RangeSearch(query.object, query.radius, stats)
-               : index.KnnSearch(query.object, query.k, stats);
+    index.KnnSearchInto(query.object, query.k, out, stats);
   }
 }
 
@@ -267,11 +217,6 @@ std::vector<QueryOutcome> RunBatch(const Index& index,
   std::vector<QueryOutcome> outcomes(queries.size());
   const ServeClock::time_point start = ServeClock::now();
   ThreadPool* shard_pool = options.parallel_shards ? pool : nullptr;
-  // Batch-shaped work the queries share: one SIMD sweep per shard root
-  // vantage point primes every query's root distances up front (a no-op for
-  // indexes/batches that can't use it). Bit-identical and stats-identical
-  // to unprimed execution.
-  const auto primes = internal::PrimeIfSupported(index, queries);
 
   auto finish = [&](std::size_t i) {
     QueryOutcome& out = outcomes[i];
@@ -291,7 +236,6 @@ std::vector<QueryOutcome> RunBatch(const Index& index,
     metric::AtomicDistanceCounter counter;
     CancelToken token;
     SearchStats search_stats;
-    bool harvestable = false;
     const ServeClock::time_point work_start = ServeClock::now();
     Status valid = internal::ValidateQuery(index, query);
     if (!valid.ok()) {
@@ -302,15 +246,13 @@ std::vector<QueryOutcome> RunBatch(const Index& index,
       try {
         CancelScope scope(&counter, &token, deadline, budget);
         internal::SearchInto(index, query, &out.neighbors, &search_stats,
-                             shard_pool, &harvestable,
-                             internal::PrimeAt(primes, i));
+                             shard_pool);
         out.status = Status::OK();
       } catch (const CancelledError&) {
         // The scope (and any shard scopes) flushed into `counter` during
         // the unwind, so the budget-vs-deadline attribution below sees the
         // final count.
-        out.partial = harvestable;
-        if (!harvestable) out.neighbors.clear();
+        out.partial = true;
         if (budget > 0 && counter.count() >= budget &&
             ServeClock::now() < deadline) {
           out.status =
@@ -319,15 +261,13 @@ std::vector<QueryOutcome> RunBatch(const Index& index,
           out.status = Status::DeadlineExceeded("deadline expired mid-search");
         }
       }
-      if (harvestable) {
-        // Harvested hits arrive unsorted (and an overlay's k-NN as a union
-        // of base and memtable candidates); normalize to the library-wide
-        // presentation order.
-        std::sort(out.neighbors.begin(), out.neighbors.end(), NeighborLess);
-        if (query.kind == BatchQuery<Object>::Kind::kKnn &&
-            out.neighbors.size() > query.k) {
-          out.neighbors.resize(query.k);
-        }
+      // Harvested hits arrive unsorted (and an overlay's k-NN as a union of
+      // base and memtable candidates); normalize to the library-wide
+      // presentation order.
+      std::sort(out.neighbors.begin(), out.neighbors.end(), NeighborLess);
+      if (query.kind == BatchQuery<Object>::Kind::kKnn &&
+          out.neighbors.size() > query.k) {
+        out.neighbors.resize(query.k);
       }
     }
     // Indexes without cancellation points report through SearchStats

@@ -20,7 +20,6 @@
 #include "common/status.h"
 #include "core/mvp_tree.h"
 #include "core/search_shared.h"
-#include "metric/kernels/kernels.h"
 #include "metric/metric.h"
 #include "serve/cancel.h"
 #include "serve/thread_pool.h"
@@ -78,7 +77,7 @@ namespace mvp::serve {
 
 template <typename Object, metric::MetricFor<Object> Metric>
 class ShardedMvpIndex {
-  /// Vector collections: one row dimension (dim()) and batch priming.
+  /// Vector collections: one row dimension (dim()).
   static constexpr bool kVectors = std::is_same_v<Object, metric::Vector>;
 
  public:
@@ -128,16 +127,6 @@ class ShardedMvpIndex {
     bool store_exact_bounds = false;
 
     friend bool operator==(const BuildParams&, const BuildParams&) = default;
-  };
-
-  /// Precomputed distances for one query of a batch (PrimeBatch; consumed
-  /// by the primed RangeSearchInto/KnnSearchInto overload parameter): d(q,
-  /// v) to the top vantage point, and one core::RootPrime per shard. Empty
-  /// when the index could not be primed.
-  struct QueryPrime {
-    double vantage = 0.0;
-    bool has_vantage = false;
-    std::vector<core::RootPrime> shard;
   };
 
   /// The metric partition Build records and snapshots persist
@@ -268,10 +257,9 @@ class ShardedMvpIndex {
   void RangeSearchInto(const Object& query, double radius,
                        std::vector<Neighbor>* out,
                        SearchStats* stats = nullptr,
-                       ThreadPool* pool = nullptr,
-                       const QueryPrime* prime = nullptr) const {
+                       ThreadPool* pool = nullptr) const {
     MVP_DCHECK(out != nullptr);
-    const double d0 = VantageDistance(query, stats, prime);
+    const double d0 = VantageDistance(query, stats);
     std::vector<std::size_t> visit;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       const Shell& shell = shards_[s].shell;
@@ -285,8 +273,7 @@ class ShardedMvpIndex {
         visit.size(), pool, [&](std::size_t i) {
           const std::size_t s = visit[i];
           shards_[s].tree.RangeSearchInto(query, radius, &hits[i],
-                                          &shard_stats[i],
-                                          ShardPrime(prime, s));
+                                          &shard_stats[i]);
         });
     std::size_t total = 0;
     for (const auto& h : hits) total += h.size();
@@ -311,7 +298,7 @@ class ShardedMvpIndex {
                                   ThreadPool* pool = nullptr,
                                   core::Exclusion exclude = {}) const {
     std::vector<Neighbor> merged;
-    KnnSearchInto(query, k, &merged, stats, pool, nullptr, exclude);
+    KnnSearchInto(query, k, &merged, stats, pool, exclude);
     std::sort(merged.begin(), merged.end(), NeighborLess);
     return merged;
   }
@@ -332,11 +319,10 @@ class ShardedMvpIndex {
   void KnnSearchInto(const Object& query, std::size_t k,
                      std::vector<Neighbor>* out, SearchStats* stats = nullptr,
                      ThreadPool* pool = nullptr,
-                     const QueryPrime* prime = nullptr,
                      core::Exclusion exclude = {}) const {
     MVP_DCHECK(out != nullptr);
     if (k == 0) return;
-    const double d0 = VantageDistance(query, stats, prime);
+    const double d0 = VantageDistance(query, stats);
     std::vector<std::pair<double, std::size_t>> order;  // (lower bound, s)
     order.reserve(shards_.size());
     for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -353,7 +339,7 @@ class ShardedMvpIndex {
       std::vector<SearchStats> shard_stats(last - first);
       const bool cancelled =
           ForEachShard(last - first, pool, [&](std::size_t i) {
-            ShardKnn(order[first + i].second, query, k, tau, exclude, prime,
+            ShardKnn(order[first + i].second, query, k, tau, exclude,
                      &found[i], &shard_stats[i]);
           });
       for (std::size_t i = 0; i < found.size(); ++i) {
@@ -374,79 +360,6 @@ class ShardedMvpIndex {
     }
     out->insert(out->end(), best.begin(), best.end());
     if (cancelled) throw CancelledError();
-  }
-
-  /// Precomputes, for each query of a co-arriving batch, its distance to
-  /// the top vantage point v and to every shard root's vantage points — the
-  /// paper's cost model made batch-shaped: one many-queries-one-vantage-
-  /// point kernel sweep per vantage point (metric/kernels/kernels.h)
-  /// instead of one metric call per query. A shard the query's shell test
-  /// later prunes leaves its two root distances unused; at most 2·K per
-  /// query, which docs/serving.md weighs against a search's count. The
-  /// primed values are bit-identical to what each search would compute
-  /// itself, and consumers still charge SearchStats and the cancellation
-  /// budget per primed distance, so batched and unbatched execution agree
-  /// exactly. Returns empty when priming does not apply: objects that are
-  /// not vectors, a metric without a batch kernel family, or no queries.
-  /// Queries whose dimension mismatches a shard's stored vectors are left
-  /// unprimed (the search then evaluates them itself, preserving whatever
-  /// the metric does with them).
-  std::vector<QueryPrime> PrimeBatch(
-      const std::vector<const Object*>& queries) const {
-    std::vector<QueryPrime> primes;
-    if constexpr (kVectors && metric::kernels::FamilyFor<Metric>::available) {
-      if (queries.empty()) return primes;
-      const std::size_t num_shards = shards_.size();
-      primes.resize(queries.size());
-      for (auto& qp : primes) qp.shard.resize(num_shards);
-      std::vector<const double*> qptrs;
-      std::vector<std::size_t> qidx;
-      std::vector<double> dists;
-      // d(q, vp) for every query of dimension `dim` into `dists`, with
-      // qidx naming the queries swept; false when none was.
-      const auto sweep = [&](const double* vp, std::size_t dim) {
-        qptrs.clear();
-        qidx.clear();
-        for (std::size_t i = 0; i < queries.size(); ++i) {
-          if (queries[i] != nullptr && queries[i]->size() == dim) {
-            qptrs.push_back(queries[i]->data());
-            qidx.push_back(i);
-          }
-        }
-        if (qptrs.empty()) return false;
-        dists.resize(qptrs.size());
-        metric::kernels::ManyToOne(metric::kernels::FamilyFor<Metric>::family,
-                                   qptrs.data(), qptrs.size(), vp, dim,
-                                   dists.data());
-        return true;
-      };
-      if (vantage_.has_value()) {
-        const auto [s, local] = *vantage_;
-        const metric::VectorView v = shards_[s].tree.object(local);
-        if (sweep(v.data(), v.size())) {
-          for (std::size_t j = 0; j < qidx.size(); ++j) {
-            primes[qidx[j]].vantage = dists[j];
-            primes[qidx[j]].has_vantage = true;
-          }
-        }
-      }
-      for (std::size_t s = 0; s < num_shards; ++s) {
-        const Tree& tree = shards_[s].tree;
-        const double* vps[2] = {nullptr, nullptr};
-        if (!tree.RootVantagePoints(&vps[0], &vps[1])) continue;
-        for (std::size_t l = 0; l < 2 && vps[l] != nullptr; ++l) {
-          if (!sweep(vps[l], tree.dim())) break;
-          for (std::size_t j = 0; j < qidx.size(); ++j) {
-            core::RootPrime& rp = primes[qidx[j]].shard[s];
-            (l == 0 ? rp.d1 : rp.d2) = dists[j];
-            (l == 0 ? rp.has_d1 : rp.has_d2) = true;
-          }
-        }
-      }
-    } else {
-      (void)queries;  // not a status: unused when priming does not apply
-    }
-    return primes;
   }
 
   std::size_t size() const { return size_; }
@@ -601,21 +514,13 @@ class ShardedMvpIndex {
   }
 
   /// d(q, v), evaluated through the vantage shard's CancelChecked metric
-  /// (or taken from `prime` and charged to it) and counted in `*stats`; 0
-  /// when the index has no v (its shells are then unbounded, so every
-  /// shard is visited).
-  double VantageDistance(const Object& query, SearchStats* stats,
-                         const QueryPrime* prime) const {
+  /// and counted in `*stats`; 0 when the index has no v (its shells are
+  /// then unbounded, so every shard is visited).
+  double VantageDistance(const Object& query, SearchStats* stats) const {
     if (!vantage_.has_value()) return 0.0;
     const auto [s, local] = *vantage_;
     const Tree& tree = shards_[s].tree;
-    double d = 0.0;
-    if (prime != nullptr && prime->has_vantage) {
-      tree.metric().CountPrimed();
-      d = prime->vantage;
-    } else {
-      d = tree.metric()(query, tree.object(local));
-    }
+    const double d = tree.metric()(query, tree.object(local));
     if (stats != nullptr) ++stats->distance_computations;
     return d;
   }
@@ -687,27 +592,18 @@ class ShardedMvpIndex {
     return index;
   }
 
-  /// This query's primed root distances for shard s, or null when the batch
-  /// was not primed (the search then computes them itself).
-  static const core::RootPrime* ShardPrime(const QueryPrime* prime,
-                                           std::size_t s) {
-    if (prime == nullptr || s >= prime->shard.size()) return nullptr;
-    return &prime->shard[s];
-  }
-
   /// Shard s's k nearest to `query` (local ids) appended to `*found`, with
   /// every candidate farther than `tau` pruned; `exclude` names global ids.
   void ShardKnn(std::size_t s, const Object& query, std::size_t k, double tau,
-                const core::Exclusion& exclude, const QueryPrime* prime,
-                std::vector<Neighbor>* found, SearchStats* stats) const {
+                const core::Exclusion& exclude, std::vector<Neighbor>* found,
+                SearchStats* stats) const {
     const Shard& shard = shards_[s];
     const auto excluded_local = [&](std::size_t local_id) {
       return exclude(shard.ids[local_id]);
     };
     const core::Exclusion shard_exclude =
         exclude ? core::Exclusion::Of(excluded_local) : core::Exclusion{};
-    shard.tree.KnnSearchInto(query, k, found, stats, shard_exclude, tau,
-                             ShardPrime(prime, s));
+    shard.tree.KnnSearchInto(query, k, found, stats, shard_exclude, tau);
   }
 
   /// Runs `search(i)` for i in [0, count): serially, or in parallel on

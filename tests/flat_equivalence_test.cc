@@ -38,10 +38,8 @@
 ///
 /// The heap tree and the flat arena (SoA leaves swept by the batch kernels)
 /// are differentially tested, through the plain searches, the batched
-/// RunBatch door (which primes root distances with the
-/// many-queries-one-vantage-point kernel) and every reachable SIMD dispatch
-/// tier. Same ids, bit-identical distances, same four SearchStats counters,
-/// everywhere.
+/// RunBatch door and every reachable SIMD dispatch tier. Same ids,
+/// bit-identical distances, same four SearchStats counters, everywhere.
 
 namespace mvp::snapshot {
 namespace {
@@ -266,13 +264,11 @@ TEST_P(FlatEquivalenceTest, PartialResultsUnderBudgetBitIdentical) {
   EXPECT_GT(cancels, 0u);
 }
 
-/// The batch front door: RunBatch primes every query's root vantage-point
-/// distances with one many-queries-one-vantage-point kernel sweep per shard
-/// root, over heap-built and flat-opened shards alike. Outcomes — statuses,
-/// partial flags, neighbors, and all four SearchStats counters — must equal
-/// an unprimed reference on both layouts: the same queries run one at a
-/// time, which RunBatch never primes. Queries whose distance budget cuts
-/// them off mid-search are included.
+/// The batch front door: a 64-query RunBatch over heap-built and
+/// flat-opened shards alike. Outcomes — statuses, partial flags, neighbors,
+/// and all four SearchStats counters — must equal a reference on both
+/// layouts: the same queries run one at a time. Queries whose distance
+/// budget cuts them off mid-search are included.
 TEST_P(FlatEquivalenceTest, RunBatchPrimedBitIdenticalAcrossLayouts) {
   using Query = serve::BatchQuery<Vector>;
   const auto queries = dataset::UniformQueryVectors(64, 8, 786);
@@ -292,11 +288,6 @@ TEST_P(FlatEquivalenceTest, RunBatchPrimedBitIdenticalAcrossLayouts) {
     if (q % 5 == 3) bq.max_distance_computations = 120;
     batch.push_back(std::move(bq));
   }
-  // Both layouts take the priming sweep.
-  const std::vector<const Vector*> pointers{&queries[0], &queries[1]};
-  ASSERT_EQ(heap_->PrimeBatch(pointers).size(), 2u);
-  ASSERT_EQ(flat_->PrimeBatch(pointers).size(), 2u);
-
   const auto heap_out = serve::RunBatch(*heap_, batch, nullptr);
   const auto flat_out = serve::RunBatch(*flat_, batch, nullptr);
   ASSERT_EQ(heap_out.size(), batch.size());
@@ -324,8 +315,8 @@ TEST_P(FlatEquivalenceTest, RunBatchPrimedBitIdenticalAcrossLayouts) {
 
 /// Every reachable dispatch tier (scalar always; AVX2/AVX-512/NEON as the
 /// host allows) must serve the v2 flat index bit-identically to the heap
-/// index — results AND stats — under plain searches, the primed batch
-/// door, and budget cancellation. This is the end-to-end face of the
+/// index — results AND stats — under plain searches, the batch door, and
+/// budget cancellation. This is the end-to-end face of the
 /// kernel conformance suite.
 TEST_P(FlatEquivalenceTest, EveryKernelTierServesBitIdentically) {
   namespace kernels = metric::kernels;
@@ -363,7 +354,7 @@ TEST_P(FlatEquivalenceTest, EveryKernelTierServesBitIdentically) {
       ExpectIdentical(heap_partial, flat_partial, hbs, fbs, q);
     }
 
-    // The primed batch path under this tier, on both layouts.
+    // The batch door under this tier, on both layouts.
     using Query = serve::BatchQuery<Vector>;
     std::vector<Query> batch;
     for (std::size_t q = 0; q < 16; ++q) {
@@ -441,18 +432,6 @@ TEST_P(FlatEquivalenceTest, KnnUnderExclusionBitIdenticalAcrossLayouts) {
         EXPECT_EQ(heap_knn[i].id, expected[i].id) << "query " << q;
         EXPECT_EQ(heap_knn[i].distance, expected[i].distance);
       }
-
-      // The primed door takes the same exclusion.
-      const std::vector<const Vector*> one{&queries[q]};
-      const auto primes = flat_->PrimeBatch(one);
-      ASSERT_EQ(primes.size(), 1u);
-      std::vector<Neighbor> primed;
-      SearchStats ps;
-      flat_->KnnSearchInto(queries[q], k, &primed, &ps, nullptr, &primes[0],
-                           exclude);
-      std::sort(primed.begin(), primed.end(), NeighborLess);
-      primed.resize(std::min(primed.size(), k));
-      ExpectIdentical(heap_knn, primed, hs, ps, q);
 
       // Excluding nothing is the plain search, stats included.
       for (const Index* index : {&*heap_, &*flat_}) {

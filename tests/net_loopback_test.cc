@@ -412,9 +412,9 @@ TEST_F(NetLoopbackTest, UnknownCollectionIsNotFound) {
 }
 
 // Queries the index cannot answer exactly — a NaN or negative radius, a NaN
-// coordinate, a point of the wrong dimension — come back InvalidArgument
-// in the outcome, and the same connection then answers a valid query as
-// the in-process executor does.
+// or ±Inf coordinate, a point of the wrong dimension — come back
+// InvalidArgument in the outcome, and the same connection then answers a
+// valid query as the in-process executor does.
 TEST_F(NetLoopbackTest, InvalidQueriesAreRejectedOverTheWire) {
   const std::string store_dir = StorePath("leader");
   snapshot::SnapshotStore store(store_dir);
@@ -426,7 +426,7 @@ TEST_F(NetLoopbackTest, InvalidQueriesAreRejectedOverTheWire) {
 
   const WireQuery valid = MixedQueries(1)[0];
   ASSERT_EQ(valid.kind, 0u);
-  std::vector<std::pair<std::string, WireQuery>> invalid(4, {"", valid});
+  std::vector<std::pair<std::string, WireQuery>> invalid(6, {"", valid});
   invalid[0].first = "NaN radius";
   invalid[0].second.radius = std::numeric_limits<double>::quiet_NaN();
   invalid[1].first = "negative radius";
@@ -435,6 +435,10 @@ TEST_F(NetLoopbackTest, InvalidQueriesAreRejectedOverTheWire) {
   invalid[2].second.point[1] = std::numeric_limits<double>::quiet_NaN();
   invalid[3].first = "wrong dimension";
   invalid[3].second.point.pop_back();
+  invalid[4].first = "+Inf coordinate";
+  invalid[4].second.point[0] = std::numeric_limits<double>::infinity();
+  invalid[5].first = "-Inf coordinate";
+  invalid[5].second.point[2] = -std::numeric_limits<double>::infinity();
   for (const auto& [what, query] : invalid) {
     auto outcome = client.Query("vecs", query);
     ASSERT_TRUE(outcome.ok()) << what << ": " << outcome.status().ToString();

@@ -312,8 +312,8 @@ TEST(GatheredRangeTest, RangeSearchesGatherAndKnnEvaluatesPerCall) {
 }
 
 /// RunBatch's door: a CancelScope budget cuts a range query at a stride
-/// boundary of its cross-thread count. The L2 index primes its roots and
-/// gathers; the per-call one does neither.
+/// boundary of its cross-thread count. The L2 index gathers; the per-call
+/// one does not.
 class RunBatchCutEquivalenceTest : public ::testing::TestWithParam<bool> {
  protected:
   template <typename Metric>

@@ -22,6 +22,7 @@
 #include "core/mvp_tree.h"
 #include "dataset/vector_gen.h"
 #include "metric/lp.h"
+#include "scan/linear_scan.h"
 #include "serve/serve_stats.h"
 #include "serve/sharded_index.h"
 #include "serve/thread_pool.h"
@@ -335,10 +336,13 @@ TEST(ExecutorTest, StatsAggregateAcrossBatch) {
 /// search: a vector of another dimension than the collection's (without
 /// the check, a 3-d query against 8-d shards is measured against a prefix
 /// of each row, and a 12-d one reads past the last stored row, which ASan
-/// reports), a NaN coordinate, and a NaN or negative range radius. Each
-/// comes back InvalidArgument with no neighbors and no distance computed,
-/// serially and on a pool, from a sharded index and a single tree, and the
-/// valid queries batched with them answer as they do alone.
+/// reports), a NaN or infinite coordinate (an infinite one is at distance
+/// +inf from every vantage point, where inf - inf = NaN prunes every
+/// answer), and a NaN or negative range radius. Each comes back
+/// InvalidArgument with no neighbors and no distance computed, serially and
+/// on a pool, from a sharded index and a single tree, and the valid queries
+/// batched with them answer as they do alone. An infinite radius is valid:
+/// a finite query's ball then holds every point, as a linear scan says.
 TEST(ExecutorTest, MalformedQueriesAreRejectedBeforeSearch) {
   const auto data = dataset::UniformVectors(600, 8, 19);
   ShardedMvpIndex<Vector, L2>::Options options;
@@ -351,8 +355,13 @@ TEST(ExecutorTest, MalformedQueriesAreRejectedBeforeSearch) {
   ASSERT_EQ(index.dim(), 8u);
 
   const auto good = dataset::UniformQueryVectors(2, 8, 20);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   Vector nan_point = good[0];
   nan_point[5] = std::numeric_limits<double>::quiet_NaN();
+  Vector inf_point = good[0];
+  inf_point[2] = kInf;
+  Vector minus_inf_point = good[1];
+  minus_inf_point[7] = -kInf;
   const auto make = [](Query::Kind kind, Vector point, double radius) {
     Query q;
     q.kind = kind;
@@ -367,6 +376,8 @@ TEST(ExecutorTest, MalformedQueriesAreRejectedBeforeSearch) {
       make(Query::Kind::kRange, Vector(3, 0.5), 0.5),
       make(Query::Kind::kRange, Vector(12, 0.5), 1e9),
       make(Query::Kind::kKnn, nan_point, 0.0),
+      make(Query::Kind::kRange, inf_point, kInf),
+      make(Query::Kind::kKnn, minus_inf_point, 0.0),
       make(Query::Kind::kRange, good[1],
            std::numeric_limits<double>::quiet_NaN()),
       make(Query::Kind::kRange, good[1], -0.25),
@@ -395,6 +406,17 @@ TEST(ExecutorTest, MalformedQueriesAreRejectedBeforeSearch) {
   check(index, nullptr);
   check(index, &pool);
   check(tree, nullptr);
+
+  const auto scan_all =
+      scan::LinearScan<Vector, L2>(data, L2()).RangeSearch(good[0], kInf);
+  ASSERT_EQ(scan_all.size(), data.size());
+  const std::vector<Query> everything = {
+      make(Query::Kind::kRange, good[0], kInf)};
+  for (const auto& outcomes : {RunBatch(index, everything, nullptr),
+                               RunBatch(tree, everything, nullptr)}) {
+    ASSERT_TRUE(outcomes[0].status.ok()) << outcomes[0].status.ToString();
+    EXPECT_EQ(outcomes[0].neighbors, scan_all);
+  }
 }
 
 TEST(LatencyHistogramTest, QuantilesBoundRecordedValues) {
