@@ -68,6 +68,10 @@
 ///                                          c / m^(v-1-l)
 ///   Leaf Leaf(NodeRef) const;              leaf nodes, a cursor (below)
 ///   const Metric& metric() const;          Object object(std::size_t) const;
+///   void Prefetch(NodeRef) const;          optional: requests the cache
+///                                          lines k-NN reads on entering the
+///                                          node (core::TreeNodes' requests a
+///                                          leaf's id, D1, D2 and PATH runs)
 ///
 /// For v = 2, level 0 is the m shells around the first vantage point and
 /// level 1 the m per first-level partition around the second, slot
@@ -98,8 +102,23 @@
 /// everything it computed, and a search cut short may have computed, but
 /// never charged, for each node on the path from the root to the cut, its
 /// entered children's vantage points and its entered leaf children's
-/// survivors. k-NN, other metrics, other accessors and a query of another
-/// length than the rows evaluate per call.
+/// survivors. Other metrics, other accessors and a query of another length
+/// than the rows evaluate per call.
+///
+/// k-NN evaluates per call too, since tau moves with every offer, but it
+/// requests what it is about to read before it reads it. Once a node's
+/// children are ranked, it requests the vantage-point rows of every child
+/// whose bound does not lose to the current tau, and the accessor's
+/// Prefetch of each. On entering a leaf it takes each chunk's mask once, at
+/// the entry tau, and requests every survivor's row as it finds it. tau
+/// only tightens — Nearest's only falls and Farthest's only rises — so a
+/// mask at the entry tau keeps a superset of the entries that pass later:
+/// the walk treats a clear bit as filtered, re-tests a set one once tau has
+/// moved, and charges every entry, in order, where the per-entry filter
+/// would. Row requests (metric::kernels::PrefetchBytes) apply wherever the
+/// accessor hands out metric::VectorView rows. None of this changes a
+/// result, a count or a budget cut; tests/testdata/search_counts/
+/// knn_order.txt pins the order of k-NN's metric calls one by one.
 
 namespace mvp::core {
 
@@ -375,13 +394,18 @@ class Traversal {
   static constexpr std::size_t kChunk = 64;  // one mask bit per entry
   using Family = metric::kernels::UnwrappedFamilyFor<
       std::remove_cvref_t<decltype(std::declval<const Nodes&>().metric())>>;
-  /// Whether range searches may gather (see the file comment); Range then
-  /// checks the query's length against the rows'.
-  static constexpr bool kGathers =
-      Family::available && metric::internal::DenseDoubleRange<Query> &&
+  /// Whether the accessor hands out rows, which k-NN requests ahead.
+  static constexpr bool kRows =
       std::is_same_v<std::remove_cvref_t<decltype(std::declval<const Nodes&>()
                                                       .object(0))>,
                      metric::VectorView>;
+  /// Whether range searches may gather (see the file comment); Range then
+  /// checks the query's length against the rows'.
+  static constexpr bool kGathers =
+      kRows && Family::available && metric::internal::DenseDoubleRange<Query>;
+  /// Whether the accessor requests a node's own cache lines (Prefetch).
+  static constexpr bool kPrefetchesNodes =
+      requires(const Nodes& nodes, NodeRef node) { nodes.Prefetch(node); };
 
   struct Ranked {
     double bound;
@@ -592,6 +616,14 @@ class Traversal {
     if constexpr (kGathers) rows_.push_back(nodes_.object(id).data());
   }
 
+  /// Requests object `id`'s row ahead of its evaluation (k-NN, kRows only).
+  void RequestRow(std::size_t id) const {
+    if constexpr (kRows) {
+      const metric::VectorView row = nodes_.object(id);
+      metric::kernels::PrefetchBytes(row.data(), row.size() * sizeof(double));
+    }
+  }
+
   /// out[i] = d(query, rows_[i]) for every gathered row, in one kernel call
   /// bit-identical to the per-call metric (gather_ only).
   void EvaluateRows(double* out) const {
@@ -617,13 +649,81 @@ class Traversal {
           if (!exclude(id)) KnnOffer<Dir::kOrder>(heap, k, Neighbor{id, dist});
         });
     if (nodes_.IsLeaf(node)) {
-      // tau moves with every offer, so the filter stays per-entry: a
-      // chunk-wide mask would use a stale radius.
-      const auto leaf = nodes_.Leaf(node);
-      const LeafQuery q{d.data(), vps, qpath_};
-      for (std::size_t i = 0; i < leaf.size(); ++i) {
-        ++stats_.leaf_points_seen;
-        if (!Dir::MayBeat(leaf, i, q, Tau<Dir>(heap, k)) ||
+      KnnLeaf<Dir>(nodes_.Leaf(node), LeafQuery{d.data(), vps, qpath_}, k,
+                   heap, exclude);
+      return;
+    }
+    // Children best bound first; stop as soon as tau ranks ahead of a
+    // bound. ranked_ is a stack like entered_: this node's children sit at
+    // [begin, end) while deeper calls push and pop above them.
+    PathScope<double> path(qpath_, nodes_.PathDistances(), {d.data(), vps});
+    const std::size_t begin = ranked_.size();
+    RankShells<Dir>(node, d, 0, 0, Dir::kLoose);
+    const std::size_t end = ranked_.size();
+    std::sort(ranked_.begin() + begin, ranked_.begin() + end,
+              [](const Ranked& a, const Ranked& b) {
+                return Dir::Before(a.bound, b.bound);
+              });
+    RequestChildren<Dir>(begin, end, Tau<Dir>(heap, k));
+    for (std::size_t i = begin; i < end; ++i) {
+      if (Dir::Before(Tau<Dir>(heap, k), ranked_[i].bound)) break;
+      KnnNode<Dir>(ranked_[i].child, k, heap, exclude);
+    }
+    ranked_.resize(begin);
+  }
+
+  /// Requests what entering the ranked children at [begin, end) reads
+  /// first — their vantage-point rows and the accessor's Prefetch of each —
+  /// for every child whose bound does not lose to `tau`, in rank order.
+  template <typename Dir>
+  void RequestChildren(std::size_t begin, std::size_t end, double tau) const {
+    if constexpr (kRows || kPrefetchesNodes) {
+      for (std::size_t i = begin; i < end; ++i) {
+        if (Dir::Before(tau, ranked_[i].bound)) break;
+        const NodeRef child = ranked_[i].child;
+        if constexpr (kPrefetchesNodes) nodes_.Prefetch(child);
+        if constexpr (kRows) {
+          for (std::size_t l = 0; l < nodes_.VpCount(child); ++l) {
+            RequestRow(nodes_.Vp(child, l));
+          }
+        }
+      }
+    }
+  }
+
+  /// Step 2 of §4.3 against the shrinking radius. Each 64-entry chunk's
+  /// mask is taken once, at the entry tau, entry by entry with Dir's test,
+  /// and every survivor's row is requested as it is found; then the
+  /// entries are walked in order. tau only tightens, so a clear bit is an
+  /// entry the per-entry filter would reject now too (seen and filtered),
+  /// and a set bit is re-tested once tau has moved, then checked against the
+  /// exclusion, before it is evaluated and offered.
+  template <typename Dir, typename Leaf>
+  void KnnLeaf(const Leaf& leaf, const LeafQuery& q, std::size_t k,
+               std::vector<Neighbor>& heap, Exclusion exclude) {
+    const double entry_tau = Tau<Dir>(heap, k);
+    masks_.clear();
+    for (std::size_t base = 0; base < leaf.size(); base += kChunk) {
+      const std::size_t n = std::min(kChunk, leaf.size() - base);
+      std::uint64_t mask = 0;
+      for (std::size_t i = base; i < base + n; ++i) {
+        if (!Dir::MayBeat(leaf, i, q, entry_tau)) continue;
+        mask |= std::uint64_t{1} << (i - base);
+        RequestRow(leaf.id(i));
+      }
+      masks_.push_back(mask);
+    }
+    for (std::size_t c = 0; c < masks_.size(); ++c) {
+      const std::size_t base = c * kChunk;
+      // Entries of this chunk before `next` are charged.
+      std::size_t next = base;
+      for (std::uint64_t m = masks_[c]; m != 0; m &= m - 1) {
+        const std::size_t i = base + std::countr_zero(m);
+        stats_.leaf_points_seen += i + 1 - next;
+        stats_.leaf_points_filtered += i - next;
+        next = i + 1;
+        const double tau = Tau<Dir>(heap, k);
+        if ((tau != entry_tau && !Dir::MayBeat(leaf, i, q, tau)) ||
             exclude(leaf.id(i))) {
           ++stats_.leaf_points_filtered;
           continue;
@@ -631,35 +731,22 @@ class Traversal {
         const std::size_t id = leaf.id(i);
         KnnOffer<Dir::kOrder>(heap, k, Neighbor{id, Distance(id)});
       }
-      return;
-    }
-    // Children best bound first; stop as soon as tau ranks ahead of a
-    // bound.
-    PathScope<double> path(qpath_, nodes_.PathDistances(), {d.data(), vps});
-    std::vector<Ranked> ranked;
-    ranked.reserve(Fanout(nodes_));
-    RankShells<Dir>(node, d, 0, 0, Dir::kLoose, ranked);
-    std::sort(ranked.begin(), ranked.end(),
-              [](const Ranked& a, const Ranked& b) {
-                return Dir::Before(a.bound, b.bound);
-              });
-    for (const Ranked& r : ranked) {
-      if (Dir::Before(Tau<Dir>(heap, k), r.bound)) break;
-      KnnNode<Dir>(r.child, k, heap, exclude);
+      const std::size_t stop = std::min(base + kChunk, leaf.size());
+      stats_.leaf_points_seen += stop - next;
+      stats_.leaf_points_filtered += stop - next;
     }
   }
 
-  /// Appends the children below slot prefix `prefix` of shell level l in
-  /// slot order, each with its bound folded over its levels: Nearest's
-  /// lower bound, the largest distance from the query to a shell, or
-  /// Farthest's upper bound, the smallest d[l] + upper.
+  /// Pushes onto ranked_ the children below slot prefix `prefix` of shell
+  /// level l in slot order, each with its bound folded over its levels:
+  /// Nearest's lower bound, the largest distance from the query to a shell,
+  /// or Farthest's upper bound, the smallest d[l] + upper.
   template <typename Dir>
   void RankShells(NodeRef node, const Distances& d, std::size_t l,
-                  std::size_t prefix, double bound,
-                  std::vector<Ranked>& ranked) {
+                  std::size_t prefix, double bound) {
     if (l == nodes_.Levels()) {
       if (const NodeRef child = nodes_.Child(node, prefix); child != nullptr) {
-        ranked.push_back(Ranked{bound, child});
+        ranked_.push_back(Ranked{bound, child});
       }
       return;
     }
@@ -668,8 +755,7 @@ class Traversal {
     for (std::size_t s = 0; s < m; ++s) {
       const std::size_t idx = prefix * m + s;
       RankShells<Dir>(node, d, l + 1, idx,
-                      Dir::Fold(bound, d[l], b.lower[idx], b.upper[idx]),
-                      ranked);
+                      Dir::Fold(bound, d[l], b.lower[idx], b.upper[idx]));
     }
   }
 
@@ -681,8 +767,10 @@ class Traversal {
   std::vector<double> qpath_;
   bool gather_ = false;  ///< range search evaluates in gathered calls
   std::vector<NodeRef> entered_;   ///< range: children to enter, as a stack
+  std::vector<Ranked> ranked_;     ///< k-NN: ranked children, as a stack
   std::vector<RootPrime> primes_;  ///< gathered: entered_[i]'s distances
-  std::vector<std::uint64_t> masks_;  ///< range: leaf chunk masks, a stack
+  /// Leaf chunk masks: range's a stack, k-NN's the current leaf's.
+  std::vector<std::uint64_t> masks_;
   std::vector<const double*> rows_;   ///< gathered: rows of one kernel call
   std::vector<double> values_;  ///< gathered: survivors' distances, a stack
 };

@@ -227,6 +227,17 @@ struct TreeNodes {
     return SoaLeaf{t.ids + n->begin, t.d1 + n->begin, t.d2 + n->begin,
                    t.path + lp.slab_offset, n->count, lp.path_length};
   }
+  /// Requests the columns a k-NN search reads on entering leaf n: its id,
+  /// D1 and D2 runs and its PATH slab. Internal nodes request nothing.
+  void Prefetch(const NodeRec* n) const {
+    if (!IsLeaf(n)) return;
+    const SoaLeaf leaf = Leaf(n);
+    using metric::kernels::PrefetchBytes;
+    PrefetchBytes(leaf.ids, leaf.count * sizeof(*leaf.ids));
+    PrefetchBytes(leaf.d1s, leaf.count * sizeof(double));
+    PrefetchBytes(leaf.d2s, leaf.count * sizeof(double));
+    PrefetchBytes(leaf.slab, leaf.path_length * leaf.count * sizeof(double));
+  }
   decltype(auto) metric() const { return owner->metric(); }
   decltype(auto) object(std::size_t id) const { return owner->object(id); }
 };

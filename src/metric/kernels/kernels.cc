@@ -275,18 +275,10 @@ void OneToMany(Family family, const double* query, const double* objects,
 
 void OneToRows(Family family, const double* query, const double* const* rows,
                std::size_t count, std::size_t dim, double* out) {
-  // Requests every cache line of every row up front, so the rows' misses
-  // overlap instead of each stalling the kernel at its first load. A line
-  // is requested at every 64-byte step from the row's start and at its last
-  // byte, so an unaligned row's final line is requested too.
-  constexpr std::size_t kLine = 64;
-  const std::size_t bytes = dim * sizeof(double);
-  if (bytes > 0) {
-    for (std::size_t i = 0; i < count; ++i) {
-      const char* row = reinterpret_cast<const char*>(rows[i]);
-      for (std::size_t b = 0; b < bytes; b += kLine) __builtin_prefetch(row + b);
-      __builtin_prefetch(row + bytes - 1);
-    }
+  // The rows' misses overlap instead of each stalling the kernel at its
+  // first load.
+  for (std::size_t i = 0; i < count; ++i) {
+    PrefetchBytes(rows[i], dim * sizeof(double));
   }
   const internal::Ops* ops = OpsForTier(ActiveTier());
   ops->one_to_rows[static_cast<int>(family)](query, rows, count, dim, out);
