@@ -247,8 +247,11 @@ void EmitFlatSeeds(const fs::path& dir,
   // The arena encoding of the same tree, with a bit-flipped and a torn
   // variant so the parser's structural validation is seeded, not just the
   // happy path. arena_v1.bin, arena_v1_bitflip.bin and
-  // arena_v1_shared_path.bin are frozen v1 seeds of this tree: no writer
-  // emits v1 any more, so they are not regenerated.
+  // arena_v1_shared_path.bin are frozen v1 seeds of this tree, and
+  // arena_v2.bin, arena_v2_bitflip.bin, arena_v2_torn.bin and
+  // arena_v2_root_no_vp2.bin frozen v2 seeds of it, the family below as the
+  // v2 writer emitted it: no writer emits v1 or v2 any more, so they are not
+  // regenerated.
   auto arena =
       mvp::snapshot::flat::BuildFlatArena(stream.data(), stream.size());
   CORPUS_CHECK(arena.ok(), "sample arena build failed");
