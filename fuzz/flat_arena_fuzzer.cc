@@ -9,10 +9,10 @@
 // accept exactly the streams the builder accepts: the builder goes through
 // the same Deserialize, so ragged, zero-dimension or oversized vectors fail
 // both alike. A range and a k-NN search then run on every tree both
-// accept. Mode 1 treats the bytes as a hostile arena — v1 or v2, the
+// accept. Mode 1 treats the bytes as a hostile arena — v1, v2 or v3, the
 // version field is attacker-controlled: flat::OpenTree either rejects it or
-// returns an MvpTree that is safe to search (a v1 arena is validated, then
-// upgraded to v2 at open) — range and k-NN traversals over an accepted
+// returns an MvpTree that is safe to search (a v1 or v2 arena is validated,
+// then upgraded to v3 at open) — range and k-NN traversals over an accepted
 // arena must stay in bounds (ASan checks this, not us). The arena parser
 // and the stream parser must also agree: every accepted arena's tree is
 // Serialized, MvpTree::Deserialize must accept the stream, and both trees

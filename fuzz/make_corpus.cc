@@ -13,6 +13,7 @@
 //   ./build/fuzz/fuzz_make_corpus fuzz/corpus .
 // then commit the rewritten fuzz/corpus/ contents (docs/static_analysis.md).
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -271,6 +272,32 @@ void EmitFlatSeeds(const fs::path& dir,
   no_vp2[static_cast<std::size_t>(header.nodes_offset)] &=
       static_cast<std::uint8_t>(~mvp::core::kNodeHasVp2);
   WriteSeed(dir / "arena_root_no_vp2.bin", 1, no_vp2);
+  // v3 nodes record their vp1's row, and the vp rows must tile
+  // [entry_count, object_count) in node preorder: the root's vp row moved
+  // into the entry rows, past the object count, and swapped with the next
+  // node's, each of which the parser must refuse.
+  const auto vp_row_at = [&](std::size_t n) {
+    return static_cast<std::size_t>(header.nodes_offset) +
+           n * sizeof(mvp::core::NodeRec) +
+           offsetof(mvp::core::NodeRec, vp_row);
+  };
+  const auto with_rows = [&](std::uint32_t root_row, std::uint32_t next_row) {
+    std::vector<std::uint8_t> bytes = arena.value();
+    std::memcpy(bytes.data() + vp_row_at(0), &root_row, sizeof(root_row));
+    std::memcpy(bytes.data() + vp_row_at(1), &next_row, sizeof(next_row));
+    return bytes;
+  };
+  std::uint32_t root_row = 0, next_row = 0;
+  std::memcpy(&root_row, arena.value().data() + vp_row_at(0),
+              sizeof(root_row));
+  std::memcpy(&next_row, arena.value().data() + vp_row_at(1),
+              sizeof(next_row));
+  WriteSeed(dir / "arena_vp_row_in_entries.bin", 1, with_rows(0, next_row));
+  WriteSeed(dir / "arena_vp_row_past_n.bin", 1,
+            with_rows(static_cast<std::uint32_t>(header.object_count),
+                      next_row));
+  WriteSeed(dir / "arena_vp_rows_out_of_preorder.bin", 1,
+            with_rows(next_row, root_row));
 }
 
 void EmitWalSeeds(const fs::path& dir) {

@@ -53,12 +53,17 @@
 /// a flat arena holds. A tree over dense vectors keeps its objects as one
 /// row-major slab of doubles, the rows of a flat arena's objects section,
 /// and evaluates them in place as metric::VectorView; any other object type
-/// is kept in a std::vector<Object> (ObjectStore). Build and Deserialize
-/// give a tree its own arrays and rows; Borrow gives a vector tree a
-/// validated arena's (snapshot::flat::OpenTree), kept alive by a shared
-/// owner. Searches read one TreeArrays view either way, so there is one
-/// tree type and one code path. Ids are u32, so a tree holds at most 2^32-1
-/// objects.
+/// is kept in a std::vector<Object> (ObjectStore). Either way the objects
+/// sit in the layout's row order, not by id: a leaf's entries are one
+/// contiguous block of rows, and the vantage points follow in node
+/// preorder, so a search reads every object at a position its node or leaf
+/// names. Build and Deserialize put their input into that order in place
+/// (core::PermuteInPlace) and give a tree its own arrays and rows; Borrow
+/// gives a vector tree a validated arena's (snapshot::flat::OpenTree), kept
+/// alive by a shared owner. Searches read one TreeArrays view either way,
+/// so there is one tree type and one code path. An id -> row map (4 bytes
+/// per object) serves object(id) outside search. Ids are u32, so a tree
+/// holds at most 2^32-1 objects.
 ///
 /// Template parameters mirror the paper's setting: any object domain with a
 /// metric distance function and nothing else.
@@ -99,9 +104,9 @@ struct MvpTreeOptions {
 };
 
 /// Where an MvpTree keeps its objects, chosen by the object type alone: one
-/// std::vector<Object>, indexed by id. From takes the build input, and
-/// Write/Read are the objects part of the MVPT stream, one codec record per
-/// object.
+/// std::vector<Object>, indexed by row. From takes the build input and
+/// Read the objects part of the MVPT stream, one codec record per object,
+/// both in id order; PutInRowOrder then moves them into the tree's rows.
 template <typename Object>
 class ObjectStore {
  public:
@@ -112,11 +117,18 @@ class ObjectStore {
   }
 
   std::size_t size() const { return objects_.size(); }
-  const Object& operator[](std::size_t id) const { return objects_[id]; }
+  const Object& operator[](std::size_t row) const { return objects_[row]; }
 
-  template <typename Codec>
-  void Write(BinaryWriter* writer, const Codec& codec) const {
-    for (const Object& obj : objects_) codec.Write(*writer, obj);
+  /// Moves the objects from id order into the row order of `t`.
+  void PutInRowOrder(const TreeArrays& t) {
+    Object spare{};
+    PermuteInPlace(
+        t, objects_.size(),
+        [&](std::size_t i) { spare = std::move(objects_[i]); },
+        [&](std::size_t from, std::size_t to) {
+          objects_[to] = std::move(objects_[from]);
+        },
+        [&](std::size_t to) { objects_[to] = std::move(spare); });
   }
 
   template <typename Codec>
@@ -137,7 +149,7 @@ class ObjectStore {
 /// Dense vectors: one row-major slab of `dim` doubles per object, handed
 /// out as metric::VectorView. The slab is either owned (From, Read) or
 /// borrowed from a flat arena's objects section (Borrow); either way the
-/// row base is resolved once, so object access is one multiply-add. Every
+/// row base is resolved once, so row access is one multiply-add. Every
 /// object has the same dimension, at least 1 and at most u32's range (the
 /// arena's dim field): From rejects anything else as InvalidArgument, Read
 /// as Corruption. Move-only, so no copy can keep pointing into a slab it
@@ -188,8 +200,8 @@ class ObjectStore<metric::Vector> {
   }
 
   std::size_t size() const { return count_; }
-  metric::VectorView operator[](std::size_t id) const {
-    return {rows_ + id * dim_, dim_};
+  metric::VectorView operator[](std::size_t row) const {
+    return {rows_ + row * dim_, dim_};
   }
   std::span<const double> rows() const { return {rows_, count_ * dim_}; }
   std::size_t dim() const { return dim_; }
@@ -201,11 +213,10 @@ class ObjectStore<metric::Vector> {
     return dim >= 1 && dim <= std::numeric_limits<std::uint32_t>::max();
   }
 
-  template <typename Codec>
-  void Write(BinaryWriter* writer, const Codec& codec) const {
-    for (std::size_t id = 0; id < size(); ++id) {
-      codec.Write(*writer, (*this)[id]);
-    }
+  /// Moves the owned rows from id order into the row order of `t`.
+  void PutInRowOrder(const TreeArrays& t) {
+    MVP_DCHECK(owned_.data() == rows_);
+    PermuteRows(t, owned_.data(), count_, dim_ * sizeof(double));
   }
 
   /// Decodes each record into one reused vector and appends it to the
@@ -291,23 +302,27 @@ class MvpTree {
     if (!store.ok()) return store.status();
     MvpTree tree(std::move(store).ValueOrDie(), std::move(metric), options);
     tree.BuildTree();
-    tree.arrays_ = tree.layout_.Arrays(tree.Order(), tree.PathDistances());
+    [[maybe_unused]] const Status ordered = tree.OrderRows();
+    MVP_DCHECK(ordered.ok());
     return tree;
   }
 
   /// A vector tree over borrowed arrays and rows: `count` rows of `dim`
-  /// doubles at `rows`, and `arrays` (order and p as in `options`), all of
-  /// which `owner` keeps alive and unmodified for the tree's lifetime and
-  /// every move of it. The caller has validated them as a flat arena's
+  /// doubles at `rows`, in the row order of `arrays` (order and p as in
+  /// `options`), all of which `owner` keeps alive and unmodified for the
+  /// tree's lifetime and every move of it, and `row_of`, their id -> row
+  /// map (core::RowMap). The caller has validated them as a flat arena's
   /// sections (snapshot::flat::ParseFlatArena), so the tree does not.
   static MvpTree Borrow(const Options& options, const double* rows,
                         std::size_t count, std::size_t dim,
-                        const TreeArrays& arrays, Metric metric,
+                        const TreeArrays& arrays,
+                        std::vector<std::uint32_t> row_of, Metric metric,
                         std::shared_ptr<const void> owner)
     requires kRows
   {
     MvpTree tree(Store::Borrow(rows, count, dim), std::move(metric), options);
     tree.arrays_ = arrays;
+    tree.row_of_ = std::move(row_of);
     tree.owner_ = std::move(owner);
     return tree;
   }
@@ -453,15 +468,27 @@ class MvpTree {
   std::size_t size() const { return store_.size(); }
   /// The object with id `id`: a const Object&, or for a vector tree a
   /// metric::VectorView of its row (convert it to Vector for an owned copy).
+  /// Looks its row up in the id -> row map; searches read rows directly.
   decltype(auto) object(std::size_t id) const {
+    return object_at_row(row_of(id));
+  }
+  /// The row that holds object `id` (row order: core/tree_layout.h).
+  std::size_t row_of(std::size_t id) const {
     MVP_DCHECK(id < size());
-    return store_[id];
+    return row_of_[id];
+  }
+  /// The object at row `row`.
+  decltype(auto) object_at_row(std::size_t row) const {
+    MVP_DCHECK(row < size());
+    return store_[row];
   }
   const Metric& metric() const { return metric_; }
   const Options& options() const { return options_; }
-  /// A vector tree's row-major slab (object id at rows()[id * dim()]), its
-  /// dimension (0 when empty) and the tree's arrays: what a flat arena is
-  /// laid out from (snapshot::flat::BuildFlatArena).
+  /// A vector tree's row-major slab in row order (the object at row r at
+  /// rows()[r * dim()]; leaf entry e is row e and a node's vantage points
+  /// sit at its vp_row), its dimension (0 when empty) and the tree's
+  /// arrays: what a flat arena is laid out from
+  /// (snapshot::flat::BuildFlatArena).
   std::span<const double> rows() const
     requires kRows
   {
@@ -484,30 +511,26 @@ class MvpTree {
   }
 
   /// Deep consistency check (O(n log n) distance computations): verifies
-  /// that every point is stored exactly once; that every leaf's D1/D2 and
-  /// PATH entries equal the actual distances to the leaf's own and ancestor
-  /// vantage points (within 1e-9, or NaN where the actual one is NaN); and
-  /// that every point's distance to each ancestor vantage point lies inside
-  /// its child's recorded shell. Returns
-  /// Corruption naming the first violated invariant — useful after
-  /// deserializing untrusted bytes or when developing custom metrics.
+  /// the row order — leaf entry e at row e, every node's vantage points at
+  /// its vp rows, those tiling the rows after the entries in preorder, and
+  /// the id -> row map agreeing with all of them, so every point is stored
+  /// exactly once; that every leaf's D1/D2 and PATH entries equal the
+  /// actual distances to the leaf's own and ancestor vantage points (within
+  /// 1e-9, or NaN where the actual one is NaN); and that every point's
+  /// distance to each ancestor vantage point lies inside its child's
+  /// recorded shell. Returns Corruption naming the first violated invariant
+  /// — useful after deserializing untrusted bytes or when developing custom
+  /// metrics.
   Status ValidateInvariants() const {
-    std::vector<bool> seen(size(), false);
     const auto nodes = Access();
     const NodeRec* root = nodes.Root();
     if (root == nullptr) {
       return size() == 0 ? Status::OK()
                          : Status::Corruption("non-empty tree has no root");
     }
-    std::vector<std::size_t> ancestors;  // vantage point ids
-    MVP_RETURN_NOT_OK(ValidateNode(nodes, root, ancestors, seen));
-    for (std::size_t id = 0; id < seen.size(); ++id) {
-      if (!seen[id]) {
-        return Status::Corruption("object " + std::to_string(id) +
-                                  " missing from tree");
-      }
-    }
-    return Status::OK();
+    MVP_RETURN_NOT_OK(ValidateRows());
+    std::vector<std::size_t> ancestors;  // vantage point rows
+    return ValidateNode(nodes, root, ancestors);
   }
 
   /// Serializes the tree (options, objects via `codec`, structure, stored
@@ -523,7 +546,9 @@ class MvpTree {
     writer->Write<std::int32_t>(options_.num_path_distances);
     writer->Write<std::uint8_t>(options_.store_exact_bounds ? 1 : 0);
     writer->Write<std::uint64_t>(size());
-    store_.Write(writer, codec);
+    for (std::size_t id = 0; id < size(); ++id) {
+      codec.Write(*writer, object(id));
+    }
     arrays_.Write(writer);
     return Status::OK();
   }
@@ -531,9 +556,11 @@ class MvpTree {
   /// Reconstructs a tree serialized by Serialize. `metric` must equal the
   /// build-time metric (stored distances are trusted, not recomputed).
   /// Corrupted or truncated input yields a Corruption status, never UB —
-  /// vectors of unequal or zero dimension included; more than 2^32-1
-  /// objects is InvalidArgument. TreeLayout::Read parses the structure,
-  /// for flat arenas too.
+  /// vectors of unequal or zero dimension included, and a structure that
+  /// does not store every object exactly once; more than 2^32-1 objects is
+  /// InvalidArgument. TreeLayout::Read parses the structure, for flat
+  /// arenas too, and the objects, read in id order, are put into row order
+  /// in place.
   template <CodecFor<Object> Codec>
   static Result<MvpTree> Deserialize(BinaryReader* reader, Metric metric,
                                      const Codec& codec) {
@@ -571,7 +598,7 @@ class MvpTree {
     MvpTree tree(std::move(store).ValueOrDie(), std::move(metric), options);
     MVP_RETURN_NOT_OK(
         tree.layout_.Read(reader, count, tree.Order(), tree.PathDistances()));
-    tree.arrays_ = tree.layout_.Arrays(tree.Order(), tree.PathDistances());
+    MVP_RETURN_NOT_OK(tree.OrderRows());
     return tree;
   }
 
@@ -615,6 +642,20 @@ class MvpTree {
   /// The node accessor the shared §4.3 traversal (core/search_shared.h) and
   /// every walk below run on.
   TreeNodes<MvpTree> Access() const { return {this, arrays_}; }
+
+  /// The last step of Build and Deserialize: records the vantage points'
+  /// rows, the id -> row map and the arrays view, then moves the objects,
+  /// still in id order, into row order in place. Corruption when the
+  /// structure does not store every object exactly once.
+  Status OrderRows() {
+    layout_.AssignRows();
+    arrays_ = layout_.Arrays(Order(), PathDistances());
+    auto map = RowMap(arrays_, size());
+    if (!map.ok()) return map.status();
+    row_of_ = std::move(map).ValueOrDie();
+    store_.PutInRowOrder(arrays_);
+    return Status::OK();
+  }
 
   template <typename A, typename B>
   double Distance(const A& a, const B& b) {
@@ -831,26 +872,53 @@ class MvpTree {
 
   // --------------------------------------------------------- validation
 
-  Status ValidateNode(const TreeNodes<MvpTree>& nodes, const NodeRec* node,
-                      std::vector<std::size_t>& ancestors,
-                      std::vector<bool>& seen) const {
-    auto mark = [&](std::size_t id) -> Status {
-      if (id >= size()) {
-        return Status::Corruption("id out of range");
+  /// The row order and the id -> row map: leaf entry e at row e, each
+  /// node's vantage points at vp_row and vp_row + 1, those rows tiling
+  /// [entry_count, size()) in preorder, and row_of_ naming the same row for
+  /// every id. Since row_of_ is one row per id, no id is stored twice.
+  Status ValidateRows() const {
+    const TreeArrays& t = arrays_;
+    const auto check = [&](std::size_t id, std::size_t row,
+                           const char* what) -> Status {
+      if (id >= size() || row_of_[id] != row) {
+        return Status::Corruption(std::string(what) + " " +
+                                  std::to_string(id) + " is not at row " +
+                                  std::to_string(row));
       }
-      if (seen[id]) {
-        return Status::Corruption("object " + std::to_string(id) +
-                                  " stored twice");
-      }
-      seen[id] = true;
       return Status::OK();
     };
-    const bool has_vp2 = nodes.VpCount(node) == 2;
-    MVP_RETURN_NOT_OK(mark(nodes.Vp(node, 0)));
-    if (has_vp2) MVP_RETURN_NOT_OK(mark(nodes.Vp(node, 1)));
+    for (std::size_t e = 0; e < t.entry_count; ++e) {
+      MVP_RETURN_NOT_OK(check(t.ids[e], e, "leaf entry"));
+    }
+    std::size_t row = t.entry_count;
+    for (std::size_t i = 0; i < t.node_count; ++i) {
+      const NodeRec& node = t.nodes[i];
+      if (node.vp_row != row) {
+        return Status::Corruption("node " + std::to_string(i) +
+                                  " vantage point rows out of preorder");
+      }
+      MVP_RETURN_NOT_OK(check(node.vp1, row++, "vantage point"));
+      if (VpCount(node) == 2) {
+        MVP_RETURN_NOT_OK(check(node.vp2, row++, "vantage point"));
+      }
+    }
+    if (row != size()) {
+      return Status::Corruption("tree rows do not cover its " +
+                                std::to_string(size()) + " objects");
+    }
+    return Status::OK();
+  }
 
-    const std::size_t vp1 = nodes.Vp(node, 0);
-    const std::size_t vp2 = has_vp2 ? nodes.Vp(node, 1) : 0;
+  /// How validation names an object in a Corruption message.
+  static std::string RowName(std::size_t id, std::size_t row) {
+    return "object " + std::to_string(id) + " at row " + std::to_string(row);
+  }
+
+  Status ValidateNode(const TreeNodes<MvpTree>& nodes, const NodeRec* node,
+                      std::vector<std::size_t>& ancestors) const {
+    const bool has_vp2 = nodes.VpCount(node) == 2;
+    const std::size_t vp1 = nodes.VpRow(node, 0);
+    const std::size_t vp2 = has_vp2 ? nodes.VpRow(node, 1) : 0;
     constexpr double kTol = 1e-9;
     // A stored distance is the recomputed one within kTol (equal infinities
     // included), or NaN where that is NaN too: a tree built over a vector
@@ -864,22 +932,25 @@ class MvpTree {
       const SoaLeaf leaf = nodes.Leaf(node);
       const std::size_t expect_path =
           std::min(ancestors.size(), PathDistances());
+      if (leaf.size() > 0 && leaf.path_length != expect_path) {
+        return Status::Corruption("leaf PATH length mismatch");
+      }
       for (std::size_t i = 0; i < leaf.size(); ++i) {
-        MVP_RETURN_NOT_OK(mark(leaf.id(i)));
-        const auto& obj = store_[leaf.id(i)];
+        const auto& obj = store_[leaf.row(i)];
+        const auto mismatch = [&](const char* what) {
+          return Status::Corruption(RowName(leaf.id(i), leaf.row(i)) + ": " +
+                                    what + " mismatches actual distance");
+        };
         if (!matches(metric_(obj, store_[vp1]), leaf.d1s[i])) {
-          return Status::Corruption("leaf D1 mismatches actual distance");
+          return mismatch("leaf D1");
         }
         if (has_vp2 && !matches(metric_(obj, store_[vp2]), leaf.d2s[i])) {
-          return Status::Corruption("leaf D2 mismatches actual distance");
-        }
-        if (leaf.path_length != expect_path) {
-          return Status::Corruption("leaf PATH length mismatch");
+          return mismatch("leaf D2");
         }
         for (std::size_t j = 0; j < leaf.path_length; ++j) {
           if (!matches(metric_(obj, store_[ancestors[j]]),
                        leaf.slab[j * leaf.count + i])) {
-            return Status::Corruption("leaf PATH distance mismatch");
+            return mismatch("leaf PATH distance");
           }
         }
       }
@@ -903,31 +974,33 @@ class MvpTree {
           status = ValidateShell(nodes, child, vp2, shells2.lower[c],
                                  shells2.upper[c]);
         }
-        if (status.ok()) status = ValidateNode(nodes, child, ancestors, seen);
+        if (status.ok()) status = ValidateNode(nodes, child, ancestors);
       }
     }
     return status;
   }
 
-  /// Every point of `subtree` must lie in [lo, hi] around vantage point
-  /// `vp`.
+  /// Every point of `subtree` must lie in [lo, hi] around the vantage point
+  /// at row `vp`.
   Status ValidateShell(const TreeNodes<MvpTree>& nodes, const NodeRec* subtree,
                        std::size_t vp, double lo, double hi) const {
     constexpr double kTol = 1e-9;
-    auto check = [&](std::size_t id) -> Status {
-      const double d = metric_(store_[id], store_[vp]);
+    auto check = [&](std::size_t id, std::size_t row) -> Status {
+      const double d = metric_(store_[row], store_[vp]);
       if (d < lo - kTol || d > hi + kTol) {
-        return Status::Corruption("point outside its recorded shell");
+        return Status::Corruption(RowName(id, row) +
+                                  " lies outside its recorded shell");
       }
       return Status::OK();
     };
     for (std::size_t l = 0; l < nodes.VpCount(subtree); ++l) {
-      MVP_RETURN_NOT_OK(check(nodes.Vp(subtree, l)));
+      MVP_RETURN_NOT_OK(
+          check(nodes.Vp(subtree, l), nodes.VpRow(subtree, l)));
     }
     if (nodes.IsLeaf(subtree)) {
       const SoaLeaf leaf = nodes.Leaf(subtree);
       for (std::size_t i = 0; i < leaf.size(); ++i) {
-        MVP_RETURN_NOT_OK(check(leaf.id(i)));
+        MVP_RETURN_NOT_OK(check(leaf.id(i), leaf.row(i)));
       }
       return Status::OK();
     }
@@ -946,6 +1019,8 @@ class MvpTree {
   TreeLayout layout_;
   /// What every search and walk reads: layout_'s arrays or the arena's.
   TreeArrays arrays_;
+  /// The id -> row map: object id sits at row row_of_[id].
+  std::vector<std::uint32_t> row_of_;
   /// Keeps a borrowing tree's arena alive; null otherwise.
   std::shared_ptr<const void> owner_;
   std::uint64_t construction_distances_ = 0;

@@ -130,6 +130,7 @@ class NodeTree {
 
     std::size_t size() const { return count; }
     std::size_t id(std::size_t i) const { return entries[i].id; }
+    std::size_t row(std::size_t i) const { return entries[i].id; }
     bool Passes(std::size_t i, const LeafQuery& q, double r) const {
       const LeafEntry& x = entries[i];
       return q.Admits<kMaxVantagePoints>(
@@ -140,6 +141,7 @@ class NodeTree {
 
   /// The node accessor the shared §4.3 traversal (core/search_shared.h)
   /// runs on: Levels() shell levels, slot prefixes indexing each level.
+  /// Objects stay in id order, so an object's row is its id.
   struct Nodes {
     const NodeTree* tree;
 
@@ -150,6 +152,9 @@ class NodeTree {
     bool IsLeaf(const Node* n) const { return n->is_leaf; }
     std::size_t VpCount(const Node* n) const { return n->vp_ids.size(); }
     std::size_t Vp(const Node* n, std::size_t l) const { return n->vp_ids[l]; }
+    std::size_t VpRow(const Node* n, std::size_t l) const {
+      return n->vp_ids[l];
+    }
     ShellBounds Shells(const Node* n, std::size_t l) const {
       return {n->lower[l].data(), n->upper[l].data()};
     }
@@ -161,7 +166,7 @@ class NodeTree {
               tree->path_pool_.data()};
     }
     const Metric& metric() const { return tree->metric_; }
-    const Object& object(std::size_t id) const { return tree->objects_[id]; }
+    const Object& At(std::size_t row) const { return tree->objects_[row]; }
   };
 
   std::vector<Object> objects_;

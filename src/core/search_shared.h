@@ -60,6 +60,7 @@
 ///                                          vp-tree's buckets, whose entries
 ///                                          all pass the annulus tests)
 ///   std::size_t Vp(NodeRef, std::size_t l) const;   id of vantage point l
+///   std::size_t VpRow(NodeRef, std::size_t l) const;   its row
 ///   ShellBounds Shells(NodeRef, std::size_t l) const;   internal nodes:
 ///                                          level l's m^(l+1) shells around
 ///                                          vantage point l
@@ -67,7 +68,7 @@
 ///                                          reads its level-l shell at
 ///                                          c / m^(v-1-l)
 ///   Leaf Leaf(NodeRef) const;              leaf nodes, a cursor (below)
-///   const Metric& metric() const;          Object object(std::size_t) const;
+///   const Metric& metric() const;          Object At(std::size_t row) const;
 ///   void Prefetch(NodeRef) const;          optional: requests the cache
 ///                                          lines k-NN reads on entering the
 ///                                          node (core::TreeNodes' requests a
@@ -77,7 +78,14 @@
 /// level 1 the m per first-level partition around the second, slot
 /// c = g*m + s: the paper's mvp-tree node.
 ///
-/// A leaf cursor has size(), id(i), the per-entry annulus test
+/// Rows. The traversal evaluates every object at its row, At(VpRow(node,
+/// l)) or At(leaf.row(i)), and reads an id (Vp, leaf.id) only to offer,
+/// exclude or report it. core::TreeNodes' rows are the mvp-tree's row order
+/// (core/tree_layout.h: a leaf's entries are one block of rows, and a
+/// node's vantage points sit at the row it records), so the search makes no
+/// id -> row lookup; core::NodeTree's row is the id.
+///
+/// A leaf cursor has size(), id(i), row(i), the per-entry annulus test
 /// Passes(i, LeafQuery, r) used against k-NN's shrinking radius, for the
 /// Farthest direction the upper-bound test Reaches(i, LeafQuery, tau)
 /// (core::SoaLeaf's), and optionally a 64-wide range-mode mask Mask(base, n, LeafQuery, r) over
@@ -360,7 +368,7 @@ class Traversal {
     const NodeRef root = nodes_.Root();
     if (root == nullptr) return;
     if constexpr (kGathers) {
-      gather_ = query_.size() == nodes_.object(nodes_.Vp(root, 0)).size();
+      gather_ = query_.size() == nodes_.At(nodes_.VpRow(root, 0)).size();
     }
     // The root is swept like a node's only entered child.
     entered_.assign(1, root);
@@ -397,7 +405,7 @@ class Traversal {
   /// Whether the accessor hands out rows, which k-NN requests ahead.
   static constexpr bool kRows =
       std::is_same_v<std::remove_cvref_t<decltype(std::declval<const Nodes&>()
-                                                      .object(0))>,
+                                                      .At(0))>,
                      metric::VectorView>;
   /// Whether range searches may gather (see the file comment); Range then
   /// checks the query's length against the rows'.
@@ -414,7 +422,7 @@ class Traversal {
 
   /// The single distance-evaluation point: every metric call (or primed
   /// value standing in for one) passes the budget and is counted here.
-  double Distance(std::size_t id, const double* primed = nullptr) {
+  double Distance(std::size_t row, const double* primed = nullptr) {
     budget_.Charge(stats_);
     double d;
     if (primed != nullptr) {
@@ -423,7 +431,7 @@ class Traversal {
       }
       d = *primed;
     } else {
-      d = nodes_.metric()(query_, nodes_.object(id));
+      d = nodes_.metric()(query_, nodes_.At(row));
     }
     ++stats_.distance_computations;
     return d;
@@ -440,9 +448,8 @@ class Traversal {
     const std::size_t vps = nodes_.VpCount(node);
     MVP_DCHECK(vps <= kMaxVantagePoints);
     for (std::size_t l = 0; l < vps; ++l) {
-      const std::size_t id = nodes_.Vp(node, l);
-      d[l] = Distance(id, known.At(l));
-      take(id, d[l]);
+      d[l] = Distance(nodes_.VpRow(node, l), known.At(l));
+      take(nodes_.Vp(node, l), d[l]);
     }
     return vps;
   }
@@ -482,7 +489,7 @@ class Traversal {
         const auto leaf = nodes_.Leaf(entered_[i]);
         for (std::size_t base = 0; base < leaf.size(); base += kChunk) {
           for (std::uint64_t m = masks_[next++]; m != 0; m &= m - 1) {
-            GatherRow(leaf.id(base + std::countr_zero(m)));
+            GatherRow(leaf.row(base + std::countr_zero(m)));
           }
         }
       }
@@ -530,10 +537,10 @@ class Traversal {
         stats_.leaf_points_filtered +=
             n - static_cast<std::size_t>(std::popcount(mask));
         for (; mask != 0; mask &= mask - 1) {
-          const std::size_t id = leaf.id(base + std::countr_zero(mask));
+          const std::size_t i = base + std::countr_zero(mask);
           const double dist =
-              Distance(id, gather_ ? &values_[next_value++] : nullptr);
-          if (dist <= radius) out.push_back(Neighbor{id, dist});
+              Distance(leaf.row(i), gather_ ? &values_[next_value++] : nullptr);
+          if (dist <= radius) out.push_back(Neighbor{leaf.id(i), dist});
         }
       }
     }
@@ -590,7 +597,7 @@ class Traversal {
     for (std::size_t i = 0; i < count; ++i) {
       MVP_DCHECK(nodes_.VpCount(nodes[i]) <= 2);  // RootPrime's d1, d2
       for (std::size_t l = 0; l < nodes_.VpCount(nodes[i]); ++l) {
-        GatherRow(nodes_.Vp(nodes[i], l));
+        GatherRow(nodes_.VpRow(nodes[i], l));
       }
     }
     // Scratch above the top of the values_ stack.
@@ -611,16 +618,16 @@ class Traversal {
     values_.resize(top);
   }
 
-  /// Appends object `id`'s row to rows_ (gather_ only).
-  void GatherRow(std::size_t id) {
-    if constexpr (kGathers) rows_.push_back(nodes_.object(id).data());
+  /// Appends row `row`'s data to rows_ (gather_ only).
+  void GatherRow(std::size_t row) {
+    if constexpr (kGathers) rows_.push_back(nodes_.At(row).data());
   }
 
-  /// Requests object `id`'s row ahead of its evaluation (k-NN, kRows only).
-  void RequestRow(std::size_t id) const {
+  /// Requests row `row` ahead of its evaluation (k-NN, kRows only).
+  void RequestRow(std::size_t row) const {
     if constexpr (kRows) {
-      const metric::VectorView row = nodes_.object(id);
-      metric::kernels::PrefetchBytes(row.data(), row.size() * sizeof(double));
+      const metric::VectorView view = nodes_.At(row);
+      metric::kernels::PrefetchBytes(view.data(), view.size() * sizeof(double));
     }
   }
 
@@ -684,7 +691,7 @@ class Traversal {
         if constexpr (kPrefetchesNodes) nodes_.Prefetch(child);
         if constexpr (kRows) {
           for (std::size_t l = 0; l < nodes_.VpCount(child); ++l) {
-            RequestRow(nodes_.Vp(child, l));
+            RequestRow(nodes_.VpRow(child, l));
           }
         }
       }
@@ -709,7 +716,7 @@ class Traversal {
       for (std::size_t i = base; i < base + n; ++i) {
         if (!Dir::MayBeat(leaf, i, q, entry_tau)) continue;
         mask |= std::uint64_t{1} << (i - base);
-        RequestRow(leaf.id(i));
+        RequestRow(leaf.row(i));
       }
       masks_.push_back(mask);
     }
@@ -728,8 +735,8 @@ class Traversal {
           ++stats_.leaf_points_filtered;
           continue;
         }
-        const std::size_t id = leaf.id(i);
-        KnnOffer<Dir::kOrder>(heap, k, Neighbor{id, Distance(id)});
+        const double dist = Distance(leaf.row(i));
+        KnnOffer<Dir::kOrder>(heap, k, Neighbor{leaf.id(i), dist});
       }
       const std::size_t stop = std::min(base + kChunk, leaf.size());
       stats_.leaf_points_seen += stop - next;

@@ -1,11 +1,15 @@
 #include "core/tree_layout.h"
 
+#include <cstddef>
+#include <cstring>
 #include <limits>
+#include <string>
 
 /// \file
 /// Building and (de)serializing the mvp-tree layout: the node and leaf
-/// appenders BuildNode/BuildLeaf and the stream parser share, and the one
-/// parser and writer of the MVPT stream's structure.
+/// appenders BuildNode/BuildLeaf and the stream parser share, the row order
+/// (vantage-point rows, the id -> row map and the in-place reorder), and
+/// the one parser and writer of the MVPT stream's structure.
 
 namespace mvp::core {
 namespace {
@@ -201,6 +205,73 @@ std::uint32_t TreeLayout::AddLeaf(std::uint32_t vp1, std::uint32_t vp2,
   nodes.push_back(rec);
   leafpaths.push_back(lp);
   return static_cast<std::uint32_t>(nodes.size() - 1);
+}
+
+void TreeLayout::AssignRows() {
+  auto row = static_cast<std::uint32_t>(ids.size());
+  for (NodeRec& node : nodes) {
+    node.vp_row = row;
+    row += static_cast<std::uint32_t>(VpCount(node));
+  }
+}
+
+std::vector<std::uint32_t> VantagePointIds(const TreeArrays& t) {
+  std::vector<std::uint32_t> vps;
+  vps.reserve(2 * t.node_count);
+  for (std::size_t i = 0; i < t.node_count; ++i) {
+    vps.push_back(t.nodes[i].vp1);
+    if (VpCount(t.nodes[i]) == 2) vps.push_back(t.nodes[i].vp2);
+  }
+  return vps;
+}
+
+Result<std::vector<std::uint32_t>> RowMap(const TreeArrays& t,
+                                          std::size_t objects) {
+  constexpr std::uint32_t kNoRow = 0xffffffffu;  // above every row
+  std::vector<std::uint32_t> map(objects, kNoRow);
+  std::size_t placed = 0;
+  const auto place = [&](std::size_t id, std::size_t row) {
+    if (id >= objects || map[id] != kNoRow) return false;
+    map[id] = static_cast<std::uint32_t>(row);
+    ++placed;
+    return true;
+  };
+  for (std::size_t e = 0; e < t.entry_count; ++e) {
+    if (!place(t.ids[e], e)) {
+      return Status::Corruption("object " + std::to_string(t.ids[e]) +
+                                " stored twice or out of range");
+    }
+  }
+  for (std::size_t i = 0; i < t.node_count; ++i) {
+    const NodeRec& node = t.nodes[i];
+    for (std::size_t l = 0; l < VpCount(node); ++l) {
+      const std::size_t id = l == 0 ? node.vp1 : node.vp2;
+      if (!place(id, node.vp_row + l)) {
+        return Status::Corruption("vantage point " + std::to_string(id) +
+                                  " stored twice or out of range");
+      }
+    }
+  }
+  if (placed != objects) {
+    return Status::Corruption("tree stores " + std::to_string(placed) +
+                              " of its " + std::to_string(objects) +
+                              " objects");
+  }
+  return map;
+}
+
+void PermuteRows(const TreeArrays& t, void* rows, std::size_t objects,
+                 std::size_t row_bytes) {
+  std::byte* const base = static_cast<std::byte*>(rows);
+  std::vector<std::byte> spare(row_bytes);
+  const auto row = [&](std::size_t i) { return base + i * row_bytes; };
+  PermuteInPlace(
+      t, objects,
+      [&](std::size_t i) { std::memcpy(spare.data(), row(i), row_bytes); },
+      [&](std::size_t from, std::size_t to) {
+        std::memcpy(row(to), row(from), row_bytes);
+      },
+      [&](std::size_t to) { std::memcpy(row(to), spare.data(), row_bytes); });
 }
 
 Status TreeLayout::Read(BinaryReader* reader, std::uint64_t objects,

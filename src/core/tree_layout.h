@@ -35,6 +35,17 @@
 ///                              range mask reads with its D1 and D2 runs in
 ///                              one AnnulusMask call (SoaLeaf::Mask)
 ///
+/// Row order. A tree stores its objects by row, not by id. Rows
+/// [0, entry_count) are the leaf entries in entry order, which is preorder
+/// leaf order, so entry e lives at row e and a leaf's entries are one
+/// contiguous block of rows. Rows [entry_count, n) are the vantage points in
+/// node preorder, each node's vp1 and then its vp2, at the row its NodeRec
+/// records (vp_row). The search evaluates objects by row; ids (the ids
+/// column, vp1 and vp2) only name the objects it offers, excludes or
+/// reports. AssignRows gives a layout its vantage-point rows, RowMap inverts
+/// the order into an id -> row map, and PermuteRows puts objects held in id
+/// order into row order in place.
+///
 /// Ids and node indices are u32, so one tree holds at most kMaxTreeObjects
 /// objects. TreeLayout::Read is the only parser of the MVPT stream's
 /// structure (MvpTree::Deserialize calls it, and BuildFlatArena goes through
@@ -50,9 +61,11 @@ inline constexpr std::uint64_t kMaxTreeObjects = 0xffffffffu;
 /// Deepest nesting a parsed stream or arena may have.
 inline constexpr std::size_t kMaxTreeDepth = 512;
 
-/// One tree node, 32 bytes. Leaves: `begin`/`count` select a run of leaf
-/// entries. Internal nodes: `begin` indexes the bounds (2m + 2m*m doubles),
-/// `children` the first of m*m child slots.
+/// One tree node, 40 bytes. Leaves: `begin`/`count` select a run of leaf
+/// entries, which are also rows begin..begin+count. Internal nodes: `begin`
+/// indexes the bounds (2m + 2m*m doubles), `children` the first of m*m
+/// child slots. vp1 and vp2 are ids; `vp_row` is vp1's row, and vp2's is
+/// the next one.
 struct NodeRec {
   std::uint32_t flags = 0;  ///< kNodeLeaf | kNodeHasVp2
   std::uint32_t vp1 = 0;
@@ -60,8 +73,15 @@ struct NodeRec {
   std::uint32_t count = 0;
   std::uint64_t begin = 0;
   std::uint64_t children = 0;
+  std::uint32_t vp_row = 0;
+  std::uint32_t reserved = 0;
 };
-static_assert(sizeof(NodeRec) == 32, "node layout drifted");
+static_assert(sizeof(NodeRec) == 40, "node layout drifted");
+
+/// A node's vantage points: 2 with kNodeHasVp2, else 1.
+inline std::size_t VpCount(const NodeRec& n) {
+  return (n.flags & kNodeHasVp2) != 0 ? 2 : 1;
+}
 
 /// One node's PATH slab, 16 bytes: `path_length * count` doubles at
 /// `slab_offset`. Every entry of a leaf keeps the same number of PATH
@@ -125,6 +145,9 @@ struct TreeLayout {
   /// to fill; returns its index.
   std::uint32_t AddLeaf(std::uint32_t vp1, std::uint32_t vp2, bool has_vp2,
                         std::size_t count, std::size_t path_length);
+  /// Records every node's vp_row: the vantage points' rows in node
+  /// preorder, after the entries' rows (row order, above).
+  void AssignRows();
 
   /// Parses the structure part of an MVPT stream — the PATH pool, then the
   /// preorder nodes — into this empty layout, for a tree of `objects`
@@ -136,6 +159,57 @@ struct TreeLayout {
   Status Read(BinaryReader* reader, std::uint64_t objects, std::size_t m,
               std::size_t p);
 };
+
+/// The ids of rows [entry_count, entry_count + vantage points) of `t`: every
+/// node's vantage points in preorder, vp1 before vp2.
+std::vector<std::uint32_t> VantagePointIds(const TreeArrays& t);
+
+/// The id -> row map of a tree over `objects` objects: map[id] is the row
+/// holding object id. `t`'s vp rows must tile [entry_count, objects) in
+/// preorder (AssignRows; ParseFlatArena checks an arena's). Corruption when
+/// the leaf entries and vantage points do not name every id below
+/// `objects` exactly once.
+Result<std::vector<std::uint32_t>> RowMap(const TreeArrays& t,
+                                          std::size_t objects);
+
+/// Puts the objects of a tree, held in id order, into row order in place:
+/// the object at position id moves to row map[id]. It follows each cycle of
+/// the permutation with one spare object — `hold(i)` copies position i into
+/// the spare, `move(from, to)` copies position `from` to position `to`, and
+/// `release(to)` copies the spare to position `to` — and marks finished
+/// positions in one bit per object, so it never holds a second copy of the
+/// objects. `t`'s ids must be a permutation (RowMap succeeded on them).
+template <typename Hold, typename Move, typename Release>
+void PermuteInPlace(const TreeArrays& t, std::size_t objects, Hold&& hold,
+                    Move&& move, Release&& release) {
+  const std::vector<std::uint32_t> vps = VantagePointIds(t);
+  const auto id_at = [&](std::size_t row) -> std::size_t {
+    return row < t.entry_count ? t.ids[row] : vps[row - t.entry_count];
+  };
+  std::vector<bool> done(objects, false);
+  for (std::size_t start = 0; start < objects; ++start) {
+    if (done[start]) continue;
+    done[start] = true;
+    std::size_t from = id_at(start);
+    if (from == start) continue;
+    // Row `to` takes the object still at position id_at(to), until the
+    // cycle comes back to the held one.
+    hold(start);
+    std::size_t to = start;
+    while (from != start) {
+      move(from, to);
+      to = from;
+      done[to] = true;
+      from = id_at(to);
+    }
+    release(to);
+  }
+}
+
+/// PermuteInPlace over a slab of `objects` rows of `row_bytes` bytes each,
+/// such as a vector tree's row-major doubles.
+void PermuteRows(const TreeArrays& t, void* rows, std::size_t objects,
+                 std::size_t row_bytes);
 
 /// Leaf cursor: contiguous id/D1/D2 columns and a column-major PATH slab.
 /// A range mask tests one 64-entry chunk against all of the leaf's columns
@@ -152,9 +226,11 @@ struct SoaLeaf {
   const double* slab;
   std::size_t count;
   std::size_t path_length;
+  std::size_t first_row;  ///< entry 0's row: the leaf's entry offset
 
   std::size_t size() const { return count; }
   std::size_t id(std::size_t i) const { return ids[i]; }
+  std::size_t row(std::size_t i) const { return first_row + i; }
   std::size_t Checks(const std::vector<double>& qpath) const {
     return std::min(qpath.size(), path_length);
   }
@@ -194,8 +270,9 @@ struct SoaLeaf {
 };
 
 /// The node accessor core::Traversal runs on (core/search_shared.h), over
-/// one tree's arrays. `Owner` supplies metric() and object(id): the tree's
-/// stored objects (metric::VectorView rows for vectors, owned or mapped).
+/// one tree's arrays. `Owner` supplies metric() and object_at_row(row): the
+/// tree's stored objects by row (metric::VectorView rows for vectors, owned
+/// or mapped).
 template <typename Owner>
 struct TreeNodes {
   const Owner* owner;
@@ -206,11 +283,12 @@ struct TreeNodes {
   std::size_t PathDistances() const { return t.path_distances; }
   static constexpr std::size_t Levels() { return 2; }
   bool IsLeaf(const NodeRec* n) const { return (n->flags & kNodeLeaf) != 0; }
-  std::size_t VpCount(const NodeRec* n) const {
-    return (n->flags & kNodeHasVp2) != 0 ? 2 : 1;
-  }
+  std::size_t VpCount(const NodeRec* n) const { return core::VpCount(*n); }
   std::size_t Vp(const NodeRec* n, std::size_t l) const {
     return l == 0 ? n->vp1 : n->vp2;
+  }
+  std::size_t VpRow(const NodeRec* n, std::size_t l) const {
+    return n->vp_row + l;
   }
   ShellBounds Shells(const NodeRec* n, std::size_t l) const {
     const std::size_t m = t.order;
@@ -225,7 +303,8 @@ struct TreeNodes {
   SoaLeaf Leaf(const NodeRec* n) const {
     const LeafPathRec& lp = t.leafpaths[n - t.nodes];
     return SoaLeaf{t.ids + n->begin, t.d1 + n->begin, t.d2 + n->begin,
-                   t.path + lp.slab_offset, n->count, lp.path_length};
+                   t.path + lp.slab_offset, n->count, lp.path_length,
+                   n->begin};
   }
   /// Requests the columns a k-NN search reads on entering leaf n: its id,
   /// D1 and D2 runs and its PATH slab. Internal nodes request nothing.
@@ -239,7 +318,9 @@ struct TreeNodes {
     PrefetchBytes(leaf.slab, leaf.path_length * leaf.count * sizeof(double));
   }
   decltype(auto) metric() const { return owner->metric(); }
-  decltype(auto) object(std::size_t id) const { return owner->object(id); }
+  decltype(auto) At(std::size_t row) const {
+    return owner->object_at_row(row);
+  }
 };
 
 }  // namespace mvp::core

@@ -232,6 +232,7 @@ class ShardedMvpIndex {
       index.shards_.push_back(Shard{std::move(*built[s]).ValueOrDie(),
                                     std::move(ids[s]), shells[s]});
     }
+    index.ResolveVantageRow();
     return index;
   }
 
@@ -518,9 +519,8 @@ class ShardedMvpIndex {
   /// then unbounded, so every shard is visited).
   double VantageDistance(const Object& query, SearchStats* stats) const {
     if (!vantage_.has_value()) return 0.0;
-    const auto [s, local] = *vantage_;
-    const Tree& tree = shards_[s].tree;
-    const double d = tree.metric()(query, tree.object(local));
+    const Tree& tree = shards_[vantage_->first].tree;
+    const double d = tree.metric()(query, tree.object_at_row(vantage_row_));
     if (stats != nullptr) ++stats->distance_computations;
     return d;
   }
@@ -589,7 +589,15 @@ class ShardedMvpIndex {
       }
     }
     index.shards_ = std::move(shards);
+    index.ResolveVantageRow();
     return index;
+  }
+
+  /// Looks v's row up in its shard's tree, once, for VantageDistance.
+  void ResolveVantageRow() {
+    if (!vantage_.has_value()) return;
+    const auto [s, local] = *vantage_;
+    vantage_row_ = shards_[s].tree.row_of(local);
   }
 
   /// Shard s's k nearest to `query` (local ids) appended to `*found`, with
@@ -642,6 +650,8 @@ class ShardedMvpIndex {
   std::vector<Shard> shards_;
   /// v as (shard, local id); empty without a partition.
   std::optional<std::pair<std::size_t, std::size_t>> vantage_;
+  /// v's row in its shard's tree (ResolveVantageRow).
+  std::size_t vantage_row_ = 0;
   /// Build's distances to v (n with a partition), for Stats().
   std::uint64_t partition_distances_ = 0;
 };

@@ -11,7 +11,7 @@
 
 /// \file
 /// Flat-arena layout (a heap tree's arrays, a serialized MvpTree stream or
-/// a v1 arena -> v2 arena) and untrusted-arena validation. Non-template
+/// a v1 or v2 arena -> v3 arena) and untrusted-arena validation. Non-template
 /// code: the arena layout is object-type-specific (dense real vectors),
 /// which is what makes the in-place VectorView serving possible at all.
 
@@ -28,14 +28,14 @@ void CopySection(std::vector<std::uint8_t>* arena, std::uint64_t offset,
   std::memcpy(arena->data() + offset, values, count * sizeof(T));
 }
 
-/// Lays out `t` as a v2 arena behind header `h` (options, dim and object
+/// Lays out `t` as a v3 arena behind header `h` (options, dim and object
 /// count filled) and the row-major `objects`. Every section offset stays
 /// 8-aligned (the u32 ids section can end off an 8-byte boundary, hence the
 /// explicit Align8 between sections).
 std::vector<std::uint8_t> EmitArena(FlatHeaderRec h,
                                     std::span<const double> objects,
                                     const core::TreeArrays& t) {
-  h.version = kFlatVersionV2;
+  h.version = kFlatVersionV3;
   h.reserved = 0;
   h.node_count = t.node_count;
   h.root = t.node_count == 0 ? kNoNode : 0;
@@ -49,7 +49,7 @@ std::vector<std::uint8_t> EmitArena(FlatHeaderRec h,
   h.bounds_offset = offset;
   h.bounds_count = t.bounds_count;
   offset = Align8(offset + t.bounds_count * sizeof(double));
-  h.entries_offset = offset;  // ids section in v2
+  h.entries_offset = offset;  // ids section since v2
   h.entry_count = t.entry_count;
   offset = Align8(offset + t.entry_count * sizeof(std::uint32_t));
   ext.d1_offset = offset;
@@ -119,46 +119,87 @@ core::MvpTreeOptions HeaderOptions(const FlatHeaderRec& header) {
   return options;
 }
 
-Result<std::vector<std::uint8_t>> UpgradeFlatArena(const FlatArenaParts& v1) {
-  const FlatHeaderRec& in = v1.header;
-  if (in.version != kFlatVersionV1) {
-    return Status::InvalidArgument("not a v1 flat arena");
+namespace {
+
+/// Node i of a validated arena, as a NodeRec (v1 and v2 nodes get vp_row 0).
+core::NodeRec NodeAt(const FlatArenaParts& parts, std::size_t i) {
+  if (parts.legacy_nodes == nullptr) return parts.tree.nodes[i];
+  const FlatNodeRecV2& in = parts.legacy_nodes[i];
+  core::NodeRec node;
+  node.flags = in.flags;
+  node.vp1 = in.vp1;
+  node.vp2 = in.vp2;
+  node.count = in.count;
+  node.begin = in.begin;
+  node.children = in.children;
+  return node;
+}
+
+}  // namespace
+
+Result<std::vector<std::uint8_t>> UpgradeFlatArena(
+    const FlatArenaParts& legacy) {
+  const FlatHeaderRec& in = legacy.header;
+  if (in.version != kFlatVersionV1 && in.version != kFlatVersionV2) {
+    return Status::InvalidArgument("not a v1 or v2 flat arena");
   }
-  // Nodes, children and bounds carry over; the AoS entries split into the
+  // Children and bounds carry over, and the nodes gain their vp rows. v2's
+  // leaf columns and slabs carry over too; v1's AoS entries split into the
   // id/D1/D2 columns, and each leaf's PATH slices into its slab.
-  const core::TreeArrays& a = v1.tree;
+  const core::TreeArrays& a = legacy.tree;
   core::TreeLayout t;
-  t.nodes.assign(a.nodes, a.nodes + in.node_count);
+  for (std::size_t i = 0; i < in.node_count; ++i) {
+    t.nodes.push_back(NodeAt(legacy, i));
+  }
   t.children.assign(a.children, a.children + in.children_count);
   t.bounds.assign(a.bounds, a.bounds + in.bounds_count);
-  for (const FlatLeafEntryRec& e : std::span(v1.entries, in.entry_count)) {
-    t.ids.push_back(e.id);
-    t.d1.push_back(e.d1);
-    t.d2.push_back(e.d2);
-  }
-  t.leafpaths.resize(t.nodes.size());
-  for (std::size_t ni = 0; ni < t.nodes.size(); ++ni) {
-    const core::NodeRec& node = t.nodes[ni];
-    if ((node.flags & core::kNodeLeaf) == 0) continue;
-    const FlatLeafEntryRec* entries = v1.entries + node.begin;
-    core::LeafPathRec& lp = t.leafpaths[ni];
-    lp.slab_offset = t.path.size();
-    lp.path_length = node.count > 0 ? entries[0].path_length : 0;
-    for (std::uint32_t i = 0; i < node.count; ++i) {
-      if (entries[i].path_length != lp.path_length) {
-        // A heap tree records one PATH prefix length per leaf; mixed
-        // lengths in a leaf have no slab representation.
-        return Status::Corruption("leaf PATH lengths inconsistent in a leaf");
-      }
+  if (in.version == kFlatVersionV2) {
+    t.ids.assign(a.ids, a.ids + in.entry_count);
+    t.d1.assign(a.d1, a.d1 + in.entry_count);
+    t.d2.assign(a.d2, a.d2 + in.entry_count);
+    t.leafpaths.assign(a.leafpaths, a.leafpaths + in.node_count);
+    t.path.assign(a.path, a.path + in.path_count);
+  } else {
+    for (const FlatLeafEntryRec& e :
+         std::span(legacy.entries, in.entry_count)) {
+      t.ids.push_back(e.id);
+      t.d1.push_back(e.d1);
+      t.d2.push_back(e.d2);
     }
-    for (std::uint32_t j = 0; j < lp.path_length; ++j) {
+    t.leafpaths.resize(t.nodes.size());
+    for (std::size_t ni = 0; ni < t.nodes.size(); ++ni) {
+      const core::NodeRec& node = t.nodes[ni];
+      if ((node.flags & core::kNodeLeaf) == 0) continue;
+      const FlatLeafEntryRec* entries = legacy.entries + node.begin;
+      core::LeafPathRec& lp = t.leafpaths[ni];
+      lp.slab_offset = t.path.size();
+      lp.path_length = node.count > 0 ? entries[0].path_length : 0;
       for (std::uint32_t i = 0; i < node.count; ++i) {
-        t.path.push_back(a.path[std::size_t{entries[i].path_offset} + j]);
+        if (entries[i].path_length != lp.path_length) {
+          // A heap tree records one PATH prefix length per leaf; mixed
+          // lengths in a leaf have no slab representation.
+          return Status::Corruption(
+              "leaf PATH lengths inconsistent in a leaf");
+        }
+      }
+      for (std::uint32_t j = 0; j < lp.path_length; ++j) {
+        for (std::uint32_t i = 0; i < node.count; ++i) {
+          t.path.push_back(a.path[std::size_t{entries[i].path_offset} + j]);
+        }
       }
     }
   }
-  return EmitArena(in, {v1.objects, in.object_count * in.dim},
-                   t.Arrays(in.order, in.num_path_distances));
+  t.AssignRows();
+  const core::TreeArrays arrays = t.Arrays(in.order, in.num_path_distances);
+  const auto count = static_cast<std::size_t>(in.object_count);
+  // The in-place reorder needs every object named exactly once.
+  if (auto map = core::RowMap(arrays, count); !map.ok()) return map.status();
+  std::vector<std::uint8_t> arena =
+      EmitArena(in, {legacy.objects, count * in.dim}, arrays);
+  // EmitArena lays the objects section right behind the header.
+  core::PermuteRows(arrays, arena.data() + kFlatHeaderBytesV2, count,
+                    std::size_t{in.dim} * sizeof(double));
+  return arena;
 }
 
 namespace {
@@ -206,11 +247,15 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
   if (h.magic != kFlatMagic) {
     return Status::Corruption("bad flat arena magic");
   }
-  if (h.version != kFlatVersionV1 && h.version != kFlatVersionV2) {
+  if (h.version != kFlatVersionV1 && h.version != kFlatVersionV2 &&
+      h.version != kFlatVersionV3) {
     return Status::NotSupported("unknown flat arena version " +
                                 std::to_string(h.version));
   }
-  const bool v2 = h.version == kFlatVersionV2;
+  // v2 and v3 share the header extension and the SoA leaf sections; v3
+  // adds the row order and the vp row in each node record.
+  const bool v2 = h.version != kFlatVersionV1;
+  const bool v3 = h.version == kFlatVersionV3;
   FlatHeaderExtRec ext;
   if (v2) {
     if (size < kFlatHeaderBytesV2) {
@@ -263,8 +308,9 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
                                       sizeof(FlatLeafEntryRec), size,
                                       "entries"));
   }
-  MVP_RETURN_NOT_OK(SectionInBounds(h.nodes_offset, h.node_count,
-                                    sizeof(core::NodeRec), size, "nodes"));
+  MVP_RETURN_NOT_OK(SectionInBounds(
+      h.nodes_offset, h.node_count,
+      v3 ? sizeof(core::NodeRec) : sizeof(FlatNodeRecV2), size, "nodes"));
   MVP_RETURN_NOT_OK(SectionInBounds(h.children_offset, h.children_count,
                                     sizeof(std::uint32_t), size, "children"));
 
@@ -280,7 +326,12 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
   t.path_count = static_cast<std::size_t>(h.path_count);
   t.path = reinterpret_cast<const double*>(data + h.path_offset);
   t.bounds = reinterpret_cast<const double*>(data + h.bounds_offset);
-  t.nodes = reinterpret_cast<const core::NodeRec*>(data + h.nodes_offset);
+  if (v3) {
+    t.nodes = reinterpret_cast<const core::NodeRec*>(data + h.nodes_offset);
+  } else {
+    parts.legacy_nodes =
+        reinterpret_cast<const FlatNodeRecV2*>(data + h.nodes_offset);
+  }
   t.children = reinterpret_cast<const std::uint32_t*>(data + h.children_offset);
   if (v2) {
     t.entry_count = static_cast<std::size_t>(h.entry_count);
@@ -295,6 +346,8 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
   }
 
   // Every leaf entry's id (and, v1, its PATH slice), in one linear pass.
+  // The objects section is in row order in v3 and in id order before, but
+  // the ids mean the same in every version.
   for (std::uint64_t i = 0; i < h.entry_count; ++i) {
     if ((v2 ? t.ids[i] : parts.entries[i].id) >= h.object_count) {
       return Status::Corruption("flat leaf entry id out of range");
@@ -334,12 +387,15 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
   // in v1 every entry its own PATH slice), so the totals stay within their
   // sections, which bounds the upgrade's and a re-serialization's work and
   // memory by the arena's size.
+  // In v3, next_row is the row the next node's vp1 must sit at: the vp
+  // rows tile [entry_count, object_count) in node order.
   std::uint64_t next_slab = 0;
   std::uint64_t leaf_entries = 0;
+  std::uint64_t next_row = h.entry_count;
   std::vector<std::uint32_t> depth(static_cast<std::size_t>(h.node_count), 0);
   depth[0] = 1;
   for (std::uint64_t i = 0; i < h.node_count; ++i) {
-    const core::NodeRec& node = t.nodes[i];
+    const core::NodeRec node = NodeAt(parts, static_cast<std::size_t>(i));
     if (depth[static_cast<std::size_t>(i)] == 0) {
       return Status::Corruption("flat arena node unreachable from root");
     }
@@ -349,6 +405,21 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
     if (node.vp1 >= h.object_count ||
         ((node.flags & core::kNodeHasVp2) != 0 && node.vp2 >= h.object_count)) {
       return Status::Corruption("flat arena vantage point id out of range");
+    }
+    if (v3) {
+      if (node.reserved != 0) {
+        return Status::Corruption("flat arena node record malformed");
+      }
+      const std::uint64_t vps = core::VpCount(node);
+      if (node.vp_row < h.entry_count ||
+          node.vp_row + vps > h.object_count) {
+        return Status::Corruption("flat arena vantage point row out of range");
+      }
+      if (node.vp_row != next_row) {
+        return Status::Corruption(
+            "flat arena vantage point rows out of preorder");
+      }
+      next_row += vps;
     }
     if ((node.flags & core::kNodeLeaf) != 0) {
       if (node.begin > h.entry_count ||
@@ -427,6 +498,9 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
   }
   if (v2 && next_slab != h.path_count) {
     return Status::Corruption("flat arena PATH slab pool not canonical");
+  }
+  if (v3 && next_row != h.object_count) {
+    return Status::Corruption("flat arena rows do not tile its objects");
   }
   return parts;
 }

@@ -32,9 +32,11 @@
 /// manifests; flat id maps). golden_heap_round_robin, golden_flat_round_robin
 /// and golden_flat_v1 are FROZEN: written by earlier releases, which dealt
 /// objects out round-robin, they are never re-blessed and must keep opening
-/// and answering exactly. golden_heap and golden_heap_compacted are frozen
-/// too: they hold the MVPT stream layout (index kind 1), which no current
-/// writer emits, so they pin that the layout keeps opening.
+/// and answering exactly. golden_flat_v2 is frozen too: golden_flat as the
+/// v2 arena writer wrote it, before arenas stored rows in leaf order (v3).
+/// golden_heap and golden_heap_compacted are frozen as well: they hold the
+/// MVPT stream layout (index kind 1), which no current writer emits, so
+/// they pin that the layout keeps opening.
 ///
 /// Re-bless (after an INTENTIONAL format change):
 ///   MVPT_BLESS_GOLDEN=1 ./flat_format_golden_test
@@ -355,7 +357,7 @@ TEST(FlatFormatGoldenTest, GoldenFlatFixtureLoadsAndMatchesRebuild) {
 
 /// The v1 arena fixture is FROZEN: it was blessed before the v2 SoA-leaf
 /// layout existed and is never re-blessed, so this test proves the current
-/// reader keeps opening real v1 snapshots from the field — upgraded to v2
+/// reader keeps opening real v1 snapshots from the field — upgraded to v3
 /// at open. It answers queries exactly as a fresh build does, and as the
 /// frozen round-robin v2 fixture of the same trees does, stats included.
 /// (Bless mode leaves the directory untouched on purpose.)
@@ -384,43 +386,120 @@ TEST(FlatFormatGoldenTest, FrozenV1FixtureStillOpensAndMatchesRebuild) {
   }
 }
 
-/// A v1 arena's bytes, validated and upgraded.
-std::vector<std::uint8_t> MustUpgrade(const std::vector<std::uint8_t>& v1) {
-  auto parts = flat::ParseFlatArena(v1.data(), v1.size());
+/// The frozen v2 fixture opens through the one upgrade path and answers
+/// exactly as golden_flat, the v3 arenas of the same trees, does, stats
+/// included, and as a fresh build does.
+TEST(FlatFormatGoldenTest, FrozenV2FixtureStillOpensAndMatchesRebuild) {
+  if (BlessMode()) GTEST_SKIP() << "frozen fixture is never re-blessed";
+  SnapshotStore v2_store(GoldenDir("golden_flat_v2"));
+  SnapshotStore v3_store(GoldenDir("golden_flat"));
+  auto v2 = v2_store.OpenFlat(L2());
+  auto v3 = v3_store.OpenFlat(L2());
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
+  EXPECT_EQ(v2.value().index.partition(), v3.value().index.partition());
+  const Index rebuilt = GoldenIndex();
+  for (const auto& q : dataset::UniformQueryVectors(40, 4, 11)) {
+    SearchStats vs, cs;
+    const auto range = v2.value().index.RangeSearch(q, 0.5, &vs);
+    ExpectSameSearch(range, v3.value().index.RangeSearch(q, 0.5, &cs), vs,
+                     cs);
+    ExpectSameResults(range, rebuilt.RangeSearch(q, 0.5));
+    SearchStats vks, cks;
+    const auto knn = v2.value().index.KnnSearch(q, 5, &vks);
+    ExpectSameSearch(knn, v3.value().index.KnnSearch(q, 5, &cks), vks, cks);
+    ExpectSameResults(knn, rebuilt.KnnSearch(q, 5));
+  }
+}
+
+/// A v1 or v2 arena's bytes, validated and upgraded to v3.
+std::vector<std::uint8_t> MustUpgrade(const std::vector<std::uint8_t>& legacy,
+                                      std::uint32_t version) {
+  auto parts = flat::ParseFlatArena(legacy.data(), legacy.size());
   EXPECT_TRUE(parts.ok()) << parts.status().ToString();
   if (!parts.ok()) return {};
-  EXPECT_EQ(parts.value().header.version, flat::kFlatVersionV1);
+  EXPECT_EQ(parts.value().header.version, version);
   auto upgraded = flat::UpgradeFlatArena(parts.value());
   EXPECT_TRUE(upgraded.ok()) << upgraded.status().ToString();
   return upgraded.ok() ? std::move(upgraded).ValueOrDie()
                        : std::vector<std::uint8_t>{};
 }
 
-/// The frozen v1 arenas upgrade byte for byte to the v2 arenas the v2
-/// writer produced for the same (round-robin) trees.
-TEST(FlatFormatGoldenTest, FrozenV1ArenasUpgradeToGoldenV2Bytes) {
+/// The v3 arena BuildFlatArena writes for each shard tree of the frozen
+/// kind-1 store `name`.
+std::vector<std::vector<std::uint8_t>> HeapStoreArenas(
+    const std::string& name) {
+  SnapshotStore store(GoldenDir(name));
+  auto loaded = store.LoadSharded<Vector>(L2(), VectorCodec());
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  std::vector<std::vector<std::uint8_t>> arenas;
+  if (!loaded.ok()) return arenas;
+  const Index& index = loaded.value().index;
+  for (std::size_t s = 0; s < index.num_shards(); ++s) {
+    const auto& tree = index.shard(s);
+    arenas.push_back(flat::BuildFlatArena(tree.options(), tree.rows(),
+                                          tree.dim(), tree.arrays()));
+  }
+  return arenas;
+}
+
+/// The frozen v1 arenas and their frozen round-robin v2 twins upgrade byte
+/// for byte to the v3 arenas BuildFlatArena writes for the same trees,
+/// which the frozen round-robin heap fixture holds as MVPT streams.
+TEST(FlatFormatGoldenTest, FrozenV1AndV2ArenasUpgradeToBuiltV3Bytes) {
   if (BlessMode()) GTEST_SKIP();
   const auto v1 = GoldenShardArenas(GoldenDir("golden_flat_v1"));
   const auto v2 = GoldenShardArenas(GoldenDir("golden_flat_round_robin"));
+  const auto v3 = HeapStoreArenas("golden_heap_round_robin");
   ASSERT_EQ(v1.size(), 2u);
   ASSERT_EQ(v2.size(), v1.size());
+  ASSERT_EQ(v3.size(), v1.size());
   for (std::size_t s = 0; s < v1.size(); ++s) {
-    EXPECT_EQ(MustUpgrade(v1[s]), v2[s]) << "shard " << s;
+    EXPECT_EQ(MustUpgrade(v1[s], flat::kFlatVersionV1), v3[s]) << "shard " << s;
+    EXPECT_EQ(MustUpgrade(v2[s], flat::kFlatVersionV2), v3[s]) << "shard " << s;
   }
 }
 
-/// The same for the fuzz corpus's frozen v1 seed and its v2 twin, both one
-/// 32-point tree. Each seed is [u8 harness mode][arena].
+/// Each frozen golden_flat_v2 arena upgrades byte for byte to the v3 arena
+/// BuildFlatArena writes for the same tree: the recipe's shard, which
+/// golden_flat holds.
+TEST(FlatFormatGoldenTest, FrozenV2ArenasUpgradeToGoldenV3Bytes) {
+  if (BlessMode()) GTEST_SKIP();
+  const auto v2 = GoldenShardArenas(GoldenDir("golden_flat_v2"));
+  const auto v3 = GoldenShardArenas(GoldenDir("golden_flat"));
+  const Index rebuilt = GoldenIndex();
+  ASSERT_EQ(v2.size(), rebuilt.num_shards());
+  ASSERT_EQ(v3.size(), v2.size());
+  for (std::size_t s = 0; s < v2.size(); ++s) {
+    const auto& tree = rebuilt.shard(s);
+    const auto built = flat::BuildFlatArena(tree.options(), tree.rows(),
+                                            tree.dim(), tree.arrays());
+    EXPECT_EQ(built, v3[s]) << "shard " << s;
+    EXPECT_EQ(MustUpgrade(v2[s], flat::kFlatVersionV2), built)
+        << "shard " << s;
+  }
+}
+
+/// The same for the fuzz corpus's frozen v1 and v2 seeds and their v3
+/// twin, all one 32-point tree. Each seed is [u8 harness mode][arena].
+std::vector<std::uint8_t> CorpusArena(const std::string& name) {
+  const auto seed =
+      MustRead(std::string(MVPT_CORPUS_DIR) + "/flat_arena/" + name);
+  EXPECT_FALSE(seed.empty()) << name;
+  return seed.empty() ? seed
+                      : std::vector<std::uint8_t>(seed.begin() + 1, seed.end());
+}
+
 TEST(FlatFormatGoldenTest, CorpusV1ArenaUpgradesToCorpusArena) {
   if (BlessMode()) GTEST_SKIP();
-  const std::string dir = std::string(MVPT_CORPUS_DIR) + "/flat_arena/";
-  const auto v1_seed = MustRead(dir + "arena_v1.bin");
-  const auto v2_seed = MustRead(dir + "arena.bin");
-  ASSERT_FALSE(v1_seed.empty());
-  ASSERT_FALSE(v2_seed.empty());
-  const std::vector<std::uint8_t> v1(v1_seed.begin() + 1, v1_seed.end());
-  const std::vector<std::uint8_t> v2(v2_seed.begin() + 1, v2_seed.end());
-  EXPECT_EQ(MustUpgrade(v1), v2);
+  EXPECT_EQ(MustUpgrade(CorpusArena("arena_v1.bin"), flat::kFlatVersionV1),
+            CorpusArena("arena.bin"));
+}
+
+TEST(FlatFormatGoldenTest, CorpusV2ArenaUpgradesToCorpusArena) {
+  if (BlessMode()) GTEST_SKIP();
+  EXPECT_EQ(MustUpgrade(CorpusArena("arena_v2.bin"), flat::kFlatVersionV2),
+            CorpusArena("arena.bin"));
 }
 
 TEST(FlatFormatGoldenTest, GoldenFlatFixtureIsCurrentVersion) {
@@ -436,7 +515,7 @@ TEST(FlatFormatGoldenTest, GoldenFlatFixtureIsCurrentVersion) {
     flat::FlatHeaderRec header;
     ASSERT_GE(arena.size(), sizeof(header));
     std::memcpy(&header, arena.data(), sizeof(header));
-    EXPECT_EQ(header.version, flat::kFlatVersionV2);
+    EXPECT_EQ(header.version, flat::kFlatVersionV3);
   }
 }
 

@@ -58,10 +58,16 @@ TEST(MvpTreeTest, RejectsRaggedAndZeroDimensionVectors) {
   auto built = VecTree::Build({{1, 2}, {3, 4}, {5, 6}}, L2());
   ASSERT_TRUE(built.ok());
   EXPECT_EQ(built.value().dim(), 2u);
+  // The slab is in the tree's row order: object id at row row_of(id).
   const auto rows = built.value().rows();
-  EXPECT_EQ(std::vector<double>(rows.begin(), rows.end()),
-            (std::vector<double>{1, 2, 3, 4, 5, 6}));
-  EXPECT_EQ(Vector(built.value().object(1)), (Vector{3, 4}));
+  ASSERT_EQ(rows.size(), 6u);
+  const std::vector<Vector> data = {{1, 2}, {3, 4}, {5, 6}};
+  for (std::size_t id = 0; id < data.size(); ++id) {
+    const auto at = rows.begin() +
+                    static_cast<std::ptrdiff_t>(2 * built.value().row_of(id));
+    EXPECT_EQ(Vector(at, at + 2), data[id]);
+    EXPECT_EQ(Vector(built.value().object(id)), data[id]);
+  }
 }
 
 TEST(MvpTreeTest, EmptyTree) {

@@ -3,6 +3,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -562,15 +563,16 @@ TEST_F(FlatSnapshotCorruptionTest, StructuralNodeAndEntryCorruptionRejected) {
 }
 
 TEST_F(FlatSnapshotCorruptionTest, V2SoaStructuralCorruptionRejected) {
-  // The v2-only structures: the 48-byte header extension locating the
-  // D1/D2 columns and the per-node PATH-slab records, and the canonical
-  // slab tiling rule. Every mutation leaves all checksums VALID (the
-  // harness rebuilds them), so the structural pass alone must reject.
+  // The structures v2 introduced and v3 keeps: the 48-byte header
+  // extension locating the D1/D2 columns and the per-node PATH-slab
+  // records, and the canonical slab tiling rule. Every mutation leaves all
+  // checksums VALID (the harness rebuilds them), so the structural pass
+  // alone must reject.
   auto parsed = ContainerReader::Parse(container_.data(), container_.size());
   ASSERT_TRUE(parsed.ok());
   const auto [payload, length] = parsed.value().chunk_payload(0);
   const std::vector<std::uint8_t> arena0(payload + 8, payload + length);
-  ASSERT_EQ(PeekU32(arena0, 4), 2u);  // fixture writes the v2 format
+  ASSERT_EQ(PeekU32(arena0, 4), 3u);  // fixture writes the v3 format
   const std::uint64_t node_count = PeekU64(arena0, 40);
   const std::uint64_t nodes_offset = PeekU64(arena0, 112);
   constexpr std::size_t kExtD1Off = 144, kExtD2Off = 152,
@@ -580,8 +582,9 @@ TEST_F(FlatSnapshotCorruptionTest, V2SoaStructuralCorruptionRejected) {
   std::vector<std::size_t> leaves;
   std::size_t internal_node = ~std::size_t{0};
   for (std::size_t n = 0; n < node_count; ++n) {
-    const std::uint32_t flags =
-        PeekU32(arena0, static_cast<std::size_t>(nodes_offset) + n * 32);
+    const std::uint32_t flags = PeekU32(
+        arena0, static_cast<std::size_t>(nodes_offset) +
+                    n * sizeof(core::NodeRec));
     if ((flags & 1u) != 0) {
       leaves.push_back(n);
     } else {
@@ -634,6 +637,59 @@ TEST_F(FlatSnapshotCorruptionTest, V2SoaStructuralCorruptionRejected) {
   EXPECT_FALSE(OpenWithMutatedArena([&](auto& arena) {
                  PokeU64(arena, kExtD1Off, PeekU64(arena, kExtD1Off) + 4);
                }).ok());
+}
+
+/// v3's row order: each node records its vp1's row, and those rows tile
+/// [entry_count, object_count) in node preorder. A vp row inside the entry
+/// rows, one at or past the object count, and two nodes' rows swapped are
+/// each Corruption at open, with every checksum valid.
+TEST_F(FlatSnapshotCorruptionTest, V3VantagePointRowsRejected) {
+  auto parsed = ContainerReader::Parse(container_.data(), container_.size());
+  ASSERT_TRUE(parsed.ok());
+  const auto [payload, length] = parsed.value().chunk_payload(0);
+  const std::vector<std::uint8_t> arena0(payload + 8, payload + length);
+  flat::FlatHeaderRec header;
+  std::memcpy(&header, arena0.data(), sizeof(header));
+  ASSERT_EQ(header.version, flat::kFlatVersionV3);
+  ASSERT_GE(header.node_count, 2u);
+  const auto vp_row_at = [&](std::size_t n) {
+    return static_cast<std::size_t>(header.nodes_offset) +
+           n * sizeof(core::NodeRec) + offsetof(core::NodeRec, vp_row);
+  };
+  const std::uint32_t row0 = PeekU32(arena0, vp_row_at(0));
+  const std::uint32_t row1 = PeekU32(arena0, vp_row_at(1));
+  ASSERT_EQ(row0, header.entry_count);  // the root's vp1 opens the vp rows
+  ASSERT_GT(row1, row0);
+
+  const auto open_with_row = [&](std::size_t n, std::uint32_t row) {
+    return OpenWithMutatedArena(
+        [&](auto& arena) { PokeU32(arena, vp_row_at(n), row); });
+  };
+  EXPECT_EQ(open_with_row(0, 0).code(), StatusCode::kCorruption);
+  EXPECT_EQ(open_with_row(1, row0 - 1).code(), StatusCode::kCorruption);
+  EXPECT_EQ(
+      open_with_row(0, static_cast<std::uint32_t>(header.object_count)).code(),
+      StatusCode::kCorruption);
+  EXPECT_EQ(open_with_row(0, 0xffffffffu).code(), StatusCode::kCorruption);
+  EXPECT_EQ(OpenWithMutatedArena([&](auto& arena) {
+              PokeU32(arena, vp_row_at(0), row1);
+              PokeU32(arena, vp_row_at(1), row0);
+            }).code(),
+            StatusCode::kCorruption);
+  // The same three arenas through the parser alone.
+  const auto parse_with_row = [&](std::size_t n, std::uint32_t row) {
+    std::vector<std::uint8_t> arena = arena0;
+    PokeU32(arena, vp_row_at(n), row);
+    return flat::ParseFlatArena(arena.data(), arena.size()).status();
+  };
+  EXPECT_NE(parse_with_row(0, 0).message().find("row out of range"),
+            std::string::npos);
+  EXPECT_NE(parse_with_row(0, static_cast<std::uint32_t>(header.object_count))
+                .message()
+                .find("row out of range"),
+            std::string::npos);
+  EXPECT_NE(parse_with_row(1, row1 + 1).message().find("out of preorder"),
+            std::string::npos);
 }
 
 TEST_F(FlatSnapshotCorruptionTest, TamperedManifestParamsFailFast) {
@@ -752,11 +808,24 @@ StatusCode OpenCode(const std::vector<std::uint8_t>& arena) {
       .code();
 }
 
+/// Shard 0's arena in the frozen v2 fixture (tests/testdata/golden_flat_v2).
+std::vector<std::uint8_t> FrozenV2Arena() {
+  auto arenas =
+      GoldenShardArenas(std::string(MVPT_TESTDATA_DIR) + "/golden_flat_v2");
+  if (arenas.empty()) {
+    ADD_FAILURE() << "frozen v2 fixture has no shard 0";
+    return {};
+  }
+  return std::move(arenas[0]);
+}
+
+/// Every arena version refuses the damaged root: the frozen v1 and v2
+/// arenas, read only as upgrade input, and a v3 arena of the stream.
 TEST_F(MissingSecondVantagePointTest, ParseFlatArenaRejectsV1AndV2) {
   auto built = flat::BuildFlatArena(stream_.data(), stream_.size());
   ASSERT_TRUE(built.ok());
   for (std::vector<std::uint8_t> arena :
-       {FrozenV1Arena(), std::move(built).ValueOrDie()}) {
+       {FrozenV1Arena(), FrozenV2Arena(), std::move(built).ValueOrDie()}) {
     ASSERT_TRUE(flat::ParseFlatArena(arena.data(), arena.size()).ok());
     ASSERT_EQ(OpenCode(arena), StatusCode::kOk);
     // The root is node 0; its flags word opens its record.
@@ -842,7 +911,7 @@ TEST(FrozenV1ArenaTest, OpenRejectsBadLeafEntries) {
             StatusCode::kCorruption);
 }
 
-/// Open upgrades a v1 arena into a v2 arena whose PATH slab holds count x
+/// Open upgrades a v1 arena into a v3 arena whose PATH slab holds count x
 /// path_length doubles per leaf. Leaves sharing entries, or entries sharing
 /// one PATH slice, would let a few-MB hostile arena demand a slab of many
 /// GiB, so Open must reject them before upgrading.
@@ -900,9 +969,9 @@ TEST(FrozenV1ArenaTest, OpenRejectsSharedEntriesAndPathSlices) {
   ASSERT_EQ(OpenCode(no_paths), StatusCode::kOk);
   std::size_t leaves = 0;
   for (std::uint64_t i = 0; i < header.node_count; ++i) {
-    std::uint8_t* at =
-        no_paths.data() + header.nodes_offset + i * sizeof(core::NodeRec);
-    core::NodeRec node;
+    std::uint8_t* at = no_paths.data() + header.nodes_offset +
+                       i * sizeof(flat::FlatNodeRecV2);
+    flat::FlatNodeRecV2 node;
     std::memcpy(&node, at, sizeof(node));
     if ((node.flags & core::kNodeLeaf) == 0) continue;
     ++leaves;
@@ -927,7 +996,7 @@ TEST(HostilePathCountTest, HugeHeaderPSearchesInBoundedMemory) {
   const std::vector<std::uint8_t>& intact = arenas[0];
   flat::FlatHeaderRec header;
   std::memcpy(&header, intact.data(), sizeof(header));
-  ASSERT_EQ(header.version, flat::kFlatVersionV2);
+  ASSERT_EQ(header.version, flat::kFlatVersionV3);
   std::vector<std::uint8_t> hostile = intact;
   header.num_path_distances = 0x7fffffff;
   std::memcpy(hostile.data(), &header, sizeof(header));
