@@ -125,8 +125,6 @@ const char* TierName(Tier tier) {
       return "avx2";
     case Tier::kAvx512:
       return "avx512";
-    case Tier::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -141,8 +139,6 @@ const internal::Ops* OpsForTier(Tier tier) {
       return internal::Avx2Ops();
     case Tier::kAvx512:
       return internal::Avx512Ops();
-    case Tier::kNeon:
-      return internal::NeonOps();
   }
   return nullptr;
 }
@@ -165,9 +161,6 @@ bool TierRunnable(Tier tier) {
 #else
       return false;
 #endif
-    case Tier::kNeon:
-      // NEON is baseline on AArch64: compiled in iff runnable.
-      return true;
   }
   return false;
 }
@@ -183,8 +176,6 @@ bool ParseTierName(std::string_view name, Tier* out) {
     *out = Tier::kAvx2;
   } else if (name == "avx512") {
     *out = Tier::kAvx512;
-  } else if (name == "neon") {
-    *out = Tier::kNeon;
   } else {
     return false;
   }
@@ -198,7 +189,6 @@ bool TierSupported(Tier tier) { return TierRunnable(tier); }
 Tier BestSupportedTier() {
   if (TierRunnable(Tier::kAvx512)) return Tier::kAvx512;
   if (TierRunnable(Tier::kAvx2)) return Tier::kAvx2;
-  if (TierRunnable(Tier::kNeon)) return Tier::kNeon;
   return Tier::kScalar;
 }
 
@@ -213,7 +203,7 @@ Tier TierFromEnvOrDie(const char* value) {
   if (!ParseTierName(value, &tier)) {
     std::fprintf(stderr,
                  "MVPT_FORCE_KERNEL=%s: unknown kernel tier (expected "
-                 "auto|scalar|avx2|avx512|neon)\n",
+                 "auto|scalar|avx2|avx512)\n",
                  value);
     std::abort();
   }

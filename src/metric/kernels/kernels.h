@@ -52,7 +52,7 @@
 /// reads them.
 ///
 /// Dispatch: the best tier is picked once via CPUID-style feature probes
-/// (`__builtin_cpu_supports`); `MVPT_FORCE_KERNEL=scalar|avx2|avx512|neon`
+/// (`__builtin_cpu_supports`); `MVPT_FORCE_KERNEL=scalar|avx2|avx512`
 /// overrides it, and names a tier this host cannot run, the process aborts
 /// loudly rather than silently falling back — a forced tier that quietly
 /// degrades would invalidate every conformance claim downstream.
@@ -64,10 +64,9 @@ enum class Tier : int {
   kScalar = 0,
   kAvx2 = 1,
   kAvx512 = 2,
-  kNeon = 3,
 };
 
-inline constexpr int kTierCount = 4;
+inline constexpr int kTierCount = 3;
 
 /// Metric families with batch kernels.
 enum class Family : int {
@@ -78,7 +77,7 @@ enum class Family : int {
 
 inline constexpr int kFamilyCount = 3;
 
-/// Canonical lower-case tier name ("scalar", "avx2", "avx512", "neon").
+/// Canonical lower-case tier name ("scalar", "avx2", "avx512").
 const char* TierName(Tier tier);
 
 /// True when `tier` is both compiled into this binary and runnable on this
@@ -93,7 +92,7 @@ Tier BestSupportedTier();
 /// override names an unknown or unavailable tier).
 Tier ActiveTier();
 
-/// Programmatic override: "scalar", "avx2", "avx512", "neon", or "auto" to
+/// Programmatic override: "scalar", "avx2", "avx512", or "auto" to
 /// return to feature-probe dispatch. Unknown names get kInvalidArgument;
 /// known-but-unavailable tiers get kNotSupported — never a silent fallback.
 Status ForceTier(std::string_view name);
@@ -175,7 +174,6 @@ struct Ops {
 const Ops* ScalarOps();
 const Ops* Avx2Ops();
 const Ops* Avx512Ops();
-const Ops* NeonOps();
 
 /// Resolves an MVPT_FORCE_KERNEL value; aborts the process (after printing
 /// the reason to stderr) on an unknown name or an unavailable tier. Exposed

@@ -313,7 +313,7 @@ TEST_P(FlatEquivalenceTest, RunBatchPrimedBitIdenticalAcrossLayouts) {
   EXPECT_GT(partials, 0u);
 }
 
-/// Every reachable dispatch tier (scalar always; AVX2/AVX-512/NEON as the
+/// Every reachable dispatch tier (scalar always; AVX2/AVX-512 as the
 /// host allows) must serve the v2 flat index bit-identically to the heap
 /// index — results AND stats — under plain searches, the batch door, and
 /// budget cancellation. This is the end-to-end face of the

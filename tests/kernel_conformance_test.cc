@@ -454,19 +454,19 @@ TEST(KernelDispatchTest, ForceTierRejectsUnknownName) {
 
 TEST(KernelDispatchTest, ForceTierRejectsUnavailableTierLoudly) {
   TierGuard guard;
-  // At least one of the vector tiers is impossible on any single host
-  // (neon and avx2 are mutually exclusive ISAs).
-  bool saw_unavailable = false;
+  // Every tier this host cannot run is refused. An AVX-512 host runs every
+  // tier there is, so the removed "neon" tier is refused too, as unknown.
+  ASSERT_TRUE(ForceTier("scalar").ok());
   for (int t = 0; t < kTierCount; ++t) {
     const Tier tier = static_cast<Tier>(t);
     if (TierSupported(tier)) continue;
-    saw_unavailable = true;
     const Status s = ForceTier(TierName(tier));
     EXPECT_EQ(s.code(), StatusCode::kNotSupported) << s.ToString();
-    // A refused ForceTier must not have changed dispatch.
-    EXPECT_TRUE(TierSupported(ActiveTier()));
   }
-  EXPECT_TRUE(saw_unavailable);
+  const Status neon = ForceTier("neon");
+  EXPECT_EQ(neon.code(), StatusCode::kInvalidArgument) << neon.ToString();
+  // A refused ForceTier must not have changed dispatch.
+  EXPECT_EQ(ActiveTier(), Tier::kScalar);
 }
 
 TEST(KernelDispatchTest, ForceTierRoundTripsEveryReachableTier) {
@@ -487,15 +487,14 @@ TEST(KernelDispatchDeathTest, EnvResolverAbortsOnUnknownName) {
 
 TEST(KernelDispatchDeathTest, EnvResolverAbortsOnUnavailableTier) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const char* unavailable = nullptr;
   for (int t = 0; t < kTierCount; ++t) {
     if (!TierSupported(static_cast<Tier>(t))) {
-      unavailable = TierName(static_cast<Tier>(t));
-      break;
+      EXPECT_DEATH(internal::TierFromEnvOrDie(TierName(static_cast<Tier>(t))),
+                   "MVPT_FORCE_KERNEL");
     }
   }
-  ASSERT_NE(unavailable, nullptr);
-  EXPECT_DEATH(internal::TierFromEnvOrDie(unavailable), "MVPT_FORCE_KERNEL");
+  // The NEON tier is gone: its name is an unknown tier everywhere.
+  EXPECT_DEATH(internal::TierFromEnvOrDie("neon"), "unknown kernel tier");
 }
 
 TEST(KernelDispatchTest, EnvResolverAcceptsAutoAndEmpty) {
