@@ -251,7 +251,10 @@ void EmitFlatSeeds(const fs::path& dir,
   // arena_v1_shared_path.bin are frozen v1 seeds of this tree, and
   // arena_v2.bin, arena_v2_bitflip.bin, arena_v2_torn.bin and
   // arena_v2_root_no_vp2.bin frozen v2 seeds of it, the family below as the
-  // v2 writer emitted it: no writer emits v1 or v2 any more, so they are not
+  // v2 writer emitted it. arena_v3*.bin are the whole family below as the
+  // v3 writer emitted it (arena_v3.bin, _bitflip, _torn, _root_no_vp2,
+  // _vp_row_in_entries, _vp_row_past_n and _vp_rows_out_of_preorder). No
+  // writer emits v1, v2 or v3 any more, so those seeds are not
   // regenerated.
   auto arena =
       mvp::snapshot::flat::BuildFlatArena(stream.data(), stream.size());

@@ -34,6 +34,7 @@
 /// objects out round-robin, they are never re-blessed and must keep opening
 /// and answering exactly. golden_flat_v2 is frozen too: golden_flat as the
 /// v2 arena writer wrote it, before arenas stored rows in leaf order (v3).
+/// So is golden_flat_v3: golden_flat as the v3 arena writer wrote it.
 /// golden_heap and golden_heap_compacted are frozen as well: they hold the
 /// MVPT stream layout (index kind 1), which no current writer emits, so
 /// they pin that the layout keeps opening.
@@ -408,6 +409,33 @@ TEST(FlatFormatGoldenTest, FrozenV2FixtureStillOpensAndMatchesRebuild) {
     SearchStats vks, cks;
     const auto knn = v2.value().index.KnnSearch(q, 5, &vks);
     ExpectSameSearch(knn, v3.value().index.KnnSearch(q, 5, &cks), vks, cks);
+    ExpectSameResults(knn, rebuilt.KnnSearch(q, 5));
+  }
+}
+
+/// The frozen v3 fixture answers exactly as golden_flat, the current
+/// arenas of the same trees, does, stats included, and as a fresh build
+/// does.
+TEST(FlatFormatGoldenTest, FrozenV3FixtureStillOpensAndMatchesRebuild) {
+  if (BlessMode()) GTEST_SKIP() << "frozen fixture is never re-blessed";
+  SnapshotStore v3_store(GoldenDir("golden_flat_v3"));
+  SnapshotStore current_store(GoldenDir("golden_flat"));
+  auto v3 = v3_store.OpenFlat(L2());
+  auto current = current_store.OpenFlat(L2());
+  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
+  ASSERT_TRUE(current.ok()) << current.status().ToString();
+  EXPECT_EQ(v3.value().index.partition(), current.value().index.partition());
+  const Index rebuilt = GoldenIndex();
+  for (const auto& q : dataset::UniformQueryVectors(40, 4, 11)) {
+    SearchStats vs, cs;
+    const auto range = v3.value().index.RangeSearch(q, 0.5, &vs);
+    ExpectSameSearch(range, current.value().index.RangeSearch(q, 0.5, &cs),
+                     vs, cs);
+    ExpectSameResults(range, rebuilt.RangeSearch(q, 0.5));
+    SearchStats vks, cks;
+    const auto knn = v3.value().index.KnnSearch(q, 5, &vks);
+    ExpectSameSearch(knn, current.value().index.KnnSearch(q, 5, &cks), vks,
+                     cks);
     ExpectSameResults(knn, rebuilt.KnnSearch(q, 5));
   }
 }
