@@ -152,13 +152,17 @@ int Run() {
   constexpr std::size_t kMaskColumns = 2 + 5;
   constexpr std::size_t kChunk = kernels::kAnnulusMaskMaxCount;
   const std::size_t chunks = count / kChunk;
-  std::vector<double> leaf_columns(kMaskColumns * count);
+  std::vector<float> leaf_columns(kMaskColumns * count);
   for (std::size_t i = 0; i < leaf_columns.size(); ++i) {
-    leaf_columns[i] = slab[i % slab.size()];
+    leaf_columns[i] = kernels::NarrowDistance(slab[i % slab.size()]);
   }
   const std::array<double, kMaskColumns> centers = {0.5, 0.5, 0.5, 0.5,
                                                     0.5, 0.5, 0.5};
-  std::vector<std::array<const double*, kMaskColumns>> chunk_columns(chunks);
+  std::array<double, kMaskColumns> radii{};
+  for (std::size_t k = 0; k < kMaskColumns; ++k) {
+    radii[k] = kernels::ColumnRadius(centers[k], 0.45);
+  }
+  std::vector<std::array<const float*, kMaskColumns>> chunk_columns(chunks);
   for (std::size_t c = 0; c < chunks; ++c) {
     for (std::size_t k = 0; k < kMaskColumns; ++k) {
       chunk_columns[c][k] = leaf_columns.data() + k * count + c * kChunk;
@@ -177,9 +181,9 @@ int Run() {
     const double mask_s = BestOf([&] {
       for (std::size_t s = 0; s < sweeps; ++s) {
         for (std::size_t c = 0; c < chunks; ++c) {
-          masks[c] = kernels::AnnulusMask(centers.data(),
+          masks[c] = kernels::AnnulusMask(centers.data(), radii.data(),
                                           chunk_columns[c].data(),
-                                          kMaskColumns, kChunk, 0.45);
+                                          kMaskColumns, kChunk);
         }
       }
     });

@@ -9,14 +9,17 @@
 // accept exactly the streams the builder accepts: the builder goes through
 // the same Deserialize, so ragged, zero-dimension or oversized vectors fail
 // both alike. A range and a k-NN search then run on every tree both
-// accept. Mode 1 treats the bytes as a hostile arena — v1, v2 or v3, the
+// accept. Mode 1 treats the bytes as a hostile arena — v1 to v4, the
 // version field is attacker-controlled: flat::OpenTree either rejects it or
-// returns an MvpTree that is safe to search (a v1 or v2 arena is validated,
-// then upgraded to v3 at open) — range and k-NN traversals over an accepted
-// arena must stay in bounds (ASan checks this, not us). The arena parser
-// and the stream parser must also agree: every accepted arena's tree is
-// Serialized, MvpTree::Deserialize must accept the stream, and both trees
-// must give equal range and k-NN answers and SearchStats.
+// returns an MvpTree that is safe to search (a v1, v2 or v3 arena is
+// validated, then upgraded to v4 at open) — range and k-NN traversals over
+// an accepted arena must stay in bounds (ASan checks this, not us), and so
+// must ValidateInvariants, which recomputes every stored distance. An
+// opened arena holds no double leaf distances, so Serialize must refuse
+// it. The arena parser must agree with the arena writer: every accepted
+// tree is laid out again with BuildFlatArena, which ParseFlatArena must
+// accept, and the reopened tree must give equal range and k-NN answers and
+// SearchStats.
 //
 // Input layout: [u8 mode][body...].
 
@@ -78,14 +81,19 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const auto range = tree.RangeSearch(query, 1.5, &stats);
   const auto knn = tree.KnnSearch(query, 3, &stats);
 
+  // Bounded work: validation costs O(n log n) distances of dim each.
+  if (tree.size() * tree.dim() <= (std::size_t{1} << 16)) {
+    (void)tree.ValidateInvariants();
+  }
   mvp::BinaryWriter stream;
-  FUZZ_ASSERT(tree.Serialize(&stream, mvp::VectorCodec{}).ok(),
-              "an opened arena failed to serialize");
-  mvp::BinaryReader reader(stream.buffer().data(), stream.buffer().size());
-  auto parsed = mvp::core::MvpTree<mvp::metric::Vector, mvp::metric::L2>::
-      Deserialize(&reader, mvp::metric::L2{}, mvp::VectorCodec{});
-  FUZZ_ASSERT(parsed.ok() && reader.AtEnd(),
-              "MvpTree::Deserialize rejected an opened arena's stream");
+  FUZZ_ASSERT(tree.Serialize(&stream, mvp::VectorCodec{}).code() ==
+                  mvp::StatusCode::kNotSupported,
+              "an opened arena serialized without its double columns");
+  const std::vector<std::uint8_t> again = mvp::snapshot::flat::BuildFlatArena(
+      tree.options(), tree.rows(), tree.dim(), tree.arrays());
+  auto reopened = mvp::snapshot::flat::OpenTree(again.data(), again.size(),
+                                                mvp::metric::L2{}, nullptr);
+  FUZZ_ASSERT(reopened.ok(), "an opened arena's own layout failed to open");
   // Bit for bit: a hostile arena's rows may hold NaN, and NaN != NaN.
   const auto same = [](const std::vector<mvp::Neighbor>& a,
                        const std::vector<mvp::Neighbor>& b) {
@@ -99,16 +107,16 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     }
     return true;
   };
-  mvp::SearchStats parsed_stats;
+  mvp::SearchStats again_stats;
   FUZZ_ASSERT(
-      same(parsed.value().RangeSearch(query, 1.5, &parsed_stats), range) &&
-          same(parsed.value().KnnSearch(query, 3, &parsed_stats), knn),
-      "arena and stream trees answer differently");
+      same(reopened.value().RangeSearch(query, 1.5, &again_stats), range) &&
+          same(reopened.value().KnnSearch(query, 3, &again_stats), knn),
+      "an arena and its own layout answer differently");
   FUZZ_ASSERT(
-      parsed_stats.distance_computations == stats.distance_computations &&
-          parsed_stats.nodes_visited == stats.nodes_visited &&
-          parsed_stats.leaf_points_seen == stats.leaf_points_seen &&
-          parsed_stats.leaf_points_filtered == stats.leaf_points_filtered,
-      "arena and stream trees count differently");
+      again_stats.distance_computations == stats.distance_computations &&
+          again_stats.nodes_visited == stats.nodes_visited &&
+          again_stats.leaf_points_seen == stats.leaf_points_seen &&
+          again_stats.leaf_points_filtered == stats.leaf_points_filtered,
+      "an arena and its own layout count differently");
   return 0;
 }

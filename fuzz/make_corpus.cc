@@ -301,6 +301,14 @@ void EmitFlatSeeds(const fs::path& dir,
                       next_row));
   WriteSeed(dir / "arena_vp_rows_out_of_preorder.bin", 1,
             with_rows(next_row, root_row));
+  // One bit of the first entry's float D1 flipped: the arena still parses
+  // and opens, and ValidateInvariants must name that entry.
+  mvp::snapshot::flat::FlatHeaderExtRec ext;
+  std::memcpy(&ext, arena.value().data() + sizeof(header), sizeof(ext));
+  CORPUS_CHECK(header.entry_count > 0, "sample arena has no leaf entries");
+  std::vector<std::uint8_t> d1_flip = arena.value();
+  d1_flip[static_cast<std::size_t>(ext.d1_offset)] ^= 0x01;
+  WriteSeed(dir / "arena_d1_bitflip.bin", 1, d1_flip);
 }
 
 void EmitWalSeeds(const fs::path& dir) {

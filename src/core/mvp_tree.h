@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <span>
@@ -50,7 +51,10 @@
 /// The tree keeps its structure in the layout of core/tree_layout.h —
 /// preorder node records, an m*m child slot table, one bounds pool and
 /// per-leaf id/D1/D2 columns with column-major PATH slabs: the very arrays
-/// a flat arena holds. A tree over dense vectors keeps its objects as one
+/// a flat arena holds. Searches read the leaf distances as floats, at a
+/// radius that keeps every entry the double test would (tree_layout.h);
+/// a built or deserialized tree also keeps them in double for the MVPT
+/// stream (Serialize), and a tree over an arena has only the floats. A tree over dense vectors keeps its objects as one
 /// row-major slab of doubles, the rows of a flat arena's objects section,
 /// and evaluates them in place as metric::VectorView; any other object type
 /// is kept in a std::vector<Object> (ObjectStore). Either way the objects
@@ -321,6 +325,7 @@ class MvpTree {
     requires kRows
   {
     MvpTree tree(Store::Borrow(rows, count, dim), std::move(metric), options);
+    tree.borrowed_ = true;
     tree.arrays_ = arrays;
     tree.row_of_ = std::move(row_of);
     tree.owner_ = std::move(owner);
@@ -500,6 +505,9 @@ class MvpTree {
     return store_.dim();
   }
   const TreeArrays& arrays() const { return arrays_; }
+  /// The arrays Build and Deserialize wrote, with the double leaf columns
+  /// the MVPT stream carries; empty for a tree over an arena.
+  const TreeLayout& layout() const { return layout_; }
 
   /// Structural statistics. For a full mvp-tree of height h the paper gives
   /// 2*(m^(2h) - 1)/(m^2 - 1) vantage points and m^(2(h-1))*k leaf points;
@@ -514,9 +522,11 @@ class MvpTree {
   /// the row order — leaf entry e at row e, every node's vantage points at
   /// its vp rows, those tiling the rows after the entries in preorder, and
   /// the id -> row map agreeing with all of them, so every point is stored
-  /// exactly once; that every leaf's D1/D2 and PATH entries equal the
-  /// actual distances to the leaf's own and ancestor vantage points (within
-  /// 1e-9, or NaN where the actual one is NaN); and that every point's
+  /// exactly once; that every leaf's float D1/D2 and PATH entries equal the
+  /// narrowing (metric::kernels::NarrowDistance) of the actual distances to
+  /// the leaf's own and ancestor vantage points exactly, or are NaN where
+  /// the actual one is NaN, and that a built or deserialized tree's double
+  /// columns equal the actual distances within 1e-9; and that every point's
   /// distance to each ancestor vantage point lies inside its child's
   /// recorded shell. Returns Corruption naming the first violated invariant
   /// — useful after deserializing untrusted bytes or when developing custom
@@ -536,9 +546,16 @@ class MvpTree {
   /// Serializes the tree (options, objects via `codec`, structure, stored
   /// distances) into the versioned little-endian format described in
   /// DESIGN.md §5.6. The metric itself is NOT serialized; Deserialize must
-  /// be handed the same metric the tree was built with.
+  /// be handed the same metric the tree was built with. The stream carries
+  /// the leaf distances in double, which a tree over a flat arena does not
+  /// hold: Serialize on one is NotSupported and writes nothing.
   template <CodecFor<Object> Codec>
   Status Serialize(BinaryWriter* writer, const Codec& codec) const {
+    if (borrowed_) {
+      return Status::NotSupported(
+          "an mvp-tree over a flat arena has no double leaf distances to "
+          "serialize");
+    }
     writer->Write<std::uint32_t>(kMagic);
     writer->Write<std::uint32_t>(kFormatVersion);
     writer->Write<std::int32_t>(options_.order);
@@ -549,7 +566,7 @@ class MvpTree {
     for (std::size_t id = 0; id < size(); ++id) {
       codec.Write(*writer, object(id));
     }
-    arrays_.Write(writer);
+    layout_.Write(writer, Order());
     return Status::OK();
   }
 
@@ -644,11 +661,13 @@ class MvpTree {
   TreeNodes<MvpTree> Access() const { return {this, arrays_}; }
 
   /// The last step of Build and Deserialize: records the vantage points'
-  /// rows, the id -> row map and the arrays view, then moves the objects,
-  /// still in id order, into row order in place. Corruption when the
-  /// structure does not store every object exactly once.
+  /// rows, the float leaf columns, the id -> row map and the arrays view,
+  /// then moves the objects, still in id order, into row order in place.
+  /// Corruption when the structure does not store every object exactly
+  /// once.
   Status OrderRows() {
     layout_.AssignRows();
+    layout_.Narrow();
     arrays_ = layout_.Arrays(Order(), PathDistances());
     auto map = RowMap(arrays_, size());
     if (!map.ok()) return map.status();
@@ -919,10 +938,18 @@ class MvpTree {
     const bool has_vp2 = nodes.VpCount(node) == 2;
     const std::size_t vp1 = nodes.VpRow(node, 0);
     const std::size_t vp2 = has_vp2 ? nodes.VpRow(node, 1) : 0;
+    // Distances are recomputed with the vantage point first, as the build
+    // computed them. A float column value is their narrowing, bit for bit,
+    // or NaN where that is NaN: a tree built over a vector with a NaN
+    // coordinate stores NaN on purpose. A double column value is the
+    // recomputed distance within kTol (equal infinities included), or NaN
+    // where that is NaN too.
     constexpr double kTol = 1e-9;
-    // A stored distance is the recomputed one within kTol (equal infinities
-    // included), or NaN where that is NaN too: a tree built over a vector
-    // with a NaN coordinate stores NaN on purpose.
+    const auto narrowed = [](double actual, float stored) {
+      const float want = metric::kernels::NarrowDistance(actual);
+      return std::memcmp(&want, &stored, sizeof(float)) == 0 ||
+             (std::isnan(want) && std::isnan(stored));
+    };
     const auto matches = [](double actual, double stored) {
       return actual == stored || std::abs(actual - stored) <= kTol ||
              (std::isnan(actual) && std::isnan(stored));
@@ -935,21 +962,34 @@ class MvpTree {
       if (leaf.size() > 0 && leaf.path_length != expect_path) {
         return Status::Corruption("leaf PATH length mismatch");
       }
+      // A built or deserialized tree's double columns, at the same offsets
+      // as the float ones.
+      const bool wide = !borrowed_;
+      const std::size_t begin = node->begin;
+      const std::size_t slab = leaf.slab - arrays_.path;
       for (std::size_t i = 0; i < leaf.size(); ++i) {
         const auto& obj = store_[leaf.row(i)];
         const auto mismatch = [&](const char* what) {
           return Status::Corruption(RowName(leaf.id(i), leaf.row(i)) + ": " +
                                     what + " mismatches actual distance");
         };
-        if (!matches(metric_(obj, store_[vp1]), leaf.d1s[i])) {
+        const double d1 = metric_(store_[vp1], obj);
+        if (!narrowed(d1, leaf.d1s[i]) ||
+            (wide && !matches(d1, layout_.d1[begin + i]))) {
           return mismatch("leaf D1");
         }
-        if (has_vp2 && !matches(metric_(obj, store_[vp2]), leaf.d2s[i])) {
-          return mismatch("leaf D2");
+        if (has_vp2) {
+          const double d2 = metric_(store_[vp2], obj);
+          if (!narrowed(d2, leaf.d2s[i]) ||
+              (wide && !matches(d2, layout_.d2[begin + i]))) {
+            return mismatch("leaf D2");
+          }
         }
         for (std::size_t j = 0; j < leaf.path_length; ++j) {
-          if (!matches(metric_(obj, store_[ancestors[j]]),
-                       leaf.slab[j * leaf.count + i])) {
+          const double d = metric_(store_[ancestors[j]], obj);
+          const std::size_t at = j * leaf.count + i;
+          if (!narrowed(d, leaf.slab[at]) ||
+              (wide && !matches(d, layout_.path[slab + at]))) {
             return mismatch("leaf PATH distance");
           }
         }
@@ -1023,6 +1063,8 @@ class MvpTree {
   std::vector<std::uint32_t> row_of_;
   /// Keeps a borrowing tree's arena alive; null otherwise.
   std::shared_ptr<const void> owner_;
+  /// Whether arrays_ are an arena's (Borrow): layout_ is then empty.
+  bool borrowed_ = false;
   std::uint64_t construction_distances_ = 0;
 };
 

@@ -215,6 +215,27 @@ struct ShellBounds {
   const double* upper;
 };
 
+/// The radius a leaf test of stored distances of type T takes for radius r
+/// around the query's distance c: r itself for a double column, which holds
+/// the distance as computed, and metric::kernels::ColumnRadius(c, r) for a
+/// float column, which holds its narrowing and must keep every entry the
+/// double test keeps.
+template <typename T>
+double LeafRadius(double c, double r) {
+  if constexpr (std::is_same_v<T, float>) {
+    return metric::kernels::ColumnRadius(c, r);
+  } else {
+    return r;
+  }
+}
+
+/// The largest distance a stored value may stand for: itself in a double
+/// column, metric::kernels::ColumnUpper of it in a float one.
+inline double LeafUpper(double stored) { return stored; }
+inline double LeafUpper(float stored) {
+  return metric::kernels::ColumnUpper(stored);
+}
+
 /// What a leaf's annulus tests compare against: the query's distances to
 /// the leaf's vantage points (d[l] for l < vps) and to its ancestors'
 /// (qpath).
@@ -226,32 +247,36 @@ struct LeafQuery {
   /// Step 2 of §4.3 for one entry: it survives radius r iff its distance to
   /// each of the leaf's vantage points (stored(l)) and its first `checks`
   /// PATH distances (xpath[j * stride]) each lie within r of the query's
-  /// distance to the same vantage point. A cursor storing a fixed number of
-  /// distances per entry passes it as kColumns, a constant loop bound.
-  template <std::size_t kColumns, typename Stored>
-  bool Admits(const Stored& stored, const double* xpath, std::size_t stride,
+  /// distance to the same vantage point — within LeafRadius for the stored
+  /// type T, for float columns a little more. A cursor storing a fixed
+  /// number of distances per entry passes it as kColumns, a constant loop
+  /// bound.
+  template <std::size_t kColumns, typename Stored, typename T>
+  bool Admits(const Stored& stored, const T* xpath, std::size_t stride,
               std::size_t checks, double r) const {
     for (std::size_t l = 0; l < kColumns && l < vps; ++l) {
-      if (!(std::abs(d[l] - stored(l)) <= r)) return false;
+      const double x = stored(l);
+      if (!(std::abs(d[l] - x) <= LeafRadius<T>(d[l], r))) return false;
     }
     for (std::size_t j = 0; j < checks; ++j) {
-      if (std::abs(qpath[j] - xpath[j * stride]) > r) return false;
+      const double x = xpath[j * stride];
+      if (std::abs(qpath[j] - x) > LeafRadius<T>(qpath[j], r)) return false;
     }
     return true;
   }
 
   /// The farthest-first test for one entry, from the same stored distances:
   /// it may lie at tau or farther only if the query's distance to each of
-  /// those vantage points plus the entry's own reaches tau, since
-  /// d(q,x) <= d(q,v) + d(x,v).
-  template <std::size_t kColumns, typename Stored>
-  bool Reaches(const Stored& stored, const double* xpath, std::size_t stride,
+  /// those vantage points plus the entry's own (LeafUpper of what is
+  /// stored) reaches tau, since d(q,x) <= d(q,v) + d(x,v).
+  template <std::size_t kColumns, typename Stored, typename T>
+  bool Reaches(const Stored& stored, const T* xpath, std::size_t stride,
                std::size_t checks, double tau) const {
     for (std::size_t l = 0; l < kColumns && l < vps; ++l) {
-      if (d[l] + stored(l) < tau) return false;
+      if (d[l] + LeafUpper(stored(l)) < tau) return false;
     }
     for (std::size_t j = 0; j < checks; ++j) {
-      if (qpath[j] + xpath[j * stride] < tau) return false;
+      if (qpath[j] + LeafUpper(xpath[j * stride]) < tau) return false;
     }
     return true;
   }

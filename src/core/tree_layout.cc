@@ -1,5 +1,6 @@
 #include "core/tree_layout.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <limits>
@@ -7,9 +8,10 @@
 
 /// \file
 /// Building and (de)serializing the mvp-tree layout: the node and leaf
-/// appenders BuildNode/BuildLeaf and the stream parser share, the row order
-/// (vantage-point rows, the id -> row map and the in-place reorder), and
-/// the one parser and writer of the MVPT stream's structure.
+/// appenders BuildNode/BuildLeaf and the stream parser share, the float
+/// leaf columns, the row order (vantage-point rows, the id -> row map and
+/// the in-place reorder), and the one parser and writer of the MVPT
+/// stream's structure.
 
 namespace mvp::core {
 namespace {
@@ -132,7 +134,8 @@ Result<std::uint32_t> ReadNode(const StreamSource& s, std::size_t depth) {
   return index;
 }
 
-void WriteNode(const TreeArrays& t, BinaryWriter* w, std::uint32_t index) {
+void WriteNode(const TreeLayout& t, std::size_t m, BinaryWriter* w,
+               std::uint32_t index) {
   if (index == kNullChild) {
     w->Write<std::uint8_t>(0);
     return;
@@ -157,14 +160,13 @@ void WriteNode(const TreeArrays& t, BinaryWriter* w, std::uint32_t index) {
     }
     return;
   }
-  const std::size_t m = t.order;
   std::size_t at = n.begin;
   for (const std::size_t length : {m, m, m * m, m * m}) {
     w->Write<std::uint64_t>(length);
     for (std::size_t k = 0; k < length; ++k) w->Write<double>(t.bounds[at++]);
   }
   for (std::size_t c = 0; c < m * m; ++c) {
-    WriteNode(t, w, t.children[n.children + c]);
+    WriteNode(t, m, w, t.children[n.children + c]);
   }
 }
 
@@ -205,6 +207,18 @@ std::uint32_t TreeLayout::AddLeaf(std::uint32_t vp1, std::uint32_t vp2,
   nodes.push_back(rec);
   leafpaths.push_back(lp);
   return static_cast<std::uint32_t>(nodes.size() - 1);
+}
+
+void TreeLayout::Narrow() {
+  const auto narrow = [](const std::vector<double>& in,
+                         std::vector<float>* out) {
+    out->resize(in.size());
+    std::transform(in.begin(), in.end(), out->begin(),
+                   metric::kernels::NarrowDistance);
+  };
+  narrow(d1, &d1_f32);
+  narrow(d2, &d2_f32);
+  narrow(path, &path_f32);
 }
 
 void TreeLayout::AssignRows() {
@@ -295,11 +309,11 @@ Status TreeLayout::Read(BinaryReader* reader, std::uint64_t objects,
   return Status::OK();
 }
 
-void TreeArrays::Write(BinaryWriter* writer) const {
+void TreeLayout::Write(BinaryWriter* writer, std::size_t m) const {
   // The PATH pool holds each entry's PATH in a row, leaves in node order —
   // the slabs transposed back.
-  writer->Write<std::uint64_t>(path_count);
-  for (std::size_t n = 0; n < node_count; ++n) {
+  writer->Write<std::uint64_t>(path.size());
+  for (std::size_t n = 0; n < nodes.size(); ++n) {
     const LeafPathRec& lp = leafpaths[n];
     if ((nodes[n].flags & kNodeLeaf) == 0 || lp.path_length == 0) continue;
     const std::size_t count = nodes[n].count;
@@ -309,7 +323,7 @@ void TreeArrays::Write(BinaryWriter* writer) const {
       }
     }
   }
-  WriteNode(*this, writer, node_count == 0 ? kNullChild : 0);
+  WriteNode(*this, m, writer, nodes.empty() ? kNullChild : 0);
 }
 
 }  // namespace mvp::core

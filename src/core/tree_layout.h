@@ -5,6 +5,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/serialize.h"
@@ -24,16 +25,26 @@
 ///                              absent child
 ///   bounds     f64[]           per internal node at `begin`: lower1[m]
 ///                              upper1[m] lower2[m*m] upper2[m*m]
-///   ids d1 d2  u32/f64/f64[]   leaf entries, a leaf's at begin..begin+count:
+///   ids d1 d2  u32/f32/f32[]   leaf entries, a leaf's at begin..begin+count:
 ///                              the point id and the paper's D1[i]/D2[i]
 ///   leafpaths  LeafPathRec[]   per node, the leaf's PATH slab (zero for
 ///                              internal nodes)
-///   path       f64[]           the slabs end to end in node order. A slab is
+///   path       f32[]           the slabs end to end in node order. A slab is
 ///                              column-major, slab[j*count + i] = PATH[j] of
 ///                              entry i, so a 64-entry chunk's PATH values
 ///                              are one contiguous run per column, which a
 ///                              range mask reads with its D1 and D2 runs in
 ///                              one AnnulusMask call (SoaLeaf::Mask)
+///
+/// Leaf columns. D1, D2 and PATH are floats: each is the saturating
+/// narrowing (metric::kernels::NarrowDistance) of the distance the build
+/// computed in double. A leaf test compares the query's double distance
+/// with the widened float at a radius that admits every entry the test on
+/// the double distance admits (metric::kernels::ColumnRadius and
+/// ColumnUpper, through LeafQuery), so the answer stays exact and a search
+/// reads half the bytes. A built or deserialized tree also keeps the double
+/// columns (TreeLayout's d1, d2 and path), only because the MVPT stream
+/// carries them; no search reads them, and a tree over an arena has none.
 ///
 /// Row order. A tree stores its objects by row, not by id. Rows
 /// [0, entry_count) are the leaf entries in entry order, which is preorder
@@ -49,8 +60,7 @@
 /// Ids and node indices are u32, so one tree holds at most kMaxTreeObjects
 /// objects. TreeLayout::Read is the only parser of the MVPT stream's
 /// structure (MvpTree::Deserialize calls it, and BuildFlatArena goes through
-/// MvpTree::Deserialize); TreeArrays::Write emits it back byte for byte,
-/// from owned arrays and arena sections alike.
+/// MvpTree::Deserialize); TreeLayout::Write emits it back byte for byte.
 
 namespace mvp::core {
 
@@ -83,7 +93,7 @@ inline std::size_t VpCount(const NodeRec& n) {
   return (n.flags & kNodeHasVp2) != 0 ? 2 : 1;
 }
 
-/// One node's PATH slab, 16 bytes: `path_length * count` doubles at
+/// One node's PATH slab, 16 bytes: `path_length * count` values at
 /// `slab_offset`. Every entry of a leaf keeps the same number of PATH
 /// distances.
 struct LeafPathRec {
@@ -95,7 +105,8 @@ static_assert(sizeof(LeafPathRec) == 16, "leaf path layout drifted");
 
 /// Non-owning view of one tree's arrays, with its m and p and the length
 /// of each array (entry_count for ids, d1 and d2; node_count for nodes and
-/// leafpaths).
+/// leafpaths): what every search and walk reads, with the float leaf
+/// columns.
 struct TreeArrays {
   std::size_t order = 0;
   std::size_t path_distances = 0;
@@ -108,17 +119,16 @@ struct TreeArrays {
   const std::uint32_t* children = nullptr;
   const double* bounds = nullptr;
   const std::uint32_t* ids = nullptr;
-  const double* d1 = nullptr;
-  const double* d2 = nullptr;
+  const float* d1 = nullptr;
+  const float* d2 = nullptr;
   const LeafPathRec* leafpaths = nullptr;
-  const double* path = nullptr;
-
-  /// Writes the structure part of the MVPT stream TreeLayout::Read parses.
-  void Write(BinaryWriter* writer) const;
+  const float* path = nullptr;
 };
 
 /// The arrays, owned: what a heap tree holds and a flat arena is laid out
-/// from.
+/// from. d1, d2 and path hold the leaf distances as computed, in double,
+/// which only the MVPT stream reads and writes; Narrow derives the float
+/// columns every search reads from them.
 struct TreeLayout {
   std::vector<NodeRec> nodes;
   std::vector<std::uint32_t> children;
@@ -128,13 +138,21 @@ struct TreeLayout {
   std::vector<double> d2;
   std::vector<LeafPathRec> leafpaths;
   std::vector<double> path;
+  /// d1, d2 and path narrowed (metric::kernels::NarrowDistance).
+  std::vector<float> d1_f32;
+  std::vector<float> d2_f32;
+  std::vector<float> path_f32;
 
+  /// The search view: the float columns, filled by Narrow.
   TreeArrays Arrays(std::size_t order, std::size_t p) const {
     return {order, p, nodes.size(), children.size(), bounds.size(),
-            ids.size(), path.size(), nodes.data(), children.data(),
-            bounds.data(), ids.data(), d1.data(), d2.data(),
-            leafpaths.data(), path.data()};
+            ids.size(), path_f32.size(), nodes.data(), children.data(),
+            bounds.data(), ids.data(), d1_f32.data(), d2_f32.data(),
+            leafpaths.data(), path_f32.data()};
   }
+
+  /// Sets the float columns to the narrowing of the double ones.
+  void Narrow();
 
   /// Appends an internal node whose m*m children are absent and whose
   /// shells are all [0, +inf); returns its index.
@@ -158,6 +176,9 @@ struct TreeLayout {
   /// tile the pool in stream order.
   Status Read(BinaryReader* reader, std::uint64_t objects, std::size_t m,
               std::size_t p);
+  /// Writes the structure part of the MVPT stream Read parses, for order m,
+  /// from the double columns.
+  void Write(BinaryWriter* writer, std::size_t m) const;
 };
 
 /// The ids of rows [entry_count, entry_count + vantage points) of `t`: every
@@ -211,19 +232,24 @@ void PermuteInPlace(const TreeArrays& t, std::size_t objects, Hold&& hold,
 void PermuteRows(const TreeArrays& t, void* rows, std::size_t objects,
                  std::size_t row_bytes);
 
-/// Leaf cursor: contiguous id/D1/D2 columns and a column-major PATH slab.
-/// A range mask tests one 64-entry chunk against all of the leaf's columns
-/// in one branchless AnnulusMask call — D1, D2 and PATH[0..checks), up to
-/// kMaskColumns per call, so one call whenever p <= 6 — and its pass bits
-/// equal the scalar per-entry tests.
-struct SoaLeaf {
+/// Leaf cursor: contiguous id/D1/D2 columns and a column-major PATH slab of
+/// stored type T. The tree's cursor, SoaLeaf, reads the float columns; a
+/// cursor over a built tree's double columns (TreeLayout) runs the exact
+/// double tests, entry by entry. A float cursor's range mask tests one
+/// 64-entry chunk against all of the leaf's columns in one branchless
+/// AnnulusMask call — D1, D2 and PATH[0..checks), up to kMaskColumns per
+/// call, so one call whenever p <= 6 — each column at its own
+/// metric::kernels::ColumnRadius, and its pass bits equal the scalar
+/// per-entry tests.
+template <typename T>
+struct SoaLeafOf {
   /// Columns per AnnulusMask call: D1, D2 and six PATH columns.
   static constexpr std::size_t kMaskColumns = 8;
 
   const std::uint32_t* ids;
-  const double* d1s;
-  const double* d2s;
-  const double* slab;
+  const T* d1s;
+  const T* d2s;
+  const T* slab;
   std::size_t count;
   std::size_t path_length;
   std::size_t first_row;  ///< entry 0's row: the leaf's entry offset
@@ -235,18 +261,22 @@ struct SoaLeaf {
     return std::min(qpath.size(), path_length);
   }
   std::uint64_t Mask(std::size_t base, std::size_t n, const LeafQuery& q,
-                     double r) const {
+                     double r) const
+    requires std::is_same_v<T, float>
+  {
     std::array<double, kMaskColumns> centers{};
-    std::array<const double*, kMaskColumns> columns{};
+    std::array<double, kMaskColumns> radii{};
+    std::array<const float*, kMaskColumns> columns{};
     std::size_t k = 0;
     std::uint64_t mask = ~std::uint64_t{0};
-    const auto add = [&](double center, const double* column) {
+    const auto add = [&](double center, const float* column) {
       if (k == kMaskColumns) {
-        mask &= metric::kernels::AnnulusMask(centers.data(), columns.data(), k,
-                                             n, r);
+        mask &= metric::kernels::AnnulusMask(centers.data(), radii.data(),
+                                             columns.data(), k, n);
         k = 0;
       }
       centers[k] = center;
+      radii[k] = LeafRadius<float>(center, r);
       columns[k++] = column + base;
     };
     add(q.d[0], d1s);
@@ -254,10 +284,10 @@ struct SoaLeaf {
     for (std::size_t j = 0; j < Checks(q.qpath); ++j) {
       add(q.qpath[j], slab + j * count);
     }
-    return mask &
-           metric::kernels::AnnulusMask(centers.data(), columns.data(), k, n, r);
+    return mask & metric::kernels::AnnulusMask(centers.data(), radii.data(),
+                                               columns.data(), k, n);
   }
-  /// Entry i's distance to the leaf's vantage point l.
+  /// Entry i's stored distance to the leaf's vantage point l.
   auto Stored(std::size_t i) const {
     return [this, i](std::size_t l) { return l == 0 ? d1s[i] : d2s[i]; };
   }
@@ -268,6 +298,7 @@ struct SoaLeaf {
     return q.Reaches<2>(Stored(i), slab + i, count, Checks(q.qpath), tau);
   }
 };
+using SoaLeaf = SoaLeafOf<float>;
 
 /// The node accessor core::Traversal runs on (core/search_shared.h), over
 /// one tree's arrays. `Owner` supplies metric() and object_at_row(row): the
@@ -313,9 +344,9 @@ struct TreeNodes {
     const SoaLeaf leaf = Leaf(n);
     using metric::kernels::PrefetchBytes;
     PrefetchBytes(leaf.ids, leaf.count * sizeof(*leaf.ids));
-    PrefetchBytes(leaf.d1s, leaf.count * sizeof(double));
-    PrefetchBytes(leaf.d2s, leaf.count * sizeof(double));
-    PrefetchBytes(leaf.slab, leaf.path_length * leaf.count * sizeof(double));
+    PrefetchBytes(leaf.d1s, leaf.count * sizeof(float));
+    PrefetchBytes(leaf.d2s, leaf.count * sizeof(float));
+    PrefetchBytes(leaf.slab, leaf.path_length * leaf.count * sizeof(float));
   }
   decltype(auto) metric() const { return owner->metric(); }
   decltype(auto) At(std::size_t row) const {

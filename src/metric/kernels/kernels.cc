@@ -81,15 +81,15 @@ void ScalarOneToRows(const double* query, const double* const* rows,
   }
 }
 
-std::uint64_t ScalarAnnulusMask(const double* centers,
-                                const double* const* columns,
-                                std::size_t num_columns, std::size_t count,
-                                double radius) {
+std::uint64_t ScalarAnnulusMask(const double* centers, const double* radii,
+                                const float* const* columns,
+                                std::size_t num_columns, std::size_t count) {
   std::uint64_t mask = 0;
   for (std::size_t i = 0; i < count; ++i) {
     bool pass = true;
     for (std::size_t c = 0; c < num_columns; ++c) {
-      pass = pass && std::fabs(centers[c] - columns[c][i]) <= radius;
+      const double value = columns[c][i];
+      pass = pass && std::fabs(centers[c] - value) <= radii[c];
     }
     if (pass) mask |= std::uint64_t{1} << i;
   }
@@ -274,12 +274,12 @@ void OneToRows(Family family, const double* query, const double* const* rows,
   ops->one_to_rows[static_cast<int>(family)](query, rows, count, dim, out);
 }
 
-std::uint64_t AnnulusMask(const double* centers, const double* const* columns,
-                          std::size_t num_columns, std::size_t count,
-                          double radius) {
+std::uint64_t AnnulusMask(const double* centers, const double* radii,
+                          const float* const* columns,
+                          std::size_t num_columns, std::size_t count) {
   MVP_DCHECK(count <= kAnnulusMaskMaxCount);
   const internal::Ops* ops = OpsForTier(ActiveTier());
-  return ops->annulus_mask(centers, columns, num_columns, count, radius);
+  return ops->annulus_mask(centers, radii, columns, num_columns, count);
 }
 
 }  // namespace mvp::metric::kernels

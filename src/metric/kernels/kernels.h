@@ -1,8 +1,10 @@
 #ifndef MVPTREE_METRIC_KERNELS_KERNELS_H_
 #define MVPTREE_METRIC_KERNELS_KERNELS_H_
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string_view>
 #include <type_traits>
 #include <utility>
@@ -37,12 +39,17 @@
 /// `AnnulusMask` is the leaf-filter primitive: a branchless compare+mask
 /// sweep over one chunk of up to 64 leaf entries and any number of their
 /// stored-distance columns (a leaf's D1, D2 and PATH columns, each with the
-/// query's distance to the same vantage point as its center), answering in
-/// one call whether every |center - column[i]| <= radius. Each column is
-/// tested in full, with no early exit between columns, so the loads of all
-/// of a chunk's columns are in flight together. Comparisons are exact (no
-/// rounding), so tiers are trivially identical; NaN anywhere fails the
-/// test, matching the scalar `<=`.
+/// query's distance to the same vantage point as its center and its own
+/// radius), answering in one call whether every |center - column[i]| <=
+/// radius. The columns are floats, each the saturating narrowing of a
+/// double distance (`NarrowDistance`), and `ColumnRadius` widens a search
+/// radius just enough that the float test admits every entry the double
+/// test on the unnarrowed distance admits. Each column is tested in full,
+/// with no early exit between columns, so the loads of all of a chunk's
+/// columns are in flight together. Every tier widens each float to double,
+/// which is exact, then subtracts, takes the absolute value and compares in
+/// double, so tiers are bit-identical; NaN anywhere fails the test,
+/// matching the scalar `<=`.
 ///
 /// `OneToRows` requests every row's cache lines before the tier kernel runs
 /// (`PrefetchBytes`, for every tier): gathered rows are scattered over the
@@ -134,16 +141,84 @@ void OneToRows(Family family, const double* query, const double* const* rows,
   __builtin_prefetch(p + bytes - 1);
 }
 
-/// Annulus compare+mask sweep over `num_columns` columns of `count` values
-/// each: bit i of the result is set iff |centers[c] - columns[c][i]| <=
-/// radius for every c < num_columns (so every bit below `count` when
-/// num_columns is 0). `count` must be <= 64; bits >= count are zero. Each
-/// column is read at [0, count) only. NaN in a center, a value or the
-/// radius fails the test (bit clear), matching the scalar `<=` on a NaN
-/// operand.
-std::uint64_t AnnulusMask(const double* centers, const double* const* columns,
-                          std::size_t num_columns, std::size_t count,
-                          double radius);
+/// Annulus compare+mask sweep over `num_columns` float columns of `count`
+/// values each: bit i of the result is set iff |centers[c] -
+/// double(columns[c][i])| <= radii[c] for every c < num_columns, computed
+/// in double (so every bit below `count` when num_columns is 0). `count`
+/// must be <= 64; bits >= count are zero. Each column is read at [0, count)
+/// only. NaN in a center, a value or a radius fails the test (bit clear),
+/// matching the scalar `<=` on a NaN operand.
+std::uint64_t AnnulusMask(const double* centers, const double* radii,
+                          const float* const* columns,
+                          std::size_t num_columns, std::size_t count);
+
+/// Float leaf columns. A tree stores each leaf distance x (a double) as the
+/// float NarrowDistance(x), and a search tests that float x~ against a
+/// widened bound, so that the float test keeps every entry the double test
+/// on x keeps and the answer stays exact: every entry a float test keeps
+/// is still evaluated and passes the exact `d <= r` test (or the k-NN
+/// heap) or not. Only entries within about 2^-23 of a bound relative to
+/// the distances involved pay an extra distance.
+///
+/// The rounding bound. NarrowDistance rounds to nearest, so for |x| <=
+/// FLT_MAX it moves x by at most 2^-24 |x| (normal range) plus 2^-150
+/// (subnormal range): |x~ - x| <= 2^-24 |x| + 2^-150. Above FLT_MAX it
+/// saturates, so that bound fails there; the radius gives up there first.
+///
+/// Range and k-NN (ColumnRadius). The double test passes iff
+/// fl(|c - x|) <= r. Let u = 2^-53. Then |c - x| <= r / (1 - u), and
+/// |x| <= |c| + r / (1 - u). While fl(|c| + r) < 2^127, |x| stays below
+/// FLT_MAX, so x~ is a rounding of x and
+///   |c - x~| <= |c - x| + |x~ - x|
+///            <= r / (1 - u) + 2^-24 (|c| + r / (1 - u)) + 2^-150.
+/// The float test computes fl(|c - x~|) <= (1 + u) |c - x~| and compares it
+/// with R = fl(fl(r + fl(2^-23 fl(|c| + r))) + 2^-149), each of whose four
+/// roundings loses at most a factor (1 - u) (the product with 2^-23 at most
+/// 2^-1075 more in the subnormal range). So R is at least
+///   (1 - u)^3 (r + 2^-23 (|c| + r)) + (1 - u) 2^-149 - 2^-1075,
+/// which exceeds (1 + u) times the bound above term by term: the factor 2
+/// on 2^-24 absorbs the double roundings of the test itself, whose
+/// relative size is a few u, far below 2^-24, and 2^-149 covers
+/// (1 + u) 2^-150 + 2^-1075. Where fl(|c| + r) >= 2^127, R is +inf and
+/// passes every entry but a NaN one. So whenever the double test passes,
+/// the float test does. R only grows with r, so a k-NN mask taken at a
+/// larger tau keeps a superset of the entries that pass at a smaller one.
+///
+/// Farthest (ColumnUpper). The double test rejects an entry iff fl(d + x)
+/// < tau. U(x~) = x~ + 2^-23 |x~| + 2^-149, in double, is at least x: from
+/// |x~ - x| <= 2^-24 |x| + 2^-150 and |x| <= |x~| (1 + 2^-23), x <= x~ +
+/// 2^-24 |x~| (1 + 2^-23) + 2^-150, and the three roundings of U cost less
+/// than the remaining 2^-24 |x~| and 2^-150. Where x~ >= 2^127, x may have
+/// been saturated, and U is +inf. Since U >= x, fl(d + U) >= fl(d + x), so
+/// the float test rejects (fl(d + U) < tau) only what the double test
+/// rejects.
+///
+/// NaN stays NaN through NarrowDistance and fails every test it failed
+/// before: a NaN center or radius fails the range test, and a NaN stored
+/// value fails it and passes the farthest test, as in double.
+inline float NarrowDistance(double x) {
+  constexpr double kMax = std::numeric_limits<float>::max();
+  if (x > kMax) return std::numeric_limits<float>::max();
+  if (x < -kMax) return -std::numeric_limits<float>::max();
+  return static_cast<float>(x);
+}
+
+/// The radius a float column's range test takes around center c for a
+/// double test at radius r: r + 2^-23 (|c| + r) + 2^-149 while |c| + r <
+/// 2^127, +inf above, NaN when |c| + r is NaN.
+inline double ColumnRadius(double c, double r) {
+  const double spread = std::abs(c) + r;
+  if (spread < 0x1p127) return r + 0x1p-23 * spread + 0x1p-149;
+  return std::isnan(spread) ? spread : std::numeric_limits<double>::infinity();
+}
+
+/// An upper bound on the double distance a float column value x~ was
+/// narrowed from: x~ + 2^-23 |x~| + 2^-149, or +inf when x~ >= 2^127.
+inline double ColumnUpper(float narrowed) {
+  const double x = narrowed;
+  if (x >= 0x1p127) return std::numeric_limits<double>::infinity();
+  return x + 0x1p-23 * std::abs(x) + 0x1p-149;
+}
 
 inline constexpr std::size_t kAnnulusMaskMaxCount = 64;
 
@@ -164,10 +239,9 @@ struct Ops {
                                     const double* const* rows,
                                     std::size_t count, std::size_t dim,
                                     double* out);
-  std::uint64_t (*annulus_mask)(const double* centers,
-                                const double* const* columns,
-                                std::size_t num_columns, std::size_t count,
-                                double radius);
+  std::uint64_t (*annulus_mask)(const double* centers, const double* radii,
+                                const float* const* columns,
+                                std::size_t num_columns, std::size_t count);
 };
 
 /// Tier tables. A tier not compiled into this binary returns nullptr.

@@ -131,25 +131,25 @@ void Avx2OneToRows(const double* query, const double* const* rows,
 }
 
 // Column by column, four entries per compare, and a scalar tail.
-std::uint64_t Avx2AnnulusMask(const double* centers,
-                              const double* const* columns,
-                              std::size_t num_columns, std::size_t count,
-                              double radius) {
-  const __m256d r = _mm256_set1_pd(radius);
+std::uint64_t Avx2AnnulusMask(const double* centers, const double* radii,
+                              const float* const* columns,
+                              std::size_t num_columns, std::size_t count) {
   std::uint64_t mask = internal::LowBits(count);
   for (std::size_t c = 0; c < num_columns; ++c) {
     const __m256d center = _mm256_set1_pd(centers[c]);
-    const double* values = columns[c];
+    const __m256d r = _mm256_set1_pd(radii[c]);
+    const float* values = columns[c];
     std::uint64_t bits = 0;
     std::size_t i = 0;
     for (; i + 4 <= count; i += 4) {
-      const __m256d diff =
-          AbsPd(_mm256_sub_pd(center, _mm256_loadu_pd(values + i)));
+      const __m256d wide = _mm256_cvtps_pd(_mm_loadu_ps(values + i));
+      const __m256d diff = AbsPd(_mm256_sub_pd(center, wide));
       const int le = _mm256_movemask_pd(_mm256_cmp_pd(diff, r, _CMP_LE_OQ));
       bits |= static_cast<std::uint64_t>(le) << i;
     }
     for (; i < count; ++i) {
-      if (std::fabs(centers[c] - values[i]) <= radius) {
+      const double value = values[i];
+      if (std::fabs(centers[c] - value) <= radii[c]) {
         bits |= std::uint64_t{1} << i;
       }
     }

@@ -123,33 +123,33 @@ void Avx512OneToRows(const double* query, const double* const* rows,
   }
 }
 
-// Column by column, eight entries per compare; a tail shorter than eight
-// is one masked load, which reads no lane past `count`.
-std::uint64_t Avx512AnnulusMask(const double* centers,
-                                const double* const* columns,
-                                std::size_t num_columns, std::size_t count,
-                                double radius) {
-  const __m512d r = _mm512_set1_pd(radius);
+// Column by column, eight entries per compare: eight floats per 256-bit
+// load, widened to eight doubles. A tail shorter than eight is one masked
+// load, which reads no lane past `count`.
+std::uint64_t Avx512AnnulusMask(const double* centers, const double* radii,
+                                const float* const* columns,
+                                std::size_t num_columns, std::size_t count) {
   std::uint64_t mask = internal::LowBits(count);
   for (std::size_t c = 0; c < num_columns; ++c) {
     const __m512d center = _mm512_set1_pd(centers[c]);
-    const double* values = columns[c];
+    const __m512d r = _mm512_set1_pd(radii[c]);
+    const float* values = columns[c];
     std::uint64_t bits = 0;
     std::size_t i = 0;
     for (; i + 8 <= count; i += 8) {
-      const __m512d diff =
-          Abs512(_mm512_sub_pd(center, _mm512_loadu_pd(values + i)));
+      const __m512d wide = _mm512_cvtps_pd(_mm256_loadu_ps(values + i));
+      const __m512d diff = Abs512(_mm512_sub_pd(center, wide));
       bits |= static_cast<std::uint64_t>(
                   _mm512_cmp_pd_mask(diff, r, _CMP_LE_OQ))
               << i;
     }
     if (i < count) {
-      const __mmask8 lanes =
-          static_cast<__mmask8>(internal::LowBits(count - i));
-      const __m512d diff = Abs512(
-          _mm512_sub_pd(center, _mm512_maskz_loadu_pd(lanes, values + i)));
-      bits |= static_cast<std::uint64_t>(
-                  _mm512_mask_cmp_pd_mask(lanes, diff, r, _CMP_LE_OQ))
+      const auto lanes = static_cast<__mmask16>(internal::LowBits(count - i));
+      const __m512d wide = _mm512_cvtps_pd(
+          _mm512_castps512_ps256(_mm512_maskz_loadu_ps(lanes, values + i)));
+      const __m512d diff = Abs512(_mm512_sub_pd(center, wide));
+      bits |= static_cast<std::uint64_t>(_mm512_mask_cmp_pd_mask(
+                  static_cast<__mmask8>(lanes), diff, r, _CMP_LE_OQ))
               << i;
     }
     mask &= bits;

@@ -11,7 +11,7 @@
 
 /// \file
 /// Flat-arena layout (a heap tree's arrays, a serialized MvpTree stream or
-/// a v1 or v2 arena -> v3 arena) and untrusted-arena validation. Non-template
+/// a v1, v2 or v3 arena -> v4 arena) and untrusted-arena validation. Non-template
 /// code: the arena layout is object-type-specific (dense real vectors),
 /// which is what makes the in-place VectorView serving possible at all.
 
@@ -28,14 +28,14 @@ void CopySection(std::vector<std::uint8_t>* arena, std::uint64_t offset,
   std::memcpy(arena->data() + offset, values, count * sizeof(T));
 }
 
-/// Lays out `t` as a v3 arena behind header `h` (options, dim and object
+/// Lays out `t` as a v4 arena behind header `h` (options, dim and object
 /// count filled) and the row-major `objects`. Every section offset stays
-/// 8-aligned (the u32 ids section can end off an 8-byte boundary, hence the
-/// explicit Align8 between sections).
+/// 8-aligned (the u32 ids and the f32 leaf columns can end off an 8-byte
+/// boundary, hence the explicit Align8 between sections).
 std::vector<std::uint8_t> EmitArena(FlatHeaderRec h,
                                     std::span<const double> objects,
                                     const core::TreeArrays& t) {
-  h.version = kFlatVersionV3;
+  h.version = kFlatVersionV4;
   h.reserved = 0;
   h.node_count = t.node_count;
   h.root = t.node_count == 0 ? kNoNode : 0;
@@ -45,7 +45,7 @@ std::vector<std::uint8_t> EmitArena(FlatHeaderRec h,
   offset = Align8(offset + objects.size() * sizeof(double));
   h.path_offset = offset;
   h.path_count = t.path_count;
-  offset = Align8(offset + t.path_count * sizeof(double));
+  offset = Align8(offset + t.path_count * sizeof(float));
   h.bounds_offset = offset;
   h.bounds_count = t.bounds_count;
   offset = Align8(offset + t.bounds_count * sizeof(double));
@@ -53,9 +53,9 @@ std::vector<std::uint8_t> EmitArena(FlatHeaderRec h,
   h.entry_count = t.entry_count;
   offset = Align8(offset + t.entry_count * sizeof(std::uint32_t));
   ext.d1_offset = offset;
-  offset = Align8(offset + t.entry_count * sizeof(double));
+  offset = Align8(offset + t.entry_count * sizeof(float));
   ext.d2_offset = offset;
-  offset = Align8(offset + t.entry_count * sizeof(double));
+  offset = Align8(offset + t.entry_count * sizeof(float));
   ext.leafpaths_offset = offset;
   offset = Align8(offset + t.node_count * sizeof(core::LeafPathRec));
   h.nodes_offset = offset;
@@ -140,12 +140,14 @@ core::NodeRec NodeAt(const FlatArenaParts& parts, std::size_t i) {
 Result<std::vector<std::uint8_t>> UpgradeFlatArena(
     const FlatArenaParts& legacy) {
   const FlatHeaderRec& in = legacy.header;
-  if (in.version != kFlatVersionV1 && in.version != kFlatVersionV2) {
-    return Status::InvalidArgument("not a v1 or v2 flat arena");
+  if (in.version != kFlatVersionV1 && in.version != kFlatVersionV2 &&
+      in.version != kFlatVersionV3) {
+    return Status::InvalidArgument("not a v1, v2 or v3 flat arena");
   }
-  // Children and bounds carry over, and the nodes gain their vp rows. v2's
-  // leaf columns and slabs carry over too; v1's AoS entries split into the
-  // id/D1/D2 columns, and each leaf's PATH slices into its slab.
+  // Children and bounds carry over, and v1 and v2 nodes gain their vp rows
+  // (v3's already hold the same ones). v2's and v3's leaf columns and slabs
+  // carry over too; v1's AoS entries split into the id/D1/D2 columns, and
+  // each leaf's PATH slices into its slab. Then every column is narrowed.
   const core::TreeArrays& a = legacy.tree;
   core::TreeLayout t;
   for (std::size_t i = 0; i < in.node_count; ++i) {
@@ -153,12 +155,12 @@ Result<std::vector<std::uint8_t>> UpgradeFlatArena(
   }
   t.children.assign(a.children, a.children + in.children_count);
   t.bounds.assign(a.bounds, a.bounds + in.bounds_count);
-  if (in.version == kFlatVersionV2) {
+  if (in.version != kFlatVersionV1) {
     t.ids.assign(a.ids, a.ids + in.entry_count);
-    t.d1.assign(a.d1, a.d1 + in.entry_count);
-    t.d2.assign(a.d2, a.d2 + in.entry_count);
+    t.d1.assign(legacy.wide_d1, legacy.wide_d1 + in.entry_count);
+    t.d2.assign(legacy.wide_d2, legacy.wide_d2 + in.entry_count);
     t.leafpaths.assign(a.leafpaths, a.leafpaths + in.node_count);
-    t.path.assign(a.path, a.path + in.path_count);
+    t.path.assign(legacy.wide_path, legacy.wide_path + in.path_count);
   } else {
     for (const FlatLeafEntryRec& e :
          std::span(legacy.entries, in.entry_count)) {
@@ -184,21 +186,25 @@ Result<std::vector<std::uint8_t>> UpgradeFlatArena(
       }
       for (std::uint32_t j = 0; j < lp.path_length; ++j) {
         for (std::uint32_t i = 0; i < node.count; ++i) {
-          t.path.push_back(a.path[std::size_t{entries[i].path_offset} + j]);
+          t.path.push_back(
+              legacy.wide_path[std::size_t{entries[i].path_offset} + j]);
         }
       }
     }
   }
   t.AssignRows();
+  t.Narrow();
   const core::TreeArrays arrays = t.Arrays(in.order, in.num_path_distances);
   const auto count = static_cast<std::size_t>(in.object_count);
   // The in-place reorder needs every object named exactly once.
   if (auto map = core::RowMap(arrays, count); !map.ok()) return map.status();
   std::vector<std::uint8_t> arena =
       EmitArena(in, {legacy.objects, count * in.dim}, arrays);
-  // EmitArena lays the objects section right behind the header.
-  core::PermuteRows(arrays, arena.data() + kFlatHeaderBytesV2, count,
-                    std::size_t{in.dim} * sizeof(double));
+  if (in.version != kFlatVersionV3) {
+    // EmitArena lays the objects section right behind the header.
+    core::PermuteRows(arrays, arena.data() + kFlatHeaderBytesV2, count,
+                      std::size_t{in.dim} * sizeof(double));
+  }
   return arena;
 }
 
@@ -247,15 +253,17 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
   if (h.magic != kFlatMagic) {
     return Status::Corruption("bad flat arena magic");
   }
-  if (h.version != kFlatVersionV1 && h.version != kFlatVersionV2 &&
-      h.version != kFlatVersionV3) {
+  if (h.version < kFlatVersionV1 || h.version > kFlatVersionV4) {
     return Status::NotSupported("unknown flat arena version " +
                                 std::to_string(h.version));
   }
-  // v2 and v3 share the header extension and the SoA leaf sections; v3
-  // adds the row order and the vp row in each node record.
+  // v2 to v4 share the header extension and the SoA leaf sections; v3 adds
+  // the row order and the vp row in each node record, and v4 narrows the
+  // leaf columns to f32.
   const bool v2 = h.version != kFlatVersionV1;
-  const bool v3 = h.version == kFlatVersionV3;
+  const bool v3 = h.version >= kFlatVersionV3;
+  const bool v4 = h.version == kFlatVersionV4;
+  const std::uint64_t column_bytes = v4 ? sizeof(float) : sizeof(double);
   FlatHeaderExtRec ext;
   if (v2) {
     if (size < kFlatHeaderBytesV2) {
@@ -288,7 +296,7 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
                                     sizeof(double) * std::uint64_t{h.dim},
                                     size, "objects"));
   MVP_RETURN_NOT_OK(SectionInBounds(h.path_offset, h.path_count,
-                                    sizeof(double), size, "path"));
+                                    column_bytes, size, "path"));
   MVP_RETURN_NOT_OK(SectionInBounds(h.bounds_offset, h.bounds_count,
                                     sizeof(double), size, "bounds"));
   if (v2) {
@@ -297,9 +305,9 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
     MVP_RETURN_NOT_OK(SectionInBounds(h.entries_offset, h.entry_count,
                                       sizeof(std::uint32_t), size, "ids"));
     MVP_RETURN_NOT_OK(SectionInBounds(ext.d1_offset, h.entry_count,
-                                      sizeof(double), size, "d1"));
+                                      column_bytes, size, "d1"));
     MVP_RETURN_NOT_OK(SectionInBounds(ext.d2_offset, h.entry_count,
-                                      sizeof(double), size, "d2"));
+                                      column_bytes, size, "d2"));
     MVP_RETURN_NOT_OK(SectionInBounds(ext.leafpaths_offset, h.node_count,
                                       sizeof(core::LeafPathRec), size,
                                       "leafpaths"));
@@ -324,7 +332,11 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
   t.children_count = static_cast<std::size_t>(h.children_count);
   t.bounds_count = static_cast<std::size_t>(h.bounds_count);
   t.path_count = static_cast<std::size_t>(h.path_count);
-  t.path = reinterpret_cast<const double*>(data + h.path_offset);
+  if (v4) {
+    t.path = reinterpret_cast<const float*>(data + h.path_offset);
+  } else {
+    parts.wide_path = reinterpret_cast<const double*>(data + h.path_offset);
+  }
   t.bounds = reinterpret_cast<const double*>(data + h.bounds_offset);
   if (v3) {
     t.nodes = reinterpret_cast<const core::NodeRec*>(data + h.nodes_offset);
@@ -336,8 +348,13 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
   if (v2) {
     t.entry_count = static_cast<std::size_t>(h.entry_count);
     t.ids = reinterpret_cast<const std::uint32_t*>(data + h.entries_offset);
-    t.d1 = reinterpret_cast<const double*>(data + ext.d1_offset);
-    t.d2 = reinterpret_cast<const double*>(data + ext.d2_offset);
+    if (v4) {
+      t.d1 = reinterpret_cast<const float*>(data + ext.d1_offset);
+      t.d2 = reinterpret_cast<const float*>(data + ext.d2_offset);
+    } else {
+      parts.wide_d1 = reinterpret_cast<const double*>(data + ext.d1_offset);
+      parts.wide_d2 = reinterpret_cast<const double*>(data + ext.d2_offset);
+    }
     t.leafpaths =
         reinterpret_cast<const core::LeafPathRec*>(data + ext.leafpaths_offset);
   } else {
@@ -346,8 +363,8 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
   }
 
   // Every leaf entry's id (and, v1, its PATH slice), in one linear pass.
-  // The objects section is in row order in v3 and in id order before, but
-  // the ids mean the same in every version.
+  // The objects section is in row order from v3 on and in id order before,
+  // but the ids mean the same in every version.
   for (std::uint64_t i = 0; i < h.entry_count; ++i) {
     if ((v2 ? t.ids[i] : parts.entries[i].id) >= h.object_count) {
       return Status::Corruption("flat leaf entry id out of range");
@@ -379,16 +396,16 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
   if (h.root != 0) {
     return Status::Corruption("flat arena root must be the first node");
   }
-  // v2 slab canonicality: leaf slabs must tile the PATH pool exactly, in
+  // v2+ slab canonicality: leaf slabs must tile the PATH pool exactly, in
   // node order, with no gaps or overlap — so no two leaves can alias slab
-  // doubles and every slab is in bounds by construction. In v1, next_slab
+  // values and every slab is in bounds by construction. In v1, next_slab
   // totals the slab the upgrade will emit. In both, leaf_entries totals the
   // entries the leaves hold: a writer gives every leaf its own entries (and
   // in v1 every entry its own PATH slice), so the totals stay within their
   // sections, which bounds the upgrade's and a re-serialization's work and
   // memory by the arena's size.
-  // In v3, next_row is the row the next node's vp1 must sit at: the vp
-  // rows tile [entry_count, object_count) in node order.
+  // From v3 on, next_row is the row the next node's vp1 must sit at: the
+  // vp rows tile [entry_count, object_count) in node order.
   std::uint64_t next_slab = 0;
   std::uint64_t leaf_entries = 0;
   std::uint64_t next_row = h.entry_count;

@@ -24,26 +24,33 @@
 /// the arena's sections instead of owning copies.
 ///
 /// The arena's sections are the arrays of core/tree_layout.h byte for byte,
-/// the ones a built tree owns in vectors, behind a header and the stored
-/// vectors — the row-major slab a built vector tree owns, in the tree's row
-/// order, handed out as metric::VectorView (all integers little-endian;
+/// the ones a built tree searches, behind a header and the stored vectors —
+/// the row-major slab a built vector tree owns, in the tree's row order,
+/// handed out as metric::VectorView (all integers little-endian;
 /// docs/index_format.md has the byte-level diagrams; every section starts
 /// on an 8-byte boundary within the arena, and the snapshot writer
 /// 8-aligns the arena's file offset so in-memory records are naturally
-/// aligned under both mmap and the heap fallback). Version 3 is the only
+/// aligned under both mmap and the heap fallback). Version 4 is the only
 /// layout a tree borrows and the only one written:
 ///
 ///   FlatHeaderRec + FlatHeaderExtRec   fixed 192 bytes
 ///   objects   f64[object_count * dim]     vectors, row-major, in row order,
 ///                                         viewed in place
-///   path      f64[path_count]             the column-major PATH slabs
+///   path      f32[path_count]             the column-major PATH slabs
 ///   bounds    f64[bounds_count]           the shell bounds pool
 ///   ids       u32[entry_count]            at entries_offset
-///   d1, d2    f64[entry_count]            the D1[]/D2[] columns
+///   d1, d2    f32[entry_count]            the D1[]/D2[] columns
 ///   leafpaths LeafPathRec[node_count]     per-node PATH slab records
 ///   nodes     NodeRec[node_count]         40 bytes each, preorder; root is
 ///                                         node 0
 ///   children  u32[children_count]         m*m slots per internal node
+///
+/// The leaf columns (path, d1, d2) hold each distance's saturating float
+/// narrowing (metric::kernels::NarrowDistance), padded to the 8-byte
+/// section boundary; the searches widen them at a radius that keeps every
+/// entry the double distances would (core/tree_layout.h). An arena holds no
+/// double leaf distances, so the tree OpenTree returns cannot be written
+/// back as an MVPT stream (MvpTree::Serialize is NotSupported).
 ///
 /// Row order (core/tree_layout.h): row e of the objects holds leaf entry e,
 /// object ids[e], so a leaf's entries are one contiguous block of rows, and
@@ -56,14 +63,15 @@
 /// overlap, which ParseFlatArena enforces, so a hostile arena cannot alias
 /// slabs or leave them misaligned.
 ///
-/// Versions 1 and 2 are read only as upgrade input. They keep the objects
-/// in id order and 32-byte node records without a vp row (FlatNodeRecV2).
-/// Version 2 has v3's sections otherwise. Version 1 has the same 144-byte
-/// header prefix with no extension, one shared PATH pool, and
-/// array-of-structs leaf entries (FlatLeafEntryRec: id, D1, D2 and a PATH
-/// slice) at entries_offset. OpenTree validates a v1 or v2 arena, transcodes
-/// it with UpgradeFlatArena, the one upgrade path, into a v3 buffer, and
-/// returns a tree that owns that buffer.
+/// Versions 1 to 3 are read only as upgrade input, and each keeps its leaf
+/// columns in double. Version 3 has v4's sections otherwise. Version 2 also
+/// keeps the objects in id order and 32-byte node records without a vp row
+/// (FlatNodeRecV2). Version 1 has the same 144-byte header prefix with no
+/// extension, one shared PATH pool, and array-of-structs leaf entries
+/// (FlatLeafEntryRec: id, D1, D2 and a PATH slice) at entries_offset.
+/// OpenTree validates a v1, v2 or v3 arena, transcodes it with
+/// UpgradeFlatArena, the one upgrade path, into a v4 buffer, and returns a
+/// tree that owns that buffer.
 ///
 /// Safety: the arena is untrusted bytes. ParseFlatArena bounds-checks every
 /// offset/count, and a structural pass enforces that child links point
@@ -79,7 +87,8 @@ namespace mvp::snapshot::flat {
 inline constexpr std::uint32_t kFlatMagic = 0x5a50564d;  // "MVPZ"
 inline constexpr std::uint32_t kFlatVersionV1 = 1;
 inline constexpr std::uint32_t kFlatVersionV2 = 2;
-inline constexpr std::uint32_t kFlatVersionV3 = 3;  ///< the one written
+inline constexpr std::uint32_t kFlatVersionV3 = 3;
+inline constexpr std::uint32_t kFlatVersionV4 = 4;  ///< the one written
 inline constexpr std::uint64_t kNoNode = ~std::uint64_t{0};  ///< empty root
 inline constexpr std::size_t kFlatAlignment = 8;
 
@@ -88,7 +97,7 @@ inline constexpr std::size_t kFlatAlignment = 8;
 /// byte-addressable) targets this library supports.
 struct FlatHeaderRec {
   std::uint32_t magic = kFlatMagic;
-  std::uint32_t version = kFlatVersionV3;
+  std::uint32_t version = kFlatVersionV4;
   std::uint32_t order = 0;               ///< m
   std::uint32_t leaf_capacity = 0;       ///< k
   std::uint32_t num_path_distances = 0;  ///< p
@@ -112,7 +121,7 @@ struct FlatHeaderRec {
 };
 static_assert(sizeof(FlatHeaderRec) == 144, "header layout drifted");
 
-/// v2 and v3 header extension, immediately after FlatHeaderRec. The
+/// v2 to v4 header extension, immediately after FlatHeaderRec. The
 /// 144-byte prefix keeps its exact v1 layout (entries_offset holds the ids
 /// section, path_offset/path_count hold the slab pool), so offset-based
 /// tooling and the corruption sweep's fixed pokes stay meaningful across
@@ -128,7 +137,7 @@ struct FlatHeaderExtRec {
 static_assert(sizeof(FlatHeaderExtRec) == 48, "header ext layout drifted");
 
 inline constexpr std::size_t kFlatHeaderBytesV1 = sizeof(FlatHeaderRec);
-/// The header of v2 and v3 arenas.
+/// The header of v2 to v4 arenas.
 inline constexpr std::size_t kFlatHeaderBytesV2 =
     sizeof(FlatHeaderRec) + sizeof(FlatHeaderExtRec);
 
@@ -156,7 +165,7 @@ struct FlatNodeRecV2 {
 };
 static_assert(sizeof(FlatNodeRecV2) == 32, "v2 node layout drifted");
 
-/// Lays out a tree over vectors as a v3 flat arena, straight from its
+/// Lays out a tree over vectors as a v4 flat arena, straight from its
 /// arrays: the row-major slab of `dim`-double rows in the arrays' row order
 /// (core::MvpTree::rows() and dim(), which the tree keeps within the
 /// header's u32) and arrays(). A tree opened from an arena lays out that
@@ -166,7 +175,7 @@ std::vector<std::uint8_t> BuildFlatArena(const core::MvpTreeOptions& options,
                                          std::size_t dim,
                                          const core::TreeArrays& arrays);
 
-/// The v3 arena of one serialized MvpTree stream (the exact bytes
+/// The v4 arena of one serialized MvpTree stream (the exact bytes
 /// MvpTree::Serialize + VectorCodec emit): MvpTree::Deserialize, the one
 /// stream parser, then the overload above. Also Corruption for bytes after
 /// the stream.
@@ -174,20 +183,25 @@ Result<std::vector<std::uint8_t>> BuildFlatArena(const std::uint8_t* stream,
                                                  std::size_t length);
 
 /// A bounds-checked, structurally validated view into a flat arena. All
-/// pointers alias the caller's bytes, which must outlive the view. For v1
-/// and v2, `tree` has no nodes (they are legacy_nodes); for v1, it has no
-/// ids/d1/d2/leafpaths either, and its path is the shared pool.
+/// pointers alias the caller's bytes, which must outlive the view. Before
+/// v4, `tree` has no leaf columns: they are the double wide_* columns.
+/// For v1 and v2, `tree` has no nodes either (they are legacy_nodes); for
+/// v1, it has no ids/leafpaths, wide_d1/wide_d2 are null (D1/D2 are in the
+/// entries), and wide_path is the shared pool.
 struct FlatArenaParts {
   FlatHeaderRec header;
   const double* objects = nullptr;
   const FlatLeafEntryRec* entries = nullptr;   ///< v1 only
   const FlatNodeRecV2* legacy_nodes = nullptr;  ///< v1 and v2 only
+  const double* wide_d1 = nullptr;    ///< v2 and v3 only
+  const double* wide_d2 = nullptr;    ///< v2 and v3 only
+  const double* wide_path = nullptr;  ///< v1 to v3 only
   core::TreeArrays tree;
 };
 
 /// Parses + validates an arena (untrusted bytes): header sanity, section
-/// bounds, id ranges, PATH slices, preorder child links, depth cap, and in
-/// v3 the vantage-point rows: each in [entry_count, object_count), and all
+/// bounds, id ranges, PATH slices, preorder child links, depth cap, and
+/// from v3 on the vantage-point rows: each in [entry_count, object_count), and all
 /// of them tiling that range in node preorder. Every corrupt offset yields
 /// Corruption; a returned view is safe to traverse.
 /// It also rejects leaves that share entries, and in v1 entries that share
@@ -196,12 +210,13 @@ struct FlatArenaParts {
 Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
                                       std::size_t size);
 
-/// Transcodes a v1 or v2 arena, as validated by ParseFlatArena, into the v3
-/// arena BuildFlatArena writes for the same tree, byte for byte: the
-/// objects are copied in id order and put into row order in place
-/// (core::PermuteRows). Corruption if a v1 leaf mixes PATH lengths, which
-/// per-leaf slabs cannot hold, or if the ids and vantage points do not name
-/// every object exactly once.
+/// Transcodes a v1, v2 or v3 arena, as validated by ParseFlatArena, into
+/// the v4 arena BuildFlatArena writes for the same tree, byte for byte:
+/// each double leaf column is narrowed as a build narrows it
+/// (core::TreeLayout::Narrow), and v1 and v2 objects are copied in id
+/// order and put into row order in place (core::PermuteRows). Corruption
+/// if a v1 leaf mixes PATH lengths, which per-leaf slabs cannot hold, or if
+/// the ids and vantage points do not name every object exactly once.
 Result<std::vector<std::uint8_t>> UpgradeFlatArena(
     const FlatArenaParts& legacy);
 
@@ -213,8 +228,8 @@ core::MvpTreeOptions HeaderOptions(const FlatHeaderRec& header);
 /// exactly once) and returns the mvp-tree over it: a core::MvpTree whose
 /// arrays and rows are the arena's sections, kept alive by `owner`, which
 /// must hold the bytes unmodified (the snapshot path passes the mapping;
-/// null when the caller outlives the tree itself). A v1 or v2 arena is
-/// upgraded into a v3 buffer, which then becomes the tree's owner in place
+/// null when the caller outlives the tree itself). A v1, v2 or v3 arena is
+/// upgraded into a v4 buffer, which then becomes the tree's owner in place
 /// of `owner`. Query objects are dense real vectors; `Metric` must be a
 /// metric::RowMetric, as every vector tree's is.
 template <typename Metric>
@@ -223,11 +238,11 @@ Result<core::MvpTree<metric::Vector, Metric>> OpenTree(
     std::shared_ptr<const void> owner) {
   auto parts = ParseFlatArena(data, size);
   if (!parts.ok()) return parts.status();
-  if (parts.value().header.version != kFlatVersionV3) {
-    auto v3 = UpgradeFlatArena(parts.value());
-    if (!v3.ok()) return v3.status();
+  if (parts.value().header.version != kFlatVersionV4) {
+    auto v4 = UpgradeFlatArena(parts.value());
+    if (!v4.ok()) return v4.status();
     auto upgraded = std::make_shared<const std::vector<std::uint8_t>>(
-        std::move(v3).ValueOrDie());
+        std::move(v4).ValueOrDie());
     parts = ParseFlatArena(upgraded->data(), upgraded->size());
     if (!parts.ok()) return parts.status();
     owner = std::move(upgraded);

@@ -440,7 +440,7 @@ TEST(FlatFormatGoldenTest, FrozenV3FixtureStillOpensAndMatchesRebuild) {
   }
 }
 
-/// A v1 or v2 arena's bytes, validated and upgraded to v3.
+/// A v1, v2 or v3 arena's bytes, validated and upgraded to v4.
 std::vector<std::uint8_t> MustUpgrade(const std::vector<std::uint8_t>& legacy,
                                       std::uint32_t version) {
   auto parts = flat::ParseFlatArena(legacy.data(), legacy.size());
@@ -453,8 +453,8 @@ std::vector<std::uint8_t> MustUpgrade(const std::vector<std::uint8_t>& legacy,
                        : std::vector<std::uint8_t>{};
 }
 
-/// The v3 arena BuildFlatArena writes for each shard tree of the frozen
-/// kind-1 store `name`.
+/// The arena BuildFlatArena writes for each shard tree of the frozen kind-1
+/// store `name`.
 std::vector<std::vector<std::uint8_t>> HeapStoreArenas(
     const std::string& name) {
   SnapshotStore store(GoldenDir(name));
@@ -472,8 +472,8 @@ std::vector<std::vector<std::uint8_t>> HeapStoreArenas(
 }
 
 /// The frozen v1 arenas and their frozen round-robin v2 twins upgrade byte
-/// for byte to the v3 arenas BuildFlatArena writes for the same trees,
-/// which the frozen round-robin heap fixture holds as MVPT streams.
+/// for byte to the current (v4) arenas BuildFlatArena writes for the same
+/// trees, which the frozen round-robin heap fixture holds as MVPT streams.
 TEST(FlatFormatGoldenTest, FrozenV1AndV2ArenasUpgradeToBuiltV3Bytes) {
   if (BlessMode()) GTEST_SKIP();
   const auto v1 = GoldenShardArenas(GoldenDir("golden_flat_v1"));
@@ -488,9 +488,9 @@ TEST(FlatFormatGoldenTest, FrozenV1AndV2ArenasUpgradeToBuiltV3Bytes) {
   }
 }
 
-/// Each frozen golden_flat_v2 arena upgrades byte for byte to the v3 arena
-/// BuildFlatArena writes for the same tree: the recipe's shard, which
-/// golden_flat holds.
+/// Each frozen golden_flat_v2 arena upgrades byte for byte to the current
+/// (v4) arena BuildFlatArena writes for the same tree: the recipe's shard,
+/// which golden_flat holds.
 TEST(FlatFormatGoldenTest, FrozenV2ArenasUpgradeToGoldenV3Bytes) {
   if (BlessMode()) GTEST_SKIP();
   const auto v2 = GoldenShardArenas(GoldenDir("golden_flat_v2"));
@@ -508,7 +508,7 @@ TEST(FlatFormatGoldenTest, FrozenV2ArenasUpgradeToGoldenV3Bytes) {
   }
 }
 
-/// The same for the fuzz corpus's frozen v1 and v2 seeds and their v3
+/// The same for the fuzz corpus's frozen v1, v2 and v3 seeds and their v4
 /// twin, all one 32-point tree. Each seed is [u8 harness mode][arena].
 std::vector<std::uint8_t> CorpusArena(const std::string& name) {
   const auto seed =
@@ -530,6 +530,53 @@ TEST(FlatFormatGoldenTest, CorpusV2ArenaUpgradesToCorpusArena) {
             CorpusArena("arena.bin"));
 }
 
+TEST(FlatFormatGoldenTest, CorpusV3ArenaUpgradesToCorpusArena) {
+  if (BlessMode()) GTEST_SKIP();
+  EXPECT_EQ(MustUpgrade(CorpusArena("arena_v3.bin"), flat::kFlatVersionV3),
+            CorpusArena("arena.bin"));
+}
+
+/// Each frozen golden_flat_v3 arena upgrades byte for byte to the v4 arena
+/// BuildFlatArena writes for the same tree, which golden_flat holds: the
+/// upgrade narrows each double leaf column exactly as a build does.
+TEST(FlatFormatGoldenTest, FrozenV3ArenasUpgradeToGoldenV4Bytes) {
+  if (BlessMode()) GTEST_SKIP();
+  const auto v3 = GoldenShardArenas(GoldenDir("golden_flat_v3"));
+  const auto v4 = GoldenShardArenas(GoldenDir("golden_flat"));
+  const Index rebuilt = GoldenIndex();
+  ASSERT_EQ(v3.size(), rebuilt.num_shards());
+  ASSERT_EQ(v4.size(), v3.size());
+  for (std::size_t s = 0; s < v3.size(); ++s) {
+    const auto& tree = rebuilt.shard(s);
+    const auto built = flat::BuildFlatArena(tree.options(), tree.rows(),
+                                            tree.dim(), tree.arrays());
+    EXPECT_EQ(built, v4[s]) << "shard " << s;
+    EXPECT_EQ(MustUpgrade(v3[s], flat::kFlatVersionV3), built)
+        << "shard " << s;
+  }
+}
+
+/// The corpus seed with one bit of a float D1 flipped opens, and
+/// ValidateInvariants names the entry whose D1 no longer is the narrowing
+/// of its distance: entry 0, at row 0.
+TEST(FlatFormatGoldenTest, CorpusFloatColumnBitFlipNamesTheEntry) {
+  if (BlessMode()) GTEST_SKIP();
+  const auto arena = CorpusArena("arena_d1_bitflip.bin");
+  auto opened = flat::OpenTree(arena.data(), arena.size(), L2(), nullptr);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const Status status = opened.value().ValidateInvariants();
+  EXPECT_EQ(status.code(), StatusCode::kCorruption);
+  const std::string name = "object " +
+                           std::to_string(opened.value().arrays().ids[0]) +
+                           " at row 0: leaf D1";
+  EXPECT_NE(status.message().find(name), std::string::npos)
+      << status.ToString();
+  const auto intact = CorpusArena("arena.bin");
+  auto clean = flat::OpenTree(intact.data(), intact.size(), L2(), nullptr);
+  ASSERT_TRUE(clean.ok());
+  EXPECT_TRUE(clean.value().ValidateInvariants().ok());
+}
+
 TEST(FlatFormatGoldenTest, GoldenFlatFixtureIsCurrentVersion) {
   if (BlessMode()) GTEST_SKIP();
   SnapshotStore store(GoldenDir("golden_flat"));
@@ -543,7 +590,7 @@ TEST(FlatFormatGoldenTest, GoldenFlatFixtureIsCurrentVersion) {
     flat::FlatHeaderRec header;
     ASSERT_GE(arena.size(), sizeof(header));
     std::memcpy(&header, arena.data(), sizeof(header));
-    EXPECT_EQ(header.version, flat::kFlatVersionV3);
+    EXPECT_EQ(header.version, flat::kFlatVersionV4);
   }
 }
 

@@ -29,9 +29,12 @@
 ///     assume 32/64-byte alignment);
 ///   * adversarial values: ±0, subnormals, ±Inf, NaN, and magnitude mixes
 ///     that make summation order observable;
-///   * the leaf-filter mask (AnnulusMask): 0..9 columns at every chunk size
-///     0..64, NaN in centers, values and radius, misaligned columns, and
+///   * the leaf-filter mask (AnnulusMask): 0..9 float columns at every chunk
+///     size 0..64, NaN in centers, values and radii, misaligned columns, and
 ///     columns ending exactly at the end of their allocation;
+///   * the float leaf columns' radius (ColumnRadius) and upper bound
+///     (ColumnUpper): on random and adversarial values, the float tests
+///     keep every entry the double tests keep, on every tier;
 ///   * gathered rows (OneToRows): every count through two full blocks of the
 ///     widest tier plus a lane-filled tail, repeated and aliased row
 ///     pointers, and rows ending exactly at the end of their allocation, so
@@ -243,66 +246,88 @@ TEST_P(KernelConformanceTest, SpecialValuesBitIdentical) {
   }
 }
 
-/// Leaf-filter columns for AnnulusMask: `num_columns` columns of `count`
-/// values, each its own allocation starting `offset` doubles in and ending
-/// right after its last value, so a read past `count` is a heap overflow a
-/// sanitizer build reports.
+/// Leaf-filter columns for AnnulusMask: `num_columns` float columns of
+/// `count` values, each its own allocation starting `offset` floats in and
+/// ending right after its last value, so a read past `count` is a heap
+/// overflow a sanitizer build reports. Every column has center 1 and its
+/// own radius, set per call.
 struct MaskColumns {
-  std::vector<std::unique_ptr<double[]>> storage;
+  std::vector<std::unique_ptr<float[]>> storage;
   std::vector<double> centers;
-  std::vector<const double*> columns;
+  std::vector<double> radii;
+  std::vector<const float*> columns;
 
   MaskColumns(Rng& rng, std::size_t num_columns, std::size_t count,
               std::size_t offset) {
     for (std::size_t c = 0; c < num_columns; ++c) {
-      storage.push_back(std::make_unique<double[]>(offset + count));
-      double* values = storage.back().get() + offset;
-      for (std::size_t i = 0; i < count; ++i) values[i] = 2 * rng.NextDouble();
+      storage.push_back(std::make_unique<float[]>(offset + count));
+      float* values = storage.back().get() + offset;
+      for (std::size_t i = 0; i < count; ++i) {
+        values[i] = NarrowDistance(2 * rng.NextDouble());
+      }
       centers.push_back(1.0);
+      radii.push_back(0.0);
       columns.push_back(values);
     }
   }
-  std::uint64_t Scalar(std::size_t count, double radius) const {
-    return internal::ScalarOps()->annulus_mask(
-        centers.data(), columns.data(), columns.size(), count, radius);
+  /// Column c's radius: `radius`, or the next double above it for odd c.
+  void SetRadius(double radius) {
+    for (std::size_t c = 0; c < radii.size(); ++c) {
+      radii[c] = c % 2 == 0 ? radius
+                            : std::nextafter(
+                                  radius, std::numeric_limits<double>::max());
+    }
   }
-  std::uint64_t Dispatched(std::size_t count, double radius) const {
-    return AnnulusMask(centers.data(), columns.data(), columns.size(), count,
-                       radius);
+  std::uint64_t Scalar(std::size_t count) const {
+    return internal::ScalarOps()->annulus_mask(centers.data(), radii.data(),
+                                               columns.data(), columns.size(),
+                                               count);
+  }
+  std::uint64_t Dispatched(std::size_t count) const {
+    return AnnulusMask(centers.data(), radii.data(), columns.data(),
+                       columns.size(), count);
   }
 };
 
 TEST_P(KernelConformanceTest, AnnulusMaskMatchesScalar) {
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
   Rng rng(99);
   for (std::size_t num_columns = 0; num_columns <= 9; ++num_columns) {
     for (std::size_t count = 0; count <= kAnnulusMaskMaxCount; ++count) {
       MaskColumns cols(rng, num_columns, count, 0);
       // Sprinkle exact-boundary and special entries over the columns.
       for (std::size_t c = 0; c < num_columns && count > 0; ++c) {
-        double* values = cols.storage[c].get();
-        values[(c * 7) % count] = 1.5;  // |1.0 - 1.5| == 0.5 exactly
-        values[(c * 5 + 2) % count] = c % 2 == 0 ? kNaN : -0.0;
-        values[(c * 3 + 3) % count] =
-            std::numeric_limits<double>::infinity();
+        float* values = cols.storage[c].get();
+        values[(c * 7) % count] = 1.5f;  // |1.0 - 1.5| == 0.5 exactly
+        values[(c * 5 + 2) % count] = c % 2 == 0 ? kNaN : -0.0f;
+        values[(c * 3 + 3) % count] = std::numeric_limits<float>::infinity();
+        values[(c * 11 + 4) % count] = std::numeric_limits<float>::max();
+        values[(c * 13 + 5) % count] =
+            std::numeric_limits<float>::denorm_min();
       }
       // A NaN center fails its whole column.
       if (num_columns > 0 && count % 5 == 0) {
-        cols.centers[count % num_columns] = kNaN;
+        cols.centers[count % num_columns] =
+            std::numeric_limits<double>::quiet_NaN();
       }
-      for (double radius : {0.0, 0.5, 0.9, 1e300, -1.0, kNaN}) {
+      for (double radius :
+           {0.0, 0.5, 0.9, 1e300, -1.0, std::numeric_limits<double>::infinity(),
+            std::numeric_limits<double>::quiet_NaN()}) {
+        cols.SetRadius(radius);
         const std::string ctx = std::string(TierName(GetParam())) +
                                 " columns=" + std::to_string(num_columns) +
                                 " count=" + std::to_string(count) +
                                 " radius=" + std::to_string(radius);
-        const std::uint64_t got = cols.Dispatched(count, radius);
-        EXPECT_EQ(cols.Scalar(count, radius), got) << ctx;
-        // Cross-check against the definition, not just the scalar table.
+        const std::uint64_t got = cols.Dispatched(count);
+        EXPECT_EQ(cols.Scalar(count), got) << ctx;
+        // Cross-check against the definition, not just the scalar table:
+        // each float widened to double, then the double test.
         for (std::size_t i = 0; i < count; ++i) {
           bool pass = true;
           for (std::size_t c = 0; c < num_columns; ++c) {
+            const double value = cols.columns[c][i];
             pass = pass &&
-                   std::fabs(cols.centers[c] - cols.columns[c][i]) <= radius;
+                   std::fabs(cols.centers[c] - value) <= cols.radii[c];
           }
           EXPECT_EQ(((got >> i) & 1) != 0, pass) << ctx << " bit " << i;
         }
@@ -321,13 +346,149 @@ TEST_P(KernelConformanceTest, MisalignedAnnulusMask) {
   for (std::size_t offset : {1u, 3u}) {
     for (std::size_t num_columns : {1u, 2u, 7u, 9u}) {
       for (std::size_t count : {1u, 7u, 31u, 63u, 64u}) {
-        const MaskColumns cols(rng, num_columns, count, offset);
-        EXPECT_EQ(cols.Scalar(count, 0.9), cols.Dispatched(count, 0.9))
+        MaskColumns cols(rng, num_columns, count, offset);
+        cols.SetRadius(0.9);
+        EXPECT_EQ(cols.Scalar(count), cols.Dispatched(count))
             << TierName(GetParam()) << " offset=" << offset
             << " columns=" << num_columns << " count=" << count;
       }
     }
   }
+}
+
+/// Random and adversarial (center, stored distance, radius) triples for the
+/// float-column tests: ±0, subnormals of both widths, values near and above
+/// FLT_MAX and at 2^127, +inf and NaN, next to random magnitudes and pairs
+/// one double ulp apart.
+std::vector<double> ColumnProbeValues(Rng& rng) {
+  constexpr double kFltMax = std::numeric_limits<float>::max();
+  std::vector<double> values = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<float>::denorm_min(),
+      0x1p-150,
+      0x1.8p-150,
+      std::numeric_limits<float>::min(),
+      1e-30,
+      0.1,
+      0.3,
+      1.0,
+      1.0 + 0x1p-52,
+      1.0 + 0x1p-24,
+      1.0 + 0x1.8p-24,
+      3.0,
+      1e10,
+      0x1p127,
+      std::nextafter(0x1p127, 0.0),
+      kFltMax,
+      std::nextafter(kFltMax, 0.0),
+      std::nextafter(kFltMax, std::numeric_limits<double>::infinity()),
+      kFltMax * 2,
+      1e300,
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+  };
+  for (int i = 0; i < 40; ++i) {
+    const double v = std::ldexp(rng.NextDouble(),
+                                static_cast<int>(rng.NextBounded(300)) - 150);
+    values.push_back(v);
+    values.push_back(std::nextafter(v, 0.0));
+    values.push_back(std::nextafter(v, 1e308));
+  }
+  return values;
+}
+
+/// The range and k-NN test on one float column: whenever the double test
+/// |c - x| <= r passes on the double x, the mask passes on NarrowDistance(x)
+/// at ColumnRadius(c, r), on every tier. The triples are every center and
+/// radius of the probe set against every stored value, and each value's
+/// neighbours c = x ± r, where the double test sits on its boundary.
+TEST_P(KernelConformanceTest, FloatColumnRadiusAdmitsEveryDoublePass) {
+  Rng rng(4242);
+  const std::vector<double> probe = ColumnProbeValues(rng);
+  std::size_t passes = 0;
+  const auto check = [&](double c, double x, double r) {
+    const bool exact = std::fabs(c - x) <= r;
+    if (!exact) return;
+    ++passes;
+    const float stored = NarrowDistance(x);
+    const float* column = &stored;
+    const double radius = ColumnRadius(c, r);
+    const std::uint64_t scalar =
+        internal::ScalarOps()->annulus_mask(&c, &radius, &column, 1, 1);
+    const std::uint64_t got = AnnulusMask(&c, &radius, &column, 1, 1);
+    EXPECT_EQ(got, 1u) << TierName(GetParam()) << " c=" << c << " x=" << x
+                       << " r=" << r;
+    EXPECT_EQ(scalar, got);
+  };
+  for (const double x : probe) {
+    for (const double r : probe) {
+      if (!(r >= 0)) continue;
+      for (const double c : probe) check(c, x, r);
+      check(x + r, x, r);
+      check(x - r, x, r);
+      check(std::nextafter(x + r, 0.0), x, r);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  EXPECT_GT(passes, 10000u);
+}
+
+/// NaN and the radius edges: a NaN center or radius keeps nothing, as in
+/// double; r = +inf keeps every non-NaN difference; and the radius grows
+/// with r, so a k-NN mask at a larger tau keeps a superset.
+TEST(FloatColumnTest, RadiusEdges) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(std::isnan(ColumnRadius(nan, 1.0)));
+  EXPECT_TRUE(std::isnan(ColumnRadius(1.0, nan)));
+  EXPECT_EQ(ColumnRadius(1.0, inf), inf);
+  EXPECT_EQ(ColumnRadius(0x1p127, 0.0), inf);
+  EXPECT_EQ(ColumnRadius(0.0, 0.0), 0x1p-149);
+  EXPECT_EQ(NarrowDistance(inf), std::numeric_limits<float>::max());
+  EXPECT_EQ(NarrowDistance(1e300), std::numeric_limits<float>::max());
+  EXPECT_TRUE(std::isnan(NarrowDistance(nan)));
+  Rng rng(77);
+  const std::vector<double> probe = ColumnProbeValues(rng);
+  for (const double c : probe) {
+    if (std::isnan(c)) continue;
+    for (const double r : probe) {
+      if (!(r >= 0)) continue;
+      const double wider = std::nextafter(r, inf);
+      EXPECT_LE(ColumnRadius(c, r), ColumnRadius(c, wider))
+          << "c=" << c << " r=" << r;
+    }
+  }
+}
+
+/// The farthest test on one float column: it rejects an entry only when
+/// d + ColumnUpper(x~) < tau, and whenever it does, the double test
+/// d + x < tau rejects it too — so the float bound never drops an entry the
+/// double bound keeps.
+TEST(FloatColumnTest, UpperNeverRejectsWhatDoubleKeeps) {
+  Rng rng(4243);
+  const std::vector<double> probe = ColumnProbeValues(rng);
+  std::size_t rejects = 0;
+  const auto check = [&](double d, double x, double tau) {
+    if (!(d + ColumnUpper(NarrowDistance(x)) < tau)) return;
+    ++rejects;
+    EXPECT_LT(d + x, tau) << "d=" << d << " x=" << x << " tau=" << tau;
+  };
+  for (const double x : probe) {
+    if (!(x >= 0)) continue;
+    EXPECT_GE(ColumnUpper(NarrowDistance(x)), x) << "x=" << x;
+    for (const double d : probe) {
+      if (!(d >= 0)) continue;
+      for (const double tau : probe) check(d, x, tau);
+      check(d, x, d + x);
+      check(d, x, std::nextafter(d + x, std::numeric_limits<double>::max()));
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  EXPECT_GT(rejects, 1000u);
 }
 
 TEST_P(KernelConformanceTest, OneToRowsEveryCountThroughLaneFill) {

@@ -474,22 +474,23 @@ Status ValidateWithNanAt(const VecTree& tree, double value) {
 TEST(MvpTreeTest, ValidationRejectsNanStoredDistances) {
   const auto data = dataset::UniformVectors(500, 5, 223);
   const auto tree = MustBuild(data);
-  const TreeArrays& a = tree.arrays();
-  ASSERT_GT(a.entry_count, 0u);
-  ASSERT_GT(a.path_count, 0u);
+  // The stream carries the double columns a built tree keeps.
+  const TreeLayout& a = tree.layout();
+  ASSERT_GT(a.ids.size(), 0u);
+  ASSERT_GT(a.path.size(), 0u);
   EXPECT_EQ(ValidateWithNanAt(tree, a.d1[0]).code(), StatusCode::kCorruption);
   EXPECT_EQ(ValidateWithNanAt(tree, a.d2[0]).code(), StatusCode::kCorruption);
   // A PATH value may repeat as an ancestor's shell cutoff; take the last
   // one the stream holds once.
-  std::size_t j = a.path_count;
+  std::size_t j = a.path.size();
   while (j-- > 0) {
     const double v = a.path[j];
-    if (std::count(a.path, a.path + a.path_count, v) == 1 &&
-        std::count(a.bounds, a.bounds + a.bounds_count, v) == 0) {
+    if (std::count(a.path.begin(), a.path.end(), v) == 1 &&
+        std::count(a.bounds.begin(), a.bounds.end(), v) == 0) {
       break;
     }
   }
-  ASSERT_LT(j, a.path_count);
+  ASSERT_LT(j, a.path.size());
   EXPECT_EQ(ValidateWithNanAt(tree, a.path[j]).code(),
             StatusCode::kCorruption);
 }

@@ -563,7 +563,7 @@ TEST_F(FlatSnapshotCorruptionTest, StructuralNodeAndEntryCorruptionRejected) {
 }
 
 TEST_F(FlatSnapshotCorruptionTest, V2SoaStructuralCorruptionRejected) {
-  // The structures v2 introduced and v3 keeps: the 48-byte header
+  // The structures v2 introduced and v3 and v4 keep: the 48-byte header
   // extension locating the D1/D2 columns and the per-node PATH-slab
   // records, and the canonical slab tiling rule. Every mutation leaves all
   // checksums VALID (the harness rebuilds them), so the structural pass
@@ -572,7 +572,7 @@ TEST_F(FlatSnapshotCorruptionTest, V2SoaStructuralCorruptionRejected) {
   ASSERT_TRUE(parsed.ok());
   const auto [payload, length] = parsed.value().chunk_payload(0);
   const std::vector<std::uint8_t> arena0(payload + 8, payload + length);
-  ASSERT_EQ(PeekU32(arena0, 4), 3u);  // fixture writes the v3 format
+  ASSERT_EQ(PeekU32(arena0, 4), 4u);  // fixture writes the v4 format
   const std::uint64_t node_count = PeekU64(arena0, 40);
   const std::uint64_t nodes_offset = PeekU64(arena0, 112);
   constexpr std::size_t kExtD1Off = 144, kExtD2Off = 152,
@@ -650,7 +650,7 @@ TEST_F(FlatSnapshotCorruptionTest, V3VantagePointRowsRejected) {
   const std::vector<std::uint8_t> arena0(payload + 8, payload + length);
   flat::FlatHeaderRec header;
   std::memcpy(&header, arena0.data(), sizeof(header));
-  ASSERT_EQ(header.version, flat::kFlatVersionV3);
+  ASSERT_EQ(header.version, flat::kFlatVersionV4);
   ASSERT_GE(header.node_count, 2u);
   const auto vp_row_at = [&](std::size_t n) {
     return static_cast<std::size_t>(header.nodes_offset) +
@@ -819,13 +819,25 @@ std::vector<std::uint8_t> FrozenV2Arena() {
   return std::move(arenas[0]);
 }
 
-/// Every arena version refuses the damaged root: the frozen v1 and v2
-/// arenas, read only as upgrade input, and a v3 arena of the stream.
+/// Shard 0's arena in the frozen v3 fixture (tests/testdata/golden_flat_v3).
+std::vector<std::uint8_t> FrozenV3Arena() {
+  auto arenas =
+      GoldenShardArenas(std::string(MVPT_TESTDATA_DIR) + "/golden_flat_v3");
+  if (arenas.empty()) {
+    ADD_FAILURE() << "frozen v3 fixture has no shard 0";
+    return {};
+  }
+  return std::move(arenas[0]);
+}
+
+/// Every arena version refuses the damaged root: the frozen v1, v2 and v3
+/// arenas, read only as upgrade input, and a v4 arena of the stream.
 TEST_F(MissingSecondVantagePointTest, ParseFlatArenaRejectsV1AndV2) {
   auto built = flat::BuildFlatArena(stream_.data(), stream_.size());
   ASSERT_TRUE(built.ok());
   for (std::vector<std::uint8_t> arena :
-       {FrozenV1Arena(), FrozenV2Arena(), std::move(built).ValueOrDie()}) {
+       {FrozenV1Arena(), FrozenV2Arena(), FrozenV3Arena(),
+        std::move(built).ValueOrDie()}) {
     ASSERT_TRUE(flat::ParseFlatArena(arena.data(), arena.size()).ok());
     ASSERT_EQ(OpenCode(arena), StatusCode::kOk);
     // The root is node 0; its flags word opens its record.
@@ -888,6 +900,65 @@ TEST(V2LeafEntriesTest, LeavesSharingEntriesRejected) {
       << parsed.status().ToString();
 }
 
+/// A float leaf column is the narrowing of its distance, bit for bit. One
+/// flipped bit of an entry's D1, its D2 or one of its PATH values leaves an
+/// arena that parses and opens, and ValidateInvariants returns a
+/// Corruption that names the entry by id and row.
+TEST(FloatColumnCorruptionTest, OneFlippedBitNamesTheEntry) {
+  auto built = core::MvpTree<Vector, L2>::Build(
+      dataset::UniformVectors(300, 4, 47), L2());
+  ASSERT_TRUE(built.ok());
+  const auto& tree = built.value();
+  const std::vector<std::uint8_t> intact = flat::BuildFlatArena(
+      tree.options(), tree.rows(), tree.dim(), tree.arrays());
+  flat::FlatHeaderRec header;
+  flat::FlatHeaderExtRec ext;
+  std::memcpy(&header, intact.data(), sizeof(header));
+  std::memcpy(&ext, intact.data() + sizeof(header), sizeof(ext));
+  ASSERT_EQ(header.version, flat::kFlatVersionV4);
+  const core::TreeArrays& t = tree.arrays();
+  ASSERT_GT(t.entry_count, 40u);
+  ASSERT_GT(t.path_count, 0u);
+  // Entry 37's D1 and D2, and the first value of the PATH pool, which
+  // belongs to entry 0 of the first leaf that keeps a PATH.
+  std::size_t path_entry = 0;
+  for (std::size_t n = 0; n < t.node_count; ++n) {
+    if ((t.nodes[n].flags & core::kNodeLeaf) != 0 &&
+        t.leafpaths[n].path_length > 0 && t.nodes[n].count > 0) {
+      ASSERT_EQ(t.leafpaths[n].slab_offset, 0u);
+      path_entry = t.nodes[n].begin;
+      break;
+    }
+  }
+  const struct {
+    std::uint64_t offset;
+    std::size_t entry;
+    const char* what;
+  } cases[] = {
+      {ext.d1_offset + 37 * sizeof(float), 37, "leaf D1"},
+      {ext.d2_offset + 37 * sizeof(float), 37, "leaf D2"},
+      {header.path_offset, path_entry, "leaf PATH distance"},
+  };
+  for (const auto& c : cases) {
+    for (const std::uint8_t bit : {0x01, 0x40}) {
+      std::vector<std::uint8_t> arena = intact;
+      arena[static_cast<std::size_t>(c.offset)] ^= bit;
+      auto opened = flat::OpenTree(arena.data(), arena.size(), L2(), nullptr);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      const Status status = opened.value().ValidateInvariants();
+      EXPECT_EQ(status.code(), StatusCode::kCorruption) << c.what;
+      const std::string name = "object " + std::to_string(t.ids[c.entry]) +
+                               " at row " + std::to_string(c.entry) + ": " +
+                               c.what;
+      EXPECT_NE(status.message().find(name), std::string::npos)
+          << status.ToString() << " (want " << name << ")";
+    }
+  }
+  auto opened = flat::OpenTree(intact.data(), intact.size(), L2(), nullptr);
+  ASSERT_TRUE(opened.ok());
+  EXPECT_TRUE(opened.value().ValidateInvariants().ok());
+}
+
 TEST(FrozenV1ArenaTest, OpenRejectsBadLeafEntries) {
   const std::vector<std::uint8_t> intact = FrozenV1Arena();
   ASSERT_EQ(OpenCode(intact), StatusCode::kOk);
@@ -911,8 +982,8 @@ TEST(FrozenV1ArenaTest, OpenRejectsBadLeafEntries) {
             StatusCode::kCorruption);
 }
 
-/// Open upgrades a v1 arena into a v3 arena whose PATH slab holds count x
-/// path_length doubles per leaf. Leaves sharing entries, or entries sharing
+/// Open upgrades a v1 arena into a v4 arena whose PATH slab holds count x
+/// path_length values per leaf. Leaves sharing entries, or entries sharing
 /// one PATH slice, would let a few-MB hostile arena demand a slab of many
 /// GiB, so Open must reject them before upgrading.
 TEST(FrozenV1ArenaTest, OpenRejectsSharedEntriesAndPathSlices) {
@@ -996,7 +1067,7 @@ TEST(HostilePathCountTest, HugeHeaderPSearchesInBoundedMemory) {
   const std::vector<std::uint8_t>& intact = arenas[0];
   flat::FlatHeaderRec header;
   std::memcpy(&header, intact.data(), sizeof(header));
-  ASSERT_EQ(header.version, flat::kFlatVersionV3);
+  ASSERT_EQ(header.version, flat::kFlatVersionV4);
   std::vector<std::uint8_t> hostile = intact;
   header.num_path_distances = 0x7fffffff;
   std::memcpy(hostile.data(), &header, sizeof(header));
