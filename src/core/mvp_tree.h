@@ -50,24 +50,25 @@
 ///
 /// The tree keeps its structure in the layout of core/tree_layout.h —
 /// preorder node records, an m*m child slot table, one bounds pool and
-/// per-leaf id/D1/D2 columns with column-major PATH slabs: the very arrays
-/// a flat arena holds. Searches read the leaf distances as floats, at a
-/// radius that keeps every entry the double test would (tree_layout.h);
-/// a built or deserialized tree also keeps them in double for the MVPT
-/// stream (Serialize), and a tree over an arena has only the floats. A tree over dense vectors keeps its objects as one
-/// row-major slab of doubles, the rows of a flat arena's objects section,
-/// and evaluates them in place as metric::VectorView; any other object type
-/// is kept in a std::vector<Object> (ObjectStore). Either way the objects
-/// sit in the layout's row order, not by id: a leaf's entries are one
-/// contiguous block of rows, and the vantage points follow in node
-/// preorder, so a search reads every object at a position its node or leaf
-/// names. Build and Deserialize put their input into that order in place
+/// per-leaf id/D1/D2 columns with column-major PATH slabs: the very arrays a
+/// flat arena holds. Searches read the leaf distances as floats, at a radius
+/// that keeps every entry the double test would (tree_layout.h); a built or
+/// deserialized tree also keeps them in double for the MVPT stream
+/// (Serialize), and a tree over an arena has only the floats. A tree over
+/// dense vectors keeps its objects as one row-major slab of doubles, the
+/// rows of a flat arena's objects section, and evaluates them in place as
+/// metric::VectorView; any other object type is kept in a
+/// std::vector<Object> (ObjectStore). Either way the objects sit in the
+/// layout's row order, not by id: a leaf's entries are one contiguous block
+/// of rows, and the vantage points follow in node preorder, so a search
+/// reads every object at a position its node or leaf names. Build and
+/// Deserialize put their input into that order in place
 /// (core::PermuteInPlace) and give a tree its own arrays and rows; Borrow
 /// gives a vector tree a validated arena's (snapshot::flat::OpenTree), kept
-/// alive by a shared owner. Searches read one TreeArrays view either way,
-/// so there is one tree type and one code path. An id -> row map (4 bytes
-/// per object) serves object(id) outside search. Ids are u32, so a tree
-/// holds at most 2^32-1 objects.
+/// alive by a shared owner. Searches read one TreeArrays view either way, so
+/// there is one tree type and one code path. An id -> row map (4 bytes per
+/// object) serves object(id) outside search. Ids are u32, so a tree holds at
+/// most 2^32-1 objects.
 ///
 /// Template parameters mirror the paper's setting: any object domain with a
 /// metric distance function and nothing else.

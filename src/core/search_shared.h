@@ -88,10 +88,14 @@
 /// A leaf cursor has size(), id(i), row(i), the per-entry annulus test
 /// Passes(i, LeafQuery, r) used against k-NN's shrinking radius, for the
 /// Farthest direction the upper-bound test Reaches(i, LeafQuery, tau)
-/// (core::SoaLeaf's), and optionally a 64-wide range-mode mask Mask(base, n, LeafQuery, r) over
-/// all of the leaf's columns at once (core::SoaLeaf's, one fused
-/// metric::kernels::AnnulusMask call); a cursor without one
-/// (core::NodeTree's) is masked entry by entry.
+/// (core::SoaLeaf's), and optionally a 64-wide range-mode mask
+/// Mask(base, n, LeafQuery, r) over all of the leaf's columns at once
+/// (core::SoaLeaf's, one fused metric::kernels::AnnulusMask call); a
+/// cursor without one (core::NodeTree's) is masked entry by entry. The
+/// tests read the leaf's stored distances: core::NodeTree's in double,
+/// tested exactly, and the mvp-tree's as floats, tested at LeafRadius and
+/// LeafUpper (metric::kernels::ColumnRadius and ColumnUpper), which keep
+/// every entry the double tests keep.
 ///
 /// Gathered evaluation. A range search's radius is fixed, so it knows which
 /// distances it will need before it needs them: the vantage points of every

@@ -276,7 +276,7 @@ struct SoaLeafOf {
         k = 0;
       }
       centers[k] = center;
-      radii[k] = LeafRadius<float>(center, r);
+      radii[k] = metric::kernels::ColumnRadius(center, r);
       columns[k++] = column + base;
     };
     add(q.d[0], d1s);

@@ -11,9 +11,10 @@
 
 /// \file
 /// Flat-arena layout (a heap tree's arrays, a serialized MvpTree stream or
-/// a v1, v2 or v3 arena -> v4 arena) and untrusted-arena validation. Non-template
-/// code: the arena layout is object-type-specific (dense real vectors),
-/// which is what makes the in-place VectorView serving possible at all.
+/// a v1, v2 or v3 arena -> v4 arena) and untrusted-arena validation.
+/// Non-template code: the arena layout is object-type-specific (dense real
+/// vectors), which is what makes the in-place VectorView serving possible
+/// at all.
 
 namespace mvp::snapshot::flat {
 namespace {

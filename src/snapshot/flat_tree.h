@@ -201,12 +201,12 @@ struct FlatArenaParts {
 
 /// Parses + validates an arena (untrusted bytes): header sanity, section
 /// bounds, id ranges, PATH slices, preorder child links, depth cap, and
-/// from v3 on the vantage-point rows: each in [entry_count, object_count), and all
-/// of them tiling that range in node preorder. Every corrupt offset yields
-/// Corruption; a returned view is safe to traverse.
+/// from v3 on the vantage-point rows: each in [entry_count, object_count),
+/// and all of them tiling that range in node preorder. Every corrupt offset
+/// yields Corruption; a returned view is safe to traverse.
 /// It also rejects leaves that share entries, and in v1 entries that share
-/// PATH slices, so the work and output of UpgradeFlatArena and of
-/// serializing the opened tree stay proportional to the arena's size.
+/// PATH slices, so the work and output of UpgradeFlatArena and of laying
+/// the opened tree out again stay proportional to the arena's size.
 Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
                                       std::size_t size);
 

@@ -92,7 +92,8 @@ std::vector<Vector> PointsOnLines(std::size_t count, std::size_t dim,
 
 std::vector<Neighbor> Sorted(std::vector<Neighbor> hits,
                              bool farthest = false) {
-  std::sort(hits.begin(), hits.end(), farthest ? NeighborFarther : NeighborLess);
+  std::sort(hits.begin(), hits.end(),
+            farthest ? NeighborFarther : NeighborLess);
   return hits;
 }
 
