@@ -280,6 +280,7 @@ class MvpTree {
 
  public:
   using Options = MvpTreeOptions;
+  using Request = SearchRequest<Object>;
 
   /// Builds an mvp-tree over `objects`; ids are positions in the input.
   /// Returns InvalidArgument for unusable options, more than 2^32-1
@@ -345,66 +346,39 @@ class MvpTree {
   /// with the PATH[] query-distance array and leaf filtering.
   std::vector<Neighbor> RangeSearch(const Object& query, double radius,
                                     SearchStats* stats = nullptr) const {
-    std::vector<Neighbor> result;
-    SearchStats local;
-    RangeSearchInto(query, radius, &result, &local);
-    std::sort(result.begin(), result.end(), NeighborLess);
-    if (stats != nullptr) MergeSearchStats(stats, local);
-    return result;
-  }
-
-  /// RangeSearch appending unsorted hits into the caller-owned `*out` and
-  /// accounting into the caller-owned `*stats` as the search progresses.
-  /// Because both outlive an exception unwind, a search cancelled mid-way
-  /// (see serve/cancel.h) leaves in `*out` exactly the hits found so far —
-  /// each one a true member of the full answer, since every appended
-  /// neighbor passed the d(Q, Xi) <= r test with an exact metric value.
-  /// This is what the serving layer's partial-results harvest builds on.
-  void RangeSearchInto(const Object& query, double radius,
-                       std::vector<Neighbor>* out,
-                       SearchStats* stats = nullptr) const {
-    MVP_DCHECK(radius >= 0);
-    MVP_DCHECK(out != nullptr);
-    SearchStats local;
-    Traversal(Access(), query, stats != nullptr ? *stats : local)
-        .Range(radius, out);
+    return Answer(*this, Request{.object = query, .radius = radius}, stats);
   }
 
   /// The k nearest objects via shrinking-radius branch-and-bound; children
   /// are visited in order of their distance lower bound (combining both
   /// vantage points) and leaf points are pre-filtered through D1/D2/PATH,
-  /// so the mvp-tree's leaf-level filtering carries over to k-NN. Ids that
-  /// `exclude` names are never returned (core::Exclusion): the answer is
-  /// the k nearest among the rest.
+  /// so the mvp-tree's leaf-level filtering carries over to k-NN.
   std::vector<Neighbor> KnnSearch(const Object& query, std::size_t k,
-                                  SearchStats* stats = nullptr,
-                                  Exclusion exclude = {}) const {
-    std::vector<Neighbor> heap;
-    SearchStats local;
-    KnnSearchInto(query, k, &heap, &local, exclude);
-    std::sort_heap(heap.begin(), heap.end(), NeighborLess);
-    if (stats != nullptr) MergeSearchStats(stats, local);
-    return heap;
+                                  SearchStats* stats = nullptr) const {
+    return Answer(*this,
+                  Request{.kind = SearchKind::kKnn, .object = query, .k = k},
+                  stats);
   }
 
-  /// KnnSearch maintaining its candidate set in the caller-owned `*heap`
-  /// (a max-heap under NeighborLess; pass it empty) and accounting into the
-  /// caller-owned `*stats`. On a mid-search cancellation the heap holds the
-  /// best <= k neighbors among the points evaluated so far — a valid
-  /// degraded answer, though not necessarily the true top-k. Callers
-  /// sort (std::sort or std::sort_heap) before presenting. `bound` caps
-  /// the pruning radius at a k-th distance the caller already holds
-  /// (Traversal::Knn); candidates strictly farther may then be missing.
-  void KnnSearchInto(const Object& query, std::size_t k,
-                     std::vector<Neighbor>* heap,
-                     SearchStats* stats = nullptr,
-                     Exclusion exclude = {},
-                     double bound = std::numeric_limits<double>::infinity())
-      const {
-    MVP_DCHECK(heap != nullptr);
-    SearchStats local;
-    Traversal(Access(), query, stats != nullptr ? *stats : local)
-        .Knn(k, heap, exclude, bound);
+  /// The harvest form of both (core::SearchRequest), counting into
+  /// `context.stats` as it goes. A range search appends its hits to `*out`;
+  /// each is a true member of the full answer, since it passed the
+  /// d(Q, Xi) <= r test with an exact metric value. A k-NN search keeps its
+  /// candidates in `*out`, which must come in empty, as a max-heap under
+  /// NeighborLess; ids `request.exclude` names are never returned, and
+  /// `request.bound` caps the pruning radius (Traversal::Knn). So a search
+  /// cancelled mid-way (see serve/cancel.h) leaves in `*out` the hits, or
+  /// the best <= k candidates, found so far.
+  void Search(const Request& request, SearchContext& context,
+              std::vector<Neighbor>* out) const {
+    Traversal traversal(Access(), request.object, context.stats);
+    if (request.kind == SearchKind::kRange) {
+      MVP_DCHECK(request.radius >= 0);
+      traversal.Range(request.radius, out);
+    } else {
+      MVP_DCHECK(out->empty());
+      traversal.Knn(request.k, out, request.exclude, request.bound);
+    }
   }
 
   /// Budgeted (approximate) k-NN: identical to KnnSearch but stops after

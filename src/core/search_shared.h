@@ -132,6 +132,10 @@
 /// result, a count or a budget cut; tests/testdata/search_counts/
 /// knn_order.txt pins the order of k-NN's metric calls one by one.
 
+namespace mvp::serve {
+class ThreadPool;
+}  // namespace mvp::serve
+
 namespace mvp::core {
 
 /// Most vantage points one node may keep: GeneralizedMvpTree's bound on v,
@@ -170,6 +174,72 @@ struct Exclusion {
   }
   explicit operator bool() const { return excluded != nullptr; }
 };
+
+/// The two exact query types of §4.3.
+enum class SearchKind { kRange, kKnn };
+
+/// One exact query, as every index layer takes it: MvpTree, MvpForest,
+/// ShardedMvpIndex and DynamicOverlay each answer it in one
+/// `Search(request, context, out)`, which appends the answer to `*out`
+/// unsorted (a k-NN search over one tree or forest keeps its candidates
+/// there as a heap, so it needs `*out` empty). A search cut short by
+/// cancellation leaves in `*out` whatever it had found. Non-owning: the
+/// object must outlive the search. A layer that passes the query down
+/// copies the request and narrows `exclude` and `bound`, which only k-NN
+/// reads.
+template <typename Object>
+struct SearchRequest {
+  SearchKind kind = SearchKind::kRange;
+  const Object& object;
+  double radius = 0.0;  ///< kRange: closed-ball radius
+  std::size_t k = 0;    ///< kKnn: neighbor count
+  /// Ids, in the searched layer's id space, that must not be returned.
+  Exclusion exclude = {};
+  /// A k-th distance the caller already holds (Traversal::Knn): candidates
+  /// strictly farther may be missing from the answer.
+  double bound = std::numeric_limits<double>::infinity();
+};
+
+/// What a search carries besides its request: the counters it adds to, and
+/// the pool a sharded index may fan its shards out on (null: serially).
+struct SearchContext {
+  SearchStats stats = {};
+  serve::ThreadPool* pool = nullptr;
+};
+
+/// Puts an answer Search appended into presentation order: by NeighborLess,
+/// and a k-NN answer, which a composite layer hands back as the union of its
+/// parts' best k, trimmed to k.
+template <typename Object>
+void Present(const SearchRequest<Object>& request, std::vector<Neighbor>* out) {
+  std::sort(out->begin(), out->end(), NeighborLess);
+  if (request.kind == SearchKind::kKnn && out->size() > request.k) {
+    out->resize(request.k);
+  }
+}
+
+/// Runs `request` on `index` in `context` and returns the presented answer.
+template <typename Index, typename Object>
+std::vector<Neighbor> Answer(const Index& index,
+                             const SearchRequest<Object>& request,
+                             SearchContext& context) {
+  std::vector<Neighbor> out;
+  index.Search(request, context, &out);
+  Present(request, &out);
+  return out;
+}
+
+/// The same, unpooled, adding the search's counters to `*stats` when given.
+/// Every layer's RangeSearch and KnnSearch forward to it.
+template <typename Index, typename Object>
+std::vector<Neighbor> Answer(const Index& index,
+                             const SearchRequest<Object>& request,
+                             SearchStats* stats) {
+  SearchContext context;
+  std::vector<Neighbor> out = Answer(index, request, context);
+  if (stats != nullptr) MergeSearchStats(stats, context.stats);
+  return out;
+}
 
 /// Precomputed vantage-point distances of a node a gathering range search
 /// enters: the root's, or a child's evaluated with its siblings' in one

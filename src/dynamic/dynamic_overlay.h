@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -94,6 +93,7 @@ class DynamicOverlay {
  public:
   using Memtable = MvpForest<Object, Metric>;
   using BaseIndex = serve::ShardedMvpIndex<Object, Metric>;
+  using Request = core::SearchRequest<Object>;
 
   struct Options {
     /// Memtable (Bentley-Saxe forest) parameters.
@@ -205,95 +205,77 @@ class DynamicOverlay {
   std::vector<Neighbor> RangeSearch(const Object& query, double radius,
                                     SearchStats* stats = nullptr) const
       MVP_EXCLUDES(mu_) {
-    std::vector<Neighbor> result;
-    RangeSearchInto(query, radius, &result, stats);
-    std::sort(result.begin(), result.end(), NeighborLess);
-    return result;
+    return core::Answer(*this, Request{.object = query, .radius = radius},
+                        stats);
   }
 
-  /// The k nearest live objects, same order contract as RangeSearch. The
-  /// base is asked for exactly k and skips its tombstoned objects inside
-  /// the traversal (core::Exclusion), so no erased object costs a distance
-  /// computation unless it is a vantage point on the search path.
+  /// The k nearest live objects, same order contract as RangeSearch.
   std::vector<Neighbor> KnnSearch(const Object& query, std::size_t k,
                                   SearchStats* stats = nullptr) const
       MVP_EXCLUDES(mu_) {
-    std::vector<Neighbor> merged;
-    KnnSearchInto(query, k, &merged, stats);
-    std::sort(merged.begin(), merged.end(), NeighborLess);
-    if (merged.size() > k) merged.resize(k);
-    return merged;
+    return core::Answer(
+        *this, Request{.kind = core::SearchKind::kKnn, .object = query, .k = k},
+        stats);
   }
 
-  /// RangeSearch appending unsorted hits (stable ids) into the caller-owned
-  /// `*out` — the serve::RunBatch harvest interface, so mutable collections
-  /// degrade under deadlines exactly like static ones. On a mid-search
-  /// cancellation everything the base found before the cut is
-  /// tombstone-filtered, translated and appended (each hit passed the exact
-  /// d <= r test, so the harvest is a true subset of the live answer)
-  /// before CancelledError is rethrown; the memtable is skipped — its
-  /// deadline is already blown. Memtable distance evaluations are not
-  /// cancellation points (the forest runs the raw metric); base shards are,
-  /// which is where the index-proportional work lives.
-  void RangeSearchInto(const Object& query, double radius,
-                       std::vector<Neighbor>* out,
-                       SearchStats* stats = nullptr) const MVP_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    bool cancelled = false;
-    if (base_.has_value()) {
-      std::vector<Neighbor> base_hits;
-      try {
-        base_->RangeSearchInto(query, radius, &base_hits, stats);
-      } catch (const serve::CancelledError&) {
-        cancelled = true;
-      }
-      AppendBaseHitsLocked(base_hits, out);
-    }
-    if (!cancelled) {
-      AppendMemtableHitsLocked(memtable_.RangeSearch(query, radius, stats),
-                               out);
-    }
-    if (cancelled) throw serve::CancelledError();
-  }
-
-  /// KnnSearch's harvest interface: appends the base's best k live
-  /// candidates (tombstones are excluded inside the traversal) plus the
-  /// memtable's, all unsorted — the caller sorts and trims to k, landing on
-  /// exactly the KnnSearch result. The memtable search is capped at the
+  /// The harvest form of both (core::SearchRequest), the serve::RunBatch
+  /// door, so mutable collections degrade under deadlines exactly like
+  /// static ones. Appends, unsorted and in stable ids, the base's answer
+  /// and then the memtable's. Range hits from the base are filtered through
+  /// the tombstones. A k-NN search asks the base for exactly k and has it
+  /// skip its tombstoned objects inside the traversal (core::Exclusion), so
+  /// no erased object costs a distance computation unless it is a vantage
+  /// point on the search path; the memtable search is then capped at the
   /// base answer's k-th distance, so it skips only candidates strictly
-  /// worse than k live base objects. On cancellation the candidates
-  /// evaluated so far are appended before the rethrow, same contract as
-  /// the sharded index.
-  void KnnSearchInto(const Object& query, std::size_t k,
-                     std::vector<Neighbor>* out,
-                     SearchStats* stats = nullptr) const MVP_EXCLUDES(mu_) {
+  /// worse than k live base objects. The union holds up to 2k candidates,
+  /// which core::Present trims to k.
+  ///
+  /// The base runs without `context.pool`: this search holds mu_, and a
+  /// pooled shard fan-out waits in ThreadPool::RunOne, which may pick up
+  /// another overlay query that would then lock mu_ on the same thread.
+  ///
+  /// On a mid-search cancellation everything the base found before the cut
+  /// is filtered, translated and appended before CancelledError is
+  /// rethrown (range hits passed the exact d <= r test, so they are a true
+  /// subset of the live answer; k-NN candidates are the best among the
+  /// points evaluated so far); the memtable is skipped — its deadline is
+  /// already blown. Memtable distance evaluations are not cancellation
+  /// points (the forest runs the raw metric); base shards are, which is
+  /// where the index-proportional work lives.
+  void Search(const Request& request, core::SearchContext& context,
+              std::vector<Neighbor>* out) const MVP_EXCLUDES(mu_) {
+    MVP_DCHECK(!request.exclude);  // the tombstones are the exclusion
     MutexLock lock(&mu_);
-    bool cancelled = false;
-    double bound = std::numeric_limits<double>::infinity();
+    const bool knn = request.kind == core::SearchKind::kKnn;
+    Request memtable_request = request;
     if (base_.has_value()) {
-      std::vector<Neighbor> base_hits;
       const std::vector<bool>& erased = base_erased_;
       const auto is_erased = [&erased](std::size_t g) { return erased[g]; };
-      const core::Exclusion exclude = tombstone_count_ == 0
-                                          ? core::Exclusion{}
-                                          : core::Exclusion::Of(is_erased);
+      Request base_request = request;
+      if (knn && tombstone_count_ > 0) {
+        base_request.exclude = core::Exclusion::Of(is_erased);
+      }
+      core::SearchContext base_context;  // no pool: see above
+      std::vector<Neighbor> base_hits;
+      bool cancelled = false;
       try {
-        base_->KnnSearchInto(query, k, &base_hits, stats, nullptr, exclude);
+        base_->Search(base_request, base_context, &base_hits);
       } catch (const serve::CancelledError&) {
         cancelled = true;
       }
-      if (k > 0 && base_hits.size() >= k) {
-        bound = std::max_element(base_hits.begin(), base_hits.end(),
-                                 NeighborLess)
-                    ->distance;
+      MergeSearchStats(&context.stats, base_context.stats);
+      if (knn && request.k > 0 && base_hits.size() >= request.k) {
+        memtable_request.bound =
+            std::max_element(base_hits.begin(), base_hits.end(),
+                             NeighborLess)
+                ->distance;
       }
       AppendBaseHitsLocked(base_hits, out);
+      if (cancelled) throw serve::CancelledError();
     }
-    if (!cancelled) {
-      AppendMemtableHitsLocked(memtable_.KnnSearch(query, k, stats, bound),
-                               out);
-    }
-    if (cancelled) throw serve::CancelledError();
+    std::vector<Neighbor> memtable_hits;
+    memtable_.Search(memtable_request, context, &memtable_hits);
+    AppendMemtableHitsLocked(memtable_hits, out);
   }
 
   std::size_t size() const MVP_EXCLUDES(mu_) {

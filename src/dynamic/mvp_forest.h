@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -47,6 +46,7 @@ template <typename Object, metric::MetricFor<Object> Metric>
 class MvpForest {
  public:
   using Tree = core::MvpTree<Object, Metric>;
+  using Request = core::SearchRequest<Object>;
 
   struct Options {
     /// Static-tree construction parameters (see core::MvpTree).
@@ -108,56 +108,69 @@ class MvpForest {
   /// id (stable insert ids).
   std::vector<Neighbor> RangeSearch(const Object& query, double radius,
                                     SearchStats* stats = nullptr) const {
-    std::vector<Neighbor> result;
-    for (const auto& entry : buffer_) {
-      const double d = metric_(query, entry.object);
-      if (stats != nullptr) ++stats->distance_computations;
-      if (d <= radius) result.push_back(Neighbor{entry.id, d});
-    }
-    for (const auto& level : levels_) {
-      if (!level.has_value()) continue;
-      for (const auto& hit : level->tree->RangeSearch(query, radius, stats)) {
-        const std::size_t id = level->ids[hit.id];
-        if (state_[id] == kLive) result.push_back(Neighbor{id, hit.distance});
-      }
-    }
-    std::sort(result.begin(), result.end(), NeighborLess);
-    return result;
+    return core::Answer(*this, Request{.object = query, .radius = radius},
+                        stats);
   }
 
-  /// The k nearest live objects. The buffer is scanned first, then each
-  /// level's tree is searched capped at the running k-th best (and at
-  /// `bound`, a k-th distance the caller already holds, as DynamicOverlay
-  /// does with its base answer): candidates strictly farther than the cap
-  /// cannot make the caller's answer, so they may be missing from this one.
-  std::vector<Neighbor> KnnSearch(
-      const Object& query, std::size_t k, SearchStats* stats = nullptr,
-      double bound = std::numeric_limits<double>::infinity()) const {
-    std::vector<Neighbor> best;  // max-heap under NeighborLess
-    for (const auto& entry : buffer_) {
-      const double d = metric_(query, entry.object);
-      if (stats != nullptr) ++stats->distance_computations;
-      if (k > 0) KnnOffer(best, k, Neighbor{entry.id, d});
+  /// The k nearest live objects, in the same order.
+  std::vector<Neighbor> KnnSearch(const Object& query, std::size_t k,
+                                  SearchStats* stats = nullptr) const {
+    return core::Answer(
+        *this, Request{.kind = core::SearchKind::kKnn, .object = query, .k = k},
+        stats);
+  }
+
+  /// The harvest form of both (core::SearchRequest), in stable ids. The
+  /// buffer is scanned first, then each level's tree is searched. Range
+  /// hits are appended to `*out` after the tombstone filter. k-NN keeps its
+  /// candidates in `*out`, which must come in empty, as a max-heap under
+  /// NeighborLess, and caps each level at the running k-th best and at
+  /// `request.bound`, a k-th distance the caller already holds (as
+  /// DynamicOverlay does with its base answer): candidates strictly farther
+  /// than the cap cannot make the caller's answer, so they may be missing
+  /// from this one. The tombstones are the forest's exclusion, so
+  /// `request.exclude` must be empty.
+  void Search(const Request& request, core::SearchContext& context,
+              std::vector<Neighbor>* out) const {
+    MVP_DCHECK(!request.exclude);
+    const bool knn = request.kind == core::SearchKind::kKnn;
+    if (knn) {
+      MVP_DCHECK(out->empty());
+      if (request.k == 0) return;
     }
-    if (k == 0) return best;
+    for (const auto& entry : buffer_) {
+      const double d = metric_(request.object, entry.object);
+      ++context.stats.distance_computations;
+      if (knn) {
+        KnnOffer(*out, request.k, Neighbor{entry.id, d});
+      } else if (d <= request.radius) {
+        out->push_back(Neighbor{entry.id, d});
+      }
+    }
     std::vector<Neighbor> found;
     for (const auto& level : levels_) {
       if (!level.has_value()) continue;
-      // The level's tree skips its deleted points inside the traversal
-      // (core::Exclusion), so it returns its k nearest live points.
+      // A k-NN search skips the level's deleted points inside the traversal
+      // (core::Exclusion), so it returns the level's k nearest live points.
       const auto deleted = [&](std::size_t local) {
         return state_[level->ids[local]] == kDeleted;
       };
+      Request level_request = request;
+      if (knn) {
+        level_request.exclude = core::Exclusion::Of(deleted);
+        level_request.bound = std::min(request.bound, KnnTau(*out, request.k));
+      }
       found.clear();
-      level->tree->KnnSearchInto(query, k, &found, stats,
-                                 core::Exclusion::Of(deleted),
-                                 std::min(bound, KnnTau(best, k)));
+      level->tree->Search(level_request, context, &found);
       for (const Neighbor& hit : found) {
-        KnnOffer(best, k, Neighbor{level->ids[hit.id], hit.distance});
+        const Neighbor stable{level->ids[hit.id], hit.distance};
+        if (knn) {
+          KnnOffer(*out, request.k, stable);
+        } else if (state_[stable.id] == kLive) {
+          out->push_back(stable);
+        }
       }
     }
-    std::sort_heap(best.begin(), best.end(), NeighborLess);
-    return best;
   }
 
   std::size_t size() const { return live_count_; }

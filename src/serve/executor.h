@@ -14,6 +14,7 @@
 
 #include "common/query.h"
 #include "common/status.h"
+#include "core/search_shared.h"
 #include "metric/counting.h"
 #include "serve/admission.h"
 #include "serve/cancel.h"
@@ -35,11 +36,11 @@
 ///    whose deadline expires mid-search is cancelled cooperatively at the
 ///    next distance computation (see serve/cancel.h).
 ///  * Graceful degradation: a cancelled query does not discard the work it
-///    already paid for: the neighbors the `*SearchInto` harvest interface
-///    found before the cut are returned with `QueryOutcome::partial ==
-///    true` and status DeadlineExceeded. Range partials are a true subset
-///    of the full answer (every hit passed the exact d <= r test); k-NN
-///    partials are the best candidates among the points evaluated so far.
+///    already paid for: the neighbors the index's Search had appended
+///    before the cut are returned with `QueryOutcome::partial == true` and
+///    status DeadlineExceeded. Range partials are a true subset of the full
+///    answer (every hit passed the exact d <= r test); k-NN partials are
+///    the best candidates among the points evaluated so far.
 ///    A per-query `max_distance_computations` budget degrades the same way.
 ///  * Load shedding: with `ExecutorOptions::admission` set, each query asks
 ///    the AdmissionController before being submitted; refused queries get
@@ -60,14 +61,18 @@
 ///    that worked on it. Outcomes are optionally folded into a shared
 ///    `ServeStats` (ok / partial / deadline_exceeded / shed).
 ///
-/// The index must provide the `*SearchInto` harvest interface:
-/// `RangeSearchInto(query, radius, out, stats)` and `KnnSearchInto(query,
-/// k, out, stats)`, each optionally followed by a shard pool — MvpTree,
-/// ShardedMvpIndex and DynamicOverlay do. Mid-search cancellation requires
-/// the index's distance evaluations to be cancellation points, which
-/// ShardedMvpIndex guarantees (its shards are built over CancelChecked
-/// metrics); an index without them only honours deadlines at query start,
-/// not mid-search.
+/// Each query becomes one core::SearchRequest, which the index answers in
+/// `Search(request, context, out)` — MvpTree, ShardedMvpIndex and
+/// DynamicOverlay do — appending unsorted into the outcome, where it stays
+/// if the search is cancelled; core::Present then sorts it and trims a k-NN
+/// answer to k. With `ExecutorOptions::parallel_shards` the context carries
+/// the pool into a sharded index; a DynamicOverlay still searches its base
+/// serially, since it searches under its lock and a pooled fan-out may run
+/// another query on the same overlay while it waits. Mid-search
+/// cancellation requires the index's distance evaluations to be
+/// cancellation points, which ShardedMvpIndex guarantees (its shards are
+/// built over CancelChecked metrics); an index without them only honours
+/// deadlines at query start, not mid-search.
 ///
 /// Thread-safety analysis: RunBatch owns all cross-thread state either
 /// per-task (each worker touches only its own QueryOutcome slot) or as a
@@ -80,7 +85,7 @@ namespace mvp::serve {
 /// Work item for RunBatch.
 template <typename Object>
 struct BatchQuery {
-  enum class Kind { kRange, kKnn };
+  using Kind = core::SearchKind;
 
   Kind kind = Kind::kRange;
   Object object{};
@@ -121,12 +126,15 @@ struct QueryOutcome {
 };
 
 struct ExecutorOptions {
-  /// Also fan each query out across the shards of its index
-  /// (ShardedMvpIndex only): a range query over the shards its ball meets,
-  /// a k-NN query over its second wave of shards (the shells the nearest
-  /// shell's k-th distance does not exclude). Lowers single-query latency
-  /// and computes the same distances as without it; for batch throughput
-  /// the query-level parallelism is usually enough and cheaper.
+  /// Also fan each query out across the shards of its index, through
+  /// core::SearchContext::pool: a range query over the shards its ball
+  /// meets, a k-NN query over its second wave of shards (the shells the
+  /// nearest shell's k-th distance does not exclude). Lowers single-query
+  /// latency and computes the same distances as without it; for batch
+  /// throughput the query-level parallelism is usually enough and cheaper.
+  /// A DynamicOverlay searches its base unpooled all the same: it holds its
+  /// lock while it searches, and a pooled fan-out waits by running other
+  /// queued tasks, one of which may be another query on the same overlay.
   bool parallel_shards = false;
   /// When set, every query must be admitted before it runs; refusals come
   /// back as ResourceExhausted outcomes. The controller is the caller's —
@@ -177,32 +185,6 @@ Status ValidateQuery(const Index& index, const BatchQuery<Object>& query) {
   return Status::OK();
 }
 
-/// Invokes the index's `*SearchInto` harvest interface (results survive a
-/// cancellation unwind in `*out`, unsorted). An index whose `*SearchInto`
-/// takes the shard pool gets it (ShardedMvpIndex); one whose does not
-/// (MvpTree, DynamicOverlay) runs unpooled.
-template <typename Index, typename Object>
-void SearchInto(const Index& index, const BatchQuery<Object>& query,
-                std::vector<Neighbor>* out, SearchStats* stats,
-                ThreadPool* shard_pool) {
-  using Kind = typename BatchQuery<Object>::Kind;
-  if constexpr (requires {
-                  index.RangeSearchInto(query.object, query.radius, out,
-                                        stats, shard_pool);
-                }) {
-    if (query.kind == Kind::kRange) {
-      index.RangeSearchInto(query.object, query.radius, out, stats,
-                            shard_pool);
-    } else {
-      index.KnnSearchInto(query.object, query.k, out, stats, shard_pool);
-    }
-  } else if (query.kind == Kind::kRange) {
-    index.RangeSearchInto(query.object, query.radius, out, stats);
-  } else {
-    index.KnnSearchInto(query.object, query.k, out, stats);
-  }
-}
-
 }  // namespace internal
 
 /// Executes `queries` against `index`, in parallel on `pool` (serially on
@@ -229,13 +211,17 @@ std::vector<QueryOutcome> RunBatch(const Index& index,
 
   auto run_one = [&](std::size_t i) {
     const BatchQuery<Object>& query = queries[i];
+    const core::SearchRequest<Object> request{.kind = query.kind,
+                                              .object = query.object,
+                                              .radius = query.radius,
+                                              .k = query.k};
     QueryOutcome& out = outcomes[i];
     const ServeClock::time_point deadline =
         internal::DeadlineFrom(start, query.timeout);
     const std::uint64_t budget = query.max_distance_computations;
     metric::AtomicDistanceCounter counter;
     CancelToken token;
-    SearchStats search_stats;
+    core::SearchContext context{.pool = shard_pool};
     const ServeClock::time_point work_start = ServeClock::now();
     Status valid = internal::ValidateQuery(index, query);
     if (!valid.ok()) {
@@ -245,8 +231,7 @@ std::vector<QueryOutcome> RunBatch(const Index& index,
     } else {
       try {
         CancelScope scope(&counter, &token, deadline, budget);
-        internal::SearchInto(index, query, &out.neighbors, &search_stats,
-                             shard_pool);
+        index.Search(request, context, &out.neighbors);
         out.status = Status::OK();
       } catch (const CancelledError&) {
         // The scope (and any shard scopes) flushed into `counter` during
@@ -261,21 +246,14 @@ std::vector<QueryOutcome> RunBatch(const Index& index,
           out.status = Status::DeadlineExceeded("deadline expired mid-search");
         }
       }
-      // Harvested hits arrive unsorted (and an overlay's k-NN as a union of
-      // base and memtable candidates); normalize to the library-wide
-      // presentation order.
-      std::sort(out.neighbors.begin(), out.neighbors.end(), NeighborLess);
-      if (query.kind == BatchQuery<Object>::Kind::kKnn &&
-          out.neighbors.size() > query.k) {
-        out.neighbors.resize(query.k);
-      }
+      core::Present(request, &out.neighbors);
     }
     // Indexes without cancellation points report through SearchStats
     // instead of the counter; on the success path of a CancelChecked index
     // the two agree exactly.
     out.distance_computations =
-        std::max(counter.count(), search_stats.distance_computations);
-    out.search = search_stats;
+        std::max(counter.count(), context.stats.distance_computations);
+    out.search = context.stats;
     out.search.distance_computations = out.distance_computations;
     if (options.admission != nullptr) {
       options.admission->Complete(ServeClock::now() - work_start);

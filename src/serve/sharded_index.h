@@ -82,6 +82,7 @@ class ShardedMvpIndex {
 
  public:
   using Tree = core::MvpTree<Object, CancelChecked<Metric>>;
+  using Request = core::SearchRequest<Object>;
 
   struct Options {
     /// Number of independent mvp-trees the data is partitioned over.
@@ -237,129 +238,47 @@ class ShardedMvpIndex {
   }
 
   /// All objects within `radius` of `query` (closed ball), sorted by
-  /// distance then global id — exactly a linear scan's result. With a pool,
-  /// the shards whose shells meet the query ball are searched in parallel
-  /// (the calling thread helps).
+  /// distance then global id — exactly a linear scan's result.
   std::vector<Neighbor> RangeSearch(const Object& query, double radius,
-                                    SearchStats* stats = nullptr,
-                                    ThreadPool* pool = nullptr) const {
-    std::vector<Neighbor> merged;
-    RangeSearchInto(query, radius, &merged, stats, pool);
-    std::sort(merged.begin(), merged.end(), NeighborLess);
-    return merged;
-  }
-
-  /// RangeSearch appending unsorted hits (global ids) into the caller-owned
-  /// `*out`. On a mid-search cancellation, everything every shard had found
-  /// by then — including shards that were interrupted — is harvested into
-  /// `*out` and accounted into `*stats` before CancelledError is rethrown,
-  /// so the executor can serve the partial answer. Every harvested hit is a
-  /// true member of the full answer (it passed the exact d <= r test).
-  void RangeSearchInto(const Object& query, double radius,
-                       std::vector<Neighbor>* out,
-                       SearchStats* stats = nullptr,
-                       ThreadPool* pool = nullptr) const {
-    MVP_DCHECK(out != nullptr);
-    const double d0 = VantageDistance(query, stats);
-    std::vector<std::size_t> visit;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const Shell& shell = shards_[s].shell;
-      if (core::ShellIntersects(d0, radius, shell.lo, shell.hi)) {
-        visit.push_back(s);
-      }
-    }
-    std::vector<std::vector<Neighbor>> hits(visit.size());
-    std::vector<SearchStats> shard_stats(visit.size());
-    const bool cancelled = ForEachShard(
-        visit.size(), pool, [&](std::size_t i) {
-          const std::size_t s = visit[i];
-          shards_[s].tree.RangeSearchInto(query, radius, &hits[i],
-                                          &shard_stats[i]);
-        });
-    std::size_t total = 0;
-    for (const auto& h : hits) total += h.size();
-    out->reserve(out->size() + total);
-    for (std::size_t i = 0; i < visit.size(); ++i) {
-      const Shard& shard = shards_[visit[i]];
-      for (const Neighbor& n : hits[i]) {
-        out->push_back(Neighbor{shard.ids[n.id], n.distance});
-      }
-      if (stats != nullptr) MergeSearchStats(stats, shard_stats[i]);
-    }
-    if (cancelled) throw CancelledError();
+                                    SearchStats* stats = nullptr) const {
+    return core::Answer(*this, Request{.object = query, .radius = radius},
+                        stats);
   }
 
   /// The k nearest objects, sorted by distance then global id — exactly a
-  /// linear scan's result. `exclude` names GLOBAL ids that must not be
-  /// returned (core::Exclusion); the answer is then the k nearest among the
-  /// rest. With a pool, the second wave of shards (see KnnSearchInto) is
-  /// searched in parallel, and `exclude` may be called from pool threads.
+  /// linear scan's result.
   std::vector<Neighbor> KnnSearch(const Object& query, std::size_t k,
-                                  SearchStats* stats = nullptr,
-                                  ThreadPool* pool = nullptr,
-                                  core::Exclusion exclude = {}) const {
-    std::vector<Neighbor> merged;
-    KnnSearchInto(query, k, &merged, stats, pool, exclude);
-    std::sort(merged.begin(), merged.end(), NeighborLess);
-    return merged;
+                                  SearchStats* stats = nullptr) const {
+    return core::Answer(
+        *this, Request{.kind = core::SearchKind::kKnn, .object = query, .k = k},
+        stats);
   }
 
-  /// KnnSearch appending its (unsorted) best <= k into the caller-owned
-  /// `*out`, in two waves over the shards ranked by their shells' lower
-  /// bound max(0, lo - d0, d0 - hi):
-  ///   1. the nearest shell, unbounded, which yields a k-th distance tau;
+  /// The harvest form of both (core::SearchRequest): appends the answer,
+  /// unsorted and in global ids, to `*out` and its counts to
+  /// `context.stats`. A range search visits the shards whose shells meet
+  /// the query ball. A k-NN search ranks the shards by their shells' lower
+  /// bound max(0, lo - d0, d0 - hi) and searches them in two waves into
+  /// one heap:
+  ///   1. the nearest shell, capped at `request.bound`, which yields a k-th
+  ///      distance tau;
   ///   2. every other shell whose lower bound is not above tau, each capped
-  ///      at tau — side by side on `pool` when one is given.
+  ///      at it.
   /// Shells with a lower bound above tau hold no answer (pruning is strict,
-  /// so ties survive). The schedule does not depend on `pool`, so pooled
-  /// and serial searches compute exactly the same distances. On
-  /// cancellation the best candidates among the points evaluated so far (a
-  /// valid degraded answer; not necessarily the true top-k), including
-  /// what interrupted shards had found, are appended before CancelledError
-  /// is rethrown. `exclude` names global ids, as in KnnSearch.
-  void KnnSearchInto(const Object& query, std::size_t k,
-                     std::vector<Neighbor>* out, SearchStats* stats = nullptr,
-                     ThreadPool* pool = nullptr,
-                     core::Exclusion exclude = {}) const {
-    MVP_DCHECK(out != nullptr);
-    if (k == 0) return;
-    const double d0 = VantageDistance(query, stats);
-    std::vector<std::pair<double, std::size_t>> order;  // (lower bound, s)
-    order.reserve(shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const Shell& shell = shards_[s].shell;
-      order.emplace_back(std::max({0.0, shell.lo - d0, d0 - shell.hi}), s);
-    }
-    std::sort(order.begin(), order.end());
-
-    std::vector<Neighbor> best;  // max-heap of global ids under NeighborLess
-    // Searches order[first, last) capped at `tau` and merges the hits into
-    // `best` and the counts into `*stats`; returns whether it was cancelled.
-    const auto wave = [&](std::size_t first, std::size_t last, double tau) {
-      std::vector<std::vector<Neighbor>> found(last - first);  // local ids
-      std::vector<SearchStats> shard_stats(last - first);
-      const bool cancelled =
-          ForEachShard(last - first, pool, [&](std::size_t i) {
-            ShardKnn(order[first + i].second, query, k, tau, exclude,
-                     &found[i], &shard_stats[i]);
-          });
-      for (std::size_t i = 0; i < found.size(); ++i) {
-        const Shard& shard = shards_[order[first + i].second];
-        for (const Neighbor& n : found[i]) {
-          KnnOffer(best, k, Neighbor{shard.ids[n.id], n.distance});
-        }
-        if (stats != nullptr) MergeSearchStats(stats, shard_stats[i]);
-      }
-      return cancelled;
-    };
-    bool cancelled = wave(0, std::min<std::size_t>(1, order.size()), kInfinity);
-    if (!cancelled && order.size() > 1) {
-      const double tau = KnnTau(best, k);
-      std::size_t last = 1;
-      while (last < order.size() && order[last].first <= tau) ++last;
-      cancelled = wave(1, last, tau);
-    }
-    out->insert(out->end(), best.begin(), best.end());
+  /// so ties survive). `request.exclude` names global ids, and may be
+  /// called from pool threads. With `context.pool`, the range shards and
+  /// the second wave run side by side; the schedule does not depend on the
+  /// pool, so pooled and serial searches compute exactly the same
+  /// distances. On a mid-search cancellation, everything every shard had
+  /// found by then — including shards that were interrupted — is appended
+  /// and counted before CancelledError is rethrown, so the executor can
+  /// serve the partial answer: range hits are true members of the full
+  /// answer, k-NN candidates the best among the points evaluated so far.
+  void Search(const Request& request, core::SearchContext& context,
+              std::vector<Neighbor>* out) const {
+    const bool cancelled = request.kind == core::SearchKind::kRange
+                               ? SearchRange(request, context, out)
+                               : SearchKnn(request, context, out);
     if (cancelled) throw CancelledError();
   }
 
@@ -515,13 +434,13 @@ class ShardedMvpIndex {
   }
 
   /// d(q, v), evaluated through the vantage shard's CancelChecked metric
-  /// and counted in `*stats`; 0 when the index has no v (its shells are
-  /// then unbounded, so every shard is visited).
-  double VantageDistance(const Object& query, SearchStats* stats) const {
+  /// and counted in `stats`; 0 when the index has no v (its shells are then
+  /// unbounded, so every shard is visited).
+  double VantageDistance(const Object& query, SearchStats& stats) const {
     if (!vantage_.has_value()) return 0.0;
     const Tree& tree = shards_[vantage_->first].tree;
     const double d = tree.metric()(query, tree.object_at_row(vantage_row_));
-    if (stats != nullptr) ++stats->distance_computations;
+    ++stats.distance_computations;
     return d;
   }
 
@@ -600,18 +519,99 @@ class ShardedMvpIndex {
     vantage_row_ = shards_[s].tree.row_of(local);
   }
 
-  /// Shard s's k nearest to `query` (local ids) appended to `*found`, with
-  /// every candidate farther than `tau` pruned; `exclude` names global ids.
-  void ShardKnn(std::size_t s, const Object& query, std::size_t k, double tau,
-                const core::Exclusion& exclude, std::vector<Neighbor>* found,
-                SearchStats* stats) const {
+  /// SearchRange and SearchKnn append to `*out` and return whether a shard
+  /// was cancelled.
+  bool SearchRange(const Request& request, core::SearchContext& context,
+                   std::vector<Neighbor>* out) const {
+    const double d0 = VantageDistance(request.object, context.stats);
+    std::vector<std::size_t> visit;
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      const Shell& shell = shards_[s].shell;
+      if (core::ShellIntersects(d0, request.radius, shell.lo, shell.hi)) {
+        visit.push_back(s);
+      }
+    }
+    std::vector<std::vector<Neighbor>> hits(visit.size());
+    std::vector<core::SearchContext> shard_contexts(visit.size());
+    const bool cancelled =
+        ForEachShard(visit.size(), context.pool, [&](std::size_t i) {
+          shards_[visit[i]].tree.Search(request, shard_contexts[i], &hits[i]);
+        });
+    std::size_t total = 0;
+    for (const auto& h : hits) total += h.size();
+    out->reserve(out->size() + total);
+    for (std::size_t i = 0; i < visit.size(); ++i) {
+      const Shard& shard = shards_[visit[i]];
+      for (const Neighbor& n : hits[i]) {
+        out->push_back(Neighbor{shard.ids[n.id], n.distance});
+      }
+      MergeSearchStats(&context.stats, shard_contexts[i].stats);
+    }
+    return cancelled;
+  }
+
+  bool SearchKnn(const Request& request, core::SearchContext& context,
+                 std::vector<Neighbor>* out) const {
+    const std::size_t k = request.k;
+    if (k == 0) return false;
+    const double d0 = VantageDistance(request.object, context.stats);
+    std::vector<std::pair<double, std::size_t>> order;  // (lower bound, s)
+    order.reserve(shards_.size());
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      const Shell& shell = shards_[s].shell;
+      order.emplace_back(std::max({0.0, shell.lo - d0, d0 - shell.hi}), s);
+    }
+    std::sort(order.begin(), order.end());
+
+    std::vector<Neighbor> best;  // max-heap of global ids under NeighborLess
+    // Searches order[first, last) capped at `tau` and merges the hits into
+    // `best` and the counts into the context; returns whether it was
+    // cancelled.
+    const auto wave = [&](std::size_t first, std::size_t last, double tau) {
+      std::vector<std::vector<Neighbor>> found(last - first);  // local ids
+      std::vector<core::SearchContext> shard_contexts(last - first);
+      const bool cancelled =
+          ForEachShard(last - first, context.pool, [&](std::size_t i) {
+            ShardKnn(order[first + i].second, request, tau, shard_contexts[i],
+                     &found[i]);
+          });
+      for (std::size_t i = 0; i < found.size(); ++i) {
+        const Shard& shard = shards_[order[first + i].second];
+        for (const Neighbor& n : found[i]) {
+          KnnOffer(best, k, Neighbor{shard.ids[n.id], n.distance});
+        }
+        MergeSearchStats(&context.stats, shard_contexts[i].stats);
+      }
+      return cancelled;
+    };
+    bool cancelled =
+        wave(0, std::min<std::size_t>(1, order.size()), request.bound);
+    if (!cancelled && order.size() > 1) {
+      const double tau = std::min(request.bound, KnnTau(best, k));
+      std::size_t last = 1;
+      while (last < order.size() && order[last].first <= tau) ++last;
+      cancelled = wave(1, last, tau);
+    }
+    out->insert(out->end(), best.begin(), best.end());
+    return cancelled;
+  }
+
+  /// Shard s's k nearest (local ids) appended to `*found`, with every
+  /// candidate farther than `tau` pruned; `request.exclude` names global
+  /// ids.
+  void ShardKnn(std::size_t s, const Request& request, double tau,
+                core::SearchContext& context,
+                std::vector<Neighbor>* found) const {
     const Shard& shard = shards_[s];
     const auto excluded_local = [&](std::size_t local_id) {
-      return exclude(shard.ids[local_id]);
+      return request.exclude(shard.ids[local_id]);
     };
-    const core::Exclusion shard_exclude =
-        exclude ? core::Exclusion::Of(excluded_local) : core::Exclusion{};
-    shard.tree.KnnSearchInto(query, k, found, stats, shard_exclude, tau);
+    Request shard_request = request;
+    if (request.exclude) {
+      shard_request.exclude = core::Exclusion::Of(excluded_local);
+    }
+    shard_request.bound = tau;
+    shard.tree.Search(shard_request, context, found);
   }
 
   /// Runs `search(i)` for i in [0, count): serially, or in parallel on

@@ -242,8 +242,13 @@ class DynamicOverlayTest : public ::testing::Test {
       const auto hits = overlay.KnnSearch(queries[q], kK, &stats);
       ExpectSameHits(hits, before_hits[q], "far-erase q" + std::to_string(q));
       SearchStats want;
-      direct.value().KnnSearch(queries[q], kK, &want, nullptr,
-                               core::Exclusion::Of(is_far));
+      core::Answer(direct.value(),
+                   core::SearchRequest<Vec>{.kind = core::SearchKind::kKnn,
+                                            .object = queries[q],
+                                            .k = kK,
+                                            .exclude =
+                                                core::Exclusion::Of(is_far)},
+                   &want);
       EXPECT_EQ(stats.distance_computations, want.distance_computations)
           << "query " << q;
       EXPECT_LE(stats.distance_computations, before_dists[q])
@@ -254,7 +259,7 @@ class DynamicOverlayTest : public ::testing::Test {
   /// Erases one query's whole true top-k and more, on a base with a
   /// memtable over it, and checks the k-NN answer against a linear scan of
   /// the live set through KnnSearch and through serve::RunBatch (the
-  /// KnnSearchInto harvest door) — live, and again after a checkpoint and
+  /// Search harvest door) — live, and again after a checkpoint and
   /// reopen, when the tombstones come back from the delta generation.
   void CheckErasedTopKMatchesScan(bool flat) {
     constexpr std::size_t kK = 10;

@@ -203,19 +203,22 @@ TEST_P(FlatEquivalenceTest, RangeResultsMatchBruteForce) {
 
 /// One search under a hard distance-computation budget, run serially so the
 /// cancellation point is deterministic. Returns the partial harvest.
-template <typename SearchFn>
-std::vector<Neighbor> RunBudgeted(std::uint64_t budget, bool* cancelled,
-                                  SearchStats* stats, const SearchFn& search) {
+std::vector<Neighbor> RunBudgeted(const Index& index,
+                                  const core::SearchRequest<Vector>& request,
+                                  std::uint64_t budget, bool* cancelled,
+                                  SearchStats* stats) {
   metric::AtomicDistanceCounter counter;
   serve::CancelToken token;
+  core::SearchContext context;
   std::vector<Neighbor> out;
   *cancelled = false;
   serve::CancelScope scope(&counter, &token, serve::kNoDeadline, budget);
   try {
-    search(&out, stats);
+    index.Search(request, context, &out);
   } catch (const serve::CancelledError&) {
     *cancelled = true;
   }
+  *stats = context.stats;
   return out;
 }
 
@@ -226,17 +229,17 @@ TEST_P(FlatEquivalenceTest, PartialResultsUnderBudgetBitIdentical) {
   const auto queries = dataset::UniformQueryVectors(100, 8, 780);
   std::size_t cancels = 0;
   for (std::size_t q = 0; q < queries.size(); ++q) {
+    const core::SearchRequest<Vector> range{.object = queries[q],
+                                            .radius = 0.8};
+    const core::SearchRequest<Vector> knn{
+        .kind = core::SearchKind::kKnn, .object = queries[q], .k = 9};
     for (const std::uint64_t budget : {std::uint64_t{70}, std::uint64_t{200}}) {
       bool hc = false, fc = false;
       SearchStats hs, fs;
       auto heap_result =
-          RunBudgeted(budget, &hc, &hs, [&](auto* out, auto* stats) {
-            heap_->RangeSearchInto(queries[q], 0.8, out, stats);
-          });
+          RunBudgeted(*heap_, range, budget, &hc, &hs);
       auto flat_result =
-          RunBudgeted(budget, &fc, &fs, [&](auto* out, auto* stats) {
-            flat_->RangeSearchInto(queries[q], 0.8, out, stats);
-          });
+          RunBudgeted(*flat_, range, budget, &fc, &fs);
       EXPECT_EQ(hc, fc) << "query " << q << " budget " << budget;
       if (hc) ++cancels;
       std::sort(heap_result.begin(), heap_result.end(), NeighborLess);
@@ -246,13 +249,9 @@ TEST_P(FlatEquivalenceTest, PartialResultsUnderBudgetBitIdentical) {
       bool hkc = false, fkc = false;
       SearchStats hks, fks;
       auto heap_knn =
-          RunBudgeted(budget, &hkc, &hks, [&](auto* out, auto* stats) {
-            heap_->KnnSearchInto(queries[q], 9, out, stats);
-          });
+          RunBudgeted(*heap_, knn, budget, &hkc, &hks);
       auto flat_knn =
-          RunBudgeted(budget, &fkc, &fks, [&](auto* out, auto* stats) {
-            flat_->KnnSearchInto(queries[q], 9, out, stats);
-          });
+          RunBudgeted(*flat_, knn, budget, &fkc, &fks);
       EXPECT_EQ(hkc, fkc) << "query " << q << " budget " << budget;
       std::sort(heap_knn.begin(), heap_knn.end(), NeighborLess);
       std::sort(flat_knn.begin(), flat_knn.end(), NeighborLess);
@@ -340,14 +339,12 @@ TEST_P(FlatEquivalenceTest, EveryKernelTierServesBitIdentically) {
 
       bool hc = false, fc = false;
       SearchStats hbs, fbs;
+      const core::SearchRequest<Vector> range{.object = queries[q],
+                                              .radius = 0.8};
       auto heap_partial =
-          RunBudgeted(90, &hc, &hbs, [&](auto* out, auto* stats) {
-            heap_->RangeSearchInto(queries[q], 0.8, out, stats);
-          });
+          RunBudgeted(*heap_, range, 90, &hc, &hbs);
       auto flat_partial =
-          RunBudgeted(90, &fc, &fbs, [&](auto* out, auto* stats) {
-            flat_->RangeSearchInto(queries[q], 0.8, out, stats);
-          });
+          RunBudgeted(*flat_, range, 90, &fc, &fbs);
       EXPECT_EQ(hc, fc) << kernels::TierName(tier) << " query " << q;
       std::sort(heap_partial.begin(), heap_partial.end(), NeighborLess);
       std::sort(flat_partial.begin(), flat_partial.end(), NeighborLess);
@@ -421,10 +418,12 @@ TEST_P(FlatEquivalenceTest, KnnUnderExclusionBitIdenticalAcrossLayouts) {
       }
 
       SearchStats hs, fs;
-      const auto heap_knn = heap_->KnnSearch(queries[q], k, &hs, nullptr,
-                                             exclude);
-      const auto flat_knn = flat_->KnnSearch(queries[q], k, &fs, nullptr,
-                                             exclude);
+      const core::SearchRequest<Vector> request{.kind = core::SearchKind::kKnn,
+                                                .object = queries[q],
+                                                .k = k,
+                                                .exclude = exclude};
+      const auto heap_knn = core::Answer(*heap_, request, &hs);
+      const auto flat_knn = core::Answer(*flat_, request, &fs);
       ExpectIdentical(heap_knn, flat_knn, hs, fs, q);
       ASSERT_EQ(heap_knn.size(), expected.size()) << "query " << q;
       for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -437,11 +436,12 @@ TEST_P(FlatEquivalenceTest, KnnUnderExclusionBitIdenticalAcrossLayouts) {
       for (const Index* index : {&*heap_, &*flat_}) {
         SearchStats plain, none, all_false;
         const auto plain_knn = index->KnnSearch(queries[q], k, &plain);
-        const auto none_knn = index->KnnSearch(queries[q], k, &none, nullptr,
-                                               core::Exclusion{});
-        const auto false_knn = index->KnnSearch(
-            queries[q], k, &all_false, nullptr,
-            core::Exclusion::Of(keep_all));
+        core::SearchRequest<Vector> none_request = request;
+        none_request.exclude = core::Exclusion{};
+        const auto none_knn = core::Answer(*index, none_request, &none);
+        core::SearchRequest<Vector> false_request = request;
+        false_request.exclude = core::Exclusion::Of(keep_all);
+        const auto false_knn = core::Answer(*index, false_request, &all_false);
         ExpectIdentical(plain_knn, none_knn, plain, none, q);
         ExpectIdentical(plain_knn, false_knn, plain, all_false, q);
       }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/codec.h"
+#include "core/search_shared.h"
 #include "dataset/vector_gen.h"
 #include "metric/lp.h"
 #include "scan/linear_scan.h"
@@ -18,6 +19,7 @@ namespace {
 using metric::L2;
 using metric::Vector;
 using Forest = MvpForest<Vector, L2>;
+using Request = core::SearchRequest<Vector>;
 
 Forest::Options SmallOptions() {
   Forest::Options options;
@@ -93,11 +95,13 @@ TEST(MvpForestTest, KnnBoundSkipsOnlyWorseCandidates) {
   for (const auto& q : dataset::UniformQueryVectors(12, 6, 19)) {
     const auto want = reference.KnnSearch(q, 10);
     SearchStats open, capped;
+    Request request{.kind = core::SearchKind::kKnn, .object = q, .k = 10};
     EXPECT_EQ(forest.KnnSearch(q, 10, &open), want);
-    EXPECT_EQ(forest.KnnSearch(q, 10, &capped, want.back().distance), want);
+    request.bound = want.back().distance;
+    EXPECT_EQ(core::Answer(forest, request, &capped), want);
     EXPECT_LE(capped.distance_computations, open.distance_computations);
-    const double tight = want[4].distance;
-    const auto got = forest.KnnSearch(q, 10, nullptr, tight);
+    request.bound = want[4].distance;
+    const auto got = core::Answer(forest, request, nullptr);
     ASSERT_GE(got.size(), 5u);
     for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(got[i], want[i]);
   }

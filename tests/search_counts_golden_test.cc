@@ -172,7 +172,13 @@ std::vector<std::string> RunCases(
       CaseTotals t;
       for (const Vector& q : recipe.queries) {
         SearchStats s;
-        t.Add(tree.KnnSearch(q, k, &s, exclude ? erased : core::Exclusion{}),
+        t.Add(core::Answer(tree,
+                           core::SearchRequest<Vector>{
+                               .kind = core::SearchKind::kKnn,
+                               .object = q,
+                               .k = k,
+                               .exclude = exclude ? erased : core::Exclusion{}},
+                           &s),
               s);
       }
       lines.push_back(t.Line(rep, "knn(k=" + std::to_string(k) +
@@ -318,8 +324,14 @@ TEST(SearchCountsGoldenTest, ShardedShells) {
           CaseTotals t;
           for (const Vector& q : recipe.queries) {
             SearchStats s;
-            t.Add(index->KnnSearch(q, k, &s, nullptr,
-                                   exclude ? erased : core::Exclusion{}),
+            t.Add(core::Answer(
+                      *index,
+                      core::SearchRequest<Vector>{
+                          .kind = core::SearchKind::kKnn,
+                          .object = q,
+                          .k = k,
+                          .exclude = exclude ? erased : core::Exclusion{}},
+                      &s),
                   s);
           }
           lines.push_back(t.Line(rep, "knn(k=" + std::to_string(k) +
@@ -563,9 +575,14 @@ TEST(SearchCountsGoldenTest, KnnEvaluationOrder) {
   for (const bool exclude : {false, true}) {
     for (std::size_t q = 0; q < recipe.queries.size(); ++q) {
       log->clear();
-      built.value().KnnSearch(
-          recipe.queries[q], 10, nullptr, nullptr,
-          exclude ? core::Exclusion::Of(is_erased) : core::Exclusion{});
+      core::Answer(built.value(),
+                   core::SearchRequest<Vector>{
+                       .kind = core::SearchKind::kKnn,
+                       .object = recipe.queries[q],
+                       .k = 10,
+                       .exclude = exclude ? core::Exclusion::Of(is_erased)
+                                          : core::Exclusion{}},
+                   nullptr);
       lines.push_back(OrderLine("sharded3 uniform",
                                 exclude ? "knn(k=10,exclude)" : "knn(k=10)", q,
                                 ids.Ids(*log)));

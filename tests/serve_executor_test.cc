@@ -14,13 +14,17 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <filesystem>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/codec.h"
 #include "core/mvp_tree.h"
 #include "dataset/vector_gen.h"
+#include "dynamic/dynamic_overlay.h"
 #include "metric/lp.h"
 #include "scan/linear_scan.h"
 #include "serve/serve_stats.h"
@@ -33,6 +37,7 @@ namespace {
 using metric::L2;
 using metric::Vector;
 using Query = BatchQuery<Vector>;
+using Overlay = dynamic::DynamicOverlay<Vector, L2, VectorCodec>;
 
 /// L2 with a switchable per-evaluation stall: fast during Build, slow
 /// during the deadline tests so a search reliably outlives a deadline.
@@ -135,6 +140,111 @@ TEST(ExecutorTest, SerialAndParallelExecutionAgree) {
               parallel[i].distance_computations);
     EXPECT_EQ(serial[i].distance_computations,
               nested[i].distance_computations);
+  }
+}
+
+/// A dynamic overlay in its own directory, removed with it: `data`'s first
+/// `base` objects compacted into a 3-shard base with every fourth of them
+/// erased, and the rest inserted into the memtable, 16 to its buffer, so
+/// the memtable holds tree levels and a part-filled buffer.
+struct ChurnedOverlay {
+  ChurnedOverlay(const std::string& name, const std::vector<Vector>& data,
+                 std::size_t base)
+      : dir(::testing::TempDir() + "/executor_" + name) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    Overlay::Options options;
+    options.memtable.buffer_capacity = 16;
+    options.rebuild.num_shards = 3;
+    auto opened = Overlay::Open(dir, L2(), VectorCodec{}, options);
+    EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+    overlay = std::move(opened).ValueOrDie();
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      if (i == base) {
+        EXPECT_TRUE(overlay->Compact().ok());
+      }
+      EXPECT_TRUE(overlay->Insert(data[i]).ok());
+    }
+    for (std::size_t id = 0; id < base; id += 4) {
+      EXPECT_TRUE(overlay->Erase(id).ok());
+    }
+  }
+  ~ChurnedOverlay() {
+    overlay.reset();
+    std::filesystem::remove_all(dir);
+  }
+
+  std::string dir;
+  std::unique_ptr<Overlay> overlay;
+};
+
+/// The same agreement over a dynamic overlay whose base has tombstones and
+/// whose memtable is not empty. With parallel_shards the executor's pool
+/// reaches the overlay, which must search its base without it (it holds
+/// its lock meanwhile); the batch has more queries than the pool has
+/// threads, so pooled queries run beside each other on the same overlay.
+TEST(ExecutorTest, OverlaySerialAndParallelExecutionAgree) {
+  const auto data = dataset::UniformVectors(1200, 8, 21);
+  const auto queries = dataset::UniformQueryVectors(12, 8, 22);
+  const ChurnedOverlay churned("overlay_agree", data, 900);
+  const Overlay& overlay = *churned.overlay;
+  ASSERT_GT(overlay.tombstone_count(), 0u);
+  ASSERT_GT(overlay.memtable_size(), 0u);
+  auto batch = MakeRangeBatch(queries, 0.4);
+  for (const auto& q : queries) {
+    Query bq;
+    bq.kind = Query::Kind::kKnn;
+    bq.object = q;
+    bq.k = 10;
+    batch.push_back(bq);
+  }
+
+  ThreadPool pool(4);
+  ASSERT_GT(batch.size(), pool.num_threads());
+  const auto serial = RunBatch(overlay, batch, /*pool=*/nullptr);
+  const auto parallel = RunBatch(overlay, batch, &pool);
+  ExecutorOptions shard_parallel;
+  shard_parallel.parallel_shards = true;
+  const auto nested = RunBatch(overlay, batch, &pool, nullptr, shard_parallel);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(serial[i].status.ok()) << serial[i].status.ToString();
+    EXPECT_EQ(serial[i].neighbors,
+              i < queries.size()
+                  ? overlay.RangeSearch(batch[i].object, 0.4)
+                  : overlay.KnnSearch(batch[i].object, 10));
+    EXPECT_EQ(serial[i].neighbors, parallel[i].neighbors);
+    EXPECT_EQ(serial[i].neighbors, nested[i].neighbors);
+    EXPECT_EQ(serial[i].distance_computations,
+              parallel[i].distance_computations);
+    EXPECT_EQ(serial[i].distance_computations,
+              nested[i].distance_computations);
+  }
+}
+
+/// A k = 0 query asks for nothing and pays for nothing, on every index the
+/// executor serves: the overlay's memtable included, whose buffer holds
+/// inserts that a scan would otherwise measure.
+TEST(ExecutorTest, ZeroKQueriesComputeNoDistances) {
+  const auto data = dataset::UniformVectors(600, 8, 23);
+  const ChurnedOverlay churned("zero_k", data, 500);
+  ASSERT_GT(churned.overlay->memtable_size(), 0u);
+  ShardedMvpIndex<Vector, L2>::Options options;
+  options.num_shards = 3;
+  const auto index =
+      ShardedMvpIndex<Vector, L2>::Build(data, L2(), options).ValueOrDie();
+  const auto tree = core::MvpTree<Vector, L2>::Build(data, L2(), {})
+                        .ValueOrDie();
+  Query q;
+  q.kind = Query::Kind::kKnn;
+  q.object = data[3];
+  q.k = 0;
+  const std::vector<Query> batch{q};
+  for (const auto& outcomes :
+       {RunBatch(*churned.overlay, batch, nullptr),
+        RunBatch(index, batch, nullptr), RunBatch(tree, batch, nullptr)}) {
+    ASSERT_TRUE(outcomes[0].status.ok()) << outcomes[0].status.ToString();
+    EXPECT_TRUE(outcomes[0].neighbors.empty());
+    EXPECT_EQ(outcomes[0].distance_computations, 0u);
   }
 }
 

@@ -27,6 +27,7 @@
 
 #include "common/codec.h"
 #include "core/mvp_tree.h"
+#include "core/search_shared.h"
 #include "dataset/vector_gen.h"
 #include "dynamic/dynamic_overlay.h"
 #include "metric/lp.h"
@@ -47,6 +48,7 @@ using Sharded = ShardedMvpIndex<Vector, L2>;
 using Plain = core::MvpTree<Vector, L2>;
 using Scan = scan::LinearScan<Vector, L2>;
 using Part = std::pair<Sharded::Tree, std::vector<std::size_t>>;
+using Request = core::SearchRequest<Vector>;
 
 Sharded BuildSharded(const std::vector<Vector>& data, std::size_t shards,
                      ThreadPool* pool = nullptr) {
@@ -201,7 +203,13 @@ TEST(ShardedIndexTest, ResultsEqualLinearScan) {
               << what << " k=" << k;
           auto want = kept_scan.KnnSearch(q, k);
           for (Neighbor& n : want) n.id = kept_ids[n.id];
-          EXPECT_EQ(sharded.KnnSearch(q, k, nullptr, nullptr, erased), want)
+          EXPECT_EQ(core::Answer(sharded,
+                                 Request{.kind = core::SearchKind::kKnn,
+                                         .object = q,
+                                         .k = k,
+                                         .exclude = erased},
+                                 nullptr),
+                    want)
               << what << " k=" << k << " with exclusion";
         }
       }
@@ -243,14 +251,21 @@ TEST(ShardedIndexTest, ParallelSearchEqualsSerialSearch) {
   ThreadPool pool(4);
   const Sharded sharded = BuildSharded(data, 4, &pool);
   for (const auto& q : queries) {
-    SearchStats serial_stats, parallel_stats;
+    SearchStats serial_stats;
+    core::SearchContext parallel{.pool = &pool};
     const auto serial = sharded.RangeSearch(q, 0.5, &serial_stats);
-    const auto parallel = sharded.RangeSearch(q, 0.5, &parallel_stats, &pool);
-    ExpectSameSearch(parallel, serial, parallel_stats, serial_stats, "range");
-    SearchStats knn_serial, knn_parallel;
-    ExpectSameSearch(sharded.KnnSearch(q, 20, &knn_parallel, &pool),
-                     sharded.KnnSearch(q, 20, &knn_serial), knn_parallel,
-                     knn_serial, "knn");
+    ExpectSameSearch(
+        core::Answer(sharded, Request{.object = q, .radius = 0.5}, parallel),
+        serial, parallel.stats, serial_stats, "range");
+    SearchStats knn_serial;
+    core::SearchContext knn_parallel{.pool = &pool};
+    ExpectSameSearch(
+        core::Answer(sharded,
+                     Request{.kind = core::SearchKind::kKnn, .object = q,
+                             .k = 20},
+                     knn_parallel),
+        sharded.KnnSearch(q, 20, &knn_serial), knn_parallel.stats, knn_serial,
+        "knn");
   }
 }
 
@@ -371,10 +386,15 @@ TEST(ShardedIndexTest, TiesAcrossShellsKeepTheLowestIds) {
   for (const std::size_t k : {1u, 5u, 15u}) {
     const auto want = scan.KnnSearch(q, k);
     ASSERT_EQ(want.back().id, k - 1);
-    SearchStats serial, pooled;
+    SearchStats serial;
+    core::SearchContext pooled{.pool = &pool};
     EXPECT_EQ(sharded.KnnSearch(q, k, &serial), want) << "k=" << k;
-    ExpectSameSearch(sharded.KnnSearch(q, k, &pooled, &pool), want, pooled,
-                     serial, "pooled k=" + std::to_string(k));
+    ExpectSameSearch(
+        core::Answer(sharded,
+                     Request{.kind = core::SearchKind::kKnn, .object = q,
+                             .k = k},
+                     pooled),
+        want, pooled.stats, serial, "pooled k=" + std::to_string(k));
   }
 }
 

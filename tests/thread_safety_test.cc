@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/mvp_tree.h"
+#include "core/search_shared.h"
 #include "dataset/vector_gen.h"
 #include "dynamic/mvp_forest.h"
 #include "metric/counting.h"
@@ -232,8 +233,11 @@ TEST(ThreadSafetyTest, ConcurrentShardedSearchesSharingOnePool) {
       for (int round = 0; round < 10; ++round) {
         const std::size_t qi = (t + static_cast<std::size_t>(round)) %
                                queries.size();
-        if (sharded.RangeSearch(queries[qi], 0.5, nullptr, &pool) !=
-            expected[qi]) {
+        core::SearchContext context{.pool = &pool};
+        if (core::Answer(sharded,
+                         core::SearchRequest<Vector>{.object = queries[qi],
+                                                     .radius = 0.5},
+                         context) != expected[qi]) {
           ++mismatches;
         }
       }

@@ -89,6 +89,7 @@
 #include "common/codec.h"
 #include "common/serialize.h"
 #include "core/mvp_tree.h"
+#include "core/search_shared.h"
 #include "dynamic/dynamic_overlay.h"
 #include "dataset/histogram.h"
 #include "dataset/vector_gen.h"
@@ -834,17 +835,17 @@ int SnapshotLoadWith(const Args& args, Metric metric) {
   if (args.Has("point")) {
     auto point = ParseVector(args.Get("point"));
     if (!point.ok()) return Fail(point.status().ToString());
-    SearchStats stats;
-    std::vector<Neighbor> results;
+    core::SearchContext context{.pool = &pool};
+    const core::SearchRequest<Vector> request{
+        .kind = args.Has("knn") ? core::SearchKind::kKnn
+                                : core::SearchKind::kRange,
+        .object = point.value(),
+        .radius = args.GetDouble("radius", 0.3),
+        .k = static_cast<std::size_t>(args.GetInt("knn", 1))};
     const auto q0 = std::chrono::steady_clock::now();
-    if (args.Has("knn")) {
-      results = loaded.value().index.KnnSearch(
-          point.value(), static_cast<std::size_t>(args.GetInt("knn", 1)),
-          &stats, &pool);
-    } else {
-      results = loaded.value().index.RangeSearch(
-          point.value(), args.GetDouble("radius", 0.3), &stats, &pool);
-    }
+    const std::vector<Neighbor> results =
+        core::Answer(loaded.value().index, request, context);
+    const SearchStats& stats = context.stats;
     const double query_ms = std::chrono::duration<double, std::milli>(
                                 std::chrono::steady_clock::now() - q0)
                                 .count();
