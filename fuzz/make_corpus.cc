@@ -369,14 +369,14 @@ void EmitSnapshotSeeds(const fs::path& dir,
   {
     mvp::snapshot::ContainerWriter writer;
     writer.AddChunk(mvp::snapshot::ChunkKind::kShardTree,
-                    {0, 1, 2, 3, 4, 5, 6, 7});
+                    std::vector<std::uint8_t>{0, 1, 2, 3, 4, 5, 6, 7});
     BinaryWriter payload;
     payload.Write<std::uint64_t>(0);  // shard index, then the arena
     std::vector<std::uint8_t> bytes = std::move(payload).TakeBuffer();
     bytes.insert(bytes.end(), arena.begin(), arena.end());
     writer.AddChunk(mvp::snapshot::ChunkKind::kFlatShard, std::move(bytes),
                     8);
-    WriteSeed(dir / "container.bin", 1, std::move(writer).Finalize());
+    WriteSeed(dir / "container.bin", 1, std::move(writer).Finalize().Bytes());
   }
 }
 

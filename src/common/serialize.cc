@@ -61,7 +61,7 @@ void SyncParentDirectory(const std::string& path) {
 }  // namespace
 
 Status WriteFileAtomic(const std::string& path,
-                       const std::vector<std::uint8_t>& bytes) {
+                       std::span<const std::span<const std::uint8_t>> pieces) {
   // Every syscall goes through the fault::fs seam so tests can inject
   // ENOSPC, short writes, fsync failure, rename failure, or a crash at any
   // point of the commit (see docs/fault_injection.md).
@@ -69,16 +69,18 @@ Status WriteFileAtomic(const std::string& path,
   const int fd =
       fault::fs::Open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return Status::IOError("cannot open for write: " + tmp);
-  std::size_t written = 0;
-  while (written < bytes.size()) {
-    const long n = fault::fs::Write(fd, bytes.data() + written,
-                                    bytes.size() - written, tmp.c_str());
-    if (n < 0) {
-      fault::fs::Close(fd, tmp.c_str());
-      fault::fs::Remove(tmp.c_str());
-      return Status::IOError("write failed: " + tmp);
+  for (const std::span<const std::uint8_t> piece : pieces) {
+    std::size_t written = 0;
+    while (written < piece.size()) {
+      const long n = fault::fs::Write(fd, piece.data() + written,
+                                      piece.size() - written, tmp.c_str());
+      if (n < 0) {
+        fault::fs::Close(fd, tmp.c_str());
+        fault::fs::Remove(tmp.c_str());
+        return Status::IOError("write failed: " + tmp);
+      }
+      written += static_cast<std::size_t>(n);
     }
-    written += static_cast<std::size_t>(n);
   }
   // Data must be on stable storage BEFORE the rename publishes the file;
   // otherwise a crash could leave a renamed-but-empty file.
@@ -98,9 +100,22 @@ Status WriteFileAtomic(const std::string& path,
 #else  // no POSIX fsync: best-effort write + rename
 
 Status WriteFileAtomic(const std::string& path,
-                       const std::vector<std::uint8_t>& bytes) {
+                       std::span<const std::span<const std::uint8_t>> pieces) {
   const std::string tmp = path + ".tmp";
-  MVP_RETURN_NOT_OK(WriteFile(tmp, bytes));
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (f == nullptr) return Status::IOError("cannot open for write: " + tmp);
+  bool complete = true;
+  for (const std::span<const std::uint8_t> piece : pieces) {
+    if (!piece.empty() &&
+        std::fwrite(piece.data(), 1, piece.size(), f) != piece.size()) {
+      complete = false;
+      break;
+    }
+  }
+  if (std::fclose(f) != 0 || !complete) {
+    std::remove(tmp.c_str());
+    return Status::IOError("short write: " + tmp);
+  }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     return Status::IOError("rename failed: " + path);
@@ -109,6 +124,12 @@ Status WriteFileAtomic(const std::string& path,
 }
 
 #endif
+
+Status WriteFileAtomic(const std::string& path,
+                       const std::vector<std::uint8_t>& bytes) {
+  const std::span<const std::uint8_t> whole(bytes);
+  return WriteFileAtomic(path, std::span(&whole, 1));
+}
 
 Result<std::vector<std::uint8_t>> ReadFile(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");

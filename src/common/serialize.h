@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <ranges>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -121,6 +122,16 @@ class BinaryReader {
   std::size_t pos_ = 0;
 };
 
+/// The bytes of `values`, in place (little-endian on every supported
+/// target): how a writer hands an array it keeps to the gather write
+/// without copying it.
+template <typename T>
+std::span<const std::uint8_t> ByteSpan(std::span<const T> values) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const void* data = values.data();
+  return {static_cast<const std::uint8_t*>(data), values.size_bytes()};
+}
+
 /// Writes `bytes` to `path` directly (no tmp+rename, no fsync) — fine for
 /// scratch outputs whose loss on crash is acceptable. Durable multi-file
 /// artifacts (the snapshot store) use WriteFileAtomic instead.
@@ -133,6 +144,13 @@ Status WriteFile(const std::string& path, const std::vector<std::uint8_t>& bytes
 /// On platforms without POSIX fsync this degrades to write + rename.
 Status WriteFileAtomic(const std::string& path,
                        const std::vector<std::uint8_t>& bytes);
+
+/// The gather form: the file's bytes are `pieces` back to back, written in
+/// order, each through its own write calls, so a caller never assembles
+/// them in one buffer. The same temp file, fsync and rename as above; a
+/// crash mid-way leaves a truncated temp file and the old `path`.
+Status WriteFileAtomic(const std::string& path,
+                       std::span<const std::span<const std::uint8_t>> pieces);
 
 /// Reads the whole file at `path`.
 Result<std::vector<std::uint8_t>> ReadFile(const std::string& path);

@@ -151,6 +151,15 @@ class ObjectStore {
   std::vector<Object> objects_;
 };
 
+/// Vectors as one row-major slab: `values` holds `dim` doubles per object,
+/// object i in row i. What a vector tree keeps its objects in, and what
+/// serve::ShardedMvpIndex::Build fills for each shard tree
+/// (MvpTree::BuildRows), so each vector is copied once.
+struct RowSlab {
+  std::vector<double> values;
+  std::size_t dim = 0;
+};
+
 /// Dense vectors: one row-major slab of `dim` doubles per object, handed
 /// out as metric::VectorView. The slab is either owned (From, Read) or
 /// borrowed from a flat arena's objects section (Borrow); either way the
@@ -168,11 +177,11 @@ class ObjectStore<metric::Vector> {
   ObjectStore(const ObjectStore&) = delete;
   ObjectStore& operator=(const ObjectStore&) = delete;
 
-  /// Copies each vector into the slab and releases it right after, so the
-  /// input and the slab are not both held in full.
-  static Result<ObjectStore> From(std::vector<metric::Vector> objects) {
-    ObjectStore store;
-    if (objects.empty()) return store;
+  /// The one dimension all of `objects` share, 0 when there are none:
+  /// InvalidArgument when they differ, or when it is not 1 to 2^32-1.
+  static Result<std::size_t> CommonDim(
+      const std::vector<metric::Vector>& objects) {
+    if (objects.empty()) return std::size_t{0};
     const std::size_t dim = objects[0].size();
     for (const metric::Vector& v : objects) {
       if (v.size() != dim) {
@@ -184,13 +193,39 @@ class ObjectStore<metric::Vector> {
       return Status::InvalidArgument(
           "mvp-tree vector dimension must be 1 to 2^32-1");
     }
-    store.owned_.reserve(objects.size() * dim);
-    for (metric::Vector& v : objects) {
-      store.owned_.insert(store.owned_.end(), v.begin(), v.end());
-      metric::Vector().swap(v);
+    return dim;
+  }
+
+  /// Takes `slab` as the store's rows, in id order, without copying them.
+  /// InvalidArgument unless it holds whole rows of a dimension of 1 to
+  /// 2^32-1; an empty slab is an empty store.
+  static Result<ObjectStore> From(RowSlab slab) {
+    ObjectStore store;
+    if (slab.values.empty()) return store;
+    if (!ValidDim(slab.dim)) {
+      return Status::InvalidArgument(
+          "mvp-tree vector dimension must be 1 to 2^32-1");
     }
-    store.Own(dim);
+    if (slab.values.size() % slab.dim != 0) {
+      return Status::InvalidArgument("mvp-tree row slab ends mid-row");
+    }
+    store.owned_ = std::move(slab.values);
+    store.Own(slab.dim);
     return store;
+  }
+
+  /// Copies the vectors into one slab and takes it (the form above). The
+  /// input is released as a whole when From returns, before a tree is built
+  /// over the slab.
+  static Result<ObjectStore> From(std::vector<metric::Vector> objects) {
+    auto dim = CommonDim(objects);
+    if (!dim.ok()) return dim.status();
+    RowSlab slab{{}, dim.value()};
+    slab.values.reserve(objects.size() * slab.dim);
+    for (const metric::Vector& v : objects) {
+      slab.values.insert(slab.values.end(), v.begin(), v.end());
+    }
+    return From(std::move(slab));
   }
 
   /// Views `count` rows of `dim` doubles at `rows`, which the caller keeps
@@ -292,25 +327,21 @@ class MvpTree {
   /// Build are on their own).
   static Result<MvpTree> Build(std::vector<Object> objects, Metric metric,
                                const Options& options = Options{}) {
-    if (options.order < 2) {
-      return Status::InvalidArgument("mvp-tree order (m) must be >= 2");
-    }
-    if (options.leaf_capacity < 1) {
-      return Status::InvalidArgument("mvp-tree leaf capacity (k) must be >= 1");
-    }
-    if (options.num_path_distances < 0) {
-      return Status::InvalidArgument("mvp-tree path distances (p) must be >= 0");
-    }
-    if (objects.size() > kMaxTreeObjects) {
-      return Status::InvalidArgument("mvp-trees hold at most 2^32-1 objects");
-    }
-    auto store = Store::From(std::move(objects));
-    if (!store.ok()) return store.status();
-    MvpTree tree(std::move(store).ValueOrDie(), std::move(metric), options);
-    tree.BuildTree();
-    [[maybe_unused]] const Status ordered = tree.OrderRows();
-    MVP_DCHECK(ordered.ok());
-    return tree;
+    MVP_RETURN_NOT_OK(CheckBuild(options, objects.size()));
+    return Grow(Store::From(std::move(objects)), std::move(metric), options);
+  }
+
+  /// Builds a vector tree over `rows`, object i in row i, keeping the slab
+  /// as its own: Build without the copy into a slab. The same
+  /// InvalidArgument cases, and one more for a slab that ends mid-row.
+  static Result<MvpTree> BuildRows(RowSlab rows, Metric metric,
+                                   const Options& options = Options{})
+    requires kRows
+  {
+    const std::size_t count =
+        rows.dim == 0 ? rows.values.size() : rows.values.size() / rows.dim;
+    MVP_RETURN_NOT_OK(CheckBuild(options, count));
+    return Grow(Store::From(std::move(rows)), std::move(metric), options);
   }
 
   /// A vector tree over borrowed arrays and rows: `count` rows of `dim`
@@ -625,6 +656,34 @@ class MvpTree {
       : store_(std::move(store)),
         metric_(std::move(metric)),
         options_(options) {}
+
+  /// The checks Build makes before it touches the `count` objects.
+  static Status CheckBuild(const Options& options, std::size_t count) {
+    if (options.order < 2) {
+      return Status::InvalidArgument("mvp-tree order (m) must be >= 2");
+    }
+    if (options.leaf_capacity < 1) {
+      return Status::InvalidArgument("mvp-tree leaf capacity (k) must be >= 1");
+    }
+    if (options.num_path_distances < 0) {
+      return Status::InvalidArgument("mvp-tree path distances (p) must be >= 0");
+    }
+    if (count > kMaxTreeObjects) {
+      return Status::InvalidArgument("mvp-trees hold at most 2^32-1 objects");
+    }
+    return Status::OK();
+  }
+
+  /// Builds the tree over `store`, or passes its error on.
+  static Result<MvpTree> Grow(Result<Store> store, Metric metric,
+                              const Options& options) {
+    if (!store.ok()) return store.status();
+    MvpTree tree(std::move(store).ValueOrDie(), std::move(metric), options);
+    tree.BuildTree();
+    [[maybe_unused]] const Status ordered = tree.OrderRows();
+    MVP_DCHECK(ordered.ok());
+    return tree;
+  }
 
   std::size_t Order() const { return static_cast<std::size_t>(options_.order); }
   std::size_t PathDistances() const {

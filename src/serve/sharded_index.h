@@ -140,7 +140,10 @@ class ShardedMvpIndex {
   /// (see the file comment) and builds the shard trees. The n distances to
   /// v and the shard builds run on `pool` when one is given, serially
   /// otherwise; the result is identical either way. Shard s's objects keep
-  /// ascending global ids, so local ids order ties as global ids do.
+  /// ascending global ids, so local ids order ties as global ids do. A
+  /// vector's row is copied once, into its shard's slab, which the shard
+  /// tree then keeps (MvpTree::BuildRows). Vectors of more than one
+  /// dimension, or of none, are InvalidArgument, as for MvpTree::Build.
   static Result<ShardedMvpIndex> Build(std::vector<Object> objects,
                                        Metric metric, const Options& options,
                                        ThreadPool* pool = nullptr) {
@@ -152,13 +155,33 @@ class ShardedMvpIndex {
     const std::size_t n = objects.size();
     index.size_ = n;
     const std::size_t k = index.options_.num_shards;
+    std::size_t dim = 0;
+    if constexpr (kVectors) {
+      // Checked up front: the distances to v need one dimension.
+      auto common = core::ObjectStore<Object>::CommonDim(objects);
+      if (!common.ok()) return common.status();
+      dim = common.value();
+    }
 
     std::vector<std::vector<std::size_t>> ids(k);
+    std::vector<ShardInput> inputs(k);
+    for (std::size_t s = 0; s < k; ++s) {
+      const std::size_t count = Cut(n, k, s + 1) - Cut(n, k, s);
+      ids[s].reserve(count);
+      if constexpr (kVectors) {
+        inputs[s].dim = dim;
+        inputs[s].values.reserve(count * dim);
+      } else {
+        inputs[s].reserve(count);
+      }
+    }
     std::vector<Shell> shells(k);
     std::optional<std::size_t> vantage;  // global id of v
     if (k == 1 || n == 0) {
-      ids[0].resize(n);
-      std::iota(ids[0].begin(), ids[0].end(), std::size_t{0});
+      for (std::size_t g = 0; g < n; ++g) {
+        ids[0].push_back(g);
+        Place(objects[g], &inputs[0]);
+      }
     } else {
       vantage = std::mt19937_64(options.tree.seed ^ kVantageSeedSalt)() % n;
       const std::vector<double> dist =
@@ -181,7 +204,6 @@ class ShardedMvpIndex {
         }
       }
       for (std::size_t s = 0; s < k; ++s) {
-        ids[s].reserve(Cut(n, k, s + 1) - Cut(n, k, s));
         shells[s] = Shell{kInfinity, -kInfinity};
       }
       for (std::size_t g = 0; g < n; ++g) {
@@ -189,6 +211,7 @@ class ShardedMvpIndex {
             std::upper_bound(firsts.begin(), firsts.end(), g, by_rank) -
             firsts.begin());
         ids[s].push_back(g);
+        Place(objects[g], &inputs[s]);
         shells[s].lo = std::min(shells[s].lo, dist[g]);
         shells[s].hi = std::max(shells[s].hi, dist[g]);
       }
@@ -197,22 +220,19 @@ class ShardedMvpIndex {
         if (ids[s].empty()) shells[s] = Shell{kInfinity, kInfinity};
       }
     }
-
-    std::vector<std::vector<Object>> parts(k);
-    for (std::size_t s = 0; s < k; ++s) {
-      parts[s].reserve(ids[s].size());
-      for (const std::size_t g : ids[s]) {
-        parts[s].push_back(std::move(objects[g]));
-      }
-    }
     std::vector<Object>().swap(objects);
 
     std::vector<std::optional<Result<Tree>>> built(k);
     auto build_shard = [&](std::size_t s) {
       typename Tree::Options tree_options = options.tree;
       tree_options.seed = options.tree.seed + s;
-      built[s] = Tree::Build(std::move(parts[s]),
-                             CancelChecked<Metric>(metric), tree_options);
+      if constexpr (kVectors) {
+        built[s] = Tree::BuildRows(std::move(inputs[s]),
+                                   CancelChecked<Metric>(metric), tree_options);
+      } else {
+        built[s] = Tree::Build(std::move(inputs[s]),
+                               CancelChecked<Metric>(metric), tree_options);
+      }
     };
     if (pool == nullptr || k == 1) {
       for (std::size_t s = 0; s < k; ++s) build_shard(s);
@@ -403,6 +423,25 @@ class ShardedMvpIndex {
   };
 
   ShardedMvpIndex() = default;
+
+  /// What a shard tree is built from: a vector shard's rows in one slab,
+  /// any other shard's objects.
+  using ShardInput = std::conditional_t<kVectors, core::RowSlab,
+                                        std::vector<Object>>;
+
+  /// Moves `object` into a shard's build input. A vector's row is appended
+  /// to the shard's slab and the vector freed right here, on the thread
+  /// that runs Build: the shard builds on pool threads then own no input
+  /// to free, and frees from several threads at once would queue on the
+  /// allocator's lock.
+  static void Place(Object& object, ShardInput* input) {
+    if constexpr (kVectors) {
+      input->values.insert(input->values.end(), object.begin(), object.end());
+      Object().swap(object);
+    } else {
+      input->push_back(std::move(object));
+    }
+  }
 
   /// First rank of shard s of K over n objects.
   static std::size_t Cut(std::size_t n, std::size_t k, std::size_t s) {

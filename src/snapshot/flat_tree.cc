@@ -21,72 +21,77 @@ namespace {
 
 std::uint64_t Align8(std::uint64_t v) { return (v + 7) & ~std::uint64_t{7}; }
 
-/// Copies `count` trivially copyable records to `offset`.
+/// The zero bytes every padding span views (padding is under 8 bytes).
+constexpr std::uint8_t kZeroPadding[kFlatAlignment] = {};
+
+/// Appends `count` records at `values` as the next section of `layout`,
+/// then the zero padding to the next 8-byte boundary, and returns the
+/// section's offset.
 template <typename T>
-void CopySection(std::vector<std::uint8_t>* arena, std::uint64_t offset,
-                 const T* values, std::size_t count) {
-  if (count == 0) return;
-  std::memcpy(arena->data() + offset, values, count * sizeof(T));
+std::uint64_t AddSection(FlatArenaLayout* layout, const T* values,
+                         std::size_t count) {
+  const std::uint64_t offset = layout->size;
+  const auto bytes = ByteSpan(std::span(values, count));
+  if (bytes.empty()) return offset;
+  layout->body.push_back(bytes);
+  const std::uint64_t end = offset + bytes.size();
+  const auto pad = static_cast<std::size_t>(Align8(end) - end);
+  if (pad != 0) layout->body.emplace_back(kZeroPadding, pad);
+  layout->size = static_cast<std::size_t>(Align8(end));
+  return offset;
 }
 
 /// Lays out `t` as a v4 arena behind header `h` (options, dim and object
 /// count filled) and the row-major `objects`. Every section offset stays
 /// 8-aligned (the u32 ids and the f32 leaf columns can end off an 8-byte
-/// boundary, hence the explicit Align8 between sections).
-std::vector<std::uint8_t> EmitArena(FlatHeaderRec h,
-                                    std::span<const double> objects,
-                                    const core::TreeArrays& t) {
+/// boundary, hence the padding after each section).
+FlatArenaLayout LayOut(FlatHeaderRec h, std::span<const double> objects,
+                       const core::TreeArrays& t) {
   h.version = kFlatVersionV4;
   h.reserved = 0;
   h.node_count = t.node_count;
   h.root = t.node_count == 0 ? kNoNode : 0;
-  FlatHeaderExtRec ext;
-  std::uint64_t offset = kFlatHeaderBytesV2;
-  h.objects_offset = offset;
-  offset = Align8(offset + objects.size() * sizeof(double));
-  h.path_offset = offset;
   h.path_count = t.path_count;
-  offset = Align8(offset + t.path_count * sizeof(float));
-  h.bounds_offset = offset;
   h.bounds_count = t.bounds_count;
-  offset = Align8(offset + t.bounds_count * sizeof(double));
-  h.entries_offset = offset;  // ids section since v2
   h.entry_count = t.entry_count;
-  offset = Align8(offset + t.entry_count * sizeof(std::uint32_t));
-  ext.d1_offset = offset;
-  offset = Align8(offset + t.entry_count * sizeof(float));
-  ext.d2_offset = offset;
-  offset = Align8(offset + t.entry_count * sizeof(float));
-  ext.leafpaths_offset = offset;
-  offset = Align8(offset + t.node_count * sizeof(core::LeafPathRec));
-  h.nodes_offset = offset;
-  offset = Align8(offset + t.node_count * sizeof(core::NodeRec));
-  h.children_offset = offset;
   h.children_count = t.children_count;
-  offset = Align8(offset + t.children_count * sizeof(std::uint32_t));
-  h.arena_bytes = offset;
+  FlatHeaderExtRec ext;
+  FlatArenaLayout layout;
+  layout.size = kFlatHeaderBytesV2;
+  h.objects_offset = AddSection(&layout, objects.data(), objects.size());
+  h.path_offset = AddSection(&layout, t.path, t.path_count);
+  h.bounds_offset = AddSection(&layout, t.bounds, t.bounds_count);
+  h.entries_offset = AddSection(&layout, t.ids, t.entry_count);  // ids
+  ext.d1_offset = AddSection(&layout, t.d1, t.entry_count);
+  ext.d2_offset = AddSection(&layout, t.d2, t.entry_count);
+  ext.leafpaths_offset = AddSection(&layout, t.leafpaths, t.node_count);
+  h.nodes_offset = AddSection(&layout, t.nodes, t.node_count);
+  h.children_offset = AddSection(&layout, t.children, t.children_count);
+  h.arena_bytes = layout.size;
+  layout.header.resize(kFlatHeaderBytesV2);
+  std::memcpy(layout.header.data(), &h, sizeof(h));
+  std::memcpy(layout.header.data() + sizeof(h), &ext, sizeof(ext));
+  return layout;
+}
 
-  std::vector<std::uint8_t> arena(static_cast<std::size_t>(offset), 0);
-  std::memcpy(arena.data(), &h, sizeof(h));
-  std::memcpy(arena.data() + sizeof(h), &ext, sizeof(ext));
-  CopySection(&arena, h.objects_offset, objects.data(), objects.size());
-  CopySection(&arena, h.path_offset, t.path, t.path_count);
-  CopySection(&arena, h.bounds_offset, t.bounds, t.bounds_count);
-  CopySection(&arena, h.entries_offset, t.ids, t.entry_count);
-  CopySection(&arena, ext.d1_offset, t.d1, t.entry_count);
-  CopySection(&arena, ext.d2_offset, t.d2, t.entry_count);
-  CopySection(&arena, ext.leafpaths_offset, t.leafpaths, t.node_count);
-  CopySection(&arena, h.nodes_offset, t.nodes, t.node_count);
-  CopySection(&arena, h.children_offset, t.children, t.children_count);
+/// The bytes of `layout` in one buffer.
+std::vector<std::uint8_t> FlattenFlatArena(const FlatArenaLayout& layout) {
+  std::vector<std::uint8_t> arena(layout.size);
+  std::memcpy(arena.data(), layout.header.data(), layout.header.size());
+  std::size_t at = layout.header.size();
+  for (const auto piece : layout.body) {
+    std::memcpy(arena.data() + at, piece.data(), piece.size());
+    at += piece.size();
+  }
   return arena;
 }
 
 }  // namespace
 
-std::vector<std::uint8_t> BuildFlatArena(const core::MvpTreeOptions& options,
-                                         std::span<const double> rows,
-                                         std::size_t dim,
-                                         const core::TreeArrays& arrays) {
+FlatArenaLayout LayOutFlatArena(const core::MvpTreeOptions& options,
+                                std::span<const double> rows,
+                                std::size_t dim,
+                                const core::TreeArrays& arrays) {
   FlatHeaderRec h;
   h.order = static_cast<std::uint32_t>(options.order);
   h.leaf_capacity = static_cast<std::uint32_t>(options.leaf_capacity);
@@ -95,7 +100,14 @@ std::vector<std::uint8_t> BuildFlatArena(const core::MvpTreeOptions& options,
   if (options.store_exact_bounds) h.flags |= kHeaderExactBounds;
   h.dim = static_cast<std::uint32_t>(dim);
   h.object_count = dim == 0 ? 0 : rows.size() / dim;
-  return EmitArena(h, rows, arrays);
+  return LayOut(h, rows, arrays);
+}
+
+std::vector<std::uint8_t> BuildFlatArena(const core::MvpTreeOptions& options,
+                                         std::span<const double> rows,
+                                         std::size_t dim,
+                                         const core::TreeArrays& arrays) {
+  return FlattenFlatArena(LayOutFlatArena(options, rows, dim, arrays));
 }
 
 Result<std::vector<std::uint8_t>> BuildFlatArena(const std::uint8_t* stream,
@@ -200,9 +212,9 @@ Result<std::vector<std::uint8_t>> UpgradeFlatArena(
   // The in-place reorder needs every object named exactly once.
   if (auto map = core::RowMap(arrays, count); !map.ok()) return map.status();
   std::vector<std::uint8_t> arena =
-      EmitArena(in, {legacy.objects, count * in.dim}, arrays);
+      FlattenFlatArena(LayOut(in, {legacy.objects, count * in.dim}, arrays));
   if (in.version != kFlatVersionV3) {
-    // EmitArena lays the objects section right behind the header.
+    // The objects section sits right behind the header.
     core::PermuteRows(arrays, arena.data() + kFlatHeaderBytesV2, count,
                       std::size_t{in.dim} * sizeof(double));
   }

@@ -165,11 +165,34 @@ struct FlatNodeRecV2 {
 };
 static_assert(sizeof(FlatNodeRecV2) == 32, "v2 node layout drifted");
 
+/// A v4 arena as the bytes it is made of, copying none of the tree: the
+/// header, then `body`, the rest of the arena in order — each section
+/// (rows, PATH, bounds, ids, D1, D2, leaf paths, nodes, children) as a span
+/// over the memory of the tree it was laid out from, each followed by the
+/// zero padding to the next 8-byte boundary (spans of a static zero block;
+/// an empty section, or one that ends aligned, adds no span for it). The
+/// sections stay valid as long as the tree does. The snapshot writer
+/// streams `body` to the file; BuildFlatArena copies it into one buffer.
+struct FlatArenaLayout {
+  /// FlatHeaderRec then FlatHeaderExtRec: the first kFlatHeaderBytesV2
+  /// bytes.
+  std::vector<std::uint8_t> header;
+  std::vector<std::span<const std::uint8_t>> body;
+  std::size_t size = 0;  ///< bytes in the arena, the header's included
+};
+
 /// Lays out a tree over vectors as a v4 flat arena, straight from its
 /// arrays: the row-major slab of `dim`-double rows in the arrays' row order
 /// (core::MvpTree::rows() and dim(), which the tree keeps within the
 /// header's u32) and arrays(). A tree opened from an arena lays out that
 /// arena's bytes again.
+FlatArenaLayout LayOutFlatArena(const core::MvpTreeOptions& options,
+                                std::span<const double> rows,
+                                std::size_t dim,
+                                const core::TreeArrays& arrays);
+
+/// LayOutFlatArena, flattened: the arena in one buffer, for tests, arena
+/// upgrades and tools.
 std::vector<std::uint8_t> BuildFlatArena(const core::MvpTreeOptions& options,
                                          std::span<const double> rows,
                                          std::size_t dim,

@@ -1,8 +1,12 @@
 #ifndef MVPTREE_SNAPSHOT_FORMAT_H_
 #define MVPTREE_SNAPSHOT_FORMAT_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -84,23 +88,136 @@ inline std::size_t ContainerHeaderBytes(std::size_t chunks) {
   return 4 * 4 + chunks * (4 + 4 + 8 + 8 + 4 + 4) + 4;
 }
 
-/// Accumulates chunks in memory and emits the complete container file.
-/// Snapshots are bounded by what the index itself holds in RAM, so an
-/// in-memory assembly (followed by one crash-safe WriteFileAtomic) is the
-/// simple and sufficient write path.
+/// A chunk payload as pieces laid end to end: byte buffers it owns, and
+/// spans it borrows from memory the caller keeps alive and unmodified until
+/// the container is written (a tree's own arrays, an index's id maps).
+/// Nothing is copied. Move-only, since the pieces point into the owned
+/// buffers, which a move keeps where they are.
+class ChunkPayload {
+ public:
+  ChunkPayload() = default;
+  /// A payload of one owned buffer; what the small chunks are.
+  // NOLINTNEXTLINE(google-explicit-constructor): a buffer is a payload.
+  ChunkPayload(std::vector<std::uint8_t> bytes) { Own(std::move(bytes)); }
+  ChunkPayload(ChunkPayload&&) = default;
+  ChunkPayload& operator=(ChunkPayload&&) = default;
+  ChunkPayload(const ChunkPayload&) = delete;
+  ChunkPayload& operator=(const ChunkPayload&) = delete;
+
+  /// Appends `bytes`, which the payload keeps.
+  void Own(std::vector<std::uint8_t> bytes) {
+    if (bytes.empty()) return;
+    owned_.push_back(std::move(bytes));
+    Borrow(owned_.back());
+  }
+
+  /// Appends a view of `bytes`, which the caller keeps.
+  void Borrow(std::span<const std::uint8_t> bytes) {
+    if (bytes.empty()) return;
+    pieces_.push_back(bytes);
+    size_ += bytes.size();
+    crc32c_.reset();
+  }
+
+  std::size_t size() const { return size_; }
+  const std::vector<std::span<const std::uint8_t>>& pieces() const {
+    return pieces_;
+  }
+
+  /// CRC32C of the payload bytes: one Crc32cExtend pass over the pieces,
+  /// kept until the next append.
+  std::uint32_t crc32c() const {
+    if (!crc32c_.has_value()) {
+      std::uint32_t crc = 0;
+      for (const auto piece : pieces_) {
+        crc = Crc32cExtend(crc, piece.data(), piece.size());
+      }
+      crc32c_ = crc;
+    }
+    return *crc32c_;
+  }
+
+  /// Whether the payload's bytes equal `data[0..size)`, compared piece by
+  /// piece.
+  bool Equals(const std::uint8_t* data, std::size_t size) const {
+    if (size != size_) return false;
+    for (const auto piece : pieces_) {
+      if (std::memcmp(data, piece.data(), piece.size()) != 0) return false;
+      data += piece.size();
+    }
+    return true;
+  }
+
+ private:
+  std::vector<std::vector<std::uint8_t>> owned_;
+  std::vector<std::span<const std::uint8_t>> pieces_;
+  std::size_t size_ = 0;
+  mutable std::optional<std::uint32_t> crc32c_;
+};
+
+/// A finalized container file: its bytes as spans laid end to end — the
+/// header, then each chunk's zero padding and payload pieces — with the
+/// file's size and CRC32C. It owns the header and the payloads' owned
+/// buffers; borrowed pieces stay the caller's to keep alive until the file
+/// is written (WriteFileAtomic's gather form takes spans()).
+class ContainerFile {
+ public:
+  /// Move-only, since spans() points into the owned buffers, which a move
+  /// keeps where they are.
+  ContainerFile(ContainerFile&&) = default;
+  ContainerFile& operator=(ContainerFile&&) = default;
+  ContainerFile(const ContainerFile&) = delete;
+  ContainerFile& operator=(const ContainerFile&) = delete;
+
+  const std::vector<std::span<const std::uint8_t>>& spans() const {
+    return spans_;
+  }
+  std::uint64_t size() const { return size_; }
+  /// CRC32C of the whole file (ContainerFingerprint's checksum).
+  std::uint32_t crc32c() const { return crc32c_; }
+  std::size_t num_chunks() const { return payloads_.size(); }
+
+  /// The file's bytes in one buffer, for tests and tools that handle a
+  /// container as bytes.
+  std::vector<std::uint8_t> Bytes() const {
+    std::vector<std::uint8_t> file(static_cast<std::size_t>(size_));
+    std::size_t at = 0;
+    for (const auto span : spans_) {
+      std::memcpy(file.data() + at, span.data(), span.size());
+      at += span.size();
+    }
+    return file;
+  }
+
+ private:
+  friend class ContainerWriter;
+  ContainerFile() = default;
+
+  std::vector<std::uint8_t> header_;
+  std::vector<ChunkPayload> payloads_;
+  std::vector<std::span<const std::uint8_t>> spans_;
+  std::uint64_t size_ = 0;
+  std::uint32_t crc32c_ = 0;
+};
+
+/// Collects chunks and lays out the container file over them. The payloads
+/// are never copied: each chunk's CRC32C is one pass over its pieces, the
+/// file's CRC32C is stitched from those (Crc32cCombine), and the gather
+/// write streams the pieces to the file, so a save holds the index's bytes
+/// once, in the index.
 class ContainerWriter {
  public:
   /// Queues a chunk. `alignment` (a power of two) constrains the payload's
   /// file offset; Finalize zero-pads the gap before an aligned chunk.
   /// Readers are oblivious to padding — chunks are located by (offset,
   /// length) — so aligned and unaligned chunks mix freely in one container.
-  void AddChunk(ChunkKind kind, std::vector<std::uint8_t> payload,
+  void AddChunk(ChunkKind kind, ChunkPayload payload,
                 std::size_t alignment = 1) {
     MVP_DCHECK(alignment > 0 && (alignment & (alignment - 1)) == 0);
     ChunkEntry entry;
     entry.kind = static_cast<std::uint32_t>(kind);
     entry.length = payload.size();
-    entry.crc32c = Crc32c(payload.data(), payload.size());
+    entry.crc32c = payload.crc32c();
     entries_.push_back(entry);
     alignments_.push_back(alignment);
     payloads_.push_back(std::move(payload));
@@ -108,10 +225,9 @@ class ContainerWriter {
 
   std::size_t num_chunks() const { return entries_.size(); }
 
-  /// Lays out header + payloads and returns the whole file's bytes. Each
-  /// payload is freed once copied into the file image, so a save never
-  /// holds two full copies of the container.
-  std::vector<std::uint8_t> Finalize() && {
+  /// Lays out the header and the chunk offsets and returns the file as
+  /// spans over the header, zero padding and the payloads' pieces.
+  ContainerFile Finalize() && {
     std::uint64_t offset = ContainerHeaderBytes(entries_.size());
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       const std::uint64_t align = alignments_[i];
@@ -135,27 +251,38 @@ class ContainerWriter {
     header.Write<std::uint32_t>(
         Crc32c(header.buffer().data(), header.buffer().size()));
 
-    std::vector<std::uint8_t> file = std::move(header).TakeBuffer();
-    file.reserve(static_cast<std::size_t>(offset));
-    for (std::size_t i = 0; i < payloads_.size(); ++i) {
-      file.resize(static_cast<std::size_t>(entries_[i].offset), 0);
-      // resize+memcpy rather than a range insert — see the note on
-      // BinaryWriter::Write (GCC 12 -Wnonnull false positive).
-      if (!payloads_[i].empty()) {
-        const std::size_t base = file.size();
-        file.resize(base + payloads_[i].size());
-        std::memcpy(file.data() + base, payloads_[i].data(),
-                    payloads_[i].size());
+    ContainerFile file;
+    file.header_ = std::move(header).TakeBuffer();
+    file.spans_.push_back(file.header_);
+    file.size_ = file.header_.size();
+    file.crc32c_ = Crc32c(file.header_.data(), file.header_.size());
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      const ChunkEntry& entry = entries_[i];
+      while (file.size_ < entry.offset) {
+        const auto pad = static_cast<std::size_t>(std::min<std::uint64_t>(
+            entry.offset - file.size_, sizeof(kZeroPadding)));
+        file.spans_.emplace_back(kZeroPadding, pad);
+        file.crc32c_ = Crc32cExtend(file.crc32c_, kZeroPadding, pad);
+        file.size_ += pad;
       }
-      std::vector<std::uint8_t>().swap(payloads_[i]);
+      for (const auto piece : payloads_[i].pieces()) {
+        file.spans_.push_back(piece);
+      }
+      file.crc32c_ = Crc32cCombine(file.crc32c_, entry.crc32c,
+                                   static_cast<std::size_t>(entry.length));
+      file.size_ += entry.length;
     }
+    file.payloads_ = std::move(payloads_);
     return file;
   }
 
  private:
+  /// The zero bytes every padding span views.
+  static constexpr std::uint8_t kZeroPadding[64] = {};
+
   std::vector<ChunkEntry> entries_;
   std::vector<std::size_t> alignments_;
-  std::vector<std::vector<std::uint8_t>> payloads_;
+  std::vector<ChunkPayload> payloads_;
 };
 
 /// Parses and validates a container over externally owned bytes (typically

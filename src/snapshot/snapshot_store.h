@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <initializer_list>
 #include <memory>
@@ -564,35 +563,39 @@ class SnapshotStore {
   /// Appends `index` as flat arenas to `container` — per shard, one
   /// kFlatShard chunk (u64 shard index, then the arena) and one
   /// kFlatShardIds chunk (u64 shard index, u64v global ids) — and records
-  /// the index's kind, size and build parameters in `manifest`. A shard
-  /// whose kFlatShard payload is byte-identical to a chunk in `reusable`
-  /// is written as a kShardTreeRef naming that chunk instead. Returns how
-  /// many shards were.
+  /// the index's kind, size and build parameters in `manifest`. The chunks
+  /// borrow the arenas' sections and the id maps from `index`, which must
+  /// outlive the write. A shard whose kFlatShard payload has the length and
+  /// CRC32C of a chunk in `reusable`, and then its bytes, is written as a
+  /// kShardTreeRef naming that chunk instead. Returns how many shards
+  /// were.
   template <metric::MetricFor<metric::Vector> Metric>
   static std::uint64_t AppendFlatChunks(
       const serve::ShardedMvpIndex<metric::Vector, Metric>& index,
       const std::vector<ResolvedShardChunk>& reusable,
       ContainerWriter* container, SnapshotManifest* manifest) {
+    static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
+                  "id maps are written as u64 in place");
     std::uint64_t reused = 0;
     for (std::size_t s = 0; s < index.num_shards(); ++s) {
       const auto& tree = index.shard(s);
-      const std::vector<std::uint8_t> arena = flat::BuildFlatArena(
+      flat::FlatArenaLayout arena = flat::LayOutFlatArena(
           tree.options(), tree.rows(), tree.dim(), tree.arrays());
-      // Payload: u64 shard index, then the arena. The 8-byte chunk
-      // alignment keeps the arena (at payload + 8) on an 8-byte file
-      // offset, which mmap carries into memory.
-      BinaryWriter payload;
-      payload.Write<std::uint64_t>(s);
-      std::vector<std::uint8_t> bytes = std::move(payload).TakeBuffer();
-      // resize+memcpy rather than a range insert — see the note on
-      // BinaryWriter::Write (GCC 12 -Wnonnull false positive).
-      const std::size_t base = bytes.size();
-      bytes.resize(base + arena.size());
-      std::memcpy(bytes.data() + base, arena.data(), arena.size());
+      // Payload: u64 shard index, then the arena, its sections borrowed
+      // from the tree. The 8-byte chunk alignment keeps the arena (at
+      // payload + 8) on an 8-byte file offset, which mmap carries into
+      // memory.
+      BinaryWriter shard_index;
+      shard_index.Write<std::uint64_t>(s);
+      ChunkPayload payload(std::move(shard_index).TakeBuffer());
+      payload.Own(std::move(arena.header));
+      for (const auto piece : arena.body) payload.Borrow(piece);
       const auto match = std::find_if(
           reusable.begin(), reusable.end(), [&](const ResolvedShardChunk& c) {
-            return c.length == bytes.size() &&
-                   std::memcmp(c.payload, bytes.data(), bytes.size()) == 0;
+            return c.length == payload.size() &&
+                   c.crc32c == payload.crc32c() &&
+                   payload.Equals(c.payload,
+                                  static_cast<std::size_t>(c.length));
           });
       if (match != reusable.end()) {
         BinaryWriter ref;
@@ -604,14 +607,18 @@ class SnapshotStore {
                             std::move(ref).TakeBuffer());
         ++reused;
       } else {
-        container->AddChunk(ChunkKind::kFlatShard, std::move(bytes),
+        container->AddChunk(ChunkKind::kFlatShard, std::move(payload),
                             kFlatChunkAlignment);
       }
-      BinaryWriter ids;
-      ids.Write<std::uint64_t>(s);
-      ids.WriteVector(index.shard_global_ids(s));
-      container->AddChunk(ChunkKind::kFlatShardIds,
-                          std::move(ids).TakeBuffer());
+      // u64 shard index, then the id map as a u64v: its length, then the
+      // index's own array.
+      const std::vector<std::size_t>& global_ids = index.shard_global_ids(s);
+      BinaryWriter prefix;
+      prefix.Write<std::uint64_t>(s);
+      prefix.Write<std::uint64_t>(global_ids.size());
+      ChunkPayload ids(std::move(prefix).TakeBuffer());
+      ids.Borrow(ByteSpan(std::span(global_ids)));
+      container->AddChunk(ChunkKind::kFlatShardIds, std::move(ids));
     }
     manifest->index_kind = IndexKind::kFlatShardedMvpIndex;
     manifest->object_count = index.size();
@@ -836,19 +843,16 @@ class SnapshotStore {
 
   /// Writes container + manifest into the next generation directory and
   /// commits it by atomically swapping CURRENT. The commit point is the
-  /// CURRENT rename: everything before it is invisible to readers.
-  Result<std::uint64_t> CommitGeneration(std::vector<std::uint8_t> container,
+  /// CURRENT rename: everything before it is invisible to readers. The
+  /// container's pieces are written as they lie (the gather form of
+  /// WriteFileAtomic), and its fingerprint comes from the CRC32C Finalize
+  /// stitched from the chunk CRCs, so no byte is read twice.
+  Result<std::uint64_t> CommitGeneration(const ContainerFile& container,
                                          SnapshotManifest manifest) {
-    manifest.num_chunks = 0;
-    {
-      // Chunk count lives in the container header we just finalized.
-      auto parsed = ContainerReader::Parse(container.data(), container.size());
-      MVP_DCHECK(parsed.ok());
-      if (parsed.ok()) manifest.num_chunks = parsed.value().num_chunks();
-    }
+    manifest.num_chunks = container.num_chunks();
     manifest.payload_bytes = container.size();
     manifest.dataset_fingerprint =
-        ContainerFingerprint(container.data(), container.size());
+        FingerprintFromCrc(container.crc32c(), container.size());
     // Stamp the store's persisted leader epoch. Epoch-0 stores (no EPOCH
     // file) keep writing their previous manifest version byte for byte, so
     // golden snapshots and pre-epoch binaries are untouched.
@@ -869,7 +873,7 @@ class SnapshotStore {
       return Status::IOError("cannot create generation dir: " + gen_dir);
     }
     MVP_RETURN_NOT_OK(
-        WriteFileAtomic(gen_dir + "/" + kContainerFile, container));
+        WriteFileAtomic(gen_dir + "/" + kContainerFile, container.spans()));
     MVP_RETURN_NOT_OK(
         WriteFileAtomic(gen_dir + "/" + kManifestFile, manifest.Serialize()));
     const std::string name = GenerationName(gen) + std::string("\n");

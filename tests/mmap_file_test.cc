@@ -84,7 +84,7 @@ TEST_F(MmapFileTest, BothPathsReadTheSameBytes) {
 
 TEST_F(MmapFileTest, EmptyFileYieldsZeroLengthViewOnBothPaths) {
   const std::string path = dir_ + "/empty";
-  ASSERT_TRUE(WriteFileAtomic(path, {}).ok());
+  ASSERT_TRUE(WriteFileAtomic(path, std::vector<std::uint8_t>{}).ok());
 
   auto mapped = MmapFile::Open(path);
   ASSERT_TRUE(mapped.ok());

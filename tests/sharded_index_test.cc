@@ -287,6 +287,40 @@ TEST(ShardedIndexTest, EmptyDatasetIsValid) {
   EXPECT_TRUE(sharded.KnnSearch(Vector{0.5, 0.5}, 3).empty());
 }
 
+/// A shard tree keeps its rows in one slab, so Build refuses vectors that
+/// do not share one dimension of at least 1 with the messages
+/// MvpTree::Build gives, at every shard count, with and without a pool.
+TEST(ShardedIndexTest, BuildRejectsMixedAndEmptyVectors) {
+  const std::string kMixed = "mvp-tree vectors must all have one dimension";
+  const std::string kZero = "mvp-tree vector dimension must be 1 to 2^32-1";
+  auto mixed = dataset::UniformVectors(60, 3, 8);
+  mixed[41] = Vector{0.5, 0.5};
+  auto one_empty = dataset::UniformVectors(60, 3, 9);
+  one_empty[7] = Vector{};
+  const std::vector<Vector> all_empty(60);
+  const std::pair<const std::vector<Vector>*, std::string> cases[] = {
+      {&mixed, kMixed}, {&one_empty, kMixed}, {&all_empty, kZero}};
+  ThreadPool pool(2);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    for (ThreadPool* use : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE("shards " + std::to_string(shards) +
+                   (use != nullptr ? ", pooled" : ", serial"));
+      Sharded::Options options;
+      options.num_shards = shards;
+      for (const auto& [data, message] : cases) {
+        const auto built = Sharded::Build(*data, L2(), options, use);
+        ASSERT_FALSE(built.ok());
+        EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_EQ(built.status().message(), message);
+      }
+    }
+  }
+  // The messages one tree gives.
+  EXPECT_EQ(Plain::Build(mixed, L2()).status().message(), kMixed);
+  EXPECT_EQ(Plain::Build(one_empty, L2()).status().message(), kMixed);
+  EXPECT_EQ(Plain::Build(all_empty, L2()).status().message(), kZero);
+}
+
 TEST(ShardedIndexTest, MoreShardsThanPoints) {
   const auto data = dataset::UniformVectors(5, 4, 3);
   const Sharded sharded = BuildSharded(data, 8);

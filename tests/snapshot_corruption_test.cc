@@ -164,8 +164,8 @@ TEST_F(SnapshotCorruptionTest, AdversarialChunkExtentRejected) {
   // offset+length that would wrap u64; the subtraction-form bounds check
   // must reject it.
   ContainerWriter writer;
-  writer.AddChunk(ChunkKind::kShardTree, {1, 2, 3});
-  auto bytes = std::move(writer).Finalize();
+  writer.AddChunk(ChunkKind::kShardTree, std::vector<std::uint8_t>{1, 2, 3});
+  auto bytes = std::move(writer).Finalize().Bytes();
   // Chunk entry 0 starts at byte 16: kind, reserved, then offset (u64).
   const std::uint64_t evil_offset = ~std::uint64_t{0} - 1;
   for (int i = 0; i < 8; ++i) {
@@ -236,7 +236,7 @@ TEST_F(SnapshotCorruptionTest, SwappedChunkOrderStillLoadsCorrectly) {
     writer.AddChunk(ChunkKind::kShardTree,
                     std::vector<std::uint8_t>(payload, payload + length));
   }
-  auto bytes = std::move(writer).Finalize();
+  auto bytes = std::move(writer).Finalize().Bytes();
   // Size/fingerprint are unchanged only if layout matches; rewrite the
   // manifest to match the permuted container.
   auto manifest = SnapshotManifest::Parse(manifest_);
@@ -259,7 +259,7 @@ TEST_F(SnapshotCorruptionTest, DuplicatedShardChunkRejected) {
     writer.AddChunk(ChunkKind::kShardTree,
                     std::vector<std::uint8_t>(payload, payload + length));
   }
-  auto bytes = std::move(writer).Finalize();
+  auto bytes = std::move(writer).Finalize().Bytes();
   auto manifest = SnapshotManifest::Parse(manifest_);
   ASSERT_TRUE(manifest.ok());
   SnapshotManifest updated = manifest.value();
@@ -341,7 +341,7 @@ class FlatSnapshotCorruptionTest : public ::testing::Test {
       writer.AddChunk(static_cast<ChunkKind>(parsed.value().chunk(c).kind),
                       std::move(bytes), kFlatChunkAlignment);
     }
-    auto file = std::move(writer).Finalize();
+    auto file = std::move(writer).Finalize().Bytes();
     auto manifest = SnapshotManifest::Parse(manifest_);
     EXPECT_TRUE(manifest.ok());
     SnapshotManifest updated = manifest.value();

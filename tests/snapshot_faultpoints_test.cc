@@ -155,6 +155,97 @@ TEST_F(SnapshotFaultpointsTest, EveryCommitFailurePointLeavesPriorGenServing) {
   EXPECT_EQ(loaded.value().index.size(), 220u);
 }
 
+/// The container is written as a gather list, one write per piece (the
+/// header, padding, each arena section, each id map). A crash on the 2nd
+/// write and on the last, and a short write at each, all leave generation 1
+/// committed and serving the same answers.
+TEST_F(SnapshotFaultpointsTest, MidGatherWriteFailureLeavesPriorGenServing) {
+  SnapshotStore store(dir_);
+  const Index gen1_index = BuildIndex(150, 1);
+  ASSERT_TRUE(store.SaveFlat(gen1_index).ok());
+  const auto queries = dataset::UniformQueryVectors(6, 4, 9);
+  std::vector<std::vector<Neighbor>> expected;
+  for (const auto& q : queries) expected.push_back(gen1_index.RangeSearch(q, 0.7));
+
+  // Count the container's writes: a failpoint that never fires still
+  // counts the evaluations that match it.
+  const Index gen2_index = BuildIndex(220, 2);
+  std::uint64_t writes = 0;
+  std::uint64_t container_bytes = 0;
+  {
+    const std::string counting_dir = dir_ + "_count";
+    SnapshotStore counting(counting_dir);
+    fault::FailpointConfig config;
+    config.match = SnapshotStore::kContainerFile;
+    config.max_fires = 0;
+    fault::ScopedFailpoint failpoint("fs/write", config);
+    auto saved = counting.SaveFlat(gen2_index);
+    ASSERT_TRUE(saved.ok());
+    writes = fault::Failpoints::Instance().evaluations("fs/write");
+    container_bytes =
+        counting.ReadManifest(saved.value()).value().payload_bytes;
+    std::filesystem::remove_all(counting_dir);
+  }
+  // The header, then at least the 2 shards' arenas and id maps.
+  ASSERT_GE(writes, 5u);
+
+  const std::string tmp = store.GenerationDir(2) + "/" +
+                          SnapshotStore::kContainerFile + ".tmp";
+  // The last piece is the last shard's id map.
+  const std::uint64_t last_piece =
+      sizeof(std::uint64_t) *
+      gen2_index.shard_global_ids(gen2_index.num_shards() - 1).size();
+  for (const bool crash : {true, false}) {
+    for (const std::uint64_t skip : {std::uint64_t{1}, writes - 1}) {
+      SCOPED_TRACE(std::string(crash ? "crash" : "short write") +
+                   " at write " + std::to_string(skip + 1) + " of " +
+                   std::to_string(writes));
+      fault::FailpointConfig config;
+      config.match = SnapshotStore::kContainerFile;
+      config.skip = skip;
+      config.crash = crash;
+      // A short write lands 1 byte of its piece, then fails on the rest.
+      if (!crash) config.short_write = 1;
+      fault::Failpoints::Instance().Arm("fs/write", config);
+      bool failed = false;
+      try {
+        failed = !store.SaveFlat(gen2_index).ok();
+      } catch (const fault::CrashError&) {
+        failed = true;
+      }
+      EXPECT_TRUE(failed) << "the armed failpoint did not interrupt the save";
+      fault::Failpoints::Instance().DisarmAll();
+      if (crash) {
+        // The crash left every piece before the armed write on disk.
+        const std::uint64_t landed =
+            skip == 1 ? ContainerHeaderBytes(2 * gen2_index.num_shards())
+                      : container_bytes - last_piece;
+        EXPECT_EQ(std::filesystem::file_size(tmp), landed);
+      } else {
+        EXPECT_FALSE(std::filesystem::exists(tmp));
+      }
+
+      auto loaded = store.LoadSharded<Vector>(L2(), VectorCodec());
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      EXPECT_EQ(loaded.value().generation, 1u);
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        const auto got = loaded.value().index.RangeSearch(queries[i], 0.7);
+        ASSERT_EQ(got.size(), expected[i].size()) << "query " << i;
+        for (std::size_t j = 0; j < got.size(); ++j) {
+          EXPECT_EQ(got[j].id, expected[i][j].id);
+          EXPECT_EQ(got[j].distance, expected[i][j].distance);
+        }
+      }
+    }
+  }
+
+  ASSERT_TRUE(store.SaveFlat(gen2_index).ok());
+  auto loaded = store.LoadSharded<Vector>(L2(), VectorCodec());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().generation, 2u);
+  EXPECT_EQ(loaded.value().index.size(), 220u);
+}
+
 TEST_F(SnapshotFaultpointsTest, ForestCommitPathSurvivesTheSameEnumeration) {
   // The delta commit path (a forest chunk over a base generation) under the
   // same enumeration: after every interrupted SaveDelta the committed delta

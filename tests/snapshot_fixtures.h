@@ -87,7 +87,8 @@ void WriteHeapGeneration(
     writer.AddChunk(ChunkKind::kShardTree, std::move(chunk).TakeBuffer());
   }
   const std::size_t chunks = writer.num_chunks();
-  const std::vector<std::uint8_t> container = std::move(writer).Finalize();
+  const std::vector<std::uint8_t> container =
+      std::move(writer).Finalize().Bytes();
   SnapshotManifest manifest;
   manifest.index_kind = IndexKind::kShardedMvpIndex;
   manifest.object_count = index.size();
