@@ -6,6 +6,8 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <iterator>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "common/serialize.h"
 #include "dataset/vector_gen.h"
 #include "dynamic/dynamic_overlay.h"
+#include "dynamic/mvp_forest.h"
 #include "metric/lp.h"
 #include "serve/sharded_index.h"
 #include "snapshot/flat_tree.h"
@@ -38,6 +41,9 @@
 /// golden_heap and golden_heap_compacted are frozen as well: they hold the
 /// MVPT stream layout (index kind 1), which no current writer emits, so
 /// they pin that the layout keeps opening.
+/// golden_delta is frozen too: a delta generation over a flat base, whose
+/// memtable levels are MVPT streams SaveDelta still writes, so it pins
+/// those bytes as well as that they keep opening.
 ///
 /// Re-bless (after an INTENTIONAL format change):
 ///   MVPT_BLESS_GOLDEN=1 ./flat_format_golden_test
@@ -242,9 +248,9 @@ Index CompactedRebuild() {
   return std::move(built).ValueOrDie();
 }
 
-/// `hits` of the rebuild, with dense ids mapped to stable ids.
-std::vector<Neighbor> ToStable(std::vector<Neighbor> hits) {
-  const auto stable = CompactedStableIds();
+/// `hits` of a rebuild, with dense id g mapped to stable id `stable[g]`.
+std::vector<Neighbor> ToStable(std::vector<Neighbor> hits,
+                               const std::vector<std::uint64_t>& stable) {
   for (Neighbor& hit : hits) hit.id = static_cast<std::size_t>(stable[hit.id]);
   return hits;
 }
@@ -296,13 +302,135 @@ TEST(FlatFormatGoldenTest, FrozenCompactedHeapFixtureServesThroughOverlay) {
     EXPECT_EQ(o.size(), 45u);
     EXPECT_EQ(o.next_stable_id(), 48u);
     const Index rebuilt = CompactedRebuild();
+    const auto stable = CompactedStableIds();
     for (const auto& q : dataset::UniformQueryVectors(40, 4, 11)) {
       ExpectSameResults(o.RangeSearch(q, 0.5),
-                        ToStable(rebuilt.RangeSearch(q, 0.5)));
-      ExpectSameResults(o.KnnSearch(q, 5), ToStable(rebuilt.KnnSearch(q, 5)));
+                        ToStable(rebuilt.RangeSearch(q, 0.5), stable));
+      ExpectSameResults(o.KnnSearch(q, 5),
+                        ToStable(rebuilt.KnnSearch(q, 5), stable));
     }
     EXPECT_EQ(o.Erase(17).code(), StatusCode::kNotFound);
     EXPECT_TRUE(o.Erase(16).ok());
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// ---- golden_delta -------------------------------------------------------
+//
+// FROZEN, never re-blessed: a delta generation over a flat base.
+// Generation 1 is the recipe's flat snapshot (SaveFlat of GoldenIndex()).
+// Generation 2 is SaveDeltaRecipe's SaveDelta: a kForest chunk holding
+// DeltaForest() — its levels as MVPT streams (MvpForest::Serialize, one
+// MvpTree::Serialize per level) — the stable ids 48.. of the forest's
+// inserts, and the base tombstones kDeltaBaseErased. The WAL was not kept.
+
+using Forest = dynamic::MvpForest<Vector, L2>;
+
+constexpr std::size_t kDeltaInserts = 27;
+constexpr std::uint64_t kDeltaBaseErased[] = {5, 17, 40};
+constexpr std::size_t kDeltaForestErased[] = {3, 20};
+
+/// The delta recipe's inserted points: forest id f is stable id 48 + f.
+std::vector<Vector> DeltaInserts() {
+  return dataset::UniformVectors(kDeltaInserts, 4, 13);
+}
+
+/// The memtable the delta generation holds: DeltaInserts() in order, with
+/// a buffer of 8, so levels of 8 and 16 points and 3 buffered, and then
+/// forest ids kDeltaForestErased erased. The levels' trees take the
+/// recipe's tree options.
+Forest DeltaForest() {
+  Forest::Options options;
+  options.tree = GoldenIndex().options().tree;
+  options.buffer_capacity = 8;
+  Forest forest(L2(), options);
+  for (Vector& v : DeltaInserts()) forest.Insert(std::move(v));
+  for (const std::size_t id : kDeltaForestErased) {
+    EXPECT_TRUE(forest.Erase(id).ok());
+  }
+  EXPECT_EQ(forest.num_trees(), 2u);
+  EXPECT_EQ(forest.buffered(), 3u);
+  return forest;
+}
+
+/// Writes the recipe's delta generation into `store`, whose committed
+/// generation 1 is the base.
+Result<std::uint64_t> SaveDeltaRecipe(SnapshotStore& store) {
+  std::vector<std::uint64_t> forest_ids(kDeltaInserts);
+  std::iota(forest_ids.begin(), forest_ids.end(), 48);
+  const std::vector<std::uint64_t> tombstones(std::begin(kDeltaBaseErased),
+                                              std::end(kDeltaBaseErased));
+  const std::uint64_t writes =
+      kDeltaInserts + std::size(kDeltaBaseErased) + std::size(kDeltaForestErased);
+  return store.SaveDelta(DeltaForest(), forest_ids, tombstones,
+                         /*base_generation=*/1, /*last_applied_seq=*/writes,
+                         /*next_stable_id=*/48 + kDeltaInserts, VectorCodec());
+}
+
+/// SaveDelta of the recipe over the fixture's base reproduces every byte
+/// of the fixture's delta generation, so MvpForest::Serialize and the
+/// MVPT stream of each memtable level keep their exact encoding.
+TEST(FlatFormatGoldenTest, DeltaSnapshotBytesStable) {
+  if (BlessMode()) GTEST_SKIP() << "frozen fixture is never re-blessed";
+  const std::string golden = GoldenDir("golden_delta");
+  const std::string fresh = CopyFixtureStore(
+      golden, ::testing::TempDir() + "/golden_delta_rewritten");
+  std::filesystem::remove_all(fresh + "/gen-000002");
+  const std::string base = "gen-000001\n";
+  ASSERT_TRUE(WriteFile(fresh + "/" + SnapshotStore::kCurrentFile,
+                        std::vector<std::uint8_t>(base.begin(), base.end()))
+                  .ok());
+  SnapshotStore store(fresh);
+  const auto saved = SaveDeltaRecipe(store);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  ASSERT_EQ(saved.value(), 2u);
+  for (const char* file :
+       {"CURRENT", "gen-000002/MANIFEST", "gen-000002/shards.mvps"}) {
+    ExpectFileBytesEqual(golden + "/" + file, fresh + "/" + file);
+  }
+  std::filesystem::remove_all(fresh);
+}
+
+/// The delta fixture opens through DynamicOverlay (base, tombstones and
+/// memtable) and answers exactly as a rebuild of its live set does.
+TEST(FlatFormatGoldenTest, FrozenDeltaFixtureServesThroughOverlay) {
+  if (BlessMode()) GTEST_SKIP() << "frozen fixture is never re-blessed";
+  using Overlay = dynamic::DynamicOverlay<Vector, L2, VectorCodec>;
+  // The live set ascending by stable id, so a rebuild's dense ids keep
+  // the stable ids' order and its ties.
+  std::vector<Vector> live;
+  std::vector<std::uint64_t> stable;
+  const auto keep = [&](auto&& points, std::uint64_t first, const auto& erased) {
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      if (std::find(std::begin(erased), std::end(erased), i) !=
+          std::end(erased)) {
+        continue;
+      }
+      live.push_back(points[i]);
+      stable.push_back(first + i);
+    }
+  };
+  keep(GoldenData(), 0, kDeltaBaseErased);
+  keep(DeltaInserts(), 48, kDeltaForestErased);
+  auto rebuilt = Index::Build(std::move(live), L2(), GoldenIndex().options());
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+
+  const std::string dir = CopyFixtureStore(
+      GoldenDir("golden_delta"), ::testing::TempDir() + "/golden_delta_overlay");
+  {
+    auto overlay = Overlay::Open(dir, L2(), VectorCodec());
+    ASSERT_TRUE(overlay.ok()) << overlay.status().ToString();
+    Overlay& o = *overlay.value();
+    EXPECT_EQ(o.generation(), 2u);
+    EXPECT_EQ(o.base_generation(), 1u);
+    EXPECT_EQ(o.size(), stable.size());
+    EXPECT_EQ(o.next_stable_id(), 48 + kDeltaInserts);
+    for (const auto& q : dataset::UniformQueryVectors(40, 4, 11)) {
+      ExpectSameResults(o.RangeSearch(q, 0.5),
+                        ToStable(rebuilt.value().RangeSearch(q, 0.5), stable));
+      ExpectSameResults(o.KnnSearch(q, 5),
+                        ToStable(rebuilt.value().KnnSearch(q, 5), stable));
+    }
   }
   std::filesystem::remove_all(dir);
 }
