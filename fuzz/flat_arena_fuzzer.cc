@@ -14,12 +14,14 @@
 // returns an MvpTree that is safe to search (a v1, v2 or v3 arena is
 // validated, then upgraded to v4 at open) — range and k-NN traversals over
 // an accepted arena must stay in bounds (ASan checks this, not us), and so
-// must ValidateInvariants, which recomputes every stored distance. An
-// opened arena holds no double leaf distances, so Serialize must refuse
-// it. The arena parser must agree with the arena writer: every accepted
-// tree is laid out again with BuildFlatArena, which ParseFlatArena must
-// accept, and the reopened tree must give equal range and k-NN answers and
-// SearchStats.
+// must ValidateInvariants, which recomputes every stored distance. Serialize
+// must succeed on every accepted tree, recomputing the stream's double leaf
+// distances, and when ValidateInvariants passed, the stream must
+// deserialize into a heap tree that answers bit for bit as the opened tree
+// does, SearchStats included. The arena parser must agree with the arena
+// writer: every accepted tree is laid out again with BuildFlatArena, which
+// ParseFlatArena must accept, and the reopened tree must give equal range
+// and k-NN answers and SearchStats.
 //
 // Input layout: [u8 mode][body...].
 
@@ -82,13 +84,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const auto knn = tree.KnnSearch(query, 3, &stats);
 
   // Bounded work: validation costs O(n log n) distances of dim each.
-  if (tree.size() * tree.dim() <= (std::size_t{1} << 16)) {
-    (void)tree.ValidateInvariants();
-  }
+  const bool valid = tree.size() * tree.dim() <= (std::size_t{1} << 16) &&
+                     tree.ValidateInvariants().ok();
   mvp::BinaryWriter stream;
-  FUZZ_ASSERT(tree.Serialize(&stream, mvp::VectorCodec{}).code() ==
-                  mvp::StatusCode::kNotSupported,
-              "an opened arena serialized without its double columns");
+  FUZZ_ASSERT(tree.Serialize(&stream, mvp::VectorCodec{}).ok(),
+              "an opened arena failed to serialize");
   const std::vector<std::uint8_t> again = mvp::snapshot::flat::BuildFlatArena(
       tree.options(), tree.rows(), tree.dim(), tree.arrays());
   auto reopened = mvp::snapshot::flat::OpenTree(again.data(), again.size(),
@@ -118,5 +118,21 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
           again_stats.leaf_points_seen == stats.leaf_points_seen &&
           again_stats.leaf_points_filtered == stats.leaf_points_filtered,
       "an arena and its own layout count differently");
+  if (!valid) return 0;
+  mvp::BinaryReader reader(stream.buffer());
+  auto heap = mvp::core::MvpTree<mvp::metric::Vector, mvp::metric::L2>::
+      Deserialize(&reader, mvp::metric::L2{}, mvp::VectorCodec{});
+  FUZZ_ASSERT(heap.ok() && reader.AtEnd(),
+              "a valid opened arena's stream failed to deserialize");
+  mvp::SearchStats heap_stats;
+  FUZZ_ASSERT(same(heap.value().RangeSearch(query, 1.5, &heap_stats), range) &&
+                  same(heap.value().KnnSearch(query, 3, &heap_stats), knn),
+              "a valid opened arena and its stream answer differently");
+  FUZZ_ASSERT(
+      heap_stats.distance_computations == stats.distance_computations &&
+          heap_stats.nodes_visited == stats.nodes_visited &&
+          heap_stats.leaf_points_seen == stats.leaf_points_seen &&
+          heap_stats.leaf_points_filtered == stats.leaf_points_filtered,
+      "a valid opened arena and its stream count differently");
   return 0;
 }

@@ -52,17 +52,16 @@
 /// preorder node records, an m*m child slot table, one bounds pool and
 /// per-leaf id/D1/D2 columns with column-major PATH slabs: the very arrays a
 /// flat arena holds. Searches read the leaf distances as floats, at a radius
-/// that keeps every entry the double test would (tree_layout.h); a built or
-/// deserialized tree also keeps them in double for the MVPT stream
-/// (Serialize), and a tree over an arena has only the floats. A tree over
-/// dense vectors keeps its objects as one row-major slab of doubles, the
-/// rows of a flat arena's objects section, and evaluates them in place as
-/// metric::VectorView; any other object type is kept in a
-/// std::vector<Object> (ObjectStore). Either way the objects sit in the
-/// layout's row order, not by id: a leaf's entries are one contiguous block
-/// of rows, and the vantage points follow in node preorder, so a search
-/// reads every object at a position its node or leaf names. Build and
-/// Deserialize put their input into that order in place
+/// that keeps every entry the double test would (tree_layout.h), and the
+/// floats are the only copy a tree keeps: Serialize recomputes the doubles
+/// the MVPT stream carries. A tree over dense vectors keeps its objects as
+/// one row-major slab of doubles, the rows of a flat arena's objects
+/// section, and evaluates them in place as metric::VectorView; any other
+/// object type is kept in a std::vector<Object> (ObjectStore). Either way
+/// the objects sit in the layout's row order, not by id: a leaf's entries
+/// are one contiguous block of rows, and the vantage points follow in node
+/// preorder, so a search reads every object at a position its node or leaf
+/// names. Build and Deserialize put their input into that order in place
 /// (core::PermuteInPlace) and give a tree its own arrays and rows; Borrow
 /// gives a vector tree a validated arena's (snapshot::flat::OpenTree), kept
 /// alive by a shared owner. Searches read one TreeArrays view either way, so
@@ -358,7 +357,6 @@ class MvpTree {
     requires kRows
   {
     MvpTree tree(Store::Borrow(rows, count, dim), std::move(metric), options);
-    tree.borrowed_ = true;
     tree.arrays_ = arrays;
     tree.row_of_ = std::move(row_of);
     tree.owner_ = std::move(owner);
@@ -511,9 +509,6 @@ class MvpTree {
     return store_.dim();
   }
   const TreeArrays& arrays() const { return arrays_; }
-  /// The arrays Build and Deserialize wrote, with the double leaf columns
-  /// the MVPT stream carries; empty for a tree over an arena.
-  const TreeLayout& layout() const { return layout_; }
 
   /// Structural statistics. For a full mvp-tree of height h the paper gives
   /// 2*(m^(2h) - 1)/(m^2 - 1) vantage points and m^(2(h-1))*k leaf points;
@@ -528,15 +523,13 @@ class MvpTree {
   /// the row order — leaf entry e at row e, every node's vantage points at
   /// its vp rows, those tiling the rows after the entries in preorder, and
   /// the id -> row map agreeing with all of them, so every point is stored
-  /// exactly once; that every leaf's float D1/D2 and PATH entries equal the
+  /// exactly once; that every leaf's D1/D2 and PATH entries equal the
   /// narrowing (metric::kernels::NarrowDistance) of the actual distances to
   /// the leaf's own and ancestor vantage points exactly, or are NaN where
-  /// the actual one is NaN, and that a built or deserialized tree's double
-  /// columns equal the actual distances within 1e-9; and that every point's
-  /// distance to each ancestor vantage point lies inside its child's
-  /// recorded shell. Returns Corruption naming the first violated invariant
-  /// — useful after deserializing untrusted bytes or when developing custom
-  /// metrics.
+  /// the actual one is NaN; and that every point's distance to each
+  /// ancestor vantage point lies inside its child's recorded shell. Returns
+  /// Corruption naming the first violated invariant — useful after
+  /// deserializing untrusted bytes or when developing custom metrics.
   Status ValidateInvariants() const {
     const auto nodes = Access();
     const NodeRec* root = nodes.Root();
@@ -553,15 +546,12 @@ class MvpTree {
   /// distances) into the versioned little-endian format described in
   /// DESIGN.md §5.6. The metric itself is NOT serialized; Deserialize must
   /// be handed the same metric the tree was built with. The stream carries
-  /// the leaf distances in double, which a tree over a flat arena does not
-  /// hold: Serialize on one is NotSupported and writes nothing.
+  /// the leaf distances in double, which no tree keeps: each is recomputed
+  /// (core::WriteStructure) exactly as Build computed it, so a tree —
+  /// built, deserialized or opened from a flat arena — writes the stream
+  /// its build wrote. Costs (2 + p) distance computations per leaf entry.
   template <CodecFor<Object> Codec>
   Status Serialize(BinaryWriter* writer, const Codec& codec) const {
-    if (borrowed_) {
-      return Status::NotSupported(
-          "an mvp-tree over a flat arena has no double leaf distances to "
-          "serialize");
-    }
     writer->Write<std::uint32_t>(kMagic);
     writer->Write<std::uint32_t>(kFormatVersion);
     writer->Write<std::int32_t>(options_.order);
@@ -572,7 +562,9 @@ class MvpTree {
     for (std::size_t id = 0; id < size(); ++id) {
       codec.Write(*writer, object(id));
     }
-    layout_.Write(writer, Order());
+    WriteStructure(writer, arrays_, [this](std::size_t vp, std::size_t row) {
+      return metric_(store_[vp], store_[row]);
+    });
     return Status::OK();
   }
 
@@ -642,12 +634,13 @@ class MvpTree {
   };
 
   /// Construction working set: the entries, and each object's PATH
-  /// distances to its ancestors' vantage points at path[id * stride + j].
-  /// Every entry of a node passed the same ancestors, so BuildNode passes
-  /// their common PATH length down instead of storing one per entry.
+  /// distances to its ancestors' vantage points at path[id * stride + j],
+  /// narrowed as the leaf columns keep them. Every entry of a node passed
+  /// the same ancestors, so BuildNode passes their common PATH length down
+  /// instead of storing one per entry.
   struct Working {
     std::vector<Entry> entries;
-    std::vector<double> path;
+    std::vector<float> path;
     std::size_t stride = 0;
     Rng rng;
   };
@@ -695,13 +688,11 @@ class MvpTree {
   TreeNodes<MvpTree> Access() const { return {this, arrays_}; }
 
   /// The last step of Build and Deserialize: records the vantage points'
-  /// rows, the float leaf columns, the id -> row map and the arrays view,
-  /// then moves the objects, still in id order, into row order in place.
-  /// Corruption when the structure does not store every object exactly
-  /// once.
+  /// rows, the id -> row map and the arrays view, then moves the objects,
+  /// still in id order, into row order in place. Corruption when the
+  /// structure does not store every object exactly once.
   Status OrderRows() {
     layout_.AssignRows();
-    layout_.Narrow();
     arrays_ = layout_.Arrays(Order(), PathDistances());
     auto map = RowMap(arrays_, size());
     if (!map.ok()) return map.status();
@@ -728,17 +719,17 @@ class MvpTree {
     for (std::size_t i = 0; i < n; ++i) w.entries[i].id = i;
     // Leaf entries and their PATH slabs fit in these: no regrowth copies.
     layout_.ids.reserve(n);
-    layout_.d1.reserve(n);
-    layout_.d2.reserve(n);
-    layout_.path.reserve(n * w.stride);
+    layout_.d1_f32.reserve(n);
+    layout_.d2_f32.reserve(n);
+    layout_.path_f32.reserve(n * w.stride);
     BuildNode(w, 0, n, 0);
   }
 
-  /// Records distance `d` as PATH[j] of object `id` while j < p.
+  /// Records distance `d`, narrowed, as PATH[j] of object `id` while j < p.
   void RecordPath(Working& w, std::size_t id, std::size_t j, double d) const {
     if (j >= PathDistances()) return;
     MVP_DCHECK(j < w.stride);
-    w.path[id * w.stride + j] = d;
+    w.path[id * w.stride + j] = metric::kernels::NarrowDistance(d);
   }
 
   /// §4.2's construction, generalized from m=2 to any m: the first vantage
@@ -896,14 +887,15 @@ class MvpTree {
     for (std::size_t i = begin + 2; i < end; ++i) {
       entries[i].d2 = Distance(vp2, store_[entries[i].id]);
       layout_.ids.push_back(static_cast<std::uint32_t>(entries[i].id));
-      layout_.d1.push_back(entries[i].d1);
-      layout_.d2.push_back(entries[i].d2);
+      layout_.d1_f32.push_back(metric::kernels::NarrowDistance(entries[i].d1));
+      layout_.d2_f32.push_back(metric::kernels::NarrowDistance(entries[i].d2));
     }
     const std::uint32_t index =
         layout_.AddLeaf(vp1_id, vp2_id, true, n, path_length);
-    double* slab = layout_.path.data() + layout_.leafpaths[index].slab_offset;
+    float* slab =
+        layout_.path_f32.data() + layout_.leafpaths[index].slab_offset;
     for (std::size_t i = 0; i < n; ++i) {
-      const double* path = w.path.data() + entries[begin + 2 + i].id * w.stride;
+      const float* path = w.path.data() + entries[begin + 2 + i].id * w.stride;
       for (std::size_t j = 0; j < path_length; ++j) slab[j * n + i] = path[j];
     }
     return index;
@@ -973,20 +965,13 @@ class MvpTree {
     const std::size_t vp1 = nodes.VpRow(node, 0);
     const std::size_t vp2 = has_vp2 ? nodes.VpRow(node, 1) : 0;
     // Distances are recomputed with the vantage point first, as the build
-    // computed them. A float column value is their narrowing, bit for bit,
-    // or NaN where that is NaN: a tree built over a vector with a NaN
-    // coordinate stores NaN on purpose. A double column value is the
-    // recomputed distance within kTol (equal infinities included), or NaN
-    // where that is NaN too.
-    constexpr double kTol = 1e-9;
+    // computed them. A column value is their narrowing, bit for bit, or NaN
+    // where that is NaN: a tree built over a vector with a NaN coordinate
+    // stores NaN on purpose.
     const auto narrowed = [](double actual, float stored) {
       const float want = metric::kernels::NarrowDistance(actual);
       return std::memcmp(&want, &stored, sizeof(float)) == 0 ||
              (std::isnan(want) && std::isnan(stored));
-    };
-    const auto matches = [](double actual, double stored) {
-      return actual == stored || std::abs(actual - stored) <= kTol ||
-             (std::isnan(actual) && std::isnan(stored));
     };
 
     if (nodes.IsLeaf(node)) {
@@ -996,11 +981,6 @@ class MvpTree {
       if (leaf.size() > 0 && leaf.path_length != expect_path) {
         return Status::Corruption("leaf PATH length mismatch");
       }
-      // A built or deserialized tree's double columns, at the same offsets
-      // as the float ones.
-      const bool wide = !borrowed_;
-      const std::size_t begin = node->begin;
-      const std::size_t slab = leaf.slab - arrays_.path;
       for (std::size_t i = 0; i < leaf.size(); ++i) {
         const auto& obj = store_[leaf.row(i)];
         const auto mismatch = [&](const char* what) {
@@ -1008,22 +988,14 @@ class MvpTree {
                                     what + " mismatches actual distance");
         };
         const double d1 = metric_(store_[vp1], obj);
-        if (!narrowed(d1, leaf.d1s[i]) ||
-            (wide && !matches(d1, layout_.d1[begin + i]))) {
-          return mismatch("leaf D1");
-        }
+        if (!narrowed(d1, leaf.d1s[i])) return mismatch("leaf D1");
         if (has_vp2) {
           const double d2 = metric_(store_[vp2], obj);
-          if (!narrowed(d2, leaf.d2s[i]) ||
-              (wide && !matches(d2, layout_.d2[begin + i]))) {
-            return mismatch("leaf D2");
-          }
+          if (!narrowed(d2, leaf.d2s[i])) return mismatch("leaf D2");
         }
         for (std::size_t j = 0; j < leaf.path_length; ++j) {
           const double d = metric_(store_[ancestors[j]], obj);
-          const std::size_t at = j * leaf.count + i;
-          if (!narrowed(d, leaf.slab[at]) ||
-              (wide && !matches(d, layout_.path[slab + at]))) {
+          if (!narrowed(d, leaf.slab[j * leaf.count + i])) {
             return mismatch("leaf PATH distance");
           }
         }
@@ -1097,8 +1069,6 @@ class MvpTree {
   std::vector<std::uint32_t> row_of_;
   /// Keeps a borrowing tree's arena alive; null otherwise.
   std::shared_ptr<const void> owner_;
-  /// Whether arrays_ are an arena's (Borrow): layout_ is then empty.
-  bool borrowed_ = false;
   std::uint64_t construction_distances_ = 0;
 };
 

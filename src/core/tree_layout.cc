@@ -1,17 +1,20 @@
 #include "core/tree_layout.h"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
+
+#include "common/macros.h"
 
 /// \file
 /// Building and (de)serializing the mvp-tree layout: the node and leaf
-/// appenders BuildNode/BuildLeaf and the stream parser share, the float
-/// leaf columns, the row order (vantage-point rows, the id -> row map and
-/// the in-place reorder), and the one parser and writer of the MVPT
-/// stream's structure.
+/// appenders BuildNode/BuildLeaf and the stream parser share, the row order
+/// (vantage-point rows, the id -> row map and the in-place reorder), and
+/// the one parser and writer of the MVPT stream's structure.
 
 namespace mvp::core {
 namespace {
@@ -67,7 +70,7 @@ Result<std::uint32_t> ReadNode(const StreamSource& s, std::size_t depth) {
     }
     // A writer lays the entries' PATH slices end to end in stream order,
     // one length per leaf, so the leaf's slab is the pool run at `base`.
-    const std::uint64_t base = out.path.size();
+    const std::uint64_t base = out.path_f32.size();
     std::uint32_t length = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
       std::uint64_t id = 0;
@@ -81,8 +84,10 @@ Result<std::uint32_t> ReadNode(const StreamSource& s, std::size_t depth) {
       if (id >= s.objects) {
         return Status::Corruption("leaf point id out of range");
       }
-      if (path_length > s.p) {
-        return Status::Corruption("leaf PATH length exceeds header p");
+      if (path_length > std::min(s.p, 2 * depth)) {
+        return Status::Corruption(
+            "leaf PATH length exceeds header p or the vantage points above "
+            "its leaf");
       }
       if (i == 0) length = path_length;
       if (path_length != length) {
@@ -96,14 +101,15 @@ Result<std::uint32_t> ReadNode(const StreamSource& s, std::size_t depth) {
         return Status::Corruption("leaf PATH slice out of pool range");
       }
       out.ids.push_back(static_cast<std::uint32_t>(id));
-      out.d1.push_back(d1);
-      out.d2.push_back(d2);
+      out.d1_f32.push_back(metric::kernels::NarrowDistance(d1));
+      out.d2_f32.push_back(metric::kernels::NarrowDistance(d2));
     }
     const auto n = static_cast<std::size_t>(count);
     const std::uint32_t index = out.AddLeaf(id1, id2, has_vp2 != 0, n, length);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < length; ++j) {
-        out.path[base + j * n + i] = s.pool[base + i * length + j];
+        out.path_f32[base + j * n + i] =
+            metric::kernels::NarrowDistance(s.pool[base + i * length + j]);
       }
     }
     return index;
@@ -134,39 +140,21 @@ Result<std::uint32_t> ReadNode(const StreamSource& s, std::size_t depth) {
   return index;
 }
 
-void WriteNode(const TreeLayout& t, std::size_t m, BinaryWriter* w,
-               std::uint32_t index) {
-  if (index == kNullChild) {
-    w->Write<std::uint8_t>(0);
-    return;
-  }
-  const NodeRec& n = t.nodes[index];
-  const bool leaf = (n.flags & kNodeLeaf) != 0;
-  w->Write<std::uint8_t>(leaf ? 1 : 2);
-  w->Write<std::uint64_t>(n.vp1);
-  w->Write<std::uint8_t>((n.flags & kNodeHasVp2) != 0 ? 1 : 0);
-  w->Write<std::uint64_t>(n.vp2);
-  if (leaf) {
-    const LeafPathRec& lp = t.leafpaths[index];
-    w->Write<std::uint64_t>(n.count);
-    for (std::size_t i = 0; i < n.count; ++i) {
-      const std::size_t e = n.begin + i;
-      w->Write<std::uint64_t>(t.ids[e]);
-      w->Write<double>(t.d1[e]);
-      w->Write<double>(t.d2[e]);
-      w->Write<std::uint32_t>(
-          static_cast<std::uint32_t>(lp.slab_offset + i * lp.path_length));
-      w->Write<std::uint32_t>(lp.path_length);
-    }
-    return;
-  }
-  std::size_t at = n.begin;
-  for (const std::size_t length : {m, m, m * m, m * m}) {
-    w->Write<std::uint64_t>(length);
-    for (std::size_t k = 0; k < length; ++k) w->Write<double>(t.bounds[at++]);
-  }
-  for (std::size_t c = 0; c < m * m; ++c) {
-    WriteNode(t, m, w, t.children[n.children + c]);
+/// Calls visit(node, ancestors) on node `index` and then, preorder, on
+/// every child slot of its subtree, with a null node for an absent child;
+/// `ancestors` holds the rows of the vantage points above the node, at most
+/// the first p, as the build recorded each entry's PATH.
+template <typename Visit>
+void Preorder(const TreeArrays& t, std::uint32_t index,
+              std::vector<std::size_t>& ancestors, const Visit& visit) {
+  const NodeRec* n = index == kNullChild ? nullptr : t.nodes + index;
+  visit(n, ancestors);
+  if (n == nullptr || (n->flags & kNodeLeaf) != 0) return;
+  PathScope<std::size_t> path(
+      ancestors, t.path_distances,
+      std::array<std::size_t, 2>{n->vp_row, n->vp_row + std::size_t{1}});
+  for (std::size_t c = 0; c < t.order * t.order; ++c) {
+    Preorder(t, t.children[n->children + c], ancestors, visit);
   }
 }
 
@@ -201,24 +189,12 @@ std::uint32_t TreeLayout::AddLeaf(std::uint32_t vp1, std::uint32_t vp2,
   rec.count = static_cast<std::uint32_t>(count);
   rec.begin = ids.size() - count;
   LeafPathRec lp;
-  lp.slab_offset = path.size();
+  lp.slab_offset = path_f32.size();
   lp.path_length = static_cast<std::uint32_t>(path_length);
-  path.resize(path.size() + count * path_length);
+  path_f32.resize(path_f32.size() + count * path_length);
   nodes.push_back(rec);
   leafpaths.push_back(lp);
   return static_cast<std::uint32_t>(nodes.size() - 1);
-}
-
-void TreeLayout::Narrow() {
-  const auto narrow = [](const std::vector<double>& in,
-                         std::vector<float>* out) {
-    out->resize(in.size());
-    std::transform(in.begin(), in.end(), out->begin(),
-                   metric::kernels::NarrowDistance);
-  };
-  narrow(d1, &d1_f32);
-  narrow(d2, &d2_f32);
-  narrow(path, &path_f32);
 }
 
 void TreeLayout::AssignRows() {
@@ -295,35 +271,72 @@ Status TreeLayout::Read(BinaryReader* reader, std::uint64_t objects,
   // The entries and slabs fit in these; each object read consumed bytes
   // of the stream, so the reservations stay proportional to it.
   ids.reserve(static_cast<std::size_t>(objects));
-  d1.reserve(static_cast<std::size_t>(objects));
-  d2.reserve(static_cast<std::size_t>(objects));
-  path.reserve(pool.size());
+  d1_f32.reserve(static_cast<std::size_t>(objects));
+  d2_f32.reserve(static_cast<std::size_t>(objects));
+  path_f32.reserve(pool.size());
   auto root = ReadNode({reader, objects, m, p, pool, this}, 0);
   if (!root.ok()) return root.status();
   if (root.value() == kNullChild && objects != 0) {
     return Status::Corruption("non-empty tree has no root");
   }
-  if (path.size() != pool.size()) {
+  if (path_f32.size() != pool.size()) {
     return Status::Corruption("leaf PATH slices do not tile the pool");
   }
   return Status::OK();
 }
 
-void TreeLayout::Write(BinaryWriter* writer, std::size_t m) const {
-  // The PATH pool holds each entry's PATH in a row, leaves in node order —
-  // the slabs transposed back.
-  writer->Write<std::uint64_t>(path.size());
-  for (std::size_t n = 0; n < nodes.size(); ++n) {
-    const LeafPathRec& lp = leafpaths[n];
-    if ((nodes[n].flags & kNodeLeaf) == 0 || lp.path_length == 0) continue;
-    const std::size_t count = nodes[n].count;
-    for (std::size_t i = 0; i < count; ++i) {
-      for (std::size_t j = 0; j < lp.path_length; ++j) {
-        writer->Write<double>(path[lp.slab_offset + j * count + i]);
+void WriteStructure(BinaryWriter* writer, const TreeArrays& t,
+                    const LeafDistance& distance) {
+  const std::uint32_t root = t.node_count == 0 ? kNullChild : 0;
+  std::vector<std::size_t> ancestors;
+  // The PATH pool: each entry's PATH in a row, leaves in preorder, PATH[j]
+  // its distance to the j-th vantage point above its leaf. The leaves' slabs
+  // hold exactly these values, so the pool has path_count of them.
+  writer->Write<std::uint64_t>(t.path_count);
+  Preorder(t, root, ancestors, [&](const NodeRec* n, const auto& above) {
+    if (n == nullptr || (n->flags & kNodeLeaf) == 0) return;
+    const std::size_t length = t.leafpaths[n - t.nodes].path_length;
+    MVP_DCHECK(n->count == 0 || length <= above.size());
+    for (std::size_t row = n->begin; row < n->begin + n->count; ++row) {
+      for (std::size_t j = 0; j < length; ++j) {
+        writer->Write<double>(distance(above[j], row));
       }
     }
-  }
-  WriteNode(*this, m, writer, nodes.empty() ? kNullChild : 0);
+  });
+  // The nodes. An entry's D1 and D2 are its distances to the leaf's vantage
+  // points (D2 is 0 without a second), and its PATH the next pool slice.
+  std::uint64_t next_path = 0;
+  Preorder(t, root, ancestors, [&](const NodeRec* n, const auto&) {
+    if (n == nullptr) {
+      writer->Write<std::uint8_t>(0);
+      return;
+    }
+    const bool leaf = (n->flags & kNodeLeaf) != 0;
+    const bool has_vp2 = (n->flags & kNodeHasVp2) != 0;
+    writer->Write<std::uint8_t>(leaf ? 1 : 2);
+    writer->Write<std::uint64_t>(n->vp1);
+    writer->Write<std::uint8_t>(has_vp2 ? 1 : 0);
+    writer->Write<std::uint64_t>(n->vp2);
+    if (leaf) {
+      const std::uint32_t length = t.leafpaths[n - t.nodes].path_length;
+      writer->Write<std::uint64_t>(n->count);
+      for (std::size_t row = n->begin; row < n->begin + n->count; ++row) {
+        writer->Write<std::uint64_t>(t.ids[row]);
+        writer->Write<double>(distance(n->vp_row, row));
+        writer->Write<double>(has_vp2 ? distance(n->vp_row + 1, row) : 0.0);
+        writer->Write<std::uint32_t>(static_cast<std::uint32_t>(next_path));
+        writer->Write<std::uint32_t>(length);
+        next_path += length;
+      }
+      return;
+    }
+    const std::size_t m = t.order;
+    const double* bounds = t.bounds + n->begin;
+    for (const std::size_t length : {m, m, m * m, m * m}) {
+      writer->Write<std::uint64_t>(length);
+      for (std::size_t k = 0; k < length; ++k) writer->Write<double>(*bounds++);
+    }
+  });
 }
 
 }  // namespace mvp::core

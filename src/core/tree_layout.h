@@ -5,6 +5,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <type_traits>
 #include <vector>
 
@@ -42,9 +43,9 @@
 /// with the widened float at a radius that admits every entry the test on
 /// the double distance admits (metric::kernels::ColumnRadius and
 /// ColumnUpper, through LeafQuery), so the answer stays exact and a search
-/// reads half the bytes. A built or deserialized tree also keeps the double
-/// columns (TreeLayout's d1, d2 and path), only because the MVPT stream
-/// carries them; no search reads them, and a tree over an arena has none.
+/// reads half the bytes. They are the only copy of the leaf distances a
+/// tree keeps: the MVPT stream carries them in double, and WriteStructure
+/// recomputes each one from the tree's objects as the build computed it.
 ///
 /// Row order. A tree stores its objects by row, not by id. Rows
 /// [0, entry_count) are the leaf entries in entry order, which is preorder
@@ -60,7 +61,7 @@
 /// Ids and node indices are u32, so one tree holds at most kMaxTreeObjects
 /// objects. TreeLayout::Read is the only parser of the MVPT stream's
 /// structure (MvpTree::Deserialize calls it, and BuildFlatArena goes through
-/// MvpTree::Deserialize); TreeLayout::Write emits it back byte for byte.
+/// MvpTree::Deserialize); WriteStructure is its only writer.
 
 namespace mvp::core {
 
@@ -126,24 +127,19 @@ struct TreeArrays {
 };
 
 /// The arrays, owned: what a heap tree holds and a flat arena is laid out
-/// from. d1, d2 and path hold the leaf distances as computed, in double,
-/// which only the MVPT stream reads and writes; Narrow derives the float
-/// columns every search reads from them.
+/// from. The leaf columns hold each leaf distance narrowed as it is
+/// recorded (metric::kernels::NarrowDistance).
 struct TreeLayout {
   std::vector<NodeRec> nodes;
   std::vector<std::uint32_t> children;
   std::vector<double> bounds;
   std::vector<std::uint32_t> ids;
-  std::vector<double> d1;
-  std::vector<double> d2;
-  std::vector<LeafPathRec> leafpaths;
-  std::vector<double> path;
-  /// d1, d2 and path narrowed (metric::kernels::NarrowDistance).
   std::vector<float> d1_f32;
   std::vector<float> d2_f32;
+  std::vector<LeafPathRec> leafpaths;
   std::vector<float> path_f32;
 
-  /// The search view: the float columns, filled by Narrow.
+  /// The search view.
   TreeArrays Arrays(std::size_t order, std::size_t p) const {
     return {order, p, nodes.size(), children.size(), bounds.size(),
             ids.size(), path_f32.size(), nodes.data(), children.data(),
@@ -151,16 +147,13 @@ struct TreeLayout {
             leafpaths.data(), path_f32.data()};
   }
 
-  /// Sets the float columns to the narrowing of the double ones.
-  void Narrow();
-
   /// Appends an internal node whose m*m children are absent and whose
   /// shells are all [0, +inf); returns its index.
   std::uint32_t AddInternal(std::uint32_t vp1, std::uint32_t vp2,
                             std::size_t m);
-  /// Appends a leaf over the last `count` entries of ids/d1/d2, with a
-  /// zeroed slab of `path_length` PATH distances per entry for the caller
-  /// to fill; returns its index.
+  /// Appends a leaf over the last `count` entries of the ids, D1 and D2
+  /// columns, with a zeroed slab of `path_length` PATH distances per entry
+  /// for the caller to fill; returns its index.
   std::uint32_t AddLeaf(std::uint32_t vp1, std::uint32_t vp2, bool has_vp2,
                         std::size_t count, std::size_t path_length);
   /// Records every node's vp_row: the vantage points' rows in node
@@ -169,17 +162,31 @@ struct TreeLayout {
 
   /// Parses the structure part of an MVPT stream — the PATH pool, then the
   /// preorder nodes — into this empty layout, for a tree of `objects`
-  /// objects with order m and p PATH distances. Corruption for anything a
-  /// writer cannot produce: ids out of range, malformed bounds, nesting past
+  /// objects with order m and p PATH distances, narrowing each leaf
+  /// distance as it reads it. Corruption for anything a writer cannot
+  /// produce: ids out of range, malformed bounds, nesting past
   /// kMaxTreeDepth, no root under objects, an entry keeping more than p
-  /// PATH distances, a leaf mixing PATH lengths, or PATH slices that do not
-  /// tile the pool in stream order.
+  /// PATH distances or more than the two per internal node above its leaf,
+  /// a leaf mixing PATH lengths, or PATH slices that do not tile the pool
+  /// in stream order.
   Status Read(BinaryReader* reader, std::uint64_t objects, std::size_t m,
               std::size_t p);
-  /// Writes the structure part of the MVPT stream Read parses, for order m,
-  /// from the double columns.
-  void Write(BinaryWriter* writer, std::size_t m) const;
 };
+
+/// Recomputes one leaf distance: `distance(vp_row, row)` is the metric
+/// between the objects at rows vp_row and row, vantage point first.
+using LeafDistance = std::function<double(std::size_t, std::size_t)>;
+
+/// Writes the structure part of the MVPT stream TreeLayout::Read parses for
+/// tree `t`: the PATH pool, then the nodes in preorder. The stream carries
+/// the leaf distances in double, so each one is recomputed with `distance`
+/// — D1 and D2 to the leaf's vantage points, PATH[j] to the j-th vantage
+/// point on the root path — exactly as the build computed it, which makes
+/// the bytes the build's. (2 + p) distance computations per leaf entry.
+/// `t`'s leaf PATH lengths must not exceed the vantage points above each
+/// leaf, which Read and snapshot::flat::ParseFlatArena enforce.
+void WriteStructure(BinaryWriter* writer, const TreeArrays& t,
+                    const LeafDistance& distance);
 
 /// The ids of rows [entry_count, entry_count + vantage points) of `t`: every
 /// node's vantage points in preorder, vp1 before vp2.
@@ -234,13 +241,12 @@ void PermuteRows(const TreeArrays& t, void* rows, std::size_t objects,
 
 /// Leaf cursor: contiguous id/D1/D2 columns and a column-major PATH slab of
 /// stored type T. The tree's cursor, SoaLeaf, reads the float columns; a
-/// cursor over a built tree's double columns (TreeLayout) runs the exact
-/// double tests, entry by entry. A float cursor's range mask tests one
-/// 64-entry chunk against all of the leaf's columns in one branchless
-/// AnnulusMask call — D1, D2 and PATH[0..checks), up to kMaskColumns per
-/// call, so one call whenever p <= 6 — each column at its own
-/// metric::kernels::ColumnRadius, and its pass bits equal the scalar
-/// per-entry tests.
+/// cursor over double columns runs the exact double tests, entry by entry.
+/// A float cursor's range mask tests one 64-entry chunk against all of the
+/// leaf's columns in one branchless AnnulusMask call — D1, D2 and
+/// PATH[0..checks), up to kMaskColumns per call, so one call whenever
+/// p <= 6 — each column at its own metric::kernels::ColumnRadius, and its
+/// pass bits equal the scalar per-entry tests.
 template <typename T>
 struct SoaLeafOf {
   /// Columns per AnnulusMask call: D1, D2 and six PATH columns.

@@ -1,5 +1,6 @@
 #include "snapshot/flat_tree.h"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <span>
@@ -160,7 +161,14 @@ Result<std::vector<std::uint8_t>> UpgradeFlatArena(
   // Children and bounds carry over, and v1 and v2 nodes gain their vp rows
   // (v3's already hold the same ones). v2's and v3's leaf columns and slabs
   // carry over too; v1's AoS entries split into the id/D1/D2 columns, and
-  // each leaf's PATH slices into its slab. Then every column is narrowed.
+  // each leaf's PATH slices into its slab. Every leaf distance is narrowed
+  // as it is copied.
+  using metric::kernels::NarrowDistance;
+  const auto narrow = [](const double* in, std::size_t count) {
+    std::vector<float> out(count);
+    std::transform(in, in + count, out.begin(), NarrowDistance);
+    return out;
+  };
   const core::TreeArrays& a = legacy.tree;
   core::TreeLayout t;
   for (std::size_t i = 0; i < in.node_count; ++i) {
@@ -170,16 +178,16 @@ Result<std::vector<std::uint8_t>> UpgradeFlatArena(
   t.bounds.assign(a.bounds, a.bounds + in.bounds_count);
   if (in.version != kFlatVersionV1) {
     t.ids.assign(a.ids, a.ids + in.entry_count);
-    t.d1.assign(legacy.wide_d1, legacy.wide_d1 + in.entry_count);
-    t.d2.assign(legacy.wide_d2, legacy.wide_d2 + in.entry_count);
+    t.d1_f32 = narrow(legacy.wide_d1, in.entry_count);
+    t.d2_f32 = narrow(legacy.wide_d2, in.entry_count);
     t.leafpaths.assign(a.leafpaths, a.leafpaths + in.node_count);
-    t.path.assign(legacy.wide_path, legacy.wide_path + in.path_count);
+    t.path_f32 = narrow(legacy.wide_path, in.path_count);
   } else {
     for (const FlatLeafEntryRec& e :
          std::span(legacy.entries, in.entry_count)) {
       t.ids.push_back(e.id);
-      t.d1.push_back(e.d1);
-      t.d2.push_back(e.d2);
+      t.d1_f32.push_back(NarrowDistance(e.d1));
+      t.d2_f32.push_back(NarrowDistance(e.d2));
     }
     t.leafpaths.resize(t.nodes.size());
     for (std::size_t ni = 0; ni < t.nodes.size(); ++ni) {
@@ -187,7 +195,7 @@ Result<std::vector<std::uint8_t>> UpgradeFlatArena(
       if ((node.flags & core::kNodeLeaf) == 0) continue;
       const FlatLeafEntryRec* entries = legacy.entries + node.begin;
       core::LeafPathRec& lp = t.leafpaths[ni];
-      lp.slab_offset = t.path.size();
+      lp.slab_offset = t.path_f32.size();
       lp.path_length = node.count > 0 ? entries[0].path_length : 0;
       for (std::uint32_t i = 0; i < node.count; ++i) {
         if (entries[i].path_length != lp.path_length) {
@@ -199,14 +207,13 @@ Result<std::vector<std::uint8_t>> UpgradeFlatArena(
       }
       for (std::uint32_t j = 0; j < lp.path_length; ++j) {
         for (std::uint32_t i = 0; i < node.count; ++i) {
-          t.path.push_back(
-              legacy.wide_path[std::size_t{entries[i].path_offset} + j]);
+          t.path_f32.push_back(NarrowDistance(
+              legacy.wide_path[std::size_t{entries[i].path_offset} + j]));
         }
       }
     }
   }
   t.AssignRows();
-  t.Narrow();
   const core::TreeArrays arrays = t.Arrays(in.order, in.num_path_distances);
   const auto count = static_cast<std::size_t>(in.object_count);
   // The in-place reorder needs every object named exactly once.
@@ -412,11 +419,15 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
   // v2+ slab canonicality: leaf slabs must tile the PATH pool exactly, in
   // node order, with no gaps or overlap — so no two leaves can alias slab
   // values and every slab is in bounds by construction. In v1, next_slab
-  // totals the slab the upgrade will emit. In both, leaf_entries totals the
-  // entries the leaves hold: a writer gives every leaf its own entries (and
-  // in v1 every entry its own PATH slice), so the totals stay within their
-  // sections, which bounds the upgrade's and a re-serialization's work and
-  // memory by the arena's size.
+  // totals the slab the upgrade will emit. In both, the leaves must tile
+  // the entries the same way (leaf_entries is the begin the next leaf must
+  // have): a writer gives every leaf its own entries (and in v1 every entry
+  // its own PATH slice), so the totals stay within their sections, which
+  // bounds the upgrade's and a re-serialization's work and memory by the
+  // arena's size, and every entry is in exactly one leaf, as in the MVPT
+  // stream. A leaf keeps at most two PATH distances per internal node above
+  // it (depth counts the root as 1): the vantage points a stream writer
+  // recomputes them from.
   // From v3 on, next_row is the row the next node's vp1 must sit at: the
   // vp rows tile [entry_count, object_count) in node order.
   std::uint64_t next_slab = 0;
@@ -456,38 +467,40 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
           node.count > h.entry_count - node.begin) {
         return Status::Corruption("flat arena leaf entry range out of bounds");
       }
-      leaf_entries += node.count;
-      if (leaf_entries > h.entry_count) {
-        return Status::Corruption("flat arena leaves share leaf entries");
+      if (node.begin != leaf_entries) {
+        return Status::Corruption(
+            "flat arena leaves share leaf entries or skip some");
       }
+      leaf_entries += node.count;
+      // v1 keeps a PATH length per entry; the upgrade refuses a leaf that
+      // mixes them.
+      std::uint64_t path_length = 0;
       if (v2) {
         const core::LeafPathRec& lp =
             t.leafpaths[static_cast<std::size_t>(i)];
         if (lp.reserved != 0) {
           return Status::Corruption("flat arena leaf path record malformed");
         }
-        if (lp.path_length > h.num_path_distances) {
-          return Status::Corruption(
-              "flat arena leaf PATH length exceeds header p");
-        }
         if (lp.slab_offset != next_slab) {
           return Status::Corruption("flat arena leaf PATH slab not canonical");
         }
-        const std::uint64_t slab_len =
-            std::uint64_t{lp.path_length} * node.count;
-        if (slab_len > h.path_count - next_slab) {
-          return Status::Corruption(
-              "flat arena leaf PATH slab out of pool range");
-        }
-        next_slab += slab_len;
+        path_length = lp.path_length;
       } else if (node.count > 0) {
-        const std::uint64_t slab_len =
-            std::uint64_t{parts.entries[node.begin].path_length} * node.count;
-        if (slab_len > h.path_count - next_slab) {
-          return Status::Corruption("flat arena leaves share PATH slices");
-        }
-        next_slab += slab_len;
+        path_length = parts.entries[node.begin].path_length;
       }
+      const std::uint64_t above = 2 * (depth[static_cast<std::size_t>(i)] - 1);
+      if (path_length > std::min<std::uint64_t>(h.num_path_distances, above)) {
+        return Status::Corruption(
+            "flat arena leaf PATH length exceeds header p or the vantage "
+            "points above its leaf");
+      }
+      const std::uint64_t slab_len = path_length * node.count;
+      if (slab_len > h.path_count - next_slab) {
+        return Status::Corruption(
+            v2 ? "flat arena leaf PATH slab out of pool range"
+               : "flat arena leaves share PATH slices");
+      }
+      next_slab += slab_len;
       continue;
     }
     if ((node.flags & core::kNodeHasVp2) == 0) {
@@ -525,6 +538,9 @@ Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
       }
       depth[child] = depth[static_cast<std::size_t>(i)] + 1;
     }
+  }
+  if (leaf_entries != h.entry_count) {
+    return Status::Corruption("flat arena leaves skip leaf entries");
   }
   if (v2 && next_slab != h.path_count) {
     return Status::Corruption("flat arena PATH slab pool not canonical");

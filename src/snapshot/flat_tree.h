@@ -48,9 +48,7 @@
 /// The leaf columns (path, d1, d2) hold each distance's saturating float
 /// narrowing (metric::kernels::NarrowDistance), padded to the 8-byte
 /// section boundary; the searches widen them at a radius that keeps every
-/// entry the double distances would (core/tree_layout.h). An arena holds no
-/// double leaf distances, so the tree OpenTree returns cannot be written
-/// back as an MVPT stream (MvpTree::Serialize is NotSupported).
+/// entry the double distances would (core/tree_layout.h).
 ///
 /// Row order (core/tree_layout.h): row e of the objects holds leaf entry e,
 /// object ids[e], so a leaf's entries are one contiguous block of rows, and
@@ -61,7 +59,7 @@
 ///
 /// Slabs are canonical: laid end to end in node order with no gaps or
 /// overlap, which ParseFlatArena enforces, so a hostile arena cannot alias
-/// slabs or leave them misaligned.
+/// slabs or leave them misaligned. So are the leaves' entry runs.
 ///
 /// Versions 1 to 3 are read only as upgrade input, and each keeps its leaf
 /// columns in double. Version 3 has v4's sections otherwise. Version 2 also
@@ -226,17 +224,19 @@ struct FlatArenaParts {
 /// bounds, id ranges, PATH slices, preorder child links, depth cap, and
 /// from v3 on the vantage-point rows: each in [entry_count, object_count),
 /// and all of them tiling that range in node preorder. Every corrupt offset
-/// yields Corruption; a returned view is safe to traverse.
-/// It also rejects leaves that share entries, and in v1 entries that share
-/// PATH slices, so the work and output of UpgradeFlatArena and of laying
-/// the opened tree out again stay proportional to the arena's size.
+/// yields Corruption; a returned view is safe to traverse, and to write as
+/// an MVPT stream (a leaf keeps no more PATH distances than there are
+/// vantage points above it). The leaves must tile the entries in node
+/// order, and in v1 entries must not share PATH slices, so the work and
+/// output of UpgradeFlatArena and of laying the opened tree out again stay
+/// proportional to the arena's size.
 Result<FlatArenaParts> ParseFlatArena(const std::uint8_t* data,
                                       std::size_t size);
 
 /// Transcodes a v1, v2 or v3 arena, as validated by ParseFlatArena, into
 /// the v4 arena BuildFlatArena writes for the same tree, byte for byte:
-/// each double leaf column is narrowed as a build narrows it
-/// (core::TreeLayout::Narrow), and v1 and v2 objects are copied in id
+/// each double leaf distance is narrowed as a build narrows it
+/// (metric::kernels::NarrowDistance), and v1 and v2 objects are copied in id
 /// order and put into row order in place (core::PermuteRows). Corruption
 /// if a v1 leaf mixes PATH lengths, which per-leaf slabs cannot hold, or if
 /// the ids and vantage points do not name every object exactly once.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -14,12 +15,13 @@
 #include "scan/linear_scan.h"
 
 /// The float leaf columns against the double ones they were narrowed from
-/// (core/tree_layout.h). A built tree keeps both; its searches read the
-/// floats at a radius that admits every entry the double test admits
+/// (core/tree_layout.h). A tree keeps only the floats, and its searches
+/// read them at a radius that admits every entry the double test admits
 /// (metric::kernels::ColumnRadius, ColumnUpper). Here the same heap tree
 /// searches twice — once as served, on its float columns, and once through
-/// a test-only accessor whose leaf cursor reads its retained double
-/// columns with the exact double tests — on a boundary recipe: points on a
+/// a test-only accessor whose leaf cursor reads double columns, recomputed
+/// here as the build computed them, with the exact double tests — on a
+/// boundary recipe: points on a
 /// few lines, duplicates, queries at stored points and radii equal to
 /// stored distances. The float search must return what the double search
 /// returns and evaluate at least the same distances, within 0.1% more.
@@ -39,10 +41,61 @@ using metric::L2;
 using metric::Vector;
 using Tree = core::MvpTree<Vector, L2>;
 
-/// The served accessor, with a leaf cursor over the built tree's double
-/// columns instead of its float ones.
+/// A tree's leaf distances in double, at its float columns' offsets.
+struct WideColumns {
+  std::vector<double> d1, d2, path;
+};
+
+/// Fills `wide` for the subtree at `node`, whose root path passes the
+/// vantage points at rows `ancestors` (at most p): each distance computed
+/// as the build computed it, vantage point first — D1 and D2 to the leaf's
+/// vantage points, PATH[j] to ancestors[j].
+void Recompute(const Tree& tree, const core::NodeRec* node,
+               std::vector<std::size_t>& ancestors, WideColumns* wide) {
+  const core::TreeArrays& t = tree.arrays();
+  const auto distance = [&](std::size_t vp, std::size_t row) {
+    return tree.metric()(tree.object_at_row(vp), tree.object_at_row(row));
+  };
+  if ((node->flags & core::kNodeLeaf) != 0) {
+    const core::LeafPathRec& lp = t.leafpaths[node - t.nodes];
+    for (std::size_t i = 0; i < node->count; ++i) {
+      const std::size_t row = node->begin + i;
+      wide->d1[row] = distance(node->vp_row, row);
+      if (core::VpCount(*node) == 2) {
+        wide->d2[row] = distance(node->vp_row + 1, row);
+      }
+      for (std::size_t j = 0; j < lp.path_length; ++j) {
+        wide->path[lp.slab_offset + j * node->count + i] =
+            distance(ancestors[j], row);
+      }
+    }
+    return;
+  }
+  core::PathScope<std::size_t> path(
+      ancestors, t.path_distances,
+      std::array<std::size_t, 2>{node->vp_row, node->vp_row + 1});
+  for (std::size_t c = 0; c < t.order * t.order; ++c) {
+    const std::uint32_t child = t.children[node->children + c];
+    if (child != core::kNullChild) {
+      Recompute(tree, t.nodes + child, ancestors, wide);
+    }
+  }
+}
+
+WideColumns Recompute(const Tree& tree) {
+  const core::TreeArrays& t = tree.arrays();
+  WideColumns wide{std::vector<double>(t.entry_count),
+                   std::vector<double>(t.entry_count),
+                   std::vector<double>(t.path_count)};
+  std::vector<std::size_t> ancestors;
+  if (t.node_count > 0) Recompute(tree, t.nodes, ancestors, &wide);
+  return wide;
+}
+
+/// The served accessor, with a leaf cursor over double columns instead of
+/// the tree's float ones.
 struct WideNodes : core::TreeNodes<Tree> {
-  const core::TreeLayout* wide;
+  const WideColumns* wide;
 
   core::SoaLeafOf<double> Leaf(const core::NodeRec* n) const {
     const core::LeafPathRec& lp = t.leafpaths[n - t.nodes];
@@ -56,8 +109,8 @@ struct WideNodes : core::TreeNodes<Tree> {
   }
 };
 
-WideNodes Wide(const Tree& tree) {
-  return WideNodes{{&tree, tree.arrays()}, &tree.layout()};
+WideNodes Wide(const Tree& tree, const WideColumns& wide) {
+  return WideNodes{{&tree, tree.arrays()}, &wide};
 }
 
 /// `count` points of `dim` coordinates on `lines` random lines through the
@@ -130,6 +183,7 @@ TEST(FloatColumnsTest, SameAnswersAsDoubleColumnsOnBoundaryRecipe) {
     ASSERT_TRUE(built.ok());
     const Tree& tree = built.value();
     ASSERT_TRUE(tree.ValidateInvariants().ok());
+    const WideColumns wide = Recompute(tree);
     const scan::LinearScan<Vector, L2> oracle(data, L2());
     Rng rng(seed * 1000 + 7);
     for (std::size_t q = 0; q < 100; ++q, ++queries) {
@@ -142,7 +196,7 @@ TEST(FloatColumnsTest, SameAnswersAsDoubleColumnsOnBoundaryRecipe) {
       SearchStats fs, ds;
       const auto range = tree.RangeSearch(query, r, &fs);
       std::vector<Neighbor> wide_range;
-      core::Traversal(Wide(tree), query, ds).Range(r, &wide_range);
+      core::Traversal(Wide(tree, wide), query, ds).Range(r, &wide_range);
       ExpectSameOrRecovered(range, Sorted(wide_range),
                             oracle.RangeSearch(query, r), what + " range",
                             &totals);
@@ -151,7 +205,7 @@ TEST(FloatColumnsTest, SameAnswersAsDoubleColumnsOnBoundaryRecipe) {
       SearchStats fks, dks;
       const auto knn = tree.KnnSearch(query, k, &fks);
       std::vector<Neighbor> wide_knn;
-      core::Traversal(Wide(tree), query, dks).Knn(k, &wide_knn);
+      core::Traversal(Wide(tree, wide), query, dks).Knn(k, &wide_knn);
       ExpectSameOrRecovered(knn, Sorted(wide_knn),
                             oracle.KnnSearch(query, k), what + " k-NN",
                             &totals);
@@ -159,7 +213,7 @@ TEST(FloatColumnsTest, SameAnswersAsDoubleColumnsOnBoundaryRecipe) {
       SearchStats ffs, dfs;
       const auto far = tree.FarthestSearch(query, k, &ffs);
       std::vector<Neighbor> wide_far;
-      core::Traversal(Wide(tree), query, dfs)
+      core::Traversal(Wide(tree, wide), query, dfs)
           .template Knn<core::Farthest>(k, &wide_far);
       EXPECT_EQ(far, Sorted(wide_far, /*farthest=*/true)) << what;
 

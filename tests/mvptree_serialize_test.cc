@@ -310,6 +310,46 @@ TEST(MvpTreeStreamTest, EntryPathLongerThanPRejected) {
   EXPECT_EQ(FlatCode(stream, stream.size()), StatusCode::kCorruption);
 }
 
+/// A stream over 3 objects of 4 values with p = 2 whose root is a leaf:
+/// vantage points 0 and 1, and entry 2 keeping `path_length` PATH
+/// distances.
+std::vector<std::uint8_t> RootLeafStream(std::uint32_t path_length) {
+  BinaryWriter w;
+  w.Write<std::uint32_t>(VecTree::kMagic);
+  w.Write<std::uint32_t>(VecTree::kFormatVersion);
+  w.Write<std::int32_t>(3);  // m
+  w.Write<std::int32_t>(4);  // k
+  w.Write<std::int32_t>(2);  // p
+  w.Write<std::uint8_t>(0);  // cutoff bounds
+  w.Write<std::uint64_t>(3);
+  for (int i = 0; i < 3; ++i) VectorCodec().Write(w, Vector(4, 0.25 * i));
+  w.Write<std::uint64_t>(path_length);  // the PATH pool
+  for (std::uint32_t j = 0; j < path_length; ++j) w.Write<double>(0.5);
+  w.Write<std::uint8_t>(1);  // a leaf
+  w.Write<std::uint64_t>(0);
+  w.Write<std::uint8_t>(1);
+  w.Write<std::uint64_t>(1);
+  w.Write<std::uint64_t>(1);  // one entry
+  w.Write<std::uint64_t>(2);
+  w.Write<double>(0.5);
+  w.Write<double>(0.5);
+  w.Write<std::uint32_t>(0);
+  w.Write<std::uint32_t>(path_length);
+  return w.TakeBuffer();
+}
+
+TEST(MvpTreeStreamTest, EntryPathLongerThanItsAncestorsRejected) {
+  // A root leaf has no vantage points above it to keep distances to, so
+  // its entries keep no PATH, whatever p allows. A writer recomputes
+  // PATH[j] from the j-th vantage point above the leaf.
+  const auto none = RootLeafStream(0);
+  EXPECT_EQ(HeapCode(none, none.size()), StatusCode::kOk);
+  EXPECT_EQ(FlatCode(none, none.size()), StatusCode::kOk);
+  const auto two = RootLeafStream(2);
+  EXPECT_EQ(HeapCode(two, two.size()), StatusCode::kCorruption);
+  EXPECT_EQ(FlatCode(two, two.size()), StatusCode::kCorruption);
+}
+
 TEST(MvpTreeStreamTest, ObjectCountOverU32IsInvalidArgument) {
   auto stream = GoldenRecipeStream();
   const std::uint64_t count = std::uint64_t{1} << 32;

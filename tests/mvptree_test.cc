@@ -471,12 +471,66 @@ Status ValidateWithNanAt(const VecTree& tree, double value) {
   return loaded.value().ValidateInvariants();
 }
 
+/// The doubles an MVPT stream of a VectorCodec tree carries, in stream
+/// order: each leaf entry's D1 and D2, the PATH pool, and every internal
+/// node's shell bounds.
+struct StreamDistances {
+  std::vector<double> d1, d2, path, bounds;
+};
+
+StreamDistances ReadStreamDistances(const std::vector<std::uint8_t>& stream) {
+  StreamDistances out;
+  BinaryReader r(stream);
+  std::uint32_t u32 = 0;
+  std::int32_t order = 0;
+  std::uint8_t u8 = 0;
+  std::uint64_t count = 0;
+  std::vector<double> values;
+  EXPECT_TRUE(r.Read(&u32).ok() && r.Read(&u32).ok() && r.Read(&order).ok());
+  EXPECT_TRUE(r.Read(&u32).ok() && r.Read(&u32).ok() && r.Read(&u8).ok());
+  EXPECT_TRUE(r.Read(&count).ok());
+  for (std::uint64_t i = 0; i < count; ++i) {  // the objects
+    EXPECT_TRUE(r.ReadVector(&values).ok());
+  }
+  EXPECT_TRUE(r.ReadVector(&out.path).ok());
+  const auto m = static_cast<std::size_t>(order);
+  const auto walk = [&](auto&& self) -> void {
+    std::uint8_t tag = 0;
+    std::uint64_t u64 = 0;
+    ASSERT_TRUE(r.Read(&tag).ok());
+    if (tag == 0) return;
+    ASSERT_TRUE(r.Read(&u64).ok() && r.Read(&u8).ok() && r.Read(&u64).ok());
+    if (tag == 1) {
+      std::uint64_t entries = 0;
+      ASSERT_TRUE(r.Read(&entries).ok());
+      for (std::uint64_t i = 0; i < entries; ++i) {
+        double d1 = 0.0, d2 = 0.0;
+        ASSERT_TRUE(r.Read(&u64).ok() && r.Read(&d1).ok() && r.Read(&d2).ok() &&
+                    r.Read(&u32).ok() && r.Read(&u32).ok());
+        out.d1.push_back(d1);
+        out.d2.push_back(d2);
+      }
+      return;
+    }
+    for (int bounds = 0; bounds < 4; ++bounds) {
+      ASSERT_TRUE(r.ReadVector(&values).ok());
+      out.bounds.insert(out.bounds.end(), values.begin(), values.end());
+    }
+    for (std::size_t c = 0; c < m * m; ++c) self(self);
+  };
+  walk(walk);
+  EXPECT_TRUE(r.AtEnd());
+  return out;
+}
+
 TEST(MvpTreeTest, ValidationRejectsNanStoredDistances) {
   const auto data = dataset::UniformVectors(500, 5, 223);
   const auto tree = MustBuild(data);
-  // The stream carries the double columns a built tree keeps.
-  const TreeLayout& a = tree.layout();
-  ASSERT_GT(a.ids.size(), 0u);
+  // The stream carries the leaf distances in double.
+  BinaryWriter writer;
+  ASSERT_TRUE(tree.Serialize(&writer, VectorCodec()).ok());
+  const StreamDistances a = ReadStreamDistances(writer.buffer());
+  ASSERT_GT(a.d1.size(), 0u);
   ASSERT_GT(a.path.size(), 0u);
   EXPECT_EQ(ValidateWithNanAt(tree, a.d1[0]).code(), StatusCode::kCorruption);
   EXPECT_EQ(ValidateWithNanAt(tree, a.d2[0]).code(), StatusCode::kCorruption);

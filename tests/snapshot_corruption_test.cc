@@ -900,6 +900,72 @@ TEST(V2LeafEntriesTest, LeavesSharingEntriesRejected) {
       << parsed.status().ToString();
 }
 
+/// Nor may a leaf give up entries: the leaves tile the entries in node
+/// order, so a leaf whose count shrinks by one leaves an entry in no leaf,
+/// which no search would reach and no MVPT stream of the tree would hold.
+TEST(V2LeafEntriesTest, LeavesSkippingEntriesRejected) {
+  core::MvpTreeOptions options;
+  options.leaf_capacity = 6;
+  options.num_path_distances = 0;
+  auto built = core::MvpTree<Vector, L2>::Build(
+      dataset::UniformVectors(600, 4, 43), L2(), options);
+  ASSERT_TRUE(built.ok());
+  const auto& tree = built.value();
+  std::vector<std::uint8_t> arena = flat::BuildFlatArena(
+      tree.options(), tree.rows(), tree.dim(), tree.arrays());
+  ASSERT_EQ(OpenCode(arena), StatusCode::kOk);
+  flat::FlatHeaderRec header;
+  std::memcpy(&header, arena.data(), sizeof(header));
+  bool shrunk = false;
+  for (std::uint64_t n = 0; n < header.node_count && !shrunk; ++n) {
+    core::NodeRec node;
+    const std::size_t at =
+        static_cast<std::size_t>(header.nodes_offset + n * sizeof(node));
+    std::memcpy(&node, arena.data() + at, sizeof(node));
+    if ((node.flags & core::kNodeLeaf) == 0 || node.count == 0) continue;
+    --node.count;
+    std::memcpy(arena.data() + at, &node, sizeof(node));
+    shrunk = true;
+  }
+  ASSERT_TRUE(shrunk);
+  const auto parsed = flat::ParseFlatArena(arena.data(), arena.size());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(parsed.status().message().find("skip"), std::string::npos)
+      << parsed.status().ToString();
+}
+
+/// A leaf keeps at most two PATH distances per internal node above it, the
+/// vantage points the MVPT stream writer recomputes them from. A root leaf
+/// whose entry keeps two is Corruption, though p allows two and its slab
+/// tiles the pool.
+TEST(LeafPathDepthTest, PathLongerThanItsAncestorsRejected) {
+  core::MvpTreeOptions options;
+  options.num_path_distances = 2;
+  auto built = core::MvpTree<Vector, L2>::Build(
+      dataset::UniformVectors(3, 4, 53), L2(), options);
+  ASSERT_TRUE(built.ok());
+  const auto& tree = built.value();
+  ASSERT_EQ(OpenCode(flat::BuildFlatArena(tree.options(), tree.rows(),
+                                          tree.dim(), tree.arrays())),
+            StatusCode::kOk);
+  core::TreeArrays crafted = tree.arrays();
+  ASSERT_EQ(crafted.node_count, 1u);
+  ASSERT_EQ(crafted.entry_count, 1u);
+  const core::LeafPathRec leafpath{0, 2, 0};
+  const float path[2] = {0.5f, 0.5f};
+  crafted.leafpaths = &leafpath;
+  crafted.path = path;
+  crafted.path_count = 2;
+  const std::vector<std::uint8_t> arena = flat::BuildFlatArena(
+      tree.options(), tree.rows(), tree.dim(), crafted);
+  const auto parsed = flat::ParseFlatArena(arena.data(), arena.size());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(parsed.status().message().find("vantage points above"),
+            std::string::npos)
+      << parsed.status().ToString();
+  EXPECT_EQ(OpenCode(arena), StatusCode::kCorruption);
+}
+
 /// A float leaf column is the narrowing of its distance, bit for bit. One
 /// flipped bit of an entry's D1, its D2 or one of its PATH values leaves an
 /// arena that parses and opens, and ValidateInvariants returns a
