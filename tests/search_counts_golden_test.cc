@@ -22,6 +22,8 @@
 #include "core/search_shared.h"
 #include "core/tree_layout.h"
 #include "dataset/vector_gen.h"
+#include "dynamic/dynamic_overlay.h"
+#include "dynamic/mvp_forest.h"
 #include "metric/lp.h"
 #include "serve/sharded_index.h"
 #include "snapshot/flat_tree.h"
@@ -35,7 +37,8 @@
 /// (range, k-NN, budgeted k-NN and the two farthest query forms),
 /// GeneralizedMvpTree at several v, the vp-tree (with every TreeStats
 /// field of both comparison trees), and the sharded index's shells (heap
-/// and flat shards), so shard-level pruning is pinned too. knn_order.txt
+/// and flat shards), so shard-level pruning is pinned too, and the dynamic
+/// layers (MvpForest, and DynamicOverlay over a flat base). knn_order.txt
 /// goes further for k-NN: the sequence of ids each query's search asks the
 /// metric for, so a reordering that keeps every total still shows.
 ///
@@ -342,6 +345,82 @@ TEST(SearchCountsGoldenTest, ShardedShells) {
     std::filesystem::remove_all(dir);
   }
   CheckGolden("sharded", lines);
+}
+
+/// Range at the recipe's radii and k-NN at k = 1 and 10 over any index
+/// layer, into one line per case.
+template <typename Index>
+void AppendLayerCases(const std::string& rep, const Index& index,
+                      const Recipe& recipe, std::vector<std::string>* lines) {
+  AppendRangeCases(rep, index, recipe, lines);
+  for (const std::size_t k : {std::size_t{1}, std::size_t{10}}) {
+    CaseTotals t;
+    for (const Vector& q : recipe.queries) {
+      SearchStats s;
+      t.Add(index.KnnSearch(q, k, &s), s);
+    }
+    lines->push_back(t.Line(rep, "knn(k=" + std::to_string(k) + ")"));
+  }
+}
+
+/// The dynamic layers over the uniform and clustered recipes. An MvpForest
+/// holds every point, with each id congruent to 3 mod 7 erased: its levels
+/// carry tombstones and its buffer keeps the last few inserts. A
+/// DynamicOverlay serves the first 1500 points from a 4-shard SaveFlat
+/// base, with the same ids erased there, and takes the other 500 into its
+/// memtable, which erases every id congruent to 5 mod 11 and keeps a
+/// non-empty buffer over several levels. Results are in stable ids.
+TEST(SearchCountsGoldenTest, DynamicLayers) {
+  using Forest = dynamic::MvpForest<Vector, L2>;
+  using Overlay = dynamic::DynamicOverlay<Vector, L2, VectorCodec>;
+  constexpr std::size_t kBase = 1500;
+  std::vector<std::string> lines;
+  for (const Recipe& recipe : {UniformRecipe(), ClusteredRecipe()}) {
+    Forest::Options forest_options;
+    forest_options.tree = recipe.options;
+    Forest forest(L2(), forest_options);
+    for (const Vector& v : recipe.data) forest.Insert(v);
+    for (std::size_t id = 3; id < recipe.data.size(); id += 7) {
+      ASSERT_TRUE(forest.Erase(id).ok());
+    }
+    ASSERT_GT(forest.num_trees(), 0u);
+    ASSERT_GT(forest.buffered(), 0u);
+    AppendLayerCases("forest " + recipe.name, forest, recipe, &lines);
+
+    const std::string dir =
+        ::testing::TempDir() + "/search_counts_dynamic_" + recipe.name;
+    std::filesystem::remove_all(dir);
+    Overlay::Options options;
+    options.memtable = forest_options;
+    options.rebuild.num_shards = 4;
+    options.rebuild.tree = recipe.options;
+    {
+      auto base = serve::ShardedMvpIndex<Vector, L2>::Build(
+          std::vector<Vector>(recipe.data.begin(),
+                              recipe.data.begin() + kBase),
+          L2(), options.rebuild);
+      ASSERT_TRUE(base.ok()) << base.status().ToString();
+      ASSERT_TRUE(snapshot::SnapshotStore(dir).SaveFlat(base.value()).ok());
+    }
+    auto opened = Overlay::Open(dir, L2(), VectorCodec{}, options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    Overlay& overlay = *opened.value();
+    for (std::size_t id = 3; id < kBase; id += 7) {
+      ASSERT_TRUE(overlay.Erase(id).ok());
+    }
+    for (std::size_t i = kBase; i < recipe.data.size(); ++i) {
+      auto id = overlay.Insert(recipe.data[i]);
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      ASSERT_EQ(id.value(), i);
+    }
+    for (std::size_t id = kBase + 5; id < recipe.data.size(); id += 11) {
+      ASSERT_TRUE(overlay.Erase(id).ok());
+    }
+    AppendLayerCases("overlay_flat " + recipe.name, overlay, recipe, &lines);
+    opened.value().reset();
+    std::filesystem::remove_all(dir);
+  }
+  CheckGolden("dynamic", lines);
 }
 
 /// Small leaves, a short PATH and exact shell bounds: many more internal
