@@ -112,8 +112,8 @@ int Run() {
 
   // Single-query latency with `parallel_shards`: each query runs alone on a
   // 4-thread pool, so a range query searches the shards its ball meets side
-  // by side, while k-NN (k = 10) walks the shards nearest shell first under
-  // one shared bound.
+  // by side, while k-NN (k = 10) does not fan out: it walks the shards
+  // nearest shell first, every shard offering into one heap.
   {
     Sharded::Options options;
     options.num_shards = 4;

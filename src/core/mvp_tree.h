@@ -392,12 +392,13 @@ class MvpTree {
   /// The harvest form of both (core::SearchRequest), counting into
   /// `context.stats` as it goes. A range search appends its hits to `*out`;
   /// each is a true member of the full answer, since it passed the
-  /// d(Q, Xi) <= r test with an exact metric value. A k-NN search keeps its
-  /// candidates in `*out`, which must come in empty, as a max-heap under
-  /// NeighborLess; ids `request.exclude` names are never returned, and
-  /// `request.bound` caps the pruning radius (Traversal::Knn). So a search
-  /// cancelled mid-way (see serve/cancel.h) leaves in `*out` the hits, or
-  /// the best <= k candidates, found so far.
+  /// d(Q, Xi) <= r test with an exact metric value. A k-NN search offers
+  /// its candidates, as `request.ids` maps them, into `*out`: the caller's
+  /// best-so-far max-heap under NeighborLess, empty for a lone search, whose
+  /// k-th distance prunes from the first node on. Ids `request.exclude`
+  /// names are never offered. So a search cancelled mid-way (see
+  /// serve/cancel.h) leaves in `*out` the hits, or the best <= k candidates,
+  /// found so far.
   void Search(const Request& request, SearchContext& context,
               std::vector<Neighbor>* out) const {
     Traversal traversal(Access(), request.object, context.stats);
@@ -405,8 +406,7 @@ class MvpTree {
       MVP_DCHECK(request.radius >= 0);
       traversal.Range(request.radius, out);
     } else {
-      MVP_DCHECK(out->empty());
-      traversal.Knn(request.k, out, request.exclude, request.bound);
+      traversal.Knn(request.k, out, request.exclude, request.ids);
     }
   }
 
@@ -447,9 +447,7 @@ class MvpTree {
                                             SearchStats* stats = nullptr) const {
     std::vector<Neighbor> result;
     SearchStats local;
-    Traversal(Access(), query, local)
-        .template Knn<Farthest>(std::numeric_limits<std::size_t>::max(),
-                                &result, {}, radius);
+    Traversal(Access(), query, local).FarthestRange(radius, &result);
     std::erase_if(result, [radius](const Neighbor& n) {
       return !(n.distance >= radius);
     });

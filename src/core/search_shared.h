@@ -175,18 +175,44 @@ struct Exclusion {
   explicit operator bool() const { return excluded != nullptr; }
 };
 
+/// Where a k-NN search's candidates go: the id the caller's heap holds for
+/// an id of the searched structure. Non-owning, like Exclusion: a layer
+/// that searches a part of itself maps the part's ids through its own map
+/// and then through its caller's. A default-constructed value is the
+/// identity.
+struct IdMap {
+  const void* context = nullptr;
+  std::size_t (*map)(const void*, std::size_t) = nullptr;
+
+  /// Wraps a callable `std::size_t(std::size_t)`, which must outlive the
+  /// search.
+  template <typename Fn>
+  static IdMap Of(const Fn& fn) {
+    return IdMap{&fn, [](const void* c, std::size_t id) -> std::size_t {
+                   return (*static_cast<const Fn*>(c))(id);
+                 }};
+  }
+
+  std::size_t operator()(std::size_t id) const {
+    return map == nullptr ? id : map(context, id);
+  }
+};
+
 /// The two exact query types of §4.3.
 enum class SearchKind { kRange, kKnn };
 
 /// One exact query, as every index layer takes it: MvpTree, MvpForest,
 /// ShardedMvpIndex and DynamicOverlay each answer it in one
-/// `Search(request, context, out)`, which appends the answer to `*out`
-/// unsorted (a k-NN search over one tree or forest keeps its candidates
-/// there as a heap, so it needs `*out` empty). A search cut short by
-/// cancellation leaves in `*out` whatever it had found. Non-owning: the
-/// object must outlive the search. A layer that passes the query down
-/// copies the request and narrows `exclude` and `bound`, which only k-NN
-/// reads.
+/// `Search(request, context, out)`. A range search appends its hits to
+/// `*out` unsorted. A k-NN search takes `*out` as the caller's best-so-far
+/// heap — at most k candidates, a max-heap under NeighborLess, in the
+/// caller's ids — and offers every object it evaluates into it through
+/// `ids`, so one heap and one shrinking k-th distance serve every layer,
+/// shard and level of an answer; a lone search passes it empty. A search
+/// cut short by cancellation leaves in `*out` whatever it had found.
+/// Non-owning: the object must outlive the search. A layer that passes the
+/// query down copies the request and narrows `exclude` and `ids`, which
+/// only k-NN reads.
 template <typename Object>
 struct SearchRequest {
   SearchKind kind = SearchKind::kRange;
@@ -195,21 +221,20 @@ struct SearchRequest {
   std::size_t k = 0;    ///< kKnn: neighbor count
   /// Ids, in the searched layer's id space, that must not be returned.
   Exclusion exclude = {};
-  /// A k-th distance the caller already holds (Traversal::Knn): candidates
-  /// strictly farther may be missing from the answer.
-  double bound = std::numeric_limits<double>::infinity();
+  /// The searched layer's ids -> the ids `*out` holds.
+  IdMap ids = {};
 };
 
 /// What a search carries besides its request: the counters it adds to, and
-/// the pool a sharded index may fan its shards out on (null: serially).
+/// the pool a sharded index may fan a range query's shards out on (null:
+/// serially).
 struct SearchContext {
   SearchStats stats = {};
   serve::ThreadPool* pool = nullptr;
 };
 
 /// Puts an answer Search appended into presentation order: by NeighborLess,
-/// and a k-NN answer, which a composite layer hands back as the union of its
-/// parts' best k, trimmed to k.
+/// and a k-NN answer trimmed to k.
 template <typename Object>
 void Present(const SearchRequest<Object>& request, std::vector<Neighbor>* out) {
   std::sort(out->begin(), out->end(), NeighborLess);
@@ -477,21 +502,30 @@ class Traversal {
   }
 
   /// Keeps the k best objects `exclude` does not name in `*heap`, a
-  /// max-heap under Dir::kOrder (pass it empty): the k nearest, or with
-  /// Farthest the k farthest. Children are visited best bound first, each
-  /// bound taken over all vantage points. `bound` tightens tau to a k-th
-  /// distance already known elsewhere (another shard or level of the same
-  /// answer): candidates strictly behind it cannot make that answer, so
-  /// they may be skipped, and ties survive. Nearest caps tau with it,
-  /// Farthest floors tau with it; kOpenTau, the default, is the plain
-  /// search.
+  /// max-heap under Dir::kOrder of at most k: the k nearest, or with
+  /// Farthest the k farthest. Each evaluated object is offered as
+  /// `ids(id)`, so a heap the caller seeded with its best so far (another
+  /// shard or level of the same answer) prunes from the start, and ties at
+  /// the k-th distance go to the lowest id in the heap's id space.
+  /// Children are visited best bound first, each bound taken over all
+  /// vantage points.
   template <typename Dir = Nearest>
   void Knn(std::size_t k, std::vector<Neighbor>* heap, Exclusion exclude = {},
-           double bound = kOpenTau<Dir::kOrder>) {
-    bound_ = bound;
+           IdMap ids = {}) {
+    MVP_DCHECK(heap->size() <= k);
+    exclude_ = exclude;
+    ids_ = ids;
     if (const NodeRef root = nodes_.Root(); root != nullptr && k > 0) {
-      KnnNode<Dir>(root, k, *heap, exclude);
+      KnnNode<Dir>(root, k, *heap);
     }
+  }
+
+  /// §2's "farther than a given range": the Farthest recursion with no k
+  /// limit and tau held at `radius`. Appends to `*out` every object it
+  /// evaluates, a superset of those at distance >= `radius`.
+  void FarthestRange(double radius, std::vector<Neighbor>* out) {
+    floor_ = radius;
+    Knn<Farthest>(std::numeric_limits<std::size_t>::max(), out);
   }
 
  private:
@@ -739,24 +773,35 @@ class Traversal {
     }
   }
 
-  /// Best-k pruning radius: the heap's k-th best, tightened to bound_.
+  /// Best-k pruning radius: the heap's k-th best, and for FarthestRange
+  /// never below its radius.
   template <typename Dir>
   double Tau(const std::vector<Neighbor>& heap, std::size_t k) const {
     const double tau = KnnTau<Dir::kOrder>(heap, k);
-    return Dir::Before(bound_, tau) ? bound_ : tau;
+    if constexpr (std::is_same_v<Dir, Farthest>) return std::max(tau, floor_);
+    return tau;
+  }
+
+  /// Offers object `id` at `dist` to the heap as ids_(id). A candidate
+  /// strictly behind a full heap's k-th distance cannot enter whatever its
+  /// id, so it is turned away before its id is mapped.
+  template <typename Dir>
+  void Offer(std::vector<Neighbor>& heap, std::size_t k, std::size_t id,
+             double dist) const {
+    if (heap.size() == k && Dir::Before(heap.front().distance, dist)) return;
+    KnnOffer<Dir::kOrder>(heap, k, Neighbor{ids_(id), dist});
   }
 
   template <typename Dir>
-  void KnnNode(NodeRef node, std::size_t k, std::vector<Neighbor>& heap,
-               Exclusion exclude) {
+  void KnnNode(NodeRef node, std::size_t k, std::vector<Neighbor>& heap) {
     Distances d;
     const std::size_t vps =
         VantagePoints(node, RootPrime{}, d, [&](std::size_t id, double dist) {
-          if (!exclude(id)) KnnOffer<Dir::kOrder>(heap, k, Neighbor{id, dist});
+          if (!exclude_(id)) Offer<Dir>(heap, k, id, dist);
         });
     if (nodes_.IsLeaf(node)) {
       KnnLeaf<Dir>(nodes_.Leaf(node), LeafQuery{d.data(), vps, qpath_}, k,
-                   heap, exclude);
+                   heap);
       return;
     }
     // Children best bound first; stop as soon as tau ranks ahead of a
@@ -773,7 +818,7 @@ class Traversal {
     RequestChildren<Dir>(begin, end, Tau<Dir>(heap, k));
     for (std::size_t i = begin; i < end; ++i) {
       if (Dir::Before(Tau<Dir>(heap, k), ranked_[i].bound)) break;
-      KnnNode<Dir>(ranked_[i].child, k, heap, exclude);
+      KnnNode<Dir>(ranked_[i].child, k, heap);
     }
     ranked_.resize(begin);
   }
@@ -806,7 +851,7 @@ class Traversal {
   /// exclusion, before it is evaluated and offered.
   template <typename Dir, typename Leaf>
   void KnnLeaf(const Leaf& leaf, const LeafQuery& q, std::size_t k,
-               std::vector<Neighbor>& heap, Exclusion exclude) {
+               std::vector<Neighbor>& heap) {
     const double entry_tau = Tau<Dir>(heap, k);
     masks_.clear();
     for (std::size_t base = 0; base < leaf.size(); base += kChunk) {
@@ -830,12 +875,12 @@ class Traversal {
         next = i + 1;
         const double tau = Tau<Dir>(heap, k);
         if ((tau != entry_tau && !Dir::MayBeat(leaf, i, q, tau)) ||
-            exclude(leaf.id(i))) {
+            exclude_(leaf.id(i))) {
           ++stats_.leaf_points_filtered;
           continue;
         }
         const double dist = Distance(leaf.row(i));
-        KnnOffer<Dir::kOrder>(heap, k, Neighbor{leaf.id(i), dist});
+        Offer<Dir>(heap, k, leaf.id(i), dist);
       }
       const std::size_t stop = std::min(base + kChunk, leaf.size());
       stats_.leaf_points_seen += stop - next;
@@ -869,7 +914,9 @@ class Traversal {
   const Query& query_;
   SearchStats& stats_;
   [[no_unique_address]] Budget budget_;
-  double bound_ = std::numeric_limits<double>::infinity();
+  Exclusion exclude_;  ///< k-NN: ids never offered
+  IdMap ids_;          ///< k-NN: what the heap holds for an id
+  double floor_ = 0.0;  ///< FarthestRange's radius (0: Farthest's open tau)
   std::vector<double> qpath_;
   bool gather_ = false;  ///< range search evaluates in gathered calls
   std::vector<NodeRef> entered_;   ///< range: children to enter, as a stack

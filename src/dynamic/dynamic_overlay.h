@@ -46,7 +46,8 @@
 /// rebuilt from scratch over the current live set (the overlay-equivalence
 /// test holds exactly this). Range hits from the base are filtered through
 /// the tombstones; a k-NN search hands the tombstones to the base as a
-/// core::Exclusion, which skips them inside the traversal.
+/// core::Exclusion, which skips them inside the traversal, and both sides
+/// offer into one heap of stable ids.
 ///
 /// Every object carries a STABLE id: issued once at insert, never reused,
 /// reported by all queries. The base maps its dense global ids to stable
@@ -220,24 +221,23 @@ class DynamicOverlay {
 
   /// The harvest form of both (core::SearchRequest), the serve::RunBatch
   /// door, so mutable collections degrade under deadlines exactly like
-  /// static ones. Appends, unsorted and in stable ids, the base's answer
-  /// and then the memtable's. Range hits from the base are filtered through
-  /// the tombstones. A k-NN search asks the base for exactly k and has it
-  /// skip its tombstoned objects inside the traversal (core::Exclusion), so
-  /// no erased object costs a distance computation unless it is a vantage
-  /// point on the search path; the memtable search is then capped at the
-  /// base answer's k-th distance, so it skips only candidates strictly
-  /// worse than k live base objects. The union holds up to 2k candidates,
-  /// which core::Present trims to k.
+  /// static ones. Searches the base and then the memtable, in stable ids.
+  /// Range appends both sides' hits unsorted, the base's filtered through
+  /// the tombstones. k-NN hands the caller's heap `*out` to the base, which
+  /// offers into it through its stable-id map and skips its tombstoned
+  /// objects inside the traversal (core::Exclusion), so no erased object
+  /// costs a distance computation unless it is a vantage point on the
+  /// search path; then to the memtable, through `+ memtable_offset_`, which
+  /// prunes against the best k of both sides found so far.
   ///
   /// The base runs without `context.pool`: this search holds mu_, and a
   /// pooled shard fan-out waits in ThreadPool::RunOne, which may pick up
   /// another overlay query that would then lock mu_ on the same thread.
   ///
   /// On a mid-search cancellation everything the base found before the cut
-  /// is filtered, translated and appended before CancelledError is
-  /// rethrown (range hits passed the exact d <= r test, so they are a true
-  /// subset of the live answer; k-NN candidates are the best among the
+  /// is in `*out` (range hits filtered and translated) before CancelledError
+  /// is rethrown (range hits passed the exact d <= r test, so they are a
+  /// true subset of the live answer; k-NN candidates are the best among the
   /// points evaluated so far); the memtable is skipped — its deadline is
   /// already blown. Memtable distance evaluations are not cancellation
   /// points (the forest runs the raw metric); base shards are, which is
@@ -247,35 +247,48 @@ class DynamicOverlay {
     MVP_DCHECK(!request.exclude);  // the tombstones are the exclusion
     MutexLock lock(&mu_);
     const bool knn = request.kind == core::SearchKind::kKnn;
-    Request memtable_request = request;
     if (base_.has_value()) {
       const std::vector<bool>& erased = base_erased_;
+      const std::vector<std::uint64_t>& stable = base_stable_ids_;
       const auto is_erased = [&erased](std::size_t g) { return erased[g]; };
+      const auto stable_of = [&stable](std::size_t g) {
+        return stable.empty() ? g : static_cast<std::size_t>(stable[g]);
+      };
+      const auto caller = [&](std::size_t g) {
+        return request.ids(stable_of(g));
+      };
       Request base_request = request;
-      if (knn && tombstone_count_ > 0) {
-        base_request.exclude = core::Exclusion::Of(is_erased);
+      if (knn) {
+        base_request.ids = core::IdMap::Of(caller);
+        if (tombstone_count_ > 0) {
+          base_request.exclude = core::Exclusion::Of(is_erased);
+        }
       }
       core::SearchContext base_context;  // no pool: see above
-      std::vector<Neighbor> base_hits;
+      std::vector<Neighbor> hits;        // range: in global ids
       bool cancelled = false;
       try {
-        base_->Search(base_request, base_context, &base_hits);
+        base_->Search(base_request, base_context, knn ? out : &hits);
       } catch (const serve::CancelledError&) {
         cancelled = true;
       }
       MergeSearchStats(&context.stats, base_context.stats);
-      if (knn && request.k > 0 && base_hits.size() >= request.k) {
-        memtable_request.bound =
-            std::max_element(base_hits.begin(), base_hits.end(),
-                             NeighborLess)
-                ->distance;
+      for (const Neighbor& hit : hits) {
+        if (!erased[hit.id]) {
+          out->push_back(Neighbor{stable_of(hit.id), hit.distance});
+        }
       }
-      AppendBaseHitsLocked(base_hits, out);
       if (cancelled) throw serve::CancelledError();
     }
-    std::vector<Neighbor> memtable_hits;
-    memtable_.Search(memtable_request, context, &memtable_hits);
-    AppendMemtableHitsLocked(memtable_hits, out);
+    const std::size_t offset = static_cast<std::size_t>(memtable_offset_);
+    const auto caller = [&](std::size_t f) { return request.ids(offset + f); };
+    Request memtable_request = request;
+    if (knn) memtable_request.ids = core::IdMap::Of(caller);
+    std::vector<Neighbor> hits;  // range: in forest ids
+    memtable_.Search(memtable_request, context, knn ? out : &hits);
+    for (const Neighbor& hit : hits) {
+      out->push_back(Neighbor{offset + hit.id, hit.distance});
+    }
   }
 
   std::size_t size() const MVP_EXCLUDES(mu_) {
@@ -451,28 +464,6 @@ class DynamicOverlay {
   void ResetTombstonesLocked() MVP_REQUIRES(mu_) {
     base_erased_.assign(base_.has_value() ? base_->size() : 0, false);
     tombstone_count_ = 0;
-  }
-
-  /// Filters base hits through the tombstones and appends them to `*out`
-  /// with their stable ids.
-  void AppendBaseHitsLocked(const std::vector<Neighbor>& hits,
-                            std::vector<Neighbor>* out) const
-      MVP_REQUIRES(mu_) {
-    for (const Neighbor& hit : hits) {
-      if (base_erased_[hit.id]) continue;
-      out->push_back(Neighbor{
-          static_cast<std::size_t>(BaseStableLocked(hit.id)), hit.distance});
-    }
-  }
-
-  /// Appends memtable hits to `*out` with their stable ids.
-  void AppendMemtableHitsLocked(const std::vector<Neighbor>& hits,
-                                std::vector<Neighbor>* out) const
-      MVP_REQUIRES(mu_) {
-    for (const Neighbor& hit : hits) {
-      out->push_back(Neighbor{
-          static_cast<std::size_t>(memtable_offset_) + hit.id, hit.distance});
-    }
   }
 
   /// True when `stable_id` names a live object (base or memtable).

@@ -37,8 +37,8 @@
 ///
 /// Queries fan out to the buffer (linear scan) and every live tree. Range
 /// hits are filtered through the tombstones afterwards; k-NN skips them
-/// inside each tree's traversal. Results carry the stable ids that Insert
-/// returned.
+/// inside each tree's traversal, and every part offers into one heap.
+/// Results carry the stable ids that Insert returned.
 
 namespace mvp::dynamic {
 
@@ -122,52 +122,47 @@ class MvpForest {
 
   /// The harvest form of both (core::SearchRequest), in stable ids. The
   /// buffer is scanned first, then each level's tree is searched. Range
-  /// hits are appended to `*out` after the tombstone filter. k-NN keeps its
-  /// candidates in `*out`, which must come in empty, as a max-heap under
-  /// NeighborLess, and caps each level at the running k-th best and at
-  /// `request.bound`, a k-th distance the caller already holds (as
-  /// DynamicOverlay does with its base answer): candidates strictly farther
-  /// than the cap cannot make the caller's answer, so they may be missing
-  /// from this one. The tombstones are the forest's exclusion, so
+  /// hits are appended to `*out` after the tombstone filter. k-NN offers
+  /// the buffer and every level straight into the caller's heap `*out`
+  /// (through `request.ids`; core::SearchRequest), so each level prunes
+  /// against the best k found so far anywhere in the answer, the caller's
+  /// own candidates included. The tombstones are the forest's exclusion, so
   /// `request.exclude` must be empty.
   void Search(const Request& request, core::SearchContext& context,
               std::vector<Neighbor>* out) const {
     MVP_DCHECK(!request.exclude);
     const bool knn = request.kind == core::SearchKind::kKnn;
-    if (knn) {
-      MVP_DCHECK(out->empty());
-      if (request.k == 0) return;
-    }
+    if (knn && request.k == 0) return;
     for (const auto& entry : buffer_) {
       const double d = metric_(request.object, entry.object);
       ++context.stats.distance_computations;
       if (knn) {
-        KnnOffer(*out, request.k, Neighbor{entry.id, d});
+        KnnOffer(*out, request.k, Neighbor{request.ids(entry.id), d});
       } else if (d <= request.radius) {
         out->push_back(Neighbor{entry.id, d});
       }
     }
-    std::vector<Neighbor> found;
+    std::vector<Neighbor> hits;  // range: one level's, in level ids
     for (const auto& level : levels_) {
       if (!level.has_value()) continue;
-      // A k-NN search skips the level's deleted points inside the traversal
-      // (core::Exclusion), so it returns the level's k nearest live points.
+      const std::vector<std::size_t>& ids = level->ids;
+      // k-NN skips the level's deleted points inside the traversal.
       const auto deleted = [&](std::size_t local) {
-        return state_[level->ids[local]] == kDeleted;
+        return state_[ids[local]] == kDeleted;
+      };
+      const auto caller = [&](std::size_t local) {
+        return request.ids(ids[local]);
       };
       Request level_request = request;
       if (knn) {
         level_request.exclude = core::Exclusion::Of(deleted);
-        level_request.bound = std::min(request.bound, KnnTau(*out, request.k));
+        level_request.ids = core::IdMap::Of(caller);
       }
-      found.clear();
-      level->tree->Search(level_request, context, &found);
-      for (const Neighbor& hit : found) {
-        const Neighbor stable{level->ids[hit.id], hit.distance};
-        if (knn) {
-          KnnOffer(*out, request.k, stable);
-        } else if (state_[stable.id] == kLive) {
-          out->push_back(stable);
+      hits.clear();
+      level->tree->Search(level_request, context, knn ? out : &hits);
+      for (const Neighbor& hit : hits) {
+        if (state_[ids[hit.id]] == kLive) {
+          out->push_back(Neighbor{ids[hit.id], hit.distance});
         }
       }
     }

@@ -66,13 +66,14 @@
 /// DynamicOverlay do — appending unsorted into the outcome, where it stays
 /// if the search is cancelled; core::Present then sorts it and trims a k-NN
 /// answer to k. With `ExecutorOptions::parallel_shards` the context carries
-/// the pool into a sharded index; a DynamicOverlay still searches its base
-/// serially, since it searches under its lock and a pooled fan-out may run
-/// another query on the same overlay while it waits. Mid-search
-/// cancellation requires the index's distance evaluations to be
-/// cancellation points, which ShardedMvpIndex guarantees (its shards are
-/// built over CancelChecked metrics); an index without them only honours
-/// deadlines at query start, not mid-search.
+/// the pool into a sharded index, whose range queries fan out over it (k-NN
+/// searches its shards serially into one heap); a DynamicOverlay still
+/// searches its base serially, since it searches under its lock and a
+/// pooled fan-out may run another query on the same overlay while it
+/// waits. Mid-search cancellation requires the index's distance
+/// evaluations to be cancellation points, which ShardedMvpIndex guarantees
+/// (its shards are built over CancelChecked metrics); an index without
+/// them only honours deadlines at query start, not mid-search.
 ///
 /// Thread-safety analysis: RunBatch owns all cross-thread state either
 /// per-task (each worker touches only its own QueryOutcome slot) or as a
@@ -126,12 +127,12 @@ struct QueryOutcome {
 };
 
 struct ExecutorOptions {
-  /// Also fan each query out across the shards of its index, through
-  /// core::SearchContext::pool: a range query over the shards its ball
-  /// meets, a k-NN query over its second wave of shards (the shells the
-  /// nearest shell's k-th distance does not exclude). Lowers single-query
-  /// latency and computes the same distances as without it; for batch
-  /// throughput the query-level parallelism is usually enough and cheaper.
+  /// Also fan each range query out across the shards its ball meets,
+  /// through core::SearchContext::pool. k-NN never fans out: its shards
+  /// offer one after another into one heap, so each prunes against the
+  /// best k found so far. Lowers single-query range latency and computes
+  /// the same distances as without it; for batch throughput the
+  /// query-level parallelism is usually enough and cheaper.
   /// A DynamicOverlay searches its base unpooled all the same: it holds its
   /// lock while it searches, and a pooled fan-out waits by running other
   /// queued tasks, one of which may be another query on the same overlay.

@@ -41,10 +41,10 @@
 /// the same rule core::ShellIntersects applies inside every node:
 ///   - range visits shard s iff [d0 - r, d0 + r] meets [lo_s, hi_s], and
 ///     may search the visited shards in parallel;
-///   - k-NN ranks shards by max(0, lo_s - d0, d0 - hi_s) and searches in
-///     two waves into one global heap: the nearest shell first, then every
-///     shell whose bound does not exceed the k-th distance that wave found,
-///     each capped at it, side by side when a pool is given.
+///   - k-NN ranks shards by max(0, lo_s - d0, d0 - hi_s) and searches them
+///     one by one, nearest shell first, every shard tree offering into the
+///     one heap of the answer, and stops at the first shell whose bound is
+///     strictly above that heap's k-th distance.
 /// With one shard there is no v, and the index is that shard's tree.
 ///
 /// Generations written before the partition dealt objects out round-robin
@@ -53,9 +53,9 @@
 ///
 /// Trade-off (docs/serving.md gives measured counts): building costs n
 /// distances more than the K shard trees, one per object to v, and a k-NN
-/// query then costs about what one unsharded tree costs. Both query kinds
-/// search their shards in parallel on a pool, and the same shards with the
-/// same caps without one, so pooled and serial counts are equal.
+/// query then costs about what one unsharded tree costs. Range searches
+/// their shards in parallel on a pool and k-NN always serially, so pooled
+/// and serial counts are equal.
 ///
 /// Every shard tree is built over a CancelChecked metric, and d(q, v) is
 /// evaluated through it, so any search is cancellable mid-flight by the
@@ -274,32 +274,29 @@ class ShardedMvpIndex {
         stats);
   }
 
-  /// The harvest form of both (core::SearchRequest): appends the answer,
-  /// unsorted and in global ids, to `*out` and its counts to
-  /// `context.stats`. A range search visits the shards whose shells meet
-  /// the query ball. A k-NN search ranks the shards by their shells' lower
-  /// bound max(0, lo - d0, d0 - hi) and searches them in two waves into
-  /// one heap:
-  ///   1. the nearest shell, capped at `request.bound`, which yields a k-th
-  ///      distance tau;
-  ///   2. every other shell whose lower bound is not above tau, each capped
-  ///      at it.
-  /// Shells with a lower bound above tau hold no answer (pruning is strict,
-  /// so ties survive). `request.exclude` names global ids, and may be
-  /// called from pool threads. With `context.pool`, the range shards and
-  /// the second wave run side by side; the schedule does not depend on the
-  /// pool, so pooled and serial searches compute exactly the same
-  /// distances. On a mid-search cancellation, everything every shard had
-  /// found by then — including shards that were interrupted — is appended
-  /// and counted before CancelledError is rethrown, so the executor can
-  /// serve the partial answer: range hits are true members of the full
-  /// answer, k-NN candidates the best among the points evaluated so far.
+  /// The harvest form of both (core::SearchRequest), in global ids, adding
+  /// its counts to `context.stats`. A range search visits the shards whose
+  /// shells meet the query ball, side by side on `context.pool` when one is
+  /// given, and appends their hits unsorted. A k-NN search ranks the shards
+  /// by their shells' lower bound max(0, lo - d0, d0 - hi) and searches them
+  /// one after another in (bound, shard) order, each shard tree offering
+  /// straight into the caller's heap `*out` (through `request.ids`), until
+  /// a shell's bound is strictly above the heap's k-th distance: that shell
+  /// and every later one hold no answer, while ties survive. k-NN ignores
+  /// the pool, so pooled and serial searches compute exactly the same
+  /// distances. `request.exclude` names global ids. On a mid-search
+  /// cancellation, everything found by then is in `*out` — range hits of
+  /// every shard, including interrupted ones, are appended and counted
+  /// before CancelledError is rethrown — so the executor can serve the
+  /// partial answer: range hits are true members of the full answer, k-NN
+  /// candidates the best among the points evaluated so far.
   void Search(const Request& request, core::SearchContext& context,
               std::vector<Neighbor>* out) const {
-    const bool cancelled = request.kind == core::SearchKind::kRange
-                               ? SearchRange(request, context, out)
-                               : SearchKnn(request, context, out);
-    if (cancelled) throw CancelledError();
+    if (request.kind == core::SearchKind::kKnn) {
+      SearchKnn(request, context, out);
+    } else if (SearchRange(request, context, out)) {
+      throw CancelledError();
+    }
   }
 
   std::size_t size() const { return size_; }
@@ -558,8 +555,8 @@ class ShardedMvpIndex {
     vantage_row_ = shards_[s].tree.row_of(local);
   }
 
-  /// SearchRange and SearchKnn append to `*out` and return whether a shard
-  /// was cancelled.
+  /// Appends the range hits of every shard the ball meets to `*out`;
+  /// returns whether a shard was cancelled.
   bool SearchRange(const Request& request, core::SearchContext& context,
                    std::vector<Neighbor>* out) const {
     const double d0 = VantageDistance(request.object, context.stats);
@@ -589,10 +586,12 @@ class ShardedMvpIndex {
     return cancelled;
   }
 
-  bool SearchKnn(const Request& request, core::SearchContext& context,
+  /// Offers shard by shard into the caller's heap `*out`: shells in
+  /// (lower bound, shard) order, until one's bound is strictly above the
+  /// heap's k-th distance.
+  void SearchKnn(const Request& request, core::SearchContext& context,
                  std::vector<Neighbor>* out) const {
-    const std::size_t k = request.k;
-    if (k == 0) return false;
+    if (request.k == 0) return;
     const double d0 = VantageDistance(request.object, context.stats);
     std::vector<std::pair<double, std::size_t>> order;  // (lower bound, s)
     order.reserve(shards_.size());
@@ -601,56 +600,22 @@ class ShardedMvpIndex {
       order.emplace_back(std::max({0.0, shell.lo - d0, d0 - shell.hi}), s);
     }
     std::sort(order.begin(), order.end());
-
-    std::vector<Neighbor> best;  // max-heap of global ids under NeighborLess
-    // Searches order[first, last) capped at `tau` and merges the hits into
-    // `best` and the counts into the context; returns whether it was
-    // cancelled.
-    const auto wave = [&](std::size_t first, std::size_t last, double tau) {
-      std::vector<std::vector<Neighbor>> found(last - first);  // local ids
-      std::vector<core::SearchContext> shard_contexts(last - first);
-      const bool cancelled =
-          ForEachShard(last - first, context.pool, [&](std::size_t i) {
-            ShardKnn(order[first + i].second, request, tau, shard_contexts[i],
-                     &found[i]);
-          });
-      for (std::size_t i = 0; i < found.size(); ++i) {
-        const Shard& shard = shards_[order[first + i].second];
-        for (const Neighbor& n : found[i]) {
-          KnnOffer(best, k, Neighbor{shard.ids[n.id], n.distance});
-        }
-        MergeSearchStats(&context.stats, shard_contexts[i].stats);
+    for (const auto& [bound, s] : order) {
+      if (bound > KnnTau(*out, request.k)) break;
+      const Shard& shard = shards_[s];
+      const auto caller = [&](std::size_t local) {
+        return request.ids(shard.ids[local]);
+      };
+      const auto excluded = [&](std::size_t local) {
+        return request.exclude(shard.ids[local]);
+      };
+      Request shard_request = request;
+      shard_request.ids = core::IdMap::Of(caller);
+      if (request.exclude) {
+        shard_request.exclude = core::Exclusion::Of(excluded);
       }
-      return cancelled;
-    };
-    bool cancelled =
-        wave(0, std::min<std::size_t>(1, order.size()), request.bound);
-    if (!cancelled && order.size() > 1) {
-      const double tau = std::min(request.bound, KnnTau(best, k));
-      std::size_t last = 1;
-      while (last < order.size() && order[last].first <= tau) ++last;
-      cancelled = wave(1, last, tau);
+      shard.tree.Search(shard_request, context, out);
     }
-    out->insert(out->end(), best.begin(), best.end());
-    return cancelled;
-  }
-
-  /// Shard s's k nearest (local ids) appended to `*found`, with every
-  /// candidate farther than `tau` pruned; `request.exclude` names global
-  /// ids.
-  void ShardKnn(std::size_t s, const Request& request, double tau,
-                core::SearchContext& context,
-                std::vector<Neighbor>* found) const {
-    const Shard& shard = shards_[s];
-    const auto excluded_local = [&](std::size_t local_id) {
-      return request.exclude(shard.ids[local_id]);
-    };
-    Request shard_request = request;
-    if (request.exclude) {
-      shard_request.exclude = core::Exclusion::Of(excluded_local);
-    }
-    shard_request.bound = tau;
-    shard.tree.Search(shard_request, context, found);
   }
 
   /// Runs `search(i)` for i in [0, count): serially, or in parallel on

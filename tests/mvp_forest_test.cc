@@ -82,28 +82,46 @@ TEST(MvpForestTest, KnnMatchesLinearScan) {
   }
 }
 
-/// A caller's k-th distance as the starting cap (DynamicOverlay passes
-/// its base answer's) skips only candidates strictly worse than it: with
-/// the true k-th distance the answer is unchanged and costs no more, and
-/// with a tighter cap everything at or under it is still returned.
+/// A caller's best-so-far heap prunes the forest from the start
+/// (DynamicOverlay hands it the base's candidates). Seeded with copies of
+/// the true top 5 or top 10 under the forest's own ids, while the forest
+/// offers its objects under ids past them, the answer is the best 10 of
+/// both, the copies winning every tie, at no more distances than the
+/// unseeded search: with the top 10 seeded, no forest object enters.
 TEST(MvpForestTest, KnnBoundSkipsOnlyWorseCandidates) {
   const auto data = dataset::UniformVectors(600, 6, 17);
   Forest forest{L2(), SmallOptions()};
   for (const auto& v : data) forest.Insert(v);
   ASSERT_GT(forest.num_trees(), 1u);
+  ASSERT_GT(forest.buffered(), 0u);
   scan::LinearScan<Vector, L2> reference(data, L2());
+  const auto past_copies = [&](std::size_t id) { return data.size() + id; };
   for (const auto& q : dataset::UniformQueryVectors(12, 6, 19)) {
     const auto want = reference.KnnSearch(q, 10);
-    SearchStats open, capped;
-    Request request{.kind = core::SearchKind::kKnn, .object = q, .k = 10};
+    SearchStats open;
     EXPECT_EQ(forest.KnnSearch(q, 10, &open), want);
-    request.bound = want.back().distance;
-    EXPECT_EQ(core::Answer(forest, request, &capped), want);
-    EXPECT_LE(capped.distance_computations, open.distance_computations);
-    request.bound = want[4].distance;
-    const auto got = core::Answer(forest, request, nullptr);
-    ASSERT_GE(got.size(), 5u);
-    for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(got[i], want[i]);
+    for (const std::size_t seeded : {std::size_t{5}, std::size_t{10}}) {
+      std::vector<Neighbor> heap;
+      std::vector<Neighbor> both;
+      for (std::size_t i = 0; i < 10; ++i) {
+        if (i < seeded) {
+          KnnOffer(heap, 10, want[i]);
+          both.push_back(want[i]);
+        }
+        both.push_back(Neighbor{past_copies(want[i].id), want[i].distance});
+      }
+      const Request request{.kind = core::SearchKind::kKnn,
+                            .object = q,
+                            .k = 10,
+                            .ids = core::IdMap::Of(past_copies)};
+      core::SearchContext context;
+      forest.Search(request, context, &heap);
+      core::Present(request, &heap);
+      core::Present(request, &both);
+      EXPECT_EQ(heap, both) << "seeded " << seeded;
+      EXPECT_LE(context.stats.distance_computations,
+                open.distance_computations);
+    }
   }
 }
 

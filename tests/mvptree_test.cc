@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -276,6 +277,50 @@ TEST(MvpTreeTest, FullTreeMatchesPaperFormulas) {
   EXPECT_EQ(stats.num_leaf_nodes, 4u);
   EXPECT_EQ(stats.num_vantage_points, 10u);  // 2*(2^4-1)/(2^2-1) = 10
   EXPECT_EQ(stats.num_leaf_points, 8u);      // 2^(2*(2-1)) * k = 4*2
+}
+
+/// A k-NN search into a heap the caller seeded (core::SearchRequest): the
+/// heap's k-th distance prunes from the root, a stored object at exactly
+/// that distance displaces the caller's entry there only when its id, as
+/// `ids` maps it, is lower, and a strictly worse object never enters.
+TEST(MvpTreeTest, SeededHeapKeepsTheLowestIdsAtTheKthDistance) {
+  constexpr std::size_t kCaller = 100000;  // above every stored id
+  const auto data = dataset::UniformVectors(800, 6, 311);
+  const auto tree = MustBuild(data);
+  const auto shifted = [](std::size_t id) { return id + 2 * kCaller; };
+  for (const auto& q : dataset::UniformQueryVectors(8, 6, 313)) {
+    SearchStats open;
+    const Neighbor nearest = tree.KnnSearch(q, 1, &open).front();
+    // Searches a heap of two caller entries at 0 and one at `kth`.
+    const auto search = [&](double kth, IdMap ids, SearchStats* stats) {
+      std::vector<Neighbor> heap;
+      for (std::size_t i = 0; i < 3; ++i) {
+        KnnOffer(heap, 3, Neighbor{kCaller + i, i < 2 ? 0.0 : kth});
+      }
+      const SearchRequest<Vector> request{
+          .kind = SearchKind::kKnn, .object = q, .k = 3, .ids = ids};
+      SearchContext context;
+      tree.Search(request, context, &heap);
+      Present(request, &heap);
+      MergeSearchStats(stats, context.stats);
+      return heap;
+    };
+    const Neighbor zero0{kCaller, 0.0};
+    const Neighbor zero1{kCaller + 1, 0.0};
+    SearchStats tied, shifted_tie, worse;
+    EXPECT_EQ(search(nearest.distance, {}, &tied),
+              (std::vector<Neighbor>{zero0, zero1, nearest}));
+    EXPECT_EQ(search(nearest.distance, IdMap::Of(shifted), &shifted_tie),
+              (std::vector<Neighbor>{zero0, zero1,
+                                     Neighbor{kCaller + 2, nearest.distance}}));
+    const double below = std::nextafter(nearest.distance, 0.0);
+    EXPECT_EQ(
+        search(below, {}, &worse),
+        (std::vector<Neighbor>{zero0, zero1, Neighbor{kCaller + 2, below}}));
+    for (const SearchStats& s : {tied, shifted_tie, worse}) {
+      EXPECT_LE(s.distance_computations, open.distance_computations);
+    }
+  }
 }
 
 TEST(MvpTreeTest, ApproximateKnnWithInfiniteBudgetIsExact) {

@@ -118,7 +118,8 @@ TEST(ExecutorTest, SerialAndParallelExecutionAgree) {
   const auto index =
       ShardedMvpIndex<Vector, L2>::Build(data, L2(), options).ValueOrDie();
   auto batch = MakeRangeBatch(queries, 0.4);
-  // k-NN too: with parallel_shards its second wave of shards fans out.
+  // k-NN too: it searches its shards serially, so parallel_shards must
+  // leave its answers and counts as they are.
   for (const auto& q : queries) {
     Query bq;
     bq.kind = Query::Kind::kKnn;

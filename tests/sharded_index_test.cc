@@ -404,32 +404,64 @@ TEST(ShardedIndexTest, AllDuplicatesTieAtTheCuts) {
 
 /// Two points, each stored 20 times with alternating ids, and a query
 /// halfway between them (every distance exact): all four shells have the
-/// same lower bound, which equals the k-th distance the first wave finds.
-/// The second wave must still search the other point's shells, whose ids
-/// interleave with the first shell's, or the answer keeps larger ids.
+/// same lower bound, which equals the k-th distance the first shell finds.
+/// The later shells must still be searched, since the other point's ids
+/// interleave with the first shell's, or the answer keeps larger ids. Two
+/// more layouts: ids 0-9 stored at the point v is not, so they form the
+/// one far shell, searched last; and an exclusion that removes tied ids.
 TEST(ShardedIndexTest, TiesAcrossShellsKeepTheLowestIds) {
-  std::vector<Vector> data;
-  for (std::size_t g = 0; g < 40; ++g) {
-    data.push_back(g % 2 == 0 ? Vector{0.0, 0.0} : Vector{2.0, 0.0});
-  }
   ThreadPool pool(2);
-  const Sharded sharded = BuildSharded(data, 4);
-  ASSERT_TRUE(sharded.partition().has_value());
-  const Scan scan(data, L2());
   const Vector q{1.0, 0.0};
-  for (const std::size_t k : {1u, 5u, 15u}) {
-    const auto want = scan.KnnSearch(q, k);
-    ASSERT_EQ(want.back().id, k - 1);
-    SearchStats serial;
-    core::SearchContext pooled{.pool = &pool};
-    EXPECT_EQ(sharded.KnnSearch(q, k, &serial), want) << "k=" << k;
-    ExpectSameSearch(
-        core::Answer(sharded,
-                     Request{.kind = core::SearchKind::kKnn, .object = q,
-                             .k = k},
-                     pooled),
-        want, pooled.stats, serial, "pooled k=" + std::to_string(k));
+  const auto check = [&](const std::vector<Vector>& data,
+                         const core::Exclusion& exclude,
+                         const std::string& what) {
+    const Sharded sharded = BuildSharded(data, 4);
+    ASSERT_TRUE(sharded.partition().has_value());
+    std::vector<std::size_t> kept;  // every distance is 1
+    for (std::size_t g = 0; g < data.size(); ++g) {
+      if (!exclude(g)) kept.push_back(g);
+    }
+    for (const std::size_t k : {1u, 5u, 15u}) {
+      std::vector<Neighbor> want;
+      for (std::size_t i = 0; i < k; ++i) {
+        want.push_back(Neighbor{kept[i], 1.0});
+      }
+      if (!exclude) {
+        EXPECT_EQ(Scan(data, L2()).KnnSearch(q, k), want) << what;
+      }
+      const Request request{.kind = core::SearchKind::kKnn,
+                            .object = q,
+                            .k = k,
+                            .exclude = exclude};
+      SearchStats serial;
+      core::SearchContext pooled{.pool = &pool};
+      const std::string name = what + " k=" + std::to_string(k);
+      EXPECT_EQ(core::Answer(sharded, request, &serial), want) << name;
+      ExpectSameSearch(core::Answer(sharded, request, pooled), want,
+                       pooled.stats, serial, "pooled " + name);
+    }
+  };
+  std::vector<Vector> alternating;
+  for (std::size_t g = 0; g < 40; ++g) {
+    alternating.push_back(g % 2 == 0 ? Vector{0.0, 0.0} : Vector{2.0, 0.0});
   }
+  check(alternating, {}, "alternating");
+  const auto tied = [](std::size_t g) { return g == 0 || g == 3 || g == 6; };
+  check(alternating, core::Exclusion::Of(tied), "excluded");
+
+  // v's point holds ids 10-39, three shells, searched first.
+  const Sharded probe = BuildSharded(alternating, 4);
+  const Vector& v = alternating[probe.shard_global_ids(
+      probe.partition()->vantage_shard)[probe.partition()->vantage_local]];
+  const Vector far =
+      v == Vector{0.0, 0.0} ? Vector{2.0, 0.0} : Vector{0.0, 0.0};
+  std::vector<Vector> far_first(40, v);
+  std::fill(far_first.begin(), far_first.begin() + 10, far);
+  const Sharded last = BuildSharded(far_first, 4);
+  const auto& ids = last.shard_global_ids(3);
+  ASSERT_EQ(std::vector<std::size_t>(ids.begin(), ids.end()),
+            (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  check(far_first, {}, "far shell last");
 }
 
 TEST(ShardedIndexTest, KLargerThanSizeReturnsEverything) {
