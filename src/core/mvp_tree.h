@@ -390,23 +390,24 @@ class MvpTree {
   }
 
   /// The harvest form of both (core::SearchRequest), counting into
-  /// `context.stats` as it goes. A range search appends its hits to `*out`;
-  /// each is a true member of the full answer, since it passed the
-  /// d(Q, Xi) <= r test with an exact metric value. A k-NN search offers
-  /// its candidates, as `request.ids` maps them, into `*out`: the caller's
+  /// `context.stats` as it goes. Both kinds write into `*out` as
+  /// `request.ids` maps their ids and never report an id `request.exclude`
+  /// names. A range search appends its hits; each is a true member of the
+  /// full answer, since it passed the d(Q, Xi) <= r test with an exact
+  /// metric value. A k-NN search offers its candidates into the caller's
   /// best-so-far max-heap under NeighborLess, empty for a lone search, whose
-  /// k-th distance prunes from the first node on. Ids `request.exclude`
-  /// names are never offered. So a search cancelled mid-way (see
-  /// serve/cancel.h) leaves in `*out` the hits, or the best <= k candidates,
-  /// found so far.
+  /// k-th distance prunes from the first node on. So a search cancelled
+  /// mid-way (see serve/cancel.h) leaves in `*out` the hits, or the best
+  /// <= k candidates, found so far.
   void Search(const Request& request, SearchContext& context,
               std::vector<Neighbor>* out) const {
-    Traversal traversal(Access(), request.object, context.stats);
+    Traversal traversal(Access(), request.object, context.stats, NoBudget{},
+                        request.exclude, request.ids);
     if (request.kind == SearchKind::kRange) {
       MVP_DCHECK(request.radius >= 0);
       traversal.Range(request.radius, out);
     } else {
-      traversal.Knn(request.k, out, request.exclude, request.ids);
+      traversal.Knn(request.k, out);
     }
   }
 

@@ -147,16 +147,17 @@ inline bool ShellIntersects(double d, double r, double lo, double hi) {
   return d - r <= hi && d + r >= lo;
 }
 
-/// Ids a k-NN search must never return — the erased objects of a dynamic
-/// layer. Non-owning: `excluded(context, id)` answers for an id in the
-/// searched structure's own id space. A default-constructed value excludes
-/// nothing, and a search passed it is exactly the unexcluded search.
+/// Ids a search must never return — the erased objects of a dynamic layer.
+/// Non-owning: `excluded(context, id)` answers for an id in the searched
+/// structure's own id space. A default-constructed value excludes nothing,
+/// and a search passed it is exactly the unexcluded search.
 ///
-/// The rule: an excluded vantage point is still evaluated (its distance
-/// drives pruning and PATH) but never offered to the heap; an excluded leaf
-/// entry is never evaluated and counts as seen and filtered. The leaf
-/// filter tests the exclusion after the annulus tests, which reject most
-/// entries more cheaply; the order changes neither results nor SearchStats.
+/// The rule, for range and k-NN alike: an excluded vantage point is still
+/// evaluated (its distance drives pruning and PATH) but never reported; an
+/// excluded leaf entry is never evaluated and counts as seen and filtered.
+/// The leaf filters test the exclusion after the annulus tests, which
+/// reject most entries more cheaply; the order changes neither results nor
+/// SearchStats.
 struct Exclusion {
   const void* context = nullptr;
   bool (*excluded)(const void*, std::size_t) = nullptr;
@@ -175,11 +176,11 @@ struct Exclusion {
   explicit operator bool() const { return excluded != nullptr; }
 };
 
-/// Where a k-NN search's candidates go: the id the caller's heap holds for
-/// an id of the searched structure. Non-owning, like Exclusion: a layer
-/// that searches a part of itself maps the part's ids through its own map
-/// and then through its caller's. A default-constructed value is the
-/// identity.
+/// Where a search's hits and candidates go: the id the caller's `*out`
+/// holds for an id of the searched structure. Non-owning, like Exclusion:
+/// a layer that searches a part of itself maps the part's ids through its
+/// own map and then through its caller's. A default-constructed value is
+/// the identity.
 struct IdMap {
   const void* context = nullptr;
   std::size_t (*map)(const void*, std::size_t) = nullptr;
@@ -203,16 +204,17 @@ enum class SearchKind { kRange, kKnn };
 
 /// One exact query, as every index layer takes it: MvpTree, MvpForest,
 /// ShardedMvpIndex and DynamicOverlay each answer it in one
-/// `Search(request, context, out)`. A range search appends its hits to
-/// `*out` unsorted. A k-NN search takes `*out` as the caller's best-so-far
-/// heap — at most k candidates, a max-heap under NeighborLess, in the
-/// caller's ids — and offers every object it evaluates into it through
-/// `ids`, so one heap and one shrinking k-th distance serve every layer,
-/// shard and level of an answer; a lone search passes it empty. A search
-/// cut short by cancellation leaves in `*out` whatever it had found.
+/// `Search(request, context, out)`. Both kinds skip the ids `exclude`
+/// names (Exclusion's rule) and write into `*out` in the caller's ids,
+/// through `ids`. A range search appends its hits unsorted. A k-NN search
+/// takes `*out` as the caller's best-so-far heap — at most k candidates, a
+/// max-heap under NeighborLess — and offers every object it evaluates into
+/// it, so one heap and one shrinking k-th distance serve every layer, shard
+/// and level of an answer; a lone search passes it empty. A search cut
+/// short by cancellation leaves in `*out` whatever it had found.
 /// Non-owning: the object must outlive the search. A layer that passes the
-/// query down copies the request and narrows `exclude` and `ids`, which
-/// only k-NN reads.
+/// query down to a part of itself copies the request and narrows `exclude`
+/// and `ids` through the part's ids, the same way for both kinds.
 template <typename Object>
 struct SearchRequest {
   SearchKind kind = SearchKind::kRange;
@@ -478,9 +480,16 @@ struct DistanceBudget {
 template <typename Nodes, typename Query, typename Budget = NoBudget>
 class Traversal {
  public:
+  /// Both recursions skip the ids `exclude` names (Exclusion's rule) and
+  /// report an object as `ids(id)`.
   Traversal(Nodes nodes, const Query& query, SearchStats& stats,
-            Budget budget = {})
-      : nodes_(nodes), query_(query), stats_(stats), budget_(budget) {
+            Budget budget = {}, Exclusion exclude = {}, IdMap ids = {})
+      : nodes_(nodes),
+        query_(query),
+        stats_(stats),
+        budget_(budget),
+        exclude_(exclude),
+        ids_(ids) {
     // A flat arena's p is an unchecked header field, so the reserve is
     // capped; qpath_ still grows to p when a deep search needs it.
     qpath_.reserve(std::min(nodes_.PathDistances(), kQpathReserve));
@@ -501,20 +510,15 @@ class Traversal {
     RangeChildren(0, 1, radius, *out);
   }
 
-  /// Keeps the k best objects `exclude` does not name in `*heap`, a
-  /// max-heap under Dir::kOrder of at most k: the k nearest, or with
-  /// Farthest the k farthest. Each evaluated object is offered as
-  /// `ids(id)`, so a heap the caller seeded with its best so far (another
-  /// shard or level of the same answer) prunes from the start, and ties at
-  /// the k-th distance go to the lowest id in the heap's id space.
-  /// Children are visited best bound first, each bound taken over all
-  /// vantage points.
+  /// Keeps the k best objects in `*heap`, a max-heap under Dir::kOrder of
+  /// at most k: the k nearest, or with Farthest the k farthest. A heap the
+  /// caller seeded with its best so far (another shard or level of the same
+  /// answer) prunes from the start, and ties at the k-th distance go to the
+  /// lowest id in the heap's id space. Children are visited best bound
+  /// first, each bound taken over all vantage points.
   template <typename Dir = Nearest>
-  void Knn(std::size_t k, std::vector<Neighbor>* heap, Exclusion exclude = {},
-           IdMap ids = {}) {
+  void Knn(std::size_t k, std::vector<Neighbor>* heap) {
     MVP_DCHECK(heap->size() <= k);
-    exclude_ = exclude;
-    ids_ = ids;
     if (const NodeRef root = nodes_.Root(); root != nullptr && k > 0) {
       KnnNode<Dir>(root, k, *heap);
     }
@@ -638,7 +642,9 @@ class Traversal {
       Distances d;
       const std::size_t vps =
           VantagePoints(node, prime, d, [&](std::size_t id, double dist) {
-            if (dist <= radius) out.push_back(Neighbor{id, dist});
+            if (dist <= radius && !exclude_(id)) {
+              out.push_back(Neighbor{ids_(id), dist});
+            }
           });
       if (!nodes_.IsLeaf(node)) {
         PathScope<double> path(qpath_, nodes_.PathDistances(), {d.data(), vps});
@@ -673,7 +679,7 @@ class Traversal {
           const std::size_t i = base + std::countr_zero(mask);
           const double dist =
               Distance(leaf.row(i), gather_ ? &values_[next_value++] : nullptr);
-          if (dist <= radius) out.push_back(Neighbor{leaf.id(i), dist});
+          if (dist <= radius) out.push_back(Neighbor{ids_(leaf.id(i)), dist});
         }
       }
     }
@@ -683,7 +689,7 @@ class Traversal {
 
   /// Step 2 of §4.3 in range mode: appends to masks_ the pass mask of each
   /// of `leaf`'s 64-entry chunks under the fixed radius, from the stored
-  /// distances alone.
+  /// distances alone, with the excluded entries' bits cleared.
   template <typename Leaf>
   void AppendMasks(const Leaf& leaf, const LeafQuery& q, double radius) {
     for (std::size_t base = 0; base < leaf.size(); base += kChunk) {
@@ -694,6 +700,12 @@ class Traversal {
       } else {
         for (std::size_t i = 0; i < n; ++i) {
           if (leaf.Passes(base + i, q, radius)) mask |= std::uint64_t{1} << i;
+        }
+      }
+      if (exclude_) {
+        for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+          const int bit = std::countr_zero(m);
+          if (exclude_(leaf.id(base + bit))) mask &= ~(std::uint64_t{1} << bit);
         }
       }
       masks_.push_back(mask);
@@ -914,8 +926,8 @@ class Traversal {
   const Query& query_;
   SearchStats& stats_;
   [[no_unique_address]] Budget budget_;
-  Exclusion exclude_;  ///< k-NN: ids never offered
-  IdMap ids_;          ///< k-NN: what the heap holds for an id
+  Exclusion exclude_;  ///< ids never reported
+  IdMap ids_;          ///< what `*out` holds for an id
   double floor_ = 0.0;  ///< FarthestRange's radius (0: Farthest's open tau)
   std::vector<double> qpath_;
   bool gather_ = false;  ///< range search evaluates in gathered calls

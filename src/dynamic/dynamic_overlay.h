@@ -44,10 +44,9 @@
 /// Queries fan out to both sides and merge by (distance, id) — the same
 /// order a single index produces, so results are bit-identical to an index
 /// rebuilt from scratch over the current live set (the overlay-equivalence
-/// test holds exactly this). Range hits from the base are filtered through
-/// the tombstones; a k-NN search hands the tombstones to the base as a
+/// test holds exactly this). A search hands the tombstones to the base as a
 /// core::Exclusion, which skips them inside the traversal, and both sides
-/// offer into one heap of stable ids.
+/// write into one answer of stable ids, for range and k-NN alike.
 ///
 /// Every object carries a STABLE id: issued once at insert, never reused,
 /// reported by all queries. The base maps its dense global ids to stable
@@ -221,74 +220,58 @@ class DynamicOverlay {
 
   /// The harvest form of both (core::SearchRequest), the serve::RunBatch
   /// door, so mutable collections degrade under deadlines exactly like
-  /// static ones. Searches the base and then the memtable, in stable ids.
-  /// Range appends both sides' hits unsorted, the base's filtered through
-  /// the tombstones. k-NN hands the caller's heap `*out` to the base, which
-  /// offers into it through its stable-id map and skips its tombstoned
-  /// objects inside the traversal (core::Exclusion), so no erased object
-  /// costs a distance computation unless it is a vantage point on the
-  /// search path; then to the memtable, through `+ memtable_offset_`, which
-  /// prunes against the best k of both sides found so far.
+  /// static ones. Hands `*out` to the base and then to the memtable, in
+  /// stable ids, for range and k-NN alike. The base writes through its
+  /// stable-id map and skips its tombstoned objects inside the traversal
+  /// (core::Exclusion), so no erased object costs a distance computation
+  /// unless it is a vantage point on the search path; the memtable writes
+  /// through `+ memtable_offset_`. A k-NN search's memtable thereby prunes
+  /// against the best k of both sides found so far.
   ///
   /// The base runs without `context.pool`: this search holds mu_, and a
   /// pooled shard fan-out waits in ThreadPool::RunOne, which may pick up
   /// another overlay query that would then lock mu_ on the same thread.
   ///
   /// On a mid-search cancellation everything the base found before the cut
-  /// is in `*out` (range hits filtered and translated) before CancelledError
-  /// is rethrown (range hits passed the exact d <= r test, so they are a
-  /// true subset of the live answer; k-NN candidates are the best among the
-  /// points evaluated so far); the memtable is skipped — its deadline is
-  /// already blown. Memtable distance evaluations are not cancellation
-  /// points (the forest runs the raw metric); base shards are, which is
-  /// where the index-proportional work lives.
+  /// is in `*out` before CancelledError is rethrown (range hits passed the
+  /// exact d <= r test, so they are a true subset of the live answer; k-NN
+  /// candidates are the best among the points evaluated so far); the
+  /// memtable is skipped — its deadline is already blown. Memtable distance
+  /// evaluations are not cancellation points (the forest runs the raw
+  /// metric); base shards are, which is where the index-proportional work
+  /// lives.
   void Search(const Request& request, core::SearchContext& context,
               std::vector<Neighbor>* out) const MVP_EXCLUDES(mu_) {
     MVP_DCHECK(!request.exclude);  // the tombstones are the exclusion
     MutexLock lock(&mu_);
-    const bool knn = request.kind == core::SearchKind::kKnn;
     if (base_.has_value()) {
       const std::vector<bool>& erased = base_erased_;
       const std::vector<std::uint64_t>& stable = base_stable_ids_;
       const auto is_erased = [&erased](std::size_t g) { return erased[g]; };
-      const auto stable_of = [&stable](std::size_t g) {
-        return stable.empty() ? g : static_cast<std::size_t>(stable[g]);
-      };
       const auto caller = [&](std::size_t g) {
-        return request.ids(stable_of(g));
+        return request.ids(
+            stable.empty() ? g : static_cast<std::size_t>(stable[g]));
       };
       Request base_request = request;
-      if (knn) {
-        base_request.ids = core::IdMap::Of(caller);
-        if (tombstone_count_ > 0) {
-          base_request.exclude = core::Exclusion::Of(is_erased);
-        }
+      base_request.ids = core::IdMap::Of(caller);
+      if (tombstone_count_ > 0) {
+        base_request.exclude = core::Exclusion::Of(is_erased);
       }
       core::SearchContext base_context;  // no pool: see above
-      std::vector<Neighbor> hits;        // range: in global ids
       bool cancelled = false;
       try {
-        base_->Search(base_request, base_context, knn ? out : &hits);
+        base_->Search(base_request, base_context, out);
       } catch (const serve::CancelledError&) {
         cancelled = true;
       }
       MergeSearchStats(&context.stats, base_context.stats);
-      for (const Neighbor& hit : hits) {
-        if (!erased[hit.id]) {
-          out->push_back(Neighbor{stable_of(hit.id), hit.distance});
-        }
-      }
       if (cancelled) throw serve::CancelledError();
     }
     const std::size_t offset = static_cast<std::size_t>(memtable_offset_);
     const auto caller = [&](std::size_t f) { return request.ids(offset + f); };
     Request memtable_request = request;
-    if (knn) memtable_request.ids = core::IdMap::Of(caller);
-    std::vector<Neighbor> hits;  // range: in forest ids
-    memtable_.Search(memtable_request, context, knn ? out : &hits);
-    for (const Neighbor& hit : hits) {
-      out->push_back(Neighbor{offset + hit.id, hit.distance});
-    }
+    memtable_request.ids = core::IdMap::Of(caller);
+    memtable_.Search(memtable_request, context, out);
   }
 
   std::size_t size() const MVP_EXCLUDES(mu_) {

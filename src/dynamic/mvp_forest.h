@@ -35,9 +35,9 @@
 /// Deletes are tombstones, physically dropped whenever their level is
 /// rebuilt (plus a global compaction when tombstones exceed half the data).
 ///
-/// Queries fan out to the buffer (linear scan) and every live tree. Range
-/// hits are filtered through the tombstones afterwards; k-NN skips them
-/// inside each tree's traversal, and every part offers into one heap.
+/// Queries fan out to the buffer (linear scan) and every live tree. Each
+/// tree skips its level's tombstones inside the traversal, for range and
+/// k-NN alike, and every part writes straight into the caller's answer.
 /// Results carry the stable ids that Insert returned.
 
 namespace mvp::dynamic {
@@ -121,13 +121,13 @@ class MvpForest {
   }
 
   /// The harvest form of both (core::SearchRequest), in stable ids. The
-  /// buffer is scanned first, then each level's tree is searched. Range
-  /// hits are appended to `*out` after the tombstone filter. k-NN offers
-  /// the buffer and every level straight into the caller's heap `*out`
-  /// (through `request.ids`; core::SearchRequest), so each level prunes
-  /// against the best k found so far anywhere in the answer, the caller's
-  /// own candidates included. The tombstones are the forest's exclusion, so
-  /// `request.exclude` must be empty.
+  /// buffer is scanned first, then each level's tree is searched with the
+  /// level's tombstones as its exclusion and `request.ids` after the
+  /// level's ids as its id map, so every part writes straight into `*out`:
+  /// range appends its hits, and k-NN offers into the caller's heap, each
+  /// level pruning against the best k found so far anywhere in the answer.
+  /// The tombstones are the forest's exclusion, so `request.exclude` must be
+  /// empty.
   void Search(const Request& request, core::SearchContext& context,
               std::vector<Neighbor>* out) const {
     MVP_DCHECK(!request.exclude);
@@ -136,17 +136,16 @@ class MvpForest {
     for (const auto& entry : buffer_) {
       const double d = metric_(request.object, entry.object);
       ++context.stats.distance_computations;
+      const Neighbor hit{request.ids(entry.id), d};
       if (knn) {
-        KnnOffer(*out, request.k, Neighbor{request.ids(entry.id), d});
+        KnnOffer(*out, request.k, hit);
       } else if (d <= request.radius) {
-        out->push_back(Neighbor{entry.id, d});
+        out->push_back(hit);
       }
     }
-    std::vector<Neighbor> hits;  // range: one level's, in level ids
     for (const auto& level : levels_) {
       if (!level.has_value()) continue;
       const std::vector<std::size_t>& ids = level->ids;
-      // k-NN skips the level's deleted points inside the traversal.
       const auto deleted = [&](std::size_t local) {
         return state_[ids[local]] == kDeleted;
       };
@@ -154,17 +153,9 @@ class MvpForest {
         return request.ids(ids[local]);
       };
       Request level_request = request;
-      if (knn) {
-        level_request.exclude = core::Exclusion::Of(deleted);
-        level_request.ids = core::IdMap::Of(caller);
-      }
-      hits.clear();
-      level->tree->Search(level_request, context, knn ? out : &hits);
-      for (const Neighbor& hit : hits) {
-        if (state_[ids[hit.id]] == kLive) {
-          out->push_back(Neighbor{ids[hit.id], hit.distance});
-        }
-      }
+      level_request.exclude = core::Exclusion::Of(deleted);
+      level_request.ids = core::IdMap::Of(caller);
+      level->tree->Search(level_request, context, out);
     }
   }
 

@@ -275,16 +275,18 @@ class ShardedMvpIndex {
   }
 
   /// The harvest form of both (core::SearchRequest), in global ids, adding
-  /// its counts to `context.stats`. A range search visits the shards whose
-  /// shells meet the query ball, side by side on `context.pool` when one is
-  /// given, and appends their hits unsorted. A k-NN search ranks the shards
-  /// by their shells' lower bound max(0, lo - d0, d0 - hi) and searches them
-  /// one after another in (bound, shard) order, each shard tree offering
-  /// straight into the caller's heap `*out` (through `request.ids`), until
-  /// a shell's bound is strictly above the heap's k-th distance: that shell
-  /// and every later one hold no answer, while ties survive. k-NN ignores
-  /// the pool, so pooled and serial searches compute exactly the same
-  /// distances. `request.exclude` names global ids. On a mid-search
+  /// its counts to `context.stats`. Every shard search narrows
+  /// `request.exclude` and `request.ids`, which name global ids, through
+  /// the shard's id map (SearchShard), for both kinds. A range search
+  /// visits the shards whose shells meet the query ball, side by side on
+  /// `context.pool` when one is given, and appends their hits unsorted. A
+  /// k-NN search ranks the shards by their shells' lower bound
+  /// max(0, lo - d0, d0 - hi) and searches them one after another in
+  /// (bound, shard) order, each shard tree offering straight into the
+  /// caller's heap `*out`, until a shell's bound is strictly above the
+  /// heap's k-th distance: that shell and every later one hold no answer,
+  /// while ties survive. k-NN ignores the pool, so pooled and serial
+  /// searches compute exactly the same distances. On a mid-search
   /// cancellation, everything found by then is in `*out` — range hits of
   /// every shard, including interrupted ones, are appended and counted
   /// before CancelledError is rethrown — so the executor can serve the
@@ -571,16 +573,10 @@ class ShardedMvpIndex {
     std::vector<core::SearchContext> shard_contexts(visit.size());
     const bool cancelled =
         ForEachShard(visit.size(), context.pool, [&](std::size_t i) {
-          shards_[visit[i]].tree.Search(request, shard_contexts[i], &hits[i]);
+          SearchShard(request, visit[i], shard_contexts[i], &hits[i]);
         });
-    std::size_t total = 0;
-    for (const auto& h : hits) total += h.size();
-    out->reserve(out->size() + total);
     for (std::size_t i = 0; i < visit.size(); ++i) {
-      const Shard& shard = shards_[visit[i]];
-      for (const Neighbor& n : hits[i]) {
-        out->push_back(Neighbor{shard.ids[n.id], n.distance});
-      }
+      out->insert(out->end(), hits[i].begin(), hits[i].end());
       MergeSearchStats(&context.stats, shard_contexts[i].stats);
     }
     return cancelled;
@@ -602,20 +598,28 @@ class ShardedMvpIndex {
     std::sort(order.begin(), order.end());
     for (const auto& [bound, s] : order) {
       if (bound > KnnTau(*out, request.k)) break;
-      const Shard& shard = shards_[s];
-      const auto caller = [&](std::size_t local) {
-        return request.ids(shard.ids[local]);
-      };
-      const auto excluded = [&](std::size_t local) {
-        return request.exclude(shard.ids[local]);
-      };
-      Request shard_request = request;
-      shard_request.ids = core::IdMap::Of(caller);
-      if (request.exclude) {
-        shard_request.exclude = core::Exclusion::Of(excluded);
-      }
-      shard.tree.Search(shard_request, context, out);
+      SearchShard(request, s, context, out);
     }
+  }
+
+  /// Runs `request` on shard s's tree, its `exclude` and `ids` narrowed
+  /// through the shard's local -> global id map.
+  void SearchShard(const Request& request, std::size_t s,
+                   core::SearchContext& context,
+                   std::vector<Neighbor>* out) const {
+    const Shard& shard = shards_[s];
+    const auto caller = [&](std::size_t local) {
+      return request.ids(shard.ids[local]);
+    };
+    const auto excluded = [&](std::size_t local) {
+      return request.exclude(shard.ids[local]);
+    };
+    Request shard_request = request;
+    shard_request.ids = core::IdMap::Of(caller);
+    if (request.exclude) {
+      shard_request.exclude = core::Exclusion::Of(excluded);
+    }
+    shard.tree.Search(shard_request, context, out);
   }
 
   /// Runs `search(i)` for i in [0, count): serially, or in parallel on

@@ -371,14 +371,14 @@ TEST_P(FlatEquivalenceTest, EveryKernelTierServesBitIdentically) {
   }
 }
 
-/// k-NN under an exclusion set (core::Exclusion, what the dynamic overlay
-/// hands its base for tombstones): both layouts and every reachable tier
-/// applies the one rule — excluded vantage points evaluated but never
-/// offered, excluded leaf entries never evaluated — so results and
-/// all four SearchStats counters stay bit-identical, no excluded id comes
-/// back, and the answer is the brute-force k-NN over the remaining points.
-/// Excluding nothing, by a null or an all-false exclusion, is exactly the
-/// plain search.
+/// k-NN and range under an exclusion set (core::Exclusion, what the dynamic
+/// overlay hands its base for tombstones): both layouts and every reachable
+/// tier apply the one rule to both kinds — excluded vantage points
+/// evaluated but never reported, excluded leaf entries never evaluated — so
+/// results and all four SearchStats counters stay bit-identical, no
+/// excluded id comes back, and the answer is the brute-force answer over
+/// the remaining points. Excluding nothing, by a null or an all-false
+/// exclusion, is exactly the plain search.
 TEST_P(FlatEquivalenceTest, KnnUnderExclusionBitIdenticalAcrossLayouts) {
   namespace kernels = metric::kernels;
   struct RestoreDispatch {
@@ -432,18 +432,45 @@ TEST_P(FlatEquivalenceTest, KnnUnderExclusionBitIdenticalAcrossLayouts) {
         EXPECT_EQ(heap_knn[i].distance, expected[i].distance);
       }
 
+      // Range out to the (3k)-th nearest distance, so the excluded 2k
+      // nearest all lie inside the ball.
+      const double radius = all[3 * k - 1].distance;
+      std::vector<Neighbor> expected_range;
+      for (const Neighbor& n : all) {
+        if (!excluded[n.id] && n.distance <= radius) {
+          expected_range.push_back(n);
+        }
+      }
+      SearchStats hrs, frs;
+      const core::SearchRequest<Vector> range{
+          .object = queries[q], .radius = radius, .exclude = exclude};
+      const auto heap_range = core::Answer(*heap_, range, &hrs);
+      const auto flat_range = core::Answer(*flat_, range, &frs);
+      ExpectIdentical(heap_range, flat_range, hrs, frs, q);
+      ASSERT_EQ(heap_range.size(), expected_range.size()) << "query " << q;
+      for (std::size_t i = 0; i < expected_range.size(); ++i) {
+        EXPECT_EQ(heap_range[i].id, expected_range[i].id) << "query " << q;
+        EXPECT_EQ(heap_range[i].distance, expected_range[i].distance);
+      }
+
       // Excluding nothing is the plain search, stats included.
       for (const Index* index : {&*heap_, &*flat_}) {
-        SearchStats plain, none, all_false;
-        const auto plain_knn = index->KnnSearch(queries[q], k, &plain);
-        core::SearchRequest<Vector> none_request = request;
-        none_request.exclude = core::Exclusion{};
-        const auto none_knn = core::Answer(*index, none_request, &none);
-        core::SearchRequest<Vector> false_request = request;
-        false_request.exclude = core::Exclusion::Of(keep_all);
-        const auto false_knn = core::Answer(*index, false_request, &all_false);
-        ExpectIdentical(plain_knn, none_knn, plain, none, q);
-        ExpectIdentical(plain_knn, false_knn, plain, all_false, q);
+        for (const core::SearchRequest<Vector>* excluding : {&request, &range}) {
+          SearchStats plain, none, all_false;
+          core::SearchRequest<Vector> plain_request = *excluding;
+          plain_request.exclude = core::Exclusion{};
+          const auto plain_out =
+              excluding == &request
+                  ? index->KnnSearch(queries[q], k, &plain)
+                  : index->RangeSearch(queries[q], radius, &plain);
+          const auto none_out = core::Answer(*index, plain_request, &none);
+          core::SearchRequest<Vector> false_request = *excluding;
+          false_request.exclude = core::Exclusion::Of(keep_all);
+          const auto false_out =
+              core::Answer(*index, false_request, &all_false);
+          ExpectIdentical(plain_out, none_out, plain, none, q);
+          ExpectIdentical(plain_out, false_out, plain, all_false, q);
+        }
       }
     }
   }

@@ -603,12 +603,13 @@ void RunKnnForm(const Tree& tree, const KnnForm& form, const Vector& query,
   std::vector<Neighbor> heap;
   SearchStats stats;
   core::Traversal traversal(core::TreeNodes<Tree>{&tree, tree.arrays()},
-                            query, stats, core::DistanceBudget{limit});
+                            query, stats, core::DistanceBudget{limit},
+                            exclude);
   try {
     if (form.farthest) {
-      traversal.template Knn<core::Farthest>(10, &heap, exclude);
+      traversal.template Knn<core::Farthest>(10, &heap);
     } else {
-      traversal.Knn(10, &heap, exclude);
+      traversal.Knn(10, &heap);
     }
   } catch (const core::DistanceBudget::Exhausted&) {
     // Cut at the budget: the log holds the calls made before it.

@@ -269,6 +269,58 @@ TEST(ShardedIndexTest, ParallelSearchEqualsSerialSearch) {
   }
 }
 
+/// Range and k-NN under an exclusion, run serially and on a pool: each
+/// shard narrows the exclusion and the id map the same way for both kinds,
+/// so the two runs agree in results and all four counters, and both equal
+/// the scan over the points the exclusion leaves.
+TEST(ShardedIndexTest, ExclusionSerialAndPooledEqualScanMinusExcluded) {
+  const auto data = Clustered(3000, 8, 17);
+  const auto queries = NearData(data, 200);
+  const auto is_erased = [](std::size_t id) { return id % 3 == 1; };
+  const core::Exclusion erased = core::Exclusion::Of(is_erased);
+  std::vector<Vector> kept;
+  std::vector<std::size_t> kept_ids;
+  for (std::size_t g = 0; g < data.size(); ++g) {
+    if (is_erased(g)) continue;
+    kept.push_back(data[g]);
+    kept_ids.push_back(g);
+  }
+  const Scan kept_scan(kept, L2());
+  const auto to_global = [&](std::vector<Neighbor> answer) {
+    for (Neighbor& n : answer) n.id = kept_ids[n.id];
+    return answer;
+  };
+  ThreadPool pool(4);
+  const Sharded sharded = BuildSharded(data, 4, &pool);
+  const auto check = [&](const Request& request,
+                         const std::vector<Neighbor>& want,
+                         const std::string& what) {
+    SearchStats serial;
+    core::SearchContext pooled{.pool = &pool};
+    const auto serial_out = core::Answer(sharded, request, &serial);
+    EXPECT_EQ(serial_out, want) << what;
+    ExpectSameSearch(core::Answer(sharded, request, pooled), serial_out,
+                     pooled.stats, serial, "pooled " + what);
+  };
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const Vector& q = queries[i];
+    const std::string what = "query " + std::to_string(i);
+    for (const double r : {0.1, 0.3, 0.6}) {
+      check(Request{.object = q, .radius = r, .exclude = erased},
+            to_global(kept_scan.RangeSearch(q, r)),
+            what + " r=" + std::to_string(r));
+    }
+    for (const std::size_t k : {1u, 10u, 50u}) {
+      check(Request{.kind = core::SearchKind::kKnn,
+                    .object = q,
+                    .k = k,
+                    .exclude = erased},
+            to_global(kept_scan.KnnSearch(q, k)),
+            what + " k=" + std::to_string(k));
+    }
+  }
+}
+
 TEST(ShardedIndexTest, GlobalIdsSurviveSharding) {
   // Ids in results must be positions in the ORIGINAL input vector.
   const auto data = dataset::UniformVectors(500, 6, 13);
