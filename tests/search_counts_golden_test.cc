@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iomanip>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -16,6 +17,7 @@
 
 #include "common/codec.h"
 #include "common/query.h"
+#include "common/rng.h"
 #include "common/serialize.h"
 #include "core/generalized_mvp_tree.h"
 #include "core/mvp_tree.h"
@@ -421,6 +423,69 @@ TEST(SearchCountsGoldenTest, DynamicLayers) {
     std::filesystem::remove_all(dir);
   }
   CheckGolden("dynamic", lines);
+}
+
+/// An insert-fed MvpForest against MvpTree::Build of the same points, over
+/// the uniform and clustered recipes: one forest takes the points in
+/// generated order, another in a seeded shuffle, and the static tree is
+/// built over the points in that same order, so both answer in the same
+/// ids. Range at the recipe's first two radii and k-NN at k = 1 and 10;
+/// each line holds both indexes' distance totals and their ratio, and the
+/// two answers must match.
+TEST(SearchCountsGoldenTest, ForestAgainstStatic) {
+  using Forest = dynamic::MvpForest<Vector, L2>;
+  std::vector<std::string> lines;
+  for (const Recipe& recipe : {UniformRecipe(), ClusteredRecipe()}) {
+    for (const bool shuffled : {false, true}) {
+      std::vector<Vector> data = recipe.data;
+      if (shuffled) Rng(91).Shuffle(data);
+      Forest::Options forest_options;
+      forest_options.tree = recipe.options;
+      Forest forest(L2(), forest_options);
+      for (const Vector& v : data) forest.Insert(v);
+      auto built = HeapTree::Build(data, L2(), recipe.options);
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      const HeapTree& tree = built.value();
+      const std::string rep =
+          recipe.name + (shuffled ? " shuffled" : " generated");
+      const auto line = [&](const std::string& name, const auto& search) {
+        CaseTotals f, s;
+        for (const Vector& q : recipe.queries) {
+          SearchStats fs, ss;
+          const std::vector<Neighbor> fhits = search(forest, q, &fs);
+          const std::vector<Neighbor> shits = search(tree, q, &ss);
+          EXPECT_EQ(fhits, shits) << rep << ' ' << name;
+          f.Add(fhits, fs);
+          s.Add(shits, ss);
+        }
+        const std::uint64_t fd = f.stats.distance_computations;
+        const std::uint64_t sd = s.stats.distance_computations;
+        std::ostringstream os;
+        os << rep << ' ' << name << " forest_dist=" << fd
+           << " static_dist=" << sd << " ratio=" << std::fixed
+           << std::setprecision(2)
+           << static_cast<double>(fd) / static_cast<double>(sd)
+           << " results=" << f.results << " hash=" << std::hex << f.hash;
+        lines.push_back(os.str());
+      };
+      for (std::size_t i = 0; i < 2; ++i) {
+        const double r = recipe.radii[i];
+        std::ostringstream name;
+        name << "range(r=" << r << ")";
+        line(name.str(), [r](const auto& index, const Vector& q,
+                             SearchStats* stats) {
+          return index.RangeSearch(q, r, stats);
+        });
+      }
+      for (const std::size_t k : {std::size_t{1}, std::size_t{10}}) {
+        line("knn(k=" + std::to_string(k) + ")",
+             [k](const auto& index, const Vector& q, SearchStats* stats) {
+               return index.KnnSearch(q, k, stats);
+             });
+      }
+    }
+  }
+  CheckGolden("forest_static", lines);
 }
 
 /// Small leaves, a short PATH and exact shell bounds: many more internal
