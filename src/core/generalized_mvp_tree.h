@@ -120,7 +120,7 @@ class GeneralizedMvpTree : public NodeTree<Object, Metric> {
     const std::size_t p =
         static_cast<std::size_t>(options_.num_path_distances);
 
-    auto node = std::make_unique<Node>();
+    auto node = this->NewNode();
 
     // --- choose vantage points: first by the selection strategy, each
     // subsequent one the farthest point from the previous (the §4.2 rule).

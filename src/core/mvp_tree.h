@@ -315,6 +315,7 @@ class MvpTree {
  public:
   using Options = MvpTreeOptions;
   using Request = SearchRequest<Object>;
+  using KnnMember = core::KnnMember<TreeNodes<MvpTree>>;
 
   /// Builds an mvp-tree over `objects`; ids are positions in the input.
   /// Returns InvalidArgument for unusable options, more than 2^32-1
@@ -378,10 +379,11 @@ class MvpTree {
     return Answer(*this, Request{.object = query, .radius = radius}, stats);
   }
 
-  /// The k nearest objects via shrinking-radius branch-and-bound; children
-  /// are visited in order of their distance lower bound (combining both
-  /// vantage points) and leaf points are pre-filtered through D1/D2/PATH,
-  /// so the mvp-tree's leaf-level filtering carries over to k-NN.
+  /// The k nearest objects via best-first branch-and-bound; nodes are
+  /// expanded in order of their distance lower bound (combining every
+  /// vantage point on their path) and leaf points are pre-filtered through
+  /// D1/D2/PATH, so the mvp-tree's leaf-level filtering carries over to
+  /// k-NN.
   std::vector<Neighbor> KnnSearch(const Object& query, std::size_t k,
                                   SearchStats* stats = nullptr) const {
     return Answer(*this,
@@ -411,9 +413,16 @@ class MvpTree {
     }
   }
 
+  /// This tree as one member of a k-NN frontier (core::KnnMember), which
+  /// reports through `ids`, skips what `exclude` names and enters at
+  /// `bound`: a layer hands all its trees to core::KnnOver together.
+  KnnMember Member(Exclusion exclude, IdMap ids, double bound) const {
+    return {Access(), exclude, ids, bound};
+  }
+
   /// Budgeted (approximate) k-NN: identical to KnnSearch but stops after
   /// `max_distance_computations` metric evaluations, returning the best k
-  /// found so far. Because children are visited best-bound-first and leaf
+  /// found so far. Because nodes are expanded best-bound-first and leaf
   /// candidates are pre-filtered through D1/D2/PATH, small budgets already
   /// reach high recall; an infinite budget gives the exact answer. The
   /// standard time/quality knob for expensive metrics.
@@ -440,7 +449,7 @@ class MvpTree {
   /// All objects at distance >= `radius` from `query` ("objects that are
   /// farther than a given range from a query object can also be asked",
   /// §2), sorted by decreasing distance then id. The farthest-first
-  /// recursion of FarthestSearch with no k limit and tau floored at
+  /// search of FarthestSearch with no k limit and tau floored at
   /// `radius`: a leaf entry is evaluated only if d(Q,sv) + D(x,sv) reaches
   /// the radius for every stored vantage point, and a child only if
   /// d(Q,vp) + shell_upper does for both of its shells.
@@ -459,10 +468,10 @@ class MvpTree {
 
   /// The k objects farthest from `query` (§2's "the farthest, or the k
   /// farthest objects"), sorted by decreasing distance then id, so ties at
-  /// the k-th distance keep the lowest ids. The k-NN recursion run in
+  /// the k-th distance keep the lowest ids. The k-NN search run in
   /// reverse (core::Farthest): tau is the k-th farthest distance so far,
-  /// children are visited in decreasing order of their distance upper
-  /// bound, and leaf entries are filtered on D1/D2/PATH upper bounds.
+  /// nodes are expanded in decreasing order of their distance upper bound,
+  /// and leaf entries are filtered on D1/D2/PATH upper bounds.
   std::vector<Neighbor> FarthestSearch(const Object& query, std::size_t k,
                                        SearchStats* stats = nullptr) const {
     std::vector<Neighbor> heap;

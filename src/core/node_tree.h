@@ -49,7 +49,7 @@ class NodeTree {
     return result;
   }
 
-  /// The k nearest objects (shrinking-radius branch-and-bound), sorted by
+  /// The k nearest objects (best-first branch-and-bound), sorted by
   /// distance then id.
   std::vector<Neighbor> KnnSearch(const Object& query, std::size_t k,
                                   SearchStats* stats = nullptr) const {
@@ -85,6 +85,7 @@ class NodeTree {
 
   struct Node {
     bool is_leaf = false;
+    std::size_t preorder = 0;  ///< NewNode's count: the build's preorder
     std::vector<std::size_t> vp_ids;
     // Internal: per vantage-point level l, shell bounds for each of the
     // m^(l+1) partition prefixes.
@@ -102,6 +103,14 @@ class NodeTree {
         order_(order),
         levels_(levels),
         path_distances_(path_distances) {}
+
+  /// A node numbered in creation order: a build that creates each node
+  /// before its children numbers them in preorder.
+  std::unique_ptr<Node> NewNode() {
+    auto node = std::make_unique<Node>();
+    node->preorder = node_count_++;
+    return node;
+  }
 
   /// Appends object `id` to `leaf`, with its distances to the leaf's
   /// vantage points (in level order) and its PATH.
@@ -161,6 +170,7 @@ class NodeTree {
     const Node* Child(const Node* n, std::size_t c) const {
       return n->children[c].get();
     }
+    std::size_t Preorder(const Node* n) const { return n->preorder; }
     LeafCursor Leaf(const Node* n) const {
       return {n->bucket.data(), n->bucket.size(), tree->d_pool_.data(),
               tree->path_pool_.data()};
@@ -173,6 +183,7 @@ class NodeTree {
   std::size_t order_;
   std::size_t levels_;
   std::size_t path_distances_;
+  std::size_t node_count_ = 0;
   std::vector<double> d_pool_;
   std::vector<double> path_pool_;
 };

@@ -28,21 +28,39 @@
 /// its accessor: GeneralizedMvpTree (core/generalized_mvp_tree.h) keeps v
 /// vantage points per node instead of two, and the vp-tree
 /// (vptree/vp_tree.h) one per internal node and none in its bucket leaves.
-/// The range and best-k recursions below run on an accessor. Everything
-/// that decides results and SearchStats lives here once — the order of
-/// metric calls, the counters, gathered evaluation, the exclusion rule, PATH
-/// bookkeeping, shell pruning, child ranking and leaf filtering — and
+/// The range recursion and the best-k frontier below run on an accessor.
+/// Everything that decides results and SearchStats lives here once — the
+/// order of metric calls, the counters, gathered evaluation, the exclusion
+/// rule, PATH bookkeeping, shell pruning, the frontier's order and leaf
+/// filtering — and
 /// tests/search_counts_golden_test.cc pins the counts. Every tree's Stats()
 /// walks the same accessor too (CollectStats).
 ///
-/// Query forms. Range is §4.3's fixed-radius recursion. Knn is the
-/// shrinking-radius branch-and-bound, compiled in one of two directions:
-/// Nearest gives the k nearest, and Farthest the k farthest of §2 and,
-/// with no k limit and tau floored at r, its "farther than a given range"
+/// Query forms. Range is §4.3's fixed-radius recursion. Knn is a best-first
+/// branch-and-bound over one frontier, compiled in one of two directions:
+/// Nearest gives the k nearest, and Farthest the k farthest of §2 and, with
+/// no k limit and tau floored at r, its "farther than a given range"
 /// (MvpTree::FarthestSearch, MvpTree::FarthestRangeSearch). The directions
 /// are the two triangle-inequality bounds on the same stored distances:
-/// Nearest ranks children and filters leaf entries on |d(q,v) - d(x,v)|,
+/// Nearest bounds subtrees and filters leaf entries on |d(q,v) - d(x,v)|,
 /// Farthest on d(q,v) + d(x,v).
+///
+/// The k-NN frontier is one binary heap of (bound, member, preorder node,
+/// PATH slice) over a list of members (KnnMember): trees of one accessor
+/// type, each with its own exclusion, id map and a bound on its whole
+/// contents. A lone tree is one member at Dir::kLoose; a sharded index
+/// hands its shards at their shell bounds and a forest its levels at
+/// kLoose, so the search enters nodes across trees in bound order and tau
+/// tightens from the most promising subtree anywhere. Each member's root is
+/// seeded at the member's bound; the search pops the best entry and stops
+/// when tau ranks strictly ahead of it, so ties at tau survive; equal
+/// bounds pop in (member, preorder node) order. Expanding a node offers its
+/// vantage points and then pushes each child at its shells folded onto the
+/// node's own bound (Dir::Fold), unless tau already rules the child out; a
+/// leaf is filtered and evaluated entry by entry against the moving tau.
+/// An entry's query PATH is a slice of one arena: a node's children share
+/// the slice of its ancestors' distances and its own, and LeafQuery reads
+/// it as a span.
 ///
 /// A node accessor is a cheap value with, for a node handle `NodeRef` (a
 /// pointer; null means "no node"):
@@ -67,10 +85,12 @@
 ///   NodeRef Child(NodeRef, std::size_t c) const;   slot c < m^v, which
 ///                                          reads its level-l shell at
 ///                                          c / m^(v-1-l)
+///   std::size_t Preorder(NodeRef) const;   the node's preorder index (k-NN's
+///                                          tie order)
 ///   Leaf Leaf(NodeRef) const;              leaf nodes, a cursor (below)
 ///   const Metric& metric() const;          Object At(std::size_t row) const;
 ///   void Prefetch(NodeRef) const;          optional: requests the cache
-///                                          lines k-NN reads on entering the
+///                                          lines k-NN reads on expanding the
 ///                                          node (core::TreeNodes' requests a
 ///                                          leaf's id, D1, D2 and PATH runs)
 ///
@@ -118,18 +138,17 @@
 /// than the rows evaluate per call.
 ///
 /// k-NN evaluates per call too, since tau moves with every offer, but it
-/// requests what it is about to read before it reads it. Once a node's
-/// children are ranked, it requests the vantage-point rows of every child
-/// whose bound does not lose to the current tau, and the accessor's
-/// Prefetch of each. On entering a leaf it takes each chunk's mask once, at
-/// the entry tau, and requests every survivor's row as it finds it. tau
-/// only tightens — Nearest's only falls and Farthest's only rises — so a
-/// mask at the entry tau keeps a superset of the entries that pass later:
-/// the walk treats a clear bit as filtered, re-tests a set one once tau has
-/// moved, and charges every entry, in order, where the per-entry filter
-/// would. Row requests (metric::kernels::PrefetchBytes) apply wherever the
-/// accessor hands out metric::VectorView rows. None of this changes a
-/// result, a count or a budget cut; tests/testdata/search_counts/
+/// requests what it is about to read before it reads it. As it pushes a
+/// node onto the frontier it requests the node's vantage-point rows and the
+/// accessor's Prefetch of it. On expanding a leaf it takes each chunk's mask
+/// once, at the entry tau, and requests every survivor's row as it finds
+/// it. tau only tightens — Nearest's only falls and Farthest's only rises —
+/// so a mask at the entry tau keeps a superset of the entries that pass
+/// later: the walk treats a clear bit as filtered, re-tests a set one once
+/// tau has moved, and charges every entry, in order, where the per-entry
+/// filter would. Row requests (metric::kernels::PrefetchBytes) apply
+/// wherever the accessor hands out metric::VectorView rows. None of this
+/// changes a result, a count or a budget cut; tests/testdata/search_counts/
 /// knn_order.txt pins the order of k-NN's metric calls one by one.
 
 namespace mvp::serve {
@@ -196,6 +215,30 @@ struct IdMap {
 
   std::size_t operator()(std::size_t id) const {
     return map == nullptr ? id : map(context, id);
+  }
+};
+
+/// A layer's request narrowed to one part of the layer — a shard, a forest
+/// level — whose local id i is the layer's `part[i]`: Exclude() and Ids()
+/// answer for the part's local ids through the layer's `exclude` and `ids`.
+/// Non-owning: it must outlive the part's search.
+struct PartIds {
+  const std::vector<std::size_t>* part;
+  Exclusion exclude;
+  IdMap ids;
+
+  Exclusion Exclude() const {
+    if (!exclude) return {};
+    return {this, [](const void* c, std::size_t local) {
+              const auto& p = *static_cast<const PartIds*>(c);
+              return p.exclude((*p.part)[local]);
+            }};
+  }
+  IdMap Ids() const {
+    return {this, [](const void* c, std::size_t local) {
+              const auto& p = *static_cast<const PartIds*>(c);
+              return p.ids((*p.part)[local]);
+            }};
   }
 };
 
@@ -343,7 +386,7 @@ inline double LeafUpper(float stored) {
 struct LeafQuery {
   const double* d;
   std::size_t vps;
-  const std::vector<double>& qpath;
+  std::span<const double> qpath;
 
   /// Step 2 of §4.3 for one entry: it survives radius r iff its distance to
   /// each of the leaf's vantage points (stored(l)) and its first `checks`
@@ -388,9 +431,10 @@ struct LeafQuery {
 /// vantage point v. Nearest keeps the k nearest under NeighborLess and
 /// prunes on the lower bound; Farthest keeps the k farthest under
 /// NeighborFarther and prunes on the upper one. Before(a, b): distance a
-/// ranks strictly ahead of b. A child's bound starts at kLoose and Fold
-/// takes in one shell level [lo, hi] at the query's distance d to that
-/// level's vantage point. MayBeat: leaf entry i is not ruled out by tau.
+/// ranks strictly ahead of b. kLoose is the bound that rules nothing out,
+/// and Fold tightens a child's bound, starting from its parent's, by one
+/// shell level [lo, hi] at the query's distance d to that level's vantage
+/// point. MayBeat: leaf entry i is not ruled out by tau.
 struct Nearest {
   static constexpr auto kOrder = NeighborLess;
   static constexpr double kLoose = 0.0;
@@ -416,6 +460,20 @@ struct Farthest {
                       double tau) {
     return leaf.Reaches(i, q, tau);
   }
+};
+
+/// One tree of a k-NN frontier (Traversal::Knn): its node accessor, the ids
+/// it must not report (Exclusion's rule), its ids -> the ids the heap holds,
+/// and a bound on the distance from the query to any of its objects — a
+/// lower bound for Nearest, an upper one for Farthest, Dir::kLoose when
+/// nothing is known. Its root enters the frontier at that bound. Non-owning,
+/// like Exclusion and IdMap.
+template <typename Nodes>
+struct KnnMember {
+  Nodes nodes;
+  Exclusion exclude = {};
+  IdMap ids = {};
+  double bound = 0.0;
 };
 
 /// Child slots per internal node: m^Levels().
@@ -474,13 +532,14 @@ struct DistanceBudget {
 };
 
 /// One search over a node accessor: the §4.3 range recursion and the
-/// shrinking-radius k-NN recursion. Counts into the caller's `stats` as it
-/// goes, so a search cut short by an exception (cancellation, budget)
-/// leaves both its results so far and exact stats at the cut.
+/// best-first k-NN frontier, over the one tree or over a list of members.
+/// Counts into the caller's `stats` as it goes, so a search cut short by an
+/// exception (cancellation, budget) leaves both its results so far and
+/// exact stats at the cut.
 template <typename Nodes, typename Query, typename Budget = NoBudget>
 class Traversal {
  public:
-  /// Both recursions skip the ids `exclude` names (Exclusion's rule) and
+  /// Both searches skip the ids `exclude` names (Exclusion's rule) and
   /// report an object as `ids(id)`.
   Traversal(Nodes nodes, const Query& query, SearchStats& stats,
             Budget budget = {}, Exclusion exclude = {}, IdMap ids = {})
@@ -512,19 +571,64 @@ class Traversal {
 
   /// Keeps the k best objects in `*heap`, a max-heap under Dir::kOrder of
   /// at most k: the k nearest, or with Farthest the k farthest. A heap the
-  /// caller seeded with its best so far (another shard or level of the same
-  /// answer) prunes from the start, and ties at the k-th distance go to the
-  /// lowest id in the heap's id space. Children are visited best bound
-  /// first, each bound taken over all vantage points.
+  /// caller seeded with its best so far (another part of the same answer)
+  /// prunes from the start, and ties at the k-th distance go to the lowest
+  /// id in the heap's id space. The one-member frontier: the constructor's
+  /// tree at Dir::kLoose.
   template <typename Dir = Nearest>
   void Knn(std::size_t k, std::vector<Neighbor>* heap) {
+    const KnnMember<Nodes> tree{nodes_, exclude_, ids_, Dir::kLoose};
+    Knn<Dir>(std::span(&tree, 1), k, heap);
+  }
+
+  /// The same over `members` in place of the constructor's tree: one
+  /// frontier across all of them (the file comment), each member's objects
+  /// offered through its own exclusion and id map into the one heap.
+  template <typename Dir = Nearest>
+  void Knn(std::span<const KnnMember<Nodes>> members, std::size_t k,
+           std::vector<Neighbor>* heap) {
     MVP_DCHECK(heap->size() <= k);
-    if (const NodeRef root = nodes_.Root(); root != nullptr && k > 0) {
-      KnnNode<Dir>(root, k, *heap);
+    if (k == 0) return;
+    frontier_.clear();
+    frontier_.reserve(kFrontierReserve);
+    paths_.clear();
+    paths_.reserve(kFrontierReserve);
+    held_ = false;
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      const Nodes& nodes = members[m].nodes;
+      if (const NodeRef root = nodes.Root(); root != nullptr) {
+        Push<Dir>(nodes, Entry{members[m].bound, Key(m, nodes.Preorder(root)),
+                               root, 0, 0});
+      }
+    }
+    std::size_t member = members.size();  // whose fields nodes_ etc. hold
+    for (;;) {
+      // The best entry: the held one, unless the heap's top pops first.
+      if (held_ && !frontier_.empty() &&
+          PopsAfter<Dir>{}(next_, frontier_.front())) {
+        HeapPush<Dir>(next_);
+        held_ = false;
+      }
+      if (!held_) {
+        if (frontier_.empty()) break;
+        next_ = frontier_.front();
+        std::pop_heap(frontier_.begin(), frontier_.end(), PopsAfter<Dir>{});
+        frontier_.pop_back();
+      }
+      held_ = false;
+      const Entry top = next_;  // Expand may hold a child in next_
+      if (Dir::Before(Tau<Dir>(*heap, k), top.bound)) break;
+      if (const std::size_t m = top.key >> 32; m != member) {
+        member = m;
+        nodes_ = members[m].nodes;
+        exclude_ = members[m].exclude;
+        ids_ = members[m].ids;
+      }
+      Expand<Dir>(top, k, *heap);
     }
   }
 
-  /// §2's "farther than a given range": the Farthest recursion with no k
+  /// §2's "farther than a given range": the Farthest search with no k
   /// limit and tau held at `radius`. Appends to `*out` every object it
   /// evaluates, a superset of those at distance >= `radius`.
   void FarthestRange(double radius, std::vector<Neighbor>* out) {
@@ -534,6 +638,8 @@ class Traversal {
 
  private:
   static constexpr std::size_t kQpathReserve = 64;
+  /// k-NN's first allocation of frontier entries and of PATH values.
+  static constexpr std::size_t kFrontierReserve = 64;
   using NodeRef = decltype(std::declval<const Nodes&>().Root());
   using Distances = std::array<double, kMaxVantagePoints>;
   static constexpr std::size_t kChunk = 64;  // one mask bit per entry
@@ -552,9 +658,15 @@ class Traversal {
   static constexpr bool kPrefetchesNodes =
       requires(const Nodes& nodes, NodeRef node) { nodes.Prefetch(node); };
 
-  struct Ranked {
+  /// A k-NN frontier entry: a node of member key >> 32, at preorder index
+  /// key & 0xffffffff, its bound, and its query PATH, paths_[path,
+  /// path + path_size).
+  struct Entry {
     double bound;
-    NodeRef child;
+    std::uint64_t key;
+    NodeRef node;
+    std::uint32_t path;
+    std::uint32_t path_size;
   };
 
   /// The single distance-evaluation point: every metric call (or primed
@@ -768,10 +880,11 @@ class Traversal {
     if constexpr (kGathers) rows_.push_back(nodes_.At(row).data());
   }
 
-  /// Requests row `row` ahead of its evaluation (k-NN, kRows only).
-  void RequestRow(std::size_t row) const {
+  /// Requests `nodes`' row `row` ahead of its evaluation (k-NN, kRows
+  /// only).
+  static void RequestRow(const Nodes& nodes, std::size_t row) {
     if constexpr (kRows) {
-      const metric::VectorView view = nodes_.At(row);
+      const metric::VectorView view = nodes.At(row);
       metric::kernels::PrefetchBytes(view.data(), view.size() * sizeof(double));
     }
   }
@@ -804,53 +917,105 @@ class Traversal {
     KnnOffer<Dir::kOrder>(heap, k, Neighbor{ids_(id), dist});
   }
 
+  static std::uint64_t Key(std::size_t member, std::size_t preorder) {
+    MVP_DCHECK(member <= 0xffffffff && preorder <= 0xffffffff);
+    return (std::uint64_t{member} << 32) | preorder;
+  }
+
+  /// The frontier's order, as a max-heap's less: entry a pops after b.
   template <typename Dir>
-  void KnnNode(NodeRef node, std::size_t k, std::vector<Neighbor>& heap) {
+  struct PopsAfter {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.bound != b.bound) return Dir::Before(b.bound, a.bound);
+      return a.key > b.key;
+    }
+  };
+
+  /// Pushes `e`, a node of `nodes`, onto the frontier and requests what
+  /// expanding it reads first: its vantage-point rows and the accessor's
+  /// Prefetch of it. The best entry pushed since the last pop is held in
+  /// next_ rather than the heap, so a node whose child pops next costs no
+  /// heap push and pop.
+  template <typename Dir>
+  void Push(const Nodes& nodes, const Entry& e) {
+    if constexpr (kPrefetchesNodes) nodes.Prefetch(e.node);
+    if constexpr (kRows) {
+      for (std::size_t l = 0; l < nodes.VpCount(e.node); ++l) {
+        RequestRow(nodes, nodes.VpRow(e.node, l));
+      }
+    }
+    if (!held_) {
+      next_ = e;
+      held_ = true;
+    } else if (PopsAfter<Dir>{}(e, next_)) {
+      HeapPush<Dir>(e);
+    } else {
+      HeapPush<Dir>(next_);
+      next_ = e;
+    }
+  }
+
+  template <typename Dir>
+  void HeapPush(const Entry& e) {
+    frontier_.push_back(e);
+    std::push_heap(frontier_.begin(), frontier_.end(), PopsAfter<Dir>{});
+  }
+
+  /// Expands a popped entry of the current member: offers its node's
+  /// vantage points, then runs a leaf, or pushes an internal node's
+  /// children with its query PATH extended by those distances.
+  template <typename Dir>
+  void Expand(const Entry& e, std::size_t k, std::vector<Neighbor>& heap) {
     Distances d;
     const std::size_t vps =
-        VantagePoints(node, RootPrime{}, d, [&](std::size_t id, double dist) {
+        VantagePoints(e.node, RootPrime{}, d, [&](std::size_t id, double dist) {
           if (!exclude_(id)) Offer<Dir>(heap, k, id, dist);
         });
-    if (nodes_.IsLeaf(node)) {
-      KnnLeaf<Dir>(nodes_.Leaf(node), LeafQuery{d.data(), vps, qpath_}, k,
+    if (nodes_.IsLeaf(e.node)) {
+      const std::span<const double> qpath(paths_.data() + e.path, e.path_size);
+      KnnLeaf<Dir>(nodes_.Leaf(e.node), LeafQuery{d.data(), vps, qpath}, k,
                    heap);
       return;
     }
-    // Children best bound first; stop as soon as tau ranks ahead of a
-    // bound. ranked_ is a stack like entered_: this node's children sit at
-    // [begin, end) while deeper calls push and pop above them.
-    PathScope<double> path(qpath_, nodes_.PathDistances(), {d.data(), vps});
-    const std::size_t begin = ranked_.size();
-    RankShells<Dir>(node, d, 0, 0, Dir::kLoose);
-    const std::size_t end = ranked_.size();
-    std::sort(ranked_.begin() + begin, ranked_.begin() + end,
-              [](const Ranked& a, const Ranked& b) {
-                return Dir::Before(a.bound, b.bound);
-              });
-    RequestChildren<Dir>(begin, end, Tau<Dir>(heap, k));
-    for (std::size_t i = begin; i < end; ++i) {
-      if (Dir::Before(Tau<Dir>(heap, k), ranked_[i].bound)) break;
-      KnnNode<Dir>(ranked_[i].child, k, heap);
+    // Step 3.1: the children's PATH is this one plus the node's distances,
+    // while it holds fewer than p; a full PATH is shared as it is.
+    Entry child{e.bound, e.key & ~std::uint64_t{0xffffffff}, nullptr, e.path,
+                e.path_size};
+    const std::size_t size =
+        std::min(nodes_.PathDistances(), e.path_size + vps);
+    if (size > e.path_size) {
+      child.path = static_cast<std::uint32_t>(paths_.size());
+      child.path_size = static_cast<std::uint32_t>(size);
+      paths_.resize(paths_.size() + size);
+      std::copy_n(paths_.begin() + e.path, e.path_size,
+                  paths_.begin() + child.path);
+      std::copy_n(d.begin(), size - e.path_size,
+                  paths_.begin() + child.path + e.path_size);
     }
-    ranked_.resize(begin);
+    PushShells<Dir>(e.node, d, Tau<Dir>(heap, k), 0, 0, e.bound, child);
   }
 
-  /// Requests what entering the ranked children at [begin, end) reads
-  /// first — their vantage-point rows and the accessor's Prefetch of each —
-  /// for every child whose bound does not lose to `tau`, in rank order.
+  /// Pushes the children below slot prefix `prefix` of shell level l in
+  /// slot order, each like `child` at `bound` folded on over its levels —
+  /// Nearest's largest distance from the query to a shell, Farthest's
+  /// smallest d[l] + upper — unless `tau` ranks strictly ahead of it.
   template <typename Dir>
-  void RequestChildren(std::size_t begin, std::size_t end, double tau) const {
-    if constexpr (kRows || kPrefetchesNodes) {
-      for (std::size_t i = begin; i < end; ++i) {
-        if (Dir::Before(tau, ranked_[i].bound)) break;
-        const NodeRef child = ranked_[i].child;
-        if constexpr (kPrefetchesNodes) nodes_.Prefetch(child);
-        if constexpr (kRows) {
-          for (std::size_t l = 0; l < nodes_.VpCount(child); ++l) {
-            RequestRow(nodes_.VpRow(child, l));
-          }
-        }
-      }
+  void PushShells(NodeRef node, const Distances& d, double tau, std::size_t l,
+                  std::size_t prefix, double bound, const Entry& child) {
+    if (l == nodes_.Levels()) {
+      const NodeRef c = nodes_.Child(node, prefix);
+      if (c == nullptr || Dir::Before(tau, bound)) return;
+      Push<Dir>(nodes_, Entry{bound, child.key | nodes_.Preorder(c), c,
+                              child.path, child.path_size});
+      return;
+    }
+    const std::size_t m = nodes_.Order();
+    const ShellBounds b = nodes_.Shells(node, l);
+    for (std::size_t s = 0; s < m; ++s) {
+      const std::size_t idx = prefix * m + s;
+      PushShells<Dir>(node, d, tau, l + 1, idx,
+                      Dir::Fold(bound, d[l], b.lower[idx], b.upper[idx]),
+                      child);
     }
   }
 
@@ -872,7 +1037,7 @@ class Traversal {
       for (std::size_t i = base; i < base + n; ++i) {
         if (!Dir::MayBeat(leaf, i, q, entry_tau)) continue;
         mask |= std::uint64_t{1} << (i - base);
-        RequestRow(leaf.row(i));
+        RequestRow(nodes_, leaf.row(i));
       }
       masks_.push_back(mask);
     }
@@ -900,28 +1065,6 @@ class Traversal {
     }
   }
 
-  /// Pushes onto ranked_ the children below slot prefix `prefix` of shell
-  /// level l in slot order, each with its bound folded over its levels:
-  /// Nearest's lower bound, the largest distance from the query to a shell,
-  /// or Farthest's upper bound, the smallest d[l] + upper.
-  template <typename Dir>
-  void RankShells(NodeRef node, const Distances& d, std::size_t l,
-                  std::size_t prefix, double bound) {
-    if (l == nodes_.Levels()) {
-      if (const NodeRef child = nodes_.Child(node, prefix); child != nullptr) {
-        ranked_.push_back(Ranked{bound, child});
-      }
-      return;
-    }
-    const std::size_t m = nodes_.Order();
-    const ShellBounds b = nodes_.Shells(node, l);
-    for (std::size_t s = 0; s < m; ++s) {
-      const std::size_t idx = prefix * m + s;
-      RankShells<Dir>(node, d, l + 1, idx,
-                      Dir::Fold(bound, d[l], b.lower[idx], b.upper[idx]));
-    }
-  }
-
   Nodes nodes_;
   const Query& query_;
   SearchStats& stats_;
@@ -932,13 +1075,27 @@ class Traversal {
   std::vector<double> qpath_;
   bool gather_ = false;  ///< range search evaluates in gathered calls
   std::vector<NodeRef> entered_;   ///< range: children to enter, as a stack
-  std::vector<Ranked> ranked_;     ///< k-NN: ranked children, as a stack
+  std::vector<Entry> frontier_;    ///< k-NN: a binary heap under PopsAfter
+  Entry next_{};                   ///< k-NN: the best entry, when held_
+  bool held_ = false;              ///< k-NN: next_ is not in frontier_
+  std::vector<double> paths_;      ///< k-NN: the entries' PATH slices
   std::vector<RootPrime> primes_;  ///< gathered: entered_[i]'s distances
   /// Leaf chunk masks: range's a stack, k-NN's the current leaf's.
   std::vector<std::uint64_t> masks_;
   std::vector<const double*> rows_;   ///< gathered: rows of one kernel call
   std::vector<double> values_;  ///< gathered: survivors' distances, a stack
 };
+
+/// Best-first k-NN over `members` into the caller's heap `*heap`
+/// (Traversal::Knn), counting into `stats`: how a layer searches its trees
+/// — a sharded index's shards, a forest's levels — as one frontier.
+template <typename Dir = Nearest, typename Nodes, typename Query>
+void KnnOver(const std::vector<KnnMember<Nodes>>& members, const Query& query,
+             std::size_t k, SearchStats& stats, std::vector<Neighbor>* heap) {
+  if (members.empty()) return;
+  Traversal<Nodes, Query>(members.front().nodes, query, stats)
+      .template Knn<Dir>(members, k, heap);
+}
 
 }  // namespace mvp::core
 

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -263,7 +264,7 @@ struct SoaLeafOf {
   std::size_t size() const { return count; }
   std::size_t id(std::size_t i) const { return ids[i]; }
   std::size_t row(std::size_t i) const { return first_row + i; }
-  std::size_t Checks(const std::vector<double>& qpath) const {
+  std::size_t Checks(std::span<const double> qpath) const {
     return std::min(qpath.size(), path_length);
   }
   std::uint64_t Mask(std::size_t base, std::size_t n, const LeafQuery& q,
@@ -336,6 +337,9 @@ struct TreeNodes {
   const NodeRec* Child(const NodeRec* n, std::size_t c) const {
     const std::uint32_t child = t.children[n->children + c];
     return child == kNullChild ? nullptr : t.nodes + child;
+  }
+  std::size_t Preorder(const NodeRec* n) const {
+    return static_cast<std::size_t>(n - t.nodes);
   }
   SoaLeaf Leaf(const NodeRec* n) const {
     const LeafPathRec& lp = t.leafpaths[n - t.nodes];

@@ -35,10 +35,11 @@
 /// Deletes are tombstones, physically dropped whenever their level is
 /// rebuilt (plus a global compaction when tombstones exceed half the data).
 ///
-/// Queries fan out to the buffer (linear scan) and every live tree. Each
-/// tree skips its level's tombstones inside the traversal, for range and
-/// k-NN alike, and every part writes straight into the caller's answer.
-/// Results carry the stable ids that Insert returned.
+/// Queries scan the buffer and then search every live tree: range level by
+/// level, and k-NN over all levels as one best-first frontier. Each tree
+/// skips its level's tombstones inside the traversal, for range and k-NN
+/// alike, and every part writes straight into the caller's answer. Results
+/// carry the stable ids that Insert returned.
 
 namespace mvp::dynamic {
 
@@ -121,13 +122,15 @@ class MvpForest {
   }
 
   /// The harvest form of both (core::SearchRequest), in stable ids. The
-  /// buffer is scanned first, then each level's tree is searched with the
-  /// level's tombstones as its exclusion and `request.ids` after the
-  /// level's ids as its id map, so every part writes straight into `*out`:
-  /// range appends its hits, and k-NN offers into the caller's heap, each
-  /// level pruning against the best k found so far anywhere in the answer.
-  /// The tombstones are the forest's exclusion, so `request.exclude` must be
-  /// empty.
+  /// buffer is scanned first; then each level's tree runs with the level's
+  /// tombstones as its exclusion and `request.ids` after the level's ids as
+  /// its id map, so every part writes straight into `*out`. Range searches
+  /// the levels one by one and appends their hits. k-NN offers into the
+  /// caller's heap and hands all levels to one frontier (core::KnnOver),
+  /// each at Nearest::kLoose, so the search enters the most promising
+  /// subtree of any level next, pruning against the best k found anywhere
+  /// in the answer. The tombstones are the forest's exclusion, so
+  /// `request.exclude` must be empty.
   void Search(const Request& request, core::SearchContext& context,
               std::vector<Neighbor>* out) const {
     MVP_DCHECK(!request.exclude);
@@ -143,19 +146,26 @@ class MvpForest {
         out->push_back(hit);
       }
     }
+    const auto deleted = [&](std::size_t id) { return state_[id] == kDeleted; };
+    std::vector<core::PartIds> parts;
+    parts.reserve(levels_.size());  // members point into it
+    std::vector<typename Tree::KnnMember> members;
     for (const auto& level : levels_) {
       if (!level.has_value()) continue;
-      const std::vector<std::size_t>& ids = level->ids;
-      const auto deleted = [&](std::size_t local) {
-        return state_[ids[local]] == kDeleted;
-      };
-      const auto caller = [&](std::size_t local) {
-        return request.ids(ids[local]);
-      };
+      const core::PartIds& part = parts.emplace_back(core::PartIds{
+          &level->ids, core::Exclusion::Of(deleted), request.ids});
+      if (knn) {
+        members.push_back(level->tree->Member(part.Exclude(), part.Ids(),
+                                              core::Nearest::kLoose));
+        continue;
+      }
       Request level_request = request;
-      level_request.exclude = core::Exclusion::Of(deleted);
-      level_request.ids = core::IdMap::Of(caller);
+      level_request.exclude = part.Exclude();
+      level_request.ids = part.Ids();
       level->tree->Search(level_request, context, out);
+    }
+    if (knn) {
+      core::KnnOver(members, request.object, request.k, context.stats, out);
     }
   }
 

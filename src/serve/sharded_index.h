@@ -41,10 +41,12 @@
 /// the same rule core::ShellIntersects applies inside every node:
 ///   - range visits shard s iff [d0 - r, d0 + r] meets [lo_s, hi_s], and
 ///     may search the visited shards in parallel;
-///   - k-NN ranks shards by max(0, lo_s - d0, d0 - hi_s) and searches them
-///     one by one, nearest shell first, every shard tree offering into the
-///     one heap of the answer, and stops at the first shell whose bound is
-///     strictly above that heap's k-th distance.
+///   - k-NN bounds shard s by max(0, lo_s - d0, d0 - hi_s) and hands every
+///     shard tree at its bound to one best-first frontier
+///     (core::KnnOver), which offers into the one heap of the answer and
+///     enters the node with the best bound of any shard next, so a shard
+///     whose bound is strictly above that heap's k-th distance is never
+///     entered.
 /// With one shard there is no v, and the index is that shard's tree.
 ///
 /// Generations written before the partition dealt objects out round-robin
@@ -277,16 +279,15 @@ class ShardedMvpIndex {
   /// The harvest form of both (core::SearchRequest), in global ids, adding
   /// its counts to `context.stats`. Every shard search narrows
   /// `request.exclude` and `request.ids`, which name global ids, through
-  /// the shard's id map (SearchShard), for both kinds. A range search
+  /// the shard's id map (core::PartIds), for both kinds. A range search
   /// visits the shards whose shells meet the query ball, side by side on
   /// `context.pool` when one is given, and appends their hits unsorted. A
-  /// k-NN search ranks the shards by their shells' lower bound
-  /// max(0, lo - d0, d0 - hi) and searches them one after another in
-  /// (bound, shard) order, each shard tree offering straight into the
-  /// caller's heap `*out`, until a shell's bound is strictly above the
-  /// heap's k-th distance: that shell and every later one hold no answer,
-  /// while ties survive. k-NN ignores the pool, so pooled and serial
-  /// searches compute exactly the same distances. On a mid-search
+  /// k-NN search hands the shard trees, in (bound, shard) order, to one
+  /// best-first frontier, each at its shell's lower bound
+  /// max(0, lo - d0, d0 - hi), offering straight into the caller's heap
+  /// `*out`; it stops once every bound left is strictly above the heap's
+  /// k-th distance, so ties survive. k-NN ignores the pool, so pooled and
+  /// serial searches compute exactly the same distances. On a mid-search
   /// cancellation, everything found by then is in `*out` — range hits of
   /// every shard, including interrupted ones, are appended and counted
   /// before CancelledError is rethrown — so the executor can serve the
@@ -582,9 +583,9 @@ class ShardedMvpIndex {
     return cancelled;
   }
 
-  /// Offers shard by shard into the caller's heap `*out`: shells in
-  /// (lower bound, shard) order, until one's bound is strictly above the
-  /// heap's k-th distance.
+  /// Hands every shard to one k-NN frontier (core::KnnOver) that offers
+  /// into the caller's heap `*out`, each at its shell's lower bound, in
+  /// (bound, shard) order.
   void SearchKnn(const Request& request, core::SearchContext& context,
                  std::vector<Neighbor>* out) const {
     if (request.k == 0) return;
@@ -596,10 +597,17 @@ class ShardedMvpIndex {
       order.emplace_back(std::max({0.0, shell.lo - d0, d0 - shell.hi}), s);
     }
     std::sort(order.begin(), order.end());
+    std::vector<core::PartIds> parts;
+    parts.reserve(order.size());  // members point into it
+    std::vector<typename Tree::KnnMember> members;
+    members.reserve(order.size());
     for (const auto& [bound, s] : order) {
-      if (bound > KnnTau(*out, request.k)) break;
-      SearchShard(request, s, context, out);
+      const core::PartIds& part = parts.emplace_back(
+          core::PartIds{&shards_[s].ids, request.exclude, request.ids});
+      members.push_back(
+          shards_[s].tree.Member(part.Exclude(), part.Ids(), bound));
     }
+    core::KnnOver(members, request.object, request.k, context.stats, out);
   }
 
   /// Runs `request` on shard s's tree, its `exclude` and `ids` narrowed
@@ -608,17 +616,10 @@ class ShardedMvpIndex {
                    core::SearchContext& context,
                    std::vector<Neighbor>* out) const {
     const Shard& shard = shards_[s];
-    const auto caller = [&](std::size_t local) {
-      return request.ids(shard.ids[local]);
-    };
-    const auto excluded = [&](std::size_t local) {
-      return request.exclude(shard.ids[local]);
-    };
+    const core::PartIds part{&shard.ids, request.exclude, request.ids};
     Request shard_request = request;
-    shard_request.ids = core::IdMap::Of(caller);
-    if (request.exclude) {
-      shard_request.exclude = core::Exclusion::Of(excluded);
-    }
+    shard_request.exclude = part.Exclude();
+    shard_request.ids = part.Ids();
     shard.tree.Search(shard_request, context, out);
   }
 

@@ -99,7 +99,7 @@ class VpTree : public core::NodeTree<Object, Metric> {
                                   Rng& rng) {
     if (begin == end) return nullptr;
     const std::size_t count = end - begin;
-    auto node = std::make_unique<Node>();
+    auto node = this->NewNode();
     if (count <= static_cast<std::size_t>(options_.leaf_capacity)) {
       // A bucket: no vantage point, no stored distances, no PATH.
       node->is_leaf = true;

@@ -749,6 +749,49 @@ TEST_F(DynamicOverlayTest, ErasedTopKMatchesScanOverAFlatBase) {
   CheckErasedTopKMatchesScan(/*flat=*/true);
 }
 
+// One object copied across the base and the memtable: every fourth of 120
+// base points, and every third of 117 inserts, whose 16-entry buffer puts
+// copies in three forest levels and in the buffer. A query near it finds
+// all copies at one distance, and a k that cuts inside them keeps the
+// lowest live stable ids, as the scan does: base copies first. Erasing
+// copies on both sides, the lowest among them, moves the cut.
+TEST_F(DynamicOverlayTest, TiesAcrossBaseAndLevelsKeepTheLowestIds) {
+  const Vec tie(kDim, 0.5);
+  std::mt19937_64 rng(47);
+  std::map<std::uint64_t, Vec> live;
+  std::vector<Vec> objects;
+  for (std::uint64_t i = 0; i < 120; ++i) {
+    objects.push_back(i % 4 == 0 ? tie : RandomVec(rng));
+    live[i] = objects.back();
+  }
+  ASSERT_NO_FATAL_FAILURE(SeedBase(std::move(objects), /*flat=*/false));
+  auto opened = OpenOverlay();
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  Overlay& overlay = *opened.value();
+  for (int i = 0; i < 117; ++i) {
+    Vec v = i % 3 == 0 ? tie : RandomVec(rng);
+    auto id = overlay.Insert(v);
+    ASSERT_TRUE(id.ok());
+    ASSERT_EQ(id.value(), 120u + static_cast<std::uint64_t>(i));
+    live[id.value()] = std::move(v);
+  }
+  ASSERT_EQ(overlay.memtable_size(), 117u);
+  Vec query = tie;
+  query[0] += 0.01;
+  const auto check = [&](const std::string& what) {
+    for (const std::size_t k : {1u, 20u, 40u, 60u}) {
+      ExpectSameHits(overlay.KnnSearch(query, k), ScanLive(live, query, k),
+                     what + " k=" + std::to_string(k));
+    }
+  };
+  check("all live");
+  for (const std::uint64_t id : {0u, 4u, 48u, 120u, 123u, 186u, 201u, 234u}) {
+    ASSERT_TRUE(overlay.Erase(id).ok());
+    live.erase(id);
+  }
+  check("erased");
+}
+
 // Every save path accepts an index opened from a flat generation: its shard
 // trees borrow the mapping, and the saved generation reloads into the same
 // answers.

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/codec.h"
@@ -123,6 +124,52 @@ TEST(MvpForestTest, KnnBoundSkipsOnlyWorseCandidates) {
                 open.distance_computations);
     }
   }
+}
+
+/// One object inserted as every third id of 117, among random points: with
+/// a 16-entry buffer its copies sit in three levels ([0, 64), [64, 96) and
+/// [96, 112)) and in the buffer, all at one distance from a query near it.
+/// A k that cuts inside the copies keeps the lowest live stable ids, as the
+/// scan over the live set does, with and without some copies erased in
+/// each level and in the buffer.
+TEST(MvpForestTest, TiesAcrossLevelsKeepTheLowestIds) {
+  const Vector tie{0.5, 0.5, 0.5, 0.5};
+  const auto others = dataset::UniformVectors(117, 4, 83);
+  Forest forest{L2(), SmallOptions()};
+  std::vector<Vector> data;
+  for (std::size_t id = 0; id < others.size(); ++id) {
+    data.push_back(id % 3 == 0 ? tie : others[id]);
+    ASSERT_EQ(forest.Insert(data.back()), id);
+  }
+  ASSERT_EQ(forest.num_trees(), 3u);
+  ASSERT_EQ(forest.buffered(), 5u);
+  const Vector q{0.5, 0.5, 0.5, 0.51};
+  const auto check = [&](const std::vector<bool>& erased,
+                         const std::string& what) {
+    std::vector<std::size_t> live_ids;
+    std::vector<Vector> live;
+    for (std::size_t id = 0; id < data.size(); ++id) {
+      if (erased[id]) continue;
+      live_ids.push_back(id);
+      live.push_back(data[id]);
+    }
+    const scan::LinearScan<Vector, L2> reference(live, L2());
+    for (const std::size_t k : {1u, 10u, 25u, 36u}) {
+      std::vector<Neighbor> want = reference.KnnSearch(q, k);
+      for (Neighbor& n : want) n.id = live_ids[n.id];
+      EXPECT_EQ(forest.KnnSearch(q, k), want) << what << " k=" << k;
+    }
+  };
+  std::vector<bool> erased(data.size(), false);
+  check(erased, "all live");
+  // Copies in the largest level, the middle one, the smallest and the
+  // buffer.
+  for (const std::size_t id : {0u, 3u, 30u, 66u, 81u, 99u, 114u}) {
+    ASSERT_TRUE(forest.Erase(id).ok());
+    erased[id] = true;
+  }
+  ASSERT_EQ(forest.num_trees(), 3u);
+  check(erased, "erased");
 }
 
 TEST(MvpForestTest, ForestWidthStaysLogarithmic) {
