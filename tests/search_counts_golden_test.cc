@@ -429,11 +429,15 @@ TEST(SearchCountsGoldenTest, DynamicLayers) {
 /// the uniform and clustered recipes: one forest takes the points in
 /// generated order, another in a seeded shuffle, and the static tree is
 /// built over the points in that same order, so both answer in the same
-/// ids. Range at the recipe's first two radii and k-NN at k = 1 and 10;
-/// each line holds both indexes' distance totals and their ratio, and the
-/// two answers must match.
+/// ids. A DynamicOverlay does the same from a 4-shard SaveFlat base of the
+/// first 1500 points with the rest inserted (overlay_dist). Range at the
+/// recipe's first two radii and k-NN at k = 1 and 10; each line holds both
+/// indexes' distance totals and their ratio, and the two answers must
+/// match.
 TEST(SearchCountsGoldenTest, ForestAgainstStatic) {
   using Forest = dynamic::MvpForest<Vector, L2>;
+  using Overlay = dynamic::DynamicOverlay<Vector, L2, VectorCodec>;
+  constexpr std::size_t kBase = 1500;
   std::vector<std::string> lines;
   for (const Recipe& recipe : {UniformRecipe(), ClusteredRecipe()}) {
     for (const bool shuffled : {false, true}) {
@@ -448,41 +452,71 @@ TEST(SearchCountsGoldenTest, ForestAgainstStatic) {
       const HeapTree& tree = built.value();
       const std::string rep =
           recipe.name + (shuffled ? " shuffled" : " generated");
-      const auto line = [&](const std::string& name, const auto& search) {
+      const auto line = [&](const std::string& label, const auto& dynamic,
+                            const std::string& name, const auto& search) {
         CaseTotals f, s;
         for (const Vector& q : recipe.queries) {
           SearchStats fs, ss;
-          const std::vector<Neighbor> fhits = search(forest, q, &fs);
+          const std::vector<Neighbor> fhits = search(dynamic, q, &fs);
           const std::vector<Neighbor> shits = search(tree, q, &ss);
-          EXPECT_EQ(fhits, shits) << rep << ' ' << name;
+          EXPECT_EQ(fhits, shits) << rep << ' ' << label << ' ' << name;
           f.Add(fhits, fs);
           s.Add(shits, ss);
         }
         const std::uint64_t fd = f.stats.distance_computations;
         const std::uint64_t sd = s.stats.distance_computations;
         std::ostringstream os;
-        os << rep << ' ' << name << " forest_dist=" << fd
+        os << rep << ' ' << name << ' ' << label << "_dist=" << fd
            << " static_dist=" << sd << " ratio=" << std::fixed
            << std::setprecision(2)
            << static_cast<double>(fd) / static_cast<double>(sd)
            << " results=" << f.results << " hash=" << std::hex << f.hash;
         lines.push_back(os.str());
       };
-      for (std::size_t i = 0; i < 2; ++i) {
-        const double r = recipe.radii[i];
-        std::ostringstream name;
-        name << "range(r=" << r << ")";
-        line(name.str(), [r](const auto& index, const Vector& q,
-                             SearchStats* stats) {
-          return index.RangeSearch(q, r, stats);
-        });
+      const auto cases = [&](const std::string& label, const auto& dynamic) {
+        for (std::size_t i = 0; i < 2; ++i) {
+          const double r = recipe.radii[i];
+          std::ostringstream name;
+          name << "range(r=" << r << ")";
+          line(label, dynamic, name.str(),
+               [r](const auto& index, const Vector& q, SearchStats* stats) {
+                 return index.RangeSearch(q, r, stats);
+               });
+        }
+        for (const std::size_t k : {std::size_t{1}, std::size_t{10}}) {
+          line(label, dynamic, "knn(k=" + std::to_string(k) + ")",
+               [k](const auto& index, const Vector& q, SearchStats* stats) {
+                 return index.KnnSearch(q, k, stats);
+               });
+        }
+      };
+      cases("forest", forest);
+
+      const std::string dir = ::testing::TempDir() +
+                              "/search_counts_overlay_static_" + recipe.name +
+                              (shuffled ? "_shuffled" : "_generated");
+      std::filesystem::remove_all(dir);
+      Overlay::Options options;
+      options.memtable = forest_options;
+      options.rebuild.num_shards = 4;
+      options.rebuild.tree = recipe.options;
+      {
+        auto base = serve::ShardedMvpIndex<Vector, L2>::Build(
+            std::vector<Vector>(data.begin(), data.begin() + kBase), L2(),
+            options.rebuild);
+        ASSERT_TRUE(base.ok()) << base.status().ToString();
+        ASSERT_TRUE(snapshot::SnapshotStore(dir).SaveFlat(base.value()).ok());
       }
-      for (const std::size_t k : {std::size_t{1}, std::size_t{10}}) {
-        line("knn(k=" + std::to_string(k) + ")",
-             [k](const auto& index, const Vector& q, SearchStats* stats) {
-               return index.KnnSearch(q, k, stats);
-             });
+      auto opened = Overlay::Open(dir, L2(), VectorCodec{}, options);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      for (std::size_t i = kBase; i < data.size(); ++i) {
+        auto id = opened.value()->Insert(data[i]);
+        ASSERT_TRUE(id.ok()) << id.status().ToString();
+        ASSERT_EQ(id.value(), i);
       }
+      cases("overlay", *opened.value());
+      opened.value().reset();
+      std::filesystem::remove_all(dir);
     }
   }
   CheckGolden("forest_static", lines);
