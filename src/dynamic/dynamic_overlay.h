@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -39,14 +40,19 @@
 ///     streams), completely immutable;
 ///   - the MEMTABLE: an MvpForest (dynamic/mvp_forest.h, the Bentley-Saxe
 ///     structure) absorbing every insert since the base was written, plus a
-///     tombstone set naming the base objects erased since then.
+///     tombstone set naming the base objects erased since then. Its trees
+///     run on the base's metric type, serve::CancelChecked<Metric>, so base
+///     shards and memtable levels are trees of one type.
 ///
-/// Queries fan out to both sides and merge by (distance, id) — the same
-/// order a single index produces, so results are bit-identical to an index
-/// rebuilt from scratch over the current live set (the overlay-equivalence
-/// test holds exactly this). A search hands the tombstones to the base as a
-/// core::Exclusion, which skips them inside the traversal, and both sides
-/// write into one answer of stable ids, for range and k-NN alike.
+/// A query scans the memtable's write buffer, then searches the base's
+/// shards and the memtable's levels as one member list (core::SearchOver):
+/// range member by member, k-NN as one best-first frontier over both sides.
+/// Answers merge by (distance, id) — the same order a single index
+/// produces, so results are bit-identical to an index rebuilt from scratch
+/// over the current live set (the overlay-equivalence test holds exactly
+/// this). The base's members skip the tombstones inside the traversal
+/// (core::Exclusion), and every member writes into one answer of stable
+/// ids, for range and k-NN alike.
 ///
 /// Every object carries a STABLE id: issued once at insert, never reused,
 /// reported by all queries. The base maps its dense global ids to stable
@@ -91,13 +97,13 @@ class DynamicOverlay {
                 "DynamicOverlay serves dense vector collections");
 
  public:
-  using Memtable = MvpForest<Object, Metric>;
+  using Memtable = MvpForest<Object, serve::CancelChecked<Metric>>;
   using BaseIndex = serve::ShardedMvpIndex<Object, Metric>;
   using Request = core::SearchRequest<Object>;
 
   struct Options {
     /// Memtable (Bentley-Saxe forest) parameters.
-    typename Memtable::Options memtable;
+    MvpForestOptions memtable;
     /// Build parameters for generations this overlay writes (Compact, or a
     /// first checkpoint with no base). When opened over an existing base,
     /// the base's own parameters replace these so compactions preserve the
@@ -220,58 +226,58 @@ class DynamicOverlay {
 
   /// The harvest form of both (core::SearchRequest), the serve::RunBatch
   /// door, so mutable collections degrade under deadlines exactly like
-  /// static ones. Hands `*out` to the base and then to the memtable, in
-  /// stable ids, for range and k-NN alike. The base writes through its
-  /// stable-id map and skips its tombstoned objects inside the traversal
-  /// (core::Exclusion), so no erased object costs a distance computation
-  /// unless it is a vantage point on the search path; the memtable writes
-  /// through `+ memtable_offset_`. A k-NN search's memtable thereby prunes
-  /// against the best k of both sides found so far.
+  /// static ones. Scans the memtable's write buffer, then runs one
+  /// core::SearchOver over the base's shards (in their shell-bound order)
+  /// followed by the memtable's levels, in stable ids, for range and k-NN
+  /// alike. The base's members write through its stable-id map and skip its
+  /// tombstoned objects inside the traversal (core::Exclusion), so no
+  /// erased object costs a distance computation unless it is a vantage
+  /// point on the search path; the memtable's write through
+  /// `+ memtable_offset_`. A k-NN search runs both sides in one frontier,
+  /// pruning against the best k found anywhere so far.
   ///
-  /// The base runs without `context.pool`: this search holds mu_, and a
+  /// No search here takes `context.pool`: this search holds mu_, and a
   /// pooled shard fan-out waits in ThreadPool::RunOne, which may pick up
   /// another overlay query that would then lock mu_ on the same thread.
   ///
-  /// On a mid-search cancellation everything the base found before the cut
-  /// is in `*out` before CancelledError is rethrown (range hits passed the
-  /// exact d <= r test, so they are a true subset of the live answer; k-NN
-  /// candidates are the best among the points evaluated so far); the
-  /// memtable is skipped — its deadline is already blown. Memtable distance
-  /// evaluations are not cancellation points (the forest runs the raw
-  /// metric); base shards are, which is where the index-proportional work
-  /// lives.
+  /// Every distance evaluation, base or memtable, is a cancellation point
+  /// (serve::CancelChecked), so deadlines and distance budgets cut either
+  /// side. On a cut everything found so far is in `*out` as CancelledError
+  /// unwinds (range hits passed the exact d <= r test, so they are a true
+  /// subset of the live answer; k-NN candidates are the best among the
+  /// points evaluated so far).
   void Search(const Request& request, core::SearchContext& context,
               std::vector<Neighbor>* out) const MVP_EXCLUDES(mu_) {
     MVP_DCHECK(!request.exclude);  // the tombstones are the exclusion
+    if (request.kind == core::SearchKind::kKnn && request.k == 0) return;
     MutexLock lock(&mu_);
+    const std::size_t offset = static_cast<std::size_t>(memtable_offset_);
+    const auto memtable_ids = [&](std::size_t f) {
+      return request.ids(offset + f);
+    };
+    Request memtable_request = request;
+    memtable_request.ids = core::IdMap::Of(memtable_ids);
+    memtable_.ScanBuffer(memtable_request, context.stats, out);
+
+    std::deque<core::PartIds> parts;
+    std::vector<typename Memtable::Member> members;
+    const std::vector<bool>& erased = base_erased_;
+    const std::vector<std::uint64_t>& stable = base_stable_ids_;
+    const auto is_erased = [&erased](std::size_t g) { return erased[g]; };
+    const auto base_ids = [&](std::size_t g) {
+      return request.ids(
+          stable.empty() ? g : static_cast<std::size_t>(stable[g]));
+    };
     if (base_.has_value()) {
-      const std::vector<bool>& erased = base_erased_;
-      const std::vector<std::uint64_t>& stable = base_stable_ids_;
-      const auto is_erased = [&erased](std::size_t g) { return erased[g]; };
-      const auto caller = [&](std::size_t g) {
-        return request.ids(
-            stable.empty() ? g : static_cast<std::size_t>(stable[g]));
-      };
       Request base_request = request;
-      base_request.ids = core::IdMap::Of(caller);
+      base_request.ids = core::IdMap::Of(base_ids);
       if (tombstone_count_ > 0) {
         base_request.exclude = core::Exclusion::Of(is_erased);
       }
-      core::SearchContext base_context;  // no pool: see above
-      bool cancelled = false;
-      try {
-        base_->Search(base_request, base_context, out);
-      } catch (const serve::CancelledError&) {
-        cancelled = true;
-      }
-      MergeSearchStats(&context.stats, base_context.stats);
-      if (cancelled) throw serve::CancelledError();
+      base_->AppendMembers(base_request, context.stats, &parts, &members);
     }
-    const std::size_t offset = static_cast<std::size_t>(memtable_offset_);
-    const auto caller = [&](std::size_t f) { return request.ids(offset + f); };
-    Request memtable_request = request;
-    memtable_request.ids = core::IdMap::Of(caller);
-    memtable_.Search(memtable_request, context, out);
+    memtable_.AppendMembers(memtable_request, &parts, &members);
+    core::SearchOver(members, request, context, out);
   }
 
   std::size_t size() const MVP_EXCLUDES(mu_) {
@@ -414,7 +420,12 @@ class DynamicOverlay {
         codec_(std::move(codec)),
         options_(std::move(options)),
         store_(dir_),
-        memtable_(metric_, options_.memtable) {}
+        memtable_(NewMemtable()) {}
+
+  /// An empty memtable over the base's metric type.
+  Memtable NewMemtable() const {
+    return Memtable(serve::CancelChecked<Metric>(metric_), options_.memtable);
+  }
 
   /// Stable id of base global id `g`.
   std::uint64_t BaseStableLocked(std::size_t g) const MVP_REQUIRES(mu_) {
@@ -534,7 +545,7 @@ class DynamicOverlay {
     generation_ = gen.value();
     checkpoint_seq_ = next_seq_;
     memtable_offset_ = next_stable_id_;
-    memtable_ = Memtable(metric_, options_.memtable);
+    memtable_ = NewMemtable();
     ResetTombstonesLocked();
     ++stats_.compactions;
     return generation_;
@@ -555,7 +566,7 @@ class DynamicOverlay {
     memtable_offset_ = m.next_stable_id != 0 ? m.next_stable_id
                                              : m.object_count;
     next_stable_id_ = memtable_offset_;
-    memtable_ = Memtable(metric_, options_.memtable);
+    memtable_ = NewMemtable();
     ResetTombstonesLocked();
     return Status::OK();
   }
@@ -666,8 +677,9 @@ class DynamicOverlay {
               "delta generation names an invalid base generation");
         }
         MVP_RETURN_NOT_OK(InstallBaseLocked(m.base_generation, pool));
-        auto delta = store_.LoadDelta<Object, Metric>(
-            metric_, codec_, options_.memtable, current.value());
+        auto delta = store_.LoadDelta<Object, serve::CancelChecked<Metric>>(
+            serve::CancelChecked<Metric>(metric_), codec_, options_.memtable,
+            current.value());
         if (!delta.ok()) return delta.status();
         auto& d = delta.value();
         // The overlay's memtable mapping is affine (stable = offset +

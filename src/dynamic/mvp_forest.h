@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -35,30 +36,34 @@
 /// Deletes are tombstones, physically dropped whenever their level is
 /// rebuilt (plus a global compaction when tombstones exceed half the data).
 ///
-/// Queries scan the buffer and then search every live tree: range level by
-/// level, and k-NN over all levels as one best-first frontier. Each tree
-/// skips its level's tombstones inside the traversal, for range and k-NN
-/// alike, and every part writes straight into the caller's answer. Results
-/// carry the stable ids that Insert returned.
+/// Queries scan the buffer and then search every live tree as one member
+/// list (core::SearchOver): range level by level, and k-NN over all levels
+/// as one best-first frontier. Each tree skips its level's tombstones
+/// inside the traversal, for range and k-NN alike, and every part writes
+/// straight into the caller's answer. Results carry the stable ids that
+/// Insert returned.
 
 namespace mvp::dynamic {
+
+/// An MvpForest's parameters, one type for every object and metric.
+struct MvpForestOptions {
+  /// Static-tree construction parameters (see core::MvpTree).
+  core::MvpTreeOptions tree;
+  /// Inserts buffered before the first level is built. Level i holds up to
+  /// buffer_capacity * 2^i points.
+  std::size_t buffer_capacity = 64;
+  /// Compact everything when deleted points exceed this fraction of all
+  /// stored points.
+  double max_tombstone_fraction = 0.5;
+};
 
 template <typename Object, metric::MetricFor<Object> Metric>
 class MvpForest {
  public:
   using Tree = core::MvpTree<Object, Metric>;
   using Request = core::SearchRequest<Object>;
-
-  struct Options {
-    /// Static-tree construction parameters (see core::MvpTree).
-    typename Tree::Options tree;
-    /// Inserts buffered before the first level is built. Level i holds up
-    /// to buffer_capacity * 2^i points.
-    std::size_t buffer_capacity = 64;
-    /// Compact everything when deleted points exceed this fraction of all
-    /// stored points.
-    double max_tombstone_fraction = 0.5;
-  };
+  using Member = typename Tree::Member;
+  using Options = MvpForestOptions;
 
   explicit MvpForest(Metric metric, Options options = Options{})
       : metric_(std::move(metric)), options_(std::move(options)) {
@@ -121,24 +126,34 @@ class MvpForest {
         stats);
   }
 
-  /// The harvest form of both (core::SearchRequest), in stable ids. The
-  /// buffer is scanned first; then each level's tree runs with the level's
-  /// tombstones as its exclusion and `request.ids` after the level's ids as
-  /// its id map, so every part writes straight into `*out`. Range searches
-  /// the levels one by one and appends their hits. k-NN offers into the
-  /// caller's heap and hands all levels to one frontier (core::KnnOver),
-  /// each at Nearest::kLoose, so the search enters the most promising
+  /// The harvest form of both (core::SearchRequest), in stable ids: the
+  /// buffer scan (ScanBuffer), then core::SearchOver of the levels'
+  /// members (AppendMembers). Range searches the levels one by one and
+  /// appends their hits. k-NN offers into the caller's heap and runs all
+  /// levels as one frontier, so the search enters the most promising
   /// subtree of any level next, pruning against the best k found anywhere
   /// in the answer. The tombstones are the forest's exclusion, so
   /// `request.exclude` must be empty.
   void Search(const Request& request, core::SearchContext& context,
               std::vector<Neighbor>* out) const {
+    if (request.kind == core::SearchKind::kKnn && request.k == 0) return;
+    ScanBuffer(request, context.stats, out);
+    std::deque<core::PartIds> parts;
+    std::vector<Member> members;
+    AppendMembers(request, &parts, &members);
+    core::SearchOver(members, request, context, out);
+  }
+
+  /// Evaluates every buffered object, counting into `stats`: appends a
+  /// range hit, or offers a k-NN candidate into the caller's heap `*out`,
+  /// as `request.ids` maps its stable id.
+  void ScanBuffer(const Request& request, SearchStats& stats,
+                  std::vector<Neighbor>* out) const {
     MVP_DCHECK(!request.exclude);
     const bool knn = request.kind == core::SearchKind::kKnn;
-    if (knn && request.k == 0) return;
     for (const auto& entry : buffer_) {
       const double d = metric_(request.object, entry.object);
-      ++context.stats.distance_computations;
+      ++stats.distance_computations;
       const Neighbor hit{request.ids(entry.id), d};
       if (knn) {
         KnnOffer(*out, request.k, hit);
@@ -146,26 +161,26 @@ class MvpForest {
         out->push_back(hit);
       }
     }
-    const auto deleted = [&](std::size_t id) { return state_[id] == kDeleted; };
-    std::vector<core::PartIds> parts;
-    parts.reserve(levels_.size());  // members point into it
-    std::vector<typename Tree::KnnMember> members;
+  }
+
+  /// Appends every level's tree to `*members`, smallest level first, each
+  /// at Nearest::kLoose, as core::SearchOver takes them. Each member skips
+  /// its level's tombstones and reports `request.ids` of the level's stable
+  /// ids through a core::PartIds appended to `*parts`, which must outlive
+  /// the search.
+  void AppendMembers(const Request& request, std::deque<core::PartIds>* parts,
+                     std::vector<Member>* members) const {
+    MVP_DCHECK(!request.exclude);
+    const core::Exclusion deleted{this, [](const void* c, std::size_t id) {
+                                    return static_cast<const MvpForest*>(c)
+                                               ->state_[id] == kDeleted;
+                                  }};
     for (const auto& level : levels_) {
       if (!level.has_value()) continue;
-      const core::PartIds& part = parts.emplace_back(core::PartIds{
-          &level->ids, core::Exclusion::Of(deleted), request.ids});
-      if (knn) {
-        members.push_back(level->tree->Member(part.Exclude(), part.Ids(),
-                                              core::Nearest::kLoose));
-        continue;
-      }
-      Request level_request = request;
-      level_request.exclude = part.Exclude();
-      level_request.ids = part.Ids();
-      level->tree->Search(level_request, context, out);
-    }
-    if (knn) {
-      core::KnnOver(members, request.object, request.k, context.stats, out);
+      const core::PartIds& part = parts->emplace_back(
+          core::PartIds{&level->ids, deleted, request.ids});
+      members->push_back(level->tree->AsMember(part.Exclude(), part.Ids(),
+                                               core::Nearest::kLoose));
     }
   }
 

@@ -352,6 +352,39 @@ TEST(ExecutorTest, DistanceBudgetDegradesToPartialResults) {
   const auto snap = stats.Snapshot();
   EXPECT_EQ(snap.partial, batch.size());
   EXPECT_EQ(snap.deadline_exceeded, 0u);
+
+  // The same budget over an overlay whose objects all sit in its memtable,
+  // plus one 10-NN query: the memtable's buffer and trees evaluate through
+  // CancelChecked too, so the budget cuts them.
+  const ChurnedOverlay churned("budget", data, 0);
+  ASSERT_EQ(churned.overlay->memtable_size(), data.size());
+  auto overlay_batch = MakeRangeBatch(queries, 0.6);
+  Query knn;
+  knn.kind = Query::Kind::kKnn;
+  knn.object = queries[0];
+  knn.k = 10;
+  overlay_batch.push_back(knn);
+  const auto overlay_unbounded =
+      RunBatch(*churned.overlay, overlay_batch, /*pool=*/nullptr);
+  for (auto& q : overlay_batch) q.max_distance_computations = 256;
+  const auto overlay_outcomes =
+      RunBatch(*churned.overlay, overlay_batch, /*pool=*/nullptr);
+  for (std::size_t i = 0; i < overlay_outcomes.size(); ++i) {
+    const auto& out = overlay_outcomes[i];
+    ASSERT_GT(overlay_unbounded[i].distance_computations, 256u)
+        << "query too easy to exercise the budget";
+    EXPECT_EQ(out.status.code(), StatusCode::kDeadlineExceeded) << i;
+    EXPECT_TRUE(out.partial) << i;
+    EXPECT_GE(out.distance_computations, 256u) << i;
+    EXPECT_LE(out.distance_computations, 256u + 64u) << i;
+    if (i < queries.size()) {
+      EXPECT_TRUE(std::includes(overlay_unbounded[i].neighbors.begin(),
+                                overlay_unbounded[i].neighbors.end(),
+                                out.neighbors.begin(), out.neighbors.end(),
+                                NeighborLess))
+          << i;
+    }
+  }
 }
 
 TEST(ExecutorTest, DegradedOutcomeClassesFoldIntoStatsDisjointly) {

@@ -516,6 +516,63 @@ TEST(ShardedIndexTest, TiesAcrossShellsKeepTheLowestIds) {
   check(far_first, {}, "far shell last");
 }
 
+/// 1-d integer points, so every L2 distance is exact, in 4 shells around
+/// v. Each query's closed ball just touches one shell's lo or hi: the ball
+/// reaches the point at distance lo (or hi) from v at exactly its radius,
+/// the shell's bound max(0, lo - d0, d0 - hi) equals the radius, and the
+/// shard must be searched. Serial and pooled answers equal the scan, which
+/// holds that point at distance exactly r.
+TEST(ShardedIndexTest, RangeBallTouchingAShellVisitsIt) {
+  std::vector<Vector> data;
+  for (std::size_t g = 0; g < 40; ++g) {
+    data.push_back(Vector{static_cast<double>(g * 17 % 40)});
+  }
+  ThreadPool pool(2);
+  const Sharded sharded = BuildSharded(data, 4);
+  const auto partition = sharded.partition();
+  ASSERT_TRUE(partition.has_value());
+  const double v = data[sharded.shard_global_ids(
+      partition->vantage_shard)[partition->vantage_local]][0];
+  const Scan scan(data, L2());
+  std::size_t touched = 0;
+  for (std::size_t s = 0; s < 4; ++s) {
+    const Sharded::Shell& shell = partition->shells[s];
+    for (const double sign : {-1.0, 1.0}) {
+      for (const double r : {0.0, 1.0, 2.0, 3.0}) {
+        // (query, the point the ball touches at distance r)
+        std::vector<std::pair<double, double>> cases = {
+            {v + sign * (shell.hi + r), v + sign * shell.hi}};
+        if (shell.lo >= r) {
+          cases.emplace_back(v + sign * (shell.lo - r), v + sign * shell.lo);
+        }
+        for (const auto& [at, touches] : cases) {
+          const Vector q{at};
+          const std::string what = "shell " + std::to_string(s) + " q=" +
+                                   std::to_string(at) +
+                                   " r=" + std::to_string(r);
+          const auto want = scan.RangeSearch(q, r);
+          const bool stored = touches >= 0.0 && touches < 40.0;
+          touched += stored ? 1 : 0;
+          EXPECT_EQ(std::any_of(want.begin(), want.end(),
+                                [&](const Neighbor& n) {
+                                  return n.distance == r &&
+                                         data[n.id][0] == touches;
+                                }),
+                    stored)
+              << what;
+          SearchStats serial;
+          core::SearchContext pooled{.pool = &pool};
+          const Request request{.object = q, .radius = r};
+          EXPECT_EQ(core::Answer(sharded, request, &serial), want) << what;
+          ExpectSameSearch(core::Answer(sharded, request, pooled), want,
+                           pooled.stats, serial, "pooled " + what);
+        }
+      }
+    }
+  }
+  EXPECT_GT(touched, 32u);  // most touched points are stored ones
+}
+
 TEST(ShardedIndexTest, KLargerThanSizeReturnsEverything) {
   const auto data = Clustered(300, 6, 8);
   const Sharded sharded = BuildSharded(data, 4);
